@@ -1,5 +1,5 @@
-"""Waveform ingestion, rate/channel normalization, and training-time
-augmentation (pitch shift, time stretch).
+"""Waveform ingestion, rate/channel normalization, and pitch shift and
+time stretch (phase vocoder) for perturbing test audio.
 
 WAV support is deliberately narrow: RIFF/WAVE with PCM 16-bit or IEEE
 float32 on read, PCM 16-bit on write.
@@ -8,7 +8,7 @@ float32 on read, PCM 16-bit on write.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,20 +83,6 @@ class AudioBuffer:
         i0 = int(round(start_s * self.sample_rate))
         i1 = int(round(end_s * self.sample_rate))
         return AudioBuffer(self.samples[:, i0:i1].copy(), self.sample_rate)
-
-
-@dataclass
-class AugmentPolicy:
-    pitch_semitones: tuple = (-2, 2)
-    stretch_factors: tuple = (0.8, 1.25)
-    probability: float = 0.5
-    enabled_when_extractor_trainable: bool = True
-
-    def __post_init__(self):
-        if not 0.0 <= self.probability <= 1.0:
-            raise AudioError("probability must lie in [0, 1]")
-        if any(f <= 0 for f in self.stretch_factors):
-            raise AudioError("stretch factors must be positive")
 
 
 # ----------------------------------------------------------------------
@@ -290,19 +276,3 @@ def pitch_shift(buf: AudioBuffer, semitones: int) -> AudioBuffer:
     shifted = AudioBuffer(resampled, buf.sample_rate)
     return time_stretch(shifted, ratio)
 
-
-def augment(buf: AudioBuffer, policy: AugmentPolicy, extractor_trainable: bool,
-            rng: np.random.Generator) -> AudioBuffer:
-    """Draw one transform per call; identity when the extractor is frozen."""
-    if not extractor_trainable:
-        return buf
-    if rng.random() >= policy.probability:
-        return buf
-    options = [("pitch", s) for s in policy.pitch_semitones]
-    options += [("stretch", f) for f in policy.stretch_factors]
-    if not options:
-        return buf
-    kind, value = options[rng.integers(len(options))]
-    if kind == "pitch":
-        return pitch_shift(buf, int(value))
-    return time_stretch(buf, float(value))

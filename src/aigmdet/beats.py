@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio import AudioBuffer
+from .dsp import TooShort
 
 BPM_MIN, BPM_MAX = 60.0, 200.0
 TEMPO_PRIOR_BPM = 120.0
@@ -22,10 +23,6 @@ PERIODICITY_FLOOR = 0.1
 
 
 class BeatError(Exception):
-    pass
-
-
-class TooShort(BeatError):
     pass
 
 

@@ -14,13 +14,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import beats as beats_mod
-from . import models, pipeline, training
+from . import pipeline, training
 from .audio import AudioError, load_wav
-from .beats import BeatError, GridTooSparse, NoPeriodicity, export_boundaries_csv
+from .beats import BeatError, export_boundaries_csv
 from .data import DataError, Manifest, split_dataset
-from .extractors import (EmbeddingFileError, EmbeddingSequence, get_extractor,
-                         load_precomputed, pad_or_crop)
+from .dsp import TooShort
+from .extractors import (SEGMENT_EMBED_DIM, DspVectorExtractor, EmbeddingFileError,
+                         EmbeddingSequence, get_extractor, load_precomputed)
 from .models import export_ssm_csv, export_ssm_pgm, predict, self_similarity
 from .nn import CheckpointError
 from .training import PRESETS, DivergedLoss, TrainConfig, evaluate, train
@@ -76,12 +76,7 @@ def _train_config(args) -> TrainConfig:
 
 # ----------------------------------------------------------------------
 def cmd_beats(args) -> int:
-    buf = load_wav(args.audio)
-    try:
-        analysis = pipeline.analyze_beats(buf)
-    except NoPeriodicity:
-        print("error: no rhythmic periodicity detected", file=sys.stderr)
-        return EXIT_MUSIC
+    analysis = pipeline.analyze_beats(load_wav(args.audio))
     grid = analysis.grid
     boundaries = [(t, t + grid.period) for t in grid.downbeats()]
     export_boundaries_csv(boundaries, args.out)
@@ -170,25 +165,15 @@ def cmd_eval(args) -> int:
 
 def cmd_predict(args) -> int:
     model, arch, preset = pipeline.load_model(args.ckpt)
-    buf = load_wav(args.audio)
     if args.mode == "segment":
-        extractor = get_extractor(preset)
-        feats = extractor(models.prepare_for_extractor(buf, extractor))
-        out = model.forward(feats)
+        out = model.forward(pipeline.stage1_features(args.audio, get_extractor(preset)))
     else:
         if arch != "segtr":
             raise DataError("full mode needs a stage-2 (segtr) checkpoint")
         if not args.stage1_ckpt:
             raise DataError("full mode requires --stage1-ckpt")
         stage1, _, s1_preset = pipeline.load_model(args.stage1_ckpt)
-        extractor = get_extractor(s1_preset)
-        try:
-            analysis = pipeline.analyze_beats(buf)
-            seq = models.track_to_sequence(pipeline.analysis_buffer(buf),
-                                           analysis.grid, stage1, extractor)
-        except (NoPeriodicity, GridTooSparse) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_MUSIC
+        seq = pipeline.track_sequence_for_path(args.audio, stage1, get_extractor(s1_preset))
         out = model.forward(seq)
     label = predict(out)
     print(f"probability={out.probability:.6f} label={label} "
@@ -199,16 +184,9 @@ def cmd_predict(args) -> int:
 def cmd_ssm(args) -> int:
     path = Path(args.input)
     if path.suffix.lower() == ".wav":
-        buf = load_wav(path)
-        try:
-            analysis = pipeline.analyze_beats(buf)
-            segs = beats_mod.segment_bars(pipeline.analysis_buffer(buf), analysis.grid)
-        except (NoPeriodicity, GridTooSparse) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_MUSIC
-        from .dsp import dsp_embed
-        vectors = np.stack([dsp_embed(s, 512) for s in segs.segments])
-        seq = EmbeddingSequence(vectors, np.ones(len(vectors), dtype=bool))
+        features = pipeline.track_features_for_path(
+            path, DspVectorExtractor(SEGMENT_EMBED_DIM))
+        seq = EmbeddingSequence(np.stack(features), np.ones(len(features), dtype=bool))
     else:
         seq = load_precomputed(path)
     ssm = self_similarity(seq)
@@ -278,7 +256,7 @@ def main(argv=None) -> int:
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except BeatError as exc:
+    except (BeatError, TooShort) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MUSIC
 

@@ -34,10 +34,6 @@ class BadBand(DspError):
     pass
 
 
-class DimMismatch(DspError):
-    pass
-
-
 class TooShort(DspError):
     pass
 
@@ -127,7 +123,7 @@ def mel_center_freqs(n_mels: int, fmin: float, fmax: float) -> np.ndarray:
 def log_mel(spec: Spectrogram, fb: np.ndarray) -> MelSpectrogram:
     """values = ln(fb @ power + eps)."""
     if fb.shape[1] != spec.bins:
-        raise DimMismatch(f"filterbank bins {fb.shape[1]} vs spectrogram {spec.bins}")
+        raise BadFrameParams(f"filterbank bins {fb.shape[1]} vs spectrogram {spec.bins}")
     power = spec.magnitudes**2
     values = np.log(power @ fb.T + LOG_EPS)
     rate = spec.sample_rate
@@ -157,7 +153,7 @@ def dsp_embed(segment: AudioBuffer, dim: int) -> np.ndarray:
     """Fixed-seed embedding of a mono segment: per-band log-mel statistics
     (mean, std, max, mean positive flux) projected to `dim`, L2-normalized."""
     if segment.channels != 1:
-        raise DimMismatch("dsp_embed expects a mono segment")
+        raise BadFrameParams("dsp_embed expects a mono segment")
     if segment.duration < 0.2:
         raise TooShort(f"segment of {segment.duration:.3f} s is below 0.2 s")
     spec = stft(segment)

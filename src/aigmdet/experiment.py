@@ -7,22 +7,18 @@ its own split, initialization, and shuffling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .audio import load_wav
-from .beats import segment_bars
 from .data import Manifest, split_dataset, synth_dataset
-from .dsp import dsp_embed
-from .extractors import EmbeddingSequence, pad_or_crop
-from .models import AudioCAT, SegmentTransformer
+from .extractors import SEGMENT_EMBED_DIM, DspVectorExtractor
+from .models import AudioCAT, SegmentTransformer, features_to_sequence, segment_features
 from .nn import AttentionConfig
 from .pipeline import analysis_buffer, analyze_beats
 from .training import TrainConfig, TrainResult, evaluate, train
-
-SEGMENT_EMBED_DIM = 512
 
 
 @dataclass
@@ -50,13 +46,12 @@ class ExperimentResult:
 
 def extract_corpus(manifest: Manifest, log=None) -> list[TrackFeatures]:
     """Beat-align every track and embed its 4-bar segments."""
+    extractor = DspVectorExtractor(SEGMENT_EMBED_DIM)
     tracks = []
     for i, entry in enumerate(manifest.entries):
         buf = load_wav(entry.path)
-        mono = analysis_buffer(buf)
         grid = analyze_beats(buf).grid
-        segs = segment_bars(mono, grid)
-        vectors = np.stack([dsp_embed(s, SEGMENT_EMBED_DIM) for s in segs.segments])
+        vectors = np.stack(segment_features(analysis_buffer(buf), grid, extractor))
         tracks.append(TrackFeatures(entry.path, entry.label, vectors))
         if log and (i + 1) % 16 == 0:
             log(f"extracted {i + 1}/{len(manifest.entries)} tracks")
@@ -72,13 +67,7 @@ def _stage1_examples(tracks) -> list:
 
 
 def _stage2_examples(tracks, stage1, max_len: int) -> list:
-    data = []
-    for t in tracks:
-        pooled = np.stack([stage1.forward(v[None, :]).pooled for v in t.vectors])
-        seq = pad_or_crop(EmbeddingSequence(pooled, np.ones(len(pooled), dtype=bool)),
-                          max_len)
-        data.append((seq, t.label))
-    return data
+    return [(features_to_sequence(t.vectors, stage1, max_len), t.label) for t in tracks]
 
 
 def run_seed(tracks, manifest: Manifest, seed: int,
@@ -127,8 +116,8 @@ def run_experiment(data_dir, n_per_class: int = 64, duration_s: float = 64.0,
     per_seed = []
     for seed in seeds:
         result = run_seed(tracks, manifest, seed,
-                          dataclass_replace(stage1_cfg, seed=seed),
-                          dataclass_replace(stage2_cfg, seed=seed), log=log)
+                          replace(stage1_cfg, seed=seed),
+                          replace(stage2_cfg, seed=seed), log=log)
         if log:
             log(f"seed {seed}: accuracy={result.accuracy:.3f} auc={result.auc:.3f}")
         per_seed.append(result)
@@ -137,8 +126,3 @@ def run_experiment(data_dir, n_per_class: int = 64, duration_s: float = 64.0,
         float(np.mean([r.accuracy for r in per_seed])),
         float(np.mean([r.auc for r in per_seed])),
     )
-
-
-def dataclass_replace(cfg: TrainConfig, **kw) -> TrainConfig:
-    from dataclasses import replace
-    return replace(cfg, **kw)

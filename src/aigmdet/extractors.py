@@ -19,6 +19,8 @@ from .dsp import EMBED_MELS, TooShort, dsp_embed, log_mel, mel_filterbank, stft
 SEQ_FRAME_LEN = 512
 SEQ_HOP = 256
 MAX_SEQ_LEN = 48
+# whole-segment DspVectorExtractor dimension of the experiment and `ssm`
+SEGMENT_EMBED_DIM = 512
 
 
 class ExtractorError(Exception):
@@ -94,7 +96,6 @@ class FeatureExtractor:
     name: str = "base"
     kind: str = "sequence"  # or "vector"
     d_enc: int = 0
-    trainable: bool = False
     sample_rate: int = 16000
     channels: int = 1
 
@@ -182,10 +183,6 @@ def get_extractor(preset: str) -> FeatureExtractor:
     except KeyError:
         raise ExtractorError(f"unknown extractor preset {preset!r}; "
                              f"options: {sorted(PRESETS)}") from None
-
-
-def extract(extractor: FeatureExtractor, segment: AudioBuffer) -> np.ndarray:
-    return extractor(segment)
 
 
 # ----------------------------------------------------------------------

@@ -24,10 +24,6 @@ class EmptySequence(Exception):
     pass
 
 
-class DimMismatch(Exception):
-    pass
-
-
 @dataclass
 class DetectorOutput:
     logit: float
@@ -120,7 +116,7 @@ class FXSegment(nn.Module):
     def __init__(self, d_enc: int = 2048, n_tokens: int = 16,
                  cfg: AttentionConfig | None = None, n_layers: int = 2, seed: int = 0):
         if d_enc % n_tokens != 0:
-            raise DimMismatch(f"d_enc {d_enc} not divisible by {n_tokens} tokens")
+            raise ShapeMismatch(f"d_enc {d_enc} not divisible by {n_tokens} tokens")
         cfg = cfg or AttentionConfig()
         rng = np.random.default_rng(seed)
         self.cfg = cfg
@@ -134,7 +130,7 @@ class FXSegment(nn.Module):
     def forward_tensor(self, embedding: np.ndarray) -> tuple[Tensor, Tensor]:
         embedding = np.asarray(embedding, dtype=np.float64).reshape(-1)
         if embedding.shape[0] != self.d_enc:
-            raise DimMismatch(f"embedding dim {embedding.shape[0]} vs d_enc {self.d_enc}")
+            raise ShapeMismatch(f"embedding dim {embedding.shape[0]} vs d_enc {self.d_enc}")
         tokens = Tensor(embedding.reshape(self.n_tokens, -1))
         x = concat([self.cls, self.token_proj(tokens)], axis=0)
         x = x + nn.sinusoidal_positions(self.n_tokens + 1, self.cfg.d_model)
@@ -226,20 +222,26 @@ def prepare_for_extractor(segment: AudioBuffer, extractor: FeatureExtractor) -> 
     return out
 
 
-def segment_representation(stage1, extractor: FeatureExtractor,
-                           segment: AudioBuffer) -> np.ndarray:
-    feats = extractor(prepare_for_extractor(segment, extractor))
-    return stage1.forward(feats).pooled
+def segment_features(track: AudioBuffer, grid: BeatGrid,
+                     extractor: FeatureExtractor) -> list[np.ndarray]:
+    """Extractor features of each 4-bar slice of the track."""
+    segs = segment_bars(track, grid)
+    return [extractor(prepare_for_extractor(s, extractor)) for s in segs.segments]
+
+
+def features_to_sequence(features, stage1,
+                         max_len: int = MAX_SEQ_LEN) -> EmbeddingSequence:
+    """Pooled stage-1 representations of per-segment features, padded/cropped."""
+    vectors = np.stack([stage1.forward(f).pooled for f in features])
+    seq = EmbeddingSequence(vectors, np.ones(len(vectors), dtype=bool))
+    return pad_or_crop(seq, max_len)
 
 
 def track_to_sequence(track: AudioBuffer, grid: BeatGrid, stage1,
                       extractor: FeatureExtractor,
                       max_len: int = MAX_SEQ_LEN) -> EmbeddingSequence:
-    """Pooled stage-1 representations of each 4-bar slice, padded/cropped."""
-    segs = segment_bars(track, grid)
-    vectors = [segment_representation(stage1, extractor, s) for s in segs.segments]
-    seq = EmbeddingSequence(np.stack(vectors), np.ones(len(vectors), dtype=bool))
-    return pad_or_crop(seq, max_len)
+    """Stage-2 input of a track: segment_features, then features_to_sequence."""
+    return features_to_sequence(segment_features(track, grid, extractor), stage1, max_len)
 
 
 # ----------------------------------------------------------------------

@@ -32,8 +32,6 @@ class AttentionConfig:
     d_model: int = 128
     heads: int = 4
     ffn_dim: int = 256
-    dropout_rate: float = 0.0
-    causal: bool = False
 
     def __post_init__(self):
         if self.d_model % self.heads != 0:
@@ -111,10 +109,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return centered / (var + eps).sqrt() * gain + bias
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    return x.softmax(axis=axis)
-
-
 def sinusoidal_positions(n: int, d: int) -> Tensor:
     """Fixed sin/cos positional table, PE[p, 2i]=sin(p/10000^(2i/d))."""
     if d % 2 != 0:
@@ -126,13 +120,6 @@ def sinusoidal_positions(n: int, d: int) -> Tensor:
     pe[:, 0::2] = np.sin(angle)
     pe[:, 1::2] = np.cos(angle)
     return Tensor(pe)
-
-
-def _dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
-    if rate <= 0.0 or rng is None:
-        return x
-    keep = (rng.random(x.shape) >= rate) / (1.0 - rate)
-    return x * Tensor(keep)
 
 
 class MultiHeadAttention(Module):
@@ -151,8 +138,7 @@ class MultiHeadAttention(Module):
         self.wo = Linear(d, d, rng)
 
     def __call__(self, q: Tensor, k: Tensor, v: Tensor,
-                 mask: np.ndarray | None = None,
-                 dropout_rng: np.random.Generator | None = None) -> Tensor:
+                 mask: np.ndarray | None = None) -> Tensor:
         cfg = self.cfg
         if q.shape[-1] != cfg.d_model or k.shape[-1] != cfg.d_model or v.shape[-1] != cfg.d_model:
             raise ShapeMismatch("q/k/v last dim must equal d_model")
@@ -177,7 +163,6 @@ class MultiHeadAttention(Module):
             bias = np.where(mask, 0.0, -np.inf)[None, None, :]
             scores = scores + Tensor(bias)
         attn = scores.softmax(axis=-1)
-        attn = _dropout(attn, cfg.dropout_rate, dropout_rng)
         out = (attn @ V).transpose(1, 0, 2).reshape(m, h * hd)
         return self.wo(out)
 
@@ -213,10 +198,9 @@ class EncoderBlock(Module):
         self.ln2 = LayerNorm(cfg.d_model)
         self.ffn = FeedForward(cfg, rng)
 
-    def __call__(self, x: Tensor, mask: np.ndarray | None = None,
-                 dropout_rng: np.random.Generator | None = None) -> Tensor:
+    def __call__(self, x: Tensor, mask: np.ndarray | None = None) -> Tensor:
         h = self.ln1(x)
-        x = x + self.attn(h, h, h, mask=mask, dropout_rng=dropout_rng)
+        x = x + self.attn(h, h, h, mask=mask)
         x = x + self.ffn(self.ln2(x))
         return x
 
@@ -233,12 +217,10 @@ class DecoderBlock(Module):
         self.ffn = FeedForward(cfg, rng)
 
     def __call__(self, x: Tensor, memory: Tensor,
-                 mem_mask: np.ndarray | None = None,
-                 dropout_rng: np.random.Generator | None = None) -> Tensor:
+                 mem_mask: np.ndarray | None = None) -> Tensor:
         h = self.ln1(x)
-        x = x + self.self_attn(h, h, h, dropout_rng=dropout_rng)
-        x = x + self.cross_attn(self.ln2(x), memory, memory,
-                                mask=mem_mask, dropout_rng=dropout_rng)
+        x = x + self.self_attn(h, h, h)
+        x = x + self.cross_attn(self.ln2(x), memory, memory, mask=mem_mask)
         x = x + self.ffn(self.ln3(x))
         return x
 
@@ -347,7 +329,7 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
 
 __all__ = [
     "AttentionConfig", "Module", "Linear", "LayerNorm", "MultiHeadAttention",
-    "FeedForward", "EncoderBlock", "DecoderBlock", "layer_norm", "softmax",
+    "FeedForward", "EncoderBlock", "DecoderBlock", "layer_norm",
     "sinusoidal_positions", "bce_loss", "focal_loss", "OptimState", "adam_step",
     "save_checkpoint", "load_checkpoint", "ShapeMismatch", "AllMasked",
     "CheckpointError", "concat",

@@ -11,12 +11,11 @@ import numpy as np
 
 from . import nn
 from .audio import AudioBuffer, load_wav, resample, to_mono
-from .beats import (BeatGrid, estimate_tempo, pick_downbeats, quantize_grid,
-                    segment_bars, track_beats)
-from .data import Manifest
+from .beats import BeatGrid, estimate_tempo, pick_downbeats, quantize_grid, track_beats
 from .dsp import FRAME_LEN, HOP, log_mel, mel_filterbank, onset_envelope, stft
-from .extractors import FeatureExtractor, get_extractor
-from .models import AudioCAT, FXSegment, SegmentTransformer, prepare_for_extractor, track_to_sequence
+from .extractors import FeatureExtractor
+from .models import (AudioCAT, FXSegment, SegmentTransformer, features_to_sequence,
+                     prepare_for_extractor, segment_features)
 from .nn import AttentionConfig
 
 ANALYSIS_RATE = 16000
@@ -80,10 +79,6 @@ def _extend_grid(grid: BeatGrid, duration: float) -> BeatGrid:
 
 
 # ----------------------------------------------------------------------
-def load_clip(path) -> AudioBuffer:
-    return load_wav(path)
-
-
 def stage1_features(path, extractor: FeatureExtractor) -> np.ndarray:
     clip = prepare_for_extractor(load_wav(path), extractor)
     return extractor(clip)
@@ -94,11 +89,16 @@ def build_stage1_dataset(entries, extractor: FeatureExtractor) -> list:
     return [(stage1_features(e.path, extractor), e.label) for e in entries]
 
 
-def track_sequence_for_path(path, stage1, extractor: FeatureExtractor):
+def track_features_for_path(path, extractor: FeatureExtractor) -> list:
+    """WAV path -> beat grid -> extractor features of each 4-bar segment."""
     buf = load_wav(path)
-    analysis = analyze_beats(buf)
-    mono = analysis_buffer(buf)
-    return track_to_sequence(mono, analysis.grid, stage1, extractor)
+    grid = analyze_beats(buf).grid
+    return segment_features(analysis_buffer(buf), grid, extractor)
+
+
+def track_sequence_for_path(path, stage1, extractor: FeatureExtractor):
+    """WAV path -> stage-2 input sequence (see models.track_to_sequence)."""
+    return features_to_sequence(track_features_for_path(path, extractor), stage1)
 
 
 def build_stage2_dataset(entries, stage1, extractor: FeatureExtractor) -> list:

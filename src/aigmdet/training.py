@@ -7,7 +7,7 @@ and .parameters(); datasets are lists of (input, label) pairs.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +44,6 @@ class TrainConfig:
     weight_decay: float = 1e-6
     early_stop_patience: int = 5
     seed: int = 0
-    max_seq: int = 48
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1 or self.early_stop_patience < 1:
@@ -188,15 +187,6 @@ class EvalReport:
     def csv_row(self) -> str:
         return (f"{self.accuracy:.6f},{self.precision:.6f},{self.recall:.6f},"
                 f"{self.f1:.6f},{self.auc:.6f},{self.specificity:.6f}")
-
-    def text(self) -> str:
-        lines = [f"tp={self.tp}", f"fp={self.fp}", f"tn={self.tn}", f"fn={self.fn}",
-                 f"acc={self.accuracy:.6f}", f"prec={self.precision:.6f}",
-                 f"recall={self.recall:.6f}", f"f1={self.f1:.6f}",
-                 f"auc={self.auc:.6f}", f"spec={self.specificity:.6f}"]
-        if self.undefined:
-            lines.append("undefined=" + ",".join(self.undefined))
-        return "\n".join(lines)
 
 
 def confusion(scores, labels, threshold: float = 0.5) -> tuple[int, int, int, int]:

@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aigmdet import audio
-from aigmdet.audio import (AudioBuffer, AugmentPolicy, InvalidRate,
-                           MalformedHeader, OutOfRangeFactor, OutOfRangeShift,
-                           UnsupportedEncoding, augment, load_wav, pitch_shift,
-                           resample, save_wav, time_stretch, to_mono)
+from aigmdet.audio import (AudioBuffer, InvalidRate, MalformedHeader,
+                           OutOfRangeFactor, OutOfRangeShift, UnsupportedEncoding,
+                           load_wav, pitch_shift, resample, save_wav, time_stretch,
+                           to_mono)
 
 from util import fft_peak_hz, sine_buffer
 
@@ -211,38 +211,3 @@ def test_outputs_stay_finite():
     buf = AudioBuffer(rng.uniform(-1, 1, size=(1, 8000)), 16000)
     for out in (time_stretch(buf, 0.8), pitch_shift(buf, 2), resample(buf, 22050)):
         assert np.isfinite(out.samples).all()
-
-
-# ---------------------------------------------------------------- augment
-def test_augment_frozen_extractor_is_identity():
-    buf = sine_buffer(440, 0.5)
-    rng = np.random.default_rng(0)
-    out = augment(buf, AugmentPolicy(), extractor_trainable=False, rng=rng)
-    assert out is buf
-
-
-def test_augment_zero_probability_is_identity():
-    buf = sine_buffer(440, 0.5)
-    policy = AugmentPolicy(probability=0.0)
-    out = augment(buf, policy, extractor_trainable=True, rng=np.random.default_rng(1))
-    assert np.array_equal(out.samples, buf.samples)
-
-
-def test_augment_bernoulli_rate():
-    # counting draws only; use a trivially short buffer to keep it fast
-    buf = sine_buffer(440, 0.01)
-    policy = AugmentPolicy(pitch_semitones=(), stretch_factors=(1.3,), probability=0.5)
-    rng = np.random.default_rng(7)
-    applied = 0
-    for _ in range(10000):
-        out = augment(buf, policy, extractor_trainable=True, rng=rng)
-        applied += int(out.frames != buf.frames or not np.array_equal(out.samples, buf.samples))
-    assert abs(applied - 5000) <= 150  # 3 sigma
-
-
-def test_augment_deterministic_under_seed():
-    buf = sine_buffer(330, 0.5)
-    policy = AugmentPolicy()
-    a = augment(buf, policy, True, np.random.default_rng(42))
-    b = augment(buf, policy, True, np.random.default_rng(42))
-    assert np.array_equal(a.samples, b.samples)

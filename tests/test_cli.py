@@ -1,13 +1,17 @@
 import argparse
-import os
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from aigmdet import cli
-from aigmdet.audio import save_wav
+from aigmdet import cli, models, pipeline
+from aigmdet.audio import AudioBuffer, load_wav, save_wav
 from aigmdet.cli import EXIT_IO, EXIT_MUSIC, EXIT_OK, EXIT_USAGE, main
 from aigmdet.data import Manifest, ManifestEntry, render_track
+from aigmdet.extractors import get_extractor
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(argv):
@@ -77,6 +81,15 @@ def test_beats_on_silence_exits_3(tmp_path, capsys):
     assert run(["beats", str(path), "--out", str(tmp_path / "g.csv")]) == EXIT_MUSIC
 
 
+@pytest.mark.parametrize("command", ["beats", "ssm"])
+def test_below_one_frame_exits_3(command, tmp_path, capsys):
+    # 500 samples: shorter than one 1024-sample analysis frame
+    path = tmp_path / "tiny.wav"
+    save_wav(AudioBuffer(0.1 * np.ones((1, 500)), 16000), path)
+    assert run([command, str(path), "--out", str(tmp_path / "out")]) == EXIT_MUSIC
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_beats_missing_file_exits_2(capsys):
     assert run(["beats", "/nonexistent/x.wav", "--out", "g.csv"]) == EXIT_IO
 
@@ -144,6 +157,66 @@ def test_full_mode_needs_stage2_ckpt(corpus, stage1_ckpt, capsys):
                 "--audio", corpus["clip"], "--mode", "full"]) == EXIT_IO
 
 
+# ---------------------------------------------------------------- stage 2
+@pytest.fixture(scope="module")
+def tracks(tmp_path_factory):
+    """Pre-split manifest of 16 s tracks: each holds whole 4-bar windows."""
+    root = tmp_path_factory.mktemp("tracks")
+    rng = np.random.default_rng(2)
+    entries = []
+    for i, split in enumerate(["train"] * 4 + ["val"] * 2 + ["test"] * 2):
+        label = i % 2
+        path = root / f"track{i}.wav"
+        save_wav(render_track(label, 120, 16.0, 16000, rng), path)
+        entries.append(ManifestEntry(str(path), label, split))
+    Manifest(entries).save(root / "tracks.csv")
+    return {"manifest": root / "tracks.csv", "track": entries[-1].path}
+
+
+@pytest.fixture(scope="module")
+def stage2_ckpt(tracks, stage1_ckpt, tmp_path_factory):
+    out = tmp_path_factory.mktemp("ckpt2") / "s2.aigm"
+    code = main(["train", "--stage", "2", "--arch", "segtr",
+                 "--manifest", str(tracks["manifest"]),
+                 "--stage1-ckpt", str(stage1_ckpt), "--epochs", "1",
+                 "--lr", "1e-3", "--seed", "0", "--out", str(out)])
+    assert code == EXIT_OK
+    return out
+
+
+def test_train_stage2_outputs(stage2_ckpt, stage1_ckpt):
+    model, arch, _ = pipeline.load_model(stage2_ckpt)
+    stage1, _, _ = pipeline.load_model(stage1_ckpt)
+    assert arch == "segtr"
+    assert model.d_in == stage1.cfg.d_model
+    assert (stage2_ckpt.parent / (stage2_ckpt.name + ".history.csv")).exists()
+
+
+def test_eval_stage2(tracks, stage1_ckpt, stage2_ckpt, capsys):
+    code = run(["eval", "--ckpt", str(stage2_ckpt), "--stage1-ckpt", str(stage1_ckpt),
+                "--manifest", str(tracks["manifest"])])
+    captured = capsys.readouterr().out.strip().splitlines()
+    assert code == EXIT_OK
+    assert captured[-2] == "acc,prec,recall,f1,auc,spec"
+    values = [float(v) for v in captured[-1].split(",")]
+    assert len(values) == 6 and all(0.0 <= v <= 1.0 for v in values)
+
+
+def test_predict_full_mode(tracks, stage1_ckpt, stage2_ckpt, capsys):
+    code = run(["predict", "--ckpt", str(stage2_ckpt), "--stage1-ckpt", str(stage1_ckpt),
+                "--audio", tracks["track"], "--mode", "full"])
+    captured = capsys.readouterr().out
+    assert code == EXIT_OK
+    # the score is the one track_to_sequence gives on the same track
+    stage1, _, preset = pipeline.load_model(stage1_ckpt)
+    stage2, _, _ = pipeline.load_model(stage2_ckpt)
+    buf = load_wav(tracks["track"])
+    seq = models.track_to_sequence(pipeline.analysis_buffer(buf),
+                                   pipeline.analyze_beats(buf).grid,
+                                   stage1, get_extractor(preset))
+    assert f"probability={stage2.forward(seq).probability:.6f}" in captured
+
+
 # ---------------------------------------------------------------- ssm
 def test_ssm_from_wav(corpus, tmp_path, capsys):
     out = tmp_path / "ssm"
@@ -204,3 +277,20 @@ def test_seed_env_fallback(monkeypatch):
     monkeypatch.delenv("AIGM_SEED")
     assert cli._train_config(make_args()).seed == 0
     assert cli._train_config(make_args(seed=5)).seed == 5
+
+
+# ---------------------------------------------------------------- README
+def _readme_commands():
+    text = README.read_text()
+    block = text.split("## CLI", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+    joined = block.replace("\\\n", " ")
+    return [line.strip() for line in joined.splitlines()
+            if line.strip().startswith("aigmdet ")]
+
+
+def test_readme_cli_examples_parse():
+    argvs = [shlex.split(c)[1:] for c in _readme_commands()]
+    assert {argv[0] for argv in argvs} == set(cli._COMMANDS)  # every command shown
+    parser = cli.make_parser()
+    for argv in argvs:
+        assert parser.parse_args(argv).command == argv[0]

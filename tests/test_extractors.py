@@ -8,7 +8,7 @@ from aigmdet.extractors import (MAX_SEQ_LEN, BadMagic, DimMismatch,
                                 DspSequenceExtractor, DspVectorExtractor,
                                 EmbeddingSequence, ExtractorError,
                                 RandomStubExtractor, RateMismatch, Truncated,
-                                extract, get_extractor, load_precomputed,
+                                get_extractor, load_precomputed,
                                 pad_or_crop, save_embeddings)
 
 from util import sine_buffer
@@ -53,7 +53,7 @@ def test_pad_or_crop_exact_length_is_noop():
 def test_sequence_extractor_frame_count():
     # 5 s at 16 kHz, frame 512 hop 256 -> 1 + (80000-512)//256 = 311 frames
     ext = DspSequenceExtractor(512)
-    out = extract(ext, sine_buffer(440, 5.0))
+    out = ext(sine_buffer(440, 5.0))
     assert out.shape == (311, 512)
 
 
@@ -64,7 +64,7 @@ def test_sequence_extractor_deterministic():
 
 
 def test_vector_extractor_shape_and_norm():
-    out = extract(DspVectorExtractor(2048), sine_buffer(440, 1.0))
+    out = DspVectorExtractor(2048)(sine_buffer(440, 1.0))
     assert out.shape == (2048,)
     assert abs(np.linalg.norm(out) - 1.0) < 1e-9
 

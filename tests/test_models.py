@@ -7,7 +7,7 @@ from aigmdet import nn
 from aigmdet.audio import AudioBuffer
 from aigmdet.beats import BeatGrid
 from aigmdet.extractors import EmbeddingSequence, RandomStubExtractor, pad_or_crop
-from aigmdet.models import (AudioCAT, DetectorOutput, DimMismatch,
+from aigmdet.models import (AudioCAT, DetectorOutput,
                             EmptySequence, FXSegment, SegmentTransformer,
                             export_ssm_csv, export_ssm_pgm, predict,
                             prepare_for_extractor, self_similarity,
@@ -156,10 +156,10 @@ def test_fxsegment_shapes():
 
 
 def test_fxsegment_dim_checks():
-    with pytest.raises(DimMismatch):
+    with pytest.raises(ShapeMismatch):
         FXSegment(d_enc=65, n_tokens=16, cfg=SMALL)
     model = FXSegment(d_enc=64, n_tokens=16, cfg=SMALL)
-    with pytest.raises(DimMismatch):
+    with pytest.raises(ShapeMismatch):
         model.forward(np.zeros(63))
 
 

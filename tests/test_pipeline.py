@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from aigmdet import pipeline
-from aigmdet.audio import AudioBuffer, save_wav
-from aigmdet.data import ManifestEntry, render_track
-from aigmdet.extractors import EmbeddingSequence, get_extractor
-from aigmdet.models import AudioCAT, FXSegment, SegmentTransformer
+from aigmdet import experiment, pipeline
+from aigmdet.audio import AudioBuffer, load_wav, save_wav
+from aigmdet.data import Manifest, ManifestEntry, render_track
+from aigmdet.extractors import (SEGMENT_EMBED_DIM, DspVectorExtractor, EmbeddingSequence,
+                                get_extractor)
+from aigmdet.models import (AudioCAT, FXSegment, SegmentTransformer, segment_features,
+                            track_to_sequence)
 from aigmdet.nn import AttentionConfig
 
 from util import click_track
@@ -57,6 +59,26 @@ def test_track_sequence_for_path(tmp_path):
     assert seq.vectors.shape == (48, SMALL.d_model)
     # 24 s track, 8 s four-bar windows -> about 3 valid segments
     assert 2 <= seq.mask.sum() <= 3
+
+
+def test_experiment_features_are_the_pipeline_features(tmp_path):
+    """extract_corpus and _stage2_examples build what segment_features and
+    track_to_sequence build, bit for bit."""
+    path = tmp_path / "track.wav"
+    save_wav(render_track(1, 120, 24.0, 16000, np.random.default_rng(3)), path)
+    (track,) = experiment.extract_corpus(Manifest([ManifestEntry(str(path), 1)]))
+    buf = load_wav(path)
+    mono, grid = pipeline.analysis_buffer(buf), pipeline.analyze_beats(buf).grid
+    extractor = DspVectorExtractor(SEGMENT_EMBED_DIM)
+    expected = np.stack(segment_features(mono, grid, extractor))
+    assert track.vectors.tobytes() == expected.tobytes()
+
+    stage1 = AudioCAT(d_enc=SEGMENT_EMBED_DIM, cfg=SMALL, seed=0)
+    ((seq, label),) = experiment._stage2_examples([track], stage1, max_len=48)
+    want = track_to_sequence(mono, grid, stage1, extractor, max_len=48)
+    assert label == 1
+    assert seq.vectors.tobytes() == want.vectors.tobytes()
+    assert np.array_equal(seq.mask, want.mask)
 
 
 # ---------------------------------------------------------------- checkpoints
