@@ -7,8 +7,10 @@ float32 on read, PCM 16-bit on write.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -161,35 +163,36 @@ def to_mono(buf: AudioBuffer) -> AudioBuffer:
 
 
 # ----------------------------------------------------------------------
-# windowed-sinc resampler (Kaiser beta=8, 32 zero crossings per side)
+# polyphase windowed-sinc resampler (J. O. Smith, "Digital Audio
+# Resampling", CCRMA).  The rate ratio is an exact fraction up/down, so
+# output n reads the input at n*down/up and its kernel depends only on the
+# phase n mod up.  The kernel (Kaiser beta=8, 32 zero crossings per side,
+# cutoff min(1, up/down)) is tabulated once per call as [phases x 2*half];
+# the outputs of one phase read input windows `down` samples apart, so each
+# phase is one strided matrix-vector product.
 _KAISER_BETA = 8.0
 _SINC_TAPS = 32
 
 
-def _resample_channel(x: np.ndarray, ratio: float) -> np.ndarray:
-    n_out = int(round(len(x) * ratio))
-    if n_out == 0 or len(x) == 0:
-        return np.zeros(n_out)
-    cutoff = min(1.0, ratio)
+def _resample(samples: np.ndarray, up: int, down: int) -> np.ndarray:
+    """[channels x frames] at rate ratio up/down (coprime)."""
+    n_out = round(samples.shape[1] * up / down)
+    if n_out == 0:
+        return np.zeros((samples.shape[0], 0))
+    cutoff = min(1.0, up / down)
     half = int(np.ceil(_SINC_TAPS / cutoff))
-    offsets = np.arange(-half + 1, half + 1)
-    out = np.empty(n_out)
-    # block the output so the [block x taps] workspace stays small
-    block = max(1, (1 << 22) // (2 * half))
-    for lo in range(0, n_out, block):
-        hi = min(lo + block, n_out)
-        pos = np.arange(lo, hi) / ratio
-        base = np.floor(pos).astype(np.int64)
-        idx = base[:, None] + offsets[None, :]
-        t = pos[:, None] - idx
-        window = np.zeros_like(t)
-        inside = np.abs(t) <= half
-        arg = np.clip(1.0 - (t[inside] / half) ** 2, 0.0, None)
-        window[inside] = np.i0(_KAISER_BETA * np.sqrt(arg)) / np.i0(_KAISER_BETA)
-        kernel = cutoff * np.sinc(cutoff * t) * window
-        valid = (idx >= 0) & (idx < len(x))
-        gathered = np.where(valid, x[np.clip(idx, 0, len(x) - 1)], 0.0)
-        out[lo:hi] = (gathered * kernel).sum(axis=1)
+    # output n0 + m*up sits at input position b0 + m*down + frac/up
+    b0, frac = np.divmod(np.arange(min(up, n_out)) * down, up)
+    t = frac[:, None] / up - np.arange(-half + 1, half + 1)[None, :]
+    window = np.i0(_KAISER_BETA * np.sqrt(1.0 - (t / half) ** 2)) / np.i0(_KAISER_BETA)
+    table = cutoff * np.sinc(cutoff * t) * window
+    # with `half` zeros in front, the window for base b starts at index b+1
+    padded = np.pad(samples, ((0, 0), (half, half)))
+    windows = np.lib.stride_tricks.sliding_window_view(padded, 2 * half, axis=1)
+    out = np.empty((samples.shape[0], n_out))
+    for n0, (b, kernel) in enumerate(zip(b0, table)):
+        count = len(range(n0, n_out, up))
+        out[:, n0::up] = windows[:, b + 1::down][:, :count] @ kernel
     return out
 
 
@@ -198,9 +201,9 @@ def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
         raise InvalidRate(f"target rate {target_rate}")
     if target_rate == buf.sample_rate:
         return buf.copy()
-    ratio = target_rate / buf.sample_rate
-    out = np.stack([_resample_channel(ch, ratio) for ch in buf.samples])
-    return AudioBuffer(out, target_rate)
+    g = math.gcd(target_rate, buf.sample_rate)
+    return AudioBuffer(_resample(buf.samples, target_rate // g, buf.sample_rate // g),
+                       target_rate)
 
 
 # ----------------------------------------------------------------------
@@ -265,14 +268,18 @@ def time_stretch(buf: AudioBuffer, factor: float) -> AudioBuffer:
     return AudioBuffer(out, buf.sample_rate)
 
 
+# pitch_shift resamples by 2^(-s/12) as a fraction with at most this
+# denominator, which keeps the kernel table below 2000 phases
+_PITCH_MAX_DENOMINATOR = 1000
+
+
 def pitch_shift(buf: AudioBuffer, semitones: int) -> AudioBuffer:
     """Shift pitch by resampling then stretching back to original length."""
     if abs(semitones) > 12:
         raise OutOfRangeShift(f"|semitones| must be <= 12, got {semitones}")
     if semitones == 0:
         return buf.copy()
-    ratio = 2.0 ** (-semitones / 12.0)
-    resampled = np.stack([_resample_channel(ch, ratio) for ch in buf.samples])
-    shifted = AudioBuffer(resampled, buf.sample_rate)
-    return time_stretch(shifted, ratio)
+    ratio = Fraction(2.0 ** (-semitones / 12.0)).limit_denominator(_PITCH_MAX_DENOMINATOR)
+    resampled = _resample(buf.samples, ratio.numerator, ratio.denominator)
+    return time_stretch(AudioBuffer(resampled, buf.sample_rate), float(ratio))
 

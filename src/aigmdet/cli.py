@@ -20,7 +20,8 @@ from .beats import BeatError, export_boundaries_csv
 from .data import DataError, Manifest, split_dataset
 from .dsp import TooShort
 from .extractors import (SEGMENT_EMBED_DIM, DspVectorExtractor, EmbeddingFileError,
-                         EmbeddingSequence, get_extractor, load_precomputed)
+                         EmbeddingSequence, ExtractorError, get_extractor,
+                         load_precomputed)
 from .models import export_ssm_csv, export_ssm_pgm, predict, self_similarity
 from .nn import CheckpointError
 from .training import PRESETS, DivergedLoss, TrainConfig, evaluate, train
@@ -252,8 +253,8 @@ def main(argv=None) -> int:
     handler = _COMMANDS[args.command]
     try:
         return handler(args)
-    except (AudioError, EmbeddingFileError, CheckpointError, DataError,
-            OSError) as exc:
+    except (AudioError, EmbeddingFileError, ExtractorError, CheckpointError,
+            DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (BeatError, TooShort) as exc:

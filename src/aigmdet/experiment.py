@@ -49,9 +49,9 @@ def extract_corpus(manifest: Manifest, log=None) -> list[TrackFeatures]:
     extractor = DspVectorExtractor(SEGMENT_EMBED_DIM)
     tracks = []
     for i, entry in enumerate(manifest.entries):
-        buf = load_wav(entry.path)
-        grid = analyze_beats(buf).grid
-        vectors = np.stack(segment_features(analysis_buffer(buf), grid, extractor))
+        mono = analysis_buffer(load_wav(entry.path))
+        grid = analyze_beats(mono).grid
+        vectors = np.stack(segment_features(mono, grid, extractor))
         tracks.append(TrackFeatures(entry.path, entry.label, vectors))
         if log and (i + 1) % 16 == 0:
             log(f"extracted {i + 1}/{len(manifest.entries)} tracks")

@@ -91,9 +91,8 @@ def build_stage1_dataset(entries, extractor: FeatureExtractor) -> list:
 
 def track_features_for_path(path, extractor: FeatureExtractor) -> list:
     """WAV path -> beat grid -> extractor features of each 4-bar segment."""
-    buf = load_wav(path)
-    grid = analyze_beats(buf).grid
-    return segment_features(analysis_buffer(buf), grid, extractor)
+    mono = analysis_buffer(load_wav(path))
+    return segment_features(mono, analyze_beats(mono).grid, extractor)
 
 
 def track_sequence_for_path(path, stage1, extractor: FeatureExtractor):
@@ -150,6 +149,8 @@ def load_model(path):
     """Returns (model, arch_name, extractor_preset)."""
     arrays = nn.load_checkpoint(path)
     meta = {k: v for k, v in arrays.items() if k.startswith("__meta__.")}
+    if "__meta__.arch" not in meta:
+        raise nn.CheckpointError("not an aigmdet model checkpoint: missing __meta__.arch")
     weights = {k: v for k, v in arrays.items() if not k.startswith("__meta__.")}
     arch = _ARCH_NAMES[int(float(meta["__meta__.arch"]))]
     cfg = AttentionConfig(d_model=int(float(meta["__meta__.d_model"])),

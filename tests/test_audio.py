@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aigmdet import audio
@@ -9,7 +9,7 @@ from aigmdet.audio import (AudioBuffer, InvalidRate, MalformedHeader,
                            load_wav, pitch_shift, resample, save_wav, time_stretch,
                            to_mono)
 
-from util import fft_peak_hz, sine_buffer
+from util import direct_resample_channel, fft_peak_hz, sine_buffer
 
 
 # ---------------------------------------------------------------- wav io
@@ -161,6 +161,31 @@ def test_resample_length_formula(src, dst, frames):
     buf = AudioBuffer(np.zeros((1, frames)), src)
     out = resample(buf, dst)
     assert out.frames == round(frames * dst / src)
+
+
+RATES = [8000, 16000, 22050, 44100, 48000]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(RATES), st.sampled_from(RATES), st.integers(1, 5000))
+@example(44100, 16000, 1)  # shorter than the 178-tap kernel
+@example(44100, 16000, 150)
+@example(16000, 48000, 40)  # shorter than the 64-tap kernel
+def test_resample_matches_direct_form(src, dst, frames):
+    x = np.random.default_rng(frames).uniform(-1, 1, frames)
+    out = resample(AudioBuffer(np.stack([x, -0.5 * x]), src), dst)
+    for ch, scale in enumerate([1.0, -0.5]):
+        want = direct_resample_channel(scale * x, dst / src)
+        assert out.samples[ch].shape == want.shape
+        assert np.abs(out.samples[ch] - want).max(initial=0.0) <= 1e-9
+
+
+def test_resample_repeatable_bit_for_bit():
+    x = np.random.default_rng(0).uniform(-1, 1, (2, 44100))
+    first = resample(AudioBuffer(x, 44100), 16000)
+    # a fresh copy of the input sits at another address
+    second = resample(AudioBuffer(x.copy(), 44100), 16000)
+    assert first.samples.tobytes() == second.samples.tobytes()
 
 
 # ---------------------------------------------------------------- stretch/shift

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aigmdet import cli, models, pipeline
+from aigmdet import cli, models, nn, pipeline
 from aigmdet.audio import AudioBuffer, load_wav, save_wav
 from aigmdet.cli import EXIT_IO, EXIT_MUSIC, EXIT_OK, EXIT_USAGE, main
 from aigmdet.data import Manifest, ManifestEntry, render_track
@@ -155,6 +155,21 @@ def test_predict_missing_ckpt_exits_2(corpus, capsys):
 def test_full_mode_needs_stage2_ckpt(corpus, stage1_ckpt, capsys):
     assert run(["predict", "--ckpt", str(stage1_ckpt),
                 "--audio", corpus["clip"], "--mode", "full"]) == EXIT_IO
+
+
+def test_predict_segment_mode_on_stage2_ckpt_exits_2(corpus, tmp_path, capsys):
+    # a segtr checkpoint stores no extractor preset, so segment mode has none
+    path = tmp_path / "segtr.aigm"
+    pipeline.save_model(path, pipeline.build_model("segtr", seed=0), "segtr")
+    assert run(["predict", "--ckpt", str(path), "--audio", corpus["clip"]]) == EXIT_IO
+    assert capsys.readouterr().err.startswith("error: unknown extractor preset")
+
+
+def test_checkpoint_without_meta_exits_2(corpus, tmp_path, capsys):
+    path = tmp_path / "bare.aigm"
+    nn.save_checkpoint(path, pipeline.build_model("segtr", seed=0).state_arrays())
+    assert run(["predict", "--ckpt", str(path), "--audio", corpus["clip"]]) == EXIT_IO
+    assert "missing __meta__.arch" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- stage 2

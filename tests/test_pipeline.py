@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from aigmdet import experiment, pipeline
-from aigmdet.audio import AudioBuffer, load_wav, save_wav
+from aigmdet.audio import AudioBuffer, load_wav, resample, save_wav
 from aigmdet.data import Manifest, ManifestEntry, render_track
 from aigmdet.extractors import (SEGMENT_EMBED_DIM, DspVectorExtractor, EmbeddingSequence,
                                 get_extractor)
@@ -79,6 +79,27 @@ def test_experiment_features_are_the_pipeline_features(tmp_path):
     assert label == 1
     assert seq.vectors.tobytes() == want.vectors.tobytes()
     assert np.array_equal(seq.mask, want.mask)
+
+
+def test_track_resampled_once(tmp_path, monkeypatch):
+    """A 44.1 kHz stereo track is brought to 16 kHz mono once, not once for
+    the beat grid and again for the segments."""
+    track = render_track(0, 120, 16.0, 44100, np.random.default_rng(4))
+    path = tmp_path / "stereo.wav"
+    save_wav(AudioBuffer(np.stack([track.samples[0], 0.8 * track.samples[0]]), 44100), path)
+    calls = []
+
+    def counting_resample(buf, rate):
+        calls.append(buf.sample_rate)
+        return resample(buf, rate)
+
+    monkeypatch.setattr(pipeline, "resample", counting_resample)
+    features = pipeline.track_features_for_path(path, DspVectorExtractor(SEGMENT_EMBED_DIM))
+    assert len(features) >= 1
+    assert calls == [44100]
+    (corpus_track,) = experiment.extract_corpus(Manifest([ManifestEntry(str(path), 0)]))
+    assert calls == [44100, 44100]
+    assert corpus_track.vectors.tobytes() == np.stack(features).tobytes()
 
 
 # ---------------------------------------------------------------- checkpoints
