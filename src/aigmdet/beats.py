@@ -154,21 +154,7 @@ def track_beats(onset: np.ndarray, bpm: float, hop_s: float) -> np.ndarray:
     if len(env) < tau:
         raise TooShort("fewer frames than one beat period")
 
-    lo, hi = int(np.floor(tau / 2)), int(np.ceil(tau * 2)) + 1
-    score = env.copy()
-    backlink = np.full(len(env), -1, dtype=np.int64)
-    window = np.arange(lo, hi)
-    penalty = -DP_TIGHTNESS * np.log(window / tau) ** 2
-    for t in range(lo, len(env)):
-        prev = t - window
-        valid = prev >= 0
-        if not valid.any():
-            continue
-        candidates = score[prev[valid]] + penalty[valid]
-        best = int(np.argmax(candidates))
-        score[t] = env[t] + candidates[best]
-        backlink[t] = prev[valid][best]
-
+    score, backlink = beat_dp(env, tau)
     tail_start = max(0, len(env) - int(np.ceil(tau)))
     end = tail_start + int(np.argmax(score[tail_start:]))
     beats = [end]
@@ -183,6 +169,34 @@ def track_beats(onset: np.ndarray, bpm: float, hop_s: float) -> np.ndarray:
         first, last = np.argmax(keep), len(keep) - np.argmax(keep[::-1]) - 1
         beats = beats[first:last + 1]
     return beats * hop_s
+
+
+def beat_dp(env: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """Best cumulative score of a beat at each frame, and its predecessor.
+
+    score[t] = env[t] + max over predecessors p = t - w, w in
+    [floor(tau/2), ceil(2 tau)], of score[p] - tightness * ln(w/tau)^2;
+    backlink[t] = the argmax p (the nearest on ties), or -1 before the
+    first predecessor exists.  A frame's predecessors lie at least
+    lo = floor(tau/2) frames back, so each block of lo frames is one
+    [block x window] candidate matrix (Ellis 2007, "Beat Tracking by
+    Dynamic Programming").
+    """
+    lo, hi = int(np.floor(tau / 2)), int(np.ceil(tau * 2)) + 1
+    score = env.copy()
+    backlink = np.full(len(env), -1, dtype=np.int64)
+    window = np.arange(lo, hi)
+    penalty = -DP_TIGHTNESS * np.log(window / tau) ** 2
+    step = max(lo, 1)
+    for start in range(lo, len(env), step):
+        t = np.arange(start, min(start + step, len(env)))
+        prev = t[:, None] - window[None, :]
+        candidates = np.where(prev >= 0, score[np.maximum(prev, 0)] + penalty, -np.inf)
+        best = np.argmax(candidates, axis=1)
+        rows = np.arange(len(t))
+        score[t] = env[t] + candidates[rows, best]
+        backlink[t] = prev[rows, best]
+    return score, backlink
 
 
 def pick_downbeats(beats: np.ndarray, onset: np.ndarray, hop_s: float) -> np.ndarray:

@@ -68,8 +68,16 @@ class Manifest:
             for row in reader:
                 if not row:
                     continue
+                where = f"{path}, line {reader.line_num}"
+                if len(row) < 2:
+                    raise DataError(f"{where}: expected path,label[,split], got {row!r}")
+                try:
+                    label = int(row[1])
+                except ValueError:
+                    raise DataError(f"{where}: label must be 0 or 1, "
+                                    f"got {row[1]!r}") from None
                 split = row[2].strip() if len(row) > 2 else ""
-                entries.append(ManifestEntry(row[0], int(row[1]), split))
+                entries.append(ManifestEntry(row[0], label, split))
         return Manifest(entries, name=Path(path).stem)
 
 

@@ -4,6 +4,10 @@ Stage 1: AudioCAT (learned queries cross-attending to extractor feature
 maps) and FXSegment (self-attention encoder over a reshaped fixed-length
 embedding).  Stage 2: SegmentTransformer, a dual-pathway encoder over
 content embeddings and self-similarity-matrix rows.
+
+Each model's forward_tensor takes a list of B examples and returns logits
+[B] and pooled representations [B x d]; loss(examples, labels, loss_fn) is
+their mean loss, and forward(x) is the batch of one, unpacked.
 """
 
 from __future__ import annotations
@@ -35,6 +39,19 @@ class DetectorOutput:
         z = float(logit.data)
         prob = 1.0 / (1.0 + np.exp(-z)) if z >= 0 else np.exp(z) / (1.0 + np.exp(z))
         return DetectorOutput(logit=z, probability=float(prob), pooled=pooled.data.copy())
+
+
+def _single_output(model, *args) -> DetectorOutput:
+    """forward_tensor(*args) on a batch of one, without a tape, unpacked."""
+    with no_grad():
+        logits, pooled = model.forward_tensor(*args)
+        return DetectorOutput.from_tensors(logits[0], pooled[0])
+
+
+def _batch_loss(model, xs, ys, loss_fn) -> Tensor:
+    """Mean of loss_fn over one minibatch, recorded as one tape."""
+    logits, _ = model.forward_tensor(xs)
+    return loss_fn(logits, np.asarray(ys)).mean()
 
 
 @dataclass
@@ -83,30 +100,43 @@ class AudioCAT(nn.Module):
         self.blocks = [nn.DecoderBlock(cfg, rng) for _ in range(n_layers)]
         self.head = nn.Linear(cfg.d_model, 1, rng)
 
-    def forward_tensor(self, features: np.ndarray,
-                       mask: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
-        features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-        if features.shape[0] < 1:
-            raise EmptySequence("empty feature sequence")
-        if features.shape[1] != self.d_enc:
-            raise ShapeMismatch(f"features dim {features.shape[1]} vs d_enc {self.d_enc}")
-        t = features.shape[0]
-        memory = self.in_proj(Tensor(features)) + nn.sinusoidal_positions(t, self.cfg.d_model)
-        x = self.queries
+    def forward_tensor(self, batch, masks=None) -> tuple[Tensor, Tensor]:
+        """Logits [B] and pooled outputs [B x d_model] of a list of feature
+        maps ([T_i x d_enc], or one [d_enc] vector as T_i = 1).
+
+        Shorter maps are zero-padded to the longest and the padding is
+        masked out of the memory, as are frames where masks[i] is False."""
+        feats = [np.atleast_2d(np.asarray(f, dtype=np.float64)) for f in batch]
+        masks = [None] * len(feats) if masks is None else list(masks)
+        if len(masks) != len(feats):
+            raise ShapeMismatch(f"{len(masks)} masks for {len(feats)} feature maps")
+        for f, m in zip(feats, masks):
+            if f.shape[0] < 1:
+                raise EmptySequence("empty feature sequence")
+            if f.shape[1] != self.d_enc:
+                raise ShapeMismatch(f"features dim {f.shape[1]} vs d_enc {self.d_enc}")
+            if m is not None and np.shape(m) != (f.shape[0],):
+                raise ShapeMismatch(f"mask shape {np.shape(m)} vs {f.shape[0]} frames")
+        t = max(f.shape[0] for f in feats)
+        padded = np.zeros((len(feats), t, self.d_enc))
+        mem_mask = np.zeros((len(feats), t), dtype=bool)
+        for i, (f, m) in enumerate(zip(feats, masks)):
+            padded[i, :len(f)] = f
+            mem_mask[i, :len(f)] = True if m is None else m
+        if mem_mask.all():
+            mem_mask = None
+        memory = self.in_proj(Tensor(padded)) + nn.sinusoidal_positions(t, self.cfg.d_model)
+        x = self.queries  # [n_queries x d], broadcast over the batch
         for block in self.blocks:
-            x = block(x, memory, mem_mask=mask)
-        pooled = x.mean(axis=0)
-        logit = (self.head(pooled))[0]
-        return logit, pooled
+            x = block(x, memory, mem_mask=mem_mask)
+        pooled = x.mean(axis=-2)
+        return self.head(pooled).reshape(-1), pooled
 
     def forward(self, features: np.ndarray, mask: np.ndarray | None = None) -> DetectorOutput:
-        with no_grad():
-            logit, pooled = self.forward_tensor(features, mask)
-        return DetectorOutput.from_tensors(logit, pooled)
+        return _single_output(self, [features], None if mask is None else [mask])
 
-    def loss(self, features, label, loss_fn=nn.bce_loss) -> Tensor:
-        logit, _ = self.forward_tensor(features)
-        return loss_fn(logit, label)
+    def loss(self, batch, labels, loss_fn=nn.bce_loss) -> Tensor:
+        return _batch_loss(self, batch, labels, loss_fn)
 
 
 class FXSegment(nn.Module):
@@ -127,27 +157,28 @@ class FXSegment(nn.Module):
         self.blocks = [nn.EncoderBlock(cfg, rng) for _ in range(n_layers)]
         self.head = nn.Linear(cfg.d_model, 1, rng)
 
-    def forward_tensor(self, embedding: np.ndarray) -> tuple[Tensor, Tensor]:
-        embedding = np.asarray(embedding, dtype=np.float64).reshape(-1)
-        if embedding.shape[0] != self.d_enc:
-            raise ShapeMismatch(f"embedding dim {embedding.shape[0]} vs d_enc {self.d_enc}")
-        tokens = Tensor(embedding.reshape(self.n_tokens, -1))
-        x = concat([self.cls, self.token_proj(tokens)], axis=0)
+    def forward_tensor(self, batch) -> tuple[Tensor, Tensor]:
+        """Logits [B] and CLS outputs [B x d_model] of a list of [d_enc]
+        embeddings."""
+        embeddings = [np.asarray(e, dtype=np.float64).reshape(-1) for e in batch]
+        for e in embeddings:
+            if e.shape[0] != self.d_enc:
+                raise ShapeMismatch(f"embedding dim {e.shape[0]} vs d_enc {self.d_enc}")
+        b = len(embeddings)
+        tokens = self.token_proj(Tensor(np.stack(embeddings).reshape(b, self.n_tokens, -1)))
+        cls = self.cls * Tensor(np.ones((b, 1, 1)))
+        x = concat([cls, tokens], axis=1)
         x = x + nn.sinusoidal_positions(self.n_tokens + 1, self.cfg.d_model)
         for block in self.blocks:
             x = block(x)
-        pooled = x[0]
-        logit = (self.head(pooled))[0]
-        return logit, pooled
+        pooled = x[:, 0]
+        return self.head(pooled).reshape(-1), pooled
 
     def forward(self, embedding: np.ndarray) -> DetectorOutput:
-        with no_grad():
-            logit, pooled = self.forward_tensor(embedding)
-        return DetectorOutput.from_tensors(logit, pooled)
+        return _single_output(self, [embedding])
 
-    def loss(self, embedding, label, loss_fn=nn.focal_loss) -> Tensor:
-        logit, _ = self.forward_tensor(embedding)
-        return loss_fn(logit, label)
+    def loss(self, batch, labels, loss_fn=nn.focal_loss) -> Tensor:
+        return _batch_loss(self, batch, labels, loss_fn)
 
 
 class SegmentTransformer(nn.Module):
@@ -169,46 +200,51 @@ class SegmentTransformer(nn.Module):
         self.head = nn.Linear(2 * cfg.d_model, 1, rng)
 
     def _masked_mean(self, x: Tensor, mask: np.ndarray) -> Tensor:
-        weights = mask.astype(np.float64) / mask.sum()
-        return Tensor(weights) @ x
+        """Mean over the valid rows: [..., n x d] with mask [..., n] -> [..., d]."""
+        weights = mask.astype(np.float64) / mask.sum(axis=-1, keepdims=True)
+        return (Tensor(weights[..., None, :]) @ x).reshape(*x.shape[:-2], x.shape[-1])
 
     def structure_tokens(self, seq: EmbeddingSequence) -> np.ndarray:
         """Path-B input rows (the SSM); exposed for invariance checks."""
         return self_similarity(seq).matrix
 
-    def forward_tensor(self, seq: EmbeddingSequence) -> tuple[Tensor, Tensor]:
-        if seq.length != self.max_len:
-            raise ShapeMismatch(f"sequence length {seq.length}, expected {self.max_len}")
-        if seq.dim != self.d_in:
-            raise ShapeMismatch(f"sequence dim {seq.dim} vs d_in {self.d_in}")
-        mask = seq.mask
-        if not mask.any():
-            raise AllMasked("no valid segments in the sequence")
-        pos = nn.sinusoidal_positions(self.max_len, self.cfg.d_model)
+    def forward_tensor(self, batch) -> tuple[Tensor, Tensor]:
+        """Logits [B] and pooled outputs [B x 2 d_model] of a list of
+        max_len sequences.
 
-        xa = self.content_proj(Tensor(seq.vectors)) + pos
+        Rows after the batch's last valid segment are cropped: masked rows
+        never reach valid ones, so only the rounding of the result changes.
+        SSM rows keep all max_len columns, the structure projection's width."""
+        for seq in batch:
+            if seq.length != self.max_len:
+                raise ShapeMismatch(f"sequence length {seq.length}, expected {self.max_len}")
+            if seq.dim != self.d_in:
+                raise ShapeMismatch(f"sequence dim {seq.dim} vs d_in {self.d_in}")
+            if not seq.mask.any():
+                raise AllMasked("no valid segments in the sequence")
+        n = 1 + max(int(np.flatnonzero(seq.mask)[-1]) for seq in batch)
+        mask = np.stack([seq.mask[:n] for seq in batch])
+        pos = nn.sinusoidal_positions(n, self.cfg.d_model)
+
+        xa = self.content_proj(Tensor(np.stack([seq.vectors[:n] for seq in batch]))) + pos
         for block in self.content_blocks:
             xa = block(xa, mask=mask)
         pooled_a = self._masked_mean(xa, mask)
 
-        ssm = self_similarity(seq)
-        xb = self.structure_proj(Tensor(ssm.matrix)) + pos
+        ssm = np.stack([self_similarity(seq).matrix[:n] for seq in batch])
+        xb = self.structure_proj(Tensor(ssm)) + pos
         for block in self.structure_blocks:
             xb = block(xb, mask=mask)
         pooled_b = self._masked_mean(xb, mask)
 
-        pooled = concat([pooled_a, pooled_b], axis=0)
-        logit = (self.head(pooled))[0]
-        return logit, pooled
+        pooled = concat([pooled_a, pooled_b], axis=-1)
+        return self.head(pooled).reshape(-1), pooled
 
     def forward(self, seq: EmbeddingSequence) -> DetectorOutput:
-        with no_grad():
-            logit, pooled = self.forward_tensor(seq)
-        return DetectorOutput.from_tensors(logit, pooled)
+        return _single_output(self, [seq])
 
-    def loss(self, seq, label, loss_fn=nn.bce_loss) -> Tensor:
-        logit, _ = self.forward_tensor(seq)
-        return loss_fn(logit, label)
+    def loss(self, batch, labels, loss_fn=nn.bce_loss) -> Tensor:
+        return _batch_loss(self, batch, labels, loss_fn)
 
 
 # ----------------------------------------------------------------------

@@ -1,18 +1,21 @@
 """Transformer building blocks, losses, Adam, and checkpoint I/O.
 
-All blocks are pre-norm residual and operate on unbatched [positions x dim]
-tensors; batching is done by averaging per-example losses in the training
-loop.
+All blocks are pre-norm residual and operate on [..., positions, dim]
+tensors: any leading axes are batch axes, and key masks are [...,
+positions].  Leading axes broadcast, so a shared [positions, dim] input
+(AudioCAT's learned queries) can attend to a batched memory.  Unbatched
+inputs are the case with no leading axes.
 """
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import Tensor, concat
+from .tensor import Tensor, concat, no_grad
 
 
 class ShapeMismatch(Exception):
@@ -88,7 +91,13 @@ class Linear(Module):
         self.bias = Tensor(np.zeros(d_out), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return x @ self.weight + self.bias
+        """[..., d_in] -> [..., d_out]; leading axes fold into one row axis,
+        so the weight gradient is a single matrix product."""
+        if x.ndim == 2:
+            return x @ self.weight + self.bias
+        lead = x.shape[:-1]
+        rows = x.reshape(-1, x.shape[-1]) @ self.weight + self.bias
+        return rows.reshape(*lead, self.bias.shape[0])
 
 
 class LayerNorm(Module):
@@ -113,20 +122,30 @@ def sinusoidal_positions(n: int, d: int) -> Tensor:
     """Fixed sin/cos positional table, PE[p, 2i]=sin(p/10000^(2i/d))."""
     if d % 2 != 0:
         raise ShapeMismatch("positional dimension must be even")
+    return Tensor(_position_table(n, d))
+
+
+@functools.lru_cache(maxsize=64)
+def _position_table(n: int, d: int) -> np.ndarray:
+    """The table behind sinusoidal_positions, built once per (n, d) and
+    shared read-only."""
     pos = np.arange(n)[:, None]
     i = np.arange(d // 2)[None, :]
     angle = pos / np.power(10000.0, 2.0 * i / d)
     pe = np.zeros((n, d))
     pe[:, 0::2] = np.sin(angle)
     pe[:, 1::2] = np.cos(angle)
-    return Tensor(pe)
+    pe.flags.writeable = False
+    return pe
 
 
 class MultiHeadAttention(Module):
     """Scaled dot-product attention with a key-side validity mask.
 
-    Masked keys get a -inf score bias, so their post-softmax weight is
-    exactly zero and outputs are bit-independent of their values.
+    q is [..., m, d], k and v are [..., n, d] and the mask is k's leading
+    shape [..., n].  Masked keys get a -inf score bias, so their
+    post-softmax weight is exactly zero and outputs are bit-independent of
+    their values.
     """
 
     def __init__(self, cfg: AttentionConfig, rng: np.random.Generator):
@@ -137,47 +156,49 @@ class MultiHeadAttention(Module):
         self.wv = Linear(d, d, rng)
         self.wo = Linear(d, d, rng)
 
-    def __call__(self, q: Tensor, k: Tensor, v: Tensor,
-                 mask: np.ndarray | None = None) -> Tensor:
-        cfg = self.cfg
-        if q.shape[-1] != cfg.d_model or k.shape[-1] != cfg.d_model or v.shape[-1] != cfg.d_model:
+    def _split_heads(self, x: Tensor) -> Tensor:
+        """[..., n, d] -> [..., heads, n, head_dim]."""
+        *lead, n, _ = x.shape
+        b = len(lead)
+        return x.reshape(*lead, n, self.cfg.heads, self.cfg.head_dim).transpose(
+            *range(b), b + 1, b, b + 2)
+
+    def _weights(self, q: Tensor, k: Tensor, mask: np.ndarray | None) -> Tensor:
+        """Post-softmax weights [..., heads, m, n], recorded on the tape."""
+        d = self.cfg.d_model
+        if q.shape[-1] != d or k.shape[-1] != d:
             raise ShapeMismatch("q/k/v last dim must equal d_model")
-        if k.shape[0] != v.shape[0]:
-            raise ShapeMismatch("keys and values must agree in length")
-        n = k.shape[0]
         if mask is not None:
             mask = np.asarray(mask, dtype=bool)
-            if mask.shape != (n,):
-                raise ShapeMismatch(f"mask shape {mask.shape} vs keys {n}")
-            if not mask.any():
+            if mask.shape != k.shape[:-1]:
+                raise ShapeMismatch(f"mask shape {mask.shape} vs keys {k.shape[:-1]}")
+            if not mask.any(axis=-1).all():
                 raise AllMasked("no valid key positions")
-
-        m = q.shape[0]
-        h, hd = cfg.heads, cfg.head_dim
-        Q = self.wq(q).reshape(m, h, hd).transpose(1, 0, 2)
-        K = self.wk(k).reshape(n, h, hd).transpose(1, 0, 2)
-        V = self.wv(v).reshape(n, h, hd).transpose(1, 0, 2)
-
-        scores = (Q @ K.transpose(0, 2, 1)) * (1.0 / np.sqrt(hd))
+        K = self._split_heads(self.wk(k))
+        b = K.ndim - 2
+        scores = (self._split_heads(self.wq(q)) @ K.transpose(*range(b), b + 1, b)) \
+            * (1.0 / np.sqrt(self.cfg.head_dim))
         if mask is not None:
-            bias = np.where(mask, 0.0, -np.inf)[None, None, :]
-            scores = scores + Tensor(bias)
-        attn = scores.softmax(axis=-1)
-        out = (attn @ V).transpose(1, 0, 2).reshape(m, h * hd)
+            scores = scores + Tensor(np.where(mask, 0.0, -np.inf)[..., None, None, :])
+        return scores.softmax(axis=-1)
+
+    def __call__(self, q: Tensor, k: Tensor, v: Tensor,
+                 mask: np.ndarray | None = None) -> Tensor:
+        if v.shape[-1] != self.cfg.d_model:
+            raise ShapeMismatch("q/k/v last dim must equal d_model")
+        if k.shape[:-1] != v.shape[:-1]:
+            raise ShapeMismatch("keys and values must agree in length")
+        out = self._weights(q, k, mask) @ self._split_heads(self.wv(v))
+        *lead, _, m, _ = out.shape
+        b = len(lead)
+        out = out.transpose(*range(b), b + 1, b, b + 2).reshape(*lead, m, self.cfg.d_model)
         return self.wo(out)
 
     def attention_weights(self, q: Tensor, k: Tensor,
                           mask: np.ndarray | None = None) -> np.ndarray:
-        """Post-softmax weights [heads x m x n]; inspection only."""
-        cfg = self.cfg
-        m, n = q.shape[0], k.shape[0]
-        h, hd = cfg.heads, cfg.head_dim
-        Q = self.wq(q).reshape(m, h, hd).transpose(1, 0, 2)
-        K = self.wk(k).reshape(n, h, hd).transpose(1, 0, 2)
-        scores = (Q @ K.transpose(0, 2, 1)) * (1.0 / np.sqrt(hd))
-        if mask is not None:
-            scores = scores + Tensor(np.where(np.asarray(mask, bool), 0.0, -np.inf)[None, None, :])
-        return scores.softmax(axis=-1).data
+        """Post-softmax weights [..., heads, m, n]; inspection only."""
+        with no_grad():
+            return self._weights(q, k, mask).data
 
 
 class FeedForward(Module):
@@ -227,21 +248,28 @@ class DecoderBlock(Module):
 
 # ----------------------------------------------------------------------
 # losses
-def bce_loss(logit: Tensor, label: int) -> Tensor:
-    """Binary cross-entropy on a raw logit, computed in log-space."""
-    sign = 1.0 if label else -1.0
-    return (logit * (-sign)).softplus()
+def _label_sign(label) -> np.ndarray:
+    """+1 where the label is positive (AI-generated), -1 elsewhere."""
+    return np.where(np.asarray(label) != 0, 1.0, -1.0)
 
 
-def focal_loss(logit: Tensor, label: int, gamma: float = 2.0, alpha: float = 0.25) -> Tensor:
-    """-alpha_t (1-p_t)^gamma ln p_t; gamma=0, alpha=0.5 halves BCE."""
+def bce_loss(logit: Tensor, label) -> Tensor:
+    """Binary cross-entropy on raw logits, computed in log-space.
+
+    `label` is a scalar or an array shaped like `logit`; the loss is
+    elementwise."""
+    return (logit * Tensor(-_label_sign(label))).softplus()
+
+
+def focal_loss(logit: Tensor, label, gamma: float = 2.0, alpha: float = 0.25) -> Tensor:
+    """-alpha_t (1-p_t)^gamma ln p_t, elementwise; gamma=0, alpha=0.5 halves BCE."""
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    sign = 1.0 if label else -1.0
-    alpha_t = alpha if label else 1.0 - alpha
-    neg = logit * (-sign)
+    sign = _label_sign(label)
+    alpha_t = np.where(sign > 0, alpha, 1.0 - alpha)
+    neg = logit * Tensor(-sign)
     # (1 - p_t) = sigmoid(-sign*z); -ln p_t = softplus(-sign*z)
     return neg.sigmoid() ** gamma * neg.softplus() * alpha_t
 

@@ -1,7 +1,13 @@
 """Training loop with early stopping, plus binary-classification metrics.
 
-The loop is architecture-agnostic: a model only needs .loss(x, y) -> Tensor
-and .parameters(); datasets are lists of (input, label) pairs.
+The loop is architecture-agnostic.  Datasets are lists of (input, label)
+pairs, and a model needs:
+
+* .forward_tensor(inputs) -> (logits [B], pooled [B x d]) for a list of
+  B inputs;
+* .loss(inputs, labels, loss_fn) -> the scalar mean loss of that
+  minibatch, recorded as one autograd tape;
+* .parameters() and the rest of nn.Module.
 """
 
 from __future__ import annotations
@@ -90,14 +96,17 @@ class TrainResult:
                                  f"{rec.val_loss:.8f}", f"{rec.val_accuracy:.6f}"])
 
 
-def _mean_loss(model, data, loss_fn) -> tuple[float, float]:
-    """(mean loss, accuracy) without touching gradients."""
+def _mean_loss(model, data, loss_fn, batch_size: int) -> tuple[float, float]:
+    """(mean loss, accuracy) without touching gradients, batch_size
+    examples per forward pass."""
     total, correct = 0.0, 0
     with no_grad():
-        for x, y in data:
-            logit, _ = model.forward_tensor(x)
-            total += float(loss_fn(logit, y).data)
-            correct += int((float(logit.data) >= 0.0) == bool(y))
+        for lo in range(0, len(data), batch_size):
+            chunk = data[lo:lo + batch_size]
+            logits, _ = model.forward_tensor([x for x, _ in chunk])
+            labels = np.array([y for _, y in chunk]) != 0
+            total += float(loss_fn(logits, labels).data.sum())
+            correct += int(((logits.data >= 0.0) == labels).sum())
     return total / len(data), correct / len(data)
 
 
@@ -128,14 +137,9 @@ def train(model, train_data, val_data, cfg: TrainConfig,
             batch_size = cfg.batch_size
         epoch_loss = 0.0
         for b in range(n_batches):
-            batch = order[b * batch_size:(b + 1) * batch_size]
+            batch = [train_data[i] for i in order[b * batch_size:(b + 1) * batch_size]]
             model.zero_grad()
-            total = None
-            for i in batch:
-                x, y = train_data[i]
-                loss = model.loss(x, y, loss_fn)
-                total = loss if total is None else total + loss
-            total = total * (1.0 / len(batch))
+            total = model.loss([x for x, _ in batch], [y for _, y in batch], loss_fn)
             if not np.isfinite(total.data):
                 raise DivergedLoss(f"loss is {total.data} at epoch {epoch}")
             total.backward()
@@ -143,7 +147,7 @@ def train(model, train_data, val_data, cfg: TrainConfig,
             epoch_loss += float(total.data)
         epoch_loss /= n_batches
 
-        val_loss, val_acc = _mean_loss(model, val_data, loss_fn)
+        val_loss, val_acc = _mean_loss(model, val_data, loss_fn, cfg.batch_size)
         if not np.isfinite(val_loss):
             raise DivergedLoss(f"validation loss is {val_loss}")
         history.append(EpochRecord(epoch, epoch_loss, val_loss, val_acc))

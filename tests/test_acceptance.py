@@ -115,13 +115,13 @@ def test_criterion_1_gradient_suite():
         cat = AudioCAT(d_enc=8, cfg=TOY, n_queries=2, n_layers=1, seed=k)
         feats = rng.normal(size=(4, 8))
         check(failures, grads_ok(
-            lambda: cat.loss(feats, k % 2),
+            lambda: cat.loss([feats], [k % 2]),
             list(cat.parameters().values()), rng=pick), f"audiocat[{k}]")
 
         fx = FXSegment(d_enc=16, n_tokens=4, cfg=TOY, n_layers=1, seed=k)
         emb = rng.normal(size=16)
         check(failures, grads_ok(
-            lambda: fx.loss(emb, k % 2),
+            lambda: fx.loss([emb], [k % 2]),
             list(fx.parameters().values()), rng=pick), f"fxseg[{k}]")
 
         seg = SegmentTransformer(d_in=6, cfg=TOY, max_len=4,
@@ -132,12 +132,31 @@ def test_criterion_1_gradient_suite():
         mask = np.array([True, True, True, False])
         seq = EmbeddingSequence(vec, mask)
         check(failures, grads_ok(
-            lambda: seg.loss(seq, k % 2),
+            lambda: seg.loss([seq], [k % 2]),
             list(seg.parameters().values()), rng=pick), f"segtr[{k}]")
+
+        # the same three models on a minibatch of 3 mixed-length examples
+        labels = [k % 2, 1 - k % 2, 1]
+        feats3 = [feats, rng.normal(size=(2, 8)), rng.normal(size=(3, 8))]
+        check(failures, grads_ok(
+            lambda: cat.loss(feats3, labels),
+            list(cat.parameters().values()), rng=pick), f"audiocat_batch[{k}]")
+        embs3 = [emb, rng.normal(size=16), rng.normal(size=16)]
+        check(failures, grads_ok(
+            lambda: fx.loss(embs3, labels),
+            list(fx.parameters().values()), rng=pick), f"fxseg_batch[{k}]")
+        one_valid = np.zeros((4, 6))
+        one_valid[0] = rng.normal(size=6)
+        short = EmbeddingSequence(one_valid, np.arange(4) < 1)
+        full = EmbeddingSequence(rng.normal(size=(4, 6)), np.ones(4, dtype=bool))
+        check(failures, grads_ok(
+            lambda: seg.loss([seq, short, full], labels),
+            list(seg.parameters().values()), rng=pick), f"segtr_batch[{k}]")
 
     elapsed = time.time() - start
     check(failures, elapsed < 120.0, f"runtime {elapsed:.0f}s >= 2 min")
-    report(1, "gradient suite (9 components x 20 instances, "
+    report(1, "gradient suite (9 components and 3 batch-of-3 model losses "
+              "x 20 instances, "
               f"{elapsed:.0f}s)", failures)
 
 

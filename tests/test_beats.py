@@ -9,11 +9,11 @@ from aigmdet.audio import AudioBuffer
 from aigmdet.beats import (BeatGrid, DegenerateFit, GridTooSparse,
                            NoPeriodicity, TooFewBeats, TooShort,
                            estimate_tempo, export_boundaries_csv,
-                           pick_downbeats, quantize_grid, segment_bars,
-                           track_beats)
+                           beat_dp, pick_downbeats, quantize_grid,
+                           segment_bars, track_beats)
 from aigmdet.dsp import log_mel, mel_filterbank, onset_envelope, stft
 
-from util import click_track
+from util import click_track, loop_beat_dp
 
 HOP_S = 256 / 16000
 
@@ -117,6 +117,29 @@ def test_single_click_keeps_at_most_one_beat():
 def test_track_beats_too_short():
     with pytest.raises(TooShort):
         track_beats(np.ones(10), 60, HOP_S)
+
+
+@pytest.mark.parametrize("tau", [1.5, 2.5, 60 / (92 * HOP_S), 60 / (120 * HOP_S),
+                                 60 / (140 * HOP_S), 60 / (200 * HOP_S), 40.0])
+@pytest.mark.parametrize("n", [1, 12, 40, 81, 82, 700, 3001])
+def test_blocked_dp_matches_frame_loop_bit_for_bit(tau, n):
+    # n spans envelopes shorter than lo and than hi = ceil(2 tau) + 1
+    env = np.random.default_rng(n).random(n) ** 4
+    with np.errstate(divide="ignore"):  # tau < 2: a zero lag, penalty -inf
+        score, backlink = beat_dp(env, tau)
+        want_score, want_backlink = loop_beat_dp(env, tau)
+    assert np.array_equal(score, want_score)
+    assert np.array_equal(backlink, want_backlink)
+
+
+def test_blocked_dp_matches_frame_loop_on_clicks():
+    onset = onset_of(click_track(128, 30.0))
+    env = onset / onset.max()
+    tau = 60 / (128 * HOP_S)
+    score, backlink = beat_dp(env, tau)
+    want_score, want_backlink = loop_beat_dp(env, tau)
+    assert np.array_equal(score, want_score)
+    assert np.array_equal(backlink, want_backlink)
 
 
 # ---------------------------------------------------------------- downbeats

@@ -124,6 +124,15 @@ def test_train_bad_manifest_exits_2(tmp_path, capsys):
                 "--manifest", str(path), "--out", str(tmp_path / "o")]) == EXIT_IO
 
 
+@pytest.mark.parametrize("row", ["a.wav,x", "a.wav"], ids=["bad_label", "no_label"])
+def test_train_malformed_manifest_row_exits_2(row, tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"path,label\n{row}\n")
+    assert run(["train", "--stage", "1", "--arch", "audiocat",
+                "--manifest", str(path), "--out", str(tmp_path / "o")]) == EXIT_IO
+    assert "line 2" in capsys.readouterr().err
+
+
 def test_eval_command(corpus, stage1_ckpt, tmp_path, capsys):
     out = tmp_path / "report.csv"
     code = run(["eval", "--ckpt", str(stage1_ckpt),

@@ -131,7 +131,7 @@ def test_audiocat_gradients():
     rng = np.random.default_rng(3)
     feats = rng.normal(size=(4, 6))
     params = model.parameters()
-    finite_diff_check(lambda: model.loss(feats, 1.0), list(params.values()), n_coords=3,
+    finite_diff_check(lambda: model.loss([feats], [1.0]), list(params.values()), n_coords=3,
                       rng=np.random.default_rng(0))
 
 
@@ -167,7 +167,7 @@ def test_fxsegment_gradients():
     model = FXSegment(d_enc=12, n_tokens=4, cfg=SMALL, n_layers=1, seed=7)
     rng = np.random.default_rng(7)
     emb = rng.normal(size=12)
-    finite_diff_check(lambda: model.loss(emb, 0.0), list(model.parameters().values()),
+    finite_diff_check(lambda: model.loss([emb], [0.0]), list(model.parameters().values()),
                       n_coords=3, rng=np.random.default_rng(1))
 
 
@@ -220,7 +220,7 @@ def test_segtr_gradients():
     model = SegmentTransformer(d_in=6, cfg=SMALL, max_len=4,
                                n_layers_content=1, n_layers_structure=1, seed=4)
     seq = make_seq(np.random.default_rng(4), 3, max_len=4, d=6)
-    finite_diff_check(lambda: model.loss(seq, 1.0), list(model.parameters().values()),
+    finite_diff_check(lambda: model.loss([seq], [1.0]), list(model.parameters().values()),
                       n_coords=3, rng=np.random.default_rng(2))
 
 
@@ -229,6 +229,99 @@ def test_segtr_structure_tokens_are_the_ssm():
     seq = make_seq(np.random.default_rng(5), 6)
     assert np.array_equal(model.structure_tokens(seq),
                           self_similarity(seq).matrix)
+
+
+# ---------------------------------------------------------------- batching
+def batch_case(arch):
+    """A model and a batch of 3 inputs of mixed lengths or masks."""
+    rng = np.random.default_rng(21)
+    if arch == "audiocat":
+        model = AudioCAT(d_enc=6, cfg=SMALL, n_queries=3, seed=21)
+        return model, [rng.normal(size=(t, 6)) for t in (5, 2, 3)]
+    if arch == "fxseg":
+        model = FXSegment(d_enc=12, n_tokens=4, cfg=SMALL, seed=21)
+        return model, [rng.normal(size=12) for _ in range(3)]
+    model = SegmentTransformer(d_in=6, cfg=SMALL, max_len=8, seed=21)
+    return model, [make_seq(rng, n, max_len=8, d=6) for n in (5, 2, 3)]
+
+
+ARCHS = ["audiocat", "fxseg", "segtr"]
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+def test_batch_outputs_match_batch_of_one(arch):
+    model, xs = batch_case(arch)
+    logits, pooled = model.forward_tensor(xs)
+    assert logits.shape == (3,) and pooled.shape[0] == 3
+    for i, x in enumerate(xs):
+        single = model.forward(x)
+        assert abs(logits.data[i] - single.logit) <= 1e-12
+        assert np.abs(pooled.data[i] - single.pooled).max() <= 1e-12
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+def test_batch_loss_and_grads_are_the_mean_over_examples(arch):
+    model, xs = batch_case(arch)
+    labels = [1, 0, 1]
+    params = model.parameters()
+    model.zero_grad()
+    batch_loss = model.loss(xs, labels)
+    batch_loss.backward()
+    batch_grads = {k: p.grad.copy() for k, p in params.items()}
+
+    losses, grads = [], {k: np.zeros_like(p.data) for k, p in params.items()}
+    for x, y in zip(xs, labels):
+        model.zero_grad()
+        loss = model.loss([x], [y])
+        loss.backward()
+        losses.append(float(loss.data))
+        for k, p in params.items():
+            grads[k] += p.grad / len(xs)
+    assert batch_loss.shape == ()
+    assert abs(float(batch_loss.data) - np.mean(losses)) <= 1e-12
+    for k in params:
+        assert np.abs(batch_grads[k] - grads[k]).max() <= 1e-12, k
+
+
+def test_audiocat_padding_in_batch_is_bit_invisible():
+    # explicit padding with arbitrary masked frames equals implicit zero padding
+    model, xs = batch_case("audiocat")
+    base_logits, base_pooled = model.forward_tensor(xs)
+    rng = np.random.default_rng(0)
+    padded, masks = [], []
+    for x in xs:
+        junk = rng.normal(size=(5 - len(x), 6)) * 100
+        padded.append(np.concatenate([x, junk]))
+        masks.append(np.arange(5) < len(x))
+    logits, pooled = model.forward_tensor(padded, masks)
+    assert np.array_equal(logits.data, base_logits.data)
+    assert np.array_equal(pooled.data, base_pooled.data)
+
+
+def test_segtr_padding_in_batch_is_bit_invisible():
+    model, xs = batch_case("segtr")
+    base_logits, base_pooled = model.forward_tensor(xs)
+    rng = np.random.default_rng(1)
+    tampered = []
+    for seq in xs:
+        v = seq.vectors.copy()
+        v[~seq.mask] = rng.normal(size=(int((~seq.mask).sum()), 6)) * 50
+        tampered.append(EmbeddingSequence(v, seq.mask))
+    logits, pooled = model.forward_tensor(tampered)
+    assert np.array_equal(logits.data, base_logits.data)
+    assert np.array_equal(pooled.data, base_pooled.data)
+
+
+def test_batch_rejects_a_bad_example():
+    model, xs = batch_case("audiocat")
+    with pytest.raises(ShapeMismatch):
+        model.forward_tensor(xs + [np.zeros((3, 5))])
+    with pytest.raises(ShapeMismatch):
+        model.forward_tensor(xs, [None, None, np.ones(2, bool)])
+    seg, seqs = batch_case("segtr")
+    empty = EmbeddingSequence(np.zeros((8, 6)), np.zeros(8, dtype=bool))
+    with pytest.raises(AllMasked):
+        seg.forward_tensor(seqs + [empty])
 
 
 # ---------------------------------------------------------------- glue

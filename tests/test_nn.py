@@ -57,6 +57,61 @@ def test_sinusoidal_odd_dim_rejected():
         nn.sinusoidal_positions(4, 7)
 
 
+def test_sinusoidal_table_is_cached_read_only():
+    a, b = nn.sinusoidal_positions(9, 8), nn.sinusoidal_positions(9, 8)
+    assert a.data is b.data
+    assert not a.data.flags.writeable
+    with pytest.raises(ValueError):
+        a.data[0, 0] = 1.0
+
+
+# ---------------------------------------------------------------- batching
+def test_mha_batched_matches_per_example(rng):
+    mha = nn.MultiHeadAttention(CFG, rng)
+    q = rng.normal(size=(3, 4, 16))
+    kv = rng.normal(size=(3, 6, 16))
+    mask = rng.random((3, 6)) > 0.4
+    mask[:, 0] = True
+    out = mha(Tensor(q), Tensor(kv), Tensor(kv), mask=mask).data
+    weights = mha.attention_weights(Tensor(q), Tensor(kv), mask)
+    assert weights.shape == (3, CFG.heads, 4, 6)
+    for i in range(3):
+        single = mha(Tensor(q[i]), Tensor(kv[i]), Tensor(kv[i]), mask=mask[i]).data
+        assert np.abs(out[i] - single).max() <= 1e-12
+        assert np.abs(weights[i] - mha.attention_weights(
+            Tensor(q[i]), Tensor(kv[i]), mask[i])).max() <= 1e-12
+
+
+def test_mha_shared_queries_broadcast_over_batch(rng):
+    mha = nn.MultiHeadAttention(CFG, rng)
+    q = rng.normal(size=(4, 16))
+    kv = rng.normal(size=(2, 6, 16))
+    out = mha(Tensor(q), Tensor(kv), Tensor(kv)).data
+    assert out.shape == (2, 4, 16)
+    for i in range(2):
+        assert np.abs(out[i] - mha(Tensor(q), Tensor(kv[i]), Tensor(kv[i])).data).max() <= 1e-12
+
+
+def test_mha_batched_mask_checks(rng):
+    mha = nn.MultiHeadAttention(CFG, rng)
+    x = Tensor(rng.normal(size=(2, 3, 16)))
+    with pytest.raises(nn.ShapeMismatch):
+        mha(x, x, x, mask=np.ones(3, bool))
+    mask = np.ones((2, 3), bool)
+    mask[1] = False  # one example with no valid key
+    with pytest.raises(nn.AllMasked):
+        mha(x, x, x, mask=mask)
+
+
+def test_losses_take_label_arrays():
+    z = Tensor(np.array([-1.5, 0.0, 2.0]))
+    labels = np.array([1, 0, 1])
+    for fn in (nn.bce_loss, nn.focal_loss):
+        batched = fn(z, labels).data
+        for i in range(3):
+            assert batched[i] == fn(Tensor(z.data[i]), int(labels[i])).data
+
+
 # ---------------------------------------------------------------- attention
 def test_single_key_attention_is_identity_on_value(rng):
     cfg = nn.AttentionConfig(d_model=4, heads=1, ffn_dim=4)

@@ -23,13 +23,13 @@ class TinyLogistic(nn.Module):
         self.w = Tensor(rng.normal(0, 0.1, size=(d,)), requires_grad=True)
         self.b = Tensor(np.zeros(()), requires_grad=True)
 
-    def forward_tensor(self, x):
-        logit = (self.w * Tensor(np.asarray(x, dtype=np.float64))).sum() + self.b
-        return logit, logit
+    def forward_tensor(self, xs):
+        logits = (self.w * Tensor(np.stack(xs).astype(np.float64))).sum(axis=-1) + self.b
+        return logits, logits
 
-    def loss(self, x, y, loss_fn=nn.bce_loss):
-        logit, _ = self.forward_tensor(x)
-        return loss_fn(logit, y)
+    def loss(self, xs, ys, loss_fn=nn.bce_loss):
+        logits, _ = self.forward_tensor(xs)
+        return loss_fn(logits, np.asarray(ys)).mean()
 
 
 def separable_data(n, d=4, seed=0):
@@ -118,15 +118,17 @@ def test_train_drops_incomplete_batch():
     seen = []
 
     class Probe(TinyLogistic):
-        def loss(self, x, y, loss_fn=nn.bce_loss):
-            seen.append(1)
-            return super().loss(x, y, loss_fn)
+        def loss(self, xs, ys, loss_fn=nn.bce_loss):
+            seen.append(len(xs))
+            return super().loss(xs, ys, loss_fn)
 
     model = Probe(2)
     data = separable_data(10, d=2)
     train(model, data, data, TrainConfig(epochs=1, batch_size=8, lr=0.01))
-    # 8 train passes; validation goes through forward_tensor, not loss
+    # 8 examples trained, in one loss call; validation goes through
+    # forward_tensor, not loss
     assert sum(seen) == 8
+    assert seen == [8]
 
 
 def test_history_csv(tmp_path):

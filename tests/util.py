@@ -1,10 +1,11 @@
 """Shared test helpers: finite-difference gradient checking, synthetic
-signal construction and a direct-form resampler to check the polyphase one
-against."""
+signal construction, and the direct forms of the resampler and the beat
+DP that the vectorised ones are checked against."""
 
 import numpy as np
 
 from aigmdet.audio import AudioBuffer
+from aigmdet.beats import DP_TIGHTNESS
 
 
 def finite_diff_check(loss_fn, params, h=1e-5, rel_tol=1e-4, n_coords=None, rng=None):
@@ -108,3 +109,23 @@ def direct_resample_channel(x, ratio, beta=8.0, taps=32):
         gathered = np.where(valid, x[np.clip(idx, 0, len(x) - 1)], 0.0)
         out[lo:hi] = (gathered * kernel).sum(axis=1)
     return out
+
+
+def loop_beat_dp(env, tau):
+    """Frame-by-frame form of `beats.beat_dp`, the reference its blocked
+    form must match bit for bit."""
+    lo, hi = int(np.floor(tau / 2)), int(np.ceil(tau * 2)) + 1
+    score = env.copy()
+    backlink = np.full(len(env), -1, dtype=np.int64)
+    window = np.arange(lo, hi)
+    penalty = -DP_TIGHTNESS * np.log(window / tau) ** 2
+    for t in range(lo, len(env)):
+        prev = t - window
+        valid = prev >= 0
+        if not valid.any():
+            continue
+        candidates = score[prev[valid]] + penalty[valid]
+        best = int(np.argmax(candidates))
+        score[t] = env[t] + candidates[best]
+        backlink[t] = prev[valid][best]
+    return score, backlink
