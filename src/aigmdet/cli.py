@@ -98,10 +98,12 @@ def cmd_train(args) -> int:
 
     seed = cfg.seed
     if args.stage == 1:
+        if args.arch == "segtr":
+            raise DataError("stage 1 uses --arch audiocat or fxseg")
         extractor = get_extractor(args.extractor)
+        model = pipeline.build_model(args.arch, extractor=extractor, seed=seed)
         data_train = pipeline.build_stage1_dataset(train_entries, extractor)
         data_val = pipeline.build_stage1_dataset(val_entries, extractor)
-        model = pipeline.build_model(args.arch, extractor=extractor, seed=seed)
         preset_name = args.extractor
     else:
         if args.arch != "segtr":
@@ -209,7 +211,7 @@ def make_parser() -> _Parser:
 
     p = sub.add_parser("train", help="train a detector")
     p.add_argument("--stage", type=int, choices=(1, 2), required=True)
-    p.add_argument("--arch", choices=("audiocat", "fxseg", "segtr"), required=True)
+    p.add_argument("--arch", choices=tuple(pipeline.ARCHS), required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--preset", default="paper-s1-bce")
     p.add_argument("--extractor", default="seq-512")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,15 +53,12 @@ class EmbeddingSequence:
 
     vectors: np.ndarray  # [N x d]
     mask: np.ndarray  # [N] bool
-    source_ids: list = field(default_factory=list)
 
     def __post_init__(self):
         self.vectors = np.atleast_2d(np.asarray(self.vectors, dtype=np.float64))
         self.mask = np.asarray(self.mask, dtype=bool)
         if self.mask.shape != (self.vectors.shape[0],):
             raise ExtractorError("mask length must match vector count")
-        if not self.source_ids:
-            self.source_ids = list(range(self.vectors.shape[0]))
 
     @property
     def length(self) -> int:
@@ -78,14 +75,12 @@ def pad_or_crop(seq: EmbeddingSequence, max_len: int = MAX_SEQ_LEN) -> Embedding
     if n == max_len:
         return seq
     if n > max_len:
-        return EmbeddingSequence(seq.vectors[:max_len].copy(), seq.mask[:max_len].copy(),
-                                 list(seq.source_ids[:max_len]))
+        return EmbeddingSequence(seq.vectors[:max_len].copy(), seq.mask[:max_len].copy())
     vectors = np.zeros((max_len, d))
     vectors[:n] = seq.vectors
     mask = np.zeros(max_len, dtype=bool)
     mask[:n] = seq.mask
-    ids = list(seq.source_ids) + [-1] * (max_len - n)
-    return EmbeddingSequence(vectors, mask, ids)
+    return EmbeddingSequence(vectors, mask)
 
 
 # ----------------------------------------------------------------------

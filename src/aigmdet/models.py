@@ -7,7 +7,8 @@ content embeddings and self-similarity-matrix rows.
 
 Each model's forward_tensor takes a list of B examples and returns logits
 [B] and pooled representations [B x d]; loss(examples, labels, loss_fn) is
-their mean loss, and forward(x) is the batch of one, unpacked.
+their mean loss, and forward(x) is the batch of one, unpacked.  hparams holds
+the constructor arguments other than cfg and seed, for checkpoint headers.
 """
 
 from __future__ import annotations
@@ -93,6 +94,7 @@ class AudioCAT(nn.Module):
         cfg = cfg or AttentionConfig()
         rng = np.random.default_rng(seed)
         self.cfg = cfg
+        self.hparams = dict(d_enc=d_enc, n_queries=n_queries, n_layers=n_layers)
         self.d_enc = d_enc
         self.in_proj = nn.Linear(d_enc, cfg.d_model, rng)
         self.queries = Tensor(rng.normal(0.0, 0.02, size=(n_queries, cfg.d_model)),
@@ -150,6 +152,7 @@ class FXSegment(nn.Module):
         cfg = cfg or AttentionConfig()
         rng = np.random.default_rng(seed)
         self.cfg = cfg
+        self.hparams = dict(d_enc=d_enc, n_tokens=n_tokens, n_layers=n_layers)
         self.d_enc = d_enc
         self.n_tokens = n_tokens
         self.token_proj = nn.Linear(d_enc // n_tokens, cfg.d_model, rng)
@@ -191,6 +194,8 @@ class SegmentTransformer(nn.Module):
         cfg = cfg or AttentionConfig()
         rng = np.random.default_rng(seed)
         self.cfg = cfg
+        self.hparams = dict(d_in=d_in, n_layers_content=n_layers_content,
+                            n_layers_structure=n_layers_structure, max_len=max_len)
         self.d_in = d_in
         self.max_len = max_len
         self.content_proj = nn.Linear(d_in, cfg.d_model, rng)
@@ -203,10 +208,6 @@ class SegmentTransformer(nn.Module):
         """Mean over the valid rows: [..., n x d] with mask [..., n] -> [..., d]."""
         weights = mask.astype(np.float64) / mask.sum(axis=-1, keepdims=True)
         return (Tensor(weights[..., None, :]) @ x).reshape(*x.shape[:-2], x.shape[-1])
-
-    def structure_tokens(self, seq: EmbeddingSequence) -> np.ndarray:
-        """Path-B input rows (the SSM); exposed for invariance checks."""
-        return self_similarity(seq).matrix
 
     def forward_tensor(self, batch) -> tuple[Tensor, Tensor]:
         """Logits [B] and pooled outputs [B x 2 d_model] of a list of

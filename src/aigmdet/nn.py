@@ -10,6 +10,9 @@ inputs are the case with no leading axes.
 from __future__ import annotations
 
 import functools
+import json
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -37,6 +40,8 @@ class AttentionConfig:
     ffn_dim: int = 256
 
     def __post_init__(self):
+        if self.d_model < 1 or self.heads < 1:
+            raise ShapeMismatch(f"d_model {self.d_model} and heads {self.heads} must be >= 1")
         if self.d_model % self.heads != 0:
             raise ShapeMismatch(f"d_model {self.d_model} not divisible by heads {self.heads}")
         if self.ffn_dim < self.d_model:
@@ -74,9 +79,10 @@ class Module:
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]):
         params = self.parameters()
-        missing = set(params) - set(arrays)
-        if missing:
-            raise CheckpointError(f"missing parameters: {sorted(missing)[:3]}...")
+        missing, unexpected = set(params) - set(arrays), set(arrays) - set(params)
+        if missing or unexpected:
+            raise CheckpointError(f"missing parameters {sorted(missing)[:3]}, "
+                                  f"unexpected {sorted(unexpected)[:3]}")
         for k, p in params.items():
             a = np.asarray(arrays[k], dtype=np.float64)
             if a.shape != p.data.shape:
@@ -309,50 +315,67 @@ def adam_step(params: dict[str, Tensor], state: OptimState):
 
 
 # ----------------------------------------------------------------------
-# checkpoint format: magic "AIGM", u32 version, u32 count,
-# then per tensor: u32 name_len + utf-8 name, u32 rank, u32 dims...,
-# float64 little-endian payload.
+# checkpoint format, AIGM version 2: magic "AIGM", u32 version = 2, u32
+# header length H (little-endian), H bytes of UTF-8 JSON {"meta": {...},
+# "tensors": [[name, shape], ...]}, then each tensor's float64 little-endian
+# payload in header order, and nothing after the last one.  "meta" belongs
+# to the caller (pipeline.save_model: arch, extractor, attention, hparams).
 _MAGIC = b"AIGM"
-_VERSION = 1
+_VERSION = 2
+_PREFIX = struct.Struct("<4sII")
 
 
-def save_checkpoint(path, arrays: dict[str, np.ndarray]):
+def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict | None = None):
+    arrays = {name: np.asarray(a, dtype="<f8") for name, a in arrays.items()}
+    index = [[name, list(a.shape)] for name, a in arrays.items()]
+    header = json.dumps({"meta": meta or {}, "tensors": index}).encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<II", _VERSION, len(arrays)))
-        for name, arr in arrays.items():
-            arr = np.asarray(arr, dtype="<f8")
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<I", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.tobytes())
+        fh.write(_PREFIX.pack(_MAGIC, _VERSION, len(header)))
+        fh.write(header)
+        for a in arrays.values():
+            fh.write(a.tobytes())
 
 
-def load_checkpoint(path) -> dict[str, np.ndarray]:
-    def read(fh, n):
-        buf = fh.read(n)
-        if len(buf) != n:
-            raise CheckpointError("truncated checkpoint")
-        return buf
+def _is_header(header) -> bool:
+    """{"meta": {...}, "tensors": [[name, [non-negative int, ...]], ...]},
+    names distinct."""
+    index = header.get("tensors") if isinstance(header, dict) else None
+    return (isinstance(index, list) and isinstance(header.get("meta"), dict)
+            and all(isinstance(e, list) and len(e) == 2 and isinstance(e[0], str)
+                    and isinstance(e[1], list) and all(type(d) is int and d >= 0 for d in e[1])
+                    for e in index)
+            and len({e[0] for e in index}) == len(index))
 
-    arrays: dict[str, np.ndarray] = {}
+
+def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
+    """(arrays, meta) of an AIGM v2 file.  Sizes are checked against the file
+    length before anything is read; CheckpointError names the file."""
     with open(path, "rb") as fh:
-        if read(fh, 4) != _MAGIC:
-            raise CheckpointError("bad magic (expected AIGM)")
-        version, count = struct.unpack("<II", read(fh, 8))
+        length = os.fstat(fh.fileno()).st_size
+        head = fh.read(_PREFIX.size)
+        if len(head) != _PREFIX.size or head[:4] != _MAGIC:
+            raise CheckpointError(f"{path}: bad magic (expected AIGM)")
+        _, version, size = _PREFIX.unpack(head)
         if version != _VERSION:
-            raise CheckpointError(f"unsupported version {version}")
-        for _ in range(count):
-            (name_len,) = struct.unpack("<I", read(fh, 4))
-            name = read(fh, name_len).decode("utf-8")
-            (rank,) = struct.unpack("<I", read(fh, 4))
-            dims = struct.unpack(f"<{rank}I", read(fh, 4 * rank)) if rank else ()
-            n = int(np.prod(dims)) if dims else 1
-            payload = read(fh, 8 * n)
-            arrays[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
-    return arrays
+            raise CheckpointError(f"{path}: unsupported AIGM version {version} "
+                                  f"(expected {_VERSION})")
+        if _PREFIX.size + size > length:
+            raise CheckpointError(f"{path}: truncated header")
+        try:
+            header = json.loads(fh.read(size).decode("utf-8"))
+        except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
+            raise CheckpointError(f"{path}: header is not UTF-8 JSON ({exc})") from None
+        if not _is_header(header):
+            raise CheckpointError(f"{path}: header is not an object with a 'meta' "
+                                  f"object and a 'tensors' list of [name, shape]")
+        end = _PREFIX.size + size + 8 * sum(math.prod(s) for _, s in header["tensors"])
+        if length < end:
+            raise CheckpointError(f"{path}: truncated payload ({length} of {end} bytes)")
+        if length > end:
+            raise CheckpointError(f"{path}: {length - end} trailing bytes after the last tensor")
+        arrays = {name: np.frombuffer(fh.read(8 * math.prod(shape)), dtype="<f8")
+                  .reshape(shape).copy() for name, shape in header["tensors"]}
+    return arrays, header["meta"]
 
 
 __all__ = [

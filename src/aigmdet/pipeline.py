@@ -1,22 +1,23 @@
 """End-to-end wiring: beat analysis of a track, stage-1/stage-2 dataset
-construction from manifests, and checkpoints that carry enough metadata
-to rebuild the model they came from.
+construction from manifests, and model checkpoints whose AIGM header
+describes the model they hold.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import nn
 from .audio import AudioBuffer, load_wav, resample, to_mono
 from .beats import BeatGrid, estimate_tempo, pick_downbeats, quantize_grid, track_beats
+from .data import DataError
 from .dsp import FRAME_LEN, HOP, log_mel, mel_filterbank, onset_envelope, stft
 from .extractors import FeatureExtractor
 from .models import (AudioCAT, FXSegment, SegmentTransformer, features_to_sequence,
                      prepare_for_extractor, segment_features)
-from .nn import AttentionConfig
+from .nn import AttentionConfig, ShapeMismatch
 
 ANALYSIS_RATE = 16000
 ONSET_MELS = 40
@@ -106,86 +107,55 @@ def build_stage2_dataset(entries, stage1, extractor: FeatureExtractor) -> list:
 
 
 # ----------------------------------------------------------------------
-# checkpoint metadata: scalar config entries stored as reserved tensors
-_ARCH_IDS = {"audiocat": 0, "fxseg": 1, "segtr": 2}
-_ARCH_NAMES = {v: k for k, v in _ARCH_IDS.items()}
-
-
-def _encode_string(s: str) -> np.ndarray:
-    return np.array([float(b) for b in s.encode("utf-8")])
-
-
-def _decode_string(a: np.ndarray) -> str:
-    return bytes(int(x) for x in np.asarray(a).ravel()).decode("utf-8")
+# architecture name -> model class, for build_model, save_model (which records
+# the name, cfg and the model's hparams) and load_model (which rebuilds it)
+ARCHS = {"audiocat": AudioCAT, "fxseg": FXSegment, "segtr": SegmentTransformer}
 
 
 def save_model(path, model, arch: str, extractor_preset: str = ""):
-    arrays = model.state_arrays()
-    cfg = model.cfg
-    meta = {
-        "__meta__.arch": np.array(float(_ARCH_IDS[arch])),
-        "__meta__.d_model": np.array(float(cfg.d_model)),
-        "__meta__.heads": np.array(float(cfg.heads)),
-        "__meta__.ffn_dim": np.array(float(cfg.ffn_dim)),
-        "__meta__.extractor": _encode_string(extractor_preset),
-    }
-    if arch == "audiocat":
-        meta["__meta__.d_enc"] = np.array(float(model.d_enc))
-        meta["__meta__.n_queries"] = np.array(float(model.queries.shape[0]))
-        meta["__meta__.n_layers"] = np.array(float(len(model.blocks)))
-    elif arch == "fxseg":
-        meta["__meta__.d_enc"] = np.array(float(model.d_enc))
-        meta["__meta__.n_tokens"] = np.array(float(model.n_tokens))
-        meta["__meta__.n_layers"] = np.array(float(len(model.blocks)))
-    else:
-        meta["__meta__.d_in"] = np.array(float(model.d_in))
-        meta["__meta__.max_len"] = np.array(float(model.max_len))
-        meta["__meta__.n_layers_content"] = np.array(float(len(model.content_blocks)))
-        meta["__meta__.n_layers_structure"] = np.array(float(len(model.structure_blocks)))
-    nn.save_checkpoint(path, {**meta, **arrays})
+    if type(model) is not ARCHS[arch]:
+        raise ValueError(f"{type(model).__name__} is not a {arch!r} model")
+    meta = {"arch": arch, "extractor": extractor_preset,
+            "attention": asdict(model.cfg), "hparams": model.hparams}
+    nn.save_checkpoint(path, model.state_arrays(), meta)
 
 
 def load_model(path):
-    """Returns (model, arch_name, extractor_preset)."""
-    arrays = nn.load_checkpoint(path)
-    meta = {k: v for k, v in arrays.items() if k.startswith("__meta__.")}
-    if "__meta__.arch" not in meta:
-        raise nn.CheckpointError("not an aigmdet model checkpoint: missing __meta__.arch")
-    weights = {k: v for k, v in arrays.items() if not k.startswith("__meta__.")}
-    arch = _ARCH_NAMES[int(float(meta["__meta__.arch"]))]
-    cfg = AttentionConfig(d_model=int(float(meta["__meta__.d_model"])),
-                          heads=int(float(meta["__meta__.heads"])),
-                          ffn_dim=int(float(meta["__meta__.ffn_dim"])))
-    preset = _decode_string(meta["__meta__.extractor"])
-    if arch == "audiocat":
-        model = AudioCAT(d_enc=int(float(meta["__meta__.d_enc"])), cfg=cfg,
-                         n_queries=int(float(meta["__meta__.n_queries"])),
-                         n_layers=int(float(meta["__meta__.n_layers"])))
-    elif arch == "fxseg":
-        model = FXSegment(d_enc=int(float(meta["__meta__.d_enc"])),
-                          n_tokens=int(float(meta["__meta__.n_tokens"])), cfg=cfg,
-                          n_layers=int(float(meta["__meta__.n_layers"])))
-    else:
-        model = SegmentTransformer(
-            d_in=int(float(meta["__meta__.d_in"])), cfg=cfg,
-            n_layers_content=int(float(meta["__meta__.n_layers_content"])),
-            n_layers_structure=int(float(meta["__meta__.n_layers_structure"])),
-            max_len=int(float(meta["__meta__.max_len"])))
-    model.load_state_arrays(weights)
+    """Returns (model, arch_name, extractor_preset); CheckpointError names
+    the file if its header does not describe the model its tensors hold."""
+    arrays, meta = nn.load_checkpoint(path)
+    try:
+        arch, preset = meta["arch"], meta["extractor"]
+        attention, hparams = meta["attention"], meta["hparams"]
+        cfg = AttentionConfig(**attention)
+        model = ARCHS[arch](cfg=cfg, **hparams)
+        # a key left out of the header would silently take its default
+        if asdict(cfg) != attention or model.hparams != hparams:
+            raise ValueError(f"incomplete model description {attention} {hparams}")
+        if not isinstance(preset, str):
+            raise TypeError(f"extractor preset {preset!r} is not a string")
+        model.load_state_arrays(arrays)
+    except (KeyError, TypeError, ValueError, ShapeMismatch, nn.CheckpointError) as exc:
+        raise nn.CheckpointError(f"{path}: not a loadable aigmdet model "
+                                 f"({type(exc).__name__}: {exc})") from None
     return model, arch, preset
 
 
 def build_model(arch: str, extractor: FeatureExtractor | None = None,
                 cfg: AttentionConfig | None = None, seed: int = 0, d_in: int | None = None):
+    """A fresh ARCHS[arch]; stage-1 widths come from the extractor, and
+    fxseg needs a vector extractor."""
+    if arch not in ARCHS:
+        raise ValueError(f"unknown architecture {arch!r}")
     cfg = cfg or AttentionConfig()
-    if arch == "audiocat":
-        if extractor is None:
-            raise ValueError("audiocat needs an extractor")
-        return AudioCAT(d_enc=extractor.d_enc, cfg=cfg, seed=seed)
-    if arch == "fxseg":
-        d_enc = extractor.d_enc if extractor is not None else 2048
-        return FXSegment(d_enc=d_enc, cfg=cfg, seed=seed)
     if arch == "segtr":
-        return SegmentTransformer(d_in=d_in if d_in is not None else cfg.d_model,
+        return SegmentTransformer(d_in=cfg.d_model if d_in is None else d_in,
                                   cfg=cfg, seed=seed)
-    raise ValueError(f"unknown architecture {arch!r}")
+    if extractor is None:
+        if arch == "audiocat":
+            raise ValueError("audiocat needs an extractor")
+        return FXSegment(cfg=cfg, seed=seed)
+    if arch == "fxseg" and extractor.kind != "vector":
+        raise DataError(f"fxseg needs a vector extractor; {extractor.name} "
+                        f"gives {extractor.kind}s")
+    return ARCHS[arch](d_enc=extractor.d_enc, cfg=cfg, seed=seed)

@@ -461,7 +461,7 @@ def test_criterion_10_format_round_trips(tmp_path):
     arrays = {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=7),
               "c": np.array(2.5)}
     nn.save_checkpoint(tmp_path / "rt.aigm", arrays)
-    restored = nn.load_checkpoint(tmp_path / "rt.aigm")
+    restored, _ = nn.load_checkpoint(tmp_path / "rt.aigm")
     for key, value in arrays.items():
         check(failures, np.array_equal(restored[key], np.asarray(value)),
               f"checkpoint tensor {key} not bit-exact")

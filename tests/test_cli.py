@@ -1,5 +1,6 @@
 import argparse
 import shlex
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -178,7 +179,84 @@ def test_checkpoint_without_meta_exits_2(corpus, tmp_path, capsys):
     path = tmp_path / "bare.aigm"
     nn.save_checkpoint(path, pipeline.build_model("segtr", seed=0).state_arrays())
     assert run(["predict", "--ckpt", str(path), "--audio", corpus["clip"]]) == EXIT_IO
-    assert "missing __meta__.arch" in capsys.readouterr().err
+    assert "KeyError: 'arch'" in capsys.readouterr().err
+
+
+# stage 1 takes audiocat or fxseg; fxseg cannot take the default seq-512
+# sequence extractor
+@pytest.mark.parametrize("arch", ["segtr", "fxseg"])
+def test_impossible_stage1_train_exits_2_before_extraction(
+        arch, corpus, tmp_path, monkeypatch, capsys):
+    def no_extraction(*args):
+        raise AssertionError("features extracted before the combination was checked")
+
+    monkeypatch.setattr(pipeline, "stage1_features", no_extraction)
+    assert run(["train", "--stage", "1", "--arch", arch,
+                "--manifest", str(corpus["manifest"]),
+                "--out", str(tmp_path / "o.aigm")]) == EXIT_IO
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def _edit_meta(change):
+    """A checkpoint edit: change(meta) on the header's meta, same tensors."""
+    def edit(path):
+        arrays, meta = nn.load_checkpoint(path)
+        change(meta)
+        nn.save_checkpoint(path, arrays, meta)
+    return edit
+
+
+def _edit_bytes(change):
+    def edit(path):
+        path.write_bytes(change(path.read_bytes()))
+    return edit
+
+
+def _with_header(blob, header: bytes) -> bytes:
+    """`blob` with its JSON header replaced and the length field updated."""
+    size = struct.unpack_from("<I", blob, 8)[0]
+    return blob[:8] + struct.pack("<I", len(header)) + header + blob[12 + size:]
+
+
+def _to_v1(path):
+    """Rewrite the weights in the version-1 layout: magic, u32 version,
+    u32 count, then per tensor u32 name length, name, u32 rank, u32 dims
+    and the float64 payload."""
+    arrays, _ = nn.load_checkpoint(path)
+    out = [b"AIGM", struct.pack("<II", 1, len(arrays))]
+    for name, a in arrays.items():
+        encoded = name.encode("utf-8")
+        out += [struct.pack(f"<I{len(encoded)}sI{a.ndim}I", len(encoded), encoded,
+                            a.ndim, *a.shape), a.astype("<f8").tobytes()]
+    path.write_bytes(b"".join(out))
+
+
+BAD_CHECKPOINTS = {
+    "unknown_arch": _edit_meta(lambda m: m.update(arch="7")),
+    "d_model_missing": _edit_meta(lambda m: m["attention"].pop("d_model")),
+    "heads_0": _edit_meta(lambda m: m["attention"].update(heads=0)),
+    "heads_3": _edit_meta(lambda m: m["attention"].update(heads=3)),
+    "d_model_64_vs_128_wide_tensors": _edit_meta(lambda m: m["attention"].update(d_model=64)),
+    "extractor_not_a_string": _edit_meta(lambda m: m.update(extractor=300)),
+    "max_len_nan": _edit_meta(lambda m: m["hparams"].update(max_len=float("nan"))),
+    "fewer_layers_than_tensors": _edit_meta(lambda m: m["hparams"].update(n_layers_content=1)),
+    "header_not_json": _edit_bytes(lambda b: _with_header(b, b"{not json")),
+    "header_not_an_object": _edit_bytes(lambda b: _with_header(b, b"[1, 2]")),
+    "truncated_payload": _edit_bytes(lambda b: b[:-8]),
+    "trailing_bytes": _edit_bytes(lambda b: b + bytes(8)),
+    "version_1": _to_v1,
+}
+
+
+@pytest.mark.parametrize("case", BAD_CHECKPOINTS)
+def test_malformed_checkpoint_exits_2(case, tracks, stage1_ckpt, tmp_path, capsys):
+    path = tmp_path / "segtr.aigm"
+    pipeline.save_model(path, pipeline.build_model("segtr", seed=0), "segtr")
+    BAD_CHECKPOINTS[case](path)
+    assert run(["predict", "--ckpt", str(path), "--stage1-ckpt", str(stage1_ckpt),
+                "--audio", tracks["track"], "--mode", "full"]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
 
 
 # ---------------------------------------------------------------- stage 2

@@ -19,7 +19,6 @@ def test_sequence_container_basics():
     seq = EmbeddingSequence(np.ones((3, 4)), np.array([True, True, False]))
     assert seq.length == 3
     assert seq.dim == 4
-    assert seq.source_ids == [0, 1, 2]
 
 
 def test_sequence_mask_length_checked():
@@ -33,7 +32,6 @@ def test_pad_short_sequence():
     assert out.vectors.shape == (6, 4)
     assert out.mask.tolist() == [True] * 3 + [False] * 3
     assert np.array_equal(out.vectors[3:], np.zeros((3, 4)))
-    assert out.source_ids[3:] == [-1, -1, -1]
 
 
 def test_crop_keeps_first_rows():

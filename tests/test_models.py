@@ -224,13 +224,6 @@ def test_segtr_gradients():
                       n_coords=3, rng=np.random.default_rng(2))
 
 
-def test_segtr_structure_tokens_are_the_ssm():
-    model = SegmentTransformer(d_in=10, cfg=SMALL, max_len=8)
-    seq = make_seq(np.random.default_rng(5), 6)
-    assert np.array_equal(model.structure_tokens(seq),
-                          self_similarity(seq).matrix)
-
-
 # ---------------------------------------------------------------- batching
 def batch_case(arch):
     """A model and a batch of 3 inputs of mixed lengths or masks."""

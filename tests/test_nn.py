@@ -52,6 +52,12 @@ def test_sinusoidal_first_row():
     assert abs(pe[1, 0] - np.sin(1.0)) < 1e-12
 
 
+@pytest.mark.parametrize("d_model,heads", [(128, 0), (0, 4), (-4, 2)])
+def test_attention_config_rejects_nonpositive_sizes(d_model, heads):
+    with pytest.raises(nn.ShapeMismatch):
+        nn.AttentionConfig(d_model=d_model, heads=heads, ffn_dim=256)
+
+
 def test_sinusoidal_odd_dim_rejected():
     with pytest.raises(nn.ShapeMismatch):
         nn.sinusoidal_positions(4, 7)
@@ -318,9 +324,11 @@ def test_checkpoint_round_trip(tmp_path):
               "b": rng.normal(size=7),
               "scalar": np.array(2.5)}
     path = tmp_path / "model.aigm"
-    nn.save_checkpoint(path, arrays)
-    loaded = nn.load_checkpoint(path)
-    assert set(loaded) == set(arrays)
+    meta = {"arch": "x", "nested": {"n": [1, 2]}}
+    nn.save_checkpoint(path, arrays, meta)
+    loaded, loaded_meta = nn.load_checkpoint(path)
+    assert loaded_meta == meta
+    assert list(loaded) == list(arrays)
     for k in arrays:
         assert np.array_equal(loaded[k], arrays[k])
 
@@ -340,6 +348,26 @@ def test_checkpoint_truncated(tmp_path):
     path.write_bytes(blob[:-16])
     with pytest.raises(nn.CheckpointError):
         nn.load_checkpoint(path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_checkpoint_reader_raises_only_checkpoint_error(tmp_path_factory, data):
+    """Truncated or byte-edited files load or raise CheckpointError."""
+    path = tmp_path_factory.mktemp("fuzz") / "model.aigm"
+    nn.save_checkpoint(path, {"w": np.arange(6.0).reshape(2, 3), "b": np.ones(2)},
+                       {"arch": "x", "hparams": {"n": 2}})
+    blob = bytearray(path.read_bytes())
+    blob = blob[:data.draw(st.integers(0, len(blob)), label="length")]
+    for _ in range(data.draw(st.integers(0, 3), label="edits")):
+        if blob:
+            i = data.draw(st.integers(0, len(blob) - 1))
+            blob[i] = data.draw(st.integers(0, 255))
+    path.write_bytes(bytes(blob))
+    try:
+        nn.load_checkpoint(path)
+    except nn.CheckpointError:
+        pass
 
 
 @settings(max_examples=20, deadline=None)

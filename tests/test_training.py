@@ -12,6 +12,8 @@ from aigmdet.training import (PRESETS, DivergedLoss, EmptySplit, EvalReport,
                               TrainingError, confusion, evaluate, metrics,
                               roc_auc, train)
 
+from util import pairwise_auc
+
 SMALL = AttentionConfig(d_model=16, heads=2, ffn_dim=32)
 
 
@@ -228,6 +230,18 @@ def test_auc_complement_symmetry(pairs):
         return
     flipped = [1 - l for l in labels]
     assert abs(roc_auc(scores, labels) + roc_auc(scores, flipped) - 1.0) < 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 1)), min_size=2, max_size=60),
+       st.floats(1e-3, 1e3))
+def test_auc_rank_formula_matches_pairwise_with_ties(pairs, scale):
+    # six score levels over up to 60 examples: most scores are tied
+    scores = [s * scale for s, _ in pairs]
+    labels = [l for _, l in pairs]
+    if len(set(labels)) < 2:
+        return
+    assert abs(roc_auc(scores, labels) - pairwise_auc(scores, labels)) <= 1e-12
 
 
 def test_evaluate_end_to_end():

@@ -1,6 +1,6 @@
 """Shared test helpers: finite-difference gradient checking, synthetic
-signal construction, and the direct forms of the resampler and the beat
-DP that the vectorised ones are checked against."""
+signal construction, and the direct forms of the resampler, the beat DP
+and the AUC that the vectorised ones are checked against."""
 
 import numpy as np
 
@@ -129,3 +129,15 @@ def loop_beat_dp(env, tau):
         score[t] = env[t] + candidates[best]
         backlink[t] = prev[valid][best]
     return score, backlink
+
+
+def pairwise_auc(scores, labels):
+    """O(P N) form of `training.roc_auc`: the fraction of (positive,
+    negative) pairs the positive wins, ties counting one half."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    pos = scores[labels == 1]
+    neg = scores[labels == 0]
+    greater = (pos[:, None] > neg[None, :]).sum()
+    ties = (pos[:, None] == neg[None, :]).sum()
+    return float((greater + 0.5 * ties) / (len(pos) * len(neg)))
