@@ -29,15 +29,21 @@ def main():
     parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args()
 
+    from aigmdet.data import DataError
     from aigmdet.experiment import run_experiment
 
     log = None if args.quiet else print
     start = time.time()
-    result = run_experiment(args.data_dir,
-                            n_per_class=args.tracks_per_class,
-                            duration_s=args.duration_s,
-                            seeds=tuple(args.seeds),
-                            epochs=args.epochs, lr=args.lr, log=log)
+    try:
+        result = run_experiment(args.data_dir,
+                                n_per_class=args.tracks_per_class,
+                                duration_s=args.duration_s,
+                                seeds=tuple(args.seeds),
+                                epochs=args.epochs, lr=args.lr, log=log)
+    except DataError as exc:
+        # e.g. a corpus too small to split into train, val and test
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     elapsed = time.time() - start
 
     print()

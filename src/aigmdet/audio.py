@@ -7,7 +7,6 @@ float32 on read, PCM 16-bit on write.
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
@@ -196,13 +195,21 @@ def _resample(samples: np.ndarray, up: int, down: int) -> np.ndarray:
     return out
 
 
+# the kernel table has a row per phase; 16000/44101 would need 16000 rows
+_MAX_PHASES = 1000
+
+
 def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
+    """Polyphase resampling at the reduced ratio up/down = target/source rate.
+    Where up > _MAX_PHASES, source/target is replaced by its closest fraction
+    with a denominator <= _MAX_PHASES; the true output rate is then within
+    0.05% of target_rate."""
     if not (MIN_RATE <= target_rate <= MAX_RATE):
         raise InvalidRate(f"target rate {target_rate}")
     if target_rate == buf.sample_rate:
         return buf.copy()
-    g = math.gcd(target_rate, buf.sample_rate)
-    return AudioBuffer(_resample(buf.samples, target_rate // g, buf.sample_rate // g),
+    ratio = Fraction(buf.sample_rate, target_rate).limit_denominator(_MAX_PHASES)
+    return AudioBuffer(_resample(buf.samples, ratio.denominator, ratio.numerator),
                        target_rate)
 
 

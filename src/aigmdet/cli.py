@@ -93,8 +93,7 @@ def cmd_train(args) -> int:
     manifest = Manifest.load(args.manifest)
     if not any(e.split for e in manifest.entries):
         manifest = split_dataset(manifest, seed=cfg.seed)
-    train_entries = manifest.subset("train")
-    val_entries = manifest.subset("val")
+    train_entries, val_entries = manifest.subsets("train", "val")
 
     seed = cfg.seed
     if args.stage == 1:

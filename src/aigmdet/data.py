@@ -50,6 +50,13 @@ class Manifest:
     def subset(self, split: str) -> list:
         return [e for e in self.entries if e.split == split]
 
+    def subsets(self, *splits: str) -> list[list]:
+        """subset() of each named split; DataError names the first empty one."""
+        for split in splits:
+            if not self.subset(split):
+                raise DataError(f"{self.name}: the {split!r} split is empty")
+        return [self.subset(split) for split in splits]
+
     def save(self, path):
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)

@@ -1,9 +1,12 @@
-"""Spectral front-end: STFT, HTK log-mel, onset envelope, and the
+"""Spectral front end: STFT, HTK log-mel, onset envelope, and the
 deterministic DSP segment embedder used when no external embeddings are
 available.
 
-One fixed analysis setting (Hann, frame 1024, hop 256 at 16 kHz) is used
-throughout so downstream oracles stay stable.
+Every input is brought to 16 kHz mono (ANALYSIS_RATE) once, by
+`pipeline.analysis_buffer`, before it reaches this module.  `log_mel` is
+the one STFT -> power -> mel -> log recipe (Hann window, hop 256, N_MELS
+bands); onset analysis and `dsp_embed` run it at frame 1024, the sequence
+extractor at frame 512.
 """
 
 from __future__ import annotations
@@ -15,48 +18,25 @@ import numpy as np
 
 from .audio import AudioBuffer
 
+ANALYSIS_RATE = 16000
 FRAME_LEN = 1024
 HOP = 256
+N_MELS = 40
 LOG_EPS = 1e-10
 EMBED_SEED = 42
-EMBED_MELS = 40
 
 
-class DspError(Exception):
+class BadFrameParams(Exception):
     pass
 
 
-class BadFrameParams(DspError):
-    pass
-
-
-class BadBand(DspError):
-    pass
-
-
-class TooShort(DspError):
+class TooShort(Exception):
     pass
 
 
 @dataclass
 class Spectrogram:
     magnitudes: np.ndarray  # [frames x bins], nonnegative
-    frame_len: int
-    hop: int
-    sample_rate: int
-
-    @property
-    def bins(self) -> int:
-        return self.frame_len // 2 + 1
-
-
-@dataclass
-class MelSpectrogram:
-    values: np.ndarray  # [frames x n_mels], log-compressed
-    n_mels: int
-    fmin: float
-    fmax: float
-    hop_s: float
 
 
 def stft(mono: AudioBuffer, frame_len: int = FRAME_LEN, hop: int = HOP) -> Spectrogram:
@@ -73,14 +53,13 @@ def stft(mono: AudioBuffer, frame_len: int = FRAME_LEN, hop: int = HOP) -> Spect
         mags = np.zeros((0, frame_len // 2 + 1))
     else:
         n_frames = 1 + (n - frame_len) // hop
-        starts = np.arange(n_frames) * hop
         window = np.hanning(frame_len)
         frames = np.lib.stride_tricks.as_strided(
             x, shape=(n_frames, frame_len),
             strides=(x.strides[0] * hop, x.strides[0]),
         ) * window
         mags = np.abs(np.fft.rfft(frames, axis=1))
-    return Spectrogram(mags, frame_len, hop, mono.sample_rate)
+    return Spectrogram(mags)
 
 
 def _hz_to_mel(f):
@@ -92,21 +71,14 @@ def _mel_to_hz(m):
 
 
 @lru_cache(maxsize=16)
-def mel_filterbank(n_mels: int, frame_len: int, rate: int,
-                   fmin: float = 0.0, fmax: float | None = None) -> np.ndarray:
-    """Triangular HTK-scale filters, [n_mels x bins]."""
-    if fmax is None:
-        fmax = rate / 2.0
-    if n_mels < 8:
-        raise BadBand("n_mels must be >= 8")
-    if not fmin < fmax <= rate / 2.0:
-        raise BadBand(f"need fmin < fmax <= rate/2, got [{fmin}, {fmax}] at {rate} Hz")
+def mel_filterbank(frame_len: int, rate: int) -> np.ndarray:
+    """N_MELS triangular HTK-scale filters from 0 Hz to rate/2, [N_MELS x bins]."""
     bins = frame_len // 2 + 1
     freqs = np.arange(bins) * rate / frame_len
-    mel_points = np.linspace(_hz_to_mel(fmin), _hz_to_mel(fmax), n_mels + 2)
+    mel_points = np.linspace(_hz_to_mel(0.0), _hz_to_mel(rate / 2.0), N_MELS + 2)
     hz_points = _mel_to_hz(mel_points)
-    fb = np.zeros((n_mels, bins))
-    for i in range(n_mels):
+    fb = np.zeros((N_MELS, bins))
+    for i in range(N_MELS):
         left, center, right = hz_points[i], hz_points[i + 1], hz_points[i + 2]
         up = (freqs - left) / max(center - left, 1e-12)
         down = (right - freqs) / max(right - center, 1e-12)
@@ -115,27 +87,17 @@ def mel_filterbank(n_mels: int, frame_len: int, rate: int,
     return fb
 
 
-def mel_center_freqs(n_mels: int, fmin: float, fmax: float) -> np.ndarray:
-    mel_points = np.linspace(_hz_to_mel(fmin), _hz_to_mel(fmax), n_mels + 2)
-    return _mel_to_hz(mel_points[1:-1])
+def log_mel(mono: AudioBuffer, frame_len: int = FRAME_LEN, hop: int = HOP) -> np.ndarray:
+    """ln(|STFT|^2 @ mel_filterbank.T + LOG_EPS), [frames x N_MELS]."""
+    power = stft(mono, frame_len, hop).magnitudes**2
+    return np.log(power @ mel_filterbank(frame_len, mono.sample_rate).T + LOG_EPS)
 
 
-def log_mel(spec: Spectrogram, fb: np.ndarray) -> MelSpectrogram:
-    """values = ln(fb @ power + eps)."""
-    if fb.shape[1] != spec.bins:
-        raise BadFrameParams(f"filterbank bins {fb.shape[1]} vs spectrogram {spec.bins}")
-    power = spec.magnitudes**2
-    values = np.log(power @ fb.T + LOG_EPS)
-    rate = spec.sample_rate
-    return MelSpectrogram(values, fb.shape[0], 0.0, rate / 2.0, spec.hop / rate)
-
-
-def onset_envelope(mel: MelSpectrogram) -> np.ndarray:
+def onset_envelope(mel: np.ndarray) -> np.ndarray:
     """Half-wave-rectified, mean-subtracted spectral flux of a log-mel."""
-    v = mel.values
-    if v.shape[0] < 2:
+    if mel.shape[0] < 2:
         raise TooShort("need at least 2 frames")
-    flux = np.clip(v[1:] - v[:-1], 0.0, None).sum(axis=1)
+    flux = np.clip(mel[1:] - mel[:-1], 0.0, None).sum(axis=1)
     env = np.concatenate([[0.0], flux])
     env = env - env.mean()
     return np.clip(env, 0.0, None)
@@ -152,19 +114,15 @@ def _projection(dim: int, stat_dim: int) -> np.ndarray:
 def dsp_embed(segment: AudioBuffer, dim: int) -> np.ndarray:
     """Fixed-seed embedding of a mono segment: per-band log-mel statistics
     (mean, std, max, mean positive flux) projected to `dim`, L2-normalized."""
-    if segment.channels != 1:
-        raise BadFrameParams("dsp_embed expects a mono segment")
     if segment.duration < 0.2:
         raise TooShort(f"segment of {segment.duration:.3f} s is below 0.2 s")
-    spec = stft(segment)
-    fb = mel_filterbank(EMBED_MELS, spec.frame_len, segment.sample_rate)
-    mel = log_mel(spec, fb).values  # [frames x mels]
+    mel = log_mel(segment)
     flux = np.clip(np.diff(mel, axis=0), 0.0, None)
     stats = np.concatenate([
         mel.mean(axis=0),
         mel.std(axis=0),
         mel.max(axis=0),
-        flux.mean(axis=0) if len(flux) else np.zeros(EMBED_MELS),
+        flux.mean(axis=0) if len(flux) else np.zeros(N_MELS),
     ])
     vec = stats @ _projection(dim, stats.size)
     norm = np.linalg.norm(vec)

@@ -77,8 +77,9 @@ def run_seed(tracks, manifest: Manifest, seed: int,
     attn = attn or AttentionConfig()
     split = split_dataset(manifest, seed=seed)
     by_path = {t.path: t for t in tracks}
-    subsets = {name: [by_path[e.path] for e in split.subset(name)]
-               for name in ("train", "val", "test")}
+    names = ("train", "val", "test")
+    subsets = {name: [by_path[e.path] for e in entries]
+               for name, entries in zip(names, split.subsets(*names))}
 
     stage1 = AudioCAT(d_enc=SEGMENT_EMBED_DIM, cfg=attn, seed=seed)
     s1_result = train(stage1, _stage1_examples(subsets["train"]),

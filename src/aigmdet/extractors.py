@@ -1,23 +1,22 @@
 """Pluggable feature extractors and the embedding-sequence container.
 
-Three concrete extractors ship: a DSP frame-sequence embedder, a single-
-vector DSP embedder, and a seeded random-projection stub.  Externally
-computed embeddings are loaded from EMB1 files.
+Two concrete extractors ship: a DSP frame-sequence embedder and a single-
+vector DSP embedder.  Both take 16 kHz mono segments, the format
+`pipeline.analysis_buffer` gives every input.  Externally computed
+embeddings are loaded from EMB1 files.
 """
 
 from __future__ import annotations
 
 import struct
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from .audio import AudioBuffer
-from .dsp import EMBED_MELS, TooShort, dsp_embed, log_mel, mel_filterbank, stft
+from .dsp import ANALYSIS_RATE, N_MELS, TooShort, dsp_embed, log_mel
 
 SEQ_FRAME_LEN = 512
-SEQ_HOP = 256
 MAX_SEQ_LEN = 48
 # whole-segment DspVectorExtractor dimension of the experiment and `ssm`
 SEGMENT_EMBED_DIM = 512
@@ -85,22 +84,18 @@ def pad_or_crop(seq: EmbeddingSequence, max_len: int = MAX_SEQ_LEN) -> Embedding
 
 # ----------------------------------------------------------------------
 class FeatureExtractor:
-    """Base class: turns an AudioBuffer segment into a sequence [T x d]
-    or a single vector [d]."""
+    """Base class: turns a 16 kHz mono AudioBuffer segment into a sequence
+    [T x d] or a single vector [d]."""
 
     name: str = "base"
     kind: str = "sequence"  # or "vector"
     d_enc: int = 0
-    sample_rate: int = 16000
-    channels: int = 1
 
     def __call__(self, segment: AudioBuffer) -> np.ndarray:
-        if segment.sample_rate != self.sample_rate:
+        if segment.sample_rate != ANALYSIS_RATE or segment.channels != 1:
             raise RateMismatch(
-                f"{self.name} needs {self.sample_rate} Hz, got {segment.sample_rate}")
-        if segment.channels != self.channels:
-            raise RateMismatch(
-                f"{self.name} needs {self.channels} channel(s), got {segment.channels}")
+                f"{self.name} needs {ANALYSIS_RATE} Hz mono, got {segment.sample_rate} Hz "
+                f"with {segment.channels} channel(s)")
         return self._extract(segment)
 
     def _extract(self, segment: AudioBuffer) -> np.ndarray:
@@ -113,20 +108,16 @@ class DspSequenceExtractor(FeatureExtractor):
 
     kind = "sequence"
 
-    def __init__(self, d_enc: int = 512, sample_rate: int = 16000, seed: int = 42):
+    def __init__(self, d_enc: int = 512, seed: int = 42):
         self.name = f"dsp-seq-{d_enc}"
         self.d_enc = d_enc
-        self.sample_rate = sample_rate
         rng = np.random.default_rng(seed)
-        self._proj = rng.normal(0.0, 1.0 / np.sqrt(EMBED_MELS), size=(EMBED_MELS, d_enc))
+        self._proj = rng.normal(0.0, 1.0 / np.sqrt(N_MELS), size=(N_MELS, d_enc))
 
     def _extract(self, segment: AudioBuffer) -> np.ndarray:
         if segment.duration < 0.2:
             raise TooShort("segment below 0.2 s")
-        spec = stft(segment, SEQ_FRAME_LEN, SEQ_HOP)
-        fb = mel_filterbank(EMBED_MELS, SEQ_FRAME_LEN, segment.sample_rate)
-        mel = log_mel(spec, fb).values
-        return mel @ self._proj
+        return log_mel(segment, SEQ_FRAME_LEN) @ self._proj
 
 
 class DspVectorExtractor(FeatureExtractor):
@@ -134,35 +125,12 @@ class DspVectorExtractor(FeatureExtractor):
 
     kind = "vector"
 
-    def __init__(self, d_enc: int = 2048, sample_rate: int = 16000):
+    def __init__(self, d_enc: int = 2048):
         self.name = f"dsp-vec-{d_enc}"
         self.d_enc = d_enc
-        self.sample_rate = sample_rate
 
     def _extract(self, segment: AudioBuffer) -> np.ndarray:
         return dsp_embed(segment, self.d_enc)
-
-
-class RandomStubExtractor(FeatureExtractor):
-    """Deterministic random features keyed by segment content; for tests
-    and wiring checks only."""
-
-    def __init__(self, d_enc: int = 64, kind: str = "vector",
-                 sample_rate: int = 16000, seed: int = 0):
-        self.name = f"random-stub-{d_enc}"
-        self.d_enc = d_enc
-        self.kind = kind
-        self.sample_rate = sample_rate
-        self.seed = seed
-
-    def _extract(self, segment: AudioBuffer) -> np.ndarray:
-        digest = zlib.crc32(segment.samples.tobytes(), self.seed & 0xFFFFFFFF)
-        rng = np.random.default_rng(digest)
-        if self.kind == "vector":
-            v = rng.normal(size=self.d_enc)
-            return v / np.linalg.norm(v)
-        t = max(1, segment.frames // SEQ_HOP)
-        return rng.normal(size=(t, self.d_enc))
 
 
 PRESETS = {

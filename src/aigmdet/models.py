@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .audio import AudioBuffer, resample, to_mono
+from .audio import AudioBuffer
 from .beats import BeatGrid, segment_bars
 from .extractors import EmbeddingSequence, FeatureExtractor, MAX_SEQ_LEN, pad_or_crop
 from .nn import AllMasked, AttentionConfig, ShapeMismatch
@@ -249,21 +249,10 @@ class SegmentTransformer(nn.Module):
 
 
 # ----------------------------------------------------------------------
-def prepare_for_extractor(segment: AudioBuffer, extractor: FeatureExtractor) -> AudioBuffer:
-    """Channel/rate-normalize a slice to what the extractor expects."""
-    out = segment
-    if extractor.channels == 1 and out.channels != 1:
-        out = to_mono(out)
-    if out.sample_rate != extractor.sample_rate:
-        out = resample(out, extractor.sample_rate)
-    return out
-
-
 def segment_features(track: AudioBuffer, grid: BeatGrid,
                      extractor: FeatureExtractor) -> list[np.ndarray]:
-    """Extractor features of each 4-bar slice of the track."""
-    segs = segment_bars(track, grid)
-    return [extractor(prepare_for_extractor(s, extractor)) for s in segs.segments]
+    """Extractor features of each 4-bar slice of an analysis_buffer track."""
+    return [extractor(s) for s in segment_bars(track, grid).segments]
 
 
 def features_to_sequence(features, stage1,

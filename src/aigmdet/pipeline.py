@@ -13,14 +13,11 @@ from . import nn
 from .audio import AudioBuffer, load_wav, resample, to_mono
 from .beats import BeatGrid, estimate_tempo, pick_downbeats, quantize_grid, track_beats
 from .data import DataError
-from .dsp import FRAME_LEN, HOP, log_mel, mel_filterbank, onset_envelope, stft
+from .dsp import ANALYSIS_RATE, FRAME_LEN, HOP, log_mel, onset_envelope
 from .extractors import FeatureExtractor
 from .models import (AudioCAT, FXSegment, SegmentTransformer, features_to_sequence,
-                     prepare_for_extractor, segment_features)
+                     segment_features)
 from .nn import AttentionConfig, ShapeMismatch
-
-ANALYSIS_RATE = 16000
-ONSET_MELS = 40
 
 
 @dataclass
@@ -32,6 +29,7 @@ class BeatAnalysis:
 
 
 def analysis_buffer(buf: AudioBuffer) -> AudioBuffer:
+    """The track as 16 kHz mono, the one format of dsp and the extractors."""
     mono = to_mono(buf)
     if mono.sample_rate != ANALYSIS_RATE:
         mono = resample(mono, ANALYSIS_RATE)
@@ -39,11 +37,8 @@ def analysis_buffer(buf: AudioBuffer) -> AudioBuffer:
 
 
 def track_onset_envelope(buf: AudioBuffer) -> tuple[np.ndarray, float]:
-    mono = analysis_buffer(buf)
-    spec = stft(mono)
-    fb = mel_filterbank(ONSET_MELS, spec.frame_len, mono.sample_rate)
-    mel = log_mel(spec, fb)
-    return onset_envelope(mel), mel.hop_s
+    """Onset envelope of the track and its frame hop in seconds."""
+    return onset_envelope(log_mel(analysis_buffer(buf))), HOP / ANALYSIS_RATE
 
 
 def analyze_beats(buf: AudioBuffer) -> BeatAnalysis:
@@ -81,8 +76,7 @@ def _extend_grid(grid: BeatGrid, duration: float) -> BeatGrid:
 
 # ----------------------------------------------------------------------
 def stage1_features(path, extractor: FeatureExtractor) -> np.ndarray:
-    clip = prepare_for_extractor(load_wav(path), extractor)
-    return extractor(clip)
+    return extractor(analysis_buffer(load_wav(path)))
 
 
 def build_stage1_dataset(entries, extractor: FeatureExtractor) -> list:

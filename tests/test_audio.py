@@ -188,6 +188,24 @@ def test_resample_repeatable_bit_for_bit():
     assert first.samples.tobytes() == second.samples.tobytes()
 
 
+@pytest.mark.parametrize("src", [44101, 191999])
+def test_resample_rare_rate_bounds_phases(src, monkeypatch):
+    # reduced, 16000/44101 and 16000/191999 would each need 16000 phases
+    ups = []
+    inner = audio._resample
+
+    def recording(samples, up, down):
+        ups.append(up)
+        return inner(samples, up, down)
+
+    monkeypatch.setattr(audio, "_resample", recording)
+    buf = sine_buffer(1000, 0.25, rate=src)
+    out = resample(buf, 16000)
+    assert ups and max(ups) <= 1000
+    assert abs(out.frames - round(buf.frames * 16000 / src)) <= 1
+    assert abs(fft_peak_hz(out) - 1000) <= 16000 / out.frames
+
+
 # ---------------------------------------------------------------- stretch/shift
 def test_time_stretch_identity_bit_exact():
     buf = sine_buffer(440, 0.5)

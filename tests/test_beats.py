@@ -11,7 +11,7 @@ from aigmdet.beats import (BeatGrid, DegenerateFit, GridTooSparse,
                            estimate_tempo, export_boundaries_csv,
                            beat_dp, pick_downbeats, quantize_grid,
                            segment_bars, track_beats)
-from aigmdet.dsp import log_mel, mel_filterbank, onset_envelope, stft
+from aigmdet.dsp import log_mel, onset_envelope
 
 from util import click_track, loop_beat_dp
 
@@ -19,7 +19,7 @@ HOP_S = 256 / 16000
 
 
 def onset_of(buf):
-    return onset_envelope(log_mel(stft(buf), mel_filterbank(40, 1024, 16000)))
+    return onset_envelope(log_mel(buf))
 
 
 # ---------------------------------------------------------------- tempo

@@ -197,6 +197,23 @@ def test_impossible_stage1_train_exits_2_before_extraction(
     assert capsys.readouterr().err.startswith("error: ")
 
 
+# a manifest whose every entry sits in one split leaves the other empty
+@pytest.mark.parametrize("only, empty", [("train", "val"), ("val", "train")])
+def test_train_with_an_empty_split_exits_2_before_extraction(
+        only, empty, corpus, tmp_path, monkeypatch, capsys):
+    def no_extraction(*args):
+        raise AssertionError("features extracted before the splits were checked")
+
+    monkeypatch.setattr(pipeline, "stage1_features", no_extraction)
+    entries = Manifest.load(corpus["manifest"]).entries
+    path = tmp_path / f"all_{only}.csv"
+    Manifest([ManifestEntry(e.path, e.label, only) for e in entries]).save(path)
+    assert run(["train", "--stage", "1", "--arch", "audiocat", "--manifest", str(path),
+                "--out", str(tmp_path / "o.aigm")]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(empty) in err
+
+
 def _edit_meta(change):
     """A checkpoint edit: change(meta) on the header's meta, same tensors."""
     def edit(path):

@@ -7,11 +7,10 @@ from aigmdet.audio import AudioBuffer
 from aigmdet.extractors import (MAX_SEQ_LEN, BadMagic, DimMismatch,
                                 DspSequenceExtractor, DspVectorExtractor,
                                 EmbeddingSequence, ExtractorError,
-                                RandomStubExtractor, RateMismatch, Truncated,
-                                get_extractor, load_precomputed,
-                                pad_or_crop, save_embeddings)
+                                RateMismatch, Truncated, get_extractor,
+                                load_precomputed, pad_or_crop, save_embeddings)
 
-from util import sine_buffer
+from util import RandomStubExtractor, sine_buffer
 
 
 # ---------------------------------------------------------------- container

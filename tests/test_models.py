@@ -4,17 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aigmdet import nn
-from aigmdet.audio import AudioBuffer
 from aigmdet.beats import BeatGrid
-from aigmdet.extractors import EmbeddingSequence, RandomStubExtractor, pad_or_crop
+from aigmdet.extractors import EmbeddingSequence, pad_or_crop
 from aigmdet.models import (AudioCAT, DetectorOutput,
                             EmptySequence, FXSegment, SegmentTransformer,
                             export_ssm_csv, export_ssm_pgm, predict,
-                            prepare_for_extractor, self_similarity,
-                            track_to_sequence)
+                            self_similarity, track_to_sequence)
 from aigmdet.nn import AllMasked, AttentionConfig, ShapeMismatch
 
-from util import finite_diff_check, sine_buffer
+from util import RandomStubExtractor, finite_diff_check, sine_buffer
 
 SMALL = AttentionConfig(d_model=16, heads=2, ffn_dim=32)
 
@@ -318,14 +316,6 @@ def test_batch_rejects_a_bad_example():
 
 
 # ---------------------------------------------------------------- glue
-def test_prepare_for_extractor_normalizes():
-    ext = RandomStubExtractor(8)
-    stereo_441 = AudioBuffer(np.random.default_rng(0).uniform(-0.5, 0.5, (2, 44100)), 44100)
-    out = prepare_for_extractor(stereo_441, ext)
-    assert out.channels == 1
-    assert out.sample_rate == 16000
-
-
 def test_track_to_sequence_shapes():
     ext = RandomStubExtractor(8)
     stage1 = AudioCAT(d_enc=8, cfg=SMALL, seed=0)

@@ -1,11 +1,16 @@
 """Shared test helpers: finite-difference gradient checking, synthetic
-signal construction, and the direct forms of the resampler, the beat DP
-and the AUC that the vectorised ones are checked against."""
+signal construction, a content-keyed random feature extractor, and the
+direct forms of the resampler, the beat DP and the AUC that the vectorised
+ones are checked against."""
+
+import zlib
 
 import numpy as np
 
 from aigmdet.audio import AudioBuffer
 from aigmdet.beats import DP_TIGHTNESS
+from aigmdet.dsp import HOP
+from aigmdet.extractors import FeatureExtractor
 
 
 def finite_diff_check(loss_fn, params, h=1e-5, rel_tol=1e-4, n_coords=None, rng=None):
@@ -69,6 +74,26 @@ def click_track(bpm, duration_s, rate=16000, accent_every=0, accent_amp=1.0,
         t += beat_len
         k += 1
     return AudioBuffer(x[None, :], rate)
+
+
+class RandomStubExtractor(FeatureExtractor):
+    """Deterministic random features keyed by segment content, for wiring
+    checks."""
+
+    def __init__(self, d_enc: int = 64, kind: str = "vector", seed: int = 0):
+        self.name = f"random-stub-{d_enc}"
+        self.d_enc = d_enc
+        self.kind = kind
+        self.seed = seed
+
+    def _extract(self, segment: AudioBuffer) -> np.ndarray:
+        digest = zlib.crc32(segment.samples.tobytes(), self.seed & 0xFFFFFFFF)
+        rng = np.random.default_rng(digest)
+        if self.kind == "vector":
+            v = rng.normal(size=self.d_enc)
+            return v / np.linalg.norm(v)
+        t = max(1, segment.frames // HOP)
+        return rng.normal(size=(t, self.d_enc))
 
 
 def fft_peak_hz(buf, channel=0):
