@@ -137,15 +137,17 @@ def load_wav(path) -> AudioBuffer:
 
 def save_wav(buf: AudioBuffer, path):
     """Write 16-bit PCM; samples clamped to [-1, 1] before quantization."""
-    clamped = np.clip(buf.samples, -1.0, 1.0)
-    quantized = np.clip(np.round(clamped * 32768.0), -32768, 32767).astype("<i2")
-    interleaved = quantized.T.reshape(-1).tobytes()
+    scaled = np.clip(buf.samples, -1.0, 1.0)
+    scaled *= 32768.0
+    np.round(scaled, out=scaled)
+    np.clip(scaled, -32768, 32767, out=scaled)
+    interleaved = np.ascontiguousarray(scaled.T, dtype="<i2")
     channels, rate = buf.channels, buf.sample_rate
     byte_rate = rate * channels * 2
     header = (
-        b"RIFF" + struct.pack("<I", 36 + len(interleaved)) + b"WAVE"
+        b"RIFF" + struct.pack("<I", 36 + interleaved.nbytes) + b"WAVE"
         + b"fmt " + struct.pack("<IHHIIHH", 16, 1, channels, rate, byte_rate, channels * 2, 16)
-        + b"data" + struct.pack("<I", len(interleaved))
+        + b"data" + struct.pack("<I", interleaved.nbytes)
     )
     try:
         with open(path, "wb") as fh:

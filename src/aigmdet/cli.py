@@ -140,9 +140,7 @@ def _stage1_scores(model, entries, extractor):
 def cmd_eval(args) -> int:
     model, arch, preset = pipeline.load_model(args.ckpt)
     manifest = Manifest.load(args.manifest)
-    entries = manifest.subset(args.split) or manifest.entries
-    if not entries:
-        raise DataError(f"split {args.split!r} is empty")
+    (entries,) = manifest.subsets(args.split)
     extractor = get_extractor(preset) if preset else None
     if arch == "segtr":
         if not args.stage1_ckpt:
@@ -186,9 +184,9 @@ def cmd_predict(args) -> int:
 def cmd_ssm(args) -> int:
     path = Path(args.input)
     if path.suffix.lower() == ".wav":
-        features = pipeline.track_features_for_path(
-            path, DspVectorExtractor(SEGMENT_EMBED_DIM))
-        seq = EmbeddingSequence(np.stack(features), np.ones(len(features), dtype=bool))
+        vectors = np.stack(list(pipeline.track_features_for_path(
+            path, DspVectorExtractor(SEGMENT_EMBED_DIM))))
+        seq = EmbeddingSequence(vectors, np.ones(len(vectors), dtype=bool))
     else:
         seq = load_precomputed(path)
     ssm = self_similarity(seq)

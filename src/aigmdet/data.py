@@ -165,9 +165,10 @@ def _render_bar(root: float, accent_beat: int, accent_amp: float,
     return bar
 
 
-def render_track(label: int, bpm: float, duration_s: float, rate: int,
-                 rng: np.random.Generator) -> AudioBuffer:
-    """One synthetic track; class 1 shuffles bar order and accents."""
+def _bar_plan(label: int, bpm: float, duration_s: float,
+              rng: np.random.Generator) -> list[tuple[str, int, float]]:
+    """(section, accent beat, accent amp) of each bar of a track; class 1
+    shuffles bar order and accents."""
     bar_len = 240.0 / bpm
     # enough whole 4-bar units to cover the target; excess is cropped
     n_units = max(1, int(np.ceil(duration_s / (4 * bar_len))))
@@ -180,15 +181,24 @@ def render_track(label: int, bpm: float, duration_s: float, rate: int,
         rng.shuffle(bar_types)
         accents = [(int(rng.integers(4)), float(rng.uniform(0.3, 1.4)))
                    for _ in bar_types]
+    return [(s, beat, amp) for s, (beat, amp) in zip(bar_types, accents)]
 
-    bars = [_render_bar(_SECTION_ROOTS[s], beat, amp, bpm, rate)
-            for s, (beat, amp) in zip(bar_types, accents)]
-    audio = np.concatenate(bars)
-    target = int(round(duration_s * rate))
-    if len(audio) < target:
-        audio = np.concatenate([audio, np.zeros(target - len(audio))])
-    samples = 0.8 * audio[:target] / max(np.abs(audio).max(), 1e-9)
-    return AudioBuffer(samples[None, :], rate)
+
+def render_track(label: int, bpm: float, duration_s: float, rate: int,
+                 rng: np.random.Generator) -> AudioBuffer:
+    """One synthetic track of _bar_plan's bars, peak-normalised to 0.8."""
+    audio = np.zeros(int(round(duration_s * rate)))
+    # bars past the end are cropped, but still count towards the peak
+    peak, pos = 1e-9, 0
+    for section, beat, amp in _bar_plan(label, bpm, duration_s, rng):
+        bar = _render_bar(_SECTION_ROOTS[section], beat, amp, bpm, rate)
+        peak = max(peak, bar.max(), -bar.min())
+        dst = audio[pos:pos + len(bar)]
+        dst[:] = bar[:len(dst)]
+        pos += len(bar)
+    audio *= 0.8
+    audio /= peak
+    return AudioBuffer(audio[None, :], rate)
 
 
 def synth_dataset(out_dir, n_per_class: int, seed: int = 0,

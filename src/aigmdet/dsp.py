@@ -6,7 +6,9 @@ Every input is brought to 16 kHz mono (ANALYSIS_RATE) once, by
 `pipeline.analysis_buffer`, before it reaches this module.  `log_mel` is
 the one STFT -> power -> mel -> log recipe (Hann window, hop 256, N_MELS
 bands); onset analysis and `dsp_embed` run it at frame 1024, the sequence
-extractor at frame 512.
+extractor at frame 512.  It works through the track in fixed blocks of
+LOG_MEL_BLOCK frames into a preallocated output, so beyond that
+[frames x N_MELS] output its memory does not grow with track length.
 """
 
 from __future__ import annotations
@@ -24,6 +26,9 @@ HOP = 256
 N_MELS = 40
 LOG_EPS = 1e-10
 EMBED_SEED = 42
+# frames per STFT block of log_mel: at frame 1024 one block's spectra take
+# about 6 MB, and the last block, which takes the remainder, at most twice that
+LOG_MEL_BLOCK = 256
 
 
 class BadFrameParams(Exception):
@@ -39,27 +44,25 @@ class Spectrogram:
     magnitudes: np.ndarray  # [frames x bins], nonnegative
 
 
-def stft(mono: AudioBuffer, frame_len: int = FRAME_LEN, hop: int = HOP) -> Spectrogram:
-    """Hann-windowed magnitude STFT of a mono buffer."""
+def _frame_count(mono: AudioBuffer, frame_len: int, hop: int) -> int:
+    """Number of whole frames stft takes from a mono buffer."""
     if mono.channels != 1:
         raise BadFrameParams("stft expects a mono buffer")
     if frame_len & (frame_len - 1) or frame_len <= 0:
         raise BadFrameParams("frame_len must be a power of two")
     if not 0 < hop <= frame_len:
         raise BadFrameParams("need 0 < hop <= frame_len")
+    return max(0, 1 + (mono.frames - frame_len) // hop)
+
+
+def stft(mono: AudioBuffer, frame_len: int = FRAME_LEN, hop: int = HOP) -> Spectrogram:
+    """Hann-windowed magnitude STFT of a mono buffer."""
     x = mono.samples[0]
-    n = len(x)
-    if n < frame_len:
-        mags = np.zeros((0, frame_len // 2 + 1))
-    else:
-        n_frames = 1 + (n - frame_len) // hop
-        window = np.hanning(frame_len)
-        frames = np.lib.stride_tricks.as_strided(
-            x, shape=(n_frames, frame_len),
-            strides=(x.strides[0] * hop, x.strides[0]),
-        ) * window
-        mags = np.abs(np.fft.rfft(frames, axis=1))
-    return Spectrogram(mags)
+    frames = np.lib.stride_tricks.as_strided(
+        x, shape=(_frame_count(mono, frame_len, hop), frame_len),
+        strides=(x.strides[0] * hop, x.strides[0]),
+    ) * np.hanning(frame_len)
+    return Spectrogram(np.abs(np.fft.rfft(frames, axis=1)))
 
 
 def _hz_to_mel(f):
@@ -88,9 +91,22 @@ def mel_filterbank(frame_len: int, rate: int) -> np.ndarray:
 
 
 def log_mel(mono: AudioBuffer, frame_len: int = FRAME_LEN, hop: int = HOP) -> np.ndarray:
-    """ln(|STFT|^2 @ mel_filterbank.T + LOG_EPS), [frames x N_MELS]."""
-    power = stft(mono, frame_len, hop).magnitudes**2
-    return np.log(power @ mel_filterbank(frame_len, mono.sample_rate).T + LOG_EPS)
+    """ln(|STFT|^2 @ mel_filterbank.T + LOG_EPS), [frames x N_MELS].
+
+    Computed LOG_MEL_BLOCK frames at a time; the last block also takes the
+    remainder, so no mel product has fewer rows than a block.  OpenBLAS
+    takes another path for a product of a few rows and rounds it
+    differently, and no output row may depend on where the blocks fall."""
+    n_frames = _frame_count(mono, frame_len, hop)
+    fb_t = mel_filterbank(frame_len, mono.sample_rate).T
+    out = np.empty((n_frames, N_MELS))
+    starts = range(0, max(n_frames - LOG_MEL_BLOCK, 0) + 1, LOG_MEL_BLOCK)
+    for start, stop in zip(starts, [*starts[1:], n_frames]):
+        block = AudioBuffer(mono.samples[:, start * hop:(stop - 1) * hop + frame_len],
+                            mono.sample_rate)
+        power = stft(block, frame_len, hop).magnitudes**2
+        np.log(power @ fb_t + LOG_EPS, out=out[start:stop])
+    return out
 
 
 def onset_envelope(mel: np.ndarray) -> np.ndarray:

@@ -13,12 +13,15 @@ from pathlib import Path
 import numpy as np
 
 from .audio import load_wav
-from .data import Manifest, split_dataset, synth_dataset
+from .data import Manifest, ManifestEntry, split_dataset, synth_dataset
 from .extractors import SEGMENT_EMBED_DIM, DspVectorExtractor
 from .models import AudioCAT, SegmentTransformer, features_to_sequence, segment_features
 from .nn import AttentionConfig
 from .pipeline import analysis_buffer, analyze_beats
 from .training import TrainConfig, TrainResult, evaluate, train
+
+
+SPLITS = ("train", "val", "test")
 
 
 @dataclass
@@ -51,7 +54,7 @@ def extract_corpus(manifest: Manifest, log=None) -> list[TrackFeatures]:
     for i, entry in enumerate(manifest.entries):
         mono = analysis_buffer(load_wav(entry.path))
         grid = analyze_beats(mono).grid
-        vectors = np.stack(segment_features(mono, grid, extractor))
+        vectors = np.stack(list(segment_features(mono, grid, extractor)))
         tracks.append(TrackFeatures(entry.path, entry.label, vectors))
         if log and (i + 1) % 16 == 0:
             log(f"extracted {i + 1}/{len(manifest.entries)} tracks")
@@ -70,6 +73,14 @@ def _stage2_examples(tracks, stage1, max_len: int) -> list:
     return [(features_to_sequence(t.vectors, stage1, max_len), t.label) for t in tracks]
 
 
+def _check_splits(labels, name: str):
+    """Raise the DataError run_seed's split would raise for a corpus with
+    these labels, before any track is rendered or analysed; split sizes
+    depend on the label counts only, not on the seed or the paths."""
+    stand_in = Manifest([ManifestEntry(str(i), y) for i, y in enumerate(labels)], name=name)
+    split_dataset(stand_in).subsets(*SPLITS)
+
+
 def run_seed(tracks, manifest: Manifest, seed: int,
              stage1_cfg: TrainConfig, stage2_cfg: TrainConfig,
              attn: AttentionConfig | None = None, max_len: int = 48,
@@ -77,9 +88,8 @@ def run_seed(tracks, manifest: Manifest, seed: int,
     attn = attn or AttentionConfig()
     split = split_dataset(manifest, seed=seed)
     by_path = {t.path: t for t in tracks}
-    names = ("train", "val", "test")
     subsets = {name: [by_path[e.path] for e in entries]
-               for name, entries in zip(names, split.subsets(*names))}
+               for name, entries in zip(SPLITS, split.subsets(*SPLITS))}
 
     stage1 = AudioCAT(d_enc=SEGMENT_EMBED_DIM, cfg=attn, seed=seed)
     s1_result = train(stage1, _stage1_examples(subsets["train"]),
@@ -105,7 +115,9 @@ def run_experiment(data_dir, n_per_class: int = 64, duration_s: float = 64.0,
     manifest_path = data_dir / "manifest.csv"
     if manifest_path.exists():
         manifest = Manifest.load(manifest_path)
+        _check_splits([e.label for e in manifest.entries], manifest.name)
     else:
+        _check_splits([0, 1] * n_per_class, data_dir.name)
         manifest = synth_dataset(data_dir, n_per_class, seed=0,
                                  duration_s=duration_s)
     tracks = extract_corpus(manifest, log=log)

@@ -8,11 +8,14 @@ content embeddings and self-similarity-matrix rows.
 Each model's forward_tensor takes a list of B examples and returns logits
 [B] and pooled representations [B x d]; loss(examples, labels, loss_fn) is
 their mean loss, and forward(x) is the batch of one, unpacked.  hparams holds
-the constructor arguments other than cfg and seed, for checkpoint headers.
+the constructor arguments other than cfg and seed, for checkpoint headers;
+index_sizes(cfg, **hparams) says where the tensors of such a model show
+those sizes, so a header can be checked before its model is built.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,6 +105,11 @@ class AudioCAT(nn.Module):
         self.blocks = [nn.DecoderBlock(cfg, rng) for _ in range(n_layers)]
         self.head = nn.Linear(cfg.d_model, 1, rng)
 
+    @staticmethod
+    def index_sizes(cfg, d_enc, n_queries, n_layers) -> dict:
+        return {"in_proj.weight": (d_enc, cfg.d_model), "queries": (n_queries, cfg.d_model),
+                "blocks": n_layers}
+
     def forward_tensor(self, batch, masks=None) -> tuple[Tensor, Tensor]:
         """Logits [B] and pooled outputs [B x d_model] of a list of feature
         maps ([T_i x d_enc], or one [d_enc] vector as T_i = 1).
@@ -160,6 +168,11 @@ class FXSegment(nn.Module):
         self.blocks = [nn.EncoderBlock(cfg, rng) for _ in range(n_layers)]
         self.head = nn.Linear(cfg.d_model, 1, rng)
 
+    @staticmethod
+    def index_sizes(cfg, d_enc, n_tokens, n_layers) -> dict:
+        return {"token_proj.weight": (d_enc // n_tokens, cfg.d_model), "cls": (1, cfg.d_model),
+                "blocks": n_layers}
+
     def forward_tensor(self, batch) -> tuple[Tensor, Tensor]:
         """Logits [B] and CLS outputs [B x d_model] of a list of [d_enc]
         embeddings."""
@@ -203,6 +216,12 @@ class SegmentTransformer(nn.Module):
         self.content_blocks = [nn.EncoderBlock(cfg, rng) for _ in range(n_layers_content)]
         self.structure_blocks = [nn.EncoderBlock(cfg, rng) for _ in range(n_layers_structure)]
         self.head = nn.Linear(2 * cfg.d_model, 1, rng)
+
+    @staticmethod
+    def index_sizes(cfg, d_in, n_layers_content, n_layers_structure, max_len) -> dict:
+        return {"content_proj.weight": (d_in, cfg.d_model),
+                "structure_proj.weight": (max_len, cfg.d_model),
+                "content_blocks": n_layers_content, "structure_blocks": n_layers_structure}
 
     def _masked_mean(self, x: Tensor, mask: np.ndarray) -> Tensor:
         """Mean over the valid rows: [..., n x d] with mask [..., n] -> [..., d]."""
@@ -250,14 +269,17 @@ class SegmentTransformer(nn.Module):
 
 # ----------------------------------------------------------------------
 def segment_features(track: AudioBuffer, grid: BeatGrid,
-                     extractor: FeatureExtractor) -> list[np.ndarray]:
-    """Extractor features of each 4-bar slice of an analysis_buffer track."""
-    return [extractor(s) for s in segment_bars(track, grid).segments]
+                     extractor: FeatureExtractor) -> Iterator[np.ndarray]:
+    """Extractor features of each 4-bar slice of an analysis_buffer track,
+    each computed as the iterator reaches it."""
+    return map(extractor, segment_bars(track, grid).segments)
 
 
 def features_to_sequence(features, stage1,
                          max_len: int = MAX_SEQ_LEN) -> EmbeddingSequence:
-    """Pooled stage-1 representations of per-segment features, padded/cropped."""
+    """Pooled stage-1 representations of per-segment features, padded/cropped.
+    Features are read one at a time, so an iterator of them holds one
+    segment's feature map at once."""
     vectors = np.stack([stage1.forward(f).pooled for f in features])
     seq = EmbeddingSequence(vectors, np.ones(len(vectors), dtype=bool))
     return pad_or_crop(seq, max_len)

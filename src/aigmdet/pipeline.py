@@ -5,6 +5,7 @@ describes the model they hold.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -84,8 +85,9 @@ def build_stage1_dataset(entries, extractor: FeatureExtractor) -> list:
     return [(stage1_features(e.path, extractor), e.label) for e in entries]
 
 
-def track_features_for_path(path, extractor: FeatureExtractor) -> list:
-    """WAV path -> beat grid -> extractor features of each 4-bar segment."""
+def track_features_for_path(path, extractor: FeatureExtractor) -> Iterator[np.ndarray]:
+    """WAV path -> beat grid -> extractor features of each 4-bar segment
+    (see models.segment_features)."""
     mono = analysis_buffer(load_wav(path))
     return segment_features(mono, analyze_beats(mono).grid, extractor)
 
@@ -114,14 +116,35 @@ def save_model(path, model, arch: str, extractor_preset: str = ""):
     nn.save_checkpoint(path, model.state_arrays(), meta)
 
 
+def check_sizes(arch: str, cfg: AttentionConfig, hparams: dict, shapes: dict):
+    """ValueError unless the tensor shapes of a checkpoint show the sizes its
+    header gives, so a header can never build a model larger than its file:
+    each block list holds as many blocks as the header asks for, and the
+    first block's feed-forward weight is [d_model x ffn_dim]."""
+    for key, want in ARCHS[arch].index_sizes(cfg, **hparams).items():
+        if isinstance(want, tuple):
+            found = shapes.get(key)
+        else:
+            found = len({name.split(".")[1] for name in shapes if name.startswith(key + ".")})
+            ffn = f"{key}.0.ffn.lin1.weight"
+            if found and shapes.get(ffn) != (cfg.d_model, cfg.ffn_dim):
+                raise ValueError(f"{ffn} is {shapes.get(ffn)}, the header asks for "
+                                 f"{(cfg.d_model, cfg.ffn_dim)}")
+        if found != want:
+            raise ValueError(f"the header asks for {key} {want}, the tensors hold {found}")
+
+
 def load_model(path):
     """Returns (model, arch_name, extractor_preset); CheckpointError names
-    the file if its header does not describe the model its tensors hold."""
+    the file if its header does not describe the model its tensors hold.
+    The header is checked against the tensor shapes before the model is
+    built."""
     arrays, meta = nn.load_checkpoint(path)
     try:
         arch, preset = meta["arch"], meta["extractor"]
         attention, hparams = meta["attention"], meta["hparams"]
         cfg = AttentionConfig(**attention)
+        check_sizes(arch, cfg, hparams, {name: a.shape for name, a in arrays.items()})
         model = ARCHS[arch](cfg=cfg, **hparams)
         # a key left out of the header would silently take its default
         if asdict(cfg) != attention or model.hparams != hparams:
@@ -129,7 +152,8 @@ def load_model(path):
         if not isinstance(preset, str):
             raise TypeError(f"extractor preset {preset!r} is not a string")
         model.load_state_arrays(arrays)
-    except (KeyError, TypeError, ValueError, ShapeMismatch, nn.CheckpointError) as exc:
+    except (ArithmeticError, KeyError, TypeError, ValueError, ShapeMismatch,
+            nn.CheckpointError) as exc:
         raise nn.CheckpointError(f"{path}: not a loadable aigmdet model "
                                  f"({type(exc).__name__}: {exc})") from None
     return model, arch, preset

@@ -1,0 +1,100 @@
+"""The bounded-memory front end: blocked log-mel, lean track rendering and
+WAV writing, and one segment at a time through stage 1.  Each matches its
+whole-array form in tests/util.py bit for bit, and its tracemalloc peak on
+a 3-minute 16 kHz track stays under a fixed bound (the whole-array forms
+peak at about 220, 89, 66 and 67 MB)."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from aigmdet import models, pipeline
+from aigmdet.audio import AudioBuffer, save_wav
+from aigmdet.beats import BeatGrid
+from aigmdet.data import render_track
+from aigmdet.dsp import HOP, LOG_MEL_BLOCK, N_MELS, log_mel
+from aigmdet.extractors import get_extractor
+
+from util import concatenated_render_track, wav_bytes, whole_log_mel
+
+RATE = 16000
+BPM = 92.0
+
+
+def traced_peak_mb(fn, *args):
+    """(fn(*args), the peak of the memory it allocated in MB)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def long_track():
+    return render_track(0, BPM, 180.0, RATE, np.random.default_rng(0))
+
+
+# ---------------------------------------------------------------- bit for bit
+@pytest.mark.parametrize("frame_len", [512, 1024])
+@pytest.mark.parametrize("n_frames", [0, 1, LOG_MEL_BLOCK - 1, LOG_MEL_BLOCK,
+                                      LOG_MEL_BLOCK + 1, 2 * LOG_MEL_BLOCK + 1])
+def test_blocked_log_mel_matches_whole_array(frame_len, n_frames, long_track):
+    # HOP - 1 samples short of one frame more; 0 frames is a sub-frame input
+    n = (n_frames - 1) * HOP + frame_len + HOP - 1
+    mono = AudioBuffer(long_track.samples[:, :n], RATE)
+    got = log_mel(mono, frame_len)
+    assert got.shape == (n_frames, N_MELS)
+    assert got.tobytes() == whole_log_mel(mono, frame_len).tobytes()
+
+
+@pytest.mark.parametrize("label, bpm, duration_s, rate", [
+    (0, 92, 64.0, 16000), (1, 92, 64.0, 16000), (0, 117, 180.0, 16000),
+    (1, 140, 180.0, 16000), (1, 117, 14.0, 44100), (0, 140, 0.01, 16000)])
+def test_render_track_matches_concatenated_bars(label, bpm, duration_s, rate):
+    got = render_track(label, bpm, duration_s, rate, np.random.default_rng(7))
+    want = concatenated_render_track(label, bpm, duration_s, rate, np.random.default_rng(7))
+    assert got.samples.tobytes() == want.samples.tobytes()
+
+
+@pytest.mark.parametrize("samples", [
+    np.zeros((1, 0)),
+    np.stack([np.linspace(-3.0, 3.0, 1001), 1.7 * np.sin(np.arange(1001))]),
+    np.array([[-1.0, -1.0 + 2**-17, -0.5 / 32768, 0.5 / 32768, 1.0 - 2**-16, 1.0]])],
+    ids=["empty", "stereo_out_of_range", "rounding_edges"])
+def test_save_wav_matches_whole_array_bytes(samples, tmp_path):
+    buf = AudioBuffer(samples, 22050)
+    save_wav(buf, tmp_path / "x.wav")
+    assert (tmp_path / "x.wav").read_bytes() == wav_bytes(buf)
+
+
+# ---------------------------------------------------------------- memory
+def test_log_mel_memory_is_bounded(long_track):
+    mel, peak = traced_peak_mb(log_mel, long_track)
+    assert peak <= 32, f"log_mel peaked at {peak:.1f} MB"
+    assert mel.tobytes() == whole_log_mel(long_track).tobytes()
+
+
+def test_render_track_memory_is_bounded():
+    _, peak = traced_peak_mb(render_track, 0, BPM, 180.0, RATE, np.random.default_rng(0))
+    assert peak <= 40, f"render_track peaked at {peak:.1f} MB"
+
+
+def test_save_wav_memory_is_bounded(long_track, tmp_path):
+    _, peak = traced_peak_mb(save_wav, long_track, tmp_path / "long.wav")
+    assert peak <= 40, f"save_wav peaked at {peak:.1f} MB"
+    assert (tmp_path / "long.wav").read_bytes() == wav_bytes(long_track)
+
+
+def test_track_to_sequence_memory_is_bounded(long_track):
+    """Stage 1 runs on each segment's feature map before the next is
+    extracted, so one seq-512 map (about 2 MB) is live, not 22."""
+    extractor = get_extractor("seq-512")
+    stage1 = pipeline.build_model("audiocat", extractor=extractor, seed=0)
+    period = 240.0 / BPM
+    grid = BeatGrid(start=0.0, period=period, count=int(180.0 // period))
+    seq, peak = traced_peak_mb(models.track_to_sequence, long_track, grid, stage1, extractor)
+    assert peak <= 40, f"track_to_sequence peaked at {peak:.1f} MB"
+    assert seq.mask.sum() == int(180.0 // (4 * period))

@@ -1,6 +1,7 @@
 import argparse
 import shlex
 import struct
+import time
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from aigmdet.audio import AudioBuffer, load_wav, save_wav
 from aigmdet.cli import EXIT_IO, EXIT_MUSIC, EXIT_OK, EXIT_USAGE, main
 from aigmdet.data import Manifest, ManifestEntry, render_track
 from aigmdet.extractors import get_extractor
+from aigmdet.models import SegmentTransformer
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -148,6 +150,18 @@ def test_eval_command(corpus, stage1_ckpt, tmp_path, capsys):
     assert out.read_text().splitlines()[0] == "acc,prec,recall,f1,auc,spec"
 
 
+def test_eval_on_an_empty_split_exits_2(corpus, stage1_ckpt, tmp_path, capsys):
+    # every row is train or val: "test" must not fall back to all of them
+    entries = Manifest.load(corpus["manifest"]).entries
+    path = tmp_path / "no_test.csv"
+    Manifest([e for e in entries if e.split != "test"]).save(path)
+    assert run(["eval", "--ckpt", str(stage1_ckpt), "--manifest", str(path),
+                "--split", "test"]) == EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "'test' split is empty" in captured.err
+
+
 def test_predict_segment_mode(corpus, stage1_ckpt, capsys):
     code = run(["predict", "--ckpt", str(stage1_ckpt),
                 "--audio", corpus["clip"], "--mode", "segment"])
@@ -257,6 +271,9 @@ BAD_CHECKPOINTS = {
     "extractor_not_a_string": _edit_meta(lambda m: m.update(extractor=300)),
     "max_len_nan": _edit_meta(lambda m: m["hparams"].update(max_len=float("nan"))),
     "fewer_layers_than_tensors": _edit_meta(lambda m: m["hparams"].update(n_layers_content=1)),
+    "more_layers_than_tensors": _edit_meta(lambda m: m["hparams"].update(n_layers_content=3)),
+    "max_len_49_vs_48_rows": _edit_meta(lambda m: m["hparams"].update(max_len=49)),
+    "ffn_dim_512_vs_256_wide_tensors": _edit_meta(lambda m: m["attention"].update(ffn_dim=512)),
     "header_not_json": _edit_bytes(lambda b: _with_header(b, b"{not json")),
     "header_not_an_object": _edit_bytes(lambda b: _with_header(b, b"[1, 2]")),
     "truncated_payload": _edit_bytes(lambda b: b[:-8]),
@@ -274,6 +291,31 @@ def test_malformed_checkpoint_exits_2(case, tracks, stage1_ckpt, tmp_path, capsy
                 "--audio", tracks["track"], "--mode", "full"]) == EXIT_IO
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(path) in err
+
+
+@pytest.mark.parametrize("change", [
+    lambda m: m["hparams"].update(n_layers_content=10**6),
+    lambda m: m["hparams"].update(max_len=10**7),
+    lambda m: m["attention"].update(d_model=2**20, heads=1, ffn_dim=2**20),
+], ids=["n_layers_1e6", "max_len_1e7", "d_model_2e20"])
+def test_oversized_header_exits_2_without_building_the_model(
+        change, tracks, stage1_ckpt, tmp_path, monkeypatch, capsys):
+    """A header asking for a model far larger than its tensors is refused
+    before the model is built."""
+    class NotBuilt(SegmentTransformer):
+        def __init__(self, **kwargs):
+            raise AssertionError("model built before its header was checked")
+
+    path = tmp_path / "segtr.aigm"
+    pipeline.save_model(path, pipeline.build_model("segtr", seed=0), "segtr")
+    _edit_meta(change)(path)
+    monkeypatch.setitem(pipeline.ARCHS, "segtr", NotBuilt)
+    start = time.perf_counter()
+    assert run(["predict", "--ckpt", str(path), "--stage1-ckpt", str(stage1_ckpt),
+                "--audio", tracks["track"], "--mode", "full"]) == EXIT_IO
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "the header asks for" in err
 
 
 # ---------------------------------------------------------------- stage 2

@@ -1,3 +1,6 @@
+import time
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -70,7 +73,7 @@ def test_experiment_features_are_the_pipeline_features(tmp_path):
     buf = load_wav(path)
     mono, grid = pipeline.analysis_buffer(buf), pipeline.analyze_beats(buf).grid
     extractor = DspVectorExtractor(SEGMENT_EMBED_DIM)
-    expected = np.stack(segment_features(mono, grid, extractor))
+    expected = np.stack(list(segment_features(mono, grid, extractor)))
     assert track.vectors.tobytes() == expected.tobytes()
 
     stage1 = AudioCAT(d_enc=SEGMENT_EMBED_DIM, cfg=SMALL, seed=0)
@@ -94,7 +97,7 @@ def test_track_resampled_once(tmp_path, monkeypatch):
         return resample(buf, rate)
 
     monkeypatch.setattr(pipeline, "resample", counting_resample)
-    features = pipeline.track_features_for_path(path, DspVectorExtractor(SEGMENT_EMBED_DIM))
+    features = list(pipeline.track_features_for_path(path, DspVectorExtractor(SEGMENT_EMBED_DIM)))
     assert len(features) >= 1
     assert calls == [44100]
     (corpus_track,) = experiment.extract_corpus(Manifest([ManifestEntry(str(path), 0)]))
@@ -129,6 +132,30 @@ def test_model_checkpoint_round_trip(tmp_path, arch, build):
     else:
         seq = EmbeddingSequence(rng.normal(size=(6, 12)), np.ones(6, dtype=bool))
         assert loaded.forward(seq).logit == model.forward(seq).logit
+
+
+@pytest.mark.parametrize("arch,build", [
+    ("audiocat", lambda: AudioCAT(d_enc=24, cfg=SMALL, n_queries=3, n_layers=1, seed=1)),
+    ("fxseg", lambda: FXSegment(d_enc=32, n_tokens=8, cfg=SMALL, n_layers=1, seed=2)),
+    ("segtr", lambda: SegmentTransformer(d_in=12, cfg=SMALL, max_len=6,
+                                         n_layers_content=1, n_layers_structure=0, seed=3)),
+])
+def test_header_sizes_are_checked_against_the_tensors(arch, build):
+    """check_sizes passes a model's own header and refuses any size of it
+    scaled up, in well under a second, without building anything."""
+    model = build()
+    shapes = {k: a.shape for k, a in model.state_arrays().items()}
+    pipeline.check_sizes(arch, model.cfg, model.hparams, shapes)
+    cfg = asdict(model.cfg)
+    wide = cfg["d_model"] * 2**12
+    oversized = [(dict(cfg, d_model=wide, ffn_dim=wide), model.hparams),
+                 (dict(cfg, ffn_dim=10**9), model.hparams)]
+    oversized += [(cfg, dict(model.hparams, **{k: 10**6})) for k in model.hparams]
+    start = time.perf_counter()
+    for attention, hparams in oversized:
+        with pytest.raises(ValueError, match="the header asks for"):
+            pipeline.check_sizes(arch, AttentionConfig(**attention), hparams, shapes)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_build_model_variants():

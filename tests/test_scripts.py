@@ -35,3 +35,5 @@ def test_end_to_end_script_too_small_corpus_exits_2(tracks_per_class, tmp_path):
     lines = proc.stderr.splitlines()
     assert proc.returncode == 2
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    # refused before any track is rendered
+    assert not list((tmp_path / "corpus").glob("*.wav"))

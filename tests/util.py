@@ -1,15 +1,18 @@
 """Shared test helpers: finite-difference gradient checking, synthetic
-signal construction, a content-keyed random feature extractor, and the
-direct forms of the resampler, the beat DP and the AUC that the vectorised
-ones are checked against."""
+signal construction, a content-keyed random feature extractor, the direct
+forms of the resampler, the beat DP and the AUC that the vectorised ones
+are checked against, and the whole-array forms of log-mel, track rendering
+and WAV writing that the bounded-memory ones must match bit for bit."""
 
+import struct
 import zlib
 
 import numpy as np
 
+from aigmdet import data
 from aigmdet.audio import AudioBuffer
 from aigmdet.beats import DP_TIGHTNESS
-from aigmdet.dsp import HOP
+from aigmdet.dsp import FRAME_LEN, HOP, LOG_EPS, mel_filterbank, stft
 from aigmdet.extractors import FeatureExtractor
 
 
@@ -166,3 +169,33 @@ def pairwise_auc(scores, labels):
     greater = (pos[:, None] > neg[None, :]).sum()
     ties = (pos[:, None] == neg[None, :]).sum()
     return float((greater + 0.5 * ties) / (len(pos) * len(neg)))
+
+
+def whole_log_mel(mono, frame_len=FRAME_LEN, hop=HOP):
+    """`dsp.log_mel` with the spectrum of every frame held at once."""
+    power = stft(mono, frame_len, hop).magnitudes**2
+    return np.log(power @ mel_filterbank(frame_len, mono.sample_rate).T + LOG_EPS)
+
+
+def concatenated_render_track(label, bpm, duration_s, rate, rng):
+    """`data.render_track` from a list of bars joined by np.concatenate."""
+    bars = [data._render_bar(data._SECTION_ROOTS[s], beat, amp, bpm, rate)
+            for s, beat, amp in data._bar_plan(label, bpm, duration_s, rng)]
+    audio = np.concatenate(bars)
+    target = int(round(duration_s * rate))
+    if len(audio) < target:
+        audio = np.concatenate([audio, np.zeros(target - len(audio))])
+    samples = 0.8 * audio[:target] / max(np.abs(audio).max(), 1e-9)
+    return AudioBuffer(samples[None, :], rate)
+
+
+def wav_bytes(buf):
+    """The file `audio.save_wav` writes, built from whole-array temporaries."""
+    clamped = np.clip(buf.samples, -1.0, 1.0)
+    quantized = np.clip(np.round(clamped * 32768.0), -32768, 32767).astype("<i2")
+    interleaved = quantized.T.reshape(-1).tobytes()
+    channels, rate = buf.channels, buf.sample_rate
+    return (b"RIFF" + struct.pack("<I", 36 + len(interleaved)) + b"WAVE"
+            + b"fmt " + struct.pack("<IHHIIHH", 16, 1, channels, rate, rate * channels * 2,
+                                    channels * 2, 16)
+            + b"data" + struct.pack("<I", len(interleaved)) + interleaved)
