@@ -81,9 +81,10 @@ class AudioBuffer:
         return AudioBuffer(self.samples.copy(), self.sample_rate)
 
     def slice_seconds(self, start_s: float, end_s: float) -> "AudioBuffer":
+        """A view of [start_s, end_s): it shares the samples of this buffer."""
         i0 = int(round(start_s * self.sample_rate))
         i1 = int(round(end_s * self.sample_rate))
-        return AudioBuffer(self.samples[:, i0:i1].copy(), self.sample_rate)
+        return AudioBuffer(self.samples[:, i0:i1], self.sample_rate)
 
 
 # ----------------------------------------------------------------------
@@ -158,8 +159,9 @@ def save_wav(buf: AudioBuffer, path):
 
 
 def to_mono(buf: AudioBuffer) -> AudioBuffer:
+    """The channel mean; a mono buffer is returned as it is."""
     if buf.channels == 1:
-        return buf.copy()
+        return buf
     return AudioBuffer(buf.samples.mean(axis=0, keepdims=True), buf.sample_rate)
 
 

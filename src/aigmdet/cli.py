@@ -1,4 +1,10 @@
-"""Command-line entry point.
+"""Command-line entry point: beats, train, eval, predict and ssm.
+
+A model's stage is the architecture its checkpoint records: audiocat and
+fxseg are stage-1 segment models, segtr is the stage-2 track model and
+runs over the stage-1 checkpoint given as --stage1-ckpt, which no other
+model takes.  `train --arch` picks the stage to train; eval and predict
+score a checkpoint of either stage through pipeline.scorer.
 
 Exit codes: 0 ok, 1 usage, 2 io/format, 3 musical content (no periodicity,
 track too short), 4 training failure.
@@ -7,7 +13,6 @@ track too short), 4 training failure.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -24,7 +29,7 @@ from .extractors import (SEGMENT_EMBED_DIM, DspVectorExtractor, EmbeddingFileErr
                          load_precomputed)
 from .models import export_ssm_csv, export_ssm_pgm, predict, self_similarity
 from .nn import CheckpointError
-from .training import PRESETS, DivergedLoss, TrainConfig, evaluate, train
+from .training import PRESETS, DivergedLoss, TrainConfig, TrainingError, evaluate, train
 
 EXIT_OK, EXIT_USAGE, EXIT_IO, EXIT_MUSIC, EXIT_TRAIN = 0, 1, 2, 3, 4
 
@@ -48,31 +53,32 @@ def _read_config_file(path) -> dict:
     return values
 
 
-def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = os.environ.get("AIGM_SEED")
-    return int(env) if env else 0
+# the TrainConfig fields a --config file may set, and how each is read
+_CONFIG_KEYS = {"epochs": int, "batch_size": int, "loss": str, "lr": float,
+                "weight_decay": float, "early_stop_patience": int}
 
 
 def _train_config(args) -> TrainConfig:
+    """The preset, then the --config file's values, then the flags; a value
+    TrainConfig refuses is a DataError naming its key (and file)."""
     cfg = PRESETS.get(args.preset)
     if cfg is None:
         raise DataError(f"unknown preset {args.preset!r}; options: {sorted(PRESETS)}")
     overrides = {}
     if args.config:
         file_values = _read_config_file(args.config)
-        casts = {"epochs": int, "batch_size": int, "loss": str, "lr": float,
-                 "weight_decay": float, "early_stop_patience": int}
-        for key, cast in casts.items():
-            if key in file_values:
-                overrides[key] = cast(file_values[key])
+        overrides = {key: (file_values[key], f"{key}={file_values[key]} in {args.config}")
+                     for key in _CONFIG_KEYS if key in file_values}
     for key in ("epochs", "batch_size", "lr"):
-        value = getattr(args, key, None)
+        value = getattr(args, key)
         if value is not None:
-            overrides[key] = value
-    overrides["seed"] = _resolve_seed(args)
-    return replace(cfg, **overrides)
+            overrides[key] = (value, f"--{key.replace('_', '-')} {value}")
+    for key, (value, where) in overrides.items():
+        try:
+            cfg = replace(cfg, **{key: _CONFIG_KEYS[key](value)})
+        except (TrainingError, ValueError) as exc:
+            raise DataError(f"{where}: {exc}") from None
+    return replace(cfg, seed=args.seed)
 
 
 # ----------------------------------------------------------------------
@@ -93,68 +99,40 @@ def cmd_train(args) -> int:
     manifest = Manifest.load(args.manifest)
     if not any(e.split for e in manifest.entries):
         manifest = split_dataset(manifest, seed=cfg.seed)
-    train_entries, val_entries = manifest.subsets("train", "val")
+    splits = manifest.subsets("train", "val")
 
-    seed = cfg.seed
-    if args.stage == 1:
-        if args.arch == "segtr":
-            raise DataError("stage 1 uses --arch audiocat or fxseg")
-        extractor = get_extractor(args.extractor)
-        model = pipeline.build_model(args.arch, extractor=extractor, seed=seed)
-        data_train = pipeline.build_stage1_dataset(train_entries, extractor)
-        data_val = pipeline.build_stage1_dataset(val_entries, extractor)
-        preset_name = args.extractor
-    else:
-        if args.arch != "segtr":
-            raise DataError("stage 2 uses --arch segtr")
+    if args.arch == "segtr":
         if not args.stage1_ckpt:
-            raise DataError("stage 2 requires --stage1-ckpt")
-        stage1, _, stage1_preset = pipeline.load_model(args.stage1_ckpt)
-        extractor = get_extractor(stage1_preset or args.extractor)
-        data_train = pipeline.build_stage2_dataset(train_entries, stage1, extractor)
-        data_val = pipeline.build_stage2_dataset(val_entries, stage1, extractor)
-        model = pipeline.build_model("segtr", seed=seed,
-                                     d_in=stage1.cfg.d_model)
-        preset_name = stage1_preset or args.extractor
+            raise DataError("--arch segtr needs --stage1-ckpt")
+        stage1, extractor, preset = pipeline.load_stage1(args.stage1_ckpt)
+        data_train, data_val = [pipeline.build_stage2_dataset(entries, stage1, extractor)
+                                for entries in splits]
+        model = pipeline.build_model("segtr", seed=cfg.seed, d_in=stage1.cfg.d_model)
+    else:
+        if args.stage1_ckpt:
+            raise DataError(f"--stage1-ckpt is for --arch segtr, not {args.arch}")
+        preset = args.extractor
+        extractor = get_extractor(preset)
+        model = pipeline.build_model(args.arch, extractor=extractor, seed=cfg.seed)
+        data_train, data_val = [pipeline.build_stage1_dataset(entries, extractor)
+                                for entries in splits]
 
     try:
         result = train(model, data_train, data_val, cfg, log=print)
     except DivergedLoss as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TRAIN
-    pipeline.save_model(args.out, model, args.arch, preset_name)
+    pipeline.save_model(args.out, model, args.arch, preset)
     result.save_history_csv(str(args.out) + ".history.csv")
     print(f"checkpoint={args.out} best_epoch={result.best_epoch}")
     return EXIT_OK
 
 
-def _stage1_scores(model, entries, extractor):
-    scores, labels = [], []
-    for e in entries:
-        feats = pipeline.stage1_features(e.path, extractor)
-        scores.append(model.forward(feats).probability)
-        labels.append(e.label)
-    return scores, labels
-
-
 def cmd_eval(args) -> int:
-    model, arch, preset = pipeline.load_model(args.ckpt)
-    manifest = Manifest.load(args.manifest)
-    (entries,) = manifest.subsets(args.split)
-    extractor = get_extractor(preset) if preset else None
-    if arch == "segtr":
-        if not args.stage1_ckpt:
-            raise DataError("evaluating segtr requires --stage1-ckpt")
-        stage1, _, s1_preset = pipeline.load_model(args.stage1_ckpt)
-        extractor = get_extractor(s1_preset)
-        scores, labels = [], []
-        for e in entries:
-            seq = pipeline.track_sequence_for_path(e.path, stage1, extractor)
-            scores.append(model.forward(seq).probability)
-            labels.append(e.label)
-    else:
-        scores, labels = _stage1_scores(model, entries, extractor)
-    report = evaluate(scores, labels)
+    score = pipeline.scorer(args.ckpt, args.stage1_ckpt)
+    (entries,) = Manifest.load(args.manifest).subsets(args.split)
+    report = evaluate([score(e.path).probability for e in entries],
+                      [e.label for e in entries])
     print(training.EvalReport.CSV_HEADER)
     print(report.csv_row())
     if args.out:
@@ -164,17 +142,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    model, arch, preset = pipeline.load_model(args.ckpt)
-    if args.mode == "segment":
-        out = model.forward(pipeline.stage1_features(args.audio, get_extractor(preset)))
-    else:
-        if arch != "segtr":
-            raise DataError("full mode needs a stage-2 (segtr) checkpoint")
-        if not args.stage1_ckpt:
-            raise DataError("full mode requires --stage1-ckpt")
-        stage1, _, s1_preset = pipeline.load_model(args.stage1_ckpt)
-        seq = pipeline.track_sequence_for_path(args.audio, stage1, get_extractor(s1_preset))
-        out = model.forward(seq)
+    out = pipeline.scorer(args.ckpt, args.stage1_ckpt)(args.audio)
     label = predict(out)
     print(f"probability={out.probability:.6f} label={label} "
           f"({'ai' if label else 'human'})")
@@ -207,7 +175,6 @@ def make_parser() -> _Parser:
     p.add_argument("--out", default="grid.csv")
 
     p = sub.add_parser("train", help="train a detector")
-    p.add_argument("--stage", type=int, choices=(1, 2), required=True)
     p.add_argument("--arch", choices=tuple(pipeline.ARCHS), required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--preset", default="paper-s1-bce")
@@ -218,7 +185,7 @@ def make_parser() -> _Parser:
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", type=int, dest="batch_size")
     p.add_argument("--lr", type=float)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
     p.add_argument("--ckpt", required=True)
@@ -230,7 +197,6 @@ def make_parser() -> _Parser:
     p = sub.add_parser("predict", help="score one audio file")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--audio", required=True)
-    p.add_argument("--mode", choices=("segment", "full"), default="segment")
     p.add_argument("--stage1-ckpt")
 
     p = sub.add_parser("ssm", help="export a self-similarity matrix")

@@ -1,11 +1,12 @@
 """End-to-end wiring: beat analysis of a track, stage-1/stage-2 dataset
-construction from manifests, and model checkpoints whose AIGM header
-describes the model they hold.
+construction from manifests, model checkpoints whose AIGM header
+describes the model they hold, and the one WAV -> score path of a
+checkpoint of either stage.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -15,9 +16,9 @@ from .audio import AudioBuffer, load_wav, resample, to_mono
 from .beats import BeatGrid, estimate_tempo, pick_downbeats, quantize_grid, track_beats
 from .data import DataError
 from .dsp import ANALYSIS_RATE, FRAME_LEN, HOP, log_mel, onset_envelope
-from .extractors import FeatureExtractor
-from .models import (AudioCAT, FXSegment, SegmentTransformer, features_to_sequence,
-                     segment_features)
+from .extractors import FeatureExtractor, get_extractor
+from .models import (AudioCAT, DetectorOutput, FXSegment, SegmentTransformer,
+                     features_to_sequence, segment_features)
 from .nn import AttentionConfig, ShapeMismatch
 
 
@@ -159,6 +160,33 @@ def load_model(path):
     return model, arch, preset
 
 
+def load_stage1(path):
+    """(model, extractor, extractor_preset) of a stage-1 checkpoint;
+    DataError names the file if it holds a segtr (stage-2) model."""
+    model, arch, preset = load_model(path)
+    if arch == "segtr":
+        raise DataError(f"{path}: a segtr checkpoint is not a stage-1 model")
+    return model, get_extractor(preset), preset
+
+
+def scorer(ckpt, stage1_ckpt=None) -> Callable[[object], DetectorOutput]:
+    """WAV path -> DetectorOutput of the model in `ckpt`, whichever stage
+    it holds.  A stage-1 model scores the features of the whole clip; a
+    segtr model scores the track over the stage 1 in `stage1_ckpt`, which
+    it needs and which a stage-1 model refuses."""
+    model, arch, preset = load_model(ckpt)
+    if arch != "segtr":
+        if stage1_ckpt:
+            raise DataError(f"{ckpt}: a stage-1 ({arch}) checkpoint takes no "
+                            f"--stage1-ckpt")
+        extractor = get_extractor(preset)
+        return lambda path: model.forward(stage1_features(path, extractor))
+    if not stage1_ckpt:
+        raise DataError(f"{ckpt}: a segtr checkpoint needs --stage1-ckpt")
+    stage1, extractor, _ = load_stage1(stage1_ckpt)
+    return lambda path: model.forward(track_sequence_for_path(path, stage1, extractor))
+
+
 def build_model(arch: str, extractor: FeatureExtractor | None = None,
                 cfg: AttentionConfig | None = None, seed: int = 0, d_in: int | None = None):
     """A fresh ARCHS[arch]; stage-1 widths come from the extractor, and
@@ -170,9 +198,7 @@ def build_model(arch: str, extractor: FeatureExtractor | None = None,
         return SegmentTransformer(d_in=cfg.d_model if d_in is None else d_in,
                                   cfg=cfg, seed=seed)
     if extractor is None:
-        if arch == "audiocat":
-            raise ValueError("audiocat needs an extractor")
-        return FXSegment(cfg=cfg, seed=seed)
+        raise ValueError(f"{arch} needs an extractor")
     if arch == "fxseg" and extractor.kind != "vector":
         raise DataError(f"fxseg needs a vector extractor; {extractor.name} "
                         f"gives {extractor.kind}s")

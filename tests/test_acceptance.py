@@ -428,7 +428,7 @@ def test_criterion_9_determinism(tmp_path):
     blobs = []
     for run in range(2):
         out = tmp_path / f"run{run}.aigm"
-        code = cli.main(["train", "--stage", "1", "--arch", "audiocat",
+        code = cli.main(["train", "--arch", "audiocat",
                          "--manifest", str(manifest_path),
                          "--extractor", "seq-512", "--epochs", "2",
                          "--lr", "1e-3", "--seed", "7", "--out", str(out)])

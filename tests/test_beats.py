@@ -217,6 +217,16 @@ def test_segment_bars_counts_and_boundaries():
     assert segs.segments[0].frames == 8 * 16000
 
 
+def test_segments_are_views_of_the_track():
+    rng = np.random.default_rng(0)
+    buf = AudioBuffer(rng.uniform(-0.5, 0.5, (1, 16000 * 20)), 16000)
+    segs = segment_bars(buf, BeatGrid(start=0.5, period=2.0, count=10))
+    for seg, (start, _) in zip(segs.segments, segs.boundaries):
+        assert np.shares_memory(seg.samples, buf.samples)
+        i0 = int(round(start * 16000))
+        assert np.array_equal(seg.samples, buf.samples[:, i0:i0 + seg.frames])
+
+
 def test_segment_bars_exact_fit_keeps_last_window():
     buf = AudioBuffer(np.zeros((1, 16000 * 16)), 16000)
     grid = BeatGrid(start=0.0, period=2.0, count=8)

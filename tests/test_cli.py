@@ -55,12 +55,7 @@ def test_unknown_command_is_usage_error(capsys):
 
 
 def test_missing_required_argument(capsys):
-    assert run(["train", "--stage", "1"]) == EXIT_USAGE
-
-
-def test_bad_stage_value(capsys):
-    assert run(["train", "--stage", "9", "--arch", "audiocat",
-                "--manifest", "m.csv", "--out", "o"]) == EXIT_USAGE
+    assert run(["train", "--arch", "audiocat"]) == EXIT_USAGE
 
 
 # ---------------------------------------------------------------- beats
@@ -107,7 +102,7 @@ def test_beats_malformed_wav_exits_2(tmp_path, capsys):
 @pytest.fixture(scope="module")
 def stage1_ckpt(corpus, tmp_path_factory, capsysbinary=None):
     out = tmp_path_factory.mktemp("ckpt") / "s1.aigm"
-    code = main(["train", "--stage", "1", "--arch", "audiocat",
+    code = main(["train", "--arch", "audiocat",
                  "--manifest", str(corpus["manifest"]),
                  "--extractor", "seq-512", "--epochs", "1",
                  "--lr", "1e-3", "--seed", "0", "--out", str(out)])
@@ -123,7 +118,7 @@ def test_train_stage1_outputs(stage1_ckpt):
 def test_train_bad_manifest_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text("nope,nope\n")
-    assert run(["train", "--stage", "1", "--arch", "audiocat",
+    assert run(["train", "--arch", "audiocat",
                 "--manifest", str(path), "--out", str(tmp_path / "o")]) == EXIT_IO
 
 
@@ -131,7 +126,7 @@ def test_train_bad_manifest_exits_2(tmp_path, capsys):
 def test_train_malformed_manifest_row_exits_2(row, tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text(f"path,label\n{row}\n")
-    assert run(["train", "--stage", "1", "--arch", "audiocat",
+    assert run(["train", "--arch", "audiocat",
                 "--manifest", str(path), "--out", str(tmp_path / "o")]) == EXIT_IO
     assert "line 2" in capsys.readouterr().err
 
@@ -164,7 +159,7 @@ def test_eval_on_an_empty_split_exits_2(corpus, stage1_ckpt, tmp_path, capsys):
 
 def test_predict_segment_mode(corpus, stage1_ckpt, capsys):
     code = run(["predict", "--ckpt", str(stage1_ckpt),
-                "--audio", corpus["clip"], "--mode", "segment"])
+                "--audio", corpus["clip"]])
     captured = capsys.readouterr().out
     assert code == EXIT_OK
     assert "probability=" in captured
@@ -176,17 +171,29 @@ def test_predict_missing_ckpt_exits_2(corpus, capsys):
                 "--audio", corpus["clip"]]) == EXIT_IO
 
 
-def test_full_mode_needs_stage2_ckpt(corpus, stage1_ckpt, capsys):
-    assert run(["predict", "--ckpt", str(stage1_ckpt),
-                "--audio", corpus["clip"], "--mode", "full"]) == EXIT_IO
+# --stage1-ckpt gives a segtr model its stage 1; a stage-1 model takes none
+@pytest.mark.parametrize("command", ["train", "eval", "predict"])
+def test_stage1_ckpt_with_a_stage1_model_exits_2(command, corpus, stage1_ckpt, tmp_path,
+                                                  monkeypatch, capsys):
+    def no_extraction(*args):
+        raise AssertionError("features extracted before --stage1-ckpt was checked")
+
+    monkeypatch.setattr(pipeline, "stage1_features", no_extraction)
+    argv = {"train": ["--arch", "audiocat", "--manifest", str(corpus["manifest"]),
+                      "--out", str(tmp_path / "o.aigm")],
+            "eval": ["--ckpt", str(stage1_ckpt), "--manifest", str(corpus["manifest"])],
+            "predict": ["--ckpt", str(stage1_ckpt), "--audio", corpus["clip"]]}[command]
+    assert run([command, *argv, "--stage1-ckpt", str(stage1_ckpt)]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--stage1-ckpt" in err
 
 
 def test_predict_segment_mode_on_stage2_ckpt_exits_2(corpus, tmp_path, capsys):
-    # a segtr checkpoint stores no extractor preset, so segment mode has none
+    # a segtr checkpoint scores a track only over a stage-1 checkpoint
     path = tmp_path / "segtr.aigm"
     pipeline.save_model(path, pipeline.build_model("segtr", seed=0), "segtr")
     assert run(["predict", "--ckpt", str(path), "--audio", corpus["clip"]]) == EXIT_IO
-    assert capsys.readouterr().err.startswith("error: unknown extractor preset")
+    assert capsys.readouterr().err == f"error: {path}: a segtr checkpoint needs --stage1-ckpt\n"
 
 
 def test_checkpoint_without_meta_exits_2(corpus, tmp_path, capsys):
@@ -196,8 +203,8 @@ def test_checkpoint_without_meta_exits_2(corpus, tmp_path, capsys):
     assert "KeyError: 'arch'" in capsys.readouterr().err
 
 
-# stage 1 takes audiocat or fxseg; fxseg cannot take the default seq-512
-# sequence extractor
+# segtr needs --stage1-ckpt; fxseg cannot take the default seq-512 sequence
+# extractor
 @pytest.mark.parametrize("arch", ["segtr", "fxseg"])
 def test_impossible_stage1_train_exits_2_before_extraction(
         arch, corpus, tmp_path, monkeypatch, capsys):
@@ -205,7 +212,7 @@ def test_impossible_stage1_train_exits_2_before_extraction(
         raise AssertionError("features extracted before the combination was checked")
 
     monkeypatch.setattr(pipeline, "stage1_features", no_extraction)
-    assert run(["train", "--stage", "1", "--arch", arch,
+    assert run(["train", "--arch", arch,
                 "--manifest", str(corpus["manifest"]),
                 "--out", str(tmp_path / "o.aigm")]) == EXIT_IO
     assert capsys.readouterr().err.startswith("error: ")
@@ -222,7 +229,7 @@ def test_train_with_an_empty_split_exits_2_before_extraction(
     entries = Manifest.load(corpus["manifest"]).entries
     path = tmp_path / f"all_{only}.csv"
     Manifest([ManifestEntry(e.path, e.label, only) for e in entries]).save(path)
-    assert run(["train", "--stage", "1", "--arch", "audiocat", "--manifest", str(path),
+    assert run(["train", "--arch", "audiocat", "--manifest", str(path),
                 "--out", str(tmp_path / "o.aigm")]) == EXIT_IO
     err = capsys.readouterr().err
     assert err.startswith("error: ") and repr(empty) in err
@@ -288,7 +295,7 @@ def test_malformed_checkpoint_exits_2(case, tracks, stage1_ckpt, tmp_path, capsy
     pipeline.save_model(path, pipeline.build_model("segtr", seed=0), "segtr")
     BAD_CHECKPOINTS[case](path)
     assert run(["predict", "--ckpt", str(path), "--stage1-ckpt", str(stage1_ckpt),
-                "--audio", tracks["track"], "--mode", "full"]) == EXIT_IO
+                "--audio", tracks["track"]]) == EXIT_IO
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(path) in err
 
@@ -312,7 +319,7 @@ def test_oversized_header_exits_2_without_building_the_model(
     monkeypatch.setitem(pipeline.ARCHS, "segtr", NotBuilt)
     start = time.perf_counter()
     assert run(["predict", "--ckpt", str(path), "--stage1-ckpt", str(stage1_ckpt),
-                "--audio", tracks["track"], "--mode", "full"]) == EXIT_IO
+                "--audio", tracks["track"]]) == EXIT_IO
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "the header asks for" in err
@@ -337,7 +344,7 @@ def tracks(tmp_path_factory):
 @pytest.fixture(scope="module")
 def stage2_ckpt(tracks, stage1_ckpt, tmp_path_factory):
     out = tmp_path_factory.mktemp("ckpt2") / "s2.aigm"
-    code = main(["train", "--stage", "2", "--arch", "segtr",
+    code = main(["train", "--arch", "segtr",
                  "--manifest", str(tracks["manifest"]),
                  "--stage1-ckpt", str(stage1_ckpt), "--epochs", "1",
                  "--lr", "1e-3", "--seed", "0", "--out", str(out)])
@@ -365,7 +372,7 @@ def test_eval_stage2(tracks, stage1_ckpt, stage2_ckpt, capsys):
 
 def test_predict_full_mode(tracks, stage1_ckpt, stage2_ckpt, capsys):
     code = run(["predict", "--ckpt", str(stage2_ckpt), "--stage1-ckpt", str(stage1_ckpt),
-                "--audio", tracks["track"], "--mode", "full"])
+                "--audio", tracks["track"]])
     captured = capsys.readouterr().out
     assert code == EXIT_OK
     # the score is the one track_to_sequence gives on the same track
@@ -376,6 +383,18 @@ def test_predict_full_mode(tracks, stage1_ckpt, stage2_ckpt, capsys):
                                    pipeline.analyze_beats(buf).grid,
                                    stage1, get_extractor(preset))
     assert f"probability={stage2.forward(seq).probability:.6f}" in captured
+
+
+# a segtr checkpoint given as a stage 1 is refused by name, not run
+@pytest.mark.parametrize("command", ["train", "eval", "predict"])
+def test_segtr_as_stage1_ckpt_exits_2(command, tracks, stage2_ckpt, tmp_path, capsys):
+    argv = {"train": ["--arch", "segtr", "--manifest", str(tracks["manifest"]),
+                      "--out", str(tmp_path / "o.aigm")],
+            "eval": ["--ckpt", str(stage2_ckpt), "--manifest", str(tracks["manifest"])],
+            "predict": ["--ckpt", str(stage2_ckpt), "--audio", tracks["track"]]}[command]
+    assert run([command, *argv, "--stage1-ckpt", str(stage2_ckpt)]) == EXIT_IO
+    assert capsys.readouterr().err == (f"error: {stage2_ckpt}: a segtr checkpoint "
+                                       f"is not a stage-1 model\n")
 
 
 # ---------------------------------------------------------------- ssm
@@ -410,7 +429,7 @@ def test_ssm_bad_input_exits_2(tmp_path, capsys):
 # ---------------------------------------------------------------- config plumbing
 def make_args(**kw):
     defaults = dict(preset="paper-s1-bce", config=None, epochs=None,
-                    batch_size=None, lr=None, seed=None)
+                    batch_size=None, lr=None, seed=0)
     defaults.update(kw)
     return argparse.Namespace(**defaults)
 
@@ -432,12 +451,35 @@ def test_cli_flags_beat_config_file(tmp_path):
     assert cfg.epochs == 3
 
 
-def test_seed_env_fallback(monkeypatch):
-    monkeypatch.setenv("AIGM_SEED", "123")
-    assert cli._train_config(make_args()).seed == 123
-    monkeypatch.delenv("AIGM_SEED")
-    assert cli._train_config(make_args()).seed == 0
-    assert cli._train_config(make_args(seed=5)).seed == 5
+def test_seed_defaults_to_0():
+    argv = ["train", "--arch", "audiocat", "--manifest", "m.csv", "--out", "o"]
+    parser = cli.make_parser()
+    assert cli._train_config(parser.parse_args(argv)).seed == 0
+    assert cli._train_config(parser.parse_args(argv + ["--seed", "5"])).seed == 5
+
+
+# each ends in error: naming the key (and the file) before any feature is
+# extracted, not in a TrainingError or ValueError traceback
+@pytest.mark.parametrize("flags, config, named", [
+    (["--epochs", "0"], None, "--epochs 0"),
+    (["--batch-size", "0"], None, "--batch-size 0"),
+    ([], "loss=mse\n", "loss=mse in "),
+    ([], "epochs=abc\n", "epochs=abc in "),
+], ids=["epochs_0", "batch_size_0", "config_loss_mse", "config_epochs_abc"])
+def test_bad_training_setting_exits_2(flags, config, named, corpus, tmp_path,
+                                      monkeypatch, capsys):
+    def no_extraction(*args):
+        raise AssertionError("features extracted before the settings were checked")
+
+    monkeypatch.setattr(pipeline, "stage1_features", no_extraction)
+    if config is not None:
+        (tmp_path / "cfg").write_text(config)
+        flags = ["--config", str(tmp_path / "cfg")]
+        named += str(tmp_path / "cfg")
+    assert run(["train", "--arch", "audiocat", "--manifest", str(corpus["manifest"]),
+                "--out", str(tmp_path / "o.aigm"), *flags]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {named}: ")
 
 
 # ---------------------------------------------------------------- README
@@ -455,3 +497,17 @@ def test_readme_cli_examples_parse():
     parser = cli.make_parser()
     for argv in argvs:
         assert parser.parse_args(argv).command == argv[0]
+
+
+def test_readme_cli_examples_run(corpus, tracks, tmp_path, monkeypatch, capsys):
+    """Each README example, in order, on the test fixtures: the input files
+    it names are the corpus and tracks fixtures, its outputs land in a
+    fresh directory, and training runs one epoch."""
+    inputs = {"data/clips.csv": str(corpus["manifest"]), "clip.wav": corpus["clip"],
+              "data/tracks.csv": str(tracks["manifest"]), "track.wav": tracks["track"]}
+    monkeypatch.chdir(tmp_path)
+    for command in _readme_commands():
+        argv = [inputs.get(arg, arg) for arg in shlex.split(command)[1:]]
+        if argv[0] == "train":
+            argv += ["--epochs", "1"]
+        assert run(argv) == EXIT_OK, (command, capsys.readouterr().err)

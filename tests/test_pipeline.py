@@ -39,6 +39,11 @@ def test_analysis_buffer_normalizes():
     assert mono.channels == 1 and mono.sample_rate == 16000
 
 
+def test_analysis_buffer_of_16k_mono_is_the_track():
+    buf = AudioBuffer(np.random.default_rng(0).uniform(-0.5, 0.5, (1, 16000)), 16000)
+    assert pipeline.analysis_buffer(buf) is buf
+
+
 # ---------------------------------------------------------------- datasets
 def test_build_stage1_dataset(tmp_path):
     rng = np.random.default_rng(0)
@@ -166,8 +171,9 @@ def test_build_model_variants():
     assert m2.d_in == 16
     with pytest.raises(ValueError):
         pipeline.build_model("mystery")
-    with pytest.raises(ValueError):
-        pipeline.build_model("audiocat")
+    for arch in ("audiocat", "fxseg"):
+        with pytest.raises(ValueError, match="needs an extractor"):
+            pipeline.build_model(arch)
 
 
 # ---------------------------------------------------------------- experiment
