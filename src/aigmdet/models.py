@@ -7,10 +7,12 @@ content embeddings and self-similarity-matrix rows.
 
 Each model's forward_tensor takes a list of B examples and returns logits
 [B] and pooled representations [B x d]; loss(examples, labels, loss_fn) is
-their mean loss, and forward(x) is the batch of one, unpacked.  hparams holds
-the constructor arguments other than cfg and seed, for checkpoint headers;
-index_sizes(cfg, **hparams) says where the tensors of such a model show
-those sizes, so a header can be checked before its model is built.
+their mean loss.  Stage-1 forward(batch) runs a list of segments without a
+tape and returns one DetectorOutput each; stage-2 forward(seq) scores one
+track.  hparams holds the constructor arguments other than cfg and seed,
+for checkpoint headers; index_sizes(cfg, **hparams) says where the tensors
+of such a model show those sizes, so a header can be checked before its
+model is built.
 """
 
 from __future__ import annotations
@@ -45,11 +47,11 @@ class DetectorOutput:
         return DetectorOutput(logit=z, probability=float(prob), pooled=pooled.data.copy())
 
 
-def _single_output(model, *args) -> DetectorOutput:
-    """forward_tensor(*args) on a batch of one, without a tape, unpacked."""
+def _outputs(model, *args) -> list[DetectorOutput]:
+    """forward_tensor(*args) without a tape, one DetectorOutput an example."""
     with no_grad():
         logits, pooled = model.forward_tensor(*args)
-        return DetectorOutput.from_tensors(logits[0], pooled[0])
+        return [DetectorOutput.from_tensors(logits[i], pooled[i]) for i in range(logits.size)]
 
 
 def _batch_loss(model, xs, ys, loss_fn) -> Tensor:
@@ -142,8 +144,9 @@ class AudioCAT(nn.Module):
         pooled = x.mean(axis=-2)
         return self.head(pooled).reshape(-1), pooled
 
-    def forward(self, features: np.ndarray, mask: np.ndarray | None = None) -> DetectorOutput:
-        return _single_output(self, [features], None if mask is None else [mask])
+    def forward(self, batch, masks=None) -> list[DetectorOutput]:
+        """One output per feature map of the batch (see forward_tensor)."""
+        return _outputs(self, batch, masks)
 
     def loss(self, batch, labels, loss_fn=nn.bce_loss) -> Tensor:
         return _batch_loss(self, batch, labels, loss_fn)
@@ -190,8 +193,9 @@ class FXSegment(nn.Module):
         pooled = x[:, 0]
         return self.head(pooled).reshape(-1), pooled
 
-    def forward(self, embedding: np.ndarray) -> DetectorOutput:
-        return _single_output(self, [embedding])
+    def forward(self, batch) -> list[DetectorOutput]:
+        """One output per embedding of the batch."""
+        return _outputs(self, batch)
 
     def loss(self, batch, labels, loss_fn=nn.focal_loss) -> Tensor:
         return _batch_loss(self, batch, labels, loss_fn)
@@ -261,7 +265,8 @@ class SegmentTransformer(nn.Module):
         return self.head(pooled).reshape(-1), pooled
 
     def forward(self, seq: EmbeddingSequence) -> DetectorOutput:
-        return _single_output(self, [seq])
+        """The score of one track."""
+        return _outputs(self, [seq])[0]
 
     def loss(self, batch, labels, loss_fn=nn.bce_loss) -> Tensor:
         return _batch_loss(self, batch, labels, loss_fn)
@@ -275,12 +280,35 @@ def segment_features(track: AudioBuffer, grid: BeatGrid,
     return map(extractor, segment_bars(track, grid).segments)
 
 
+# features_to_sequence gathers segments until a batch holds this many frames
+STAGE1_BATCH_FRAMES = 64
+
+
+def _frame_batches(features) -> Iterator[list]:
+    """Consecutive segments' features, grouped until a group holds
+    STAGE1_BATCH_FRAMES frames (a [d] vector is one frame)."""
+    batch, frames = [], 0
+    for f in features:
+        batch.append(f)
+        frames += len(np.atleast_2d(f))
+        if frames >= STAGE1_BATCH_FRAMES:
+            yield batch
+            batch, frames = [], 0
+    if batch:
+        yield batch
+
+
 def features_to_sequence(features, stage1,
                          max_len: int = MAX_SEQ_LEN) -> EmbeddingSequence:
     """Pooled stage-1 representations of per-segment features, padded/cropped.
-    Features are read one at a time, so an iterator of them holds one
-    segment's feature map at once."""
-    vectors = np.stack([stage1.forward(f).pooled for f in features])
+
+    Stage 1 runs once a batch of segments (see _frame_batches), and an
+    iterator of features is read one batch at a time: a segment of a
+    seq-512 track holds hundreds of frames, so it is a batch alone and one
+    segment's feature map is live at once, while the one-frame vectors of
+    a short track all go in one batch."""
+    vectors = np.stack([out.pooled for batch in _frame_batches(features)
+                        for out in stage1.forward(batch)])
     seq = EmbeddingSequence(vectors, np.ones(len(vectors), dtype=bool))
     return pad_or_crop(seq, max_len)
 

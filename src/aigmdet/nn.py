@@ -5,6 +5,11 @@ tensors: any leading axes are batch axes, and key masks are [...,
 positions].  Leading axes broadcast, so a shared [positions, dim] input
 (AudioCAT's learned queries) can attend to a batched memory.  Unbatched
 inputs are the case with no leading axes.
+
+Linear, layer_norm and the attention core (head split to head merge) are
+each one tape node with a hand-written backward rule.  Their forward
+arithmetic is the one their composite forms (tests/util.py) record, in the
+same order, so outputs equal those forms bit for bit.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import Tensor, concat, no_grad
+from .tensor import Tensor, _unbroadcast, concat, no_grad, node
 
 
 class ShapeMismatch(Exception):
@@ -99,11 +104,20 @@ class Linear(Module):
     def __call__(self, x: Tensor) -> Tensor:
         """[..., d_in] -> [..., d_out]; leading axes fold into one row axis,
         so the weight gradient is a single matrix product."""
-        if x.ndim == 2:
-            return x @ self.weight + self.bias
-        lead = x.shape[:-1]
-        rows = x.reshape(-1, x.shape[-1]) @ self.weight + self.bias
-        return rows.reshape(*lead, self.bias.shape[0])
+        w, b = self.weight, self.bias
+        rows = x.data if x.ndim == 2 else x.data.reshape(-1, x.shape[-1])
+        out_data = (rows @ w.data + b.data).reshape(*x.shape[:-1], b.shape[0])
+
+        def backward(out):
+            g = out.grad.reshape(-1, b.shape[0])
+            if x.requires_grad:
+                x._accumulate((g @ w.data.T).reshape(x.shape))
+            if w.requires_grad:
+                w._accumulate(rows.T @ g)
+            if b.requires_grad:
+                b._accumulate(g.sum(axis=0))
+
+        return node(out_data, (x, w, b), backward)
 
 
 class LayerNorm(Module):
@@ -118,10 +132,25 @@ class LayerNorm(Module):
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to mean 0 / population variance 1, then affine."""
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    return centered / (var + eps).sqrt() * gain + bias
+    inv_n = 1.0 / x.shape[-1]
+    centered = x.data - x.data.sum(axis=-1, keepdims=True) * inv_n
+    sigma = np.sqrt((centered * centered).sum(axis=-1, keepdims=True) * inv_n + eps)
+    xhat = centered / sigma
+    out_data = xhat * gain.data + bias.data
+
+    def backward(out):
+        g = out.grad
+        if x.requires_grad:
+            gx = g * gain.data
+            gx = gx - gx.mean(axis=-1, keepdims=True) \
+                - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
+            x._accumulate(gx * (1.0 / sigma))
+        if gain.requires_grad:
+            gain._accumulate(_unbroadcast(g * xhat, gain.shape))
+        if bias.requires_grad:
+            bias._accumulate(_unbroadcast(g, bias.shape))
+
+    return node(out_data, (x, gain, bias), backward)
 
 
 def sinusoidal_positions(n: int, d: int) -> Tensor:
@@ -145,6 +174,58 @@ def _position_table(n: int, d: int) -> np.ndarray:
     return pe
 
 
+def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
+    """[..., n, d] -> [..., heads, n, d // heads], a view."""
+    *lead, n, d = x.shape
+    b = len(lead)
+    return x.reshape(*lead, n, heads, d // heads).transpose(*range(b), b + 1, b, b + 2)
+
+
+def _merge_heads(x: np.ndarray) -> np.ndarray:
+    """[..., heads, n, head_dim] -> [..., n, heads * head_dim]."""
+    *lead, heads, n, head_dim = x.shape
+    b = len(lead)
+    return x.transpose(*range(b), b + 1, b, b + 2).reshape(*lead, n, heads * head_dim)
+
+
+def _attention_weights(qh: np.ndarray, kh: np.ndarray,
+                       key_bias: np.ndarray | None) -> np.ndarray:
+    """Post-softmax weights [..., heads, m, n] of split queries and keys:
+    (Q K^T) scale, plus the 0 / -inf key bias, max-shifted softmax."""
+    scores = (qh @ np.swapaxes(kh, -1, -2)) * (1.0 / np.sqrt(qh.shape[-1]))
+    if key_bias is not None:
+        scores = scores + key_bias
+    e = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
+              key_bias: np.ndarray | None = None) -> Tensor:
+    """softmax((Q K^T) / sqrt(head_dim) + key_bias) V over `heads` heads of
+    projected queries [..., m, d] and keys and values [..., n, d], one tape
+    node.  key_bias is [..., 1, 1, n] of 0 (valid) and -inf (masked)."""
+    qh, kh, vh = (_split_heads(t.data, heads) for t in (q, k, v))
+    weights = _attention_weights(qh, kh, key_bias)
+    out_data = _merge_heads(weights @ vh)
+
+    def backward(out):
+        g = _split_heads(out.grad, heads)
+        if v.requires_grad:
+            v._accumulate(_merge_heads(_unbroadcast(np.swapaxes(weights, -1, -2) @ g, vh.shape)))
+        if not (q.requires_grad or k.requires_grad):
+            return
+        g_weights = g @ np.swapaxes(vh, -1, -2)
+        g_scores = (g_weights - (g_weights * weights).sum(axis=-1, keepdims=True)) * weights
+        g_scores *= 1.0 / np.sqrt(qh.shape[-1])
+        if q.requires_grad:
+            q._accumulate(_merge_heads(_unbroadcast(g_scores @ kh, qh.shape)))
+        if k.requires_grad:
+            k._accumulate(_merge_heads(_unbroadcast(np.swapaxes(g_scores, -1, -2) @ qh,
+                                                    kh.shape)))
+
+    return node(out_data, (q, k, v), backward)
+
+
 class MultiHeadAttention(Module):
     """Scaled dot-product attention with a key-side validity mask.
 
@@ -162,31 +243,20 @@ class MultiHeadAttention(Module):
         self.wv = Linear(d, d, rng)
         self.wo = Linear(d, d, rng)
 
-    def _split_heads(self, x: Tensor) -> Tensor:
-        """[..., n, d] -> [..., heads, n, head_dim]."""
-        *lead, n, _ = x.shape
-        b = len(lead)
-        return x.reshape(*lead, n, self.cfg.heads, self.cfg.head_dim).transpose(
-            *range(b), b + 1, b, b + 2)
-
-    def _weights(self, q: Tensor, k: Tensor, mask: np.ndarray | None) -> Tensor:
-        """Post-softmax weights [..., heads, m, n], recorded on the tape."""
+    def _key_bias(self, q: Tensor, k: Tensor, mask: np.ndarray | None) -> np.ndarray | None:
+        """Check the q and k widths and the mask; the mask as a
+        [..., 1, 1, n] score bias, or None."""
         d = self.cfg.d_model
         if q.shape[-1] != d or k.shape[-1] != d:
             raise ShapeMismatch("q/k/v last dim must equal d_model")
-        if mask is not None:
-            mask = np.asarray(mask, dtype=bool)
-            if mask.shape != k.shape[:-1]:
-                raise ShapeMismatch(f"mask shape {mask.shape} vs keys {k.shape[:-1]}")
-            if not mask.any(axis=-1).all():
-                raise AllMasked("no valid key positions")
-        K = self._split_heads(self.wk(k))
-        b = K.ndim - 2
-        scores = (self._split_heads(self.wq(q)) @ K.transpose(*range(b), b + 1, b)) \
-            * (1.0 / np.sqrt(self.cfg.head_dim))
-        if mask is not None:
-            scores = scores + Tensor(np.where(mask, 0.0, -np.inf)[..., None, None, :])
-        return scores.softmax(axis=-1)
+        if mask is None:
+            return None
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != k.shape[:-1]:
+            raise ShapeMismatch(f"mask shape {mask.shape} vs keys {k.shape[:-1]}")
+        if not mask.any(axis=-1).all():
+            raise AllMasked("no valid key positions")
+        return np.where(mask, 0.0, -np.inf)[..., None, None, :]
 
     def __call__(self, q: Tensor, k: Tensor, v: Tensor,
                  mask: np.ndarray | None = None) -> Tensor:
@@ -194,17 +264,17 @@ class MultiHeadAttention(Module):
             raise ShapeMismatch("q/k/v last dim must equal d_model")
         if k.shape[:-1] != v.shape[:-1]:
             raise ShapeMismatch("keys and values must agree in length")
-        out = self._weights(q, k, mask) @ self._split_heads(self.wv(v))
-        *lead, _, m, _ = out.shape
-        b = len(lead)
-        out = out.transpose(*range(b), b + 1, b, b + 2).reshape(*lead, m, self.cfg.d_model)
-        return self.wo(out)
+        key_bias = self._key_bias(q, k, mask)
+        return self.wo(attention(self.wq(q), self.wk(k), self.wv(v), self.cfg.heads, key_bias))
 
     def attention_weights(self, q: Tensor, k: Tensor,
                           mask: np.ndarray | None = None) -> np.ndarray:
         """Post-softmax weights [..., heads, m, n]; inspection only."""
+        key_bias = self._key_bias(q, k, mask)
         with no_grad():
-            return self._weights(q, k, mask).data
+            qh, kh = (_split_heads(lin(t).data, self.cfg.heads)
+                      for lin, t in ((self.wq, q), (self.wk, k)))
+        return _attention_weights(qh, kh, key_bias)
 
 
 class FeedForward(Module):
@@ -307,8 +377,12 @@ def adam_step(params: dict[str, Tensor], state: OptimState):
         if name not in state.m:
             state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)
-        m = state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
-        v = state.v[name] = b2 * state.v[name] + (1.0 - b2) * g * g
+        # g is read, never written: see the tensor module's docstring
+        m, v = state.m[name], state.v[name]
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
         if state.weight_decay:
             p.data *= 1.0 - state.lr * state.weight_decay
         p.data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
@@ -380,7 +454,7 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
 
 __all__ = [
     "AttentionConfig", "Module", "Linear", "LayerNorm", "MultiHeadAttention",
-    "FeedForward", "EncoderBlock", "DecoderBlock", "layer_norm",
+    "FeedForward", "EncoderBlock", "DecoderBlock", "layer_norm", "attention",
     "sinusoidal_positions", "bce_loss", "focal_loss", "OptimState", "adam_step",
     "save_checkpoint", "load_checkpoint", "ShapeMismatch", "AllMasked",
     "CheckpointError", "concat",

@@ -180,7 +180,7 @@ def scorer(ckpt, stage1_ckpt=None) -> Callable[[object], DetectorOutput]:
             raise DataError(f"{ckpt}: a stage-1 ({arch}) checkpoint takes no "
                             f"--stage1-ckpt")
         extractor = get_extractor(preset)
-        return lambda path: model.forward(stage1_features(path, extractor))
+        return lambda path: model.forward([stage1_features(path, extractor)])[0]
     if not stage1_ckpt:
         raise DataError(f"{ckpt}: a segtr checkpoint needs --stage1-ckpt")
     stage1, extractor, _ = load_stage1(stage1_ckpt)

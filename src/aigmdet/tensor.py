@@ -1,8 +1,16 @@
 """Reverse-mode autograd over float64 numpy arrays.
 
 Everything downstream (attention blocks, losses, the three detectors) is
-built from the primitives here.  Gradients are checked against central
-finite differences in the test suite, so keep backward rules exact.
+built on the tape here: the primitives below, plus nn's fused layer nodes
+(Linear, layer_norm, the attention core), each made with `node` and a
+hand-written backward rule.  Gradients are checked against central finite
+differences in the test suite, so keep backward rules exact.
+
+Gradients are read-only.  A backward rule may hand one array to several
+parents (x + y gives x and y the same incoming gradient), and the first
+gradient a tensor receives is stored without a copy, so two tensors can
+share one .grad array.  Nothing may write into a .grad in place; the
+optimizer reads them only.
 """
 
 from __future__ import annotations
@@ -39,6 +47,18 @@ class no_grad:
         global _GRAD_ENABLED
         _GRAD_ENABLED = self._prev
         return False
+
+
+def node(data, parents, backward) -> "Tensor":
+    """A tensor holding `data` computed from `parents`.  When taping is on
+    and a parent requires grad it joins the tape, and backward(out) adds
+    each parent's share of out.grad with parent._accumulate."""
+    out = Tensor(data)
+    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+        out.requires_grad = True
+        out._prev = tuple(parents)
+        out._backward = backward
+    return out
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -82,7 +102,7 @@ class Tensor:
 
     def _accumulate(self, g: np.ndarray):
         if self.grad is None:
-            self.grad = g.copy()
+            self.grad = g  # shared, not copied: see the module docstring
         else:
             self.grad = self.grad + g
 
@@ -93,14 +113,6 @@ class Tensor:
     @staticmethod
     def _lift(x) -> "Tensor":
         return x if isinstance(x, Tensor) else Tensor(x)
-
-    def _make(self, data, parents, backward):
-        out = Tensor(data)
-        if _GRAD_ENABLED and any(p.requires_grad for p in parents):
-            out.requires_grad = True
-            out._prev = tuple(parents)
-            out._backward = backward
-        return out
 
     # -- arithmetic ----------------------------------------------------
     def __add__(self, other):
@@ -113,7 +125,7 @@ class Tensor:
             if other.requires_grad:
                 other._accumulate(_unbroadcast(out.grad, other.data.shape))
 
-        return self._make(out_data, (self, other), backward)
+        return node(out_data, (self, other), backward)
 
     __radd__ = __add__
 
@@ -122,7 +134,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(-out.grad)
 
-        return self._make(-self.data, (self,), backward)
+        return node(-self.data, (self,), backward)
 
     def __sub__(self, other):
         return self + (-self._lift(other))
@@ -140,7 +152,7 @@ class Tensor:
             if other.requires_grad:
                 other._accumulate(_unbroadcast(out.grad * self.data, other.data.shape))
 
-        return self._make(out_data, (self, other), backward)
+        return node(out_data, (self, other), backward)
 
     __rmul__ = __mul__
 
@@ -156,7 +168,7 @@ class Tensor:
                     _unbroadcast(-out.grad * self.data / other.data**2, other.data.shape)
                 )
 
-        return self._make(out_data, (self, other), backward)
+        return node(out_data, (self, other), backward)
 
     def __rtruediv__(self, other):
         return self._lift(other) / self
@@ -173,7 +185,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(out.grad * exponent * self.data ** (exponent - 1))
 
-        return self._make(out_data, (self,), backward)
+        return node(out_data, (self,), backward)
 
     def __matmul__(self, other):
         other = self._lift(other)
@@ -199,7 +211,7 @@ class Tensor:
                         g = g.reshape(other.data.shape)
                 other._accumulate(_unbroadcast(np.asarray(g), other.data.shape))
 
-        return self._make(out_data, (self, other), backward)
+        return node(out_data, (self, other), backward)
 
     # -- elementwise nonlinearities -------------------------------------
     def exp(self):
@@ -209,14 +221,14 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(out.grad * out.data)
 
-        return self._make(out_data, (self,), backward)
+        return node(out_data, (self,), backward)
 
     def log(self):
         def backward(out):
             if self.requires_grad:
                 self._accumulate(out.grad / self.data)
 
-        return self._make(np.log(self.data), (self,), backward)
+        return node(np.log(self.data), (self,), backward)
 
     def sqrt(self):
         out_data = np.sqrt(self.data)
@@ -225,7 +237,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(out.grad * 0.5 / out.data)
 
-        return self._make(out_data, (self,), backward)
+        return node(out_data, (self,), backward)
 
     def tanh(self):
         out_data = np.tanh(self.data)
@@ -234,7 +246,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(out.grad * (1.0 - out.data**2))
 
-        return self._make(out_data, (self,), backward)
+        return node(out_data, (self,), backward)
 
     def sigmoid(self):
         x = self.data
@@ -245,7 +257,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(out.grad * out.data * (1.0 - out.data))
 
-        return self._make(out_data, (self,), backward)
+        return node(out_data, (self,), backward)
 
     def softplus(self):
         """ln(1 + e^x), overflow-safe."""
@@ -258,20 +270,21 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(out.grad * sig)
 
-        return self._make(out_data, (self,), backward)
+        return node(out_data, (self,), backward)
 
     def gelu(self):
         """Exact (erf-based) GELU."""
         x = self.data
-        out_data = 0.5 * x * (1.0 + _erf(x / np.sqrt(2.0)))
+        e = _erf(x / np.sqrt(2.0))
+        out_data = 0.5 * x * (1.0 + e)
 
         def backward(out):
             if self.requires_grad:
-                cdf = 0.5 * (1.0 + _erf(x / np.sqrt(2.0)))
+                cdf = 0.5 * (1.0 + e)
                 pdf = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
                 self._accumulate(out.grad * (cdf + x * pdf))
 
-        return self._make(out_data, (self,), backward)
+        return node(out_data, (self,), backward)
 
     def softmax(self, axis: int = -1):
         """Max-shifted softmax along `axis`; -inf entries map to exactly 0."""
@@ -285,7 +298,7 @@ class Tensor:
                 dot = (g * y).sum(axis=axis, keepdims=True)
                 self._accumulate((g - dot) * y)
 
-        return self._make(out_data, (self,), backward)
+        return node(out_data, (self,), backward)
 
     # -- reductions / reshaping -----------------------------------------
     def sum(self, axis=None, keepdims: bool = False):
@@ -298,7 +311,7 @@ class Tensor:
                     g = np.expand_dims(g, axis)
                 self._accumulate(np.broadcast_to(g, self.data.shape).copy())
 
-        return self._make(out_data, (self,), backward)
+        return node(out_data, (self,), backward)
 
     def mean(self, axis=None, keepdims: bool = False):
         count = self.data.size if axis is None else self.data.shape[axis]
@@ -313,7 +326,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(out.grad.reshape(self.data.shape))
 
-        return self._make(out_data, (self,), backward)
+        return node(out_data, (self,), backward)
 
     def transpose(self, *axes):
         if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
@@ -325,7 +338,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(out.grad.transpose(inv))
 
-        return self._make(self.data.transpose(axes), (self,), backward)
+        return node(self.data.transpose(axes), (self,), backward)
 
     def __getitem__(self, idx):
         out_data = self.data[idx]
@@ -336,7 +349,7 @@ class Tensor:
                 np.add.at(g, idx, out.grad)
                 self._accumulate(g)
 
-        return self._make(out_data, (self,), backward)
+        return node(out_data, (self,), backward)
 
     # ------------------------------------------------------------------
     def backward(self):
@@ -381,5 +394,4 @@ def concat(tensors, axis: int = 0) -> Tensor:
                 sl[axis] = slice(lo, hi)
                 t._accumulate(out.grad[tuple(sl)])
 
-    probe = Tensor(0.0)
-    return probe._make(out_data, tuple(tensors), backward)
+    return node(out_data, tuple(tensors), backward)

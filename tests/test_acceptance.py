@@ -183,11 +183,11 @@ def test_criterion_2_attention_mask_invariants():
     cat = AudioCAT(d_enc=8, cfg=TOY, seed=1)
     feats = rng.normal(size=(6, 8))
     mask = np.array([True, True, True, False, False, False])
-    base = cat.forward(feats, mask=mask)
+    (base,) = cat.forward([feats], masks=[mask])
     for trial in range(5):
         tampered = feats.copy()
         tampered[3:] = np.random.default_rng(trial).normal(size=(3, 8)) * 100
-        out = cat.forward(tampered, mask=mask)
+        (out,) = cat.forward([tampered], masks=[mask])
         check(failures, out.logit == base.logit and
               np.array_equal(out.pooled, base.pooled),
               "audiocat output changed with masked memory")

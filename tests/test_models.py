@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 from aigmdet import nn
 from aigmdet.beats import BeatGrid
 from aigmdet.extractors import EmbeddingSequence, pad_or_crop
-from aigmdet.models import (AudioCAT, DetectorOutput,
+from aigmdet.models import (STAGE1_BATCH_FRAMES, AudioCAT, DetectorOutput,
                             EmptySequence, FXSegment, SegmentTransformer,
-                            export_ssm_csv, export_ssm_pgm, predict,
-                            self_similarity, track_to_sequence)
+                            export_ssm_csv, export_ssm_pgm, features_to_sequence,
+                            predict, self_similarity, track_to_sequence)
 from aigmdet.nn import AllMasked, AttentionConfig, ShapeMismatch
 
 from util import RandomStubExtractor, finite_diff_check, sine_buffer
@@ -102,7 +102,7 @@ def test_audiocat_shapes_and_determinism():
     model = AudioCAT(d_enc=24, cfg=SMALL, seed=0)
     rng = np.random.default_rng(0)
     feats = rng.normal(size=(31, 24))
-    out1, out2 = model.forward(feats), model.forward(feats)
+    (out1,), (out2,) = model.forward([feats]), model.forward([feats])
     assert out1.pooled.shape == (16,)
     assert out1.logit == out2.logit
     assert 0.0 <= out1.probability <= 1.0
@@ -112,16 +112,16 @@ def test_audiocat_variable_length_inputs():
     model = AudioCAT(d_enc=24, cfg=SMALL)
     rng = np.random.default_rng(1)
     for t in (1, 7, 311):
-        out = model.forward(rng.normal(size=(t, 24)))
+        (out,) = model.forward([rng.normal(size=(t, 24))])
         assert np.isfinite(out.logit)
 
 
 def test_audiocat_rejects_bad_input():
     model = AudioCAT(d_enc=24, cfg=SMALL)
     with pytest.raises(ShapeMismatch):
-        model.forward(np.zeros((5, 23)))
+        model.forward([np.zeros((5, 23))])
     with pytest.raises(EmptySequence):
-        model.forward(np.zeros((0, 24)))
+        model.forward([np.zeros((0, 24))])
 
 
 def test_audiocat_gradients():
@@ -138,17 +138,17 @@ def test_audiocat_memory_mask_blocks_positions():
     rng = np.random.default_rng(5)
     feats = rng.normal(size=(6, 8))
     mask = np.array([True, True, True, False, False, False])
-    base = model.forward(feats, mask=mask).logit
     feats2 = feats.copy()
     feats2[3:] = 99.0
-    assert model.forward(feats2, mask=mask).logit == base
+    base, out = model.forward([feats, feats2], masks=[mask, mask])
+    assert out.logit == base.logit
 
 
 # ---------------------------------------------------------------- FXSegment
 def test_fxsegment_shapes():
     model = FXSegment(d_enc=64, n_tokens=16, cfg=SMALL)
     rng = np.random.default_rng(0)
-    out = model.forward(rng.normal(size=64))
+    (out,) = model.forward([rng.normal(size=64)])
     assert out.pooled.shape == (16,)
     assert np.isfinite(out.logit)
 
@@ -158,7 +158,7 @@ def test_fxsegment_dim_checks():
         FXSegment(d_enc=65, n_tokens=16, cfg=SMALL)
     model = FXSegment(d_enc=64, n_tokens=16, cfg=SMALL)
     with pytest.raises(ShapeMismatch):
-        model.forward(np.zeros(63))
+        model.forward([np.zeros(63)])
 
 
 def test_fxsegment_gradients():
@@ -244,8 +244,10 @@ def test_batch_outputs_match_batch_of_one(arch):
     model, xs = batch_case(arch)
     logits, pooled = model.forward_tensor(xs)
     assert logits.shape == (3,) and pooled.shape[0] == 3
+    if arch != "segtr":  # stage-1 forward takes the batch
+        assert [out.logit for out in model.forward(xs)] == logits.data.tolist()
     for i, x in enumerate(xs):
-        single = model.forward(x)
+        single = model.forward(x) if arch == "segtr" else model.forward([x])[0]
         assert abs(logits.data[i] - single.logit) <= 1e-12
         assert np.abs(pooled.data[i] - single.pooled).max() <= 1e-12
 
@@ -326,6 +328,34 @@ def test_track_to_sequence_shapes():
     assert seq.vectors.shape == (4, SMALL.d_model)
     # 20 s / 8 s windows -> 2 segments valid
     assert seq.mask.tolist() == [True, True, False, False]
+
+
+class CountingStage1:
+    """A stage-1 model that records the size of each forward batch."""
+
+    def __init__(self, model):
+        self.model, self.batches = model, []
+
+    def forward(self, batch):
+        self.batches.append(len(batch))
+        return self.model.forward(batch)
+
+
+@pytest.mark.parametrize("frames,batches", [
+    (1, [STAGE1_BATCH_FRAMES, STAGE1_BATCH_FRAMES, 2]),  # one-frame vectors
+    (STAGE1_BATCH_FRAMES // 3 + 1, [3] * 43 + [1]),
+    (STAGE1_BATCH_FRAMES + 1, [1] * 130)])  # a long map is a batch alone
+def test_features_to_sequence_batches_by_frames(frames, batches):
+    model = AudioCAT(d_enc=8, cfg=SMALL, n_layers=1, seed=0)
+    rng = np.random.default_rng(9)
+    feats = [rng.normal(size=(frames, 8) if frames > 1 else 8) for _ in range(130)]
+    stage1 = CountingStage1(model)
+    seq = features_to_sequence(iter(feats), stage1, max_len=160)
+    assert stage1.batches == batches
+    assert seq.mask.sum() == 130
+    for i in (0, 64, 129):
+        (single,) = model.forward([feats[i]])
+        assert np.abs(seq.vectors[i] - single.pooled).max() <= 1e-12
 
 
 # ---------------------------------------------------------------- exports

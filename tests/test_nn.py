@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from aigmdet import nn
 from aigmdet.tensor import Tensor
 
-from util import finite_diff_check
+from util import composite_attention, composite_layer_norm, composite_linear, finite_diff_check
 
 CFG = nn.AttentionConfig(d_model=16, heads=4, ffn_dim=16)
 
@@ -172,6 +172,77 @@ def test_mha_gradients_self_and_cross(rng):
                       params, n_coords=4)
 
 
+# ---------------------------------------------------------------- fused nodes
+def fused_case(kind, rng):
+    """(fused forward, composite forward, inputs, module) of one fused node;
+    every input requires grad, and the attention cases carry a key mask."""
+    if kind.startswith("linear"):
+        lin = nn.Linear(16, 5, rng)
+        x = Tensor(rng.normal(size=(4, 16) if kind == "linear_2d" else (2, 3, 16)),
+                   requires_grad=True)
+        return (lambda: lin(x)), (lambda: composite_linear(lin, x)), [x], lin
+    if kind == "layer_norm":
+        ln = nn.LayerNorm(16)
+        ln.gain.data[:] = rng.normal(1.0, 0.3, 16)
+        ln.bias.data[:] = rng.normal(0.0, 0.3, 16)
+        x = Tensor(rng.normal(size=(2, 3, 16)) * 3 + 1, requires_grad=True)
+        return (lambda: ln(x)), (lambda: composite_layer_norm(x, ln.gain, ln.bias)), [x], ln
+    mha = nn.MultiHeadAttention(CFG, rng)
+    if kind == "self_attention":
+        q = k = v = Tensor(rng.normal(size=(3, 5, 16)), requires_grad=True)
+        mask = rng.random((3, 5)) > 0.4
+    else:  # shared [m, d] queries against a batched memory
+        q = Tensor(rng.normal(size=(4, 16)), requires_grad=True)
+        k = Tensor(rng.normal(size=(3, 6, 16)), requires_grad=True)
+        v = Tensor(rng.normal(size=(3, 6, 16)), requires_grad=True)
+        mask = rng.random((3, 6)) > 0.4
+    mask[:, 0] = True
+    inputs = [q] if q is k else [q, k, v]
+    return (lambda: mha(q, k, v, mask=mask)), \
+        (lambda: composite_attention(mha, q, k, v, mask=mask)), inputs, mha
+
+
+FUSED = ["linear_2d", "linear_3d", "layer_norm", "self_attention", "cross_attention"]
+
+
+@pytest.mark.parametrize("kind", FUSED)
+def test_fused_node_matches_composite_form(rng, kind):
+    """Forward bit for bit; every gradient to 1e-10 relative."""
+    fused, composite, inputs, module = fused_case(kind, rng)
+    tensors = inputs + list(module.parameters().values())
+    results = []
+    for form in (fused, composite):
+        for t in tensors:
+            t.zero_grad()
+        out = form()
+        (out * Tensor(np.random.default_rng(1).normal(size=out.shape))).sum().backward()
+        results.append((out.data, [t.grad for t in tensors]))
+    (out_f, grads_f), (out_c, grads_c) = results
+    assert out_f.tobytes() == out_c.tobytes()
+    for gf, gc in zip(grads_f, grads_c):
+        assert gf.shape == gc.shape
+        assert np.abs(gf - gc).max() <= 1e-10 * max(np.abs(gc).max(), 1e-300)
+
+
+@pytest.mark.parametrize("kind", FUSED)
+def test_fused_node_input_gradients(rng, kind):
+    """Central differences with respect to the inputs: Linear on 2-D and
+    3-D rows, LayerNorm's x, attention's q, k and v under a key mask."""
+    fused, _, inputs, _ = fused_case(kind, rng)
+    w = Tensor(np.random.default_rng(2).normal(size=fused().shape))
+    finite_diff_check(lambda: (fused() * w).sum(), inputs, rel_tol=1e-4)
+
+
+def test_fused_attention_masked_keys_get_zero_gradient(rng):
+    mha = nn.MultiHeadAttention(CFG, rng)
+    q = Tensor(rng.normal(size=(4, 16)))
+    kv = Tensor(rng.normal(size=(2, 5, 16)), requires_grad=True)
+    mask = np.array([[1, 1, 0, 1, 0], [1, 0, 0, 0, 0]], bool)
+    (mha(q, kv, kv, mask=mask) ** 2).sum().backward()
+    assert (kv.grad[~mask] == 0.0).all()
+    assert (np.abs(kv.grad[mask]).sum(axis=-1) > 0).all()
+
+
 # ---------------------------------------------------------------- blocks
 def zero_output_projections(module):
     for name, p in module.parameters().items():
@@ -305,6 +376,29 @@ def test_adam_zero_grad_keeps_params():
     state = nn.OptimState(lr=0.1, weight_decay=0.0)
     nn.adam_step({"theta": theta}, state)
     assert np.array_equal(theta.data, [1.0, 2.0])
+
+
+def test_adam_leaves_shared_gradients_alone():
+    """x + y hands x and y one gradient array; each still gets the update
+    it would get alone, so adam_step writes into no .grad."""
+    rng = np.random.default_rng(3)
+    a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    b = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    start = {"a": a.data.copy(), "b": b.data.copy()}
+    ((a + b) * Tensor(rng.normal(size=(3, 4)))).sum().backward()
+    assert np.shares_memory(a.grad, b.grad)
+    grad = a.grad.copy()
+    state = nn.OptimState(lr=0.1, weight_decay=0.01)
+    for _ in range(3):
+        nn.adam_step({"a": a, "b": b}, state)
+    assert np.array_equal(a.grad, grad) and np.array_equal(b.grad, grad)
+    for name, p in (("a", a), ("b", b)):
+        alone = Tensor(start[name].copy(), requires_grad=True)
+        alone.grad = grad.copy()
+        alone_state = nn.OptimState(lr=0.1, weight_decay=0.01)
+        for _ in range(3):
+            nn.adam_step({name: alone}, alone_state)
+        assert np.array_equal(p.data, alone.data)
 
 
 def test_adam_minimizes_quadratic():

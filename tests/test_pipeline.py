@@ -130,10 +130,10 @@ def test_model_checkpoint_round_trip(tmp_path, arch, build):
     rng = np.random.default_rng(0)
     if arch == "audiocat":
         x = rng.normal(size=(5, 24))
-        assert loaded.forward(x).logit == model.forward(x).logit
+        assert loaded.forward([x])[0].logit == model.forward([x])[0].logit
     elif arch == "fxseg":
         x = rng.normal(size=32)
-        assert loaded.forward(x).logit == model.forward(x).logit
+        assert loaded.forward([x])[0].logit == model.forward([x])[0].logit
     else:
         seq = EmbeddingSequence(rng.normal(size=(6, 12)), np.ones(6, dtype=bool))
         assert loaded.forward(seq).logit == model.forward(seq).logit

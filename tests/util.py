@@ -1,8 +1,10 @@
 """Shared test helpers: finite-difference gradient checking, synthetic
 signal construction, a content-keyed random feature extractor, the direct
 forms of the resampler, the beat DP and the AUC that the vectorised ones
-are checked against, and the whole-array forms of log-mel, track rendering
-and WAV writing that the bounded-memory ones must match bit for bit."""
+are checked against, the whole-array forms of log-mel, track rendering
+and WAV writing that the bounded-memory ones must match bit for bit, and
+the composite (primitive-by-primitive) forms of nn's fused Linear,
+layer_norm and attention nodes."""
 
 import struct
 import zlib
@@ -14,6 +16,7 @@ from aigmdet.audio import AudioBuffer
 from aigmdet.beats import DP_TIGHTNESS
 from aigmdet.dsp import FRAME_LEN, HOP, LOG_EPS, mel_filterbank, stft
 from aigmdet.extractors import FeatureExtractor
+from aigmdet.tensor import Tensor
 
 
 def finite_diff_check(loss_fn, params, h=1e-5, rel_tol=1e-4, n_coords=None, rng=None):
@@ -199,3 +202,43 @@ def wav_bytes(buf):
             + b"fmt " + struct.pack("<IHHIIHH", 16, 1, channels, rate, rate * channels * 2,
                                     channels * 2, 16)
             + b"data" + struct.pack("<I", len(interleaved)) + interleaved)
+
+
+def composite_linear(lin, x):
+    """`nn.Linear` as a matrix product and a bias add on the tape."""
+    if x.ndim == 2:
+        return x @ lin.weight + lin.bias
+    rows = x.reshape(-1, x.shape[-1]) @ lin.weight + lin.bias
+    return rows.reshape(*x.shape[:-1], lin.bias.shape[0])
+
+
+def composite_layer_norm(x, gain, bias, eps=1e-5):
+    """`nn.layer_norm` from mean, subtract, multiply, sqrt and divide nodes."""
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    return centered / (var + eps).sqrt() * gain + bias
+
+
+def composite_attention(mha, q, k, v, mask=None):
+    """`nn.MultiHeadAttention` with composite projections and its core
+    (head split, scaled scores, -inf key bias, softmax, A V, head merge)
+    recorded node by node."""
+    heads, head_dim = mha.cfg.heads, mha.cfg.head_dim
+
+    def split_heads(x):
+        *lead, n, _ = x.shape
+        b = len(lead)
+        return x.reshape(*lead, n, heads, head_dim).transpose(*range(b), b + 1, b, b + 2)
+
+    keys = split_heads(composite_linear(mha.wk, k))
+    b = keys.ndim - 2
+    scores = (split_heads(composite_linear(mha.wq, q)) @ keys.transpose(*range(b), b + 1, b)) \
+        * (1.0 / np.sqrt(head_dim))
+    if mask is not None:
+        scores = scores + Tensor(np.where(mask, 0.0, -np.inf)[..., None, None, :])
+    out = scores.softmax(axis=-1) @ split_heads(composite_linear(mha.wv, v))
+    *lead, _, m, _ = out.shape
+    b = len(lead)
+    out = out.transpose(*range(b), b + 1, b, b + 2).reshape(*lead, m, mha.cfg.d_model)
+    return composite_linear(mha.wo, out)
