@@ -1,5 +1,5 @@
-"""Waveform ingestion, rate/channel normalization, and pitch shift and
-time stretch (phase vocoder) for perturbing test audio.
+"""Waveform ingestion and rate/channel normalization: WAV I/O, to_mono
+and a polyphase resampler.
 
 WAV support is deliberately narrow: RIFF/WAVE with PCM 16-bit or IEEE
 float32 on read, PCM 16-bit on write.
@@ -38,14 +38,6 @@ class InvalidRate(AudioError):
     pass
 
 
-class OutOfRangeShift(AudioError):
-    pass
-
-
-class OutOfRangeFactor(AudioError):
-    pass
-
-
 MIN_RATE, MAX_RATE = 8000, 192000
 
 
@@ -76,9 +68,6 @@ class AudioBuffer:
     @property
     def duration(self) -> float:
         return self.frames / self.sample_rate
-
-    def copy(self) -> "AudioBuffer":
-        return AudioBuffer(self.samples.copy(), self.sample_rate)
 
     def slice_seconds(self, start_s: float, end_s: float) -> "AudioBuffer":
         """A view of [start_s, end_s): it shares the samples of this buffer."""
@@ -123,15 +112,14 @@ def load_wav(path) -> AudioBuffer:
     audio_fmt, channels, rate, _, _, bits = fmt
     if channels < 1:
         raise MalformedHeader("zero channels")
-    if audio_fmt == 1 and bits == 16:
-        raw = np.frombuffer(data, dtype="<i2").astype(np.float64) / 32768.0
-    elif audio_fmt == 3 and bits == 32:
-        raw = np.frombuffer(data, dtype="<f4").astype(np.float64)
-    else:
+    if (audio_fmt, bits) not in ((1, 16), (3, 32)):
         raise UnsupportedEncoding(f"format {audio_fmt}/{bits}-bit not supported")
-
-    if raw.size % channels:
+    if len(data) % (channels * bits // 8):
         raise TruncatedData("data length not a multiple of frame size")
+    if audio_fmt == 1:
+        raw = np.frombuffer(data, dtype="<i2").astype(np.float64) / 32768.0
+    else:
+        raw = np.frombuffer(data, dtype="<f4").astype(np.float64)
     samples = raw.reshape(-1, channels).T
     return AudioBuffer(samples, rate)
 
@@ -207,90 +195,12 @@ def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
     """Polyphase resampling at the reduced ratio up/down = target/source rate.
     Where up > _MAX_PHASES, source/target is replaced by its closest fraction
     with a denominator <= _MAX_PHASES; the true output rate is then within
-    0.05% of target_rate."""
+    0.05% of target_rate.  A buffer already at target_rate is returned as
+    it is."""
     if not (MIN_RATE <= target_rate <= MAX_RATE):
         raise InvalidRate(f"target rate {target_rate}")
     if target_rate == buf.sample_rate:
-        return buf.copy()
+        return buf
     ratio = Fraction(buf.sample_rate, target_rate).limit_denominator(_MAX_PHASES)
     return AudioBuffer(_resample(buf.samples, ratio.denominator, ratio.numerator),
                        target_rate)
-
-
-# ----------------------------------------------------------------------
-# phase vocoder (frame 1024, hop 256, Hann)
-_PV_FRAME = 1024
-_PV_HOP = 256
-
-
-def _stretch_channel(x: np.ndarray, factor: float) -> np.ndarray:
-    """Stretch one channel; factor is a playback-speed multiplier."""
-    n_out = int(round(len(x) / factor))
-    if len(x) < _PV_FRAME * 2:
-        # too short for vocoding; fall back to linear interpolation
-        src = np.linspace(0, len(x) - 1, n_out) if len(x) else np.zeros(0)
-        return np.interp(src, np.arange(len(x)), x) if len(x) else np.zeros(n_out)
-
-    syn_hop = _PV_HOP
-    ana_hop = max(1, int(round(_PV_HOP * factor)))
-    window = np.hanning(_PV_FRAME)
-    n_frames = 1 + (len(x) - _PV_FRAME) // ana_hop
-
-    starts = np.arange(n_frames) * ana_hop
-    frames = np.stack([x[s:s + _PV_FRAME] for s in starts]) * window
-    spectra = np.fft.rfft(frames, axis=1)
-    mags = np.abs(spectra)
-    phases = np.angle(spectra)
-
-    bin_freqs = 2.0 * np.pi * np.arange(_PV_FRAME // 2 + 1) / _PV_FRAME
-    out_len = (n_frames - 1) * syn_hop + _PV_FRAME
-    out = np.zeros(out_len)
-    norm = np.zeros(out_len)
-
-    syn_phase = phases[0].copy()
-    win_sq = window * window
-    for i in range(n_frames):
-        if i == 0:
-            frame_spec = mags[0] * np.exp(1j * syn_phase)
-        else:
-            delta = phases[i] - phases[i - 1] - bin_freqs * ana_hop
-            delta = delta - 2.0 * np.pi * np.round(delta / (2.0 * np.pi))
-            true_freq = bin_freqs + delta / ana_hop
-            syn_phase = syn_phase + true_freq * syn_hop
-            frame_spec = mags[i] * np.exp(1j * syn_phase)
-        seg = np.fft.irfft(frame_spec) * window
-        s = i * syn_hop
-        out[s:s + _PV_FRAME] += seg
-        norm[s:s + _PV_FRAME] += win_sq
-
-    out = out / np.maximum(norm, 1e-8)
-    if len(out) >= n_out:
-        return out[:n_out]
-    return np.concatenate([out, np.zeros(n_out - len(out))])
-
-
-def time_stretch(buf: AudioBuffer, factor: float) -> AudioBuffer:
-    """Change duration by 1/factor while preserving pitch."""
-    if not 0.5 <= factor <= 2.0:
-        raise OutOfRangeFactor(f"factor {factor} outside [0.5, 2.0]")
-    if factor == 1.0:
-        return buf.copy()
-    out = np.stack([_stretch_channel(ch, factor) for ch in buf.samples])
-    return AudioBuffer(out, buf.sample_rate)
-
-
-# pitch_shift resamples by 2^(-s/12) as a fraction with at most this
-# denominator, which keeps the kernel table below 2000 phases
-_PITCH_MAX_DENOMINATOR = 1000
-
-
-def pitch_shift(buf: AudioBuffer, semitones: int) -> AudioBuffer:
-    """Shift pitch by resampling then stretching back to original length."""
-    if abs(semitones) > 12:
-        raise OutOfRangeShift(f"|semitones| must be <= 12, got {semitones}")
-    if semitones == 0:
-        return buf.copy()
-    ratio = Fraction(2.0 ** (-semitones / 12.0)).limit_denominator(_PITCH_MAX_DENOMINATOR)
-    resampled = _resample(buf.samples, ratio.numerator, ratio.denominator)
-    return time_stretch(AudioBuffer(resampled, buf.sample_rate), float(ratio))
-

@@ -49,7 +49,6 @@ class BeatGrid:
     start: float
     period: float  # one bar, downbeat to downbeat
     count: int
-    meter: int = 4
     residual_rms: float = 0.0
 
     def __post_init__(self):

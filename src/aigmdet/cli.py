@@ -22,7 +22,7 @@ import numpy as np
 from . import pipeline, training
 from .audio import AudioError, load_wav
 from .beats import BeatError, export_boundaries_csv
-from .data import DataError, Manifest, split_dataset
+from .data import DataError, Manifest, read_lines, split_dataset
 from .dsp import TooShort
 from .extractors import (SEGMENT_EMBED_DIM, DspVectorExtractor, EmbeddingFileError,
                          EmbeddingSequence, ExtractorError, get_extractor,
@@ -43,13 +43,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_config_file(path) -> dict:
     values = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#") or "=" not in line:
-                continue
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+    for line in read_lines(path):
+        line = line.strip()
+        if not line or line.startswith("#") or "=" not in line:
+            continue
+        key, _, value = line.partition("=")
+        values[key.strip()] = value.strip()
     return values
 
 

@@ -26,6 +26,16 @@ class TooFewEntries(DataError):
     pass
 
 
+def read_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file (a manifest or a --config file), line
+    ends as written; DataError names a file that is not UTF-8."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            return fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc})") from None
+
+
 @dataclass
 class ManifestEntry:
     path: str
@@ -67,24 +77,23 @@ class Manifest:
     @staticmethod
     def load(path) -> "Manifest":
         entries = []
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header[:2]] != ["path", "label"]:
-                raise DataError("manifest must start with header path,label[,split]")
-            for row in reader:
-                if not row:
-                    continue
-                where = f"{path}, line {reader.line_num}"
-                if len(row) < 2:
-                    raise DataError(f"{where}: expected path,label[,split], got {row!r}")
-                try:
-                    label = int(row[1])
-                except ValueError:
-                    raise DataError(f"{where}: label must be 0 or 1, "
-                                    f"got {row[1]!r}") from None
-                split = row[2].strip() if len(row) > 2 else ""
-                entries.append(ManifestEntry(row[0], label, split))
+        reader = csv.reader(read_lines(path))
+        header = next(reader, None)
+        if header is None or [h.strip() for h in header[:2]] != ["path", "label"]:
+            raise DataError("manifest must start with header path,label[,split]")
+        for row in reader:
+            if not row:
+                continue
+            where = f"{path}, line {reader.line_num}"
+            if len(row) < 2:
+                raise DataError(f"{where}: expected path,label[,split], got {row!r}")
+            try:
+                label = int(row[1])
+            except ValueError:
+                raise DataError(f"{where}: label must be 0 or 1, "
+                                f"got {row[1]!r}") from None
+            split = row[2].strip() if len(row) > 2 else ""
+            entries.append(ManifestEntry(row[0], label, split))
         return Manifest(entries, name=Path(path).stem)
 
 

@@ -172,6 +172,8 @@ def load_precomputed(path) -> EmbeddingSequence:
     version, n, d = struct.unpack_from("<III", blob, 4)
     if version != _EMB_VERSION:
         raise BadMagic(f"unsupported EMB1 version {version}")
+    if n and not d:
+        raise DimMismatch(f"header declares {n} vectors of dim 0")
     payload = blob[16:]
     expected = 4 * n * d
     if len(payload) != expected:

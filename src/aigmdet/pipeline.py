@@ -18,7 +18,7 @@ from .data import DataError
 from .dsp import ANALYSIS_RATE, FRAME_LEN, HOP, log_mel, onset_envelope
 from .extractors import FeatureExtractor, get_extractor
 from .models import (AudioCAT, DetectorOutput, FXSegment, SegmentTransformer,
-                     features_to_sequence, segment_features)
+                     segment_features, track_to_sequence)
 from .nn import AttentionConfig, ShapeMismatch
 
 
@@ -94,8 +94,9 @@ def track_features_for_path(path, extractor: FeatureExtractor) -> Iterator[np.nd
 
 
 def track_sequence_for_path(path, stage1, extractor: FeatureExtractor):
-    """WAV path -> stage-2 input sequence (see models.track_to_sequence)."""
-    return features_to_sequence(track_features_for_path(path, extractor), stage1)
+    """WAV path -> beat grid -> stage-2 input sequence (models.track_to_sequence)."""
+    mono = analysis_buffer(load_wav(path))
+    return track_to_sequence(mono, analyze_beats(mono).grid, stage1, extractor)
 
 
 def build_stage2_dataset(entries, stage1, extractor: FeatureExtractor) -> list:

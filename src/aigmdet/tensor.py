@@ -3,8 +3,10 @@
 Everything downstream (attention blocks, losses, the three detectors) is
 built on the tape here: the primitives below, plus nn's fused layer nodes
 (Linear, layer_norm, the attention core), each made with `node` and a
-hand-written backward rule.  Gradients are checked against central finite
-differences in the test suite, so keep backward rules exact.
+hand-written backward rule.  The primitives are the ones the models, the
+losses and the tests' composite reference forms use; matmul takes only
+operands with two or more dims.  Gradients are checked against central
+finite differences in the test suite, so keep backward rules exact.
 
 Gradients are read-only.  A backward rule may hand one array to several
 parents (x + y gives x and y the same incoming gradient), and the first
@@ -94,9 +96,6 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -139,9 +138,6 @@ class Tensor:
     def __sub__(self, other):
         return self + (-self._lift(other))
 
-    def __rsub__(self, other):
-        return self._lift(other) + (-self)
-
     def __mul__(self, other):
         other = self._lift(other)
         out_data = self.data * other.data
@@ -170,9 +166,6 @@ class Tensor:
 
         return node(out_data, (self, other), backward)
 
-    def __rtruediv__(self, other):
-        return self._lift(other) / self
-
     def __pow__(self, exponent: float):
         if not np.isscalar(exponent):
             raise TypeError("only scalar exponents are supported")
@@ -188,63 +181,30 @@ class Tensor:
         return node(out_data, (self,), backward)
 
     def __matmul__(self, other):
+        """Matrix product of operands with >= 2 dims (stacks broadcast)."""
         other = self._lift(other)
+        if self.data.ndim < 2 or other.data.ndim < 2:
+            raise AutogradError(f"matmul needs operands with >= 2 dims, got "
+                                f"{self.data.shape} @ {other.data.shape}")
         out_data = np.matmul(self.data, other.data)
 
         def backward(out):
             if self.requires_grad:
-                if other.data.ndim == 1:
-                    g = np.multiply.outer(out.grad, other.data) if self.data.ndim > 1 else out.grad * other.data
-                else:
-                    g = np.matmul(out.grad if out.grad.ndim > 1 else out.grad[None, :],
-                                  np.swapaxes(other.data, -1, -2))
-                    if self.data.ndim == 1:
-                        g = g.reshape(self.data.shape)
-                self._accumulate(_unbroadcast(np.asarray(g), self.data.shape))
+                g = np.matmul(out.grad, np.swapaxes(other.data, -1, -2))
+                self._accumulate(_unbroadcast(g, self.data.shape))
             if other.requires_grad:
-                if self.data.ndim == 1:
-                    g = np.multiply.outer(self.data, out.grad) if other.data.ndim > 1 else self.data * out.grad
-                else:
-                    og = out.grad if out.grad.ndim > 1 else out.grad[:, None]
-                    g = np.matmul(np.swapaxes(self.data, -1, -2), og)
-                    if other.data.ndim == 1:
-                        g = g.reshape(other.data.shape)
-                other._accumulate(_unbroadcast(np.asarray(g), other.data.shape))
+                g = np.matmul(np.swapaxes(self.data, -1, -2), out.grad)
+                other._accumulate(_unbroadcast(g, other.data.shape))
 
         return node(out_data, (self, other), backward)
 
     # -- elementwise nonlinearities -------------------------------------
-    def exp(self):
-        out_data = np.exp(self.data)
-
-        def backward(out):
-            if self.requires_grad:
-                self._accumulate(out.grad * out.data)
-
-        return node(out_data, (self,), backward)
-
-    def log(self):
-        def backward(out):
-            if self.requires_grad:
-                self._accumulate(out.grad / self.data)
-
-        return node(np.log(self.data), (self,), backward)
-
     def sqrt(self):
         out_data = np.sqrt(self.data)
 
         def backward(out):
             if self.requires_grad:
                 self._accumulate(out.grad * 0.5 / out.data)
-
-        return node(out_data, (self,), backward)
-
-    def tanh(self):
-        out_data = np.tanh(self.data)
-
-        def backward(out):
-            if self.requires_grad:
-                self._accumulate(out.grad * (1.0 - out.data**2))
 
         return node(out_data, (self,), backward)
 

@@ -4,12 +4,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aigmdet import audio
-from aigmdet.audio import (AudioBuffer, InvalidRate, MalformedHeader,
-                           OutOfRangeFactor, OutOfRangeShift, UnsupportedEncoding,
-                           load_wav, pitch_shift, resample, save_wav, time_stretch,
-                           to_mono)
+from aigmdet.audio import (AudioBuffer, InvalidRate, MalformedHeader, TruncatedData,
+                           UnsupportedEncoding, load_wav, resample, save_wav, to_mono)
 
-from util import direct_resample_channel, fft_peak_hz, sine_buffer
+from util import direct_resample_channel, fft_peak_hz, raw_wav, sine_buffer
 
 
 # ---------------------------------------------------------------- wav io
@@ -87,6 +85,15 @@ def test_unsupported_encoding(tmp_path):
               + b"data" + struct.pack("<I", 4) + b"\x00" * 4)
     path.write_bytes(header)
     with pytest.raises(UnsupportedEncoding):
+        load_wav(path)
+
+
+@pytest.mark.parametrize("fmt,channels,bits,size", [
+    (1, 1, 16, 201), (3, 1, 32, 202), (1, 2, 16, 402)], ids=["pcm16", "float32", "pcm16_stereo"])
+def test_data_chunk_not_whole_frames(fmt, channels, bits, size, tmp_path):
+    path = tmp_path / "odd.wav"
+    path.write_bytes(raw_wav(fmt, channels, bits, b"\x00" * size))
+    with pytest.raises(TruncatedData):
         load_wav(path)
 
 
@@ -206,51 +213,7 @@ def test_resample_rare_rate_bounds_phases(src, monkeypatch):
     assert abs(fft_peak_hz(out) - 1000) <= 16000 / out.frames
 
 
-# ---------------------------------------------------------------- stretch/shift
-def test_time_stretch_identity_bit_exact():
-    buf = sine_buffer(440, 0.5)
-    out = time_stretch(buf, 1.0)
-    assert np.array_equal(out.samples, buf.samples)
-
-
-def test_time_stretch_length():
-    buf = sine_buffer(440, 1.0)
-    out = time_stretch(buf, 0.8)
-    assert abs(out.frames - 20000) <= 1024
-
-
-def test_time_stretch_preserves_pitch():
-    buf = sine_buffer(440, 1.0)
-    out = time_stretch(buf, 1.25)
-    assert abs(out.frames - 12800) <= 1024
-    assert abs(fft_peak_hz(out) - 440) <= 5
-
-
-def test_time_stretch_range():
-    with pytest.raises(OutOfRangeFactor):
-        time_stretch(sine_buffer(440, 0.5), 2.5)
-
-
-def test_pitch_shift_identity_bit_exact():
-    buf = sine_buffer(440, 0.5)
-    assert np.array_equal(pitch_shift(buf, 0).samples, buf.samples)
-
-
-@pytest.mark.parametrize("semitones,expected", [(2, 493.88), (-2, 392.0)])
-def test_pitch_shift_moves_tone(semitones, expected):
-    buf = sine_buffer(440, 1.0)
-    out = pitch_shift(buf, semitones)
-    assert abs(fft_peak_hz(out) - expected) <= 5
-    assert abs(out.frames - buf.frames) <= 1024
-
-
-def test_pitch_shift_range():
-    with pytest.raises(OutOfRangeShift):
-        pitch_shift(sine_buffer(440, 0.5), 13)
-
-
 def test_outputs_stay_finite():
     rng = np.random.default_rng(3)
     buf = AudioBuffer(rng.uniform(-1, 1, size=(1, 8000)), 16000)
-    for out in (time_stretch(buf, 0.8), pitch_shift(buf, 2), resample(buf, 22050)):
-        assert np.isfinite(out.samples).all()
+    assert np.isfinite(resample(buf, 22050).samples).all()

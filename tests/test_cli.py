@@ -14,6 +14,8 @@ from aigmdet.data import Manifest, ManifestEntry, render_track
 from aigmdet.extractors import get_extractor
 from aigmdet.models import SegmentTransformer
 
+from util import raw_wav
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -424,6 +426,35 @@ def test_ssm_bad_input_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.emb"
     path.write_bytes(b"XXXX" + b"\x00" * 12)
     assert run(["ssm", str(path), "--out", str(tmp_path / "s")]) == EXIT_IO
+
+
+# each ends in error: and exit 2, not in a numpy ValueError or a
+# UnicodeDecodeError traceback
+@pytest.mark.parametrize("case", ["beats_odd_wav", "predict_odd_wav", "train_manifest",
+                                  "eval_manifest", "train_config", "ssm_emb1_dim_0"])
+def test_unreadable_input_exits_2(case, corpus, stage1_ckpt, tmp_path, capsys):
+    bad_text = tmp_path / "latin1.txt"
+    bad_text.write_bytes(b"path,label\nch\xffur.wav,0\n")
+    emb = tmp_path / "d0.emb"
+    emb.write_bytes(b"EMB1" + struct.pack("<III", 1, 3, 0))  # 3 vectors of dim 0
+    odd = tmp_path / "odd.wav"
+    odd.write_bytes(raw_wav(1, 1, 16, b"\x00" * 201))  # PCM16: 100.5 frames
+    out = str(tmp_path / "out")
+    argv = {
+        "beats_odd_wav": ["beats", str(odd), "--out", out],
+        "predict_odd_wav": ["predict", "--ckpt", str(stage1_ckpt), "--audio", str(odd)],
+        "train_manifest": ["train", "--arch", "audiocat", "--manifest", str(bad_text),
+                           "--out", out],
+        "eval_manifest": ["eval", "--ckpt", str(stage1_ckpt), "--manifest", str(bad_text)],
+        "train_config": ["train", "--arch", "audiocat", "--manifest", str(corpus["manifest"]),
+                         "--config", str(bad_text), "--out", out],
+        "ssm_emb1_dim_0": ["ssm", str(emb), "--out", out],
+    }[case]
+    assert run(argv) == EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    if case.endswith(("_manifest", "_config")):
+        assert str(bad_text) in captured.err
 
 
 # ---------------------------------------------------------------- config plumbing

@@ -153,6 +153,14 @@ def test_embedding_file_dim_mismatch(tmp_path):
         load_precomputed(path)
 
 
+def test_embedding_file_dim_zero(tmp_path):
+    import struct
+    path = tmp_path / "d0.emb"
+    path.write_bytes(b"EMB1" + struct.pack("<III", 1, 3, 0))
+    with pytest.raises(DimMismatch):
+        load_precomputed(path)
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(1, 10), st.integers(1, 16), st.integers(0, 100))
 def test_embedding_round_trip_property(n, d, seed):

@@ -1,0 +1,72 @@
+"""The three readers of outside files (load_wav, load_precomputed and
+Manifest.load) on truncated, byte-edited and arbitrary input: each either
+reads the file or raises its documented error, which the CLI maps to exit 2.
+Any other exception fails the test."""
+
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from aigmdet.audio import AudioBuffer, AudioError, load_wav
+from aigmdet.data import DataError, Manifest
+from aigmdet.extractors import EmbeddingFileError, load_precomputed
+
+from util import raw_wav, wav_bytes
+
+
+_rng = np.random.default_rng(0)
+VALID = {
+    "pcm16": wav_bytes(AudioBuffer(_rng.uniform(-1, 1, (2, 50)), 16000)),
+    "float32": raw_wav(3, 1, 32, _rng.uniform(-1, 1, 60).astype("<f4").tobytes(), 22050),
+    "emb1": b"EMB1" + struct.pack("<III", 1, 3, 4) + _rng.normal(size=(3, 4)).astype("<f4").tobytes(),
+    "manifest": "path,label,split\nchœur.wav,0,train\nb.wav,1,test\n".encode("utf-8"),
+}
+# each reader and the errors it may raise
+READERS = {"pcm16": (load_wav, AudioError), "float32": (load_wav, AudioError),
+           "emb1": (load_precomputed, EmbeddingFileError),
+           "manifest": (Manifest.load, DataError)}
+_DATA_SIZE_AT = 40  # offset of the data chunk's size in a 44-byte WAV header
+
+fuzz = settings(max_examples=150, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _read_only_documented_errors(kind, blob, path):
+    reader, errors = READERS[kind]
+    path.write_bytes(blob)
+    try:
+        reader(path)
+    except errors:
+        pass
+
+
+@pytest.mark.parametrize("kind", list(READERS))
+@fuzz
+@given(cut=st.integers(0, 300))
+def test_truncated(kind, cut, tmp_path):
+    _read_only_documented_errors(kind, VALID[kind][:cut], tmp_path / kind)
+
+
+@pytest.mark.parametrize("kind", list(READERS))
+@fuzz
+@given(edits=st.lists(st.tuples(st.integers(0, 10_000), st.integers(0, 255)),
+                      min_size=1, max_size=4))
+# a data chunk that is not whole frames: 199 bytes of PCM16 or float32, 238 of float32
+@example(edits=[(_DATA_SIZE_AT, 199)])
+@example(edits=[(_DATA_SIZE_AT, 238)])
+def test_byte_edited(kind, edits, tmp_path):
+    blob = bytearray(VALID[kind])
+    for at, value in edits:
+        blob[at % len(blob)] = value
+    _read_only_documented_errors(kind, bytes(blob), tmp_path / kind)
+
+
+@pytest.mark.parametrize("kind", list(READERS))
+@fuzz
+@given(tail=st.binary(max_size=300), keep=st.integers(0, 64))
+def test_arbitrary_bytes(kind, tail, keep, tmp_path):
+    # keep a prefix of the valid file so the tail reaches past the magic
+    _read_only_documented_errors(kind, VALID[kind][:keep] + tail, tmp_path / kind)

@@ -204,6 +204,15 @@ def wav_bytes(buf):
             + b"data" + struct.pack("<I", len(interleaved)) + interleaved)
 
 
+def raw_wav(fmt: int, channels: int, bits: int, data: bytes, rate: int = 16000) -> bytes:
+    """A RIFF/WAVE file of `data` as given; fmt 1 is PCM, 3 is IEEE float."""
+    block = channels * bits // 8
+    return (b"RIFF" + struct.pack("<I", 36 + len(data)) + b"WAVE"
+            + b"fmt " + struct.pack("<IHHIIHH", 16, fmt, channels, rate, rate * block,
+                                    block, bits)
+            + b"data" + struct.pack("<I", len(data)) + data)
+
+
 def composite_linear(lin, x):
     """`nn.Linear` as a matrix product and a bias add on the tape."""
     if x.ndim == 2:
