@@ -85,6 +85,8 @@ def load_wav(path) -> AudioBuffer:
             blob = fh.read()
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
+    except ValueError as exc:  # a NUL byte in the path
+        raise IoFailure(f"{path!r}: {exc}") from exc
 
     if len(blob) < 12 or blob[:4] != b"RIFF" or blob[8:12] != b"WAVE":
         raise MalformedHeader("not a RIFF/WAVE file")

@@ -76,15 +76,18 @@ class Manifest:
 
     @staticmethod
     def load(path) -> "Manifest":
-        entries = []
         reader = csv.reader(read_lines(path))
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["path", "label"]:
+        try:
+            rows = [(reader.line_num, row) for row in reader]
+        except csv.Error as exc:  # such as a field over csv.field_size_limit()
+            raise DataError(f"{path}, line {reader.line_num}: {exc}") from None
+        if not rows or [h.strip() for h in rows[0][1][:2]] != ["path", "label"]:
             raise DataError("manifest must start with header path,label[,split]")
-        for row in reader:
+        entries = []
+        for line, row in rows[1:]:
             if not row:
                 continue
-            where = f"{path}, line {reader.line_num}"
+            where = f"{path}, line {line}"
             if len(row) < 2:
                 raise DataError(f"{where}: expected path,label[,split], got {row!r}")
             try:

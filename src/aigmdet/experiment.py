@@ -16,7 +16,6 @@ from .audio import load_wav
 from .data import Manifest, ManifestEntry, split_dataset, synth_dataset
 from .extractors import SEGMENT_EMBED_DIM, DspVectorExtractor
 from .models import AudioCAT, SegmentTransformer, features_to_sequence, segment_features
-from .nn import AttentionConfig
 from .pipeline import analysis_buffer, analyze_beats
 from .training import TrainConfig, TrainResult, evaluate, train
 
@@ -69,8 +68,8 @@ def _stage1_examples(tracks) -> list:
     return data
 
 
-def _stage2_examples(tracks, stage1, max_len: int) -> list:
-    return [(features_to_sequence(t.vectors, stage1, max_len), t.label) for t in tracks]
+def _stage2_examples(tracks, stage1) -> list:
+    return [(features_to_sequence(t.vectors, stage1), t.label) for t in tracks]
 
 
 def _check_splits(labels, name: str):
@@ -82,26 +81,21 @@ def _check_splits(labels, name: str):
 
 
 def run_seed(tracks, manifest: Manifest, seed: int,
-             stage1_cfg: TrainConfig, stage2_cfg: TrainConfig,
-             attn: AttentionConfig | None = None, max_len: int = 48,
-             log=None) -> SeedResult:
-    attn = attn or AttentionConfig()
+             stage1_cfg: TrainConfig, stage2_cfg: TrainConfig, log=None) -> SeedResult:
     split = split_dataset(manifest, seed=seed)
     by_path = {t.path: t for t in tracks}
     subsets = {name: [by_path[e.path] for e in entries]
                for name, entries in zip(SPLITS, split.subsets(*SPLITS))}
 
-    stage1 = AudioCAT(d_enc=SEGMENT_EMBED_DIM, cfg=attn, seed=seed)
+    stage1 = AudioCAT(d_enc=SEGMENT_EMBED_DIM, seed=seed)
     s1_result = train(stage1, _stage1_examples(subsets["train"]),
                       _stage1_examples(subsets["val"]), stage1_cfg, log=log)
 
-    stage2 = SegmentTransformer(d_in=attn.d_model, cfg=attn, max_len=max_len,
-                                seed=seed)
-    s2_result = train(stage2, _stage2_examples(subsets["train"], stage1, max_len),
-                      _stage2_examples(subsets["val"], stage1, max_len),
-                      stage2_cfg, log=log)
+    stage2 = SegmentTransformer(d_in=stage1.cfg.d_model, seed=seed)
+    s2_result = train(stage2, _stage2_examples(subsets["train"], stage1),
+                      _stage2_examples(subsets["val"], stage1), stage2_cfg, log=log)
 
-    test_data = _stage2_examples(subsets["test"], stage1, max_len)
+    test_data = _stage2_examples(subsets["test"], stage1)
     scores = [stage2.forward(seq).probability for seq, _ in test_data]
     labels = [y for _, y in test_data]
     report = evaluate(scores, labels)

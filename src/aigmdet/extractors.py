@@ -17,6 +17,7 @@ from .audio import AudioBuffer
 from .dsp import ANALYSIS_RATE, N_MELS, TooShort, dsp_embed, log_mel
 
 SEQ_FRAME_LEN = 512
+# segments of a track that stage 1 analyses; the default segtr max_len
 MAX_SEQ_LEN = 48
 # whole-segment DspVectorExtractor dimension of the experiment and `ssm`
 SEGMENT_EMBED_DIM = 512
@@ -66,20 +67,6 @@ class EmbeddingSequence:
     @property
     def dim(self) -> int:
         return self.vectors.shape[1]
-
-
-def pad_or_crop(seq: EmbeddingSequence, max_len: int = MAX_SEQ_LEN) -> EmbeddingSequence:
-    """Pad with masked zero rows or keep the first max_len rows."""
-    n, d = seq.vectors.shape
-    if n == max_len:
-        return seq
-    if n > max_len:
-        return EmbeddingSequence(seq.vectors[:max_len].copy(), seq.mask[:max_len].copy())
-    vectors = np.zeros((max_len, d))
-    vectors[:n] = seq.vectors
-    mask = np.zeros(max_len, dtype=bool)
-    mask[:n] = seq.mask
-    return EmbeddingSequence(vectors, mask)
 
 
 # ----------------------------------------------------------------------

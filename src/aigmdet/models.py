@@ -19,13 +19,14 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from . import nn
 from .audio import AudioBuffer
 from .beats import BeatGrid, segment_bars
-from .extractors import EmbeddingSequence, FeatureExtractor, MAX_SEQ_LEN, pad_or_crop
+from .extractors import EmbeddingSequence, FeatureExtractor, MAX_SEQ_LEN
 from .nn import AllMasked, AttentionConfig, ShapeMismatch
 from .tensor import Tensor, concat, no_grad
 
@@ -58,6 +59,21 @@ def _batch_loss(model, xs, ys, loss_fn) -> Tensor:
     """Mean of loss_fn over one minibatch, recorded as one tape."""
     logits, _ = model.forward_tensor(xs)
     return loss_fn(logits, np.asarray(ys)).mean()
+
+
+def _pad_batch(masks, *fields) -> list[np.ndarray]:
+    """The [B x n] mask and each field as [B x n x ...], of examples with
+    [n_i] row masks and one [n_i x ...] array a field: n is one past the
+    batch's last valid row, so only masked rows are cut or zero-padded.
+    AllMasked if an example has no valid row."""
+    if not all(np.any(m) for m in masks):
+        raise AllMasked("an example has no valid rows")
+    n = 1 + max(int(np.flatnonzero(m)[-1]) for m in masks)
+    out = [np.zeros((len(masks), n, *a[0].shape[1:]), a[0].dtype) for a in (masks, *fields)]
+    for arrays, padded in zip((masks, *fields), out):
+        for i, a in enumerate(arrays):
+            padded[i, :len(a)] = a[:n]
+    return out
 
 
 @dataclass
@@ -116,10 +132,11 @@ class AudioCAT(nn.Module):
         """Logits [B] and pooled outputs [B x d_model] of a list of feature
         maps ([T_i x d_enc], or one [d_enc] vector as T_i = 1).
 
-        Shorter maps are zero-padded to the longest and the padding is
-        masked out of the memory, as are frames where masks[i] is False."""
+        Frames where masks[i] is False are masked out of the memory, and the
+        batch is padded by _pad_batch: with no masks, to its longest map."""
         feats = [np.atleast_2d(np.asarray(f, dtype=np.float64)) for f in batch]
-        masks = [None] * len(feats) if masks is None else list(masks)
+        masks = ([np.ones(len(f), dtype=bool) for f in feats] if masks is None
+                 else [np.asarray(m, dtype=bool) for m in masks])
         if len(masks) != len(feats):
             raise ShapeMismatch(f"{len(masks)} masks for {len(feats)} feature maps")
         for f, m in zip(feats, masks):
@@ -127,17 +144,13 @@ class AudioCAT(nn.Module):
                 raise EmptySequence("empty feature sequence")
             if f.shape[1] != self.d_enc:
                 raise ShapeMismatch(f"features dim {f.shape[1]} vs d_enc {self.d_enc}")
-            if m is not None and np.shape(m) != (f.shape[0],):
-                raise ShapeMismatch(f"mask shape {np.shape(m)} vs {f.shape[0]} frames")
-        t = max(f.shape[0] for f in feats)
-        padded = np.zeros((len(feats), t, self.d_enc))
-        mem_mask = np.zeros((len(feats), t), dtype=bool)
-        for i, (f, m) in enumerate(zip(feats, masks)):
-            padded[i, :len(f)] = f
-            mem_mask[i, :len(f)] = True if m is None else m
+            if m.shape != (f.shape[0],):
+                raise ShapeMismatch(f"mask shape {m.shape} vs {f.shape[0]} frames")
+        mem_mask, padded = _pad_batch(masks, feats)
         if mem_mask.all():
             mem_mask = None
-        memory = self.in_proj(Tensor(padded)) + nn.sinusoidal_positions(t, self.cfg.d_model)
+        memory = (self.in_proj(Tensor(padded))
+                  + nn.sinusoidal_positions(padded.shape[1], self.cfg.d_model))
         x = self.queries  # [n_queries x d], broadcast over the batch
         for block in self.blocks:
             x = block(x, memory, mem_mask=mem_mask)
@@ -234,28 +247,27 @@ class SegmentTransformer(nn.Module):
 
     def forward_tensor(self, batch) -> tuple[Tensor, Tensor]:
         """Logits [B] and pooled outputs [B x 2 d_model] of a list of
-        max_len sequences.
+        sequences of any length, of which the first max_len rows are read.
 
-        Rows after the batch's last valid segment are cropped: masked rows
-        never reach valid ones, so only the rounding of the result changes.
-        SSM rows keep all max_len columns, the structure projection's width."""
-        for seq in batch:
-            if seq.length != self.max_len:
-                raise ShapeMismatch(f"sequence length {seq.length}, expected {self.max_len}")
+        The batch is padded by _pad_batch: rows after its last valid segment
+        are dropped, since masked rows never reach valid ones.  SSM rows are
+        zero-padded to max_len columns, the structure projection's width."""
+        seqs = [EmbeddingSequence(s.vectors[:self.max_len], s.mask[:self.max_len])
+                for s in batch]
+        for seq in seqs:
             if seq.dim != self.d_in:
                 raise ShapeMismatch(f"sequence dim {seq.dim} vs d_in {self.d_in}")
-            if not seq.mask.any():
-                raise AllMasked("no valid segments in the sequence")
-        n = 1 + max(int(np.flatnonzero(seq.mask)[-1]) for seq in batch)
-        mask = np.stack([seq.mask[:n] for seq in batch])
-        pos = nn.sinusoidal_positions(n, self.cfg.d_model)
+        mask, vectors, ssm = _pad_batch(
+            [seq.mask for seq in seqs], [seq.vectors for seq in seqs],
+            [np.pad(self_similarity(seq).matrix, ((0, 0), (0, self.max_len - seq.length)))
+             for seq in seqs])
+        pos = nn.sinusoidal_positions(mask.shape[1], self.cfg.d_model)
 
-        xa = self.content_proj(Tensor(np.stack([seq.vectors[:n] for seq in batch]))) + pos
+        xa = self.content_proj(Tensor(vectors)) + pos
         for block in self.content_blocks:
             xa = block(xa, mask=mask)
         pooled_a = self._masked_mean(xa, mask)
 
-        ssm = np.stack([self_similarity(seq).matrix[:n] for seq in batch])
         xb = self.structure_proj(Tensor(ssm)) + pos
         for block in self.structure_blocks:
             xb = block(xb, mask=mask)
@@ -298,26 +310,24 @@ def _frame_batches(features) -> Iterator[list]:
         yield batch
 
 
-def features_to_sequence(features, stage1,
-                         max_len: int = MAX_SEQ_LEN) -> EmbeddingSequence:
-    """Pooled stage-1 representations of per-segment features, padded/cropped.
+def features_to_sequence(features, stage1) -> EmbeddingSequence:
+    """Pooled stage-1 representations of the first MAX_SEQ_LEN segments'
+    features, unpadded; later segments are never read.
 
     Stage 1 runs once a batch of segments (see _frame_batches), and an
     iterator of features is read one batch at a time: a segment of a
     seq-512 track holds hundreds of frames, so it is a batch alone and one
     segment's feature map is live at once, while the one-frame vectors of
     a short track all go in one batch."""
-    vectors = np.stack([out.pooled for batch in _frame_batches(features)
+    vectors = np.stack([out.pooled for batch in _frame_batches(islice(features, MAX_SEQ_LEN))
                         for out in stage1.forward(batch)])
-    seq = EmbeddingSequence(vectors, np.ones(len(vectors), dtype=bool))
-    return pad_or_crop(seq, max_len)
+    return EmbeddingSequence(vectors, np.ones(len(vectors), dtype=bool))
 
 
 def track_to_sequence(track: AudioBuffer, grid: BeatGrid, stage1,
-                      extractor: FeatureExtractor,
-                      max_len: int = MAX_SEQ_LEN) -> EmbeddingSequence:
+                      extractor: FeatureExtractor) -> EmbeddingSequence:
     """Stage-2 input of a track: segment_features, then features_to_sequence."""
-    return features_to_sequence(segment_features(track, grid, extractor), stage1, max_len)
+    return features_to_sequence(segment_features(track, grid, extractor), stage1)
 
 
 # ----------------------------------------------------------------------

@@ -185,6 +185,9 @@ def scorer(ckpt, stage1_ckpt=None) -> Callable[[object], DetectorOutput]:
     if not stage1_ckpt:
         raise DataError(f"{ckpt}: a segtr checkpoint needs --stage1-ckpt")
     stage1, extractor, _ = load_stage1(stage1_ckpt)
+    if stage1.cfg.d_model != model.d_in:
+        raise DataError(f"{stage1_ckpt}: stage 1 gives {stage1.cfg.d_model}-wide vectors, "
+                        f"the segtr in {ckpt} reads d_in {model.d_in}")
     return lambda path: model.forward(track_sequence_for_path(path, stage1, extractor))
 
 

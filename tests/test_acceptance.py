@@ -11,7 +11,7 @@ from aigmdet.beats import segment_bars
 from aigmdet.data import (Manifest, ManifestEntry, render_track,
                           split_dataset)
 from aigmdet.extractors import (DspSequenceExtractor, EmbeddingSequence,
-                                load_precomputed, pad_or_crop,
+                                load_precomputed,
                                 save_embeddings)
 from aigmdet.models import (AudioCAT, FXSegment, SegmentTransformer,
                             self_similarity)

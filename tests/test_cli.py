@@ -11,7 +11,7 @@ from aigmdet import cli, models, nn, pipeline
 from aigmdet.audio import AudioBuffer, load_wav, save_wav
 from aigmdet.cli import EXIT_IO, EXIT_MUSIC, EXIT_OK, EXIT_USAGE, main
 from aigmdet.data import Manifest, ManifestEntry, render_track
-from aigmdet.extractors import get_extractor
+from aigmdet.extractors import EmbeddingSequence, get_extractor
 from aigmdet.models import SegmentTransformer
 
 from util import raw_wav
@@ -387,6 +387,27 @@ def test_predict_full_mode(tracks, stage1_ckpt, stage2_ckpt, capsys):
     assert f"probability={stage2.forward(seq).probability:.6f}" in captured
 
 
+# a segtr reads the first max_len segments: all of the long track's, or 1 of them
+@pytest.mark.parametrize("max_len", [32, 1])
+def test_segtr_of_any_max_len_scores(max_len, corpus, tracks, stage1_ckpt, tmp_path,
+                                     capsys):
+    path = tmp_path / "segtr.aigm"
+    pipeline.save_model(path, SegmentTransformer(d_in=128, max_len=max_len, seed=0), "segtr")
+    args = ["--ckpt", str(path), "--stage1-ckpt", str(stage1_ckpt)]
+    assert run(["eval", *args, "--manifest", str(tracks["manifest"])]) == EXIT_OK
+    assert run(["predict", *args, "--audio", str(corpus["long"])]) == EXIT_OK
+    printed = capsys.readouterr().out.splitlines()[-1]
+    stage1, _, preset = pipeline.load_model(stage1_ckpt)
+    stage2, _, _ = pipeline.load_model(path)
+    buf = load_wav(corpus["long"])
+    seq = models.track_to_sequence(pipeline.analysis_buffer(buf),
+                                   pipeline.analyze_beats(buf).grid,
+                                   stage1, get_extractor(preset))
+    assert 2 <= len(seq.vectors) < 32
+    first = EmbeddingSequence(seq.vectors[:max_len], seq.mask[:max_len])
+    assert printed.startswith(f"probability={stage2.forward(first).probability:.6f} ")
+
+
 # a segtr checkpoint given as a stage 1 is refused by name, not run
 @pytest.mark.parametrize("command", ["train", "eval", "predict"])
 def test_segtr_as_stage1_ckpt_exits_2(command, tracks, stage2_ckpt, tmp_path, capsys):
@@ -428,33 +449,56 @@ def test_ssm_bad_input_exits_2(tmp_path, capsys):
     assert run(["ssm", str(path), "--out", str(tmp_path / "s")]) == EXIT_IO
 
 
-# each ends in error: and exit 2, not in a numpy ValueError or a
-# UnicodeDecodeError traceback
+# each ends in error: and exit 2, not in a numpy ValueError, UnicodeDecodeError,
+# csv.Error, "embedded null byte" or ShapeMismatch traceback
 @pytest.mark.parametrize("case", ["beats_odd_wav", "predict_odd_wav", "train_manifest",
-                                  "eval_manifest", "train_config", "ssm_emb1_dim_0"])
-def test_unreadable_input_exits_2(case, corpus, stage1_ckpt, tmp_path, capsys):
+                                  "eval_manifest", "train_config", "ssm_emb1_dim_0",
+                                  "train_long_field", "eval_nul_path",
+                                  "predict_width_mismatch", "eval_width_mismatch"])
+def test_unreadable_input_exits_2(case, corpus, stage1_ckpt, tmp_path, monkeypatch,
+                                  capsys):
     bad_text = tmp_path / "latin1.txt"
     bad_text.write_bytes(b"path,label\nch\xffur.wav,0\n")
     emb = tmp_path / "d0.emb"
     emb.write_bytes(b"EMB1" + struct.pack("<III", 1, 3, 0))  # 3 vectors of dim 0
     odd = tmp_path / "odd.wav"
     odd.write_bytes(raw_wav(1, 1, 16, b"\x00" * 201))  # PCM16: 100.5 frames
+    long_field = tmp_path / "long.csv"  # a path over csv.field_size_limit()
+    long_field.write_text("path,label\n" + "x" * 200_000 + ",0\n")
+    nul = tmp_path / "nul.csv"
+    nul.write_text("path,label,split\na\x00b.wav,0,test\n")
+    # a stage 1 of d_model 16 under a segtr that reads d_in 128
+    narrow, segtr = tmp_path / "narrow.aigm", tmp_path / "segtr.aigm"
+    pipeline.save_model(narrow, models.AudioCAT(d_enc=512, cfg=nn.AttentionConfig(
+        d_model=16, heads=2, ffn_dim=32)), "audiocat", "seq-512")
+    pipeline.save_model(segtr, pipeline.build_model("segtr", seed=0), "segtr")
     out = str(tmp_path / "out")
-    argv = {
-        "beats_odd_wav": ["beats", str(odd), "--out", out],
-        "predict_odd_wav": ["predict", "--ckpt", str(stage1_ckpt), "--audio", str(odd)],
-        "train_manifest": ["train", "--arch", "audiocat", "--manifest", str(bad_text),
-                           "--out", out],
-        "eval_manifest": ["eval", "--ckpt", str(stage1_ckpt), "--manifest", str(bad_text)],
-        "train_config": ["train", "--arch", "audiocat", "--manifest", str(corpus["manifest"]),
-                         "--config", str(bad_text), "--out", out],
-        "ssm_emb1_dim_0": ["ssm", str(emb), "--out", out],
+    argv, named = {
+        "beats_odd_wav": (["beats", str(odd), "--out", out], []),
+        "predict_odd_wav": (["predict", "--ckpt", str(stage1_ckpt), "--audio", str(odd)], []),
+        "train_manifest": (["train", "--arch", "audiocat", "--manifest", str(bad_text),
+                            "--out", out], [bad_text]),
+        "eval_manifest": (["eval", "--ckpt", str(stage1_ckpt), "--manifest", str(bad_text)],
+                          [bad_text]),
+        "train_config": (["train", "--arch", "audiocat", "--manifest", str(corpus["manifest"]),
+                          "--config", str(bad_text), "--out", out], [bad_text]),
+        "ssm_emb1_dim_0": (["ssm", str(emb), "--out", out], []),
+        "train_long_field": (["train", "--arch", "audiocat", "--manifest", str(long_field),
+                              "--out", out], [f"{long_field}, line 2"]),
+        "eval_nul_path": (["eval", "--ckpt", str(stage1_ckpt), "--manifest", str(nul)],
+                          ["a\\x00b.wav"]),
+        "predict_width_mismatch": (["predict", "--ckpt", str(segtr), "--stage1-ckpt",
+                                    str(narrow), "--audio", corpus["clip"]], [narrow, segtr]),
+        "eval_width_mismatch": (["eval", "--ckpt", str(segtr), "--stage1-ckpt", str(narrow),
+                                 "--manifest", str(corpus["manifest"])], [narrow, segtr]),
     }[case]
+    if case.endswith("_width_mismatch"):  # refused before any WAV is read
+        monkeypatch.setattr(pipeline, "load_wav", lambda path: pytest.fail(f"read {path}"))
     assert run(argv) == EXIT_IO
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
-    if case.endswith(("_manifest", "_config")):
-        assert str(bad_text) in captured.err
+    for name in named:
+        assert str(name) in captured.err
 
 
 # ---------------------------------------------------------------- config plumbing

@@ -4,11 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aigmdet.audio import AudioBuffer
-from aigmdet.extractors import (MAX_SEQ_LEN, BadMagic, DimMismatch,
+from aigmdet.extractors import (BadMagic, DimMismatch,
                                 DspSequenceExtractor, DspVectorExtractor,
                                 EmbeddingSequence, ExtractorError,
                                 RateMismatch, Truncated, get_extractor,
-                                load_precomputed, pad_or_crop, save_embeddings)
+                                load_precomputed, save_embeddings)
 
 from util import RandomStubExtractor, sine_buffer
 
@@ -23,27 +23,6 @@ def test_sequence_container_basics():
 def test_sequence_mask_length_checked():
     with pytest.raises(ExtractorError):
         EmbeddingSequence(np.ones((3, 4)), np.array([True, True]))
-
-
-def test_pad_short_sequence():
-    seq = EmbeddingSequence(np.ones((3, 4)), np.ones(3, dtype=bool))
-    out = pad_or_crop(seq, 6)
-    assert out.vectors.shape == (6, 4)
-    assert out.mask.tolist() == [True] * 3 + [False] * 3
-    assert np.array_equal(out.vectors[3:], np.zeros((3, 4)))
-
-
-def test_crop_keeps_first_rows():
-    vectors = np.arange(50, dtype=np.float64)[:, None] * np.ones((1, 2))
-    seq = EmbeddingSequence(vectors, np.ones(50, dtype=bool))
-    out = pad_or_crop(seq)
-    assert out.vectors.shape == (MAX_SEQ_LEN, 2)
-    assert np.array_equal(out.vectors[:, 0], np.arange(48.0))
-
-
-def test_pad_or_crop_exact_length_is_noop():
-    seq = EmbeddingSequence(np.ones((48, 2)), np.ones(48, dtype=bool))
-    assert pad_or_crop(seq) is seq
 
 
 # ---------------------------------------------------------------- extractors

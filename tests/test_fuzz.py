@@ -1,7 +1,8 @@
 """The three readers of outside files (load_wav, load_precomputed and
-Manifest.load) on truncated, byte-edited and arbitrary input: each either
-reads the file or raises its documented error, which the CLI maps to exit 2.
-Any other exception fails the test."""
+Manifest.load) on truncated, byte-edited and arbitrary input, and on
+manifest fields and WAV paths that hold control characters or run long:
+each either reads the file or raises its documented error, which the CLI
+maps to exit 2.  Any other exception fails the test."""
 
 import struct
 
@@ -70,3 +71,31 @@ def test_byte_edited(kind, edits, tmp_path):
 def test_arbitrary_bytes(kind, tail, keep, tmp_path):
     # keep a prefix of the valid file so the tail reaches past the magic
     _read_only_documented_errors(kind, VALID[kind][:keep] + tail, tmp_path / kind)
+
+
+# text with NUL and other control characters.  A field or path is a drawn
+# piece repeated: hypothesis draws no string as long as csv.field_size_limit()
+# (131,072 characters) or the 255-byte name limit of most file systems
+piece = st.text(st.characters(max_codepoint=0x7f) | st.characters(), min_size=1, max_size=4)
+repeats = st.sampled_from([1, 3, 100, 140_000])
+
+
+@fuzz
+@given(rows=st.lists(st.tuples(piece, repeats, st.sampled_from(["0", "1", "x"]), piece),
+                     min_size=1, max_size=3))
+@example(rows=[("x", 140_000, "0", "train")])
+@example(rows=[("a\x00b.wav", 1, "1", "\r")])
+def test_manifest_fields(rows, tmp_path):
+    text = "path,label,split\n" + "".join(
+        f"{path * n},{label},{split}\n" for path, n, label, split in rows)
+    _read_only_documented_errors("manifest", text.encode("utf-8"), tmp_path / "m.csv")
+
+
+@fuzz
+@given(name=piece.filter(lambda name: "/" not in name), n=repeats)  # stay in tmp_path
+@example(name="a\x00b.wav", n=1)
+def test_wav_paths(name, n, tmp_path):
+    try:
+        load_wav(tmp_path / (name * n))
+    except AudioError:
+        pass

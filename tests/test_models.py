@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aigmdet import nn
-from aigmdet.beats import BeatGrid
-from aigmdet.extractors import EmbeddingSequence, pad_or_crop
+from aigmdet.audio import AudioBuffer
+from aigmdet.beats import BeatGrid, segment_bars
+from aigmdet.extractors import MAX_SEQ_LEN, EmbeddingSequence
 from aigmdet.models import (STAGE1_BATCH_FRAMES, AudioCAT, DetectorOutput,
                             EmptySequence, FXSegment, SegmentTransformer,
                             export_ssm_csv, export_ssm_pgm, features_to_sequence,
@@ -186,10 +187,8 @@ def test_segtr_shapes_and_probability():
     assert 0.0 <= out.probability <= 1.0
 
 
-def test_segtr_rejects_wrong_length_or_dim():
+def test_segtr_rejects_wrong_dim():
     model = SegmentTransformer(d_in=10, cfg=SMALL, max_len=8)
-    with pytest.raises(ShapeMismatch):
-        model.forward(make_seq(np.random.default_rng(0), 3, max_len=6))
     bad = EmbeddingSequence(np.zeros((8, 9)), np.ones(8, dtype=bool))
     with pytest.raises(ShapeMismatch):
         model.forward(bad)
@@ -212,6 +211,36 @@ def test_segtr_padding_invisible():
     tampered[5:] = rng.normal(size=(3, 10)) * 50
     out = model.forward(EmbeddingSequence(tampered, seq.mask)).logit
     assert out == base  # bit-exact
+
+
+def test_segtr_reads_the_first_max_len_rows():
+    model = SegmentTransformer(d_in=6, cfg=SMALL, max_len=8, seed=5)
+    rng = np.random.default_rng(5)
+    long, short = seq_of(rng.normal(size=(12, 6))), seq_of(rng.normal(size=(3, 6)))
+    first = seq_of(long.vectors[:8])
+    out, want = model.forward(long), model.forward(first)
+    assert out.logit == want.logit and np.array_equal(out.pooled, want.pooled)
+    logits, pooled = model.forward_tensor([long, short])
+    want_logits, want_pooled = model.forward_tensor([first, short])
+    assert np.array_equal(logits.data, want_logits.data)
+    assert np.array_equal(pooled.data, want_pooled.data)
+
+
+@pytest.mark.parametrize("n", [1, 5, 8])
+def test_segtr_unpadded_scores_as_padded(n):
+    """A sequence scores bit for bit as itself padded with masked zero rows
+    to max_len, alone and in a batch."""
+    model = SegmentTransformer(d_in=6, cfg=SMALL, max_len=8, seed=6)
+    rng = np.random.default_rng(n)
+    seq, other = seq_of(rng.normal(size=(n, 6))), make_seq(rng, 6, d=6)
+    padded = EmbeddingSequence(np.zeros((8, 6)), np.arange(8) < n)
+    padded.vectors[:n] = seq.vectors
+    out, want = model.forward(seq), model.forward(padded)
+    assert out.logit == want.logit and np.array_equal(out.pooled, want.pooled)
+    logits, pooled = model.forward_tensor([seq, other])
+    want_logits, want_pooled = model.forward_tensor([padded, other])
+    assert np.array_equal(logits.data, want_logits.data)
+    assert np.array_equal(pooled.data, want_pooled.data)
 
 
 def test_segtr_gradients():
@@ -310,7 +339,7 @@ def test_batch_rejects_a_bad_example():
     with pytest.raises(ShapeMismatch):
         model.forward_tensor(xs + [np.zeros((3, 5))])
     with pytest.raises(ShapeMismatch):
-        model.forward_tensor(xs, [None, None, np.ones(2, bool)])
+        model.forward_tensor(xs, [np.ones(5, bool), np.ones(2, bool), np.ones(2, bool)])
     seg, seqs = batch_case("segtr")
     empty = EmbeddingSequence(np.zeros((8, 6)), np.zeros(8, dtype=bool))
     with pytest.raises(AllMasked):
@@ -324,10 +353,10 @@ def test_track_to_sequence_shapes():
     # stub is "vector" kind: AudioCAT treats a [d] vector as one token
     track = sine_buffer(440, 20.0)
     grid = BeatGrid(start=0.0, period=2.0, count=10)
-    seq = track_to_sequence(track, grid, stage1, ext, max_len=4)
-    assert seq.vectors.shape == (4, SMALL.d_model)
-    # 20 s / 8 s windows -> 2 segments valid
-    assert seq.mask.tolist() == [True, True, False, False]
+    seq = track_to_sequence(track, grid, stage1, ext)
+    # 20 s / 8 s windows -> 2 segments, unpadded
+    assert seq.vectors.shape == (2, SMALL.d_model)
+    assert seq.mask.tolist() == [True, True]
 
 
 class CountingStage1:
@@ -341,19 +370,43 @@ class CountingStage1:
         return self.model.forward(batch)
 
 
+class CountingExtractor(RandomStubExtractor):
+    calls = 0
+
+    def _extract(self, segment):
+        self.calls += 1
+        return super()._extract(segment)
+
+
+def test_a_track_of_50_segments_gives_the_first_48():
+    """Extraction and stage 1 stop at segment MAX_SEQ_LEN = 48."""
+    ext = CountingExtractor(8)
+    stage1 = CountingStage1(AudioCAT(d_enc=8, cfg=SMALL, n_layers=1, seed=0))
+    track = AudioBuffer(np.random.default_rng(8).normal(0.0, 0.1, (1, 50 * 16000)), 16000)
+    grid = BeatGrid(start=0.0, period=0.25, count=200)  # 50 segments of 1 s
+    seq = track_to_sequence(track, grid, stage1, ext)
+    assert ext.calls == MAX_SEQ_LEN and sum(stage1.batches) == MAX_SEQ_LEN
+    segments = segment_bars(track, grid).segments
+    assert len(segments) == 50
+    want = stage1.model.forward([ext(s) for s in segments[:MAX_SEQ_LEN]])
+    assert np.array_equal(seq.vectors, np.stack([out.pooled for out in want]))
+    assert seq.mask.all()
+
+
+# of 130 segments, the first MAX_SEQ_LEN = 48 are read
 @pytest.mark.parametrize("frames,batches", [
-    (1, [STAGE1_BATCH_FRAMES, STAGE1_BATCH_FRAMES, 2]),  # one-frame vectors
-    (STAGE1_BATCH_FRAMES // 3 + 1, [3] * 43 + [1]),
-    (STAGE1_BATCH_FRAMES + 1, [1] * 130)])  # a long map is a batch alone
+    (1, [48]),  # one-frame vectors: 48 frames, under STAGE1_BATCH_FRAMES
+    (STAGE1_BATCH_FRAMES // 3 + 1, [3] * 16),
+    (STAGE1_BATCH_FRAMES + 1, [1] * 48)])  # a long map is a batch alone
 def test_features_to_sequence_batches_by_frames(frames, batches):
     model = AudioCAT(d_enc=8, cfg=SMALL, n_layers=1, seed=0)
     rng = np.random.default_rng(9)
     feats = [rng.normal(size=(frames, 8) if frames > 1 else 8) for _ in range(130)]
     stage1 = CountingStage1(model)
-    seq = features_to_sequence(iter(feats), stage1, max_len=160)
+    seq = features_to_sequence(iter(feats), stage1)
     assert stage1.batches == batches
-    assert seq.mask.sum() == 130
-    for i in (0, 64, 129):
+    assert seq.vectors.shape == (MAX_SEQ_LEN, SMALL.d_model) and seq.mask.all()
+    for i in (0, 31, 47):
         (single,) = model.forward([feats[i]])
         assert np.abs(seq.vectors[i] - single.pooled).max() <= 1e-12
 

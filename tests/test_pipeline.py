@@ -64,9 +64,9 @@ def test_track_sequence_for_path(tmp_path):
     save_wav(render_track(0, 120, 24.0, 16000, np.random.default_rng(0)), path)
     stage1 = AudioCAT(d_enc=512, cfg=SMALL, seed=0)
     seq = pipeline.track_sequence_for_path(path, stage1, get_extractor("seq-512"))
-    assert seq.vectors.shape == (48, SMALL.d_model)
-    # 24 s track, 8 s four-bar windows -> about 3 valid segments
-    assert 2 <= seq.mask.sum() <= 3
+    # 24 s track, 8 s four-bar windows -> about 3 segments, unpadded
+    assert 2 <= len(seq.vectors) <= 3 and seq.vectors.shape[1] == SMALL.d_model
+    assert seq.mask.all()
 
 
 def test_experiment_features_are_the_pipeline_features(tmp_path):
@@ -82,8 +82,8 @@ def test_experiment_features_are_the_pipeline_features(tmp_path):
     assert track.vectors.tobytes() == expected.tobytes()
 
     stage1 = AudioCAT(d_enc=SEGMENT_EMBED_DIM, cfg=SMALL, seed=0)
-    ((seq, label),) = experiment._stage2_examples([track], stage1, max_len=48)
-    want = track_to_sequence(mono, grid, stage1, extractor, max_len=48)
+    ((seq, label),) = experiment._stage2_examples([track], stage1)
+    want = track_to_sequence(mono, grid, stage1, extractor)
     assert label == 1
     assert seq.vectors.tobytes() == want.vectors.tobytes()
     assert np.array_equal(seq.mask, want.mask)
