@@ -121,7 +121,11 @@ def load_wav(path) -> AudioBuffer:
     if audio_fmt == 1:
         raw = np.frombuffer(data, dtype="<i2").astype(np.float64) / 32768.0
     else:
-        raw = np.frombuffer(data, dtype="<f4").astype(np.float64)
+        raw = np.frombuffer(data, dtype="<f4")
+        # checked before the cast, which warns on a signalling NaN
+        if not np.isfinite(raw).all():
+            raise AudioError("float32 samples must be finite")
+        raw = raw.astype(np.float64)
     samples = raw.reshape(-1, channels).T
     return AudioBuffer(samples, rate)
 

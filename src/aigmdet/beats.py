@@ -67,7 +67,6 @@ class BeatGrid:
 class SegmentSet:
     segments: list  # AudioBuffer slices
     boundaries: list  # (start_s, end_s)
-    bars_per_segment: int
 
     def __len__(self):
         return len(self.segments)
@@ -227,11 +226,10 @@ def quantize_grid(downbeats: np.ndarray) -> BeatGrid:
                     count=len(d), residual_rms=rms)
 
 
-def segment_bars(track: AudioBuffer, grid: BeatGrid,
-                 bars_per_segment: int = 4) -> SegmentSet:
-    """Slice consecutive non-overlapping bars_per_segment windows from
-    grid.start; the incomplete tail is dropped."""
-    seg_len = bars_per_segment * grid.period
+def segment_bars(track: AudioBuffer, grid: BeatGrid) -> SegmentSet:
+    """Slice consecutive non-overlapping 4-bar windows from grid.start;
+    the incomplete tail is dropped."""
+    seg_len = 4 * grid.period
     duration = track.duration
     segments, boundaries = [], []
     t = grid.start
@@ -241,9 +239,9 @@ def segment_bars(track: AudioBuffer, grid: BeatGrid,
         t += seg_len
     if not segments:
         raise GridTooSparse(
-            f"track of {duration:.1f} s holds no {bars_per_segment}-bar window "
+            f"track of {duration:.1f} s holds no 4-bar window "
             f"({seg_len:.1f} s) from {grid.start:.2f} s")
-    return SegmentSet(segments, boundaries, bars_per_segment)
+    return SegmentSet(segments, boundaries)
 
 
 def export_boundaries_csv(boundaries, path):

@@ -19,14 +19,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import pipeline, training
+from . import experiment, pipeline, training
 from .audio import AudioError, load_wav
 from .beats import BeatError, export_boundaries_csv
 from .data import DataError, Manifest, read_lines, split_dataset
 from .dsp import TooShort
-from .extractors import (SEGMENT_EMBED_DIM, DspVectorExtractor, EmbeddingFileError,
-                         EmbeddingSequence, ExtractorError, get_extractor,
-                         load_precomputed)
+from .extractors import (EmbeddingFileError, EmbeddingSequence, ExtractorError,
+                         get_extractor, load_precomputed)
 from .models import export_ssm_csv, export_ssm_pgm, predict, self_similarity
 from .nn import CheckpointError
 from .training import PRESETS, DivergedLoss, TrainConfig, TrainingError, evaluate, train
@@ -151,8 +150,7 @@ def cmd_predict(args) -> int:
 def cmd_ssm(args) -> int:
     path = Path(args.input)
     if path.suffix.lower() == ".wav":
-        vectors = np.stack(list(pipeline.track_features_for_path(
-            path, DspVectorExtractor(SEGMENT_EMBED_DIM))))
+        vectors = experiment.track_vectors(path)
         seq = EmbeddingSequence(vectors, np.ones(len(vectors), dtype=bool))
     else:
         seq = load_precomputed(path)

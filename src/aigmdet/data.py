@@ -82,7 +82,8 @@ class Manifest:
         except csv.Error as exc:  # such as a field over csv.field_size_limit()
             raise DataError(f"{path}, line {reader.line_num}: {exc}") from None
         if not rows or [h.strip() for h in rows[0][1][:2]] != ["path", "label"]:
-            raise DataError("manifest must start with header path,label[,split]")
+            raise DataError(f"{path}, line 1: manifest must start with header "
+                            f"path,label[,split]")
         entries = []
         for line, row in rows[1:]:
             if not row:

@@ -46,15 +46,19 @@ class ExperimentResult:
     mean_auc: float
 
 
+def track_vectors(path) -> np.ndarray:
+    """[n_segments x SEGMENT_EMBED_DIM]: the WAV at `path` beat-aligned,
+    one DspVectorExtractor vector per 4-bar segment."""
+    mono = analysis_buffer(load_wav(path))
+    grid = analyze_beats(mono).grid
+    return np.stack(list(segment_features(mono, grid, DspVectorExtractor(SEGMENT_EMBED_DIM))))
+
+
 def extract_corpus(manifest: Manifest, log=None) -> list[TrackFeatures]:
     """Beat-align every track and embed its 4-bar segments."""
-    extractor = DspVectorExtractor(SEGMENT_EMBED_DIM)
     tracks = []
     for i, entry in enumerate(manifest.entries):
-        mono = analysis_buffer(load_wav(entry.path))
-        grid = analyze_beats(mono).grid
-        vectors = np.stack(list(segment_features(mono, grid, extractor)))
-        tracks.append(TrackFeatures(entry.path, entry.label, vectors))
+        tracks.append(TrackFeatures(entry.path, entry.label, track_vectors(entry.path)))
         if log and (i + 1) % 16 == 0:
             log(f"extracted {i + 1}/{len(manifest.entries)} tracks")
     return tracks

@@ -170,5 +170,8 @@ def load_precomputed(path) -> EmbeddingSequence:
         raise Truncated(f"expected {expected} payload bytes, got {len(payload)}")
     if n == 0:
         return EmbeddingSequence(np.zeros((0, max(d, 1))), np.zeros(0, dtype=bool))
-    vectors = np.frombuffer(payload, dtype="<f4").reshape(n, d).astype(np.float64)
-    return EmbeddingSequence(vectors, np.ones(n, dtype=bool))
+    raw = np.frombuffer(payload, dtype="<f4")
+    # checked before the cast, which warns on a signalling NaN
+    if not np.isfinite(raw).all():
+        raise EmbeddingFileError("embedding values must be finite")
+    return EmbeddingSequence(raw.reshape(n, d).astype(np.float64), np.ones(n, dtype=bool))

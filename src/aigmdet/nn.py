@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import Tensor, _unbroadcast, concat, no_grad, node
+from .tensor import Tensor, _unbroadcast, node
 
 
 class ShapeMismatch(Exception):
@@ -267,15 +267,6 @@ class MultiHeadAttention(Module):
         key_bias = self._key_bias(q, k, mask)
         return self.wo(attention(self.wq(q), self.wk(k), self.wv(v), self.cfg.heads, key_bias))
 
-    def attention_weights(self, q: Tensor, k: Tensor,
-                          mask: np.ndarray | None = None) -> np.ndarray:
-        """Post-softmax weights [..., heads, m, n]; inspection only."""
-        key_bias = self._key_bias(q, k, mask)
-        with no_grad():
-            qh, kh = (_split_heads(lin(t).data, self.cfg.heads)
-                      for lin, t in ((self.wq, q), (self.wk, k)))
-        return _attention_weights(qh, kh, key_bias)
-
 
 class FeedForward(Module):
     def __init__(self, cfg: AttentionConfig, rng: np.random.Generator):
@@ -352,13 +343,13 @@ def focal_loss(logit: Tensor, label, gamma: float = 2.0, alpha: float = 0.25) ->
 
 # ----------------------------------------------------------------------
 # optimizer
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class OptimState:
     lr: float = 1e-5
     weight_decay: float = 1e-6
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -367,7 +358,7 @@ class OptimState:
 def adam_step(params: dict[str, Tensor], state: OptimState):
     """Decoupled weight decay, then bias-corrected Adam, in place."""
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1**state.t
     bc2 = 1.0 - b2**state.t
     for name, p in params.items():
@@ -385,7 +376,7 @@ def adam_step(params: dict[str, Tensor], state: OptimState):
         v += (1.0 - b2) * g * g
         if state.weight_decay:
             p.data *= 1.0 - state.lr * state.weight_decay
-        p.data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        p.data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 # ----------------------------------------------------------------------
@@ -457,5 +448,5 @@ __all__ = [
     "FeedForward", "EncoderBlock", "DecoderBlock", "layer_norm", "attention",
     "sinusoidal_positions", "bce_loss", "focal_loss", "OptimState", "adam_step",
     "save_checkpoint", "load_checkpoint", "ShapeMismatch", "AllMasked",
-    "CheckpointError", "concat",
+    "CheckpointError",
 ]

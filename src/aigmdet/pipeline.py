@@ -6,7 +6,7 @@ checkpoint of either stage.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -18,7 +18,7 @@ from .data import DataError
 from .dsp import ANALYSIS_RATE, FRAME_LEN, HOP, log_mel, onset_envelope
 from .extractors import FeatureExtractor, get_extractor
 from .models import (AudioCAT, DetectorOutput, FXSegment, SegmentTransformer,
-                     segment_features, track_to_sequence)
+                     track_to_sequence)
 from .nn import AttentionConfig, ShapeMismatch
 
 
@@ -38,14 +38,9 @@ def analysis_buffer(buf: AudioBuffer) -> AudioBuffer:
     return mono
 
 
-def track_onset_envelope(buf: AudioBuffer) -> tuple[np.ndarray, float]:
-    """Onset envelope of the track and its frame hop in seconds."""
-    return onset_envelope(log_mel(analysis_buffer(buf))), HOP / ANALYSIS_RATE
-
-
 def analyze_beats(buf: AudioBuffer) -> BeatAnalysis:
     """onset -> tempo -> beats -> downbeats -> arithmetic grid."""
-    onset, hop_s = track_onset_envelope(buf)
+    onset, hop_s = onset_envelope(log_mel(analysis_buffer(buf))), HOP / ANALYSIS_RATE
     bpm = estimate_tempo(onset, hop_s)
     beats = track_beats(onset, bpm, hop_s)
     downbeats = pick_downbeats(beats, onset, hop_s)
@@ -84,13 +79,6 @@ def stage1_features(path, extractor: FeatureExtractor) -> np.ndarray:
 def build_stage1_dataset(entries, extractor: FeatureExtractor) -> list:
     """(features, label) pairs; one manifest entry = one short clip."""
     return [(stage1_features(e.path, extractor), e.label) for e in entries]
-
-
-def track_features_for_path(path, extractor: FeatureExtractor) -> Iterator[np.ndarray]:
-    """WAV path -> beat grid -> extractor features of each 4-bar segment
-    (see models.segment_features)."""
-    mono = analysis_buffer(load_wav(path))
-    return segment_features(mono, analyze_beats(mono).grid, extractor)
 
 
 def track_sequence_for_path(path, stage1, extractor: FeatureExtractor):

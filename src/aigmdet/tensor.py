@@ -3,10 +3,11 @@
 Everything downstream (attention blocks, losses, the three detectors) is
 built on the tape here: the primitives below, plus nn's fused layer nodes
 (Linear, layer_norm, the attention core), each made with `node` and a
-hand-written backward rule.  The primitives are the ones the models, the
-losses and the tests' composite reference forms use; matmul takes only
-operands with two or more dims.  Gradients are checked against central
-finite differences in the test suite, so keep backward rules exact.
+hand-written backward rule.  The primitives are the ones the models and
+the losses run, and no more; any other op is built on `node` the same
+way.  matmul takes only operands with two or more dims.  Gradients are
+checked against central finite differences in the test suite, so keep
+backward rules exact.
 
 Gradients are read-only.  A backward rule may hand one array to several
 parents (x + y gives x and y the same incoming gradient), and the first
@@ -126,18 +127,6 @@ class Tensor:
 
         return node(out_data, (self, other), backward)
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        def backward(out):
-            if self.requires_grad:
-                self._accumulate(-out.grad)
-
-        return node(-self.data, (self,), backward)
-
-    def __sub__(self, other):
-        return self + (-self._lift(other))
-
     def __mul__(self, other):
         other = self._lift(other)
         out_data = self.data * other.data
@@ -147,22 +136,6 @@ class Tensor:
                 self._accumulate(_unbroadcast(out.grad * other.data, self.data.shape))
             if other.requires_grad:
                 other._accumulate(_unbroadcast(out.grad * self.data, other.data.shape))
-
-        return node(out_data, (self, other), backward)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._lift(other)
-        out_data = self.data / other.data
-
-        def backward(out):
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(out.grad / other.data, self.data.shape))
-            if other.requires_grad:
-                other._accumulate(
-                    _unbroadcast(-out.grad * self.data / other.data**2, other.data.shape)
-                )
 
         return node(out_data, (self, other), backward)
 
@@ -199,15 +172,6 @@ class Tensor:
         return node(out_data, (self, other), backward)
 
     # -- elementwise nonlinearities -------------------------------------
-    def sqrt(self):
-        out_data = np.sqrt(self.data)
-
-        def backward(out):
-            if self.requires_grad:
-                self._accumulate(out.grad * 0.5 / out.data)
-
-        return node(out_data, (self,), backward)
-
     def sigmoid(self):
         x = self.data
         out_data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
@@ -246,20 +210,6 @@ class Tensor:
 
         return node(out_data, (self,), backward)
 
-    def softmax(self, axis: int = -1):
-        """Max-shifted softmax along `axis`; -inf entries map to exactly 0."""
-        shifted = self.data - np.max(self.data, axis=axis, keepdims=True)
-        e = np.exp(shifted)
-        out_data = e / e.sum(axis=axis, keepdims=True)
-
-        def backward(out):
-            if self.requires_grad:
-                y, g = out.data, out.grad
-                dot = (g * y).sum(axis=axis, keepdims=True)
-                self._accumulate((g - dot) * y)
-
-        return node(out_data, (self,), backward)
-
     # -- reductions / reshaping -----------------------------------------
     def sum(self, axis=None, keepdims: bool = False):
         out_data = self.data.sum(axis=axis, keepdims=keepdims)
@@ -287,18 +237,6 @@ class Tensor:
                 self._accumulate(out.grad.reshape(self.data.shape))
 
         return node(out_data, (self,), backward)
-
-    def transpose(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        axes = axes or tuple(reversed(range(self.data.ndim)))
-        inv = np.argsort(axes)
-
-        def backward(out):
-            if self.requires_grad:
-                self._accumulate(out.grad.transpose(inv))
-
-        return node(self.data.transpose(axes), (self,), backward)
 
     def __getitem__(self, idx):
         out_data = self.data[idx]

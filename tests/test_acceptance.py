@@ -20,7 +20,7 @@ from aigmdet.pipeline import analyze_beats
 from aigmdet.tensor import Tensor
 from aigmdet.training import TrainConfig, metrics, roc_auc, train
 
-from util import click_track, finite_diff_check
+from util import attention_weights, click_track, finite_diff_check
 
 TOY = AttentionConfig(d_model=16, heads=2, ffn_dim=32)
 
@@ -172,7 +172,7 @@ def test_criterion_2_attention_mask_invariants():
         mask = r.random(7) > 0.3
         if not mask.any():
             mask[0] = True
-        weights = mha.attention_weights(q, k, mask=mask)
+        weights = attention_weights(mha, q, k, mask=mask)
         sums = weights.sum(axis=-1)
         check(failures, np.abs(sums - 1.0).max() <= 1e-9,
               f"row sums off by {np.abs(sums - 1.0).max():.2e}")

@@ -2,6 +2,7 @@ import argparse
 import shlex
 import struct
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -449,12 +450,32 @@ def test_ssm_bad_input_exits_2(tmp_path, capsys):
     assert run(["ssm", str(path), "--out", str(tmp_path / "s")]) == EXIT_IO
 
 
+# float32 bit patterns; casting a signalling NaN to float64 warns
+NON_FINITE = {"nan": 0x7FC00000, "signalling_nan": 0x7FA00000, "inf": 0x7F800000}
+
+
+@pytest.mark.parametrize("value", list(NON_FINITE))
+@pytest.mark.parametrize("command", ["beats", "ssm"])
+def test_non_finite_float32_input_exits_2(command, value, tmp_path, capsys):
+    payload = np.zeros(16_000, dtype="<u4")
+    payload[100] = NON_FINITE[value]
+    path = tmp_path / ("in.wav" if command == "beats" else "in.emb")
+    path.write_bytes(raw_wav(3, 1, 32, payload.tobytes()) if command == "beats" else
+                     b"EMB1" + struct.pack("<III", 1, 4000, 4) + payload.tobytes())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run([command, str(path), "--out", str(tmp_path / "out")]) == EXIT_IO
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not list(tmp_path.glob("out*"))
+
+
 # each ends in error: and exit 2, not in a numpy ValueError, UnicodeDecodeError,
 # csv.Error, "embedded null byte" or ShapeMismatch traceback
 @pytest.mark.parametrize("case", ["beats_odd_wav", "predict_odd_wav", "train_manifest",
                                   "eval_manifest", "train_config", "ssm_emb1_dim_0",
                                   "train_long_field", "eval_nul_path",
-                                  "predict_width_mismatch", "eval_width_mismatch"])
+                                  "predict_width_mismatch", "eval_width_mismatch",
+                                  "train_manifest_header"])
 def test_unreadable_input_exits_2(case, corpus, stage1_ckpt, tmp_path, monkeypatch,
                                   capsys):
     bad_text = tmp_path / "latin1.txt"
@@ -467,6 +488,8 @@ def test_unreadable_input_exits_2(case, corpus, stage1_ckpt, tmp_path, monkeypat
     long_field.write_text("path,label\n" + "x" * 200_000 + ",0\n")
     nul = tmp_path / "nul.csv"
     nul.write_text("path,label,split\na\x00b.wav,0,test\n")
+    no_header = tmp_path / "nohdr.csv"
+    no_header.write_text("file,label\na.wav,0\n")
     # a stage 1 of d_model 16 under a segtr that reads d_in 128
     narrow, segtr = tmp_path / "narrow.aigm", tmp_path / "segtr.aigm"
     pipeline.save_model(narrow, models.AudioCAT(d_enc=512, cfg=nn.AttentionConfig(
@@ -491,6 +514,8 @@ def test_unreadable_input_exits_2(case, corpus, stage1_ckpt, tmp_path, monkeypat
                                     str(narrow), "--audio", corpus["clip"]], [narrow, segtr]),
         "eval_width_mismatch": (["eval", "--ckpt", str(segtr), "--stage1-ckpt", str(narrow),
                                  "--manifest", str(corpus["manifest"])], [narrow, segtr]),
+        "train_manifest_header": (["train", "--arch", "audiocat", "--manifest", str(no_header),
+                                   "--out", out], [f"error: {no_header}, line 1: "]),
     }[case]
     if case.endswith("_width_mismatch"):  # refused before any WAV is read
         monkeypatch.setattr(pipeline, "load_wav", lambda path: pytest.fail(f"read {path}"))

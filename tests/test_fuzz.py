@@ -85,10 +85,14 @@ repeats = st.sampled_from([1, 3, 100, 140_000])
                      min_size=1, max_size=3))
 @example(rows=[("x", 140_000, "0", "train")])
 @example(rows=[("a\x00b.wav", 1, "1", "\r")])
+@example(rows=[("0", 1, "0", "\ud800")])
 def test_manifest_fields(rows, tmp_path):
     text = "path,label,split\n" + "".join(
         f"{path * n},{label},{split}\n" for path, n, label, split in rows)
-    _read_only_documented_errors("manifest", text.encode("utf-8"), tmp_path / "m.csv")
+    # a lone surrogate has no UTF-8 form; surrogatepass writes the bytes it would
+    # have, which the reader must refuse as not UTF-8
+    _read_only_documented_errors("manifest", text.encode("utf-8", "surrogatepass"),
+                                 tmp_path / "m.csv")
 
 
 @fuzz

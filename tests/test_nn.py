@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from aigmdet import nn
 from aigmdet.tensor import Tensor
 
-from util import composite_attention, composite_layer_norm, composite_linear, finite_diff_check
+from util import (attention_weights, composite_attention, composite_layer_norm, composite_linear,
+                  finite_diff_check)
 
 CFG = nn.AttentionConfig(d_model=16, heads=4, ffn_dim=16)
 
@@ -79,13 +80,13 @@ def test_mha_batched_matches_per_example(rng):
     mask = rng.random((3, 6)) > 0.4
     mask[:, 0] = True
     out = mha(Tensor(q), Tensor(kv), Tensor(kv), mask=mask).data
-    weights = mha.attention_weights(Tensor(q), Tensor(kv), mask)
+    weights = attention_weights(mha, Tensor(q), Tensor(kv), mask)
     assert weights.shape == (3, CFG.heads, 4, 6)
     for i in range(3):
         single = mha(Tensor(q[i]), Tensor(kv[i]), Tensor(kv[i]), mask=mask[i]).data
         assert np.abs(out[i] - single).max() <= 1e-12
-        assert np.abs(weights[i] - mha.attention_weights(
-            Tensor(q[i]), Tensor(kv[i]), mask[i])).max() <= 1e-12
+        assert np.abs(weights[i] - attention_weights(
+            mha, Tensor(q[i]), Tensor(kv[i]), mask[i])).max() <= 1e-12
 
 
 def test_mha_shared_queries_broadcast_over_batch(rng):
@@ -137,7 +138,7 @@ def test_attention_rows_sum_to_one(rng):
     q = Tensor(rng.normal(size=(5, 16)))
     k = Tensor(rng.normal(size=(9, 16)))
     mask = np.array([1, 1, 0, 1, 0, 1, 1, 1, 0], bool)
-    weights = mha.attention_weights(q, k, mask)
+    weights = attention_weights(mha, q, k, mask)
     assert np.allclose(weights.sum(axis=-1), 1.0, atol=1e-9)
     assert (weights[:, :, ~mask] == 0.0).all()
     assert (weights >= 0).all()

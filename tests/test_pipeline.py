@@ -102,12 +102,12 @@ def test_track_resampled_once(tmp_path, monkeypatch):
         return resample(buf, rate)
 
     monkeypatch.setattr(pipeline, "resample", counting_resample)
-    features = list(pipeline.track_features_for_path(path, DspVectorExtractor(SEGMENT_EMBED_DIM)))
+    features = experiment.track_vectors(path)
     assert len(features) >= 1
     assert calls == [44100]
     (corpus_track,) = experiment.extract_corpus(Manifest([ManifestEntry(str(path), 0)]))
     assert calls == [44100, 44100]
-    assert corpus_track.vectors.tobytes() == np.stack(features).tobytes()
+    assert corpus_track.vectors.tobytes() == features.tobytes()
 
 
 # ---------------------------------------------------------------- checkpoints

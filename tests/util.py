@@ -2,21 +2,25 @@
 signal construction, a content-keyed random feature extractor, the direct
 forms of the resampler, the beat DP and the AUC that the vectorised ones
 are checked against, the whole-array forms of log-mel, track rendering
-and WAV writing that the bounded-memory ones must match bit for bit, and
-the composite (primitive-by-primitive) forms of nn's fused Linear,
-layer_norm and attention nodes."""
+and WAV writing that the bounded-memory ones must match bit for bit, the
+composite (node-by-node) forms of nn's fused Linear, layer_norm and
+attention nodes, and their post-softmax attention weights.
+
+The composite forms need five ops the models never run: sub, div, sqrt,
+softmax and transpose.  They live here, built on `tensor.node` like the
+tape's own primitives, so the tape holds only what the package runs."""
 
 import struct
 import zlib
 
 import numpy as np
 
-from aigmdet import data
+from aigmdet import data, nn
 from aigmdet.audio import AudioBuffer
 from aigmdet.beats import DP_TIGHTNESS
 from aigmdet.dsp import FRAME_LEN, HOP, LOG_EPS, mel_filterbank, stft
 from aigmdet.extractors import FeatureExtractor
-from aigmdet.tensor import Tensor
+from aigmdet.tensor import Tensor, _unbroadcast, no_grad, node
 
 
 def finite_diff_check(loss_fn, params, h=1e-5, rel_tol=1e-4, n_coords=None, rng=None):
@@ -213,6 +217,60 @@ def raw_wav(fmt: int, channels: int, bits: int, data: bytes, rate: int = 16000) 
             + b"data" + struct.pack("<I", len(data)) + data)
 
 
+def sub(a, b):
+    """a - b on the tape."""
+    def backward(out):
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(out.grad, a.shape))
+        if b.requires_grad:
+            b._accumulate(-_unbroadcast(out.grad, b.shape))
+
+    return node(a.data - b.data, (a, b), backward)
+
+
+def div(a, b):
+    """a / b on the tape."""
+    def backward(out):
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(out.grad / b.data, a.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(-out.grad * a.data / b.data**2, b.shape))
+
+    return node(a.data / b.data, (a, b), backward)
+
+
+def sqrt(x):
+    """Elementwise square root on the tape."""
+    def backward(out):
+        if x.requires_grad:
+            x._accumulate(out.grad * 0.5 / out.data)
+
+    return node(np.sqrt(x.data), (x,), backward)
+
+
+def softmax(x, axis=-1):
+    """Max-shifted softmax along `axis`; -inf entries map to exactly 0."""
+    e = np.exp(x.data - np.max(x.data, axis=axis, keepdims=True))
+
+    def backward(out):
+        if x.requires_grad:
+            y, g = out.data, out.grad
+            x._accumulate((g - (g * y).sum(axis=axis, keepdims=True)) * y)
+
+    return node(e / e.sum(axis=axis, keepdims=True), (x,), backward)
+
+
+def transpose(x, axes=None):
+    """x with its axes permuted (reversed by default) on the tape."""
+    axes = tuple(reversed(range(x.ndim))) if axes is None else tuple(axes)
+
+    def backward(out):
+        if x.requires_grad:
+            x._accumulate(out.grad.transpose(np.argsort(axes)))
+
+    return node(x.data.transpose(axes), (x,), backward)
+
+
 def composite_linear(lin, x):
     """`nn.Linear` as a matrix product and a bias add on the tape."""
     if x.ndim == 2:
@@ -223,10 +281,9 @@ def composite_linear(lin, x):
 
 def composite_layer_norm(x, gain, bias, eps=1e-5):
     """`nn.layer_norm` from mean, subtract, multiply, sqrt and divide nodes."""
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
+    centered = sub(x, x.mean(axis=-1, keepdims=True))
     var = (centered * centered).mean(axis=-1, keepdims=True)
-    return centered / (var + eps).sqrt() * gain + bias
+    return div(centered, sqrt(var + eps)) * gain + bias
 
 
 def composite_attention(mha, q, k, v, mask=None):
@@ -238,16 +295,26 @@ def composite_attention(mha, q, k, v, mask=None):
     def split_heads(x):
         *lead, n, _ = x.shape
         b = len(lead)
-        return x.reshape(*lead, n, heads, head_dim).transpose(*range(b), b + 1, b, b + 2)
+        return transpose(x.reshape(*lead, n, heads, head_dim), (*range(b), b + 1, b, b + 2))
 
     keys = split_heads(composite_linear(mha.wk, k))
     b = keys.ndim - 2
-    scores = (split_heads(composite_linear(mha.wq, q)) @ keys.transpose(*range(b), b + 1, b)) \
+    scores = (split_heads(composite_linear(mha.wq, q)) @ transpose(keys, (*range(b), b + 1, b))) \
         * (1.0 / np.sqrt(head_dim))
     if mask is not None:
         scores = scores + Tensor(np.where(mask, 0.0, -np.inf)[..., None, None, :])
-    out = scores.softmax(axis=-1) @ split_heads(composite_linear(mha.wv, v))
+    out = softmax(scores, axis=-1) @ split_heads(composite_linear(mha.wv, v))
     *lead, _, m, _ = out.shape
     b = len(lead)
-    out = out.transpose(*range(b), b + 1, b, b + 2).reshape(*lead, m, mha.cfg.d_model)
+    out = transpose(out, (*range(b), b + 1, b, b + 2)).reshape(*lead, m, mha.cfg.d_model)
     return composite_linear(mha.wo, out)
+
+
+def attention_weights(mha, q, k, mask=None):
+    """Post-softmax weights [..., heads, m, n] of `mha` over queries q and
+    keys k, from its projections and nn's own attention-core arithmetic."""
+    key_bias = mha._key_bias(q, k, mask)
+    with no_grad():
+        qh, kh = (nn._split_heads(lin(t).data, mha.cfg.heads)
+                  for lin, t in ((mha.wq, q), (mha.wk, k)))
+    return nn._attention_weights(qh, kh, key_bias)
