@@ -142,15 +142,6 @@ _EMB_MAGIC = b"EMB1"
 _EMB_VERSION = 1
 
 
-def save_embeddings(path, vectors: np.ndarray):
-    vectors = np.atleast_2d(np.asarray(vectors, dtype="<f4"))
-    n, d = vectors.shape
-    with open(path, "wb") as fh:
-        fh.write(_EMB_MAGIC)
-        fh.write(struct.pack("<III", _EMB_VERSION, n, d))
-        fh.write(np.ascontiguousarray(vectors).tobytes())
-
-
 def load_precomputed(path) -> EmbeddingSequence:
     with open(path, "rb") as fh:
         blob = fh.read()

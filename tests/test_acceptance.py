@@ -11,8 +11,7 @@ from aigmdet.beats import segment_bars
 from aigmdet.data import (Manifest, ManifestEntry, render_track,
                           split_dataset)
 from aigmdet.extractors import (DspSequenceExtractor, EmbeddingSequence,
-                                load_precomputed,
-                                save_embeddings)
+                                load_precomputed)
 from aigmdet.models import (AudioCAT, FXSegment, SegmentTransformer,
                             self_similarity)
 from aigmdet.nn import AttentionConfig
@@ -20,7 +19,7 @@ from aigmdet.pipeline import analyze_beats
 from aigmdet.tensor import Tensor
 from aigmdet.training import TrainConfig, metrics, roc_auc, train
 
-from util import attention_weights, click_track, finite_diff_check
+from util import attention_weights, click_track, finite_diff_check, save_embeddings
 
 TOY = AttentionConfig(d_model=16, heads=2, ffn_dim=32)
 

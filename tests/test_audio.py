@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,7 +13,7 @@ from aigmdet import audio
 from aigmdet.audio import (AudioBuffer, InvalidRate, MalformedHeader, TruncatedData,
                            UnsupportedEncoding, load_wav, resample, save_wav, to_mono)
 
-from util import direct_resample_channel, fft_peak_hz, raw_wav, sine_buffer
+from util import direct_resample_channel, fft_peak_hz, phase_loop_resample, raw_wav, sine_buffer
 
 
 # ---------------------------------------------------------------- wav io
@@ -107,6 +113,23 @@ def test_stereo_round_trip(tmp_path):
     assert np.abs(loaded.samples - buf.samples).max() <= 1.0 / 32768
 
 
+@pytest.mark.parametrize("channels", [1, 2, 3])
+@pytest.mark.parametrize("fmt", ["pcm16", "float32"])
+def test_load_wav_gives_contiguous_channel_rows(fmt, channels, tmp_path):
+    rng = np.random.default_rng(channels)
+    if fmt == "pcm16":
+        raw = rng.integers(-32768, 32768, size=1001 * channels).astype("<i2")
+        want = raw.astype(np.float64) / 32768.0
+    else:
+        raw = rng.uniform(-1, 1, size=1001 * channels).astype("<f4")
+        want = raw.astype(np.float64)
+    path = tmp_path / "x.wav"
+    path.write_bytes(raw_wav(1 if fmt == "pcm16" else 3, channels, 8 * raw.itemsize, raw.tobytes()))
+    samples = load_wav(path).samples
+    assert samples.flags.c_contiguous
+    assert samples.tobytes() == np.ascontiguousarray(want.reshape(-1, channels).T).tobytes()
+
+
 # ---------------------------------------------------------------- to_mono
 def test_to_mono_identity():
     buf = sine_buffer(440, 0.1)
@@ -118,6 +141,15 @@ def test_to_mono_mean():
     buf = AudioBuffer(np.array([[1.0, 0.5], [-1.0, 0.1]]), 16000)
     out = to_mono(buf)
     assert np.allclose(out.samples, [[0.0, 0.3]])
+
+
+def test_to_mono_of_loaded_stereo_is_the_interleaved_mean(tmp_path):
+    raw = np.random.default_rng(0).integers(-32768, 32768, size=2 * 44100).astype("<i2")
+    path = tmp_path / "st.wav"
+    path.write_bytes(raw_wav(1, 2, 16, raw.tobytes(), rate=44100))
+    # the mean over the strided channel view of the interleaved decode
+    want = (raw.astype(np.float64) / 32768.0).reshape(-1, 2).T.mean(axis=0, keepdims=True)
+    assert to_mono(load_wav(path)).samples.tobytes() == want.tobytes()
 
 
 @settings(max_examples=25, deadline=None)
@@ -193,6 +225,76 @@ def test_resample_repeatable_bit_for_bit():
     # a fresh copy of the input sits at another address
     second = resample(AudioBuffer(x.copy(), 44100), 16000)
     assert first.samples.tobytes() == second.samples.tobytes()
+
+
+def _ratio(src, dst):
+    ratio = Fraction(src, dst).limit_denominator(audio._MAX_PHASES)
+    return ratio.denominator, ratio.numerator
+
+
+def _frames_for(n_out, src, dst):
+    """The fewest input frames that resample to at least n_out outputs."""
+    up, down = _ratio(src, dst)
+    frames = max(1, n_out * down // up - 2)
+    while round(frames * up / down) < n_out:
+        frames += 1
+    return frames
+
+
+def _boundary_lengths(src, dst):
+    """Input lengths whose output ends one short of, on and one past the
+    end of the first row chunk, and of the first phase group of the block
+    after it (an output sample apart, or an input frame when upsampling)."""
+    up, _ = _ratio(src, dst)
+    block = -(-audio._GROUP // up) * up
+    first_group = -(-block // -(-block // audio._GROUP))
+    lengths = set()
+    for end in (audio._ROW_CHUNK * block, audio._ROW_CHUNK * block + first_group):
+        lengths |= {_frames_for(end, src, dst) - 1, _frames_for(end, src, dst),
+                    _frames_for(end + 1, src, dst)}
+    return sorted(lengths)
+
+
+RESAMPLE_PAIRS = [(44100, 16000), (48000, 16000), (22050, 16000), (32000, 16000),
+                  (8000, 16000), (16000, 48000)]
+
+
+@pytest.mark.parametrize("channels", [1, 2], ids=["mono", "stereo"])
+@pytest.mark.parametrize("src,dst", RESAMPLE_PAIRS)
+def test_resample_matches_phase_loop(src, dst, channels):
+    up, down = _ratio(src, dst)
+    for frames in _boundary_lengths(src, dst):
+        x = np.random.default_rng(frames).uniform(-1, 1, (channels, frames))
+        got = resample(AudioBuffer(x, src), dst).samples
+        want = phase_loop_resample(x, up, down)
+        assert got.shape == want.shape
+        assert got.flags.c_contiguous
+        assert np.abs(got - want).max() <= 1e-12, f"{frames} frames"
+
+
+_DIGEST = """
+import hashlib
+import numpy as np
+from aigmdet.audio import AudioBuffer, resample
+digest = hashlib.sha256()
+for rate in (44100, 48000):
+    x = np.random.default_rng(rate).uniform(-1, 1, (2, 14 * rate))
+    digest.update(resample(AudioBuffer(x, rate), 16000).samples.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_resample_bytes_do_not_depend_on_blas_threads():
+    src = str(Path(audio.__file__).resolve().parent.parent)
+    digests = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, "-c", _DIGEST], env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        digests.add(run.stdout.strip())
+    assert len(digests) == 1
 
 
 @pytest.mark.parametrize("src", [44101, 191999])

@@ -2,7 +2,8 @@
 WAV writing, and one segment at a time through stage 1.  Each matches its
 whole-array form in tests/util.py bit for bit, and its tracemalloc peak on
 a 3-minute 16 kHz track stays under a fixed bound (the whole-array forms
-peak at about 220, 89, 66 and 67 MB)."""
+peak at about 220, 89, 66 and 67 MB).  WAV decoding and resampling of
+3-minute 44.1 and 48 kHz input are bounded too."""
 
 import tracemalloc
 
@@ -10,13 +11,13 @@ import numpy as np
 import pytest
 
 from aigmdet import models, pipeline
-from aigmdet.audio import AudioBuffer, save_wav
+from aigmdet.audio import AudioBuffer, load_wav, resample, save_wav
 from aigmdet.beats import BeatGrid
 from aigmdet.data import render_track
 from aigmdet.dsp import HOP, LOG_MEL_BLOCK, N_MELS, log_mel
 from aigmdet.extractors import get_extractor
 
-from util import concatenated_render_track, wav_bytes, whole_log_mel
+from util import concatenated_render_track, raw_wav, wav_bytes, whole_log_mel
 
 RATE = 16000
 BPM = 92.0
@@ -98,3 +99,25 @@ def test_track_to_sequence_memory_is_bounded(long_track):
     seq, peak = traced_peak_mb(models.track_to_sequence, long_track, grid, stage1, extractor)
     assert peak <= 40, f"track_to_sequence peaked at {peak:.1f} MB"
     assert seq.mask.sum() == int(180.0 // (4 * period))
+
+
+def test_load_wav_memory_is_bounded(tmp_path):
+    """The file (29 MB), its float64 rows (121 MB) and AudioBuffer's
+    finiteness mask (15 MB) are live at once; a copy of the data chunk, or
+    of the interleaved samples, is not."""
+    raw = np.random.default_rng(0).integers(-32768, 32768, size=2 * 180 * 44100, dtype="<i2")
+    path = tmp_path / "long.wav"
+    path.write_bytes(raw_wav(1, 2, 16, raw.tobytes(), rate=44100))
+    buf, peak = traced_peak_mb(load_wav, path)
+    assert peak <= 180, f"load_wav peaked at {peak:.1f} MB"
+    assert buf.samples.shape == (2, 180 * 44100)
+
+
+def test_resample_memory_is_bounded():
+    """180 s of 48 kHz mono (66 MB) to 16 kHz (22 MB): the padded input and
+    the output are live at once, and each product's copy of its rows is
+    bounded by the row chunk."""
+    buf = AudioBuffer(np.random.default_rng(0).uniform(-1, 1, (1, 180 * 48000)), 48000)
+    out, peak = traced_peak_mb(resample, buf, 16000)
+    assert peak <= 96, f"resample peaked at {peak:.1f} MB"
+    assert out.frames == 180 * 16000

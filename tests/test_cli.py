@@ -435,7 +435,7 @@ def test_ssm_from_wav(corpus, tmp_path, capsys):
 
 
 def test_ssm_from_embedding_file(tmp_path, capsys):
-    from aigmdet.extractors import save_embeddings
+    from util import save_embeddings
     rng = np.random.default_rng(0)
     emb = tmp_path / "seq.emb"
     save_embeddings(emb, rng.normal(size=(6, 16)).astype(np.float32))

@@ -8,9 +8,9 @@ from aigmdet.extractors import (BadMagic, DimMismatch,
                                 DspSequenceExtractor, DspVectorExtractor,
                                 EmbeddingSequence, ExtractorError,
                                 RateMismatch, Truncated, get_extractor,
-                                load_precomputed, save_embeddings)
+                                load_precomputed)
 
-from util import RandomStubExtractor, sine_buffer
+from util import RandomStubExtractor, save_embeddings, sine_buffer
 
 
 # ---------------------------------------------------------------- container

@@ -2,14 +2,16 @@
 
 Every public op of `Tensor`, and `concat`, must be called by a training
 step (zero_grad, loss, backward) and a forward pass of the three
-detectors under both losses; every public module-level name of `tensor`
-and `nn`, and every public method of their classes, must be used
-somewhere under src/ or scripts/.  A reference form that only the tests
-need belongs in tests/util.py."""
+detectors under both losses; every public module-level name of every
+module of the package, and every public method of their classes, must be
+used somewhere under src/ or scripts/.  A reference form or a writer that
+only the tests need belongs in tests/util.py."""
 
 import ast
 import functools
+import importlib
 import inspect
+import pkgutil
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +25,8 @@ from aigmdet.tensor import Tensor
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "scripts").rglob("*.py"))
+MODULES = [importlib.import_module(f"aigmdet.{info.name}")
+           for info in pkgutil.iter_modules(aigmdet.__path__)]
 TOY = nn.AttentionConfig(d_model=8, heads=2, ffn_dim=16)
 # object protocol, not arithmetic
 _NOT_OPS = {"__init__", "__repr__"}
@@ -101,7 +105,7 @@ def _uses() -> set[str]:
     return used
 
 
-@pytest.mark.parametrize("module", [tensor, nn], ids=["tensor", "nn"])
+@pytest.mark.parametrize("module", MODULES, ids=[m.__name__.split(".")[-1] for m in MODULES])
 def test_every_public_name_has_a_user(module):
     unused = []
     for name, methods in _definitions(module).items():

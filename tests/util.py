@@ -1,10 +1,11 @@
 """Shared test helpers: finite-difference gradient checking, synthetic
 signal construction, a content-keyed random feature extractor, the direct
-forms of the resampler, the beat DP and the AUC that the vectorised ones
-are checked against, the whole-array forms of log-mel, track rendering
-and WAV writing that the bounded-memory ones must match bit for bit, the
-composite (node-by-node) forms of nn's fused Linear, layer_norm and
-attention nodes, and their post-softmax attention weights.
+and phase-by-phase forms of the resampler, the beat DP and the AUC that
+the vectorised ones are checked against, the whole-array forms of log-mel,
+track rendering and WAV writing that the bounded-memory ones must match
+bit for bit, an EMB1 writer, the composite (node-by-node) forms of nn's
+fused Linear, layer_norm and attention nodes, and their post-softmax
+attention weights.
 
 The composite forms need five ops the models never run: sub, div, sqrt,
 softmax and transpose.  They live here, built on `tensor.node` like the
@@ -15,8 +16,8 @@ import zlib
 
 import numpy as np
 
-from aigmdet import data, nn
-from aigmdet.audio import AudioBuffer
+from aigmdet import data, extractors, nn
+from aigmdet.audio import _KAISER_BETA, _SINC_TAPS, AudioBuffer
 from aigmdet.beats import DP_TIGHTNESS
 from aigmdet.dsp import FRAME_LEN, HOP, LOG_EPS, mel_filterbank, stft
 from aigmdet.extractors import FeatureExtractor
@@ -146,6 +147,29 @@ def direct_resample_channel(x, ratio, beta=8.0, taps=32):
     return out
 
 
+def phase_loop_resample(samples, up, down):
+    """`audio._resample` as one strided matrix-vector product per phase:
+    the outputs of phase n0 read input windows `down` samples apart."""
+    n_out = round(samples.shape[1] * up / down)
+    if n_out == 0:
+        return np.zeros((samples.shape[0], 0))
+    cutoff = min(1.0, up / down)
+    half = int(np.ceil(_SINC_TAPS / cutoff))
+    # output n0 + m*up sits at input position b0 + m*down + frac/up
+    b0, frac = np.divmod(np.arange(min(up, n_out)) * down, up)
+    t = frac[:, None] / up - np.arange(-half + 1, half + 1)[None, :]
+    window = np.i0(_KAISER_BETA * np.sqrt(1.0 - (t / half) ** 2)) / np.i0(_KAISER_BETA)
+    table = cutoff * np.sinc(cutoff * t) * window
+    # with `half` zeros in front, the window for base b starts at index b+1
+    padded = np.pad(samples, ((0, 0), (half, half)))
+    windows = np.lib.stride_tricks.sliding_window_view(padded, 2 * half, axis=1)
+    out = np.empty((samples.shape[0], n_out))
+    for n0, (b, kernel) in enumerate(zip(b0, table)):
+        count = len(range(n0, n_out, up))
+        out[:, n0::up] = windows[:, b + 1::down][:, :count] @ kernel
+    return out
+
+
 def loop_beat_dp(env, tau):
     """Frame-by-frame form of `beats.beat_dp`, the reference its blocked
     form must match bit for bit."""
@@ -206,6 +230,17 @@ def wav_bytes(buf):
             + b"fmt " + struct.pack("<IHHIIHH", 16, 1, channels, rate, rate * channels * 2,
                                     channels * 2, 16)
             + b"data" + struct.pack("<I", len(interleaved)) + interleaved)
+
+
+def save_embeddings(path, vectors):
+    """Write `vectors` [N x d] as the EMB1 file `extractors.load_precomputed`
+    reads: magic, u32 version, u32 N, u32 d, then N*d float32 LE."""
+    vectors = np.atleast_2d(np.asarray(vectors, dtype="<f4"))
+    n, d = vectors.shape
+    with open(path, "wb") as fh:
+        fh.write(extractors._EMB_MAGIC)
+        fh.write(struct.pack("<III", extractors._EMB_VERSION, n, d))
+        fh.write(np.ascontiguousarray(vectors).tobytes())
 
 
 def raw_wav(fmt: int, channels: int, bits: int, data: bytes, rate: int = 16000) -> bytes:
