@@ -7,7 +7,6 @@ float32 on read, PCM 16-bit on write.
 
 from __future__ import annotations
 
-import functools
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
@@ -170,31 +169,36 @@ def to_mono(buf: AudioBuffer) -> AudioBuffer:
 # block j reads the input from j*k*down on, so output j*k*up + p has the
 # same kernel and the same offset into its block's input for every j.  The
 # block's phases p are split into groups of at most _GROUP, and a group's
-# outputs in every block are one matrix product: the rows of input it
-# reads, k*down samples apart, times a banded [span x phases] matrix that
-# holds each phase's kernel at its offset.  The rows overlap, so numpy
-# copies them for BLAS; taking _ROW_CHUNK rows at a time bounds that copy.
-# The sums run in another order than the direct form's, so the output
-# matches it to about 1e-15, not bit for bit.  Up to 48 kHz input a span
-# stays within 384 samples, one K block of OpenBLAS's SkylakeX dgemm, so
-# its sums do not depend on the thread count; longer spans may be summed
-# in another order on more threads.
+# outputs in every block are a matrix product: the rows of input it reads,
+# k*down samples apart, times a banded [span x phases] matrix that holds
+# each phase's kernel at its offset.  The rows overlap, so numpy copies
+# them for BLAS; taking _ROW_CHUNK rows at a time bounds that copy.
+# The output rows are padded to whole chunks, and each product takes at
+# most _K_PIECE rows of the band; the partial products of a span are added
+# in numpy in a fixed order.  Both rules are there so that BLAS threads
+# split each product into whole kernel tiles and never split its sums, so
+# the output bytes do not depend on the thread count.  OpenBLAS's x86-64
+# dgemm kernels, Prescott to SkylakeX, give the same bytes on 1 and 2
+# threads, and without either rule some of them do not.  The sums run in
+# another order than the direct form's, so the output matches it to about
+# 1e-15, not bit for bit.
 _KAISER_BETA = 8.0
 _SINC_TAPS = 32
 _GROUP = 64
+_K_PIECE = 128
 _ROW_CHUNK = 256
 
 
-@functools.lru_cache(maxsize=8)
-def _phase_bands(up: int, down: int, phases: int) -> tuple:
+def _phase_bands(up: int, down: int, phases: int):
     """The kernel's half width, and (first phase, input offset, band) for
     each group of consecutive phases among the first `phases` of a block,
-    at rate ratio up/down.  The bands are read-only and cached, so a run
-    of tracks at one rate tabulates its kernels once."""
+    at rate ratio up/down."""
     cutoff = min(1.0, up / down)
     half = int(np.ceil(_SINC_TAPS / cutoff))
-    # output p of a block sits base[p] + frac[p]/up input samples past its start
-    base, frac = np.divmod(np.arange(phases) * down, up)
+    # output p of a block sits base[p] + frac/up input samples past its
+    # start, where frac, and so the kernel, depends only on p mod up
+    base = np.arange(phases) * down // up
+    frac = np.arange(min(up, phases)) * down % up
     t = frac[:, None] / up - np.arange(-half + 1, half + 1)[None, :]
     window = np.i0(_KAISER_BETA * np.sqrt(1.0 - (t / half) ** 2)) / np.i0(_KAISER_BETA)
     table = cutoff * np.sinc(cutoff * t) * window
@@ -202,10 +206,9 @@ def _phase_bands(up: int, down: int, phases: int) -> tuple:
     for group in np.array_split(np.arange(phases), -(-phases // _GROUP)):
         offsets = base[group] - base[group[0]]
         band = np.zeros((offsets[-1] + 2 * half, len(group)))
-        band[offsets[:, None] + np.arange(2 * half), np.arange(len(group))[:, None]] = table[group]
-        band.flags.writeable = False
+        band[offsets[:, None] + np.arange(2 * half), np.arange(len(group))[:, None]] = table[group % up]
         groups.append((int(group[0]), int(base[group[0]]), band))
-    return half, tuple(groups)
+    return half, groups
 
 
 def _resample(samples: np.ndarray, up: int, down: int) -> np.ndarray:
@@ -216,7 +219,7 @@ def _resample(samples: np.ndarray, up: int, down: int) -> np.ndarray:
         return np.zeros((channels, 0))
     k = -(-_GROUP // up)
     phases = min(k * up, n_out)
-    blocks = -(-n_out // phases)
+    blocks = -(-n_out // (phases * _ROW_CHUNK)) * _ROW_CHUNK
     half, groups = _phase_bands(up, down, phases)
     # with `half` zeros in front, the window for base b starts at index b+1;
     # zeros behind the input up to the end of the last block's last window
@@ -228,7 +231,11 @@ def _resample(samples: np.ndarray, up: int, down: int) -> np.ndarray:
         rows = np.lib.stride_tricks.sliding_window_view(
             padded[:, offset + 1:], span, axis=1)[:, ::k * down]
         for r in range(0, blocks, _ROW_CHUNK):
-            out[:, r:r + _ROW_CHUNK, first:first + width] = rows[:, r:r + _ROW_CHUNK] @ band
+            chunk = rows[:, r:r + _ROW_CHUNK]
+            acc = chunk[..., :_K_PIECE] @ band[:_K_PIECE]
+            for s in range(_K_PIECE, span, _K_PIECE):
+                acc += chunk[..., s:s + _K_PIECE] @ band[s:s + _K_PIECE]
+            out[:, r:r + _ROW_CHUNK, first:first + width] = acc
     return np.ascontiguousarray(out.reshape(channels, -1)[:, :n_out])
 
 

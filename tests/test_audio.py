@@ -277,18 +277,21 @@ import hashlib
 import numpy as np
 from aigmdet.audio import AudioBuffer, resample
 digest = hashlib.sha256()
-for rate in (44100, 48000):
+for rate in (44100, 48000, 96000):
     x = np.random.default_rng(rate).uniform(-1, 1, (2, 14 * rate))
     digest.update(resample(AudioBuffer(x, rate), 16000).samples.tobytes())
 print(digest.hexdigest())
 """
 
 
-def test_resample_bytes_do_not_depend_on_blas_threads():
+@pytest.mark.parametrize("coretype", ["", "Prescott"], ids=["detected", "prescott"])
+def test_resample_bytes_do_not_depend_on_blas_threads(coretype):
+    """The kernel a DYNAMIC_ARCH OpenBLAS detects, and its oldest x86-64
+    kernel, whose tiles differ; other builds ignore OPENBLAS_CORETYPE."""
     src = str(Path(audio.__file__).resolve().parent.parent)
     digests = set()
     for threads in ("1", "2"):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OPENBLAS_CORETYPE": coretype,
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         run = subprocess.run([sys.executable, "-c", _DIGEST], env=env, capture_output=True,
                              text=True, timeout=120)
