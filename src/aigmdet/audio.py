@@ -69,12 +69,6 @@ class AudioBuffer:
     def duration(self) -> float:
         return self.frames / self.sample_rate
 
-    def slice_seconds(self, start_s: float, end_s: float) -> "AudioBuffer":
-        """A view of [start_s, end_s): it shares the samples of this buffer."""
-        i0 = int(round(start_s * self.sample_rate))
-        i1 = int(round(end_s * self.sample_rate))
-        return AudioBuffer(self.samples[:, i0:i1], self.sample_rate)
-
 
 # ----------------------------------------------------------------------
 # RIFF/WAVE

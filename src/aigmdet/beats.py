@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import AudioBuffer
-from .dsp import TooShort
+from .dsp import ANALYSIS_RATE, TooShort
 
 BPM_MIN, BPM_MAX = 60.0, 200.0
 TEMPO_PRIOR_BPM = 120.0
@@ -61,15 +60,6 @@ class BeatGrid:
 
     def downbeats(self) -> np.ndarray:
         return self.start + np.arange(self.count) * self.period
-
-
-@dataclass
-class SegmentSet:
-    segments: list  # AudioBuffer slices
-    boundaries: list  # (start_s, end_s)
-
-    def __len__(self):
-        return len(self.segments)
 
 
 # ----------------------------------------------------------------------
@@ -226,22 +216,22 @@ def quantize_grid(downbeats: np.ndarray) -> BeatGrid:
                     count=len(d), residual_rms=rms)
 
 
-def segment_bars(track: AudioBuffer, grid: BeatGrid) -> SegmentSet:
-    """Slice consecutive non-overlapping 4-bar windows from grid.start;
-    the incomplete tail is dropped."""
+def segment_bars(track: np.ndarray, grid: BeatGrid) -> list[tuple[int, int]]:
+    """(start, stop) sample ranges of consecutive non-overlapping 4-bar
+    windows of a 16 kHz sample row, from grid.start; the incomplete tail
+    is dropped."""
     seg_len = 4 * grid.period
-    duration = track.duration
-    segments, boundaries = [], []
+    duration = len(track) / ANALYSIS_RATE
+    ranges = []
     t = grid.start
     while t + seg_len <= duration + 1e-9:
-        segments.append(track.slice_seconds(t, t + seg_len))
-        boundaries.append((t, t + seg_len))
+        ranges.append((round(t * ANALYSIS_RATE), round((t + seg_len) * ANALYSIS_RATE)))
         t += seg_len
-    if not segments:
+    if not ranges:
         raise GridTooSparse(
             f"track of {duration:.1f} s holds no 4-bar window "
             f"({seg_len:.1f} s) from {grid.start:.2f} s")
-    return SegmentSet(segments, boundaries)
+    return ranges
 
 
 def export_boundaries_csv(boundaries, path):

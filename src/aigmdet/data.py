@@ -115,8 +115,8 @@ def _apportion(n: int, ratios: tuple) -> list[int]:
     return counts
 
 
-def split_dataset(manifest: Manifest, ratios: tuple = (8, 1, 1), seed: int = 0) -> Manifest:
-    """Stratified, seeded 3-way split with largest-remainder sizing."""
+def split_dataset(manifest: Manifest, seed: int = 0) -> Manifest:
+    """Stratified, seeded 8:1:1 train/val/test split, largest-remainder sized."""
     if len(manifest.entries) < 10:
         raise TooFewEntries(f"need >= 10 entries, got {len(manifest.entries)}")
     rng = np.random.default_rng(seed)
@@ -127,7 +127,7 @@ def split_dataset(manifest: Manifest, ratios: tuple = (8, 1, 1), seed: int = 0) 
         if not idx:
             continue
         perm = rng.permutation(len(idx))
-        counts = _apportion(len(idx), ratios)
+        counts = _apportion(len(idx), (8, 1, 1))
         pos = 0
         for name, count in zip(split_names, counts):
             for j in perm[pos:pos + count]:
@@ -147,6 +147,7 @@ _CLICK_DECAY = 90.0
 _CLICK_LEN_S = 0.03
 _PLAIN_BEAT_AMP = 0.45
 _ACCENT_AMP = 1.0
+_SYNTH_TEMPI = (92, 100, 108, 116, 124, 132, 140)
 
 
 def _render_click(rate: int, amp: float) -> np.ndarray:
@@ -215,9 +216,8 @@ def render_track(label: int, bpm: float, duration_s: float, rate: int,
 
 
 def synth_dataset(out_dir, n_per_class: int, seed: int = 0,
-                  duration_s: float = 64.0, rate: int = 16000,
-                  bpm_choices: tuple = (92, 100, 108, 116, 124, 132, 140)) -> Manifest:
-    """Generate class-0/class-1 WAVs plus a manifest; byte-stable per seed."""
+                  duration_s: float = 64.0) -> Manifest:
+    """16 kHz class-0/class-1 WAVs at _SYNTH_TEMPI plus a manifest; byte-stable per seed."""
     if n_per_class < 4:
         raise DataError("need at least 4 tracks per class")
     out_dir = Path(out_dir)
@@ -226,8 +226,8 @@ def synth_dataset(out_dir, n_per_class: int, seed: int = 0,
     entries = []
     for label in (0, 1):
         for i in range(n_per_class):
-            bpm = float(bpm_choices[rng.integers(len(bpm_choices))])
-            track = render_track(label, bpm, duration_s, rate, rng)
+            bpm = float(_SYNTH_TEMPI[rng.integers(len(_SYNTH_TEMPI))])
+            track = render_track(label, bpm, duration_s, 16000, rng)
             name = f"class{label}_{i:03d}_bpm{int(bpm)}.wav"
             path = out_dir / name
             save_wav(track, path)

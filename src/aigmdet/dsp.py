@@ -3,12 +3,13 @@ deterministic DSP segment embedder used when no external embeddings are
 available.
 
 Every input is brought to 16 kHz mono (ANALYSIS_RATE) once, by
-`pipeline.analysis_buffer`, before it reaches this module.  `log_mel` is
-the one STFT -> power -> mel -> log recipe (Hann window, hop 256, N_MELS
-bands); onset analysis and `dsp_embed` run it at frame 1024, the sequence
-extractor at frame 512.  It works through the track in fixed blocks of
-LOG_MEL_BLOCK frames into a preallocated output, so beyond that
-[frames x N_MELS] output its memory does not grow with track length.
+`pipeline.analysis_buffer`; this module reads that buffer's sample row, or
+a range of it.  `log_mel` is the one STFT -> power -> mel -> log recipe
+(Hann window, hop HOP, N_MELS bands); onset analysis and `dsp_embed` run
+it at frame 1024, the sequence extractor at frame 512.  It works through
+the row in fixed blocks of LOG_MEL_BLOCK frames into a preallocated output,
+so beyond that [frames x N_MELS] output its memory does not grow with
+track length.
 """
 
 from __future__ import annotations
@@ -18,14 +19,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .audio import AudioBuffer
-
 ANALYSIS_RATE = 16000
 FRAME_LEN = 1024
 HOP = 256
 N_MELS = 40
 LOG_EPS = 1e-10
 EMBED_SEED = 42
+MIN_SEGMENT_S = 0.2
 # frames per STFT block of log_mel: at frame 1024 one block's spectra take
 # about 6 MB, and the last block, which takes the remainder, at most twice that
 LOG_MEL_BLOCK = 256
@@ -44,23 +44,18 @@ class Spectrogram:
     magnitudes: np.ndarray  # [frames x bins], nonnegative
 
 
-def _frame_count(mono: AudioBuffer, frame_len: int, hop: int) -> int:
-    """Number of whole frames stft takes from a mono buffer."""
-    if mono.channels != 1:
-        raise BadFrameParams("stft expects a mono buffer")
+def _frame_count(samples: int, frame_len: int) -> int:
+    """Number of whole frames stft takes from a row of `samples`."""
     if frame_len & (frame_len - 1) or frame_len <= 0:
         raise BadFrameParams("frame_len must be a power of two")
-    if not 0 < hop <= frame_len:
-        raise BadFrameParams("need 0 < hop <= frame_len")
-    return max(0, 1 + (mono.frames - frame_len) // hop)
+    return max(0, 1 + (samples - frame_len) // HOP)
 
 
-def stft(mono: AudioBuffer, frame_len: int = FRAME_LEN, hop: int = HOP) -> Spectrogram:
-    """Hann-windowed magnitude STFT of a mono buffer."""
-    x = mono.samples[0]
+def stft(x: np.ndarray, frame_len: int = FRAME_LEN) -> Spectrogram:
+    """Hann-windowed magnitude STFT of a 16 kHz sample row, hop HOP."""
     frames = np.lib.stride_tricks.as_strided(
-        x, shape=(_frame_count(mono, frame_len, hop), frame_len),
-        strides=(x.strides[0] * hop, x.strides[0]),
+        x, shape=(_frame_count(len(x), frame_len), frame_len),
+        strides=(x.strides[0] * HOP, x.strides[0]),
     ) * np.hanning(frame_len)
     return Spectrogram(np.abs(np.fft.rfft(frames, axis=1)))
 
@@ -74,11 +69,11 @@ def _mel_to_hz(m):
 
 
 @lru_cache(maxsize=16)
-def mel_filterbank(frame_len: int, rate: int) -> np.ndarray:
-    """N_MELS triangular HTK-scale filters from 0 Hz to rate/2, [N_MELS x bins]."""
+def mel_filterbank(frame_len: int) -> np.ndarray:
+    """N_MELS triangular HTK-scale filters up to ANALYSIS_RATE/2, [N_MELS x bins]."""
     bins = frame_len // 2 + 1
-    freqs = np.arange(bins) * rate / frame_len
-    mel_points = np.linspace(_hz_to_mel(0.0), _hz_to_mel(rate / 2.0), N_MELS + 2)
+    freqs = np.arange(bins) * ANALYSIS_RATE / frame_len
+    mel_points = np.linspace(_hz_to_mel(0.0), _hz_to_mel(ANALYSIS_RATE / 2.0), N_MELS + 2)
     hz_points = _mel_to_hz(mel_points)
     fb = np.zeros((N_MELS, bins))
     for i in range(N_MELS):
@@ -90,23 +85,29 @@ def mel_filterbank(frame_len: int, rate: int) -> np.ndarray:
     return fb
 
 
-def log_mel(mono: AudioBuffer, frame_len: int = FRAME_LEN, hop: int = HOP) -> np.ndarray:
+def log_mel(x: np.ndarray, frame_len: int = FRAME_LEN) -> np.ndarray:
     """ln(|STFT|^2 @ mel_filterbank.T + LOG_EPS), [frames x N_MELS].
 
     Computed LOG_MEL_BLOCK frames at a time; the last block also takes the
     remainder, so no mel product has fewer rows than a block.  OpenBLAS
     takes another path for a product of a few rows and rounds it
     differently, and no output row may depend on where the blocks fall."""
-    n_frames = _frame_count(mono, frame_len, hop)
-    fb_t = mel_filterbank(frame_len, mono.sample_rate).T
+    n_frames = _frame_count(len(x), frame_len)
+    fb_t = mel_filterbank(frame_len).T
     out = np.empty((n_frames, N_MELS))
     starts = range(0, max(n_frames - LOG_MEL_BLOCK, 0) + 1, LOG_MEL_BLOCK)
     for start, stop in zip(starts, [*starts[1:], n_frames]):
-        block = AudioBuffer(mono.samples[:, start * hop:(stop - 1) * hop + frame_len],
-                            mono.sample_rate)
-        power = stft(block, frame_len, hop).magnitudes**2
+        power = stft(x[start * HOP:(stop - 1) * HOP + frame_len], frame_len).magnitudes**2
         np.log(power @ fb_t + LOG_EPS, out=out[start:stop])
     return out
+
+
+def segment_log_mel(segment: np.ndarray, frame_len: int = FRAME_LEN) -> np.ndarray:
+    """log_mel of a segment of the analysis row; TooShort below MIN_SEGMENT_S."""
+    if len(segment) / ANALYSIS_RATE < MIN_SEGMENT_S:
+        raise TooShort(f"segment of {len(segment) / ANALYSIS_RATE:.3f} s "
+                       f"is below {MIN_SEGMENT_S} s")
+    return log_mel(segment, frame_len)
 
 
 def onset_envelope(mel: np.ndarray) -> np.ndarray:
@@ -120,19 +121,18 @@ def onset_envelope(mel: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _projection(dim: int, stat_dim: int) -> np.ndarray:
+def projection(dim: int, stat_dim: int) -> np.ndarray:
+    """The fixed [stat_dim x dim] Gaussian matrix that lifts statistics to dim."""
     rng = np.random.default_rng(EMBED_SEED)
     mat = rng.normal(0.0, 1.0 / np.sqrt(stat_dim), size=(stat_dim, dim))
     mat.setflags(write=False)
     return mat
 
 
-def dsp_embed(segment: AudioBuffer, dim: int) -> np.ndarray:
-    """Fixed-seed embedding of a mono segment: per-band log-mel statistics
-    (mean, std, max, mean positive flux) projected to `dim`, L2-normalized."""
-    if segment.duration < 0.2:
-        raise TooShort(f"segment of {segment.duration:.3f} s is below 0.2 s")
-    mel = log_mel(segment)
+def dsp_embed(segment: np.ndarray, dim: int) -> np.ndarray:
+    """Fixed-seed embedding of a segment: per-band log-mel statistics (mean,
+    std, max, mean positive flux) projected to `dim`, L2-normalized."""
+    mel = segment_log_mel(segment)
     flux = np.clip(np.diff(mel, axis=0), 0.0, None)
     stats = np.concatenate([
         mel.mean(axis=0),
@@ -140,6 +140,6 @@ def dsp_embed(segment: AudioBuffer, dim: int) -> np.ndarray:
         mel.max(axis=0),
         flux.mean(axis=0) if len(flux) else np.zeros(N_MELS),
     ])
-    vec = stats @ _projection(dim, stats.size)
+    vec = stats @ projection(dim, stats.size)
     norm = np.linalg.norm(vec)
     return vec / norm if norm > 0 else vec

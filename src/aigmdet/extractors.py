@@ -1,9 +1,9 @@
 """Pluggable feature extractors and the embedding-sequence container.
 
 Two concrete extractors ship: a DSP frame-sequence embedder and a single-
-vector DSP embedder.  Both take 16 kHz mono segments, the format
-`pipeline.analysis_buffer` gives every input.  Externally computed
-embeddings are loaded from EMB1 files.
+vector DSP embedder.  Both take a range of the 16 kHz sample row of
+`pipeline.analysis_buffer` (see `models.segment_features`).  Externally
+computed embeddings are loaded from EMB1 files.
 """
 
 from __future__ import annotations
@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import AudioBuffer
-from .dsp import ANALYSIS_RATE, N_MELS, TooShort, dsp_embed, log_mel
+from .dsp import N_MELS, dsp_embed, projection, segment_log_mel
 
 SEQ_FRAME_LEN = 512
 # segments of a track that stage 1 analyses; the default segtr max_len
@@ -71,22 +70,15 @@ class EmbeddingSequence:
 
 # ----------------------------------------------------------------------
 class FeatureExtractor:
-    """Base class: turns a 16 kHz mono AudioBuffer segment into a sequence
-    [T x d] or a single vector [d]."""
+    """Base class: a subclass's _extract turns a segment of the 16 kHz
+    sample row into a sequence [T x d] or a single vector [d]."""
 
     name: str = "base"
     kind: str = "sequence"  # or "vector"
     d_enc: int = 0
 
-    def __call__(self, segment: AudioBuffer) -> np.ndarray:
-        if segment.sample_rate != ANALYSIS_RATE or segment.channels != 1:
-            raise RateMismatch(
-                f"{self.name} needs {ANALYSIS_RATE} Hz mono, got {segment.sample_rate} Hz "
-                f"with {segment.channels} channel(s)")
+    def __call__(self, segment: np.ndarray) -> np.ndarray:
         return self._extract(segment)
-
-    def _extract(self, segment: AudioBuffer) -> np.ndarray:
-        raise NotImplementedError
 
 
 class DspSequenceExtractor(FeatureExtractor):
@@ -95,16 +87,13 @@ class DspSequenceExtractor(FeatureExtractor):
 
     kind = "sequence"
 
-    def __init__(self, d_enc: int = 512, seed: int = 42):
+    def __init__(self, d_enc: int = 512):
         self.name = f"dsp-seq-{d_enc}"
         self.d_enc = d_enc
-        rng = np.random.default_rng(seed)
-        self._proj = rng.normal(0.0, 1.0 / np.sqrt(N_MELS), size=(N_MELS, d_enc))
+        self._proj = projection(d_enc, N_MELS)
 
-    def _extract(self, segment: AudioBuffer) -> np.ndarray:
-        if segment.duration < 0.2:
-            raise TooShort("segment below 0.2 s")
-        return log_mel(segment, SEQ_FRAME_LEN) @ self._proj
+    def _extract(self, segment: np.ndarray) -> np.ndarray:
+        return segment_log_mel(segment, SEQ_FRAME_LEN) @ self._proj
 
 
 class DspVectorExtractor(FeatureExtractor):
@@ -116,7 +105,7 @@ class DspVectorExtractor(FeatureExtractor):
         self.name = f"dsp-vec-{d_enc}"
         self.d_enc = d_enc
 
-    def _extract(self, segment: AudioBuffer) -> np.ndarray:
+    def _extract(self, segment: np.ndarray) -> np.ndarray:
         return dsp_embed(segment, self.d_enc)
 
 

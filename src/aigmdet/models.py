@@ -26,9 +26,10 @@ import numpy as np
 from . import nn
 from .audio import AudioBuffer
 from .beats import BeatGrid, segment_bars
-from .extractors import EmbeddingSequence, FeatureExtractor, MAX_SEQ_LEN
+from .dsp import ANALYSIS_RATE
+from .extractors import EmbeddingSequence, FeatureExtractor, MAX_SEQ_LEN, RateMismatch
 from .nn import AllMasked, AttentionConfig, ShapeMismatch
-from .tensor import Tensor, concat, no_grad
+from .tensor import Tensor, _sigmoid, concat, no_grad
 
 
 class EmptySequence(Exception):
@@ -44,8 +45,7 @@ class DetectorOutput:
     @staticmethod
     def from_tensors(logit, pooled) -> "DetectorOutput":
         z = float(logit.data)
-        prob = 1.0 / (1.0 + np.exp(-z)) if z >= 0 else np.exp(z) / (1.0 + np.exp(z))
-        return DetectorOutput(logit=z, probability=float(prob), pooled=pooled.data.copy())
+        return DetectorOutput(logit=z, probability=float(_sigmoid(z)), pooled=pooled.data.copy())
 
 
 def _outputs(model, *args) -> list[DetectorOutput]:
@@ -287,9 +287,13 @@ class SegmentTransformer(nn.Module):
 # ----------------------------------------------------------------------
 def segment_features(track: AudioBuffer, grid: BeatGrid,
                      extractor: FeatureExtractor) -> Iterator[np.ndarray]:
-    """Extractor features of each 4-bar slice of an analysis_buffer track,
-    each computed as the iterator reaches it."""
-    return map(extractor, segment_bars(track, grid).segments)
+    """Extractor features of each 4-bar range of a 16 kHz mono track's row,
+    each computed as the iterator reaches it; RateMismatch for other tracks."""
+    if track.sample_rate != ANALYSIS_RATE or track.channels != 1:
+        raise RateMismatch(f"segment features need {ANALYSIS_RATE} Hz mono, got "
+                           f"{track.sample_rate} Hz with {track.channels} channel(s)")
+    row = track.samples[0]
+    return (extractor(row[start:stop]) for start, stop in segment_bars(row, grid))
 
 
 # features_to_sequence gathers segments until a batch holds this many frames

@@ -121,20 +121,19 @@ class Linear(Module):
 
 
 class LayerNorm(Module):
-    def __init__(self, dim: int, eps: float = 1e-5):
+    def __init__(self, dim: int):
         self.gain = Tensor(np.ones(dim), requires_grad=True)
         self.bias = Tensor(np.zeros(dim), requires_grad=True)
-        self.eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
-        return layer_norm(x, self.gain, self.bias, self.eps)
+        return layer_norm(x, self.gain, self.bias)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to mean 0 / population variance 1, then affine."""
     inv_n = 1.0 / x.shape[-1]
     centered = x.data - x.data.sum(axis=-1, keepdims=True) * inv_n
-    sigma = np.sqrt((centered * centered).sum(axis=-1, keepdims=True) * inv_n + eps)
+    sigma = np.sqrt((centered * centered).sum(axis=-1, keepdims=True) * inv_n + 1e-5)
     xhat = centered / sigma
     out_data = xhat * gain.data + bias.data
 

@@ -16,7 +16,7 @@ from .audio import AudioBuffer, load_wav, resample, to_mono
 from .beats import BeatGrid, estimate_tempo, pick_downbeats, quantize_grid, track_beats
 from .data import DataError
 from .dsp import ANALYSIS_RATE, FRAME_LEN, HOP, log_mel, onset_envelope
-from .extractors import FeatureExtractor, get_extractor
+from .extractors import ExtractorError, FeatureExtractor, get_extractor
 from .models import (AudioCAT, DetectorOutput, FXSegment, SegmentTransformer,
                      track_to_sequence)
 from .nn import AttentionConfig, ShapeMismatch
@@ -40,7 +40,7 @@ def analysis_buffer(buf: AudioBuffer) -> AudioBuffer:
 
 def analyze_beats(buf: AudioBuffer) -> BeatAnalysis:
     """onset -> tempo -> beats -> downbeats -> arithmetic grid."""
-    onset, hop_s = onset_envelope(log_mel(analysis_buffer(buf))), HOP / ANALYSIS_RATE
+    onset, hop_s = onset_envelope(log_mel(analysis_buffer(buf).samples[0])), HOP / ANALYSIS_RATE
     bpm = estimate_tempo(onset, hop_s)
     beats = track_beats(onset, bpm, hop_s)
     downbeats = pick_downbeats(beats, onset, hop_s)
@@ -73,7 +73,7 @@ def _extend_grid(grid: BeatGrid, duration: float) -> BeatGrid:
 
 # ----------------------------------------------------------------------
 def stage1_features(path, extractor: FeatureExtractor) -> np.ndarray:
-    return extractor(analysis_buffer(load_wav(path)))
+    return extractor(analysis_buffer(load_wav(path)).samples[0])
 
 
 def build_stage1_dataset(entries, extractor: FeatureExtractor) -> list:
@@ -149,13 +149,25 @@ def load_model(path):
     return model, arch, preset
 
 
+def _stage1_extractor(path, model, arch: str, preset: str) -> FeatureExtractor:
+    """The extractor of the stage-1 checkpoint at `path`; DataError names
+    the file if its preset is unknown or its model cannot read it."""
+    try:
+        extractor = get_extractor(preset)
+        check_extractor(arch, model.d_enc, extractor)
+        return extractor
+    except (DataError, ExtractorError) as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
 def load_stage1(path):
     """(model, extractor, extractor_preset) of a stage-1 checkpoint;
-    DataError names the file if it holds a segtr (stage-2) model."""
+    DataError names the file if it holds a segtr model or one its extractor
+    does not fit."""
     model, arch, preset = load_model(path)
     if arch == "segtr":
         raise DataError(f"{path}: a segtr checkpoint is not a stage-1 model")
-    return model, get_extractor(preset), preset
+    return model, _stage1_extractor(path, model, arch, preset), preset
 
 
 def scorer(ckpt, stage1_ckpt=None) -> Callable[[object], DetectorOutput]:
@@ -168,7 +180,7 @@ def scorer(ckpt, stage1_ckpt=None) -> Callable[[object], DetectorOutput]:
         if stage1_ckpt:
             raise DataError(f"{ckpt}: a stage-1 ({arch}) checkpoint takes no "
                             f"--stage1-ckpt")
-        extractor = get_extractor(preset)
+        extractor = _stage1_extractor(ckpt, model, arch, preset)
         return lambda path: model.forward([stage1_features(path, extractor)])[0]
     if not stage1_ckpt:
         raise DataError(f"{ckpt}: a segtr checkpoint needs --stage1-ckpt")
@@ -181,8 +193,8 @@ def scorer(ckpt, stage1_ckpt=None) -> Callable[[object], DetectorOutput]:
 
 def build_model(arch: str, extractor: FeatureExtractor | None = None,
                 cfg: AttentionConfig | None = None, seed: int = 0, d_in: int | None = None):
-    """A fresh ARCHS[arch]; stage-1 widths come from the extractor, and
-    fxseg needs a vector extractor."""
+    """A fresh ARCHS[arch]; stage-1 widths come from the extractor (see
+    check_extractor)."""
     if arch not in ARCHS:
         raise ValueError(f"unknown architecture {arch!r}")
     cfg = cfg or AttentionConfig()
@@ -191,7 +203,16 @@ def build_model(arch: str, extractor: FeatureExtractor | None = None,
                                   cfg=cfg, seed=seed)
     if extractor is None:
         raise ValueError(f"{arch} needs an extractor")
+    check_extractor(arch, extractor.d_enc, extractor)
+    return ARCHS[arch](d_enc=extractor.d_enc, cfg=cfg, seed=seed)
+
+
+def check_extractor(arch: str, d_enc: int, extractor: FeatureExtractor):
+    """DataError unless a stage-1 `arch` model of input width d_enc reads
+    what `extractor` gives: fxseg takes vectors, and the widths agree."""
     if arch == "fxseg" and extractor.kind != "vector":
         raise DataError(f"fxseg needs a vector extractor; {extractor.name} "
                         f"gives {extractor.kind}s")
-    return ARCHS[arch](d_enc=extractor.d_enc, cfg=cfg, seed=seed)
+    if extractor.d_enc != d_enc:
+        raise DataError(f"{extractor.name} gives {extractor.d_enc}-wide features, "
+                        f"the {arch} model reads d_enc {d_enc}")

@@ -74,6 +74,12 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _sigmoid(x):
+    """1 / (1 + e^-x), overflow-safe: e^-|x| is at most 1."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_backward", "_prev")
 
@@ -173,9 +179,7 @@ class Tensor:
 
     # -- elementwise nonlinearities -------------------------------------
     def sigmoid(self):
-        x = self.data
-        out_data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                            np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+        out_data = _sigmoid(self.data)
 
         def backward(out):
             if self.requires_grad:
@@ -188,11 +192,8 @@ class Tensor:
         out_data = np.logaddexp(0.0, self.data)
 
         def backward(out):
-            x = self.data
-            sig = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                           np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
             if self.requires_grad:
-                self._accumulate(out.grad * sig)
+                self._accumulate(out.grad * _sigmoid(self.data))
 
         return node(out_data, (self,), backward)
 

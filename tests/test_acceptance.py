@@ -235,7 +235,7 @@ def test_criterion_3_beat_pipeline_oracle():
               f"{bpm} BPM: grid period {analysis.grid.period:.3f}")
 
         if bpm == 120:
-            segs = segment_bars(buf, analysis.grid)
+            segs = segment_bars(buf.samples[0], analysis.grid)
             check(failures, len(segs) == 8,
                   f"64 s / 120 BPM gave {len(segs)} segments, wanted 8")
 

@@ -12,14 +12,15 @@ from aigmdet.beats import (BeatGrid, DegenerateFit, GridTooSparse,
                            beat_dp, pick_downbeats, quantize_grid,
                            segment_bars, track_beats)
 from aigmdet.dsp import log_mel, onset_envelope
+from aigmdet.models import segment_features
 
-from util import click_track, loop_beat_dp
+from util import RandomStubExtractor, click_track, loop_beat_dp
 
 HOP_S = 256 / 16000
 
 
 def onset_of(buf):
-    return onset_envelope(log_mel(buf))
+    return onset_envelope(log_mel(buf.samples[0]))
 
 
 # ---------------------------------------------------------------- tempo
@@ -208,36 +209,36 @@ def test_grid_validation():
 
 # ---------------------------------------------------------------- segmentation
 def test_segment_bars_counts_and_boundaries():
-    buf = AudioBuffer(np.zeros((1, 16000 * 20)), 16000)
     grid = BeatGrid(start=0.5, period=2.0, count=10)
-    segs = segment_bars(buf, grid)
+    ranges = segment_bars(np.zeros(16000 * 20), grid)
     # 4-bar window = 8 s from 0.5: [0.5,8.5], [8.5,16.5]; tail dropped
-    assert len(segs) == 2
-    assert segs.boundaries == [(0.5, 8.5), (8.5, 16.5)]
-    assert segs.segments[0].frames == 8 * 16000
+    assert ranges == [(8000, 136000), (136000, 264000)]
 
 
 def test_segments_are_views_of_the_track():
     rng = np.random.default_rng(0)
     buf = AudioBuffer(rng.uniform(-0.5, 0.5, (1, 16000 * 20)), 16000)
-    segs = segment_bars(buf, BeatGrid(start=0.5, period=2.0, count=10))
-    for seg, (start, _) in zip(segs.segments, segs.boundaries):
-        assert np.shares_memory(seg.samples, buf.samples)
-        i0 = int(round(start * 16000))
-        assert np.array_equal(seg.samples, buf.samples[:, i0:i0 + seg.frames])
+    grid = BeatGrid(start=0.5, period=2.0, count=10)
+    seen = []
+    extractor = RandomStubExtractor(4)
+    extractor._extract = lambda segment: seen.append(segment) or np.zeros(4)
+    list(segment_features(buf, grid, extractor))
+    ranges = segment_bars(buf.samples[0], grid)
+    assert len(seen) == len(ranges) == 2
+    for seg, (start, stop) in zip(seen, ranges):
+        assert np.shares_memory(seg, buf.samples)
+        assert np.array_equal(seg, buf.samples[0, start:stop])
 
 
 def test_segment_bars_exact_fit_keeps_last_window():
-    buf = AudioBuffer(np.zeros((1, 16000 * 16)), 16000)
     grid = BeatGrid(start=0.0, period=2.0, count=8)
-    assert len(segment_bars(buf, grid)) == 2
+    assert len(segment_bars(np.zeros(16000 * 16), grid)) == 2
 
 
 def test_segment_bars_sparse():
-    buf = AudioBuffer(np.zeros((1, 16000 * 4)), 16000)
     grid = BeatGrid(start=0.0, period=2.0, count=2)
     with pytest.raises(GridTooSparse):
-        segment_bars(buf, grid)
+        segment_bars(np.zeros(16000 * 4), grid)
 
 
 def test_export_boundaries_csv(tmp_path):

@@ -475,7 +475,9 @@ def test_non_finite_float32_input_exits_2(command, value, tmp_path, capsys):
                                   "eval_manifest", "train_config", "ssm_emb1_dim_0",
                                   "train_long_field", "eval_nul_path",
                                   "predict_width_mismatch", "eval_width_mismatch",
-                                  "train_manifest_header"])
+                                  "train_manifest_header", "predict_preset_mismatch",
+                                  "predict_stage1_preset_mismatch",
+                                  "predict_fxseg_preset_mismatch"])
 def test_unreadable_input_exits_2(case, corpus, stage1_ckpt, tmp_path, monkeypatch,
                                   capsys):
     bad_text = tmp_path / "latin1.txt"
@@ -495,6 +497,10 @@ def test_unreadable_input_exits_2(case, corpus, stage1_ckpt, tmp_path, monkeypat
     pipeline.save_model(narrow, models.AudioCAT(d_enc=512, cfg=nn.AttentionConfig(
         d_model=16, heads=2, ffn_dim=32)), "audiocat", "seq-512")
     pipeline.save_model(segtr, pipeline.build_model("segtr", seed=0), "segtr")
+    # stage-1 models whose recorded extractor preset they cannot read
+    d_enc_100, fxseg = tmp_path / "d_enc_100.aigm", tmp_path / "fxseg.aigm"
+    pipeline.save_model(d_enc_100, models.AudioCAT(d_enc=100), "audiocat", "seq-512")
+    pipeline.save_model(fxseg, models.FXSegment(d_enc=512), "fxseg", "seq-512")
     out = str(tmp_path / "out")
     argv, named = {
         "beats_odd_wav": (["beats", str(odd), "--out", out], []),
@@ -516,8 +522,15 @@ def test_unreadable_input_exits_2(case, corpus, stage1_ckpt, tmp_path, monkeypat
                                  "--manifest", str(corpus["manifest"])], [narrow, segtr]),
         "train_manifest_header": (["train", "--arch", "audiocat", "--manifest", str(no_header),
                                    "--out", out], [f"error: {no_header}, line 1: "]),
+        "predict_preset_mismatch": (["predict", "--ckpt", str(d_enc_100), "--audio",
+                                     corpus["clip"]], [d_enc_100]),
+        "predict_stage1_preset_mismatch": (["predict", "--ckpt", str(segtr), "--stage1-ckpt",
+                                            str(d_enc_100), "--audio", corpus["clip"]],
+                                           [d_enc_100]),
+        "predict_fxseg_preset_mismatch": (["predict", "--ckpt", str(fxseg), "--audio",
+                                           corpus["clip"]], [fxseg]),
     }[case]
-    if case.endswith("_width_mismatch"):  # refused before any WAV is read
+    if case.endswith("_mismatch"):  # refused before any WAV is read
         monkeypatch.setattr(pipeline, "load_wav", lambda path: pytest.fail(f"read {path}"))
     assert run(argv) == EXIT_IO
     captured = capsys.readouterr()

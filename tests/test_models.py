@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from aigmdet import nn
 from aigmdet.audio import AudioBuffer
 from aigmdet.beats import BeatGrid, segment_bars
-from aigmdet.extractors import MAX_SEQ_LEN, EmbeddingSequence
+from aigmdet.extractors import MAX_SEQ_LEN, DspSequenceExtractor, EmbeddingSequence, RateMismatch
 from aigmdet.models import (STAGE1_BATCH_FRAMES, AudioCAT, DetectorOutput,
                             EmptySequence, FXSegment, SegmentTransformer,
                             export_ssm_csv, export_ssm_pgm, features_to_sequence,
@@ -386,11 +386,37 @@ def test_a_track_of_50_segments_gives_the_first_48():
     grid = BeatGrid(start=0.0, period=0.25, count=200)  # 50 segments of 1 s
     seq = track_to_sequence(track, grid, stage1, ext)
     assert ext.calls == MAX_SEQ_LEN and sum(stage1.batches) == MAX_SEQ_LEN
-    segments = segment_bars(track, grid).segments
-    assert len(segments) == 50
-    want = stage1.model.forward([ext(s) for s in segments[:MAX_SEQ_LEN]])
+    ranges = segment_bars(track.samples[0], grid)
+    assert len(ranges) == 50
+    want = stage1.model.forward([ext(track.samples[0, a:b]) for a, b in ranges[:MAX_SEQ_LEN]])
     assert np.array_equal(seq.vectors, np.stack([out.pooled for out in want]))
     assert seq.mask.all()
+
+
+def test_track_to_sequence_builds_no_buffer(monkeypatch):
+    """Segments and log-mel blocks are ranges of the track's sample row:
+    scoring 50 segments wraps none of them in an AudioBuffer."""
+    track = AudioBuffer(np.random.default_rng(8).normal(0.0, 0.1, (1, 50 * 16000)), 16000)
+    grid = BeatGrid(start=0.0, period=0.25, count=200)  # 50 segments of 1 s
+    ext = DspSequenceExtractor(8)
+    stage1 = AudioCAT(d_enc=8, cfg=SMALL, n_layers=1, seed=0)
+    built, init = [], AudioBuffer.__post_init__
+    monkeypatch.setattr(AudioBuffer, "__post_init__",
+                        lambda buf: built.append(buf) or init(buf))
+    seq = track_to_sequence(track, grid, stage1, ext)
+    assert seq.length == MAX_SEQ_LEN
+    assert built == []
+
+
+def test_rate_and_channel_validation():
+    """A track that is not 16 kHz mono is refused before any extractor runs."""
+    ext = CountingExtractor(8)
+    stage1 = AudioCAT(d_enc=8, cfg=SMALL, seed=0)
+    grid = BeatGrid(start=0.0, period=2.0, count=10)
+    for track in (sine_buffer(440, 20.0, rate=44100), sine_buffer(440, 20.0, channels=2)):
+        with pytest.raises(RateMismatch):
+            track_to_sequence(track, grid, stage1, ext)
+    assert ext.calls == 0
 
 
 # of 130 segments, the first MAX_SEQ_LEN = 48 are read

@@ -97,13 +97,13 @@ class RandomStubExtractor(FeatureExtractor):
         self.kind = kind
         self.seed = seed
 
-    def _extract(self, segment: AudioBuffer) -> np.ndarray:
-        digest = zlib.crc32(segment.samples.tobytes(), self.seed & 0xFFFFFFFF)
+    def _extract(self, segment: np.ndarray) -> np.ndarray:
+        digest = zlib.crc32(segment.tobytes(), self.seed & 0xFFFFFFFF)
         rng = np.random.default_rng(digest)
         if self.kind == "vector":
             v = rng.normal(size=self.d_enc)
             return v / np.linalg.norm(v)
-        t = max(1, segment.frames // HOP)
+        t = max(1, len(segment) // HOP)
         return rng.normal(size=(t, self.d_enc))
 
 
@@ -202,10 +202,10 @@ def pairwise_auc(scores, labels):
     return float((greater + 0.5 * ties) / (len(pos) * len(neg)))
 
 
-def whole_log_mel(mono, frame_len=FRAME_LEN, hop=HOP):
+def whole_log_mel(x, frame_len=FRAME_LEN):
     """`dsp.log_mel` with the spectrum of every frame held at once."""
-    power = stft(mono, frame_len, hop).magnitudes**2
-    return np.log(power @ mel_filterbank(frame_len, mono.sample_rate).T + LOG_EPS)
+    power = stft(x, frame_len).magnitudes**2
+    return np.log(power @ mel_filterbank(frame_len).T + LOG_EPS)
 
 
 def concatenated_render_track(label, bpm, duration_s, rate, rng):
