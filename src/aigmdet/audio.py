@@ -54,7 +54,8 @@ class AudioBuffer:
             raise InvalidRate(f"sample rate {self.sample_rate} outside [{MIN_RATE}, {MAX_RATE}]")
         if self.samples.ndim != 2 or self.samples.shape[0] < 1:
             raise AudioError("samples must be [channels x frames] with >= 1 channel")
-        if self.samples.size and not np.isfinite(self.samples).all():
+        # NaN propagates through min and max, and an infinity is one of them
+        if self.samples.size and not np.isfinite([self.samples.min(), self.samples.max()]).all():
             raise AudioError("samples must be finite")
 
     @property

@@ -1,5 +1,5 @@
-"""Tempo estimation, dynamic-programming beat tracking, downbeat phase
-selection, arithmetic-grid quantization, and 4-bar segmentation.
+"""Beat analysis of a 16 kHz sample row: tempo estimation, dynamic-programming
+beat tracking, downbeat phase selection, bar-grid fit, and 4-bar segmentation.
 
 A classical onset/autocorrelation/DP tracker; meter is fixed to 4/4.
 """
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import ANALYSIS_RATE, TooShort
+from .dsp import ANALYSIS_RATE, FRAME_LEN, HOP, TooShort, log_mel, onset_envelope
 
 BPM_MIN, BPM_MAX = 60.0, 200.0
 TEMPO_PRIOR_BPM = 120.0
@@ -19,6 +19,11 @@ TEMPO_PRIOR_OCTAVES = 1.0
 DP_TIGHTNESS = 100.0
 BEAT_TRIM_FRACTION = 0.02
 PERIODICITY_FLOOR = 0.1
+HOP_S = HOP / ANALYSIS_RATE  # seconds per onset frame
+# flux at frame i is driven by the newly-covered samples
+# [i*hop + frame - hop, i*hop + frame); beat times shift by this much
+ONSET_DELAY_S = (FRAME_LEN - HOP) / ANALYSIS_RATE
+PHASE_SNAP_S = 0.06
 
 
 class BeatError(Exception):
@@ -62,6 +67,25 @@ class BeatGrid:
         return self.start + np.arange(self.count) * self.period
 
 
+@dataclass
+class BeatAnalysis:
+    bpm: float
+    beats: np.ndarray
+    downbeats: np.ndarray
+    grid: BeatGrid
+
+
+def analyze(track: np.ndarray) -> BeatAnalysis:
+    """onset -> tempo -> beats -> downbeats -> arithmetic grid of a 16 kHz
+    sample row; beat times are in seconds from the row's first sample."""
+    onset = onset_envelope(log_mel(track))
+    bpm = estimate_tempo(onset)
+    beats = track_beats(onset, bpm)
+    downbeats = pick_downbeats(beats, onset)
+    grid = quantize_grid(downbeats + ONSET_DELAY_S, len(track) / ANALYSIS_RATE)
+    return BeatAnalysis(bpm, beats + ONSET_DELAY_S, downbeats + ONSET_DELAY_S, grid)
+
+
 # ----------------------------------------------------------------------
 def _autocorrelate(x: np.ndarray) -> np.ndarray:
     n = len(x)
@@ -81,24 +105,24 @@ def _parabolic_peak(y: np.ndarray, i: int) -> float:
     return i + 0.5 * (y[i - 1] - y[i + 1]) / denom
 
 
-def estimate_tempo(onset: np.ndarray, hop_s: float) -> float:
+def estimate_tempo(onset: np.ndarray) -> float:
     """Tempo from the log-Gaussian-weighted autocorrelation of the onset
     envelope, refined at a harmonic lag for sub-frame precision."""
     onset = np.asarray(onset, dtype=np.float64)
-    if len(onset) * hop_s < 4.0:
+    if len(onset) * HOP_S < 4.0:
         raise TooShort("need at least 4 s of onset frames")
     ac = _autocorrelate(onset)
     if ac[0] <= 0:
         raise NoPeriodicity("flat onset envelope")
     ac = ac / ac[0]
 
-    lag_min = max(2, int(np.floor(60.0 / (BPM_MAX * hop_s))))
-    lag_max = min(len(ac) - 2, int(np.ceil(60.0 / (BPM_MIN * hop_s))))
+    lag_min = max(2, int(np.floor(60.0 / (BPM_MAX * HOP_S))))
+    lag_max = min(len(ac) - 2, int(np.ceil(60.0 / (BPM_MIN * HOP_S))))
     if lag_max <= lag_min:
         raise TooShort("onset envelope too short for the tempo range")
 
     lags = np.arange(lag_min, lag_max + 1)
-    bpm = 60.0 / (lags * hop_s)
+    bpm = 60.0 / (lags * HOP_S)
     prior = np.exp(-0.5 * (np.log2(bpm / TEMPO_PRIOR_BPM) / TEMPO_PRIOR_OCTAVES) ** 2)
     weighted = ac[lags] * prior
     best = int(np.argmax(weighted))
@@ -118,7 +142,7 @@ def estimate_tempo(onset: np.ndarray, hop_s: float) -> float:
         if abs(refined - lag) < 1.5:
             lag = refined
 
-    tempo = 60.0 / (lag * hop_s)
+    tempo = 60.0 / (lag * HOP_S)
     while tempo > BPM_MAX:
         tempo /= 2.0
     while tempo < BPM_MIN:
@@ -126,7 +150,7 @@ def estimate_tempo(onset: np.ndarray, hop_s: float) -> float:
     return float(tempo)
 
 
-def track_beats(onset: np.ndarray, bpm: float, hop_s: float) -> np.ndarray:
+def track_beats(onset: np.ndarray, bpm: float) -> np.ndarray:
     """Dynamic-programming beat placement (Ellis-style).
 
     Maximizes sum(onset[b_i]) - tightness * sum(log(delta_i/tau)^2) with
@@ -138,7 +162,7 @@ def track_beats(onset: np.ndarray, bpm: float, hop_s: float) -> np.ndarray:
     peak = onset.max()
     env = onset / peak if peak > 0 else onset
 
-    tau = 60.0 / (bpm * hop_s)  # frames per beat
+    tau = 60.0 / (bpm * HOP_S)  # frames per beat
     if len(env) < tau:
         raise TooShort("fewer frames than one beat period")
 
@@ -156,7 +180,7 @@ def track_beats(onset: np.ndarray, bpm: float, hop_s: float) -> np.ndarray:
     if keep.any():
         first, last = np.argmax(keep), len(keep) - np.argmax(keep[::-1]) - 1
         beats = beats[first:last + 1]
-    return beats * hop_s
+    return beats * HOP_S
 
 
 def beat_dp(env: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
@@ -187,21 +211,24 @@ def beat_dp(env: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
     return score, backlink
 
 
-def pick_downbeats(beats: np.ndarray, onset: np.ndarray, hop_s: float) -> np.ndarray:
+def pick_downbeats(beats: np.ndarray, onset: np.ndarray) -> np.ndarray:
     """Pick the 4/4 phase whose beats carry the most onset energy."""
     beats = np.asarray(beats, dtype=np.float64)
     if len(beats) < 8:
         raise TooFewBeats(f"need >= 8 beats, got {len(beats)}")
     onset = np.asarray(onset, dtype=np.float64)
-    frames = np.clip(np.round(beats / hop_s).astype(np.int64), 0, len(onset) - 1)
+    frames = np.clip(np.round(beats / HOP_S).astype(np.int64), 0, len(onset) - 1)
     strengths = onset[frames]
     means = [strengths[p::4].mean() for p in range(4)]
     phase = int(np.argmax(means))  # argmax takes the lowest index on ties
     return beats[phase::4]
 
 
-def quantize_grid(downbeats: np.ndarray) -> BeatGrid:
-    """Least-squares fit d_i ~ start + i*period."""
+def quantize_grid(downbeats: np.ndarray, duration: float) -> BeatGrid:
+    """Least-squares fit d_i ~ start + i*period, extended over a track of
+    `duration` seconds.  Bars before the first detected downbeat are still
+    bars, so the grid starts at the fitted phase within one period; a phase
+    within PHASE_SNAP_S of a bar line (detection jitter) snaps to zero."""
     d = np.asarray(downbeats, dtype=np.float64)
     if len(d) < 2:
         raise TooFewBeats("need >= 2 downbeats")
@@ -212,8 +239,11 @@ def quantize_grid(downbeats: np.ndarray) -> BeatGrid:
         raise DegenerateFit(f"fitted period {period} <= 0")
     residual = d - (start + i * period)
     rms = float(np.sqrt((residual**2).mean()))
-    return BeatGrid(start=max(start, 0.0), period=float(period),
-                    count=len(d), residual_rms=rms)
+    phase = start % period
+    if phase < PHASE_SNAP_S or period - phase < PHASE_SNAP_S:
+        phase = 0.0
+    count = max(2, int((duration - phase) // period) + 1)
+    return BeatGrid(start=phase, period=float(period), count=count, residual_rms=rms)
 
 
 def segment_bars(track: np.ndarray, grid: BeatGrid) -> list[tuple[int, int]]:

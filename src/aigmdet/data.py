@@ -84,7 +84,7 @@ class Manifest:
         if not rows or [h.strip() for h in rows[0][1][:2]] != ["path", "label"]:
             raise DataError(f"{path}, line 1: manifest must start with header "
                             f"path,label[,split]")
-        entries = []
+        entries, seen = [], set()
         for line, row in rows[1:]:
             if not row:
                 continue
@@ -94,8 +94,12 @@ class Manifest:
             try:
                 label = int(row[1])
             except ValueError:
-                raise DataError(f"{where}: label must be 0 or 1, "
-                                f"got {row[1]!r}") from None
+                label = None
+            if label not in (0, 1):
+                raise DataError(f"{where}: label must be 0 or 1, got {row[1]!r}")
+            if row[0] in seen:
+                raise DataError(f"{where}: duplicate path {row[0]}")
+            seen.add(row[0])
             split = row[2].strip() if len(row) > 2 else ""
             entries.append(ManifestEntry(row[0], label, split))
         return Manifest(entries, name=Path(path).stem)

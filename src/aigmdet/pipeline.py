@@ -1,4 +1,4 @@
-"""End-to-end wiring: beat analysis of a track, stage-1/stage-2 dataset
+"""End-to-end wiring: the 16 kHz mono analysis track, stage-1/stage-2 dataset
 construction from manifests, model checkpoints whose AIGM header
 describes the model they hold, and the one WAV -> score path of a
 checkpoint of either stage.
@@ -7,27 +7,18 @@ checkpoint of either stage.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 import numpy as np
 
-from . import nn
+from . import beats, nn
 from .audio import AudioBuffer, load_wav, resample, to_mono
-from .beats import BeatGrid, estimate_tempo, pick_downbeats, quantize_grid, track_beats
 from .data import DataError
-from .dsp import ANALYSIS_RATE, FRAME_LEN, HOP, log_mel, onset_envelope
+from .dsp import ANALYSIS_RATE
 from .extractors import ExtractorError, FeatureExtractor, get_extractor
 from .models import (AudioCAT, DetectorOutput, FXSegment, SegmentTransformer,
                      track_to_sequence)
 from .nn import AttentionConfig, ShapeMismatch
-
-
-@dataclass
-class BeatAnalysis:
-    bpm: float
-    beats: np.ndarray
-    downbeats: np.ndarray
-    grid: BeatGrid
 
 
 def analysis_buffer(buf: AudioBuffer) -> AudioBuffer:
@@ -38,37 +29,9 @@ def analysis_buffer(buf: AudioBuffer) -> AudioBuffer:
     return mono
 
 
-def analyze_beats(buf: AudioBuffer) -> BeatAnalysis:
-    """onset -> tempo -> beats -> downbeats -> arithmetic grid."""
-    onset, hop_s = onset_envelope(log_mel(analysis_buffer(buf).samples[0])), HOP / ANALYSIS_RATE
-    bpm = estimate_tempo(onset, hop_s)
-    beats = track_beats(onset, bpm, hop_s)
-    downbeats = pick_downbeats(beats, onset, hop_s)
-    # flux at frame i is driven by the newly-covered samples
-    # [i*hop + frame - hop, i*hop + frame); shift beat times accordingly
-    offset = (FRAME_LEN - HOP) / ANALYSIS_RATE
-    fitted = quantize_grid(downbeats + offset)
-    grid = _extend_grid(fitted, buf.duration)
-    return BeatAnalysis(bpm, beats + offset, downbeats + offset, grid)
-
-
-_PHASE_SNAP_S = 0.06
-
-
-def _extend_grid(grid: BeatGrid, duration: float) -> BeatGrid:
-    """Extrapolate the fitted bar grid back to the start of the track.
-
-    The first detected downbeat often sits one or more bars into the
-    audio; earlier bars are still bars, so the grid keeps only the phase
-    within one period.  A phase within _PHASE_SNAP_S of a bar boundary
-    (detection jitter) snaps to zero.
-    """
-    phase = grid.start % grid.period
-    if phase < _PHASE_SNAP_S or grid.period - phase < _PHASE_SNAP_S:
-        phase = 0.0
-    count = max(2, int((duration - phase) // grid.period) + 1)
-    return BeatGrid(start=phase, period=grid.period, count=count,
-                    residual_rms=grid.residual_rms)
+def analyze_beats(buf: AudioBuffer) -> beats.BeatAnalysis:
+    """beats.analyze of the track as 16 kHz mono."""
+    return beats.analyze(analysis_buffer(buf).samples[0])
 
 
 # ----------------------------------------------------------------------

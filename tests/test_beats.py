@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aigmdet.audio import AudioBuffer
-from aigmdet.beats import (BeatGrid, DegenerateFit, GridTooSparse,
+from aigmdet.beats import (PHASE_SNAP_S, BeatGrid, DegenerateFit, GridTooSparse,
                            NoPeriodicity, TooFewBeats, TooShort,
                            estimate_tempo, export_boundaries_csv,
                            beat_dp, pick_downbeats, quantize_grid,
@@ -27,21 +27,21 @@ def onset_of(buf):
 @pytest.mark.parametrize("bpm", [90, 120, 150])
 def test_tempo_on_clean_clicks(bpm):
     env = onset_of(click_track(bpm, 12.0))
-    assert abs(estimate_tempo(env, HOP_S) - bpm) <= 2.0
+    assert abs(estimate_tempo(env) - bpm) <= 2.0
 
 
 def test_tempo_synthetic_impulse_train():
     # oracle envelope built directly: impulse every 25 frames = 150 BPM
     env = np.zeros(800)
     env[::25] = 1.0
-    assert abs(estimate_tempo(env, HOP_S) - 150.0) <= 2.0
+    assert abs(estimate_tempo(env) - 150.0) <= 2.0
 
 
 def test_tempo_octave_folds_into_range():
     # impulses every 13 frames -> 288 BPM raw, should fold to 144
     env = np.zeros(800)
     env[::13] = 1.0
-    tempo = estimate_tempo(env, HOP_S)
+    tempo = estimate_tempo(env)
     assert 60.0 <= tempo <= 200.0
     assert abs(tempo - 60.0 / (13 * HOP_S) / 2) <= 3.0
 
@@ -50,17 +50,17 @@ def test_tempo_rejects_noise():
     rng = np.random.default_rng(0)
     env = rng.uniform(0, 1, 800)
     with pytest.raises(NoPeriodicity):
-        estimate_tempo(env, HOP_S)
+        estimate_tempo(env)
 
 
 def test_tempo_rejects_silence():
     with pytest.raises((NoPeriodicity, TooShort)):
-        estimate_tempo(np.zeros(400), HOP_S)
+        estimate_tempo(np.zeros(400))
 
 
 def test_tempo_too_short():
     with pytest.raises(TooShort):
-        estimate_tempo(np.ones(100), HOP_S)  # 1.6 s of frames
+        estimate_tempo(np.ones(100))  # 1.6 s of frames
 
 
 # ---------------------------------------------------------------- beats
@@ -68,7 +68,7 @@ def test_tempo_too_short():
 def test_beat_positions_on_clicks(bpm):
     buf = click_track(bpm, 12.0, phase_s=0.25)
     env = onset_of(buf)
-    beats = track_beats(env, bpm, HOP_S)
+    beats = track_beats(env, bpm)
     period = 60.0 / bpm
     assert len(beats) >= 12.0 / period - 3
     # beat times are window-start referenced, so a constant offset up to one
@@ -81,7 +81,7 @@ def test_beat_positions_on_clicks(bpm):
 
 def test_beat_intervals_near_period():
     env = onset_of(click_track(120, 12.0))
-    beats = track_beats(env, 120, HOP_S)
+    beats = track_beats(env, 120)
     intervals = np.diff(beats)
     assert np.abs(intervals - 0.5).max() <= 0.05
 
@@ -90,7 +90,7 @@ def test_beats_tolerate_jitter():
     rng = np.random.default_rng(1)
     buf = click_track(120, 12.0, jitter_s=0.01, rng=rng)
     env = onset_of(buf)
-    beats = track_beats(env, 120, HOP_S)
+    beats = track_beats(env, 120)
     intervals = np.diff(beats)
     assert abs(intervals.mean() - 0.5) <= 0.02
 
@@ -100,7 +100,7 @@ def test_beats_on_direct_envelope_within_20ms():
     env = np.zeros(int(12.0 / HOP_S))
     true_beats = np.arange(0.0, 12.0, 0.5)
     env[np.round(true_beats / HOP_S).astype(int)] = 1.0
-    beats = track_beats(env, 120, HOP_S)
+    beats = track_beats(env, 120)
     assert abs(len(beats) - 24) <= 1
     frac = beats / 0.5
     assert np.abs(frac - np.round(frac)).max() * 0.5 <= 0.02
@@ -109,7 +109,7 @@ def test_beats_on_direct_envelope_within_20ms():
 def test_single_click_keeps_at_most_one_beat():
     env = np.zeros(400)
     env[200] = 1.0
-    beats = track_beats(env, 120, HOP_S)
+    beats = track_beats(env, 120)
     assert len(beats) <= 1
     if len(beats):
         assert abs(beats[0] - 200 * HOP_S) <= 0.02
@@ -117,7 +117,7 @@ def test_single_click_keeps_at_most_one_beat():
 
 def test_track_beats_too_short():
     with pytest.raises(TooShort):
-        track_beats(np.ones(10), 60, HOP_S)
+        track_beats(np.ones(10), 60)
 
 
 @pytest.mark.parametrize("tau", [1.5, 2.5, 60 / (92 * HOP_S), 60 / (120 * HOP_S),
@@ -147,8 +147,8 @@ def test_blocked_dp_matches_frame_loop_on_clicks():
 def test_downbeat_phase_from_accents():
     buf = click_track(120, 16.0, accent_every=4, accent_amp=1.0, base_amp=0.3)
     env = onset_of(buf)
-    beats = track_beats(env, 120, HOP_S)
-    downs = pick_downbeats(beats, env, HOP_S)
+    beats = track_beats(env, 120)
+    downs = pick_downbeats(beats, env)
     # accented clicks sit at multiples of 2 s (4 beats at 120 BPM)
     offsets = downs / 2.0
     assert np.abs(offsets - np.round(offsets)).max() * 2.0 <= 0.06
@@ -157,19 +157,19 @@ def test_downbeat_phase_from_accents():
 def test_downbeat_tie_breaks_to_lowest_phase():
     beats = np.arange(16) * 0.5
     onset = np.ones(1000)  # all phases tie
-    downs = pick_downbeats(beats, onset, HOP_S)
+    downs = pick_downbeats(beats, onset)
     assert np.allclose(downs, beats[0::4])
 
 
 def test_downbeats_need_eight_beats():
     with pytest.raises(TooFewBeats):
-        pick_downbeats(np.arange(7) * 0.5, np.ones(100), HOP_S)
+        pick_downbeats(np.arange(7) * 0.5, np.ones(100))
 
 
 # ---------------------------------------------------------------- grid
 def test_quantize_exact_grid():
     downs = 0.3 + np.arange(8) * 2.0
-    grid = quantize_grid(downs)
+    grid = quantize_grid(downs, 15.0)
     assert abs(grid.start - 0.3) < 1e-9
     assert abs(grid.period - 2.0) < 1e-9
     assert grid.residual_rms < 1e-9
@@ -180,7 +180,7 @@ def test_quantize_least_squares_oracle():
     # oracle: compare against an independent normal-equation solve
     rng = np.random.default_rng(2)
     downs = 0.5 + np.arange(10) * 1.9 + rng.normal(0, 0.02, 10)
-    grid = quantize_grid(downs)
+    grid = quantize_grid(downs, 19.0)
     i = np.arange(10.0)
     A = np.stack([np.ones(10), i], axis=1)
     start, period = np.linalg.lstsq(A, downs, rcond=None)[0]
@@ -190,16 +190,47 @@ def test_quantize_least_squares_oracle():
     assert abs(grid.residual_rms - expected_rms) < 1e-9
 
 
-def test_quantize_negative_start_clamped():
-    downs = -0.1 + np.arange(4) * 2.0
-    assert quantize_grid(downs).start == 0.0
+def test_quantize_negative_start_keeps_phase():
+    # a fitted line that starts before the track: the grid starts at the
+    # first bar line inside it, not at 0
+    downs = -0.2 + np.arange(8) * 2.0
+    grid = quantize_grid(downs, 16.0)
+    assert abs(grid.start - 1.8) < 1e-9
+    assert np.allclose(grid.downbeats(), 1.8 + np.arange(8) * 2.0)
+
+
+NOISE_S = 0.005
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(1.2, 4.0), st.floats(-3.0, 3.0), st.integers(4, 40), st.integers(0, 2**32 - 1))
+def test_quantize_grid_phase_is_start_mod_period(period, bars, n, seed):
+    # downbeats start + period*i, jittered; start anywhere in [-3, 3] bars
+    start = bars * period
+    downs = (start + np.arange(n) * period
+             + np.random.default_rng(seed).uniform(-NOISE_S, NOISE_S, n))
+    grid = quantize_grid(downs, start + n * period)
+    phase = start % period
+    to_bar_line = min(phase, period - phase)
+    tol = 4 * NOISE_S  # bounds the fitted start's error
+    if grid.start == 0.0:
+        assert to_bar_line < PHASE_SNAP_S + tol
+    else:
+        assert to_bar_line > PHASE_SNAP_S - tol
+        assert abs(grid.start - phase) < tol
+    # each downbeat is at most its residual (<= sqrt(n) * rms) from a grid
+    # line, plus the phase snap
+    off = (downs - grid.start) % grid.period
+    distance = np.minimum(off, grid.period - off)
+    snap = PHASE_SNAP_S if grid.start == 0.0 else 0.0
+    assert distance.max() <= np.sqrt(n) * grid.residual_rms + snap + 1e-9
 
 
 def test_quantize_degenerate():
     with pytest.raises(DegenerateFit):
-        quantize_grid(np.array([3.0, 2.0, 1.0]))
+        quantize_grid(np.array([3.0, 2.0, 1.0]), 4.0)
     with pytest.raises(TooFewBeats):
-        quantize_grid(np.array([1.0]))
+        quantize_grid(np.array([1.0]), 4.0)
 
 
 def test_grid_validation():
@@ -258,7 +289,7 @@ def test_full_chain_recovers_tempo(bpm, seed):
     rng = np.random.default_rng(seed)
     buf = click_track(bpm, 12.0, jitter_s=0.004, rng=rng)
     env = onset_of(buf)
-    tempo = estimate_tempo(env, HOP_S)
+    tempo = estimate_tempo(env)
     assert abs(tempo - bpm) <= 2.0
-    beats = track_beats(env, tempo, HOP_S)
+    beats = track_beats(env, tempo)
     assert len(beats) >= 8

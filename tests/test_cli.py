@@ -451,7 +451,8 @@ def test_ssm_bad_input_exits_2(tmp_path, capsys):
 
 
 # float32 bit patterns; casting a signalling NaN to float64 warns
-NON_FINITE = {"nan": 0x7FC00000, "signalling_nan": 0x7FA00000, "inf": 0x7F800000}
+NON_FINITE = {"nan": 0x7FC00000, "signalling_nan": 0x7FA00000, "inf": 0x7F800000,
+              "minus_inf": 0xFF800000}
 
 
 @pytest.mark.parametrize("value", list(NON_FINITE))
@@ -477,7 +478,8 @@ def test_non_finite_float32_input_exits_2(command, value, tmp_path, capsys):
                                   "predict_width_mismatch", "eval_width_mismatch",
                                   "train_manifest_header", "predict_preset_mismatch",
                                   "predict_stage1_preset_mismatch",
-                                  "predict_fxseg_preset_mismatch"])
+                                  "predict_fxseg_preset_mismatch", "train_manifest_label",
+                                  "train_manifest_duplicate"])
 def test_unreadable_input_exits_2(case, corpus, stage1_ckpt, tmp_path, monkeypatch,
                                   capsys):
     bad_text = tmp_path / "latin1.txt"
@@ -492,6 +494,10 @@ def test_unreadable_input_exits_2(case, corpus, stage1_ckpt, tmp_path, monkeypat
     nul.write_text("path,label,split\na\x00b.wav,0,test\n")
     no_header = tmp_path / "nohdr.csv"
     no_header.write_text("file,label\na.wav,0\n")
+    label_2 = tmp_path / "label2.csv"
+    label_2.write_text("path,label\na.wav,0\nb.wav,2\n")
+    duplicate = tmp_path / "dup.csv"
+    duplicate.write_text("path,label\na.wav,0\nb.wav,1\na.wav,1\n")
     # a stage 1 of d_model 16 under a segtr that reads d_in 128
     narrow, segtr = tmp_path / "narrow.aigm", tmp_path / "segtr.aigm"
     pipeline.save_model(narrow, models.AudioCAT(d_enc=512, cfg=nn.AttentionConfig(
@@ -529,6 +535,11 @@ def test_unreadable_input_exits_2(case, corpus, stage1_ckpt, tmp_path, monkeypat
                                            [d_enc_100]),
         "predict_fxseg_preset_mismatch": (["predict", "--ckpt", str(fxseg), "--audio",
                                            corpus["clip"]], [fxseg]),
+        "train_manifest_label": (["train", "--arch", "audiocat", "--manifest", str(label_2),
+                                  "--out", out], [f"error: {label_2}, line 3: "]),
+        "train_manifest_duplicate": (["train", "--arch", "audiocat", "--manifest",
+                                      str(duplicate), "--out", out],
+                                     [f"error: {duplicate}, line 4: duplicate path a.wav"]),
     }[case]
     if case.endswith("_mismatch"):  # refused before any WAV is read
         monkeypatch.setattr(pipeline, "load_wav", lambda path: pytest.fail(f"read {path}"))

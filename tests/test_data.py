@@ -128,7 +128,7 @@ def test_render_track_has_expected_tempo():
     from aigmdet.dsp import log_mel, onset_envelope
     buf = render_track(0, 124, 20.0, 16000, np.random.default_rng(0))
     env = onset_envelope(log_mel(buf.samples[0]))
-    assert abs(estimate_tempo(env, 256 / 16000) - 124) <= 2.0
+    assert abs(estimate_tempo(env) - 124) <= 2.0
 
 
 def test_synth_dataset_layout(tmp_path):
