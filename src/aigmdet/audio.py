@@ -167,7 +167,9 @@ def to_mono(buf: AudioBuffer) -> AudioBuffer:
 # outputs in every block are a matrix product: the rows of input it reads,
 # k*down samples apart, times a banded [span x phases] matrix that holds
 # each phase's kernel at its offset.  The rows overlap, so numpy copies
-# them for BLAS; taking _ROW_CHUNK rows at a time bounds that copy.
+# them for BLAS; taking _ROW_CHUNK rows at a time bounds that copy.  The
+# rows are read from the input itself; a chunk that reaches before its
+# first sample or past its last is copied into zeros first.
 # The output rows are padded to whole chunks, and each product takes at
 # most _K_PIECE rows of the band; the partial products of a span are added
 # in numpy in a fixed order.  Both rules are there so that BLAS threads
@@ -206,6 +208,22 @@ def _phase_bands(up: int, down: int, phases: int):
     return half, groups
 
 
+def _input_rows(samples: np.ndarray, lo: int, count: int, span: int, step: int) -> np.ndarray:
+    """[channels x count x span]: row i holds samples lo + i*step onwards,
+    zero before the first sample and past the last; a view of `samples`
+    unless it reaches outside them."""
+    channels, frames = samples.shape
+    hi = lo + (count - 1) * step + span
+    if 0 <= lo and hi <= frames:
+        part = samples[:, lo:hi]
+    else:
+        part = np.zeros((channels, hi - lo))
+        a, b = max(lo, 0), min(hi, frames)
+        if a < b:
+            part[:, a - lo:b - lo] = samples[:, a:b]
+    return np.lib.stride_tricks.sliding_window_view(part, span, axis=1)[:, ::step]
+
+
 def _resample(samples: np.ndarray, up: int, down: int) -> np.ndarray:
     """[channels x frames] at rate ratio up/down (coprime)."""
     channels, frames = samples.shape
@@ -216,17 +234,13 @@ def _resample(samples: np.ndarray, up: int, down: int) -> np.ndarray:
     phases = min(k * up, n_out)
     blocks = -(-n_out // (phases * _ROW_CHUNK)) * _ROW_CHUNK
     half, groups = _phase_bands(up, down, phases)
-    # with `half` zeros in front, the window for base b starts at index b+1;
-    # zeros behind the input up to the end of the last block's last window
-    reach = (blocks - 1) * k * down + (phases - 1) * down // up + 2 * half + 1
-    padded = np.pad(samples, ((0, 0), (half, reach - half - frames)))
     out = np.empty((channels, blocks, phases))
     for first, offset, band in groups:
         span, width = band.shape
-        rows = np.lib.stride_tricks.sliding_window_view(
-            padded[:, offset + 1:], span, axis=1)[:, ::k * down]
         for r in range(0, blocks, _ROW_CHUNK):
-            chunk = rows[:, r:r + _ROW_CHUNK]
+            # the window for base b starts at input sample b + 1 - half
+            chunk = _input_rows(samples, offset + 1 - half + r * k * down, _ROW_CHUNK,
+                                span, k * down)
             acc = chunk[..., :_K_PIECE] @ band[:_K_PIECE]
             for s in range(_K_PIECE, span, _K_PIECE):
                 acc += chunk[..., s:s + _K_PIECE] @ band[s:s + _K_PIECE]

@@ -154,33 +154,14 @@ _ACCENT_AMP = 1.0
 _SYNTH_TEMPI = (92, 100, 108, 116, 124, 132, 140)
 
 
-def _render_click(rate: int, amp: float) -> np.ndarray:
-    t = np.arange(int(_CLICK_LEN_S * rate)) / rate
-    return amp * np.exp(-t * _CLICK_DECAY) * np.sin(2 * np.pi * _CLICK_FREQ * t)
-
-
-def _render_bar(root: float, accent_beat: int, accent_amp: float,
-                bpm: float, rate: int) -> np.ndarray:
-    beat_len = 60.0 / bpm
-    n = int(round(4 * beat_len * rate))
-    t = np.arange(n) / rate
-    bar = np.zeros(n)
+def _section_tone(root: float, t: np.ndarray, env: np.ndarray) -> np.ndarray:
+    """A bar of section tone: the partials of `root` at times `t`, under the
+    per-beat envelope `env`."""
+    tone = np.zeros(len(t))
     for harmonic, amp in enumerate(_PARTIAL_AMPS, start=1):
-        bar += amp * np.sin(2 * np.pi * root * harmonic * t)
-    # light per-beat amplitude envelope on the tone
-    env = 0.6 + 0.4 * np.abs(np.sin(np.pi * t / beat_len))
-    bar *= env
-    for beat in range(4):
-        amp = accent_amp if beat == accent_beat else _PLAIN_BEAT_AMP
-        click = _render_click(rate, amp)
-        start = int(round(beat * beat_len * rate))
-        end = min(n, start + len(click))
-        bar[start:end] += click[:end - start]
-    fade = min(64, n // 4)
-    ramp = np.linspace(0.0, 1.0, fade)
-    bar[:fade] *= ramp
-    bar[-fade:] *= ramp[::-1]
-    return bar
+        tone += amp * np.sin(2 * np.pi * root * harmonic * t)
+    tone *= env
+    return tone
 
 
 def _bar_plan(label: int, bpm: float, duration_s: float,
@@ -204,16 +185,45 @@ def _bar_plan(label: int, bpm: float, duration_s: float,
 
 def render_track(label: int, bpm: float, duration_s: float, rate: int,
                  rng: np.random.Generator) -> AudioBuffer:
-    """One synthetic track of _bar_plan's bars, peak-normalised to 0.8."""
+    """One synthetic track of _bar_plan's bars, peak-normalised to 0.8.
+
+    All bars have one length, and every bar of a section starts as the same
+    tone, so each section's tone is computed once a track.  A bar is a copy
+    of that tone plus a click on each beat (the accent beat's at its own
+    amplitude), with a fade of up to 64 samples at both ends.  Bars past
+    the end are cropped, but still count towards the peak."""
+    # the output first: allocated after the bar-sized arrays below, a 3-minute
+    # track did not reuse the heap space glibc's malloc kept from the last
+    # one, and rendering 7 in a row peaked 17 MB higher in resident memory
     audio = np.zeros(int(round(duration_s * rate)))
-    # bars past the end are cropped, but still count towards the peak
-    peak, pos = 1e-9, 0
-    for section, beat, amp in _bar_plan(label, bpm, duration_s, rng):
-        bar = _render_bar(_SECTION_ROOTS[section], beat, amp, bpm, rate)
+    plan = _bar_plan(label, bpm, duration_s, rng)
+    beat_len = 60.0 / bpm
+    n = int(round(4 * beat_len * rate))
+    t = np.arange(n) / rate
+    # light per-beat amplitude envelope on the tone
+    env = 0.6 + 0.4 * np.abs(np.sin(np.pi * t / beat_len))
+    tones = {s: _section_tone(root, t, env) for s, root in _SECTION_ROOTS.items()}
+    t_click = np.arange(int(_CLICK_LEN_S * rate)) / rate
+    decay = np.exp(-t_click * _CLICK_DECAY)
+    carrier = np.sin(2 * np.pi * _CLICK_FREQ * t_click)
+    plain_click = _PLAIN_BEAT_AMP * decay * carrier
+    starts = [int(round(beat * beat_len * rate)) for beat in range(4)]
+    fade = min(64, n // 4)
+    ramp = np.linspace(0.0, 1.0, fade)
+
+    bar = np.empty(n)
+    peak = 1e-9
+    for i, (section, accent_beat, accent_amp) in enumerate(plan):
+        bar[:] = tones[section]
+        for beat, start in enumerate(starts):
+            click = accent_amp * decay * carrier if beat == accent_beat else plain_click
+            end = min(n, start + len(click))
+            bar[start:end] += click[:end - start]
+        bar[:fade] *= ramp
+        bar[-fade:] *= ramp[::-1]
         peak = max(peak, bar.max(), -bar.min())
-        dst = audio[pos:pos + len(bar)]
+        dst = audio[i * n:(i + 1) * n]
         dst[:] = bar[:len(dst)]
-        pos += len(bar)
     audio *= 0.8
     audio /= peak
     return AudioBuffer(audio[None, :], rate)

@@ -13,7 +13,8 @@ from aigmdet import audio
 from aigmdet.audio import (AudioBuffer, InvalidRate, MalformedHeader, TruncatedData,
                            UnsupportedEncoding, load_wav, resample, save_wav, to_mono)
 
-from util import direct_resample_channel, fft_peak_hz, phase_loop_resample, raw_wav, sine_buffer
+from util import (direct_resample_channel, fft_peak_hz, padded_resample, phase_loop_resample,
+                  raw_wav, sine_buffer)
 
 
 # ---------------------------------------------------------------- wav io
@@ -270,6 +271,21 @@ def test_resample_matches_phase_loop(src, dst, channels):
         assert got.shape == want.shape
         assert got.flags.c_contiguous
         assert np.abs(got - want).max() <= 1e-12, f"{frames} frames"
+
+
+@pytest.mark.parametrize("channels", [1, 2, 3])
+@pytest.mark.parametrize("src", [44100, 48000, 96000])
+def test_resample_matches_padded_input_bit_for_bit(src, channels):
+    """Rows are read from the input itself, and zeros are filled in only
+    for the chunks that reach before its first sample or past its last."""
+    up, down = _ratio(src, 16000)
+    chunk_frames = _frames_for(audio._ROW_CHUNK * -(-audio._GROUP // up) * up, src, 16000)
+    # shorter than one kernel and one block, a few blocks, one frame short
+    # of a row chunk, and over three chunks (the middle ones read no zeros)
+    for frames in (1, 100, 5000, chunk_frames - 1, 3 * chunk_frames + 17):
+        x = np.random.default_rng(frames).uniform(-1, 1, (channels, frames))
+        got = resample(AudioBuffer(x, src), 16000).samples
+        assert got.tobytes() == padded_resample(x, up, down).tobytes(), f"{frames} frames"
 
 
 _DIGEST = """

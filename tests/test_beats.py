@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from aigmdet.audio import AudioBuffer
 from aigmdet.beats import (PHASE_SNAP_S, BeatGrid, DegenerateFit, GridTooSparse,
-                           NoPeriodicity, TooFewBeats, TooShort,
+                           NoPeriodicity, TooFewBeats, TooShort, analyze,
                            estimate_tempo, export_boundaries_csv,
                            beat_dp, pick_downbeats, quantize_grid,
                            segment_bars, track_beats)
+from aigmdet.data import _SYNTH_TEMPI, render_track
 from aigmdet.dsp import log_mel, onset_envelope
 from aigmdet.models import segment_features
 
@@ -159,6 +160,18 @@ def test_downbeat_tie_breaks_to_lowest_phase():
     onset = np.ones(1000)  # all phases tie
     downs = pick_downbeats(beats, onset)
     assert np.allclose(downs, beats[0::4])
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+@pytest.mark.parametrize("bpm", _SYNTH_TEMPI)
+def test_grid_starts_on_a_bar_line_of_class0_renders(bpm):
+    """Class-0 renders accent beat 1 of every bar, and their bars are a
+    whole number of samples long, so the true bar lines are the multiples
+    of that length.  Class 0 draws nothing from the rng."""
+    row = render_track(0, float(bpm), 64.0, 16000, np.random.default_rng(0)).samples[0]
+    bar = round(4 * 60 / bpm * 16000) / 16000
+    phase = analyze(row).grid.start % bar
+    assert min(phase, bar - phase) <= PHASE_SNAP_S
 
 
 def test_downbeats_need_eight_beats():

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -142,7 +144,6 @@ def test_synth_dataset_layout(tmp_path):
 
 
 def test_synth_dataset_byte_stable(tmp_path):
-    import hashlib
     digests = []
     for name in ("a", "b"):
         m = synth_dataset(tmp_path / name, n_per_class=4, seed=7, duration_s=4.0)
@@ -157,3 +158,45 @@ def test_synth_dataset_byte_stable(tmp_path):
 def test_synth_dataset_minimum_size(tmp_path):
     with pytest.raises(DataError):
         synth_dataset(tmp_path / "tiny", n_per_class=3)
+
+
+# SHA-256 of the corpus bytes: any change to the synthesis arithmetic, or
+# to the order of its operations, changes them.  10.3 s at 100 bpm ends
+# inside a bar, and 1.0 s at 92 bpm and 0.5 s at 140 bpm are shorter than
+# one bar.
+RENDER_DIGESTS = {
+    (0, 116, 16.0, 16000): "02608f311b251c59a39b6d417bc91b245ac67f99fc28e403e87f0f96e67dc38a",
+    (1, 116, 16.0, 16000): "4d8e5aeac3dac5d7b716a605f1e97678a2605475ce0b13c528483db835a276f4",
+    (0, 132, 8.0, 44100): "48e7a7ee59a91f9e35c6c62d6ad9c47727085ded402ae4f503e194799c905b00",
+    (1, 132, 8.0, 44100): "cfc6d542b7595a56aed8426eceac425b17ed5a0003d95eb010d3a5d095b13fba",
+    (1, 100, 10.3, 16000): "f27d831b0976df9d8ddb65a3953c51ec0c306f762742b80a2ceab5ecbe2a1f91",
+    (0, 92, 1.0, 16000): "7a4d13aa62c249c3c0dc70816fe8a18e22aa2f6fc4faf33c13b2478173ac9a7e",
+    (1, 140, 0.5, 16000): "231ab1296c5f953c2978b2ba7c5c32138ff494d53ce02c9b51d76cd098d05f0d",
+}
+
+CORPUS_DIGESTS = {
+    "class0_000_bpm132.wav": "33b22004079052572eb76f1242ac6449d4938c0977ad7e1f376ab6bc17b0de72",
+    "class0_001_bpm124.wav": "4854fb2c7a03c8960470434ea960413a3e39149fe27d12a603bb336b953ca4ef",
+    "class0_002_bpm116.wav": "a57cdc9bacf2bd7be3ffbfe8ab8ec3107fd45bb6cec98033142a97836a0c5cf6",
+    "class0_003_bpm100.wav": "68cd7b89d9aeabf965c8cdfb980ccfd947bf7038dfc5bc7685132835df8c7b10",
+    "class1_000_bpm108.wav": "3cb9a3bc86a35f7a2cebca02fd6fd1e6c90c2f558893fe0bb695e8c6f2f81ee8",
+    "class1_001_bpm100.wav": "225c5044f0ecea60c4387627c7b040792b3bcbfef23a3fe35741d98bd53e6301",
+    "class1_002_bpm92.wav": "f1f0b1750ee8e26dec4f0aad2453360567b75733fa1ab3bdd6f676255ab3c297",
+    "class1_003_bpm116.wav": "bc5460804adee23b0831e1ca319e90b843df4ed5b1818eb5e9effbd0b5bf7576",
+    "manifest.csv": "9331c69265de43ac4ecf762d9ca9dd5be36c36b299188236432e356822b163f4",
+}
+
+
+@pytest.mark.parametrize("case", list(RENDER_DIGESTS), ids=str)
+def test_render_track_bytes_are_pinned(case):
+    samples = render_track(*case, np.random.default_rng(3)).samples
+    assert hashlib.sha256(samples.tobytes()).hexdigest() == RENDER_DIGESTS[case]
+
+
+def test_synth_dataset_bytes_are_pinned(tmp_path, monkeypatch):
+    # a relative directory keeps the manifest's paths, and so its bytes, fixed
+    monkeypatch.chdir(tmp_path)
+    synth_dataset("corpus", n_per_class=4, seed=0, duration_s=8.0)
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in (tmp_path / "corpus").iterdir()}
+    assert got == CORPUS_DIGESTS

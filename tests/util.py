@@ -16,7 +16,7 @@ import zlib
 
 import numpy as np
 
-from aigmdet import data, extractors, nn
+from aigmdet import audio, data, extractors, nn
 from aigmdet.audio import _KAISER_BETA, _SINC_TAPS, AudioBuffer
 from aigmdet.beats import DP_TIGHTNESS
 from aigmdet.dsp import FRAME_LEN, HOP, LOG_EPS, mel_filterbank, stft
@@ -170,6 +170,36 @@ def phase_loop_resample(samples, up, down):
     return out
 
 
+def padded_resample(samples, up, down):
+    """`audio._resample` over a zero-padded copy of the whole input, with
+    the same groups, row chunks and products, so the same bytes."""
+    channels, frames = samples.shape
+    n_out = round(frames * up / down)
+    if n_out == 0:
+        return np.zeros((channels, 0))
+    k = -(-audio._GROUP // up)
+    phases = min(k * up, n_out)
+    chunk_rows = audio._ROW_CHUNK
+    blocks = -(-n_out // (phases * chunk_rows)) * chunk_rows
+    half, groups = audio._phase_bands(up, down, phases)
+    # with `half` zeros in front, the window for base b starts at index b+1;
+    # zeros behind the input up to the end of the last block's last window
+    reach = (blocks - 1) * k * down + (phases - 1) * down // up + 2 * half + 1
+    padded = np.pad(samples, ((0, 0), (half, reach - half - frames)))
+    out = np.empty((channels, blocks, phases))
+    for first, offset, band in groups:
+        span, width = band.shape
+        rows = np.lib.stride_tricks.sliding_window_view(
+            padded[:, offset + 1:], span, axis=1)[:, ::k * down]
+        for r in range(0, blocks, chunk_rows):
+            chunk = rows[:, r:r + chunk_rows]
+            acc = chunk[..., :audio._K_PIECE] @ band[:audio._K_PIECE]
+            for s in range(audio._K_PIECE, span, audio._K_PIECE):
+                acc += chunk[..., s:s + audio._K_PIECE] @ band[s:s + audio._K_PIECE]
+            out[:, r:r + chunk_rows, first:first + width] = acc
+    return np.ascontiguousarray(out.reshape(channels, -1)[:, :n_out])
+
+
 def loop_beat_dp(env, tau):
     """Frame-by-frame form of `beats.beat_dp`, the reference its blocked
     form must match bit for bit."""
@@ -208,15 +238,41 @@ def whole_log_mel(x, frame_len=FRAME_LEN):
     return np.log(power @ mel_filterbank(frame_len).T + LOG_EPS)
 
 
+def bar_by_bar(root, accent_beat, accent_amp, bpm, rate):
+    """One bar of `data.render_track` computed on its own: the section tone,
+    its four clicks and its edge fades."""
+    beat_len = 60.0 / bpm
+    n = int(round(4 * beat_len * rate))
+    t = np.arange(n) / rate
+    bar = np.zeros(n)
+    for harmonic, amp in enumerate(data._PARTIAL_AMPS, start=1):
+        bar += amp * np.sin(2 * np.pi * root * harmonic * t)
+    bar *= 0.6 + 0.4 * np.abs(np.sin(np.pi * t / beat_len))
+    t_click = np.arange(int(data._CLICK_LEN_S * rate)) / rate
+    for beat in range(4):
+        amp = accent_amp if beat == accent_beat else data._PLAIN_BEAT_AMP
+        click = (amp * np.exp(-t_click * data._CLICK_DECAY)
+                 * np.sin(2 * np.pi * data._CLICK_FREQ * t_click))
+        start = int(round(beat * beat_len * rate))
+        end = min(n, start + len(click))
+        bar[start:end] += click[:end - start]
+    fade = min(64, n // 4)
+    ramp = np.linspace(0.0, 1.0, fade)
+    bar[:fade] *= ramp
+    bar[-fade:] *= ramp[::-1]
+    return bar
+
+
 def concatenated_render_track(label, bpm, duration_s, rate, rng):
-    """`data.render_track` from a list of bars joined by np.concatenate."""
-    bars = [data._render_bar(data._SECTION_ROOTS[s], beat, amp, bpm, rate)
+    """`data.render_track` from a list of bars, each computed on its own
+    (`bar_by_bar`), joined by np.concatenate."""
+    bars = [bar_by_bar(data._SECTION_ROOTS[s], beat, amp, bpm, rate)
             for s, beat, amp in data._bar_plan(label, bpm, duration_s, rng)]
-    audio = np.concatenate(bars)
+    joined = np.concatenate(bars)
     target = int(round(duration_s * rate))
-    if len(audio) < target:
-        audio = np.concatenate([audio, np.zeros(target - len(audio))])
-    samples = 0.8 * audio[:target] / max(np.abs(audio).max(), 1e-9)
+    if len(joined) < target:
+        joined = np.concatenate([joined, np.zeros(target - len(joined))])
+    samples = 0.8 * joined[:target] / max(np.abs(joined).max(), 1e-9)
     return AudioBuffer(samples[None, :], rate)
 
 
