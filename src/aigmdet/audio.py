@@ -8,10 +8,12 @@ float32 on read, PCM 16-bit on write.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
+
+from .dsp import ANALYSIS_RATE, FRAME_LEN, log_mel
 
 
 class AudioError(Exception):
@@ -38,6 +40,10 @@ class InvalidRate(AudioError):
     pass
 
 
+class RateMismatch(AudioError):
+    """A buffer that is not 16 kHz mono where the analysis format is needed."""
+
+
 MIN_RATE, MAX_RATE = 8000, 192000
 
 
@@ -47,6 +53,8 @@ class AudioBuffer:
 
     samples: np.ndarray
     sample_rate: int
+    # frame_len -> the row's log-mel, filled by log_mel
+    _log_mels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.samples = np.atleast_2d(np.asarray(self.samples, dtype=np.float64))
@@ -69,6 +77,19 @@ class AudioBuffer:
     @property
     def duration(self) -> float:
         return self.frames / self.sample_rate
+
+    def log_mel(self, frame_len: int = FRAME_LEN) -> np.ndarray:
+        """dsp.log_mel of a 16 kHz mono buffer's row, computed once per frame
+        length and read-only; RateMismatch for any other rate or channel
+        count.  Beat analysis and the segment features share it."""
+        if self.sample_rate != ANALYSIS_RATE or self.channels != 1:
+            raise RateMismatch(f"log-mel needs {ANALYSIS_RATE} Hz mono, got "
+                               f"{self.sample_rate} Hz with {self.channels} channel(s)")
+        mel = self._log_mels.get(frame_len)
+        if mel is None:
+            mel = self._log_mels[frame_len] = log_mel(self.samples[0], frame_len)
+            mel.setflags(write=False)
+        return mel
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Beat analysis of a 16 kHz sample row: tempo estimation, dynamic-programming
-beat tracking, downbeat phase selection, bar-grid fit, and 4-bar segmentation.
+"""Beat analysis of a 16 kHz track's log-mel: tempo estimation,
+dynamic-programming beat tracking, downbeat phase selection, bar-grid fit,
+and 4-bar segmentation.
 
 A classical onset/autocorrelation/DP tracker; meter is fixed to 4/4.
 """
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import ANALYSIS_RATE, FRAME_LEN, HOP, TooShort, log_mel, onset_envelope
+from .dsp import ANALYSIS_RATE, FRAME_LEN, HOP, TooShort, onset_envelope
 
 BPM_MIN, BPM_MAX = 60.0, 200.0
 TEMPO_PRIOR_BPM = 120.0
@@ -75,14 +76,16 @@ class BeatAnalysis:
     grid: BeatGrid
 
 
-def analyze(track: np.ndarray) -> BeatAnalysis:
-    """onset -> tempo -> beats -> downbeats -> arithmetic grid of a 16 kHz
-    sample row; beat times are in seconds from the row's first sample."""
-    onset = onset_envelope(log_mel(track))
+def analyze(mel: np.ndarray, duration: float) -> BeatAnalysis:
+    """onset -> tempo -> beats -> downbeats -> arithmetic grid of a track
+    of `duration` seconds, from the frame-FRAME_LEN log-mel of its 16 kHz
+    row (AudioBuffer.log_mel); beat times are in seconds from the row's
+    first sample."""
+    onset = onset_envelope(mel)
     bpm = estimate_tempo(onset)
     beats = track_beats(onset, bpm)
     downbeats = pick_downbeats(beats, onset)
-    grid = quantize_grid(downbeats + ONSET_DELAY_S, len(track) / ANALYSIS_RATE)
+    grid = quantize_grid(downbeats + ONSET_DELAY_S, duration)
     return BeatAnalysis(bpm, beats + ONSET_DELAY_S, downbeats + ONSET_DELAY_S, grid)
 
 

@@ -3,13 +3,14 @@ deterministic DSP segment embedder used when no external embeddings are
 available.
 
 Every input is brought to 16 kHz mono (ANALYSIS_RATE) once, by
-`pipeline.analysis_buffer`; this module reads that buffer's sample row, or
-a range of it.  `log_mel` is the one STFT -> power -> mel -> log recipe
-(Hann window, hop HOP, N_MELS bands); onset analysis and `dsp_embed` run
-it at frame 1024, the sequence extractor at frame 512.  It works through
-the row in fixed blocks of LOG_MEL_BLOCK frames into a preallocated output,
-so beyond that [frames x N_MELS] output its memory does not grow with
-track length.
+`pipeline.analysis_buffer`; this module reads that buffer's sample row.
+`log_mel` is the one STFT -> power -> mel -> log recipe (Hann window, hop
+HOP, N_MELS bands), and `AudioBuffer.log_mel` runs it once per track and
+frame length.  Onset analysis and dsp_embed run it at frame 1024, the
+sequence extractor at frame 512; a segment is a range of its frames
+(`segment_frames`).  It works through the row in fixed blocks of
+LOG_MEL_BLOCK frames into a preallocated output, so beyond that
+[frames x N_MELS] output its memory does not grow with track length.
 """
 
 from __future__ import annotations
@@ -51,12 +52,20 @@ def _frame_count(samples: int, frame_len: int) -> int:
     return max(0, 1 + (samples - frame_len) // HOP)
 
 
+@lru_cache(maxsize=16)
+def hann_window(frame_len: int) -> np.ndarray:
+    """np.hanning(frame_len), computed once per length; read-only."""
+    window = np.hanning(frame_len)
+    window.setflags(write=False)
+    return window
+
+
 def stft(x: np.ndarray, frame_len: int = FRAME_LEN) -> Spectrogram:
     """Hann-windowed magnitude STFT of a 16 kHz sample row, hop HOP."""
     frames = np.lib.stride_tricks.as_strided(
         x, shape=(_frame_count(len(x), frame_len), frame_len),
         strides=(x.strides[0] * HOP, x.strides[0]),
-    ) * np.hanning(frame_len)
+    ) * hann_window(frame_len)
     return Spectrogram(np.abs(np.fft.rfft(frames, axis=1)))
 
 
@@ -102,12 +111,16 @@ def log_mel(x: np.ndarray, frame_len: int = FRAME_LEN) -> np.ndarray:
     return out
 
 
-def segment_log_mel(segment: np.ndarray, frame_len: int = FRAME_LEN) -> np.ndarray:
-    """log_mel of a segment of the analysis row; TooShort below MIN_SEGMENT_S."""
-    if len(segment) / ANALYSIS_RATE < MIN_SEGMENT_S:
-        raise TooShort(f"segment of {len(segment) / ANALYSIS_RATE:.3f} s "
-                       f"is below {MIN_SEGMENT_S} s")
-    return log_mel(segment, frame_len)
+def segment_frames(start: int, stop: int, frame_len: int = FRAME_LEN) -> slice:
+    """The frames of a whole row's log_mel that lie wholly inside its
+    samples [start, stop): [ceil(start/HOP), (stop - frame_len)//HOP + 1).
+    TooShort if they are fewer than a row of MIN_SEGMENT_S holds."""
+    first, end = -(-start // HOP), (stop - frame_len) // HOP + 1
+    need = _frame_count(round(MIN_SEGMENT_S * ANALYSIS_RATE), frame_len)
+    if end - first < need:
+        raise TooShort(f"segment of {max(end - first, 0)} frames is below the {need} "
+                       f"frames of {MIN_SEGMENT_S} s")
+    return slice(first, end)
 
 
 def onset_envelope(mel: np.ndarray) -> np.ndarray:
@@ -129,10 +142,10 @@ def projection(dim: int, stat_dim: int) -> np.ndarray:
     return mat
 
 
-def dsp_embed(segment: np.ndarray, dim: int) -> np.ndarray:
-    """Fixed-seed embedding of a segment: per-band log-mel statistics (mean,
-    std, max, mean positive flux) projected to `dim`, L2-normalized."""
-    mel = segment_log_mel(segment)
+def dsp_embed(mel: np.ndarray, dim: int) -> np.ndarray:
+    """Fixed-seed embedding of a segment's frame-FRAME_LEN log-mel frames:
+    per-band statistics (mean, std, max, mean positive flux) projected to
+    `dim`, L2-normalized."""
     flux = np.clip(np.diff(mel, axis=0), 0.0, None)
     stats = np.concatenate([
         mel.mean(axis=0),

@@ -48,7 +48,8 @@ class ExperimentResult:
 
 def track_vectors(path) -> np.ndarray:
     """[n_segments x SEGMENT_EMBED_DIM]: the WAV at `path` beat-aligned,
-    one DspVectorExtractor vector per 4-bar segment."""
+    one DspVectorExtractor vector per 4-bar segment.  The beat analysis and
+    the vectors read the one frame-1024 log-mel of the track."""
     mono = analysis_buffer(load_wav(path))
     grid = analyze_beats(mono).grid
     return np.stack(list(segment_features(mono, grid, DspVectorExtractor(SEGMENT_EMBED_DIM))))

@@ -1,9 +1,10 @@
 """Pluggable feature extractors and the embedding-sequence container.
 
 Two concrete extractors ship: a DSP frame-sequence embedder and a single-
-vector DSP embedder.  Both take a range of the 16 kHz sample row of
-`pipeline.analysis_buffer` (see `models.segment_features`).  Externally
-computed embeddings are loaded from EMB1 files.
+vector DSP embedder.  Both take a segment as [frames x N_MELS], a range of
+the frames of the track's log-mel at the extractor's frame_len (see
+`models.segment_features`).  Externally computed embeddings are loaded
+from EMB1 files.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import N_MELS, dsp_embed, projection, segment_log_mel
+from .dsp import FRAME_LEN, N_MELS, dsp_embed, projection
 
 SEQ_FRAME_LEN = 512
 # segments of a track that stage 1 analyses; the default segtr max_len
@@ -23,10 +24,6 @@ SEGMENT_EMBED_DIM = 512
 
 
 class ExtractorError(Exception):
-    pass
-
-
-class RateMismatch(ExtractorError):
     pass
 
 
@@ -70,30 +67,33 @@ class EmbeddingSequence:
 
 # ----------------------------------------------------------------------
 class FeatureExtractor:
-    """Base class: a subclass's _extract turns a segment of the 16 kHz
-    sample row into a sequence [T x d] or a single vector [d]."""
+    """Base class: a subclass's _extract turns a segment's log-mel frames
+    [frames x N_MELS], taken at frame_len, into a sequence [T x d] or a
+    single vector [d]."""
 
     name: str = "base"
     kind: str = "sequence"  # or "vector"
     d_enc: int = 0
+    frame_len: int = FRAME_LEN
 
-    def __call__(self, segment: np.ndarray) -> np.ndarray:
-        return self._extract(segment)
+    def __call__(self, mel: np.ndarray) -> np.ndarray:
+        return self._extract(mel)
 
 
 class DspSequenceExtractor(FeatureExtractor):
     """Per-frame log-mel features projected to d_enc by a fixed seeded
-    random matrix; one vector per analysis frame (frame 512, hop 256)."""
+    random matrix; one vector per frame (frame 512, hop 256)."""
 
     kind = "sequence"
+    frame_len = SEQ_FRAME_LEN
 
     def __init__(self, d_enc: int = 512):
         self.name = f"dsp-seq-{d_enc}"
         self.d_enc = d_enc
         self._proj = projection(d_enc, N_MELS)
 
-    def _extract(self, segment: np.ndarray) -> np.ndarray:
-        return segment_log_mel(segment, SEQ_FRAME_LEN) @ self._proj
+    def _extract(self, mel: np.ndarray) -> np.ndarray:
+        return mel @ self._proj
 
 
 class DspVectorExtractor(FeatureExtractor):
@@ -105,8 +105,8 @@ class DspVectorExtractor(FeatureExtractor):
         self.name = f"dsp-vec-{d_enc}"
         self.d_enc = d_enc
 
-    def _extract(self, segment: np.ndarray) -> np.ndarray:
-        return dsp_embed(segment, self.d_enc)
+    def _extract(self, mel: np.ndarray) -> np.ndarray:
+        return dsp_embed(mel, self.d_enc)
 
 
 PRESETS = {

@@ -26,8 +26,8 @@ import numpy as np
 from . import nn
 from .audio import AudioBuffer
 from .beats import BeatGrid, segment_bars
-from .dsp import ANALYSIS_RATE
-from .extractors import EmbeddingSequence, FeatureExtractor, MAX_SEQ_LEN, RateMismatch
+from .dsp import segment_frames
+from .extractors import EmbeddingSequence, FeatureExtractor, MAX_SEQ_LEN
 from .nn import AllMasked, AttentionConfig, ShapeMismatch
 from .tensor import Tensor, _sigmoid, concat, no_grad
 
@@ -287,13 +287,14 @@ class SegmentTransformer(nn.Module):
 # ----------------------------------------------------------------------
 def segment_features(track: AudioBuffer, grid: BeatGrid,
                      extractor: FeatureExtractor) -> Iterator[np.ndarray]:
-    """Extractor features of each 4-bar range of a 16 kHz mono track's row,
-    each computed as the iterator reaches it; RateMismatch for other tracks."""
-    if track.sample_rate != ANALYSIS_RATE or track.channels != 1:
-        raise RateMismatch(f"segment features need {ANALYSIS_RATE} Hz mono, got "
-                           f"{track.sample_rate} Hz with {track.channels} channel(s)")
-    row = track.samples[0]
-    return (extractor(row[start:stop]) for start, stop in segment_bars(row, grid))
+    """Extractor features of each 4-bar range of a 16 kHz mono track, each
+    computed as the iterator reaches it from the frames of the track's
+    log-mel (AudioBuffer.log_mel at the extractor's frame_len) that lie
+    inside the range; RateMismatch for other tracks."""
+    frame_len = extractor.frame_len
+    mel = track.log_mel(frame_len)
+    return (extractor(mel[segment_frames(start, stop, frame_len)])
+            for start, stop in segment_bars(track.samples[0], grid))
 
 
 # features_to_sequence gathers segments until a batch holds this many frames

@@ -14,7 +14,7 @@ import numpy as np
 from . import beats, nn
 from .audio import AudioBuffer, load_wav, resample, to_mono
 from .data import DataError
-from .dsp import ANALYSIS_RATE
+from .dsp import ANALYSIS_RATE, segment_frames
 from .extractors import ExtractorError, FeatureExtractor, get_extractor
 from .models import (AudioCAT, DetectorOutput, FXSegment, SegmentTransformer,
                      track_to_sequence)
@@ -30,13 +30,18 @@ def analysis_buffer(buf: AudioBuffer) -> AudioBuffer:
 
 
 def analyze_beats(buf: AudioBuffer) -> beats.BeatAnalysis:
-    """beats.analyze of the track as 16 kHz mono."""
-    return beats.analyze(analysis_buffer(buf).samples[0])
+    """beats.analyze of the track as 16 kHz mono; its log-mel stays on that
+    buffer for the segment features, and the result holds none of it."""
+    mono = analysis_buffer(buf)
+    return beats.analyze(mono.log_mel(), mono.duration)
 
 
 # ----------------------------------------------------------------------
 def stage1_features(path, extractor: FeatureExtractor) -> np.ndarray:
-    return extractor(analysis_buffer(load_wav(path)).samples[0])
+    """Features of a whole clip; TooShort below dsp.MIN_SEGMENT_S."""
+    mono = analysis_buffer(load_wav(path))
+    frame_len = extractor.frame_len
+    return extractor(mono.log_mel(frame_len)[segment_frames(0, mono.frames, frame_len)])
 
 
 def build_stage1_dataset(entries, extractor: FeatureExtractor) -> list:

@@ -10,8 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aigmdet import audio
-from aigmdet.audio import (AudioBuffer, InvalidRate, MalformedHeader, TruncatedData,
-                           UnsupportedEncoding, load_wav, resample, save_wav, to_mono)
+from aigmdet.audio import (AudioBuffer, InvalidRate, MalformedHeader, RateMismatch,
+                           TruncatedData, UnsupportedEncoding, load_wav, resample, save_wav,
+                           to_mono)
+from aigmdet.dsp import log_mel
 
 from util import (direct_resample_channel, fft_peak_hz, padded_resample, phase_loop_resample,
                   raw_wav, sine_buffer)
@@ -161,6 +163,26 @@ def test_to_mono_idempotent(channels, frames):
     once = to_mono(buf)
     twice = to_mono(once)
     assert np.array_equal(once.samples, twice.samples)
+
+
+# ---------------------------------------------------------------- log_mel
+@pytest.mark.parametrize("frame_len", [512, 1024])
+def test_log_mel_is_computed_once_per_frame_length(frame_len):
+    buf = AudioBuffer(np.random.default_rng(5).uniform(-0.5, 0.5, (1, 3 * 16000)), 16000)
+    mel = buf.log_mel(frame_len)
+    assert buf.log_mel(frame_len) is mel
+    assert mel.tobytes() == log_mel(buf.samples[0], frame_len).tobytes()
+    assert not mel.flags.writeable
+    assert "log_mel" not in repr(buf)
+
+
+@pytest.mark.parametrize("rate,channels", [(44100, 1), (16000, 2), (8000, 1)])
+def test_log_mel_needs_16k_mono(rate, channels):
+    """Only the analysis format (16 kHz mono) has a log-mel: RateMismatch,
+    an AudioError (exit 2 from the CLI), names the rate and channels."""
+    buf = AudioBuffer(np.zeros((channels, rate)), rate)
+    with pytest.raises(RateMismatch, match=f"got {rate} Hz with {channels} channel"):
+        buf.log_mel()
 
 
 # ---------------------------------------------------------------- resample

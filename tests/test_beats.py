@@ -12,7 +12,7 @@ from aigmdet.beats import (PHASE_SNAP_S, BeatGrid, DegenerateFit, GridTooSparse,
                            beat_dp, pick_downbeats, quantize_grid,
                            segment_bars, track_beats)
 from aigmdet.data import _SYNTH_TEMPI, render_track
-from aigmdet.dsp import log_mel, onset_envelope
+from aigmdet.dsp import log_mel, onset_envelope, segment_frames
 from aigmdet.models import segment_features
 
 from util import RandomStubExtractor, click_track, loop_beat_dp
@@ -170,7 +170,7 @@ def test_grid_starts_on_a_bar_line_of_class0_renders(bpm):
     of that length.  Class 0 draws nothing from the rng."""
     row = render_track(0, float(bpm), 64.0, 16000, np.random.default_rng(0)).samples[0]
     bar = round(4 * 60 / bpm * 16000) / 16000
-    phase = analyze(row).grid.start % bar
+    phase = analyze(log_mel(row), len(row) / 16000).grid.start % bar
     assert min(phase, bar - phase) <= PHASE_SNAP_S
 
 
@@ -268,10 +268,11 @@ def test_segments_are_views_of_the_track():
     extractor._extract = lambda segment: seen.append(segment) or np.zeros(4)
     list(segment_features(buf, grid, extractor))
     ranges = segment_bars(buf.samples[0], grid)
+    mel = buf.log_mel(extractor.frame_len)
     assert len(seen) == len(ranges) == 2
     for seg, (start, stop) in zip(seen, ranges):
-        assert np.shares_memory(seg, buf.samples)
-        assert np.array_equal(seg, buf.samples[0, start:stop])
+        assert np.shares_memory(seg, mel)
+        assert np.array_equal(seg, mel[segment_frames(start, stop, extractor.frame_len)])
 
 
 def test_segment_bars_exact_fit_keeps_last_window():

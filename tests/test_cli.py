@@ -12,6 +12,7 @@ from aigmdet import cli, models, nn, pipeline
 from aigmdet.audio import AudioBuffer, load_wav, save_wav
 from aigmdet.cli import EXIT_IO, EXIT_MUSIC, EXIT_OK, EXIT_USAGE, main
 from aigmdet.data import Manifest, ManifestEntry, render_track
+from aigmdet.dsp import MIN_SEGMENT_S, TooShort
 from aigmdet.extractors import EmbeddingSequence, get_extractor
 from aigmdet.models import SegmentTransformer
 
@@ -167,6 +168,17 @@ def test_predict_segment_mode(corpus, stage1_ckpt, capsys):
     assert code == EXIT_OK
     assert "probability=" in captured
     assert "label=" in captured
+
+
+def test_predict_below_min_segment_s_exits_3(stage1_ckpt, tmp_path, capsys):
+    """A clip shorter than MIN_SEGMENT_S holds too few log-mel frames for
+    stage 1: TooShort, exit 3."""
+    path = tmp_path / "short.wav"
+    save_wav(AudioBuffer(0.1 * np.ones((1, round(0.9 * MIN_SEGMENT_S * 16000))), 16000), path)
+    with pytest.raises(TooShort):
+        pipeline.stage1_features(path, get_extractor("seq-512"))
+    assert run(["predict", "--ckpt", str(stage1_ckpt), "--audio", str(path)]) == EXIT_MUSIC
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_predict_missing_ckpt_exits_2(corpus, capsys):

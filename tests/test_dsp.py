@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aigmdet.dsp import (ANALYSIS_RATE, HOP, LOG_EPS, N_MELS, BadFrameParams, TooShort,
-                         dsp_embed, log_mel, mel_filterbank, onset_envelope, stft)
+from aigmdet.audio import RateMismatch
+from aigmdet.dsp import (ANALYSIS_RATE, FRAME_LEN, HOP, LOG_EPS, MIN_SEGMENT_S, N_MELS,
+                         BadFrameParams, TooShort, dsp_embed, hann_window, log_mel,
+                         mel_filterbank, onset_envelope, segment_frames, stft)
 
 from util import click_track, sine_buffer
 
@@ -19,6 +21,13 @@ def test_frame_count_formula():
 def test_short_input_yields_zero_frames():
     spec = stft(np.zeros(1000))
     assert spec.magnitudes.shape == (0, 513)
+
+
+def test_hann_window_is_cached_and_read_only():
+    window = hann_window(FRAME_LEN)
+    assert window is hann_window(FRAME_LEN)
+    assert window.tobytes() == np.hanning(FRAME_LEN).tobytes()
+    assert not window.flags.writeable
 
 
 def test_stft_matches_direct_fft():
@@ -131,32 +140,58 @@ def test_onset_envelope_too_short():
 
 # ---------------------------------------------------------------- dsp_embed
 def test_embed_shape_and_norm():
-    vec = dsp_embed(sine_buffer(440, 1.0).samples[0], 512)
+    vec = dsp_embed(log_mel(sine_buffer(440, 1.0).samples[0]), 512)
     assert vec.shape == (512,)
     assert abs(np.linalg.norm(vec) - 1.0) < 1e-9
 
 
 def test_embed_deterministic():
-    x = sine_buffer(440, 1.0).samples[0]
-    assert np.array_equal(dsp_embed(x, 512), dsp_embed(x, 512))
+    mel = log_mel(sine_buffer(440, 1.0).samples[0])
+    assert np.array_equal(dsp_embed(mel, 512), dsp_embed(mel, 512))
 
 
 def test_embed_discriminates_content():
-    a = dsp_embed(sine_buffer(330, 1.0).samples[0], 512)
-    b = dsp_embed(sine_buffer(660, 1.0).samples[0], 512)
+    a = dsp_embed(log_mel(sine_buffer(330, 1.0).samples[0]), 512)
+    b = dsp_embed(log_mel(sine_buffer(660, 1.0).samples[0]), 512)
     assert float(a @ b) < 0.999
 
 
-def test_embed_rejects_short_and_stereo():
+@pytest.mark.parametrize("frame_len", [512, 1024])
+def test_segment_frames_lie_inside_the_segment(frame_len):
+    # 4800 samples is 18.75 hops: the first whole frame starts at hop 19
+    frames = segment_frames(4800, 4800 + 16000, frame_len)
+    assert frames == slice(19, (20800 - frame_len) // HOP + 1)
+    assert frames.start * HOP >= 4800
+    assert (frames.stop - 1) * HOP + frame_len <= 20800 < frames.stop * HOP + frame_len
+
+
+@pytest.mark.parametrize("frame_len", [512, 1024])
+def test_segment_frames_need_min_segment_s(frame_len):
+    """A segment holds at least the frames of a MIN_SEGMENT_S row: a row of
+    that length passes, and one hop less is TooShort."""
+    need = round(MIN_SEGMENT_S * ANALYSIS_RATE)
+    frames = segment_frames(0, need, frame_len)
+    assert frames.stop == 1 + (need - frame_len) // HOP
     with pytest.raises(TooShort):
-        dsp_embed(sine_buffer(440, 0.1).samples[0], 512)
+        segment_frames(0, need - HOP, frame_len)
+    with pytest.raises(TooShort):
+        segment_frames(HOP, need, frame_len)
+
+
+def test_embed_rejects_short_and_stereo():
+    """A segment's frames are counted before dsp_embed reads them (see
+    segment_frames); a stereo track has no log-mel (AudioBuffer.log_mel)."""
+    with pytest.raises(TooShort):
+        segment_frames(0, round(0.1 * ANALYSIS_RATE))
+    with pytest.raises(RateMismatch):
+        sine_buffer(440, 1.0, channels=2).log_mel()
 
 
 @settings(max_examples=15, deadline=None)
 @given(st.integers(0, 1000), st.sampled_from([512, 768, 2048]))
 def test_embed_unit_norm_property(seed, dim):
     rng = np.random.default_rng(seed)
-    vec = dsp_embed(rng.uniform(-1, 1, 8000), dim)
+    vec = dsp_embed(log_mel(rng.uniform(-1, 1, 8000)), dim)
     assert vec.shape == (dim,)
     assert abs(np.linalg.norm(vec) - 1.0) < 1e-9
     assert np.isfinite(vec).all()

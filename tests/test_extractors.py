@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aigmdet.dsp import log_mel
 from aigmdet.extractors import (BadMagic, DimMismatch,
                                 DspSequenceExtractor, DspVectorExtractor,
                                 EmbeddingSequence, ExtractorError,
@@ -28,35 +29,35 @@ def test_sequence_mask_length_checked():
 def test_sequence_extractor_frame_count():
     # 5 s at 16 kHz, frame 512 hop 256 -> 1 + (80000-512)//256 = 311 frames
     ext = DspSequenceExtractor(512)
-    out = ext(sine_buffer(440, 5.0).samples[0])
+    out = ext(log_mel(sine_buffer(440, 5.0).samples[0], ext.frame_len))
     assert out.shape == (311, 512)
 
 
 def test_sequence_extractor_deterministic():
     ext_a, ext_b = DspSequenceExtractor(512), DspSequenceExtractor(512)
-    x = sine_buffer(440, 1.0).samples[0]
-    assert np.array_equal(ext_a(x), ext_b(x))
+    mel = log_mel(sine_buffer(440, 1.0).samples[0], ext_a.frame_len)
+    assert np.array_equal(ext_a(mel), ext_b(mel))
 
 
 def test_vector_extractor_shape_and_norm():
-    out = DspVectorExtractor(2048)(sine_buffer(440, 1.0).samples[0])
+    out = DspVectorExtractor(2048)(log_mel(sine_buffer(440, 1.0).samples[0]))
     assert out.shape == (2048,)
     assert abs(np.linalg.norm(out) - 1.0) < 1e-9
 
 
 def test_random_stub_content_keyed():
     ext = RandomStubExtractor(64)
-    a = ext(sine_buffer(440, 0.5).samples[0])
-    b = ext(sine_buffer(440, 0.5).samples[0])
-    c = ext(sine_buffer(441, 0.5).samples[0])
+    a = ext(log_mel(sine_buffer(440, 0.5).samples[0]))
+    b = ext(log_mel(sine_buffer(440, 0.5).samples[0]))
+    c = ext(log_mel(sine_buffer(441, 0.5).samples[0]))
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
 def test_random_stub_sequence_kind():
     ext = RandomStubExtractor(16, kind="sequence")
-    out = ext(sine_buffer(440, 0.5).samples[0])  # 8000 frames // 256 = 31
-    assert out.shape == (31, 16)
+    out = ext(log_mel(sine_buffer(440, 0.5).samples[0]))  # 1 + (8000-1024)//256 = 28
+    assert out.shape == (28, 16)
 
 
 def test_presets():

@@ -4,13 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aigmdet import nn
-from aigmdet.audio import AudioBuffer
+from aigmdet.audio import AudioBuffer, RateMismatch
 from aigmdet.beats import BeatGrid, segment_bars
-from aigmdet.extractors import MAX_SEQ_LEN, DspSequenceExtractor, EmbeddingSequence, RateMismatch
+from aigmdet.dsp import HOP, log_mel, segment_frames
+from aigmdet.extractors import (MAX_SEQ_LEN, DspSequenceExtractor, EmbeddingSequence,
+                                get_extractor)
 from aigmdet.models import (STAGE1_BATCH_FRAMES, AudioCAT, DetectorOutput,
                             EmptySequence, FXSegment, SegmentTransformer,
                             export_ssm_csv, export_ssm_pgm, features_to_sequence,
-                            predict, self_similarity, track_to_sequence)
+                            predict, segment_features, self_similarity,
+                            track_to_sequence)
 from aigmdet.nn import AllMasked, AttentionConfig, ShapeMismatch
 
 from util import RandomStubExtractor, finite_diff_check, sine_buffer
@@ -388,14 +391,37 @@ def test_a_track_of_50_segments_gives_the_first_48():
     assert ext.calls == MAX_SEQ_LEN and sum(stage1.batches) == MAX_SEQ_LEN
     ranges = segment_bars(track.samples[0], grid)
     assert len(ranges) == 50
-    want = stage1.model.forward([ext(track.samples[0, a:b]) for a, b in ranges[:MAX_SEQ_LEN]])
+    mel = track.log_mel(ext.frame_len)
+    want = stage1.model.forward([ext(mel[segment_frames(a, b, ext.frame_len)])
+                                 for a, b in ranges[:MAX_SEQ_LEN]])
     assert np.array_equal(seq.vectors, np.stack([out.pooled for out in want]))
     assert seq.mask.all()
 
 
+@pytest.mark.parametrize("preset", ["seq-512", "vec-2048"])
+def test_segment_features_are_frame_ranges_of_the_track_log_mel(preset):
+    """A segment's features are the extractor's of the frames of the whole
+    row's log-mel at its frame length that lie wholly inside the segment's
+    samples, [ceil(start/HOP), (stop - frame_len)//HOP + 1), byte for byte.
+    The grid starts 0.3 s in, which is not a whole number of hops."""
+    ext = get_extractor(preset)
+    track = AudioBuffer(np.random.default_rng(9).normal(0.0, 0.1, (1, 20 * 16000)), 16000)
+    grid = BeatGrid(start=0.3, period=2.0, count=9)
+    row = track.samples[0]
+    mel = log_mel(row, ext.frame_len)
+    ranges = segment_bars(row, grid)
+    got = list(segment_features(track, grid, ext))
+    assert len(got) == len(ranges) == 2
+    for features, (start, stop) in zip(got, ranges):
+        first, end = -(-start // HOP), (stop - ext.frame_len) // HOP + 1
+        assert first * HOP >= start and (end - 1) * HOP + ext.frame_len <= stop
+        assert features.tobytes() == ext(mel[first:end]).tobytes()
+
+
 def test_track_to_sequence_builds_no_buffer(monkeypatch):
-    """Segments and log-mel blocks are ranges of the track's sample row:
-    scoring 50 segments wraps none of them in an AudioBuffer."""
+    """Log-mel blocks are ranges of the track's sample row, and segments
+    ranges of its log-mel: scoring 50 segments wraps none of them in an
+    AudioBuffer."""
     track = AudioBuffer(np.random.default_rng(8).normal(0.0, 0.1, (1, 50 * 16000)), 16000)
     grid = BeatGrid(start=0.0, period=0.25, count=200)  # 50 segments of 1 s
     ext = DspSequenceExtractor(8)
@@ -409,7 +435,8 @@ def test_track_to_sequence_builds_no_buffer(monkeypatch):
 
 
 def test_rate_and_channel_validation():
-    """A track that is not 16 kHz mono is refused before any extractor runs."""
+    """A track that is not 16 kHz mono has no log-mel (AudioBuffer.log_mel),
+    so it is refused before any extractor runs."""
     ext = CountingExtractor(8)
     stage1 = AudioCAT(d_enc=8, cfg=SMALL, seed=0)
     grid = BeatGrid(start=0.0, period=2.0, count=10)

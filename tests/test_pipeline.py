@@ -4,9 +4,10 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from aigmdet import experiment, pipeline
+from aigmdet import dsp, experiment, pipeline
 from aigmdet.audio import AudioBuffer, load_wav, resample, save_wav
 from aigmdet.data import Manifest, ManifestEntry, render_track
+from aigmdet.dsp import FRAME_LEN, HOP, stft
 from aigmdet.extractors import (SEGMENT_EMBED_DIM, DspVectorExtractor, EmbeddingSequence,
                                 get_extractor)
 from aigmdet.models import (AudioCAT, FXSegment, SegmentTransformer, segment_features,
@@ -30,6 +31,16 @@ def test_analyze_beats_full_chain():
     dfrac = analysis.downbeats / 2.0
     assert np.abs(dfrac - np.round(dfrac)).max() * 2.0 <= 0.02
     assert abs(analysis.grid.period - 2.0) <= 0.04
+
+
+def test_beat_analysis_holds_no_log_mel():
+    """The log-mel stays on the buffer: a caller that keeps every analysis
+    (as the benchmark's corpus check does) keeps no array larger than the
+    beat list."""
+    analysis = pipeline.analyze_beats(click_track(120, 16.0, accent_every=4))
+    fields = [*vars(analysis).values(), *vars(analysis.grid).values()]
+    arrays = [v for v in fields if isinstance(v, np.ndarray)]
+    assert arrays and max(a.size for a in arrays) <= len(analysis.beats)
 
 
 def test_analysis_buffer_normalizes():
@@ -87,6 +98,30 @@ def test_experiment_features_are_the_pipeline_features(tmp_path):
     assert label == 1
     assert seq.vectors.tobytes() == want.vectors.tobytes()
     assert np.array_equal(seq.mask, want.mask)
+
+
+def test_one_stft_pass_per_track(tmp_path, monkeypatch):
+    """Beat analysis and frame-1024 segment features read one log-mel: the
+    STFT takes each frame of the track once, in the experiment and in a
+    vec-2048 stage-2 path alike."""
+    path = tmp_path / "track.wav"
+    save_wav(render_track(0, 120, 24.0, 16000, np.random.default_rng(6)), path)
+    frames = []
+
+    def counting_stft(x, frame_len=FRAME_LEN):
+        spec = stft(x, frame_len)
+        frames.append(len(spec.magnitudes))
+        return spec
+
+    monkeypatch.setattr(dsp, "stft", counting_stft)
+    track_frames = 1 + (24 * 16000 - FRAME_LEN) // HOP
+    assert len(experiment.track_vectors(path)) >= 2
+    assert sum(frames) == track_frames
+    frames.clear()
+    stage1 = FXSegment(d_enc=2048, n_tokens=4, cfg=SMALL, n_layers=1, seed=0)
+    seq = pipeline.track_sequence_for_path(path, stage1, get_extractor("vec-2048"))
+    assert seq.length >= 2
+    assert sum(frames) == track_frames
 
 
 def test_track_resampled_once(tmp_path, monkeypatch):

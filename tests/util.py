@@ -19,7 +19,7 @@ import numpy as np
 from aigmdet import audio, data, extractors, nn
 from aigmdet.audio import _KAISER_BETA, _SINC_TAPS, AudioBuffer
 from aigmdet.beats import DP_TIGHTNESS
-from aigmdet.dsp import FRAME_LEN, HOP, LOG_EPS, mel_filterbank, stft
+from aigmdet.dsp import FRAME_LEN, LOG_EPS, mel_filterbank, stft
 from aigmdet.extractors import FeatureExtractor
 from aigmdet.tensor import Tensor, _unbroadcast, no_grad, node
 
@@ -88,8 +88,8 @@ def click_track(bpm, duration_s, rate=16000, accent_every=0, accent_amp=1.0,
 
 
 class RandomStubExtractor(FeatureExtractor):
-    """Deterministic random features keyed by segment content, for wiring
-    checks."""
+    """Deterministic random features keyed by a segment's log-mel frames,
+    one feature row per frame, for wiring checks."""
 
     def __init__(self, d_enc: int = 64, kind: str = "vector", seed: int = 0):
         self.name = f"random-stub-{d_enc}"
@@ -97,14 +97,13 @@ class RandomStubExtractor(FeatureExtractor):
         self.kind = kind
         self.seed = seed
 
-    def _extract(self, segment: np.ndarray) -> np.ndarray:
-        digest = zlib.crc32(segment.tobytes(), self.seed & 0xFFFFFFFF)
+    def _extract(self, mel: np.ndarray) -> np.ndarray:
+        digest = zlib.crc32(mel.tobytes(), self.seed & 0xFFFFFFFF)
         rng = np.random.default_rng(digest)
         if self.kind == "vector":
             v = rng.normal(size=self.d_enc)
             return v / np.linalg.norm(v)
-        t = max(1, len(segment) // HOP)
-        return rng.normal(size=(t, self.d_enc))
+        return rng.normal(size=(max(1, len(mel)), self.d_enc))
 
 
 def fft_peak_hz(buf, channel=0):
