@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dsp import ANALYSIS_RATE, FRAME_LEN, log_mel
+from .dsp import ANALYSIS_RATE, log_mel
 
 
 class AudioError(Exception):
@@ -53,8 +53,8 @@ class AudioBuffer:
 
     samples: np.ndarray
     sample_rate: int
-    # frame_len -> the row's log-mel, filled by log_mel
-    _log_mels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # the row's log-mel, filled by log_mel
+    _log_mel: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.samples = np.atleast_2d(np.asarray(self.samples, dtype=np.float64))
@@ -78,18 +78,17 @@ class AudioBuffer:
     def duration(self) -> float:
         return self.frames / self.sample_rate
 
-    def log_mel(self, frame_len: int = FRAME_LEN) -> np.ndarray:
-        """dsp.log_mel of a 16 kHz mono buffer's row, computed once per frame
-        length and read-only; RateMismatch for any other rate or channel
-        count.  Beat analysis and the segment features share it."""
+    def log_mel(self) -> np.ndarray:
+        """dsp.log_mel of a 16 kHz mono buffer's row, computed once and
+        read-only; RateMismatch for any other rate or channel count.  Beat
+        analysis and the segment features share it."""
         if self.sample_rate != ANALYSIS_RATE or self.channels != 1:
             raise RateMismatch(f"log-mel needs {ANALYSIS_RATE} Hz mono, got "
                                f"{self.sample_rate} Hz with {self.channels} channel(s)")
-        mel = self._log_mels.get(frame_len)
-        if mel is None:
-            mel = self._log_mels[frame_len] = log_mel(self.samples[0], frame_len)
-            mel.setflags(write=False)
-        return mel
+        if self._log_mel is None:
+            self._log_mel = log_mel(self.samples[0])
+            self._log_mel.setflags(write=False)
+        return self._log_mel
 
 
 # ----------------------------------------------------------------------

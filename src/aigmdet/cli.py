@@ -40,20 +40,28 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _read_config_file(path) -> dict:
-    values = {}
-    for line in read_lines(path):
-        line = line.strip()
-        if not line or line.startswith("#") or "=" not in line:
-            continue
-        key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
-    return values
-
-
 # the TrainConfig fields a --config file may set, and how each is read
 _CONFIG_KEYS = {"epochs": int, "batch_size": int, "loss": str, "lr": float,
                 "weight_decay": float, "early_stop_patience": int}
+
+
+def _read_config_file(path) -> dict:
+    """The key=value lines of a --config file; blank and # lines are skipped,
+    and any other line, or a key not in _CONFIG_KEYS, is a DataError."""
+    values = {}
+    for n, line in enumerate(read_lines(path), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, eq, value = line.partition("=")
+        key = key.strip()
+        if not eq:
+            raise DataError(f"{path}, line {n}: expected key=value, got {line!r}")
+        if key not in _CONFIG_KEYS:
+            raise DataError(f"{path}, line {n}: unknown key {key!r}; "
+                            f"options: {sorted(_CONFIG_KEYS)}")
+        values[key] = value.strip()
+    return values
 
 
 def _train_config(args) -> TrainConfig:
@@ -64,9 +72,8 @@ def _train_config(args) -> TrainConfig:
         raise DataError(f"unknown preset {args.preset!r}; options: {sorted(PRESETS)}")
     overrides = {}
     if args.config:
-        file_values = _read_config_file(args.config)
-        overrides = {key: (file_values[key], f"{key}={file_values[key]} in {args.config}")
-                     for key in _CONFIG_KEYS if key in file_values}
+        overrides = {key: (value, f"{key}={value} in {args.config}")
+                     for key, value in _read_config_file(args.config).items()}
     for key in ("epochs", "batch_size", "lr"):
         value = getattr(args, key)
         if value is not None:

@@ -4,19 +4,19 @@ available.
 
 Every input is brought to 16 kHz mono (ANALYSIS_RATE) once, by
 `pipeline.analysis_buffer`; this module reads that buffer's sample row.
-`log_mel` is the one STFT -> power -> mel -> log recipe (Hann window, hop
-HOP, N_MELS bands), and `AudioBuffer.log_mel` runs it once per track and
-frame length.  Onset analysis and dsp_embed run it at frame 1024, the
-sequence extractor at frame 512; a segment is a range of its frames
-(`segment_frames`).  It works through the row in fixed blocks of
-LOG_MEL_BLOCK frames into a preallocated output, so beyond that
-[frames x N_MELS] output its memory does not grow with track length.
+`log_mel` is the one STFT -> power -> mel -> log recipe (Hann window of
+FRAME_LEN samples, hop HOP, N_MELS bands), and `AudioBuffer.log_mel` runs
+it once per track.  Onset analysis and every extractor read that one
+log-mel; a segment is a range of its frames (`segment_frames`).  It works
+through the row in fixed blocks of LOG_MEL_BLOCK frames into a
+preallocated output, so beyond that [frames x N_MELS] output its memory
+does not grow with track length.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -27,13 +27,9 @@ N_MELS = 40
 LOG_EPS = 1e-10
 EMBED_SEED = 42
 MIN_SEGMENT_S = 0.2
-# frames per STFT block of log_mel: at frame 1024 one block's spectra take
-# about 6 MB, and the last block, which takes the remainder, at most twice that
+# frames per STFT block of log_mel: one block's spectra take about 6 MB, and
+# the last block, which takes the remainder, at most twice that
 LOG_MEL_BLOCK = 256
-
-
-class BadFrameParams(Exception):
-    pass
 
 
 class TooShort(Exception):
@@ -45,27 +41,26 @@ class Spectrogram:
     magnitudes: np.ndarray  # [frames x bins], nonnegative
 
 
-def _frame_count(samples: int, frame_len: int) -> int:
+def _frame_count(samples: int) -> int:
     """Number of whole frames stft takes from a row of `samples`."""
-    if frame_len & (frame_len - 1) or frame_len <= 0:
-        raise BadFrameParams("frame_len must be a power of two")
-    return max(0, 1 + (samples - frame_len) // HOP)
+    return max(0, 1 + (samples - FRAME_LEN) // HOP)
 
 
-@lru_cache(maxsize=16)
-def hann_window(frame_len: int) -> np.ndarray:
-    """np.hanning(frame_len), computed once per length; read-only."""
-    window = np.hanning(frame_len)
+@cache
+def hann_window() -> np.ndarray:
+    """np.hanning(FRAME_LEN), computed once; read-only."""
+    window = np.hanning(FRAME_LEN)
     window.setflags(write=False)
     return window
 
 
-def stft(x: np.ndarray, frame_len: int = FRAME_LEN) -> Spectrogram:
-    """Hann-windowed magnitude STFT of a 16 kHz sample row, hop HOP."""
+def stft(x: np.ndarray) -> Spectrogram:
+    """Hann-windowed magnitude STFT of a 16 kHz sample row, frame FRAME_LEN,
+    hop HOP."""
     frames = np.lib.stride_tricks.as_strided(
-        x, shape=(_frame_count(len(x), frame_len), frame_len),
+        x, shape=(_frame_count(len(x)), FRAME_LEN),
         strides=(x.strides[0] * HOP, x.strides[0]),
-    ) * hann_window(frame_len)
+    ) * hann_window()
     return Spectrogram(np.abs(np.fft.rfft(frames, axis=1)))
 
 
@@ -77,11 +72,11 @@ def _mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-@lru_cache(maxsize=16)
-def mel_filterbank(frame_len: int) -> np.ndarray:
+@cache
+def mel_filterbank() -> np.ndarray:
     """N_MELS triangular HTK-scale filters up to ANALYSIS_RATE/2, [N_MELS x bins]."""
-    bins = frame_len // 2 + 1
-    freqs = np.arange(bins) * ANALYSIS_RATE / frame_len
+    bins = FRAME_LEN // 2 + 1
+    freqs = np.arange(bins) * ANALYSIS_RATE / FRAME_LEN
     mel_points = np.linspace(_hz_to_mel(0.0), _hz_to_mel(ANALYSIS_RATE / 2.0), N_MELS + 2)
     hz_points = _mel_to_hz(mel_points)
     fb = np.zeros((N_MELS, bins))
@@ -94,29 +89,29 @@ def mel_filterbank(frame_len: int) -> np.ndarray:
     return fb
 
 
-def log_mel(x: np.ndarray, frame_len: int = FRAME_LEN) -> np.ndarray:
+def log_mel(x: np.ndarray) -> np.ndarray:
     """ln(|STFT|^2 @ mel_filterbank.T + LOG_EPS), [frames x N_MELS].
 
     Computed LOG_MEL_BLOCK frames at a time; the last block also takes the
     remainder, so no mel product has fewer rows than a block.  OpenBLAS
     takes another path for a product of a few rows and rounds it
     differently, and no output row may depend on where the blocks fall."""
-    n_frames = _frame_count(len(x), frame_len)
-    fb_t = mel_filterbank(frame_len).T
+    n_frames = _frame_count(len(x))
+    fb_t = mel_filterbank().T
     out = np.empty((n_frames, N_MELS))
     starts = range(0, max(n_frames - LOG_MEL_BLOCK, 0) + 1, LOG_MEL_BLOCK)
     for start, stop in zip(starts, [*starts[1:], n_frames]):
-        power = stft(x[start * HOP:(stop - 1) * HOP + frame_len], frame_len).magnitudes**2
+        power = stft(x[start * HOP:(stop - 1) * HOP + FRAME_LEN]).magnitudes**2
         np.log(power @ fb_t + LOG_EPS, out=out[start:stop])
     return out
 
 
-def segment_frames(start: int, stop: int, frame_len: int = FRAME_LEN) -> slice:
+def segment_frames(start: int, stop: int) -> slice:
     """The frames of a whole row's log_mel that lie wholly inside its
-    samples [start, stop): [ceil(start/HOP), (stop - frame_len)//HOP + 1).
+    samples [start, stop): [ceil(start/HOP), (stop - FRAME_LEN)//HOP + 1).
     TooShort if they are fewer than a row of MIN_SEGMENT_S holds."""
-    first, end = -(-start // HOP), (stop - frame_len) // HOP + 1
-    need = _frame_count(round(MIN_SEGMENT_S * ANALYSIS_RATE), frame_len)
+    first, end = -(-start // HOP), (stop - FRAME_LEN) // HOP + 1
+    need = _frame_count(round(MIN_SEGMENT_S * ANALYSIS_RATE))
     if end - first < need:
         raise TooShort(f"segment of {max(end - first, 0)} frames is below the {need} "
                        f"frames of {MIN_SEGMENT_S} s")
@@ -143,7 +138,7 @@ def projection(dim: int, stat_dim: int) -> np.ndarray:
 
 
 def dsp_embed(mel: np.ndarray, dim: int) -> np.ndarray:
-    """Fixed-seed embedding of a segment's frame-FRAME_LEN log-mel frames:
+    """Fixed-seed embedding of a segment's log-mel frames:
     per-band statistics (mean, std, max, mean positive flux) projected to
     `dim`, L2-normalized."""
     flux = np.clip(np.diff(mel, axis=0), 0.0, None)

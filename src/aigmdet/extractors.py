@@ -2,9 +2,8 @@
 
 Two concrete extractors ship: a DSP frame-sequence embedder and a single-
 vector DSP embedder.  Both take a segment as [frames x N_MELS], a range of
-the frames of the track's log-mel at the extractor's frame_len (see
-`models.segment_features`).  Externally computed embeddings are loaded
-from EMB1 files.
+the frames of the track's one log-mel (see `models.segment_features`).
+Externally computed embeddings are loaded from EMB1 files.
 """
 
 from __future__ import annotations
@@ -14,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import FRAME_LEN, N_MELS, dsp_embed, projection
+from .dsp import N_MELS, dsp_embed, projection
 
-SEQ_FRAME_LEN = 512
 # segments of a track that stage 1 analyses; the default segtr max_len
 MAX_SEQ_LEN = 48
 # whole-segment DspVectorExtractor dimension of the experiment and `ssm`
@@ -68,13 +66,11 @@ class EmbeddingSequence:
 # ----------------------------------------------------------------------
 class FeatureExtractor:
     """Base class: a subclass's _extract turns a segment's log-mel frames
-    [frames x N_MELS], taken at frame_len, into a sequence [T x d] or a
-    single vector [d]."""
+    [frames x N_MELS] into a sequence [T x d] or a single vector [d]."""
 
     name: str = "base"
     kind: str = "sequence"  # or "vector"
     d_enc: int = 0
-    frame_len: int = FRAME_LEN
 
     def __call__(self, mel: np.ndarray) -> np.ndarray:
         return self._extract(mel)
@@ -82,10 +78,9 @@ class FeatureExtractor:
 
 class DspSequenceExtractor(FeatureExtractor):
     """Per-frame log-mel features projected to d_enc by a fixed seeded
-    random matrix; one vector per frame (frame 512, hop 256)."""
+    random matrix; one vector per frame (frame 1024, hop 256)."""
 
     kind = "sequence"
-    frame_len = SEQ_FRAME_LEN
 
     def __init__(self, d_enc: int = 512):
         self.name = f"dsp-seq-{d_enc}"

@@ -289,11 +289,10 @@ def segment_features(track: AudioBuffer, grid: BeatGrid,
                      extractor: FeatureExtractor) -> Iterator[np.ndarray]:
     """Extractor features of each 4-bar range of a 16 kHz mono track, each
     computed as the iterator reaches it from the frames of the track's
-    log-mel (AudioBuffer.log_mel at the extractor's frame_len) that lie
-    inside the range; RateMismatch for other tracks."""
-    frame_len = extractor.frame_len
-    mel = track.log_mel(frame_len)
-    return (extractor(mel[segment_frames(start, stop, frame_len)])
+    log-mel (AudioBuffer.log_mel) that lie inside the range; RateMismatch
+    for other tracks."""
+    mel = track.log_mel()
+    return (extractor(mel[segment_frames(start, stop)])
             for start, stop in segment_bars(track.samples[0], grid))
 
 

@@ -379,13 +379,14 @@ def adam_step(params: dict[str, Tensor], state: OptimState):
 
 
 # ----------------------------------------------------------------------
-# checkpoint format, AIGM version 2: magic "AIGM", u32 version = 2, u32
+# checkpoint format, AIGM version 3: magic "AIGM", u32 version = 3, u32
 # header length H (little-endian), H bytes of UTF-8 JSON {"meta": {...},
 # "tensors": [[name, shape], ...]}, then each tensor's float64 little-endian
 # payload in header order, and nothing after the last one.  "meta" belongs
 # to the caller (pipeline.save_model: arch, extractor, attention, hparams).
+# Version 2 had this layout, but its seq models read frame-512 log-mels.
 _MAGIC = b"AIGM"
-_VERSION = 2
+_VERSION = 3
 _PREFIX = struct.Struct("<4sII")
 
 
@@ -412,7 +413,7 @@ def _is_header(header) -> bool:
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
-    """(arrays, meta) of an AIGM v2 file.  Sizes are checked against the file
+    """(arrays, meta) of an AIGM v3 file.  Sizes are checked against the file
     length before anything is read; CheckpointError names the file."""
     with open(path, "rb") as fh:
         length = os.fstat(fh.fileno()).st_size

@@ -40,8 +40,7 @@ def analyze_beats(buf: AudioBuffer) -> beats.BeatAnalysis:
 def stage1_features(path, extractor: FeatureExtractor) -> np.ndarray:
     """Features of a whole clip; TooShort below dsp.MIN_SEGMENT_S."""
     mono = analysis_buffer(load_wav(path))
-    frame_len = extractor.frame_len
-    return extractor(mono.log_mel(frame_len)[segment_frames(0, mono.frames, frame_len)])
+    return extractor(mono.log_mel()[segment_frames(0, mono.frames)])
 
 
 def build_stage1_dataset(entries, extractor: FeatureExtractor) -> list:

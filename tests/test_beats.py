@@ -268,11 +268,11 @@ def test_segments_are_views_of_the_track():
     extractor._extract = lambda segment: seen.append(segment) or np.zeros(4)
     list(segment_features(buf, grid, extractor))
     ranges = segment_bars(buf.samples[0], grid)
-    mel = buf.log_mel(extractor.frame_len)
+    mel = buf.log_mel()
     assert len(seen) == len(ranges) == 2
     for seg, (start, stop) in zip(seen, ranges):
         assert np.shares_memory(seg, mel)
-        assert np.array_equal(seg, mel[segment_frames(start, stop, extractor.frame_len)])
+        assert np.array_equal(seg, mel[segment_frames(start, stop)])
 
 
 def test_segment_bars_exact_fit_keeps_last_window():

@@ -301,6 +301,7 @@ BAD_CHECKPOINTS = {
     "truncated_payload": _edit_bytes(lambda b: b[:-8]),
     "trailing_bytes": _edit_bytes(lambda b: b + bytes(8)),
     "version_1": _to_v1,
+    "version_2": _edit_bytes(lambda b: b[:4] + struct.pack("<I", 2) + b[8:]),
 }
 
 
@@ -594,14 +595,17 @@ def test_seed_defaults_to_0():
     assert cli._train_config(parser.parse_args(argv + ["--seed", "5"])).seed == 5
 
 
-# each ends in error: naming the key (and the file) before any feature is
-# extracted, not in a TrainingError or ValueError traceback
+# each ends in error: naming the key or line (and the file) before any
+# feature is extracted, not in a TrainingError or ValueError traceback
 @pytest.mark.parametrize("flags, config, named", [
     (["--epochs", "0"], None, "--epochs 0"),
     (["--batch-size", "0"], None, "--batch-size 0"),
-    ([], "loss=mse\n", "loss=mse in "),
-    ([], "epochs=abc\n", "epochs=abc in "),
-], ids=["epochs_0", "batch_size_0", "config_loss_mse", "config_epochs_abc"])
+    ([], "loss=mse\n", "loss=mse in {cfg}"),
+    ([], "epochs=abc\n", "epochs=abc in {cfg}"),
+    ([], "epochs=1\nlearning_rate=5\n", "{cfg}, line 2"),
+    ([], "# batch size\nbatchsize 3\n", "{cfg}, line 2"),
+], ids=["epochs_0", "batch_size_0", "config_loss_mse", "config_epochs_abc",
+        "config_unknown_key", "config_no_equals"])
 def test_bad_training_setting_exits_2(flags, config, named, corpus, tmp_path,
                                       monkeypatch, capsys):
     def no_extraction(*args):
@@ -611,7 +615,7 @@ def test_bad_training_setting_exits_2(flags, config, named, corpus, tmp_path,
     if config is not None:
         (tmp_path / "cfg").write_text(config)
         flags = ["--config", str(tmp_path / "cfg")]
-        named += str(tmp_path / "cfg")
+        named = named.format(cfg=tmp_path / "cfg")
     assert run(["train", "--arch", "audiocat", "--manifest", str(corpus["manifest"]),
                 "--out", str(tmp_path / "o.aigm"), *flags]) == EXIT_IO
     err = capsys.readouterr().err

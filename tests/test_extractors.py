@@ -27,15 +27,15 @@ def test_sequence_mask_length_checked():
 
 # ---------------------------------------------------------------- extractors
 def test_sequence_extractor_frame_count():
-    # 5 s at 16 kHz, frame 512 hop 256 -> 1 + (80000-512)//256 = 311 frames
+    # 5 s at 16 kHz, frame 1024 hop 256 -> 1 + (80000-1024)//256 = 309 frames
     ext = DspSequenceExtractor(512)
-    out = ext(log_mel(sine_buffer(440, 5.0).samples[0], ext.frame_len))
-    assert out.shape == (311, 512)
+    out = ext(log_mel(sine_buffer(440, 5.0).samples[0]))
+    assert out.shape == (309, 512)
 
 
 def test_sequence_extractor_deterministic():
     ext_a, ext_b = DspSequenceExtractor(512), DspSequenceExtractor(512)
-    mel = log_mel(sine_buffer(440, 1.0).samples[0], ext_a.frame_len)
+    mel = log_mel(sine_buffer(440, 1.0).samples[0])
     assert np.array_equal(ext_a(mel), ext_b(mel))
 
 

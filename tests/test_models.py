@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from aigmdet import nn
 from aigmdet.audio import AudioBuffer, RateMismatch
 from aigmdet.beats import BeatGrid, segment_bars
-from aigmdet.dsp import HOP, log_mel, segment_frames
+from aigmdet.dsp import FRAME_LEN, HOP, log_mel, segment_frames
 from aigmdet.extractors import (MAX_SEQ_LEN, DspSequenceExtractor, EmbeddingSequence,
                                 get_extractor)
 from aigmdet.models import (STAGE1_BATCH_FRAMES, AudioCAT, DetectorOutput,
@@ -391,8 +391,8 @@ def test_a_track_of_50_segments_gives_the_first_48():
     assert ext.calls == MAX_SEQ_LEN and sum(stage1.batches) == MAX_SEQ_LEN
     ranges = segment_bars(track.samples[0], grid)
     assert len(ranges) == 50
-    mel = track.log_mel(ext.frame_len)
-    want = stage1.model.forward([ext(mel[segment_frames(a, b, ext.frame_len)])
+    mel = track.log_mel()
+    want = stage1.model.forward([ext(mel[segment_frames(a, b)])
                                  for a, b in ranges[:MAX_SEQ_LEN]])
     assert np.array_equal(seq.vectors, np.stack([out.pooled for out in want]))
     assert seq.mask.all()
@@ -401,20 +401,20 @@ def test_a_track_of_50_segments_gives_the_first_48():
 @pytest.mark.parametrize("preset", ["seq-512", "vec-2048"])
 def test_segment_features_are_frame_ranges_of_the_track_log_mel(preset):
     """A segment's features are the extractor's of the frames of the whole
-    row's log-mel at its frame length that lie wholly inside the segment's
-    samples, [ceil(start/HOP), (stop - frame_len)//HOP + 1), byte for byte.
+    row's log-mel that lie wholly inside the segment's samples,
+    [ceil(start/HOP), (stop - FRAME_LEN)//HOP + 1), byte for byte.
     The grid starts 0.3 s in, which is not a whole number of hops."""
     ext = get_extractor(preset)
     track = AudioBuffer(np.random.default_rng(9).normal(0.0, 0.1, (1, 20 * 16000)), 16000)
     grid = BeatGrid(start=0.3, period=2.0, count=9)
     row = track.samples[0]
-    mel = log_mel(row, ext.frame_len)
+    mel = log_mel(row)
     ranges = segment_bars(row, grid)
     got = list(segment_features(track, grid, ext))
     assert len(got) == len(ranges) == 2
     for features, (start, stop) in zip(got, ranges):
-        first, end = -(-start // HOP), (stop - ext.frame_len) // HOP + 1
-        assert first * HOP >= start and (end - 1) * HOP + ext.frame_len <= stop
+        first, end = -(-start // HOP), (stop - FRAME_LEN) // HOP + 1
+        assert first * HOP >= start and (end - 1) * HOP + FRAME_LEN <= stop
         assert features.tobytes() == ext(mel[first:end]).tobytes()
 
 

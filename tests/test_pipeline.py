@@ -101,15 +101,15 @@ def test_experiment_features_are_the_pipeline_features(tmp_path):
 
 
 def test_one_stft_pass_per_track(tmp_path, monkeypatch):
-    """Beat analysis and frame-1024 segment features read one log-mel: the
-    STFT takes each frame of the track once, in the experiment and in a
-    vec-2048 stage-2 path alike."""
+    """Beat analysis and the segment features read one log-mel: the STFT
+    takes each frame of the track once, in the experiment and in the
+    vec-2048 and seq-512 stage-2 paths alike."""
     path = tmp_path / "track.wav"
     save_wav(render_track(0, 120, 24.0, 16000, np.random.default_rng(6)), path)
     frames = []
 
-    def counting_stft(x, frame_len=FRAME_LEN):
-        spec = stft(x, frame_len)
+    def counting_stft(x):
+        spec = stft(x)
         frames.append(len(spec.magnitudes))
         return spec
 
@@ -120,6 +120,11 @@ def test_one_stft_pass_per_track(tmp_path, monkeypatch):
     frames.clear()
     stage1 = FXSegment(d_enc=2048, n_tokens=4, cfg=SMALL, n_layers=1, seed=0)
     seq = pipeline.track_sequence_for_path(path, stage1, get_extractor("vec-2048"))
+    assert seq.length >= 2
+    assert sum(frames) == track_frames
+    frames.clear()
+    stage1 = AudioCAT(d_enc=512, cfg=SMALL, n_layers=1, seed=0)
+    seq = pipeline.track_sequence_for_path(path, stage1, get_extractor("seq-512"))
     assert seq.length >= 2
     assert sum(frames) == track_frames
 

@@ -19,7 +19,7 @@ import numpy as np
 from aigmdet import audio, data, extractors, nn
 from aigmdet.audio import _KAISER_BETA, _SINC_TAPS, AudioBuffer
 from aigmdet.beats import DP_TIGHTNESS
-from aigmdet.dsp import FRAME_LEN, LOG_EPS, mel_filterbank, stft
+from aigmdet.dsp import LOG_EPS, mel_filterbank, stft
 from aigmdet.extractors import FeatureExtractor
 from aigmdet.tensor import Tensor, _unbroadcast, no_grad, node
 
@@ -231,10 +231,10 @@ def pairwise_auc(scores, labels):
     return float((greater + 0.5 * ties) / (len(pos) * len(neg)))
 
 
-def whole_log_mel(x, frame_len=FRAME_LEN):
+def whole_log_mel(x):
     """`dsp.log_mel` with the spectrum of every frame held at once."""
-    power = stft(x, frame_len).magnitudes**2
-    return np.log(power @ mel_filterbank(frame_len).T + LOG_EPS)
+    power = stft(x).magnitudes**2
+    return np.log(power @ mel_filterbank().T + LOG_EPS)
 
 
 def bar_by_bar(root, accent_beat, accent_amp, bpm, rate):
