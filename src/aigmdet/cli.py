@@ -22,7 +22,7 @@ import numpy as np
 from . import experiment, pipeline, training
 from .audio import AudioError, load_wav
 from .beats import BeatError, export_boundaries_csv
-from .data import DataError, Manifest, read_lines, split_dataset
+from .data import SPLITS, DataError, Manifest, read_lines, split_dataset
 from .dsp import TooShort
 from .extractors import (EmbeddingFileError, EmbeddingSequence, ExtractorError,
                          get_extractor, load_precomputed)
@@ -194,7 +194,7 @@ def make_parser() -> _Parser:
     p = sub.add_parser("eval", help="evaluate a checkpoint")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--manifest", required=True)
-    p.add_argument("--split", default="test")
+    p.add_argument("--split", default="test", choices=SPLITS)
     p.add_argument("--stage1-ckpt")
     p.add_argument("--out")
 

@@ -22,6 +22,9 @@ class DataError(Exception):
     pass
 
 
+SPLITS = ("train", "val", "test")
+
+
 class TooFewEntries(DataError):
     pass
 
@@ -40,7 +43,18 @@ def read_lines(path) -> list[str]:
 class ManifestEntry:
     path: str
     label: int
-    split: str = ""  # train / val / test, or empty
+    split: str = ""  # one of SPLITS, or empty
+
+    def check(self, seen: set):
+        """DataError unless the label is 0 or 1, the split one of SPLITS or
+        empty, and the path not in `seen`, which it then joins."""
+        if self.label not in (0, 1):
+            raise DataError(f"label must be 0 or 1, got {self.label!r}")
+        if self.split not in ("", *SPLITS):
+            raise DataError(f"split must be train, val, test or empty, got {self.split!r}")
+        if self.path in seen:
+            raise DataError(f"duplicate path {self.path}")
+        seen.add(self.path)
 
 
 @dataclass
@@ -51,11 +65,7 @@ class Manifest:
     def __post_init__(self):
         seen = set()
         for e in self.entries:
-            if e.path in seen:
-                raise DataError(f"duplicate path {e.path}")
-            seen.add(e.path)
-            if e.label not in (0, 1):
-                raise DataError(f"label must be 0 or 1, got {e.label}")
+            e.check(seen)
 
     def subset(self, split: str) -> list:
         return [e for e in self.entries if e.split == split]
@@ -88,20 +98,18 @@ class Manifest:
         for line, row in rows[1:]:
             if not row:
                 continue
-            where = f"{path}, line {line}"
-            if len(row) < 2:
-                raise DataError(f"{where}: expected path,label[,split], got {row!r}")
             try:
-                label = int(row[1])
-            except ValueError:
-                label = None
-            if label not in (0, 1):
-                raise DataError(f"{where}: label must be 0 or 1, got {row[1]!r}")
-            if row[0] in seen:
-                raise DataError(f"{where}: duplicate path {row[0]}")
-            seen.add(row[0])
-            split = row[2].strip() if len(row) > 2 else ""
-            entries.append(ManifestEntry(row[0], label, split))
+                if len(row) < 2:
+                    raise DataError(f"expected path,label[,split], got {row!r}")
+                try:
+                    label = int(row[1])
+                except ValueError:
+                    label = row[1]
+                entry = ManifestEntry(row[0], label, row[2].strip() if len(row) > 2 else "")
+                entry.check(seen)
+            except DataError as exc:
+                raise DataError(f"{path}, line {line}: {exc}") from None
+            entries.append(entry)
         return Manifest(entries, name=Path(path).stem)
 
 
@@ -124,19 +132,14 @@ def split_dataset(manifest: Manifest, seed: int = 0) -> Manifest:
     if len(manifest.entries) < 10:
         raise TooFewEntries(f"need >= 10 entries, got {len(manifest.entries)}")
     rng = np.random.default_rng(seed)
-    split_names = ("train", "val", "test")
     assigned = {}
     for label in (0, 1):
         idx = [i for i, e in enumerate(manifest.entries) if e.label == label]
         if not idx:
             continue
         perm = rng.permutation(len(idx))
-        counts = _apportion(len(idx), (8, 1, 1))
-        pos = 0
-        for name, count in zip(split_names, counts):
-            for j in perm[pos:pos + count]:
-                assigned[idx[j]] = name
-            pos += count
+        names = [s for s, n in zip(SPLITS, _apportion(len(idx), (8, 1, 1))) for _ in range(n)]
+        assigned.update((idx[j], name) for j, name in zip(perm, names))
     entries = [ManifestEntry(e.path, e.label, assigned[i])
                for i, e in enumerate(manifest.entries)]
     return Manifest(entries, name=manifest.name)

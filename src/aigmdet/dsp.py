@@ -16,7 +16,7 @@ does not grow with track length.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -128,11 +128,11 @@ def onset_envelope(mel: np.ndarray) -> np.ndarray:
     return np.clip(env, 0.0, None)
 
 
-@lru_cache(maxsize=8)
-def projection(dim: int, stat_dim: int) -> np.ndarray:
-    """The fixed [stat_dim x dim] Gaussian matrix that lifts statistics to dim."""
+@cache
+def projection(dim: int) -> np.ndarray:
+    """The fixed [4 N_MELS x dim] Gaussian matrix that lifts dsp_embed's statistics."""
     rng = np.random.default_rng(EMBED_SEED)
-    mat = rng.normal(0.0, 1.0 / np.sqrt(stat_dim), size=(stat_dim, dim))
+    mat = rng.normal(0.0, 1.0 / np.sqrt(4 * N_MELS), size=(4 * N_MELS, dim))
     mat.setflags(write=False)
     return mat
 
@@ -148,6 +148,6 @@ def dsp_embed(mel: np.ndarray, dim: int) -> np.ndarray:
         mel.max(axis=0),
         flux.mean(axis=0) if len(flux) else np.zeros(N_MELS),
     ])
-    vec = stats @ projection(dim, stats.size)
+    vec = stats @ projection(dim)
     norm = np.linalg.norm(vec)
     return vec / norm if norm > 0 else vec

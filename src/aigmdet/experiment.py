@@ -13,14 +13,11 @@ from pathlib import Path
 import numpy as np
 
 from .audio import load_wav
-from .data import Manifest, ManifestEntry, split_dataset, synth_dataset
+from .data import SPLITS, Manifest, ManifestEntry, split_dataset, synth_dataset
 from .extractors import SEGMENT_EMBED_DIM, DspVectorExtractor
 from .models import AudioCAT, SegmentTransformer, features_to_sequence, segment_features
 from .pipeline import analysis_buffer, analyze_beats
 from .training import TrainConfig, TrainResult, evaluate, train
-
-
-SPLITS = ("train", "val", "test")
 
 
 @dataclass

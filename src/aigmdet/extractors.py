@@ -1,8 +1,8 @@
 """Pluggable feature extractors and the embedding-sequence container.
 
-Two concrete extractors ship: a DSP frame-sequence embedder and a single-
-vector DSP embedder.  Both take a segment as [frames x N_MELS], a range of
-the frames of the track's one log-mel (see `models.segment_features`).
+Both take a segment as [frames x N_MELS], a range of the frames of the
+track's one log-mel (see `models.segment_features`).  Preset `seq-512` gives
+those [frames x 40] frames as they are; `vec-2048` one dsp_embed vector.
 Externally computed embeddings are loaded from EMB1 files.
 """
 
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import N_MELS, dsp_embed, projection
+from .dsp import N_MELS, dsp_embed
 
 # segments of a track that stage 1 analyses; the default segtr max_len
 MAX_SEQ_LEN = 48
@@ -77,18 +77,15 @@ class FeatureExtractor:
 
 
 class DspSequenceExtractor(FeatureExtractor):
-    """Per-frame log-mel features projected to d_enc by a fixed seeded
-    random matrix; one vector per frame (frame 1024, hop 256)."""
+    """The segment's log-mel frames themselves, one N_MELS-wide vector per
+    frame (frame 1024, hop 256): the view it is given, not a copy."""
 
+    name = "log-mel"
     kind = "sequence"
-
-    def __init__(self, d_enc: int = 512):
-        self.name = f"dsp-seq-{d_enc}"
-        self.d_enc = d_enc
-        self._proj = projection(d_enc, N_MELS)
+    d_enc = N_MELS
 
     def _extract(self, mel: np.ndarray) -> np.ndarray:
-        return mel @ self._proj
+        return mel
 
 
 class DspVectorExtractor(FeatureExtractor):
@@ -105,8 +102,7 @@ class DspVectorExtractor(FeatureExtractor):
 
 
 PRESETS = {
-    "seq-512": lambda: DspSequenceExtractor(512),
-    "seq-768": lambda: DspSequenceExtractor(768),
+    "seq-512": DspSequenceExtractor,
     "vec-2048": lambda: DspVectorExtractor(2048),
 }
 

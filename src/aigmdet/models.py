@@ -320,9 +320,9 @@ def features_to_sequence(features, stage1) -> EmbeddingSequence:
 
     Stage 1 runs once a batch of segments (see _frame_batches), and an
     iterator of features is read one batch at a time: a segment of a
-    seq-512 track holds hundreds of frames, so it is a batch alone and one
-    segment's feature map is live at once, while the one-frame vectors of
-    a short track all go in one batch."""
+    seq-512 track holds hundreds of log-mel frames, so it is a batch alone
+    and stage 1's activations are live for one segment at once, while the
+    one-frame vectors of a short track all go in one batch."""
     vectors = np.stack([out.pooled for batch in _frame_batches(islice(features, MAX_SEQ_LEN))
                         for out in stage1.forward(batch)])
     return EmbeddingSequence(vectors, np.ones(len(vectors), dtype=bool))

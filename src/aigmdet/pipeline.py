@@ -118,7 +118,8 @@ def load_model(path):
 
 def _stage1_extractor(path, model, arch: str, preset: str) -> FeatureExtractor:
     """The extractor of the stage-1 checkpoint at `path`; DataError names
-    the file if its preset is unknown or its model cannot read it."""
+    the file if its preset is unknown (such as the removed seq-768) or its
+    model cannot read it (such as a seq-512 model of d_enc 512)."""
     try:
         extractor = get_extractor(preset)
         check_extractor(arch, model.d_enc, extractor)

@@ -90,7 +90,8 @@ def test_save_wav_memory_is_bounded(long_track, tmp_path):
 
 def test_track_to_sequence_memory_is_bounded(long_track):
     """Stage 1 runs on each segment's feature map before the next is
-    extracted, so one seq-512 map (about 2 MB) is live, not 22."""
+    extracted, so its activations are live for one segment, not 22; a
+    seq-512 map is a view of the track's log-mel (about 160 kB a segment)."""
     extractor = get_extractor("seq-512")
     stage1 = pipeline.build_model("audiocat", extractor=extractor, seed=0)
     period = 240.0 / BPM

@@ -12,7 +12,7 @@ from aigmdet import cli, models, nn, pipeline
 from aigmdet.audio import AudioBuffer, load_wav, save_wav
 from aigmdet.cli import EXIT_IO, EXIT_MUSIC, EXIT_OK, EXIT_USAGE, main
 from aigmdet.data import Manifest, ManifestEntry, render_track
-from aigmdet.dsp import MIN_SEGMENT_S, TooShort
+from aigmdet.dsp import MIN_SEGMENT_S, N_MELS, TooShort
 from aigmdet.extractors import EmbeddingSequence, get_extractor
 from aigmdet.models import SegmentTransformer
 
@@ -60,6 +60,12 @@ def test_unknown_command_is_usage_error(capsys):
 
 def test_missing_required_argument(capsys):
     assert run(["train", "--arch", "audiocat"]) == EXIT_USAGE
+
+
+def test_eval_unknown_split_is_usage_error(capsys):
+    assert run(["eval", "--ckpt", "c.aigm", "--manifest", "m.csv",
+                "--split", "tset"]) == EXIT_USAGE
+    assert "invalid choice: 'tset'" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- beats
@@ -491,8 +497,11 @@ def test_non_finite_float32_input_exits_2(command, value, tmp_path, capsys):
                                   "predict_width_mismatch", "eval_width_mismatch",
                                   "train_manifest_header", "predict_preset_mismatch",
                                   "predict_stage1_preset_mismatch",
-                                  "predict_fxseg_preset_mismatch", "train_manifest_label",
-                                  "train_manifest_duplicate"])
+                                  "predict_fxseg_preset_mismatch",
+                                  "predict_removed_preset_mismatch",
+                                  "predict_stage1_removed_preset_mismatch",
+                                  "train_manifest_label", "train_manifest_duplicate",
+                                  "train_manifest_split", "eval_manifest_split"])
 def test_unreadable_input_exits_2(case, corpus, stage1_ckpt, tmp_path, monkeypatch,
                                   capsys):
     bad_text = tmp_path / "latin1.txt"
@@ -511,15 +520,22 @@ def test_unreadable_input_exits_2(case, corpus, stage1_ckpt, tmp_path, monkeypat
     label_2.write_text("path,label\na.wav,0\nb.wav,2\n")
     duplicate = tmp_path / "dup.csv"
     duplicate.write_text("path,label\na.wav,0\nb.wav,1\na.wav,1\n")
+    bad_split = tmp_path / "split.csv"  # a split other than train, val or test
+    bad_split.write_text("path,label,split\na.wav,0,train\nb.wav,1,tset\nc.wav,0,Test\n")
     # a stage 1 of d_model 16 under a segtr that reads d_in 128
     narrow, segtr = tmp_path / "narrow.aigm", tmp_path / "segtr.aigm"
-    pipeline.save_model(narrow, models.AudioCAT(d_enc=512, cfg=nn.AttentionConfig(
+    pipeline.save_model(narrow, models.AudioCAT(d_enc=N_MELS, cfg=nn.AttentionConfig(
         d_model=16, heads=2, ffn_dim=32)), "audiocat", "seq-512")
     pipeline.save_model(segtr, pipeline.build_model("segtr", seed=0), "segtr")
-    # stage-1 models whose recorded extractor preset they cannot read
-    d_enc_100, fxseg = tmp_path / "d_enc_100.aigm", tmp_path / "fxseg.aigm"
-    pipeline.save_model(d_enc_100, models.AudioCAT(d_enc=100), "audiocat", "seq-512")
+    # stage-1 models whose recorded extractor preset they cannot read: a
+    # seq-512 AudioCAT of d_enc 512, as trained before seq-512 gave the 40-wide
+    # log-mel frames, and one of the removed preset seq-768
+    old_seq512, fxseg = tmp_path / "old_seq512.aigm", tmp_path / "fxseg.aigm"
+    pipeline.save_model(old_seq512, models.AudioCAT(d_enc=512), "audiocat", "seq-512")
     pipeline.save_model(fxseg, models.FXSegment(d_enc=512), "fxseg", "seq-512")
+    seq768 = tmp_path / "seq768.aigm"
+    pipeline.save_model(seq768, models.AudioCAT(d_enc=768), "audiocat", "seq-768")
+    widths = ["gives 40-wide features", "reads d_enc 512"]
     out = str(tmp_path / "out")
     argv, named = {
         "beats_odd_wav": (["beats", str(odd), "--out", out], []),
@@ -541,18 +557,28 @@ def test_unreadable_input_exits_2(case, corpus, stage1_ckpt, tmp_path, monkeypat
                                  "--manifest", str(corpus["manifest"])], [narrow, segtr]),
         "train_manifest_header": (["train", "--arch", "audiocat", "--manifest", str(no_header),
                                    "--out", out], [f"error: {no_header}, line 1: "]),
-        "predict_preset_mismatch": (["predict", "--ckpt", str(d_enc_100), "--audio",
-                                     corpus["clip"]], [d_enc_100]),
+        "predict_preset_mismatch": (["predict", "--ckpt", str(old_seq512), "--audio",
+                                     corpus["clip"]], [f"error: {old_seq512}: ", *widths]),
         "predict_stage1_preset_mismatch": (["predict", "--ckpt", str(segtr), "--stage1-ckpt",
-                                            str(d_enc_100), "--audio", corpus["clip"]],
-                                           [d_enc_100]),
+                                            str(old_seq512), "--audio", corpus["clip"]],
+                                           [f"error: {old_seq512}: ", *widths]),
         "predict_fxseg_preset_mismatch": (["predict", "--ckpt", str(fxseg), "--audio",
                                            corpus["clip"]], [fxseg]),
+        "predict_removed_preset_mismatch": (["predict", "--ckpt", str(seq768), "--audio",
+                                             corpus["clip"]],
+                                            [f"error: {seq768}: ", "'seq-768'"]),
+        "predict_stage1_removed_preset_mismatch": (
+            ["predict", "--ckpt", str(segtr), "--stage1-ckpt", str(seq768), "--audio",
+             corpus["clip"]], [f"error: {seq768}: ", "'seq-768'"]),
         "train_manifest_label": (["train", "--arch", "audiocat", "--manifest", str(label_2),
                                   "--out", out], [f"error: {label_2}, line 3: "]),
         "train_manifest_duplicate": (["train", "--arch", "audiocat", "--manifest",
                                       str(duplicate), "--out", out],
                                      [f"error: {duplicate}, line 4: duplicate path a.wav"]),
+        "train_manifest_split": (["train", "--arch", "audiocat", "--manifest", str(bad_split),
+                                  "--out", out], [f"error: {bad_split}, line 3: ", "'tset'"]),
+        "eval_manifest_split": (["eval", "--ckpt", str(stage1_ckpt), "--manifest",
+                                 str(bad_split)], [f"error: {bad_split}, line 3: ", "'tset'"]),
     }[case]
     if case.endswith("_mismatch"):  # refused before any WAV is read
         monkeypatch.setattr(pipeline, "load_wav", lambda path: pytest.fail(f"read {path}"))

@@ -35,6 +35,18 @@ def test_manifest_rejects_duplicates_and_bad_labels():
         Manifest([ManifestEntry("x.wav", 2)])
 
 
+@pytest.mark.parametrize("split", ["tset", "Test"])
+def test_manifest_rejects_unknown_split(split, tmp_path):
+    """An entry of any other split would drop out of every train, val and
+    test subset without a word."""
+    path = tmp_path / "m.csv"
+    path.write_text(f"path,label,split\na.wav,0,train\nb.wav,1,{split}\n")
+    with pytest.raises(DataError, match=f"{path}, line 3: .*{split!r}"):
+        Manifest.load(path)
+    with pytest.raises(DataError, match=repr(split)):
+        Manifest([ManifestEntry("b.wav", 1, split)])
+
+
 def test_manifest_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("file,class\nx.wav,0\n")

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aigmdet.dsp import log_mel
+from aigmdet.dsp import N_MELS, log_mel
 from aigmdet.extractors import (BadMagic, DimMismatch,
                                 DspSequenceExtractor, DspVectorExtractor,
                                 EmbeddingSequence, ExtractorError,
@@ -27,14 +27,19 @@ def test_sequence_mask_length_checked():
 
 # ---------------------------------------------------------------- extractors
 def test_sequence_extractor_frame_count():
+    """The frames it is given, as they are: a read-only view of the
+    track's log-mel, not a copy."""
     # 5 s at 16 kHz, frame 1024 hop 256 -> 1 + (80000-1024)//256 = 309 frames
-    ext = DspSequenceExtractor(512)
-    out = ext(log_mel(sine_buffer(440, 5.0).samples[0]))
-    assert out.shape == (309, 512)
+    mel = sine_buffer(440, 5.0).log_mel()
+    out = DspSequenceExtractor()(mel)
+    assert out.shape == (309, N_MELS)
+    assert out.tobytes() == mel.tobytes()
+    segment = DspSequenceExtractor()(mel[10:200])
+    assert np.shares_memory(segment, mel) and not segment.flags.writeable
 
 
 def test_sequence_extractor_deterministic():
-    ext_a, ext_b = DspSequenceExtractor(512), DspSequenceExtractor(512)
+    ext_a, ext_b = DspSequenceExtractor(), DspSequenceExtractor()
     mel = log_mel(sine_buffer(440, 1.0).samples[0])
     assert np.array_equal(ext_a(mel), ext_b(mel))
 
@@ -61,12 +66,13 @@ def test_random_stub_sequence_kind():
 
 
 def test_presets():
-    assert get_extractor("seq-512").d_enc == 512
-    assert get_extractor("seq-768").d_enc == 768
+    ext = get_extractor("seq-512")  # the log-mel frames, 40 wide
+    assert ext.d_enc == N_MELS and ext.kind == "sequence"
     ext = get_extractor("vec-2048")
     assert ext.d_enc == 2048 and ext.kind == "vector"
-    with pytest.raises(ExtractorError):
-        get_extractor("nope")
+    for removed in ("seq-768", "nope"):
+        with pytest.raises(ExtractorError, match=f"unknown extractor preset '{removed}'"):
+            get_extractor(removed)
 
 
 # ---------------------------------------------------------------- EMB1

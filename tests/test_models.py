@@ -424,8 +424,8 @@ def test_track_to_sequence_builds_no_buffer(monkeypatch):
     AudioBuffer."""
     track = AudioBuffer(np.random.default_rng(8).normal(0.0, 0.1, (1, 50 * 16000)), 16000)
     grid = BeatGrid(start=0.0, period=0.25, count=200)  # 50 segments of 1 s
-    ext = DspSequenceExtractor(8)
-    stage1 = AudioCAT(d_enc=8, cfg=SMALL, n_layers=1, seed=0)
+    ext = DspSequenceExtractor()
+    stage1 = AudioCAT(d_enc=ext.d_enc, cfg=SMALL, n_layers=1, seed=0)
     built, init = [], AudioBuffer.__post_init__
     monkeypatch.setattr(AudioBuffer, "__post_init__",
                         lambda buf: built.append(buf) or init(buf))

@@ -7,7 +7,7 @@ import pytest
 from aigmdet import dsp, experiment, pipeline
 from aigmdet.audio import AudioBuffer, load_wav, resample, save_wav
 from aigmdet.data import Manifest, ManifestEntry, render_track
-from aigmdet.dsp import FRAME_LEN, HOP, stft
+from aigmdet.dsp import FRAME_LEN, HOP, N_MELS, stft
 from aigmdet.extractors import (SEGMENT_EMBED_DIM, DspVectorExtractor, EmbeddingSequence,
                                 get_extractor)
 from aigmdet.models import (AudioCAT, FXSegment, SegmentTransformer, segment_features,
@@ -67,13 +67,13 @@ def test_build_stage1_dataset(tmp_path):
     data = pipeline.build_stage1_dataset(entries, ext)
     assert len(data) == 4
     feats, label = data[0]
-    assert feats.shape[1] == 512 and label == 0
+    assert feats.shape[1] == N_MELS and label == 0
 
 
 def test_track_sequence_for_path(tmp_path):
     path = tmp_path / "long.wav"
     save_wav(render_track(0, 120, 24.0, 16000, np.random.default_rng(0)), path)
-    stage1 = AudioCAT(d_enc=512, cfg=SMALL, seed=0)
+    stage1 = AudioCAT(d_enc=N_MELS, cfg=SMALL, seed=0)
     seq = pipeline.track_sequence_for_path(path, stage1, get_extractor("seq-512"))
     # 24 s track, 8 s four-bar windows -> about 3 segments, unpadded
     assert 2 <= len(seq.vectors) <= 3 and seq.vectors.shape[1] == SMALL.d_model
@@ -123,7 +123,7 @@ def test_one_stft_pass_per_track(tmp_path, monkeypatch):
     assert seq.length >= 2
     assert sum(frames) == track_frames
     frames.clear()
-    stage1 = AudioCAT(d_enc=512, cfg=SMALL, n_layers=1, seed=0)
+    stage1 = AudioCAT(d_enc=N_MELS, cfg=SMALL, n_layers=1, seed=0)
     seq = pipeline.track_sequence_for_path(path, stage1, get_extractor("seq-512"))
     assert seq.length >= 2
     assert sum(frames) == track_frames
@@ -206,7 +206,7 @@ def test_header_sizes_are_checked_against_the_tensors(arch, build):
 def test_build_model_variants():
     ext = get_extractor("seq-512")
     m = pipeline.build_model("audiocat", extractor=ext, cfg=SMALL)
-    assert m.d_enc == 512
+    assert m.d_enc == N_MELS and m.in_proj.weight.shape == (N_MELS, SMALL.d_model)
     m2 = pipeline.build_model("segtr", cfg=SMALL, d_in=16)
     assert m2.d_in == 16
     with pytest.raises(ValueError):
