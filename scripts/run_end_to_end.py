@@ -31,6 +31,7 @@ def main():
 
     from aigmdet.data import DataError
     from aigmdet.experiment import run_experiment
+    from aigmdet.training import TrainingError
 
     log = None if args.quiet else print
     start = time.time()
@@ -40,8 +41,9 @@ def main():
                                 duration_s=args.duration_s,
                                 seeds=tuple(args.seeds),
                                 epochs=args.epochs, lr=args.lr, log=log)
-    except DataError as exc:
-        # e.g. a corpus too small to split into train, val and test
+    except (DataError, TrainingError) as exc:
+        # e.g. a corpus too small to split into train, val and test, or
+        # --epochs 0
         print(f"error: {exc}", file=sys.stderr)
         return 2
     elapsed = time.time() - start

@@ -17,8 +17,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import experiment, pipeline, training
 from .audio import AudioError, load_wav
 from .beats import BeatError, export_boundaries_csv
@@ -157,14 +155,13 @@ def cmd_predict(args) -> int:
 def cmd_ssm(args) -> int:
     path = Path(args.input)
     if path.suffix.lower() == ".wav":
-        vectors = experiment.track_vectors(path)
-        seq = EmbeddingSequence(vectors, np.ones(len(vectors), dtype=bool))
+        seq = EmbeddingSequence(experiment.track_vectors(path))
     else:
         seq = load_precomputed(path)
     ssm = self_similarity(seq)
     export_ssm_csv(ssm, str(args.out) + ".csv")
     export_ssm_pgm(ssm, str(args.out) + ".pgm")
-    print(f"ssm_size={ssm.matrix.shape[0]}")
+    print(f"ssm_size={ssm.shape[0]}")
     return EXIT_OK
 
 

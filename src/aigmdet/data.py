@@ -45,13 +45,18 @@ class ManifestEntry:
     label: int
     split: str = ""  # one of SPLITS, or empty
 
-    def check(self, seen: set):
+    def check(self, seen: set, first: "ManifestEntry"):
         """DataError unless the label is 0 or 1, the split one of SPLITS or
-        empty, and the path not in `seen`, which it then joins."""
+        empty, and named if and only if the manifest's `first` entry names
+        one (every row names a split, or none does), and the path not in
+        `seen`, which it then joins."""
         if self.label not in (0, 1):
             raise DataError(f"label must be 0 or 1, got {self.label!r}")
         if self.split not in ("", *SPLITS):
             raise DataError(f"split must be train, val, test or empty, got {self.split!r}")
+        if bool(self.split) != bool(first.split):
+            raise DataError(f"split {self.split!r}, but {first.split!r} on the first row: "
+                            f"every row names a split, or none does")
         if self.path in seen:
             raise DataError(f"duplicate path {self.path}")
         seen.add(self.path)
@@ -65,7 +70,7 @@ class Manifest:
     def __post_init__(self):
         seen = set()
         for e in self.entries:
-            e.check(seen)
+            e.check(seen, self.entries[0])
 
     def subset(self, split: str) -> list:
         return [e for e in self.entries if e.split == split]
@@ -106,7 +111,7 @@ class Manifest:
                 except ValueError:
                     label = row[1]
                 entry = ManifestEntry(row[0], label, row[2].strip() if len(row) > 2 else "")
-                entry.check(seen)
+                entry.check(seen, entries[0] if entries else entry)
             except DataError as exc:
                 raise DataError(f"{path}, line {line}: {exc}") from None
             entries.append(entry)

@@ -107,6 +107,9 @@ def run_seed(tracks, manifest: Manifest, seed: int,
 def run_experiment(data_dir, n_per_class: int = 64, duration_s: float = 64.0,
                    seeds=(0, 1, 2), epochs: int = 20, lr: float = 1e-3,
                    log=None) -> ExperimentResult:
+    # the training config (both stages') and the split are checked before
+    # any track is rendered
+    cfg = TrainConfig(epochs=epochs, batch_size=8, loss="bce", lr=lr, weight_decay=1e-6)
     data_dir = Path(data_dir)
     manifest_path = data_dir / "manifest.csv"
     if manifest_path.exists():
@@ -118,15 +121,10 @@ def run_experiment(data_dir, n_per_class: int = 64, duration_s: float = 64.0,
                                  duration_s=duration_s)
     tracks = extract_corpus(manifest, log=log)
 
-    stage1_cfg = TrainConfig(epochs=epochs, batch_size=8, loss="bce", lr=lr,
-                             weight_decay=1e-6)
-    stage2_cfg = TrainConfig(epochs=epochs, batch_size=8, loss="bce", lr=lr,
-                             weight_decay=1e-6)
     per_seed = []
     for seed in seeds:
-        result = run_seed(tracks, manifest, seed,
-                          replace(stage1_cfg, seed=seed),
-                          replace(stage2_cfg, seed=seed), log=log)
+        seed_cfg = replace(cfg, seed=seed)
+        result = run_seed(tracks, manifest, seed, seed_cfg, seed_cfg, log=log)
         if log:
             log(f"seed {seed}: accuracy={result.accuracy:.3f} auc={result.auc:.3f}")
         per_seed.append(result)

@@ -43,16 +43,12 @@ class Truncated(EmbeddingFileError):
 
 @dataclass
 class EmbeddingSequence:
-    """Ordered per-segment vectors with a validity mask."""
+    """Ordered per-segment vectors, one row a segment."""
 
     vectors: np.ndarray  # [N x d]
-    mask: np.ndarray  # [N] bool
 
     def __post_init__(self):
         self.vectors = np.atleast_2d(np.asarray(self.vectors, dtype=np.float64))
-        self.mask = np.asarray(self.mask, dtype=bool)
-        if self.mask.shape != (self.vectors.shape[0],):
-            raise ExtractorError("mask length must match vector count")
 
     @property
     def length(self) -> int:
@@ -61,6 +57,12 @@ class EmbeddingSequence:
     @property
     def dim(self) -> int:
         return self.vectors.shape[1]
+
+    @property
+    def mask(self) -> np.ndarray:
+        """[N] all True: every row is a segment.  Only the benchmark's
+        segment count reads it."""
+        return np.ones(self.length, dtype=bool)
 
 
 # ----------------------------------------------------------------------
@@ -140,9 +142,9 @@ def load_precomputed(path) -> EmbeddingSequence:
                 f"row byte-length implies dim {len(payload) // (4 * n)}, header says {d}")
         raise Truncated(f"expected {expected} payload bytes, got {len(payload)}")
     if n == 0:
-        return EmbeddingSequence(np.zeros((0, max(d, 1))), np.zeros(0, dtype=bool))
+        return EmbeddingSequence(np.zeros((0, max(d, 1))))
     raw = np.frombuffer(payload, dtype="<f4")
     # checked before the cast, which warns on a signalling NaN
     if not np.isfinite(raw).all():
         raise EmbeddingFileError("embedding values must be finite")
-    return EmbeddingSequence(raw.reshape(n, d).astype(np.float64), np.ones(n, dtype=bool))
+    return EmbeddingSequence(raw.reshape(n, d).astype(np.float64))

@@ -28,7 +28,7 @@ from .audio import AudioBuffer
 from .beats import BeatGrid, segment_bars
 from .dsp import segment_frames
 from .extractors import EmbeddingSequence, FeatureExtractor, MAX_SEQ_LEN
-from .nn import AllMasked, AttentionConfig, ShapeMismatch
+from .nn import AttentionConfig, ShapeMismatch
 from .tensor import Tensor, _sigmoid, concat, no_grad
 
 
@@ -61,34 +61,28 @@ def _batch_loss(model, xs, ys, loss_fn) -> Tensor:
     return loss_fn(logits, np.asarray(ys)).mean()
 
 
-def _pad_batch(masks, *fields) -> list[np.ndarray]:
-    """The [B x n] mask and each field as [B x n x ...], of examples with
-    [n_i] row masks and one [n_i x ...] array a field: n is one past the
-    batch's last valid row, so only masked rows are cut or zero-padded.
-    AllMasked if an example has no valid row."""
-    if not all(np.any(m) for m in masks):
-        raise AllMasked("an example has no valid rows")
-    n = 1 + max(int(np.flatnonzero(m)[-1]) for m in masks)
-    out = [np.zeros((len(masks), n, *a[0].shape[1:]), a[0].dtype) for a in (masks, *fields)]
-    for arrays, padded in zip((masks, *fields), out):
+def _pad_batch(*fields) -> list[np.ndarray]:
+    """The [B x n] padding mask and each field as [B x n x ...], of examples
+    with one [n_i x ...] array a field: n is the longest n_i, and an
+    example's rows past its n_i are zeros, False in the mask.
+    EmptySequence if an example has no rows."""
+    lengths = np.array([len(a) for a in fields[0]])
+    if not lengths.all():
+        raise EmptySequence("an example has no rows")
+    n = int(lengths.max())
+    out = [np.zeros((len(lengths), n, *a[0].shape[1:]), a[0].dtype) for a in fields]
+    for arrays, padded in zip(fields, out):
         for i, a in enumerate(arrays):
-            padded[i, :len(a)] = a[:n]
-    return out
+            padded[i, :len(a)] = a
+    return [np.arange(n) < lengths[:, None], *out]
 
 
-@dataclass
-class SSM:
-    """Pairwise cosine similarities between segment embeddings."""
-
-    matrix: np.ndarray  # [N x N]
-    mask: np.ndarray  # [N] bool
-
-
-def self_similarity(seq: EmbeddingSequence) -> SSM:
-    """Cosine SSM; zero-norm or masked rows are zeroed out."""
+def self_similarity(seq: EmbeddingSequence) -> np.ndarray:
+    """[N x N] cosine similarities of a sequence's rows; the row and column
+    of a zero-norm row are zero."""
     v = seq.vectors
     norms = np.linalg.norm(v, axis=1)
-    valid = seq.mask & (norms > 0)
+    valid = norms > 0
     n = len(valid)
     s = np.zeros((n, n))
     if valid.any():
@@ -98,7 +92,7 @@ def self_similarity(seq: EmbeddingSequence) -> SSM:
         np.fill_diagonal(block, 1.0)
         idx = np.flatnonzero(valid)
         s[np.ix_(idx, idx)] = block
-    return SSM(s, valid.copy())
+    return s
 
 
 def predict(out: DetectorOutput, threshold: float = 0.5) -> int:
@@ -128,25 +122,17 @@ class AudioCAT(nn.Module):
         return {"in_proj.weight": (d_enc, cfg.d_model), "queries": (n_queries, cfg.d_model),
                 "blocks": n_layers}
 
-    def forward_tensor(self, batch, masks=None) -> tuple[Tensor, Tensor]:
+    def forward_tensor(self, batch) -> tuple[Tensor, Tensor]:
         """Logits [B] and pooled outputs [B x d_model] of a list of feature
         maps ([T_i x d_enc], or one [d_enc] vector as T_i = 1).
 
-        Frames where masks[i] is False are masked out of the memory, and the
-        batch is padded by _pad_batch: with no masks, to its longest map."""
+        The batch is padded by _pad_batch to its longest map, and the
+        padding is masked out of the memory."""
         feats = [np.atleast_2d(np.asarray(f, dtype=np.float64)) for f in batch]
-        masks = ([np.ones(len(f), dtype=bool) for f in feats] if masks is None
-                 else [np.asarray(m, dtype=bool) for m in masks])
-        if len(masks) != len(feats):
-            raise ShapeMismatch(f"{len(masks)} masks for {len(feats)} feature maps")
-        for f, m in zip(feats, masks):
-            if f.shape[0] < 1:
-                raise EmptySequence("empty feature sequence")
+        for f in feats:
             if f.shape[1] != self.d_enc:
                 raise ShapeMismatch(f"features dim {f.shape[1]} vs d_enc {self.d_enc}")
-            if m.shape != (f.shape[0],):
-                raise ShapeMismatch(f"mask shape {m.shape} vs {f.shape[0]} frames")
-        mem_mask, padded = _pad_batch(masks, feats)
+        mem_mask, padded = _pad_batch(feats)
         if mem_mask.all():
             mem_mask = None
         memory = (self.in_proj(Tensor(padded))
@@ -157,9 +143,9 @@ class AudioCAT(nn.Module):
         pooled = x.mean(axis=-2)
         return self.head(pooled).reshape(-1), pooled
 
-    def forward(self, batch, masks=None) -> list[DetectorOutput]:
+    def forward(self, batch) -> list[DetectorOutput]:
         """One output per feature map of the batch (see forward_tensor)."""
-        return _outputs(self, batch, masks)
+        return _outputs(self, batch)
 
     def loss(self, batch, labels, loss_fn=nn.bce_loss) -> Tensor:
         return _batch_loss(self, batch, labels, loss_fn)
@@ -249,17 +235,16 @@ class SegmentTransformer(nn.Module):
         """Logits [B] and pooled outputs [B x 2 d_model] of a list of
         sequences of any length, of which the first max_len rows are read.
 
-        The batch is padded by _pad_batch: rows after its last valid segment
-        are dropped, since masked rows never reach valid ones.  SSM rows are
+        The batch is padded by _pad_batch to its longest sequence, and the
+        padding is masked out of attention and pooling.  SSM rows are
         zero-padded to max_len columns, the structure projection's width."""
-        seqs = [EmbeddingSequence(s.vectors[:self.max_len], s.mask[:self.max_len])
-                for s in batch]
+        seqs = [EmbeddingSequence(s.vectors[:self.max_len]) for s in batch]
         for seq in seqs:
             if seq.dim != self.d_in:
                 raise ShapeMismatch(f"sequence dim {seq.dim} vs d_in {self.d_in}")
         mask, vectors, ssm = _pad_batch(
-            [seq.mask for seq in seqs], [seq.vectors for seq in seqs],
-            [np.pad(self_similarity(seq).matrix, ((0, 0), (0, self.max_len - seq.length)))
+            [seq.vectors for seq in seqs],
+            [np.pad(self_similarity(seq), ((0, 0), (0, self.max_len - seq.length)))
              for seq in seqs])
         pos = nn.sinusoidal_positions(mask.shape[1], self.cfg.d_model)
 
@@ -325,7 +310,7 @@ def features_to_sequence(features, stage1) -> EmbeddingSequence:
     one-frame vectors of a short track all go in one batch."""
     vectors = np.stack([out.pooled for batch in _frame_batches(islice(features, MAX_SEQ_LEN))
                         for out in stage1.forward(batch)])
-    return EmbeddingSequence(vectors, np.ones(len(vectors), dtype=bool))
+    return EmbeddingSequence(vectors)
 
 
 def track_to_sequence(track: AudioBuffer, grid: BeatGrid, stage1,
@@ -335,14 +320,14 @@ def track_to_sequence(track: AudioBuffer, grid: BeatGrid, stage1,
 
 
 # ----------------------------------------------------------------------
-def export_ssm_csv(ssm: SSM, path):
-    np.savetxt(path, ssm.matrix, fmt="%.9f", delimiter=",")
+def export_ssm_csv(ssm: np.ndarray, path):
+    np.savetxt(path, ssm, fmt="%.9f", delimiter=",")
 
 
-def export_ssm_pgm(ssm: SSM, path):
+def export_ssm_pgm(ssm: np.ndarray, path):
     """8-bit PGM with [-1, 1] mapped to [0, 255]."""
-    n = ssm.matrix.shape[0]
-    pixels = np.clip(np.round((ssm.matrix + 1.0) * 127.5), 0, 255).astype(np.uint8)
+    n = ssm.shape[0]
+    pixels = np.clip(np.round((ssm + 1.0) * 127.5), 0, 255).astype(np.uint8)
     with open(path, "wb") as fh:
         fh.write(f"P5\n{n} {n}\n255\n".encode("ascii"))
         fh.write(pixels.tobytes())

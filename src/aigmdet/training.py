@@ -13,6 +13,7 @@ pairs, and a model needs:
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +57,10 @@ class TrainConfig:
             raise TrainingError("epochs, batch_size and patience must be >= 1")
         if self.loss not in ("bce", "focal"):
             raise TrainingError(f"unknown loss {self.loss!r}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise TrainingError(f"lr must be finite and > 0, got {self.lr}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise TrainingError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
 
     def loss_fn(self):
         return nn.bce_loss if self.loss == "bce" else nn.focal_loss

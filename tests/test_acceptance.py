@@ -125,10 +125,7 @@ def test_criterion_1_gradient_suite():
         seg = SegmentTransformer(d_in=6, cfg=TOY, max_len=4,
                                  n_layers_content=1, n_layers_structure=1,
                                  seed=k)
-        vec = np.zeros((4, 6))
-        vec[:3] = rng.normal(size=(3, 6))
-        mask = np.array([True, True, True, False])
-        seq = EmbeddingSequence(vec, mask)
+        seq = EmbeddingSequence(rng.normal(size=(3, 6)))
         check(failures, grads_ok(
             lambda: seg.loss([seq], [k % 2]),
             list(seg.parameters().values()), rng=pick), f"segtr[{k}]")
@@ -143,10 +140,8 @@ def test_criterion_1_gradient_suite():
         check(failures, grads_ok(
             lambda: fx.loss(embs3, labels),
             list(fx.parameters().values()), rng=pick), f"fxseg_batch[{k}]")
-        one_valid = np.zeros((4, 6))
-        one_valid[0] = rng.normal(size=6)
-        short = EmbeddingSequence(one_valid, np.arange(4) < 1)
-        full = EmbeddingSequence(rng.normal(size=(4, 6)), np.ones(4, dtype=bool))
+        short = EmbeddingSequence(rng.normal(size=(1, 6)))
+        full = EmbeddingSequence(rng.normal(size=(4, 6)))
         check(failures, grads_ok(
             lambda: seg.loss([seq, short, full], labels),
             list(seg.parameters().values()), rng=pick), f"segtr_batch[{k}]")
@@ -159,7 +154,8 @@ def test_criterion_1_gradient_suite():
 
 
 def test_criterion_2_attention_mask_invariants():
-    """Attention rows sum to 1; masked positions are bit-invisible."""
+    """Attention rows sum to 1; masked positions and batch padding are
+    bit-invisible."""
     failures = []
     rng = np.random.default_rng(0)
     mha = nn.MultiHeadAttention(TOY, rng)
@@ -177,35 +173,33 @@ def test_criterion_2_attention_mask_invariants():
         check(failures, np.all(weights[:, :, ~mask] == 0.0),
               "masked keys carry nonzero weight")
 
-    # AudioCAT memory mask: bit-exact invariance
+    # AudioCAT batch padding: bit-exact invariance of a short example to
+    # the values of a longer batch-mate
     cat = AudioCAT(d_enc=8, cfg=TOY, seed=1)
-    feats = rng.normal(size=(6, 8))
-    mask = np.array([True, True, True, False, False, False])
-    (base,) = cat.forward([feats], masks=[mask])
+    feats = rng.normal(size=(3, 8))
+    mate = rng.normal(size=(6, 8))
+    base, _ = cat.forward([feats, mate])
     for trial in range(5):
-        tampered = feats.copy()
-        tampered[3:] = np.random.default_rng(trial).normal(size=(3, 8)) * 100
-        (out,) = cat.forward([tampered], masks=[mask])
+        tampered = np.random.default_rng(trial).normal(size=(6, 8)) * 100
+        out, _ = cat.forward([feats, tampered])
         check(failures, out.logit == base.logit and
               np.array_equal(out.pooled, base.pooled),
-              "audiocat output changed with masked memory")
+              "audiocat output changed with a batch-mate's values")
 
-    # Stage-2 padding mask: bit-exact invariance
+    # Stage-2 batch padding: the same for a segtr
     seg = SegmentTransformer(d_in=6, cfg=TOY, max_len=8, seed=2)
-    vecs = np.zeros((8, 6))
-    vecs[:5] = rng.normal(size=(5, 6))
-    mask = np.array([True] * 5 + [False] * 3)
-    base = seg.forward(EmbeddingSequence(vecs, mask))
+    seq = EmbeddingSequence(rng.normal(size=(5, 6)))
+    mate = rng.normal(size=(8, 6))
+    base_logits, base_pooled = seg.forward_tensor([seq, EmbeddingSequence(mate)])
     for trial in range(5):
-        tampered = vecs.copy()
-        tampered[5:] = np.random.default_rng(trial).normal(size=(3, 6)) * 100
-        out = seg.forward(EmbeddingSequence(tampered, mask))
-        check(failures, out.logit == base.logit and
-              np.array_equal(out.pooled, base.pooled),
-              "stage-2 output changed with padded rows")
+        tampered = np.random.default_rng(trial).normal(size=(8, 6)) * 100
+        logits, pooled = seg.forward_tensor([seq, EmbeddingSequence(tampered)])
+        check(failures, logits.data[0] == base_logits.data[0] and
+              np.array_equal(pooled.data[0], base_pooled.data[0]),
+              "stage-2 output changed with a batch-mate's values")
 
-    report(2, "attention rows sum to 1, masked positions bit-invisible",
-           failures)
+    report(2, "attention rows sum to 1, masked positions and batch padding "
+              "bit-invisible", failures)
 
 
 def test_criterion_3_beat_pipeline_oracle():
@@ -309,8 +303,7 @@ def test_criterion_6_ssm_properties():
         rng = np.random.default_rng(trial)
         n = int(rng.integers(2, 9))
         v = rng.normal(size=(n, 6))
-        seq = EmbeddingSequence(v, np.ones(n, dtype=bool))
-        m = self_similarity(seq).matrix
+        m = self_similarity(EmbeddingSequence(v))
         check(failures, np.abs(m - m.T).max() <= 1e-9, "asymmetry")
         check(failures, np.abs(np.diag(m) - 1.0).max() <= 1e-9,
               "diagonal != 1")
@@ -327,22 +320,20 @@ def test_criterion_6_ssm_properties():
     # Path-B activations invariant under a global orthogonal rotation
     model = SegmentTransformer(d_in=6, cfg=TOY, max_len=8, seed=3)
 
-    def path_b(seq):
-        ssm = self_similarity(seq)
-        pos = nn.sinusoidal_positions(8, TOY.d_model)
-        xb = model.structure_proj(Tensor(ssm.matrix)) + pos
+    def path_b(v):
+        ssm = np.pad(self_similarity(EmbeddingSequence(v)), ((0, 0), (0, 8 - len(v))))
+        pos = nn.sinusoidal_positions(len(v), TOY.d_model)
+        xb = model.structure_proj(Tensor(ssm)) + pos
         for block in model.structure_blocks:
-            xb = block(xb, mask=seq.mask)
-        return model._masked_mean(xb, seq.mask).data
+            xb = block(xb)
+        return xb.mean(axis=-2).data
 
     for trial in range(5):
         rng = np.random.default_rng(100 + trial)
-        v = np.zeros((8, 6))
-        v[:6] = rng.normal(size=(6, 6))
-        mask = np.array([True] * 6 + [False] * 2)
+        v = rng.normal(size=(6, 6))
         qmat, _ = np.linalg.qr(rng.normal(size=(6, 6)))
-        base = path_b(EmbeddingSequence(v, mask))
-        rotated = path_b(EmbeddingSequence(v @ qmat, mask))
+        base = path_b(v)
+        rotated = path_b(v @ qmat)
         check(failures, np.abs(base - rotated).max() <= 1e-9,
               f"path-B drifted {np.abs(base - rotated).max():.2e} "
               f"under rotation")
@@ -364,7 +355,7 @@ def test_criterion_7_overfit_capacity():
     seq2_feats = []
     for i in range(16):
         v = rng.normal(size=(4, 6)) + (3.0 if i % 2 else -3.0)
-        seq2_feats.append((EmbeddingSequence(v, np.ones(4, dtype=bool)), i % 2))
+        seq2_feats.append((EmbeddingSequence(v), i % 2))
 
     # 16 examples / batch 8 -> 2 steps per epoch; 150 epochs = 300 steps
     cfg = TrainConfig(epochs=150, batch_size=8, lr=1e-3, weight_decay=0.0,

@@ -424,7 +424,7 @@ def test_segtr_of_any_max_len_scores(max_len, corpus, tracks, stage1_ckpt, tmp_p
                                    pipeline.analyze_beats(buf).grid,
                                    stage1, get_extractor(preset))
     assert 2 <= len(seq.vectors) < 32
-    first = EmbeddingSequence(seq.vectors[:max_len], seq.mask[:max_len])
+    first = EmbeddingSequence(seq.vectors[:max_len])
     assert printed.startswith(f"probability={stage2.forward(first).probability:.6f} ")
 
 
@@ -501,7 +501,8 @@ def test_non_finite_float32_input_exits_2(command, value, tmp_path, capsys):
                                   "predict_removed_preset_mismatch",
                                   "predict_stage1_removed_preset_mismatch",
                                   "train_manifest_label", "train_manifest_duplicate",
-                                  "train_manifest_split", "eval_manifest_split"])
+                                  "train_manifest_split", "eval_manifest_split",
+                                  "train_manifest_mixed_split", "eval_manifest_mixed_split"])
 def test_unreadable_input_exits_2(case, corpus, stage1_ckpt, tmp_path, monkeypatch,
                                   capsys):
     bad_text = tmp_path / "latin1.txt"
@@ -522,6 +523,8 @@ def test_unreadable_input_exits_2(case, corpus, stage1_ckpt, tmp_path, monkeypat
     duplicate.write_text("path,label\na.wav,0\nb.wav,1\na.wav,1\n")
     bad_split = tmp_path / "split.csv"  # a split other than train, val or test
     bad_split.write_text("path,label,split\na.wav,0,train\nb.wav,1,tset\nc.wav,0,Test\n")
+    mixed_split = tmp_path / "mixed.csv"  # a split on some rows only
+    mixed_split.write_text("path,label,split\na.wav,0,train\nb.wav,1,val\nc.wav,0\n")
     # a stage 1 of d_model 16 under a segtr that reads d_in 128
     narrow, segtr = tmp_path / "narrow.aigm", tmp_path / "segtr.aigm"
     pipeline.save_model(narrow, models.AudioCAT(d_enc=N_MELS, cfg=nn.AttentionConfig(
@@ -579,6 +582,11 @@ def test_unreadable_input_exits_2(case, corpus, stage1_ckpt, tmp_path, monkeypat
                                   "--out", out], [f"error: {bad_split}, line 3: ", "'tset'"]),
         "eval_manifest_split": (["eval", "--ckpt", str(stage1_ckpt), "--manifest",
                                  str(bad_split)], [f"error: {bad_split}, line 3: ", "'tset'"]),
+        "train_manifest_mixed_split": (["train", "--arch", "audiocat", "--manifest",
+                                        str(mixed_split), "--out", out],
+                                       [f"error: {mixed_split}, line 4: "]),
+        "eval_manifest_mixed_split": (["eval", "--ckpt", str(stage1_ckpt), "--manifest",
+                                       str(mixed_split)], [f"error: {mixed_split}, line 4: "]),
     }[case]
     if case.endswith("_mismatch"):  # refused before any WAV is read
         monkeypatch.setattr(pipeline, "load_wav", lambda path: pytest.fail(f"read {path}"))
@@ -630,8 +638,14 @@ def test_seed_defaults_to_0():
     ([], "epochs=abc\n", "epochs=abc in {cfg}"),
     ([], "epochs=1\nlearning_rate=5\n", "{cfg}, line 2"),
     ([], "# batch size\nbatchsize 3\n", "{cfg}, line 2"),
+    (["--lr", "nan"], None, "--lr nan"),
+    (["--lr", "-0.001"], None, "--lr -0.001"),
+    (["--lr", "0"], None, "--lr 0.0"),
+    ([], "weight_decay=-1\n", "weight_decay=-1 in {cfg}"),
+    ([], "weight_decay=inf\n", "weight_decay=inf in {cfg}"),
 ], ids=["epochs_0", "batch_size_0", "config_loss_mse", "config_epochs_abc",
-        "config_unknown_key", "config_no_equals"])
+        "config_unknown_key", "config_no_equals", "lr_nan", "lr_negative", "lr_0",
+        "config_weight_decay_negative", "config_weight_decay_inf"])
 def test_bad_training_setting_exits_2(flags, config, named, corpus, tmp_path,
                                       monkeypatch, capsys):
     def no_extraction(*args):

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -19,13 +20,15 @@ def make_manifest(n0, n1):
 
 # ---------------------------------------------------------------- manifest
 def test_manifest_round_trip(tmp_path):
-    m = make_manifest(3, 2)
-    m.entries[0].split = "train"
-    path = tmp_path / "m.csv"
-    m.save(path)
-    loaded = Manifest.load(path)
-    assert [(e.path, e.label, e.split) for e in loaded.entries] == \
-           [(e.path, e.label, e.split) for e in m.entries]
+    for splits in (["train", "val", "test", "train", "val"], [""] * 5):
+        m = make_manifest(3, 2)
+        for e, split in zip(m.entries, splits):
+            e.split = split
+        path = tmp_path / "m.csv"
+        m.save(path)
+        loaded = Manifest.load(path)
+        assert [(e.path, e.label, e.split) for e in loaded.entries] == \
+               [(e.path, e.label, e.split) for e in m.entries]
 
 
 def test_manifest_rejects_duplicates_and_bad_labels():
@@ -45,6 +48,33 @@ def test_manifest_rejects_unknown_split(split, tmp_path):
         Manifest.load(path)
     with pytest.raises(DataError, match=repr(split)):
         Manifest([ManifestEntry("b.wav", 1, split)])
+
+
+# the rows of a manifest with a split on some rows, and the line of the
+# first row that breaks the rule
+MIXED_SPLITS = {
+    "named_then_empty": ("a.wav,0,train\nb.wav,1\nc.wav,0,val\n", 3),
+    "empty_then_named": ("a.wav,0\nb.wav,1,\nc.wav,0,test\n", 4),
+    "4_of_12_named": ("".join(f"t{i}.wav,{i % 2},{'train' if i < 2 else 'val'}\n"
+                              for i in range(4))
+                      + "".join(f"u{i}.wav,{i % 2}\n" for i in range(8)), 6),
+}
+
+
+@pytest.mark.parametrize("case", list(MIXED_SPLITS))
+def test_manifest_splits_on_every_row_or_none(case, tmp_path):
+    """A row without a split among rows with one, or the other way round,
+    would drop out of every train, val and test subset without a word."""
+    rows, line = MIXED_SPLITS[case]
+    path = tmp_path / "m.csv"
+    path.write_text("path,label,split\n" + rows)
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}, line {line}: .*"
+                                        f"every row names a split, or none does"):
+        Manifest.load(path)
+    entries = [ManifestEntry(p, int(y), s[0] if s else "")
+               for p, y, *s in (row.split(",") for row in rows.split())]
+    with pytest.raises(DataError, match="every row names a split, or none does"):
+        Manifest(entries)
 
 
 def test_manifest_rejects_bad_header(tmp_path):

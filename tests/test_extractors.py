@@ -15,14 +15,11 @@ from util import RandomStubExtractor, save_embeddings, sine_buffer
 
 # ---------------------------------------------------------------- container
 def test_sequence_container_basics():
-    seq = EmbeddingSequence(np.ones((3, 4)), np.array([True, True, False]))
+    seq = EmbeddingSequence(np.ones((3, 4)))
     assert seq.length == 3
     assert seq.dim == 4
-
-
-def test_sequence_mask_length_checked():
-    with pytest.raises(ExtractorError):
-        EmbeddingSequence(np.ones((3, 4)), np.array([True, True]))
+    # every row is a segment: the mask is derived, all True, one a row
+    assert seq.mask.dtype == bool and seq.mask.tolist() == [True] * 3
 
 
 # ---------------------------------------------------------------- extractors
@@ -83,7 +80,6 @@ def test_embedding_file_round_trip(tmp_path):
     save_embeddings(path, vectors)
     seq = load_precomputed(path)
     assert seq.vectors.shape == (5, 8)
-    assert seq.mask.all()
     assert np.allclose(seq.vectors, vectors, atol=1e-7)
 
 

@@ -14,62 +14,52 @@ from aigmdet.models import (STAGE1_BATCH_FRAMES, AudioCAT, DetectorOutput,
                             export_ssm_csv, export_ssm_pgm, features_to_sequence,
                             predict, segment_features, self_similarity,
                             track_to_sequence)
-from aigmdet.nn import AllMasked, AttentionConfig, ShapeMismatch
+from aigmdet.nn import AttentionConfig, ShapeMismatch
 
 from util import RandomStubExtractor, finite_diff_check, sine_buffer
 
 SMALL = AttentionConfig(d_model=16, heads=2, ffn_dim=32)
 
 
-def seq_of(vectors, mask=None):
-    vectors = np.asarray(vectors, dtype=np.float64)
-    if mask is None:
-        mask = np.ones(len(vectors), dtype=bool)
-    return EmbeddingSequence(vectors, mask)
-
-
 # ---------------------------------------------------------------- SSM
 def test_ssm_symmetric_unit_diagonal():
     rng = np.random.default_rng(0)
-    ssm = self_similarity(seq_of(rng.normal(size=(6, 8))))
-    m = ssm.matrix
+    m = self_similarity(EmbeddingSequence(rng.normal(size=(6, 8))))
     assert np.array_equal(m, m.T)
     assert np.allclose(np.diag(m), 1.0)
     assert m.min() >= -1.0 and m.max() <= 1.0
 
 
 def test_ssm_identical_rows_give_ones():
-    ssm = self_similarity(seq_of(np.tile([1.0, 2.0, 3.0], (4, 1))))
-    assert np.allclose(ssm.matrix, 1.0)
+    ssm = self_similarity(EmbeddingSequence(np.tile([1.0, 2.0, 3.0], (4, 1))))
+    assert np.allclose(ssm, 1.0)
 
 
 def test_ssm_orthogonal_rows_give_zero_off_diagonal():
-    ssm = self_similarity(seq_of(np.eye(3)))
-    assert np.allclose(ssm.matrix, np.eye(3))
+    ssm = self_similarity(EmbeddingSequence(np.eye(3)))
+    assert np.allclose(ssm, np.eye(3))
 
 
 def test_ssm_cosine_oracle():
     a = np.array([1.0, 0.0])
     b = np.array([1.0, 1.0])
-    ssm = self_similarity(seq_of(np.stack([a, b])))
-    assert abs(ssm.matrix[0, 1] - 1.0 / np.sqrt(2)) < 1e-12
+    ssm = self_similarity(EmbeddingSequence(np.stack([a, b])))
+    assert abs(ssm[0, 1] - 1.0 / np.sqrt(2)) < 1e-12
 
 
 def test_ssm_masked_and_zero_rows_zeroed():
-    vectors = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
-    mask = np.array([True, True, False])
-    ssm = self_similarity(seq_of(vectors, mask))
-    assert ssm.mask.tolist() == [True, False, False]
-    assert np.array_equal(ssm.matrix[1], np.zeros(3))
-    assert np.array_equal(ssm.matrix[:, 2], np.zeros(3))
-    assert ssm.matrix[0, 0] == 1.0
+    """A zero-norm row is masked out of the SSM: its row and column are zero."""
+    ssm = self_similarity(EmbeddingSequence([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]))
+    assert np.array_equal(ssm[1], np.zeros(3))
+    assert np.array_equal(ssm[:, 1], np.zeros(3))
+    assert ssm[0, 0] == ssm[2, 2] == 1.0 and ssm[0, 2] == 0.0
 
 
 def test_ssm_scale_invariant():
     rng = np.random.default_rng(1)
     v = rng.normal(size=(5, 8))
-    a = self_similarity(seq_of(v)).matrix
-    b = self_similarity(seq_of(3.7 * v)).matrix
+    a = self_similarity(EmbeddingSequence(v))
+    b = self_similarity(EmbeddingSequence(3.7 * v))
     assert np.allclose(a, b, atol=1e-12)
 
 
@@ -79,9 +69,9 @@ def test_ssm_rotation_pattern_invariance(seed, n):
     # rotating the segment order permutes the SSM rows/cols identically
     rng = np.random.default_rng(seed)
     v = rng.normal(size=(n, 6))
-    base = self_similarity(seq_of(v)).matrix
+    base = self_similarity(EmbeddingSequence(v))
     k = rng.integers(1, n)
-    rotated = self_similarity(seq_of(np.roll(v, k, axis=0))).matrix
+    rotated = self_similarity(EmbeddingSequence(np.roll(v, k, axis=0)))
     perm = np.roll(np.arange(n), k)
     assert np.allclose(rotated, base[np.ix_(perm, perm)], atol=1e-12)
 
@@ -137,17 +127,6 @@ def test_audiocat_gradients():
                       rng=np.random.default_rng(0))
 
 
-def test_audiocat_memory_mask_blocks_positions():
-    model = AudioCAT(d_enc=8, cfg=SMALL, seed=5)
-    rng = np.random.default_rng(5)
-    feats = rng.normal(size=(6, 8))
-    mask = np.array([True, True, True, False, False, False])
-    feats2 = feats.copy()
-    feats2[3:] = 99.0
-    base, out = model.forward([feats, feats2], masks=[mask, mask])
-    assert out.logit == base.logit
-
-
 # ---------------------------------------------------------------- FXSegment
 def test_fxsegment_shapes():
     model = FXSegment(d_enc=64, n_tokens=16, cfg=SMALL)
@@ -174,12 +153,8 @@ def test_fxsegment_gradients():
 
 
 # ---------------------------------------------------------------- SegmentTransformer
-def make_seq(rng, n_valid, max_len=8, d=10):
-    v = np.zeros((max_len, d))
-    v[:n_valid] = rng.normal(size=(n_valid, d))
-    mask = np.zeros(max_len, dtype=bool)
-    mask[:n_valid] = True
-    return EmbeddingSequence(v, mask)
+def make_seq(rng, n, d=10):
+    return EmbeddingSequence(rng.normal(size=(n, d)))
 
 
 def test_segtr_shapes_and_probability():
@@ -192,35 +167,23 @@ def test_segtr_shapes_and_probability():
 
 def test_segtr_rejects_wrong_dim():
     model = SegmentTransformer(d_in=10, cfg=SMALL, max_len=8)
-    bad = EmbeddingSequence(np.zeros((8, 9)), np.ones(8, dtype=bool))
+    bad = EmbeddingSequence(np.zeros((8, 9)))
     with pytest.raises(ShapeMismatch):
         model.forward(bad)
 
 
 def test_segtr_all_masked():
+    """A sequence with no rows leaves the padding mask no valid row."""
     model = SegmentTransformer(d_in=10, cfg=SMALL, max_len=8)
-    seq = EmbeddingSequence(np.zeros((8, 10)), np.zeros(8, dtype=bool))
-    with pytest.raises(AllMasked):
-        model.forward(seq)
-
-
-def test_segtr_padding_invisible():
-    # logit must not change when padded (masked) rows take arbitrary values
-    model = SegmentTransformer(d_in=10, cfg=SMALL, max_len=8, seed=2)
-    rng = np.random.default_rng(2)
-    seq = make_seq(rng, 5)
-    base = model.forward(seq).logit
-    tampered = seq.vectors.copy()
-    tampered[5:] = rng.normal(size=(3, 10)) * 50
-    out = model.forward(EmbeddingSequence(tampered, seq.mask)).logit
-    assert out == base  # bit-exact
+    with pytest.raises(EmptySequence):
+        model.forward(EmbeddingSequence(np.zeros((0, 10))))
 
 
 def test_segtr_reads_the_first_max_len_rows():
     model = SegmentTransformer(d_in=6, cfg=SMALL, max_len=8, seed=5)
     rng = np.random.default_rng(5)
-    long, short = seq_of(rng.normal(size=(12, 6))), seq_of(rng.normal(size=(3, 6)))
-    first = seq_of(long.vectors[:8])
+    long, short = EmbeddingSequence(rng.normal(size=(12, 6))), EmbeddingSequence(rng.normal(size=(3, 6)))
+    first = EmbeddingSequence(long.vectors[:8])
     out, want = model.forward(long), model.forward(first)
     assert out.logit == want.logit and np.array_equal(out.pooled, want.pooled)
     logits, pooled = model.forward_tensor([long, short])
@@ -229,34 +192,17 @@ def test_segtr_reads_the_first_max_len_rows():
     assert np.array_equal(pooled.data, want_pooled.data)
 
 
-@pytest.mark.parametrize("n", [1, 5, 8])
-def test_segtr_unpadded_scores_as_padded(n):
-    """A sequence scores bit for bit as itself padded with masked zero rows
-    to max_len, alone and in a batch."""
-    model = SegmentTransformer(d_in=6, cfg=SMALL, max_len=8, seed=6)
-    rng = np.random.default_rng(n)
-    seq, other = seq_of(rng.normal(size=(n, 6))), make_seq(rng, 6, d=6)
-    padded = EmbeddingSequence(np.zeros((8, 6)), np.arange(8) < n)
-    padded.vectors[:n] = seq.vectors
-    out, want = model.forward(seq), model.forward(padded)
-    assert out.logit == want.logit and np.array_equal(out.pooled, want.pooled)
-    logits, pooled = model.forward_tensor([seq, other])
-    want_logits, want_pooled = model.forward_tensor([padded, other])
-    assert np.array_equal(logits.data, want_logits.data)
-    assert np.array_equal(pooled.data, want_pooled.data)
-
-
 def test_segtr_gradients():
     model = SegmentTransformer(d_in=6, cfg=SMALL, max_len=4,
                                n_layers_content=1, n_layers_structure=1, seed=4)
-    seq = make_seq(np.random.default_rng(4), 3, max_len=4, d=6)
+    seq = make_seq(np.random.default_rng(4), 3, d=6)
     finite_diff_check(lambda: model.loss([seq], [1.0]), list(model.parameters().values()),
                       n_coords=3, rng=np.random.default_rng(2))
 
 
 # ---------------------------------------------------------------- batching
 def batch_case(arch):
-    """A model and a batch of 3 inputs of mixed lengths or masks."""
+    """A model and a batch of 3 inputs of mixed lengths."""
     rng = np.random.default_rng(21)
     if arch == "audiocat":
         model = AudioCAT(d_enc=6, cfg=SMALL, n_queries=3, seed=21)
@@ -265,7 +211,7 @@ def batch_case(arch):
         model = FXSegment(d_enc=12, n_tokens=4, cfg=SMALL, seed=21)
         return model, [rng.normal(size=12) for _ in range(3)]
     model = SegmentTransformer(d_in=6, cfg=SMALL, max_len=8, seed=21)
-    return model, [make_seq(rng, n, max_len=8, d=6) for n in (5, 2, 3)]
+    return model, [make_seq(rng, n, d=6) for n in (5, 2, 3)]
 
 
 ARCHS = ["audiocat", "fxseg", "segtr"]
@@ -308,45 +254,40 @@ def test_batch_loss_and_grads_are_the_mean_over_examples(arch):
         assert np.abs(batch_grads[k] - grads[k]).max() <= 1e-12, k
 
 
-def test_audiocat_padding_in_batch_is_bit_invisible():
-    # explicit padding with arbitrary masked frames equals implicit zero padding
-    model, xs = batch_case("audiocat")
+def assert_mates_are_invisible(model, xs, scramble):
+    """Each example's outputs stay bit for bit the same when its batch-mates
+    change value but keep their lengths (scramble(x, rng) is x with new
+    values), so neither the zero rows that pad it to the batch's longest
+    example nor its mates' rows reach it."""
     base_logits, base_pooled = model.forward_tensor(xs)
     rng = np.random.default_rng(0)
-    padded, masks = [], []
-    for x in xs:
-        junk = rng.normal(size=(5 - len(x), 6)) * 100
-        padded.append(np.concatenate([x, junk]))
-        masks.append(np.arange(5) < len(x))
-    logits, pooled = model.forward_tensor(padded, masks)
-    assert np.array_equal(logits.data, base_logits.data)
-    assert np.array_equal(pooled.data, base_pooled.data)
+    for i in range(len(xs)):
+        logits, pooled = model.forward_tensor(
+            [x if j == i else scramble(x, rng) for j, x in enumerate(xs)])
+        assert logits.data[i] == base_logits.data[i]
+        assert np.array_equal(pooled.data[i], base_pooled.data[i])
+
+
+def test_audiocat_padding_in_batch_is_bit_invisible():
+    model, xs = batch_case("audiocat")
+    assert_mates_are_invisible(model, xs, lambda x, rng: rng.normal(size=x.shape) * 100)
 
 
 def test_segtr_padding_in_batch_is_bit_invisible():
     model, xs = batch_case("segtr")
-    base_logits, base_pooled = model.forward_tensor(xs)
-    rng = np.random.default_rng(1)
-    tampered = []
-    for seq in xs:
-        v = seq.vectors.copy()
-        v[~seq.mask] = rng.normal(size=(int((~seq.mask).sum()), 6)) * 50
-        tampered.append(EmbeddingSequence(v, seq.mask))
-    logits, pooled = model.forward_tensor(tampered)
-    assert np.array_equal(logits.data, base_logits.data)
-    assert np.array_equal(pooled.data, base_pooled.data)
+    assert_mates_are_invisible(
+        model, xs, lambda s, rng: EmbeddingSequence(rng.normal(size=s.vectors.shape) * 100))
 
 
 def test_batch_rejects_a_bad_example():
     model, xs = batch_case("audiocat")
     with pytest.raises(ShapeMismatch):
         model.forward_tensor(xs + [np.zeros((3, 5))])
-    with pytest.raises(ShapeMismatch):
-        model.forward_tensor(xs, [np.ones(5, bool), np.ones(2, bool), np.ones(2, bool)])
+    with pytest.raises(EmptySequence):
+        model.forward_tensor(xs + [np.zeros((0, 6))])
     seg, seqs = batch_case("segtr")
-    empty = EmbeddingSequence(np.zeros((8, 6)), np.zeros(8, dtype=bool))
-    with pytest.raises(AllMasked):
-        seg.forward_tensor(seqs + [empty])
+    with pytest.raises(EmptySequence):
+        seg.forward_tensor(seqs + [EmbeddingSequence(np.zeros((0, 6)))])
 
 
 # ---------------------------------------------------------------- glue
@@ -359,7 +300,6 @@ def test_track_to_sequence_shapes():
     seq = track_to_sequence(track, grid, stage1, ext)
     # 20 s / 8 s windows -> 2 segments, unpadded
     assert seq.vectors.shape == (2, SMALL.d_model)
-    assert seq.mask.tolist() == [True, True]
 
 
 class CountingStage1:
@@ -395,7 +335,6 @@ def test_a_track_of_50_segments_gives_the_first_48():
     want = stage1.model.forward([ext(mel[segment_frames(a, b)])
                                  for a, b in ranges[:MAX_SEQ_LEN]])
     assert np.array_equal(seq.vectors, np.stack([out.pooled for out in want]))
-    assert seq.mask.all()
 
 
 @pytest.mark.parametrize("preset", ["seq-512", "vec-2048"])
@@ -458,7 +397,7 @@ def test_features_to_sequence_batches_by_frames(frames, batches):
     stage1 = CountingStage1(model)
     seq = features_to_sequence(iter(feats), stage1)
     assert stage1.batches == batches
-    assert seq.vectors.shape == (MAX_SEQ_LEN, SMALL.d_model) and seq.mask.all()
+    assert seq.vectors.shape == (MAX_SEQ_LEN, SMALL.d_model)
     for i in (0, 31, 47):
         (single,) = model.forward([feats[i]])
         assert np.abs(seq.vectors[i] - single.pooled).max() <= 1e-12
@@ -467,15 +406,15 @@ def test_features_to_sequence_batches_by_frames(frames, batches):
 # ---------------------------------------------------------------- exports
 def test_export_ssm_csv_round_trip(tmp_path):
     rng = np.random.default_rng(6)
-    ssm = self_similarity(seq_of(rng.normal(size=(5, 4))))
+    ssm = self_similarity(EmbeddingSequence(rng.normal(size=(5, 4))))
     path = tmp_path / "ssm.csv"
     export_ssm_csv(ssm, path)
     loaded = np.loadtxt(path, delimiter=",")
-    assert np.allclose(loaded, ssm.matrix, atol=1e-9)
+    assert np.allclose(loaded, ssm, atol=1e-9)
 
 
 def test_export_ssm_pgm(tmp_path):
-    ssm = self_similarity(seq_of(np.eye(3)))
+    ssm = self_similarity(EmbeddingSequence(np.eye(3)))
     path = tmp_path / "ssm.pgm"
     export_ssm_pgm(ssm, path)
     blob = path.read_bytes()

@@ -77,7 +77,6 @@ def test_track_sequence_for_path(tmp_path):
     seq = pipeline.track_sequence_for_path(path, stage1, get_extractor("seq-512"))
     # 24 s track, 8 s four-bar windows -> about 3 segments, unpadded
     assert 2 <= len(seq.vectors) <= 3 and seq.vectors.shape[1] == SMALL.d_model
-    assert seq.mask.all()
 
 
 def test_experiment_features_are_the_pipeline_features(tmp_path):
@@ -97,7 +96,6 @@ def test_experiment_features_are_the_pipeline_features(tmp_path):
     want = track_to_sequence(mono, grid, stage1, extractor)
     assert label == 1
     assert seq.vectors.tobytes() == want.vectors.tobytes()
-    assert np.array_equal(seq.mask, want.mask)
 
 
 def test_one_stft_pass_per_track(tmp_path, monkeypatch):
@@ -175,7 +173,7 @@ def test_model_checkpoint_round_trip(tmp_path, arch, build):
         x = rng.normal(size=32)
         assert loaded.forward([x])[0].logit == model.forward([x])[0].logit
     else:
-        seq = EmbeddingSequence(rng.normal(size=(6, 12)), np.ones(6, dtype=bool))
+        seq = EmbeddingSequence(rng.normal(size=(6, 12)))
         assert loaded.forward(seq).logit == model.forward(seq).logit
 
 
