@@ -1,6 +1,6 @@
-"""Spectral front end: STFT, HTK log-mel, onset envelope, and the
-deterministic DSP segment embedder used when no external embeddings are
-available.
+"""Spectral front end: STFT, HTK log-mel, onset envelope, and dsp_embed,
+a segment's 160 per-band log-mel statistics, which stand in for the
+fixed-length embedding of a pretrained encoder.
 
 Every input is brought to 16 kHz mono (ANALYSIS_RATE) once, by
 `pipeline.analysis_buffer`; this module reads that buffer's sample row.
@@ -25,7 +25,6 @@ FRAME_LEN = 1024
 HOP = 256
 N_MELS = 40
 LOG_EPS = 1e-10
-EMBED_SEED = 42
 MIN_SEGMENT_S = 0.2
 # frames per STFT block of log_mel: one block's spectra take about 6 MB, and
 # the last block, which takes the remainder, at most twice that
@@ -128,26 +127,12 @@ def onset_envelope(mel: np.ndarray) -> np.ndarray:
     return np.clip(env, 0.0, None)
 
 
-@cache
-def projection(dim: int) -> np.ndarray:
-    """The fixed [4 N_MELS x dim] Gaussian matrix that lifts dsp_embed's statistics."""
-    rng = np.random.default_rng(EMBED_SEED)
-    mat = rng.normal(0.0, 1.0 / np.sqrt(4 * N_MELS), size=(4 * N_MELS, dim))
-    mat.setflags(write=False)
-    return mat
-
-
-def dsp_embed(mel: np.ndarray, dim: int) -> np.ndarray:
-    """Fixed-seed embedding of a segment's log-mel frames:
-    per-band statistics (mean, std, max, mean positive flux) projected to
-    `dim`, L2-normalized."""
+def dsp_embed(mel: np.ndarray) -> np.ndarray:
+    """Whole-segment statistics of a segment's log-mel frames (at least
+    the MIN_SEGMENT_S that segment_frames asks for): the mean, std, max and
+    mean positive flux of each band, [4 N_MELS], L2-normalized."""
     flux = np.clip(np.diff(mel, axis=0), 0.0, None)
-    stats = np.concatenate([
-        mel.mean(axis=0),
-        mel.std(axis=0),
-        mel.max(axis=0),
-        flux.mean(axis=0) if len(flux) else np.zeros(N_MELS),
-    ])
-    vec = stats @ projection(dim)
-    norm = np.linalg.norm(vec)
-    return vec / norm if norm > 0 else vec
+    stats = np.concatenate([mel.mean(axis=0), mel.std(axis=0), mel.max(axis=0),
+                            flux.mean(axis=0)])
+    norm = np.linalg.norm(stats)
+    return stats / norm if norm > 0 else stats

@@ -14,7 +14,7 @@ import numpy as np
 
 from .audio import load_wav
 from .data import SPLITS, Manifest, ManifestEntry, split_dataset, synth_dataset
-from .extractors import SEGMENT_EMBED_DIM, DspVectorExtractor
+from .extractors import DspVectorExtractor
 from .models import AudioCAT, SegmentTransformer, features_to_sequence, segment_features
 from .pipeline import analysis_buffer, analyze_beats
 from .training import TrainConfig, TrainResult, evaluate, train
@@ -24,7 +24,7 @@ from .training import TrainConfig, TrainResult, evaluate, train
 class TrackFeatures:
     path: str
     label: int
-    vectors: np.ndarray  # [n_segments x SEGMENT_EMBED_DIM]
+    vectors: np.ndarray  # [n_segments x 160], one stats-160 vector a segment
 
 
 @dataclass
@@ -44,12 +44,12 @@ class ExperimentResult:
 
 
 def track_vectors(path) -> np.ndarray:
-    """[n_segments x SEGMENT_EMBED_DIM]: the WAV at `path` beat-aligned,
-    one DspVectorExtractor vector per 4-bar segment.  The beat analysis and
+    """[n_segments x 160]: the WAV at `path` beat-aligned, one stats-160
+    vector (DspVectorExtractor) per 4-bar segment.  The beat analysis and
     the vectors read the one frame-1024 log-mel of the track."""
     mono = analysis_buffer(load_wav(path))
     grid = analyze_beats(mono).grid
-    return np.stack(list(segment_features(mono, grid, DspVectorExtractor(SEGMENT_EMBED_DIM))))
+    return np.stack(list(segment_features(mono, grid, DspVectorExtractor())))
 
 
 def extract_corpus(manifest: Manifest, log=None) -> list[TrackFeatures]:
@@ -89,7 +89,7 @@ def run_seed(tracks, manifest: Manifest, seed: int,
     subsets = {name: [by_path[e.path] for e in entries]
                for name, entries in zip(SPLITS, split.subsets(*SPLITS))}
 
-    stage1 = AudioCAT(d_enc=SEGMENT_EMBED_DIM, seed=seed)
+    stage1 = AudioCAT(d_enc=DspVectorExtractor.d_enc, seed=seed)
     s1_result = train(stage1, _stage1_examples(subsets["train"]),
                       _stage1_examples(subsets["val"]), stage1_cfg, log=log)
 

@@ -2,7 +2,8 @@
 
 Both take a segment as [frames x N_MELS], a range of the frames of the
 track's one log-mel (see `models.segment_features`).  Preset `seq-512` gives
-those [frames x 40] frames as they are; `vec-2048` one dsp_embed vector.
+those [frames x 40] frames as they are; `stats-160` one dsp_embed vector of
+4 x 40 band statistics, the vectors of the experiment and `ssm` too.
 Externally computed embeddings are loaded from EMB1 files.
 """
 
@@ -17,8 +18,6 @@ from .dsp import N_MELS, dsp_embed
 
 # segments of a track that stage 1 analyses; the default segtr max_len
 MAX_SEQ_LEN = 48
-# whole-segment DspVectorExtractor dimension of the experiment and `ssm`
-SEGMENT_EMBED_DIM = 512
 
 
 class ExtractorError(Exception):
@@ -91,22 +90,17 @@ class DspSequenceExtractor(FeatureExtractor):
 
 
 class DspVectorExtractor(FeatureExtractor):
-    """Whole-segment statistics embedding (see dsp_embed)."""
+    """The segment's per-band statistics, one vector (see dsp_embed)."""
 
+    name = "band-stats"
     kind = "vector"
-
-    def __init__(self, d_enc: int = 2048):
-        self.name = f"dsp-vec-{d_enc}"
-        self.d_enc = d_enc
+    d_enc = 4 * N_MELS
 
     def _extract(self, mel: np.ndarray) -> np.ndarray:
-        return dsp_embed(mel, self.d_enc)
+        return dsp_embed(mel)
 
 
-PRESETS = {
-    "seq-512": DspSequenceExtractor,
-    "vec-2048": lambda: DspVectorExtractor(2048),
-}
+PRESETS = {"seq-512": DspSequenceExtractor, "stats-160": DspVectorExtractor}
 
 
 def get_extractor(preset: str) -> FeatureExtractor:
@@ -132,17 +126,17 @@ def load_precomputed(path) -> EmbeddingSequence:
     version, n, d = struct.unpack_from("<III", blob, 4)
     if version != _EMB_VERSION:
         raise BadMagic(f"unsupported EMB1 version {version}")
-    if n and not d:
+    if not n:
+        raise EmbeddingFileError("header declares 0 vectors")
+    if not d:
         raise DimMismatch(f"header declares {n} vectors of dim 0")
     payload = blob[16:]
     expected = 4 * n * d
     if len(payload) != expected:
-        if n > 0 and len(payload) % (4 * n) == 0:
+        if len(payload) % (4 * n) == 0:
             raise DimMismatch(
                 f"row byte-length implies dim {len(payload) // (4 * n)}, header says {d}")
         raise Truncated(f"expected {expected} payload bytes, got {len(payload)}")
-    if n == 0:
-        return EmbeddingSequence(np.zeros((0, max(d, 1))))
     raw = np.frombuffer(payload, dtype="<f4")
     # checked before the cast, which warns on a signalling NaN
     if not np.isfinite(raw).all():

@@ -155,7 +155,7 @@ class FXSegment(nn.Module):
     """Self-attention encoder over a frozen fixed-length embedding split
     into S tokens; a learned CLS token is the pooled representation."""
 
-    def __init__(self, d_enc: int = 2048, n_tokens: int = 16,
+    def __init__(self, d_enc: int, n_tokens: int = 16,
                  cfg: AttentionConfig | None = None, n_layers: int = 2, seed: int = 0):
         if d_enc % n_tokens != 0:
             raise ShapeMismatch(f"d_enc {d_enc} not divisible by {n_tokens} tokens")

@@ -493,6 +493,7 @@ def test_non_finite_float32_input_exits_2(command, value, tmp_path, capsys):
 # csv.Error, "embedded null byte" or ShapeMismatch traceback
 @pytest.mark.parametrize("case", ["beats_odd_wav", "predict_odd_wav", "train_manifest",
                                   "eval_manifest", "train_config", "ssm_emb1_dim_0",
+                                  "ssm_emb1_no_vectors",
                                   "train_long_field", "eval_nul_path",
                                   "predict_width_mismatch", "eval_width_mismatch",
                                   "train_manifest_header", "predict_preset_mismatch",
@@ -500,6 +501,8 @@ def test_non_finite_float32_input_exits_2(command, value, tmp_path, capsys):
                                   "predict_fxseg_preset_mismatch",
                                   "predict_removed_preset_mismatch",
                                   "predict_stage1_removed_preset_mismatch",
+                                  "predict_vec2048_preset_mismatch",
+                                  "predict_stage1_vec2048_preset_mismatch",
                                   "train_manifest_label", "train_manifest_duplicate",
                                   "train_manifest_split", "eval_manifest_split",
                                   "train_manifest_mixed_split", "eval_manifest_mixed_split"])
@@ -509,6 +512,8 @@ def test_unreadable_input_exits_2(case, corpus, stage1_ckpt, tmp_path, monkeypat
     bad_text.write_bytes(b"path,label\nch\xffur.wav,0\n")
     emb = tmp_path / "d0.emb"
     emb.write_bytes(b"EMB1" + struct.pack("<III", 1, 3, 0))  # 3 vectors of dim 0
+    no_vectors = tmp_path / "n0.emb"
+    no_vectors.write_bytes(b"EMB1" + struct.pack("<III", 1, 0, 4))  # 0 vectors of dim 4
     odd = tmp_path / "odd.wav"
     odd.write_bytes(raw_wav(1, 1, 16, b"\x00" * 201))  # PCM16: 100.5 frames
     long_field = tmp_path / "long.csv"  # a path over csv.field_size_limit()
@@ -532,12 +537,14 @@ def test_unreadable_input_exits_2(case, corpus, stage1_ckpt, tmp_path, monkeypat
     pipeline.save_model(segtr, pipeline.build_model("segtr", seed=0), "segtr")
     # stage-1 models whose recorded extractor preset they cannot read: a
     # seq-512 AudioCAT of d_enc 512, as trained before seq-512 gave the 40-wide
-    # log-mel frames, and one of the removed preset seq-768
+    # log-mel frames, and one of each removed preset, seq-768 and vec-2048
     old_seq512, fxseg = tmp_path / "old_seq512.aigm", tmp_path / "fxseg.aigm"
     pipeline.save_model(old_seq512, models.AudioCAT(d_enc=512), "audiocat", "seq-512")
     pipeline.save_model(fxseg, models.FXSegment(d_enc=512), "fxseg", "seq-512")
     seq768 = tmp_path / "seq768.aigm"
     pipeline.save_model(seq768, models.AudioCAT(d_enc=768), "audiocat", "seq-768")
+    vec2048 = tmp_path / "vec2048.aigm"
+    pipeline.save_model(vec2048, models.FXSegment(d_enc=2048), "fxseg", "vec-2048")
     widths = ["gives 40-wide features", "reads d_enc 512"]
     out = str(tmp_path / "out")
     argv, named = {
@@ -550,6 +557,7 @@ def test_unreadable_input_exits_2(case, corpus, stage1_ckpt, tmp_path, monkeypat
         "train_config": (["train", "--arch", "audiocat", "--manifest", str(corpus["manifest"]),
                           "--config", str(bad_text), "--out", out], [bad_text]),
         "ssm_emb1_dim_0": (["ssm", str(emb), "--out", out], []),
+        "ssm_emb1_no_vectors": (["ssm", str(no_vectors), "--out", out], ["0 vectors"]),
         "train_long_field": (["train", "--arch", "audiocat", "--manifest", str(long_field),
                               "--out", out], [f"{long_field}, line 2"]),
         "eval_nul_path": (["eval", "--ckpt", str(stage1_ckpt), "--manifest", str(nul)],
@@ -573,6 +581,12 @@ def test_unreadable_input_exits_2(case, corpus, stage1_ckpt, tmp_path, monkeypat
         "predict_stage1_removed_preset_mismatch": (
             ["predict", "--ckpt", str(segtr), "--stage1-ckpt", str(seq768), "--audio",
              corpus["clip"]], [f"error: {seq768}: ", "'seq-768'"]),
+        "predict_vec2048_preset_mismatch": (["predict", "--ckpt", str(vec2048), "--audio",
+                                             corpus["clip"]],
+                                            [f"error: {vec2048}: ", "'vec-2048'"]),
+        "predict_stage1_vec2048_preset_mismatch": (
+            ["predict", "--ckpt", str(segtr), "--stage1-ckpt", str(vec2048), "--audio",
+             corpus["clip"]], [f"error: {vec2048}: ", "'vec-2048'"]),
         "train_manifest_label": (["train", "--arch", "audiocat", "--manifest", str(label_2),
                                   "--out", out], [f"error: {label_2}, line 3: "]),
         "train_manifest_duplicate": (["train", "--arch", "audiocat", "--manifest",
@@ -595,6 +609,7 @@ def test_unreadable_input_exits_2(case, corpus, stage1_ckpt, tmp_path, monkeypat
     assert captured.err.startswith("error: ")
     for name in named:
         assert str(name) in captured.err
+    assert not list(tmp_path.glob("out*"))  # no checkpoint, CSV or PGM
 
 
 # ---------------------------------------------------------------- config plumbing

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from aigmdet.dsp import N_MELS, log_mel
 from aigmdet.extractors import (BadMagic, DimMismatch,
                                 DspSequenceExtractor, DspVectorExtractor,
-                                EmbeddingSequence, ExtractorError,
+                                EmbeddingFileError, EmbeddingSequence, ExtractorError,
                                 Truncated, get_extractor,
                                 load_precomputed)
 
@@ -42,8 +42,8 @@ def test_sequence_extractor_deterministic():
 
 
 def test_vector_extractor_shape_and_norm():
-    out = DspVectorExtractor(2048)(log_mel(sine_buffer(440, 1.0).samples[0]))
-    assert out.shape == (2048,)
+    out = DspVectorExtractor()(log_mel(sine_buffer(440, 1.0).samples[0]))
+    assert out.shape == (4 * N_MELS,)
     assert abs(np.linalg.norm(out) - 1.0) < 1e-9
 
 
@@ -65,9 +65,9 @@ def test_random_stub_sequence_kind():
 def test_presets():
     ext = get_extractor("seq-512")  # the log-mel frames, 40 wide
     assert ext.d_enc == N_MELS and ext.kind == "sequence"
-    ext = get_extractor("vec-2048")
-    assert ext.d_enc == 2048 and ext.kind == "vector"
-    for removed in ("seq-768", "nope"):
+    ext = get_extractor("stats-160")  # 4 statistics of each of the 40 bands
+    assert ext.d_enc == 4 * N_MELS and ext.kind == "vector"
+    for removed in ("seq-768", "vec-2048", "nope"):
         with pytest.raises(ExtractorError, match=f"unknown extractor preset '{removed}'"):
             get_extractor(removed)
 
@@ -94,10 +94,11 @@ def test_embedding_file_header_layout(tmp_path):
 
 
 def test_embedding_file_empty(tmp_path):
+    """A track has at least one segment, so a file of 0 vectors is refused."""
     path = tmp_path / "empty.emb"
     save_embeddings(path, np.zeros((0, 4), dtype=np.float32))
-    seq = load_precomputed(path)
-    assert seq.length == 0
+    with pytest.raises(EmbeddingFileError, match="0 vectors"):
+        load_precomputed(path)
 
 
 def test_embedding_file_bad_magic(tmp_path):

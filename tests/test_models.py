@@ -337,7 +337,7 @@ def test_a_track_of_50_segments_gives_the_first_48():
     assert np.array_equal(seq.vectors, np.stack([out.pooled for out in want]))
 
 
-@pytest.mark.parametrize("preset", ["seq-512", "vec-2048"])
+@pytest.mark.parametrize("preset", ["seq-512", "stats-160"])
 def test_segment_features_are_frame_ranges_of_the_track_log_mel(preset):
     """A segment's features are the extractor's of the frames of the whole
     row's log-mel that lie wholly inside the segment's samples,

@@ -8,8 +8,7 @@ from aigmdet import dsp, experiment, pipeline
 from aigmdet.audio import AudioBuffer, load_wav, resample, save_wav
 from aigmdet.data import Manifest, ManifestEntry, render_track
 from aigmdet.dsp import FRAME_LEN, HOP, N_MELS, stft
-from aigmdet.extractors import (SEGMENT_EMBED_DIM, DspVectorExtractor, EmbeddingSequence,
-                                get_extractor)
+from aigmdet.extractors import DspVectorExtractor, EmbeddingSequence, get_extractor
 from aigmdet.models import (AudioCAT, FXSegment, SegmentTransformer, segment_features,
                             track_to_sequence)
 from aigmdet.nn import AttentionConfig
@@ -81,17 +80,18 @@ def test_track_sequence_for_path(tmp_path):
 
 def test_experiment_features_are_the_pipeline_features(tmp_path):
     """extract_corpus and _stage2_examples build what segment_features and
-    track_to_sequence build, bit for bit."""
+    track_to_sequence build over the stats-160 preset, bit for bit."""
     path = tmp_path / "track.wav"
     save_wav(render_track(1, 120, 24.0, 16000, np.random.default_rng(3)), path)
     (track,) = experiment.extract_corpus(Manifest([ManifestEntry(str(path), 1)]))
     buf = load_wav(path)
     mono, grid = pipeline.analysis_buffer(buf), pipeline.analyze_beats(buf).grid
-    extractor = DspVectorExtractor(SEGMENT_EMBED_DIM)
+    extractor = get_extractor("stats-160")
+    assert isinstance(extractor, DspVectorExtractor)
     expected = np.stack(list(segment_features(mono, grid, extractor)))
     assert track.vectors.tobytes() == expected.tobytes()
 
-    stage1 = AudioCAT(d_enc=SEGMENT_EMBED_DIM, cfg=SMALL, seed=0)
+    stage1 = AudioCAT(d_enc=extractor.d_enc, cfg=SMALL, seed=0)
     ((seq, label),) = experiment._stage2_examples([track], stage1)
     want = track_to_sequence(mono, grid, stage1, extractor)
     assert label == 1
@@ -101,7 +101,7 @@ def test_experiment_features_are_the_pipeline_features(tmp_path):
 def test_one_stft_pass_per_track(tmp_path, monkeypatch):
     """Beat analysis and the segment features read one log-mel: the STFT
     takes each frame of the track once, in the experiment and in the
-    vec-2048 and seq-512 stage-2 paths alike."""
+    stats-160 and seq-512 stage-2 paths alike."""
     path = tmp_path / "track.wav"
     save_wav(render_track(0, 120, 24.0, 16000, np.random.default_rng(6)), path)
     frames = []
@@ -116,8 +116,8 @@ def test_one_stft_pass_per_track(tmp_path, monkeypatch):
     assert len(experiment.track_vectors(path)) >= 2
     assert sum(frames) == track_frames
     frames.clear()
-    stage1 = FXSegment(d_enc=2048, n_tokens=4, cfg=SMALL, n_layers=1, seed=0)
-    seq = pipeline.track_sequence_for_path(path, stage1, get_extractor("vec-2048"))
+    stage1 = FXSegment(d_enc=4 * N_MELS, n_tokens=4, cfg=SMALL, n_layers=1, seed=0)
+    seq = pipeline.track_sequence_for_path(path, stage1, get_extractor("stats-160"))
     assert seq.length >= 2
     assert sum(frames) == track_frames
     frames.clear()
