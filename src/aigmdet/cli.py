@@ -1,20 +1,24 @@
-"""Command-line entry point: beats, train, eval, predict and ssm.
+"""Command-line entry point: beats, train, eval, predict, ssm and experiment.
 
 A model's stage is the architecture its checkpoint records: audiocat and
 fxseg are stage-1 segment models, segtr is the stage-2 track model and
 runs over the stage-1 checkpoint given as --stage1-ckpt, which no other
 model takes.  `train --arch` picks the stage to train; eval and predict
-score a checkpoint of either stage through pipeline.scorer.
+score a checkpoint of either stage through pipeline.scorer.  `experiment`
+runs the two-stage evaluation of experiment.run_experiment.
 
-Exit codes: 0 ok, 1 usage, 2 io/format, 3 musical content (no periodicity,
-track too short), 4 training failure.
+Exit codes, all decided in main: 0 ok, 1 usage, 2 io/format, 3 musical
+content (no periodicity, track too short), 4 training failure (diverged
+loss).
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
-from dataclasses import replace
+import time
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import experiment, pipeline, training
@@ -38,9 +42,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-# the TrainConfig fields a --config file may set, and how each is read
-_CONFIG_KEYS = {"epochs": int, "batch_size": int, "loss": str, "lr": float,
-                "weight_decay": float, "early_stop_patience": int}
+# the TrainConfig fields a --config file may set, each read as the type of
+# its default; the seed is --seed's
+_CONFIG_KEYS = {f.name: type(f.default) for f in fields(TrainConfig) if f.name != "seed"}
 
 
 def _read_config_file(path) -> dict:
@@ -120,11 +124,7 @@ def cmd_train(args) -> int:
         data_train, data_val = [pipeline.build_stage1_dataset(entries, extractor)
                                 for entries in splits]
 
-    try:
-        result = train(model, data_train, data_val, cfg, log=print)
-    except DivergedLoss as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TRAIN
+    result = train(model, data_train, data_val, cfg, log=print)
     pipeline.save_model(args.out, model, args.arch, preset)
     result.save_history_csv(str(args.out) + ".history.csv")
     print(f"checkpoint={args.out} best_epoch={result.best_epoch}")
@@ -165,13 +165,37 @@ def cmd_ssm(args) -> int:
     return EXIT_OK
 
 
+def cmd_experiment(args) -> int:
+    start = time.time()
+    result = experiment.run_experiment(args.data_dir, n_per_class=args.tracks_per_class,
+                                       duration_s=args.duration_s, seeds=tuple(args.seeds),
+                                       epochs=args.epochs, lr=args.lr, log=print)
+    elapsed = time.time() - start
+    print()
+    for r in result.per_seed:
+        print(f"seed {r.seed}: accuracy={r.accuracy:.4f} auc={r.auc:.4f} "
+              f"(stage-1 best epoch {r.stage1_result.best_epoch}, "
+              f"stage-2 best epoch {r.stage2_result.best_epoch})")
+    print(f"mean: accuracy={result.mean_accuracy:.4f} "
+          f"auc={result.mean_auc:.4f} elapsed={elapsed:.0f}s")
+    if args.out:
+        with open(args.out, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["seed", "accuracy", "auc"])
+            for r in result.per_seed:
+                writer.writerow([r.seed, f"{r.accuracy:.6f}", f"{r.auc:.6f}"])
+            writer.writerow(["mean", f"{result.mean_accuracy:.6f}",
+                             f"{result.mean_auc:.6f}"])
+    return EXIT_OK
+
+
 # ----------------------------------------------------------------------
 def make_parser() -> _Parser:
     parser = _Parser(prog="aigmdet",
                      description="Two-stage AI-generated-music detector")
-    sub = parser.add_subparsers(dest="command", metavar="{beats,train,eval,predict,ssm}")
+    sub = parser.add_subparsers(dest="command")
 
-    p = sub.add_parser("beats", parents=[], help="beat grid of a WAV", add_help=True)
+    p = sub.add_parser("beats", help="beat grid of a WAV")
     p.add_argument("audio")
     p.add_argument("--out", default="grid.csv")
 
@@ -203,11 +227,20 @@ def make_parser() -> _Parser:
     p = sub.add_parser("ssm", help="export a self-similarity matrix")
     p.add_argument("input", help="WAV or EMB1 embedding file")
     p.add_argument("--out", default="ssm")
+
+    p = sub.add_parser("experiment", help="two-stage experiment on a synthetic corpus")
+    p.add_argument("--data-dir", required=True, help="corpus directory (created if missing)")
+    p.add_argument("--tracks-per-class", type=int, default=64)
+    p.add_argument("--duration-s", type=float, default=64.0)
+    p.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
+    p.add_argument("--epochs", type=int, default=20)
+    p.add_argument("--lr", type=float, default=1e-3)
+    p.add_argument("--out", help="CSV of per-seed results")
     return parser
 
 
 _COMMANDS = {"beats": cmd_beats, "train": cmd_train, "eval": cmd_eval,
-             "predict": cmd_predict, "ssm": cmd_ssm}
+             "predict": cmd_predict, "ssm": cmd_ssm, "experiment": cmd_experiment}
 
 
 def main(argv=None) -> int:
@@ -216,11 +249,15 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_help()
         return EXIT_USAGE
-    handler = _COMMANDS[args.command]
+    # every command's one exit-code table; DivergedLoss is a TrainingError,
+    # so it comes first
     try:
-        return handler(args)
+        return _COMMANDS[args.command](args)
+    except DivergedLoss as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_TRAIN
     except (AudioError, EmbeddingFileError, ExtractorError, CheckpointError,
-            DataError, OSError) as exc:
+            DataError, TrainingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (BeatError, TooShort) as exc:

@@ -10,6 +10,7 @@ destroys the structural repetition the stage-2 model keys on.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -37,6 +38,24 @@ def read_lines(path) -> list[str]:
             return fh.readlines()
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc})") from None
+
+
+def names_file(*errors):
+    """Decorator for a function of a file path: an exception of one of
+    `errors` that it raises is raised again, of the same class, as
+    `<path>: <message>`, unless the message names the file already."""
+    def decorate(fn):
+        @functools.wraps(fn)
+        def named(path, *args, **kwargs):
+            try:
+                return fn(path, *args, **kwargs)
+            except errors as exc:
+                # the path as it is, or as repr() escapes it (load_wav's IoFailure)
+                if repr(str(path))[1:-1] in str(exc):
+                    raise
+                raise type(exc)(f"{path}: {exc}") from None
+        return named
+    return decorate
 
 
 @dataclass

@@ -1,8 +1,10 @@
-"""Desk-scale end-to-end experiment: synthetic corpus -> beat-aware
-segmentation -> stage-1 segment detector -> stage-2 track detector.
+"""Desk-scale end-to-end experiment (`aigmdet experiment`): synthetic
+corpus -> beat-aware segmentation -> stage-1 segment detector -> stage-2
+track detector.
 
 Feature extraction is done once and shared across seeds; each seed gets
-its own split, initialization, and shuffling.
+its own split, initialization, and shuffling.  A track that cannot be
+read or analysed ends the run with an error naming its file.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from .audio import load_wav
 from .data import SPLITS, Manifest, ManifestEntry, split_dataset, synth_dataset
 from .extractors import DspVectorExtractor
 from .models import AudioCAT, SegmentTransformer, features_to_sequence, segment_features
-from .pipeline import analysis_buffer, analyze_beats
+from .pipeline import analysis_buffer, analyze_beats, names_track
 from .training import TrainConfig, TrainResult, evaluate, train
 
 
@@ -43,6 +45,7 @@ class ExperimentResult:
     mean_auc: float
 
 
+@names_track
 def track_vectors(path) -> np.ndarray:
     """[n_segments x 160]: the WAV at `path` beat-aligned, one stats-160
     vector (DspVectorExtractor) per 4-bar segment.  The beat analysis and

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import names_file
 from .dsp import N_MELS, dsp_embed
 
 # segments of a track that stage 1 analyses; the default segtr max_len
@@ -118,6 +119,7 @@ _EMB_MAGIC = b"EMB1"
 _EMB_VERSION = 1
 
 
+@names_file(EmbeddingFileError)
 def load_precomputed(path) -> EmbeddingSequence:
     with open(path, "rb") as fh:
         blob = fh.read()

@@ -12,9 +12,9 @@ from dataclasses import asdict
 import numpy as np
 
 from . import beats, nn
-from .audio import AudioBuffer, load_wav, resample, to_mono
-from .data import DataError
-from .dsp import ANALYSIS_RATE, segment_frames
+from .audio import AudioBuffer, AudioError, load_wav, resample, to_mono
+from .data import DataError, names_file
+from .dsp import ANALYSIS_RATE, TooShort, segment_frames
 from .extractors import ExtractorError, FeatureExtractor, get_extractor
 from .models import (AudioCAT, DetectorOutput, FXSegment, SegmentTransformer,
                      track_to_sequence)
@@ -37,6 +37,11 @@ def analyze_beats(buf: AudioBuffer) -> beats.BeatAnalysis:
 
 
 # ----------------------------------------------------------------------
+# a function of one track's path whose read or analysis fails names the file
+names_track = names_file(AudioError, beats.BeatError, TooShort)
+
+
+@names_track
 def stage1_features(path, extractor: FeatureExtractor) -> np.ndarray:
     """Features of a whole clip; TooShort below dsp.MIN_SEGMENT_S."""
     mono = analysis_buffer(load_wav(path))
@@ -48,6 +53,7 @@ def build_stage1_dataset(entries, extractor: FeatureExtractor) -> list:
     return [(stage1_features(e.path, extractor), e.label) for e in entries]
 
 
+@names_track
 def track_sequence_for_path(path, stage1, extractor: FeatureExtractor):
     """WAV path -> beat grid -> stage-2 input sequence (models.track_to_sequence)."""
     mono = analysis_buffer(load_wav(path))

@@ -8,13 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aigmdet import cli, models, nn, pipeline
+from aigmdet import cli, experiment, models, nn, pipeline
 from aigmdet.audio import AudioBuffer, load_wav, save_wav
-from aigmdet.cli import EXIT_IO, EXIT_MUSIC, EXIT_OK, EXIT_USAGE, main
+from aigmdet.cli import EXIT_IO, EXIT_MUSIC, EXIT_OK, EXIT_TRAIN, EXIT_USAGE, main
 from aigmdet.data import Manifest, ManifestEntry, render_track
 from aigmdet.dsp import MIN_SEGMENT_S, N_MELS, TooShort
 from aigmdet.extractors import EmbeddingSequence, get_extractor
 from aigmdet.models import SegmentTransformer
+from aigmdet.training import DivergedLoss
 
 from util import raw_wav
 
@@ -493,7 +494,8 @@ def test_non_finite_float32_input_exits_2(command, value, tmp_path, capsys):
 # csv.Error, "embedded null byte" or ShapeMismatch traceback
 @pytest.mark.parametrize("case", ["beats_odd_wav", "predict_odd_wav", "train_manifest",
                                   "eval_manifest", "train_config", "ssm_emb1_dim_0",
-                                  "ssm_emb1_no_vectors",
+                                  "ssm_emb1_no_vectors", "train_corrupt_wav",
+                                  "eval_corrupt_wav", "experiment_corrupt_wav",
                                   "train_long_field", "eval_nul_path",
                                   "predict_width_mismatch", "eval_width_mismatch",
                                   "train_manifest_header", "predict_preset_mismatch",
@@ -516,6 +518,11 @@ def test_unreadable_input_exits_2(case, corpus, stage1_ckpt, tmp_path, monkeypat
     no_vectors.write_bytes(b"EMB1" + struct.pack("<III", 1, 0, 4))  # 0 vectors of dim 4
     odd = tmp_path / "odd.wav"
     odd.write_bytes(raw_wav(1, 1, 16, b"\x00" * 201))  # PCM16: 100.5 frames
+    junk = tmp_path / "junk.wav"  # not a RIFF/WAVE file, first of the train split
+    junk.write_bytes(b"garbage")
+    corrupt = tmp_path / "corrupt.csv"
+    entries = Manifest.load(corpus["manifest"]).entries
+    Manifest([ManifestEntry(str(junk), 0, "train"), *entries[1:]]).save(corrupt)
     long_field = tmp_path / "long.csv"  # a path over csv.field_size_limit()
     long_field.write_text("path,label\n" + "x" * 200_000 + ",0\n")
     nul = tmp_path / "nul.csv"
@@ -556,8 +563,16 @@ def test_unreadable_input_exits_2(case, corpus, stage1_ckpt, tmp_path, monkeypat
                           [bad_text]),
         "train_config": (["train", "--arch", "audiocat", "--manifest", str(corpus["manifest"]),
                           "--config", str(bad_text), "--out", out], [bad_text]),
-        "ssm_emb1_dim_0": (["ssm", str(emb), "--out", out], []),
-        "ssm_emb1_no_vectors": (["ssm", str(no_vectors), "--out", out], ["0 vectors"]),
+        "ssm_emb1_dim_0": (["ssm", str(emb), "--out", out], [f"error: {emb}: "]),
+        "ssm_emb1_no_vectors": (["ssm", str(no_vectors), "--out", out],
+                                [f"error: {no_vectors}: ", "0 vectors"]),
+        "train_corrupt_wav": (["train", "--arch", "audiocat", "--manifest", str(corrupt),
+                               "--out", out], [f"error: {junk}: not a RIFF/WAVE file"]),
+        "eval_corrupt_wav": (["eval", "--ckpt", str(stage1_ckpt), "--manifest", str(corrupt),
+                              "--split", "train"], [f"error: {junk}: not a RIFF/WAVE file"]),
+        "experiment_corrupt_wav": (experiment_argv(experiment_dir(tmp_path, junk, corpus), 7,
+                                                   "--out", out),
+                                   [f"error: {junk}: not a RIFF/WAVE file"]),
         "train_long_field": (["train", "--arch", "audiocat", "--manifest", str(long_field),
                               "--out", out], [f"{long_field}, line 2"]),
         "eval_nul_path": (["eval", "--ckpt", str(stage1_ckpt), "--manifest", str(nul)],
@@ -610,6 +625,89 @@ def test_unreadable_input_exits_2(case, corpus, stage1_ckpt, tmp_path, monkeypat
     for name in named:
         assert str(name) in captured.err
     assert not list(tmp_path.glob("out*"))  # no checkpoint, CSV or PGM
+
+
+# ---------------------------------------------------------------- experiment
+def experiment_argv(data_dir, tracks_per_class, *flags):
+    return ["experiment", "--data-dir", str(data_dir),
+            "--tracks-per-class", str(tracks_per_class), "--duration-s", "24",
+            "--seeds", "0", "--epochs", "1", *flags]
+
+
+def experiment_dir(tmp_path, first, corpus):
+    """A corpus directory whose manifest.csv names `first`, then the
+    corpus fixture's 13 WAVs: 7 tracks a class, so it splits."""
+    data_dir = tmp_path / "experiment"
+    data_dir.mkdir()
+    paths = [first, *(e.path for e in Manifest.load(corpus["manifest"]).entries),
+             corpus["long"]]
+    Manifest([ManifestEntry(str(p), i % 2) for i, p in enumerate(paths)]).save(
+        data_dir / "manifest.csv")
+    return data_dir
+
+
+def test_experiment_runs(tmp_path, capsys):
+    out = tmp_path / "results.csv"
+    assert run(experiment_argv(tmp_path / "corpus", 7, "--out", str(out))) == EXIT_OK
+    assert any(line.startswith("mean: accuracy=")
+               for line in capsys.readouterr().out.splitlines())
+    rows = out.read_text().splitlines()
+    assert rows[0] == "seed,accuracy,auc"
+    assert [row.split(",")[0] for row in rows[1:]] == ["0", "mean"]
+
+
+def assert_refused_before_rendering(code, capsys, data_dir):
+    lines = capsys.readouterr().err.splitlines()
+    assert code == EXIT_IO
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert not list(data_dir.glob("*.wav"))
+
+
+# 4 tracks a class is below split_dataset's 10 entries; 6 leaves the 8/1/1
+# split's test share empty
+@pytest.mark.parametrize("tracks_per_class", [4, 6])
+def test_experiment_too_small_corpus_exits_2(tracks_per_class, tmp_path, capsys):
+    code = run(experiment_argv(tmp_path / "corpus", tracks_per_class))
+    assert_refused_before_rendering(code, capsys, tmp_path / "corpus")
+
+
+# a training setting TrainConfig refuses, on a corpus large enough to split
+@pytest.mark.parametrize("flags", [["--epochs", "0"], ["--lr", "-1"]],
+                         ids=["epochs_0", "lr_negative"])
+def test_experiment_bad_training_setting_exits_2(flags, tmp_path, capsys):
+    code = run(experiment_argv(tmp_path / "corpus", 7, *flags))
+    assert_refused_before_rendering(code, capsys, tmp_path / "corpus")
+
+
+def test_experiment_silent_track_exits_3(corpus, tmp_path, capsys):
+    silent = tmp_path / "silence.wav"
+    save_wav(AudioBuffer(np.zeros((1, 16000 * 8)), 16000), silent)
+    out = tmp_path / "out.csv"
+    code = run(experiment_argv(experiment_dir(tmp_path, silent, corpus), 7, "--out", str(out)))
+    assert code == EXIT_MUSIC
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {silent}: ") and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def diverge(*args, **kwargs):
+    raise DivergedLoss("loss is nan at epoch 1")
+
+
+# train and the experiment's both stages go through training.train
+@pytest.mark.parametrize("command", ["train", "experiment"])
+def test_diverged_loss_exits_4(command, corpus, tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out"
+    if command == "train":
+        monkeypatch.setattr(cli, "train", diverge)
+        argv = ["train", "--arch", "audiocat", "--manifest", str(corpus["manifest"]),
+                "--out", str(out)]
+    else:
+        monkeypatch.setattr(experiment, "train", diverge)
+        argv = experiment_argv(tmp_path / "corpus", 7, "--out", str(out))
+    assert run(argv) == EXIT_TRAIN
+    assert capsys.readouterr().err == "error: loss is nan at epoch 1\n"
+    assert not list(tmp_path.glob("out*"))  # no checkpoint, history or CSV
 
 
 # ---------------------------------------------------------------- config plumbing
@@ -705,4 +803,7 @@ def test_readme_cli_examples_run(corpus, tracks, tmp_path, monkeypatch, capsys):
         argv = [inputs.get(arg, arg) for arg in shlex.split(command)[1:]]
         if argv[0] == "train":
             argv += ["--epochs", "1"]
+        elif argv[0] == "experiment":  # 7 tracks a class of 24 s, one seed
+            argv += ["--tracks-per-class", "7", "--duration-s", "24", "--seeds", "0",
+                     "--epochs", "1"]
         assert run(argv) == EXIT_OK, (command, capsys.readouterr().err)

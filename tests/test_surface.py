@@ -4,7 +4,7 @@ Every public op of `Tensor`, and `concat`, must be called by a training
 step (zero_grad, loss, backward) and a forward pass of the three
 detectors under both losses; every public module-level name of every
 module of the package, and every public method of their classes, must be
-used somewhere under src/ or scripts/.  A reference form or a writer that
+used somewhere under src/.  A reference form or a writer that
 only the tests need belongs in tests/util.py."""
 
 import ast
@@ -24,7 +24,7 @@ from aigmdet.models import AudioCAT, FXSegment, SegmentTransformer
 from aigmdet.tensor import Tensor
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "scripts").rglob("*.py"))
+SOURCES = sorted((ROOT / "src").rglob("*.py"))
 MODULES = [importlib.import_module(f"aigmdet.{info.name}")
            for info in pkgutil.iter_modules(aigmdet.__path__)]
 TOY = nn.AttentionConfig(d_model=8, heads=2, ffn_dim=16)
@@ -94,7 +94,7 @@ def _definitions(module) -> dict[str, list[str]]:
 
 @functools.lru_cache(maxsize=1)
 def _uses() -> set[str]:
-    """Every name read, and every attribute taken, under src/ and scripts/."""
+    """Every name read, and every attribute taken, under src/."""
     used = set()
     for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text())):
