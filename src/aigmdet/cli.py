@@ -21,6 +21,8 @@ import time
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
+
 from . import experiment, pipeline, training
 from .audio import AudioError, load_wav
 from .beats import BeatError, export_boundaries_csv
@@ -89,8 +91,13 @@ def _train_config(args) -> TrainConfig:
 
 
 # ----------------------------------------------------------------------
+@pipeline.names_track
+def _beat_analysis(path):
+    return pipeline.analyze_beats(load_wav(path))
+
+
 def cmd_beats(args) -> int:
-    analysis = pipeline.analyze_beats(load_wav(args.audio))
+    analysis = _beat_analysis(args.audio)
     grid = analysis.grid
     boundaries = [(t, t + grid.period) for t in grid.downbeats()]
     export_boundaries_csv(boundaries, args.out)
@@ -167,25 +174,25 @@ def cmd_ssm(args) -> int:
 
 def cmd_experiment(args) -> int:
     start = time.time()
-    result = experiment.run_experiment(args.data_dir, n_per_class=args.tracks_per_class,
-                                       duration_s=args.duration_s, seeds=tuple(args.seeds),
-                                       epochs=args.epochs, lr=args.lr, log=print)
+    per_seed = experiment.run_experiment(args.data_dir, n_per_class=args.tracks_per_class,
+                                         duration_s=args.duration_s, seeds=tuple(args.seeds),
+                                         epochs=args.epochs, lr=args.lr, log=print)
     elapsed = time.time() - start
+    accuracy = float(np.mean([r.accuracy for r in per_seed]))
+    auc = float(np.mean([r.auc for r in per_seed]))
     print()
-    for r in result.per_seed:
+    for r in per_seed:
         print(f"seed {r.seed}: accuracy={r.accuracy:.4f} auc={r.auc:.4f} "
               f"(stage-1 best epoch {r.stage1_result.best_epoch}, "
               f"stage-2 best epoch {r.stage2_result.best_epoch})")
-    print(f"mean: accuracy={result.mean_accuracy:.4f} "
-          f"auc={result.mean_auc:.4f} elapsed={elapsed:.0f}s")
+    print(f"mean: accuracy={accuracy:.4f} auc={auc:.4f} elapsed={elapsed:.0f}s")
     if args.out:
         with open(args.out, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["seed", "accuracy", "auc"])
-            for r in result.per_seed:
+            for r in per_seed:
                 writer.writerow([r.seed, f"{r.accuracy:.6f}", f"{r.auc:.6f}"])
-            writer.writerow(["mean", f"{result.mean_accuracy:.6f}",
-                             f"{result.mean_auc:.6f}"])
+            writer.writerow(["mean", f"{accuracy:.6f}", f"{auc:.6f}"])
     return EXIT_OK
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio import load_wav
-from .data import SPLITS, Manifest, ManifestEntry, split_dataset, synth_dataset
+from .data import SPLITS, DataError, Manifest, ManifestEntry, split_dataset, synth_dataset
 from .extractors import DspVectorExtractor
 from .models import AudioCAT, SegmentTransformer, features_to_sequence, segment_features
 from .pipeline import analysis_buffer, analyze_beats, names_track
@@ -36,13 +36,6 @@ class SeedResult:
     auc: float
     stage1_result: TrainResult
     stage2_result: TrainResult
-
-
-@dataclass
-class ExperimentResult:
-    per_seed: list
-    mean_accuracy: float
-    mean_auc: float
 
 
 @names_track
@@ -66,11 +59,7 @@ def extract_corpus(manifest: Manifest, log=None) -> list[TrackFeatures]:
 
 
 def _stage1_examples(tracks) -> list:
-    data = []
-    for t in tracks:
-        for v in t.vectors:
-            data.append((v[None, :], t.label))
-    return data
+    return [(v, t.label) for t in tracks for v in t.vectors]
 
 
 def _stage2_examples(tracks, stage1) -> list:
@@ -109,7 +98,10 @@ def run_seed(tracks, manifest: Manifest, seed: int,
 
 def run_experiment(data_dir, n_per_class: int = 64, duration_s: float = 64.0,
                    seeds=(0, 1, 2), epochs: int = 20, lr: float = 1e-3,
-                   log=None) -> ExperimentResult:
+                   log=None) -> list[SeedResult]:
+    """One SeedResult a seed.  A data_dir that holds a manifest.csv is
+    reused as it is, and n_per_class and duration_s are not read; otherwise
+    a corpus of n_per_class tracks a class is rendered there."""
     # the training config (both stages') and the split are checked before
     # any track is rendered
     cfg = TrainConfig(epochs=epochs, batch_size=8, loss="bce", lr=lr, weight_decay=1e-6)
@@ -118,21 +110,20 @@ def run_experiment(data_dir, n_per_class: int = 64, duration_s: float = 64.0,
     if manifest_path.exists():
         manifest = Manifest.load(manifest_path)
         _check_splits([e.label for e in manifest.entries], manifest.name)
+        if log:
+            log(f"reusing {manifest_path} ({len(manifest.entries)} tracks); "
+                f"--tracks-per-class and --duration-s are not read")
     else:
-        _check_splits([0, 1] * n_per_class, data_dir.name)
+        # 7 is the least n for which _apportion(n, (8, 1, 1)) gives a class
+        # a test track
+        if n_per_class < 7:
+            raise DataError(f"--tracks-per-class {n_per_class}: the 80/10/10 split needs "
+                            f"at least 7 tracks a class, or its test set is empty")
         manifest = synth_dataset(data_dir, n_per_class, seed=0,
                                  duration_s=duration_s)
     tracks = extract_corpus(manifest, log=log)
-
     per_seed = []
     for seed in seeds:
         seed_cfg = replace(cfg, seed=seed)
-        result = run_seed(tracks, manifest, seed, seed_cfg, seed_cfg, log=log)
-        if log:
-            log(f"seed {seed}: accuracy={result.accuracy:.3f} auc={result.auc:.3f}")
-        per_seed.append(result)
-    return ExperimentResult(
-        per_seed,
-        float(np.mean([r.accuracy for r in per_seed])),
-        float(np.mean([r.auc for r in per_seed])),
-    )
+        per_seed.append(run_seed(tracks, manifest, seed, seed_cfg, seed_cfg, log=log))
+    return per_seed

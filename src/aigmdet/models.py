@@ -9,7 +9,9 @@ Each model's forward_tensor takes a list of B examples and returns logits
 [B] and pooled representations [B x d]; loss(examples, labels, loss_fn) is
 their mean loss.  Stage-1 forward(batch) runs a list of segments without a
 tape and returns one DetectorOutput each; stage-2 forward(seq) scores one
-track.  hparams holds the constructor arguments other than cfg and seed,
+track.  features_to_sequence is the seam between the stages: a track's
+segment vectors go through stage 1 as one batch, its frame maps one at a
+time.  hparams holds the constructor arguments other than cfg and seed,
 for checkpoint headers; index_sizes(cfg, **hparams) says where the tensors
 of such a model show those sizes, so a header can be checked before its
 model is built.
@@ -281,36 +283,17 @@ def segment_features(track: AudioBuffer, grid: BeatGrid,
             for start, stop in segment_bars(track.samples[0], grid))
 
 
-# features_to_sequence gathers segments until a batch holds this many frames
-STAGE1_BATCH_FRAMES = 64
-
-
-def _frame_batches(features) -> Iterator[list]:
-    """Consecutive segments' features, grouped until a group holds
-    STAGE1_BATCH_FRAMES frames (a [d] vector is one frame)."""
-    batch, frames = [], 0
-    for f in features:
-        batch.append(f)
-        frames += len(np.atleast_2d(f))
-        if frames >= STAGE1_BATCH_FRAMES:
-            yield batch
-            batch, frames = [], 0
-    if batch:
-        yield batch
-
-
 def features_to_sequence(features, stage1) -> EmbeddingSequence:
     """Pooled stage-1 representations of the first MAX_SEQ_LEN segments'
     features, unpadded; later segments are never read.
 
-    Stage 1 runs once a batch of segments (see _frame_batches), and an
-    iterator of features is read one batch at a time: a segment of a
-    seq-512 track holds hundreds of log-mel frames, so it is a batch alone
-    and stage 1's activations are live for one segment at once, while the
-    one-frame vectors of a short track all go in one batch."""
-    vectors = np.stack([out.pooled for batch in _frame_batches(islice(features, MAX_SEQ_LEN))
-                        for out in stage1.forward(batch)])
-    return EmbeddingSequence(vectors)
+    [d] vectors run through stage 1 in one batch; each [frames x d] map,
+    hundreds of log-mel frames a segment, runs as a batch of its own, so
+    stage 1's activations are live for one segment at once."""
+    feats = list(islice(features, MAX_SEQ_LEN))
+    batches = [feats] if feats and np.ndim(feats[0]) == 1 else [[f] for f in feats]
+    return EmbeddingSequence(np.stack([out.pooled for batch in batches
+                                       for out in stage1.forward(batch)]))
 
 
 def track_to_sequence(track: AudioBuffer, grid: BeatGrid, stage1,

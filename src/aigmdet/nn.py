@@ -52,10 +52,6 @@ class AttentionConfig:
         if self.ffn_dim < self.d_model:
             raise ShapeMismatch("ffn_dim must be >= d_model")
 
-    @property
-    def head_dim(self) -> int:
-        return self.d_model // self.heads
-
 
 # ----------------------------------------------------------------------
 class Module:
@@ -211,8 +207,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
         g = _split_heads(out.grad, heads)
         if v.requires_grad:
             v._accumulate(_merge_heads(_unbroadcast(np.swapaxes(weights, -1, -2) @ g, vh.shape)))
-        if not (q.requires_grad or k.requires_grad):
-            return
         g_weights = g @ np.swapaxes(vh, -1, -2)
         g_scores = (g_weights - (g_weights * weights).sum(axis=-1, keepdims=True)) * weights
         g_scores *= 1.0 / np.sqrt(qh.shape[-1])

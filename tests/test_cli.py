@@ -88,6 +88,7 @@ def test_beats_on_silence_exits_3(tmp_path, capsys):
     path = tmp_path / "silence.wav"
     save_wav(AudioBuffer(np.zeros((1, 16000 * 8)), 16000), path)
     assert run(["beats", str(path), "--out", str(tmp_path / "g.csv")]) == EXIT_MUSIC
+    assert capsys.readouterr().err == f"error: {path}: flat onset envelope\n"
 
 
 @pytest.mark.parametrize("command", ["beats", "ssm"])
@@ -96,7 +97,7 @@ def test_below_one_frame_exits_3(command, tmp_path, capsys):
     path = tmp_path / "tiny.wav"
     save_wav(AudioBuffer(0.1 * np.ones((1, 500)), 16000), path)
     assert run([command, str(path), "--out", str(tmp_path / "out")]) == EXIT_MUSIC
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
 
 def test_beats_missing_file_exits_2(capsys):
@@ -492,8 +493,9 @@ def test_non_finite_float32_input_exits_2(command, value, tmp_path, capsys):
 
 # each ends in error: and exit 2, not in a numpy ValueError, UnicodeDecodeError,
 # csv.Error, "embedded null byte" or ShapeMismatch traceback
-@pytest.mark.parametrize("case", ["beats_odd_wav", "predict_odd_wav", "train_manifest",
-                                  "eval_manifest", "train_config", "ssm_emb1_dim_0",
+@pytest.mark.parametrize("case", ["beats_odd_wav", "beats_not_wav", "predict_odd_wav",
+                                  "train_manifest", "eval_manifest", "train_config",
+                                  "ssm_emb1_dim_0",
                                   "ssm_emb1_no_vectors", "train_corrupt_wav",
                                   "eval_corrupt_wav", "experiment_corrupt_wav",
                                   "train_long_field", "eval_nul_path",
@@ -555,7 +557,9 @@ def test_unreadable_input_exits_2(case, corpus, stage1_ckpt, tmp_path, monkeypat
     widths = ["gives 40-wide features", "reads d_enc 512"]
     out = str(tmp_path / "out")
     argv, named = {
-        "beats_odd_wav": (["beats", str(odd), "--out", out], []),
+        "beats_odd_wav": (["beats", str(odd), "--out", out], [f"error: {odd}: "]),
+        "beats_not_wav": (["beats", str(junk), "--out", out],
+                          [f"error: {junk}: not a RIFF/WAVE file"]),
         "predict_odd_wav": (["predict", "--ckpt", str(stage1_ckpt), "--audio", str(odd)], []),
         "train_manifest": (["train", "--arch", "audiocat", "--manifest", str(bad_text),
                             "--out", out], [bad_text]),
@@ -649,26 +653,35 @@ def experiment_dir(tmp_path, first, corpus):
 def test_experiment_runs(tmp_path, capsys):
     out = tmp_path / "results.csv"
     assert run(experiment_argv(tmp_path / "corpus", 7, "--out", str(out))) == EXIT_OK
-    assert any(line.startswith("mean: accuracy=")
-               for line in capsys.readouterr().out.splitlines())
+    lines = capsys.readouterr().out.splitlines()
+    assert sum(line.startswith("seed 0: ") for line in lines) == 1
+    assert any(line.startswith("mean: accuracy=") for line in lines)
     rows = out.read_text().splitlines()
     assert rows[0] == "seed,accuracy,auc"
     assert [row.split(",")[0] for row in rows[1:]] == ["0", "mean"]
+    # a second run reuses the corpus, and says that the size flags go unread
+    assert run(experiment_argv(tmp_path / "corpus", 64)) == EXIT_OK
+    assert (f"reusing {tmp_path / 'corpus' / 'manifest.csv'} (14 tracks); "
+            f"--tracks-per-class and --duration-s are not read"
+            in capsys.readouterr().out.splitlines())
 
 
-def assert_refused_before_rendering(code, capsys, data_dir):
+def assert_refused_before_rendering(code, capsys, data_dir) -> str:
     lines = capsys.readouterr().err.splitlines()
     assert code == EXIT_IO
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert not list(data_dir.glob("*.wav"))
+    return lines[0]
 
 
-# 4 tracks a class is below split_dataset's 10 entries; 6 leaves the 8/1/1
-# split's test share empty
+# below 7 tracks a class (6 is the largest), the 8/1/1 split's test share is
+# empty; the error names the count and the least, 7
 @pytest.mark.parametrize("tracks_per_class", [4, 6])
 def test_experiment_too_small_corpus_exits_2(tracks_per_class, tmp_path, capsys):
     code = run(experiment_argv(tmp_path / "corpus", tracks_per_class))
-    assert_refused_before_rendering(code, capsys, tmp_path / "corpus")
+    line = assert_refused_before_rendering(code, capsys, tmp_path / "corpus")
+    assert line.startswith(f"error: --tracks-per-class {tracks_per_class}: ")
+    assert "at least 7 tracks a class" in line
 
 
 # a training setting TrainConfig refuses, on a corpus large enough to split

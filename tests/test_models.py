@@ -9,11 +9,10 @@ from aigmdet.beats import BeatGrid, segment_bars
 from aigmdet.dsp import FRAME_LEN, HOP, log_mel, segment_frames
 from aigmdet.extractors import (MAX_SEQ_LEN, DspSequenceExtractor, EmbeddingSequence,
                                 get_extractor)
-from aigmdet.models import (STAGE1_BATCH_FRAMES, AudioCAT, DetectorOutput,
-                            EmptySequence, FXSegment, SegmentTransformer,
-                            export_ssm_csv, export_ssm_pgm, features_to_sequence,
-                            predict, segment_features, self_similarity,
-                            track_to_sequence)
+from aigmdet.models import (AudioCAT, DetectorOutput, EmptySequence, FXSegment,
+                            SegmentTransformer, export_ssm_csv, export_ssm_pgm,
+                            features_to_sequence, predict, segment_features,
+                            self_similarity, track_to_sequence)
 from aigmdet.nn import AttentionConfig, ShapeMismatch
 
 from util import RandomStubExtractor, finite_diff_check, sine_buffer
@@ -385,12 +384,10 @@ def test_rate_and_channel_validation():
     assert ext.calls == 0
 
 
-# of 130 segments, the first MAX_SEQ_LEN = 48 are read
-@pytest.mark.parametrize("frames,batches", [
-    (1, [48]),  # one-frame vectors: 48 frames, under STAGE1_BATCH_FRAMES
-    (STAGE1_BATCH_FRAMES // 3 + 1, [3] * 16),
-    (STAGE1_BATCH_FRAMES + 1, [1] * 48)])  # a long map is a batch alone
-def test_features_to_sequence_batches_by_frames(frames, batches):
+# of 130 segments, the first MAX_SEQ_LEN = 48 are read: [d] vectors in one
+# batch, each [frames x d] map, short or long, in a batch of its own
+@pytest.mark.parametrize("frames,batches", [(1, [48]), (22, [1] * 48), (65, [1] * 48)])
+def test_features_to_sequence_batches_by_kind(frames, batches):
     model = AudioCAT(d_enc=8, cfg=SMALL, n_layers=1, seed=0)
     rng = np.random.default_rng(9)
     feats = [rng.normal(size=(frames, 8) if frames > 1 else 8) for _ in range(130)]

@@ -217,11 +217,10 @@ def test_build_model_variants():
 # ---------------------------------------------------------------- experiment
 def test_experiment_smoke(tmp_path):
     from aigmdet.experiment import run_experiment
-    result = run_experiment(tmp_path / "mini", n_per_class=8, duration_s=32.0,
-                            seeds=(0,), epochs=2)
-    assert len(result.per_seed) == 1
-    assert 0.0 <= result.mean_accuracy <= 1.0
-    assert 0.0 <= result.mean_auc <= 1.0
+    (result,) = run_experiment(tmp_path / "mini", n_per_class=8, duration_s=32.0,
+                               seeds=(0,), epochs=2)
+    assert 0.0 <= result.accuracy <= 1.0
+    assert 0.0 <= result.auc <= 1.0
     # reusing the directory must not regenerate audio
     manifest = (tmp_path / "mini" / "manifest.csv").read_text()
     run_experiment(tmp_path / "mini", n_per_class=8, duration_s=32.0,

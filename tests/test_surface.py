@@ -3,9 +3,10 @@
 Every public op of `Tensor`, and `concat`, must be called by a training
 step (zero_grad, loss, backward) and a forward pass of the three
 detectors under both losses; every public module-level name of every
-module of the package, and every public method of their classes, must be
-used somewhere under src/.  A reference form or a writer that
-only the tests need belongs in tests/util.py."""
+module of the package must be read somewhere under src/ or bench/, and
+every public method of their classes taken there as an attribute (a local
+variable of the same name is not a use).  A reference form or a writer
+that only the tests need belongs in tests/util.py."""
 
 import ast
 import functools
@@ -24,7 +25,7 @@ from aigmdet.models import AudioCAT, FXSegment, SegmentTransformer
 from aigmdet.tensor import Tensor
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted((ROOT / "src").rglob("*.py"))
+SOURCES = sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "bench").rglob("*.py")])
 MODULES = [importlib.import_module(f"aigmdet.{info.name}")
            for info in pkgutil.iter_modules(aigmdet.__path__)]
 TOY = nn.AttentionConfig(d_model=8, heads=2, ffn_dim=16)
@@ -93,22 +94,23 @@ def _definitions(module) -> dict[str, list[str]]:
 
 
 @functools.lru_cache(maxsize=1)
-def _uses() -> set[str]:
-    """Every name read, and every attribute taken, under src/."""
-    used = set()
+def _uses() -> tuple[set[str], set[str]]:
+    """Every name read, and every attribute taken, under src/ and bench/."""
+    names, attrs = set(), set()
     for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                used.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-    return used
+                attrs.add(node.attr)
+    return names, attrs
 
 
 @pytest.mark.parametrize("module", MODULES, ids=[m.__name__.split(".")[-1] for m in MODULES])
 def test_every_public_name_has_a_user(module):
+    names, attrs = _uses()
     unused = []
     for name, methods in _definitions(module).items():
-        unused += [] if name in _uses() else [name]
-        unused += [f"{name}.{m}" for m in methods if m not in _uses()]
+        unused += [] if name in names | attrs else [name]
+        unused += [f"{name}.{m}" for m in methods if m not in attrs]
     assert unused == []

@@ -380,7 +380,7 @@ def composite_attention(mha, q, k, v, mask=None):
     """`nn.MultiHeadAttention` with composite projections and its core
     (head split, scaled scores, -inf key bias, softmax, A V, head merge)
     recorded node by node."""
-    heads, head_dim = mha.cfg.heads, mha.cfg.head_dim
+    heads, head_dim = mha.cfg.heads, mha.cfg.d_model // mha.cfg.heads
 
     def split_heads(x):
         *lead, n, _ = x.shape
