@@ -11,6 +11,12 @@ log-mel; a segment is a range of its frames (`segment_frames`).  It works
 through the row in fixed blocks of LOG_MEL_BLOCK frames into a
 preallocated output, so beyond that [frames x N_MELS] output its memory
 does not grow with track length.
+
+Precision: the window, the framed samples, the rFFT (scipy.fft, which
+keeps float32 input in float32), the power and the mel product are
+float32; each block's mel power is cast to float64 before LOG_EPS is
+added and the log taken, so `log_mel` and everything that reads it is
+float64.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
+import scipy.fft
 
 ANALYSIS_RATE = 16000
 FRAME_LEN = 1024
@@ -26,8 +33,8 @@ HOP = 256
 N_MELS = 40
 LOG_EPS = 1e-10
 MIN_SEGMENT_S = 0.2
-# frames per STFT block of log_mel: one block's spectra take about 6 MB, and
-# the last block, which takes the remainder, at most twice that
+# frames per STFT block of log_mel: one block's float32 spectra take about
+# 3 MB, and the last block, which takes the remainder, at most twice that
 LOG_MEL_BLOCK = 256
 
 
@@ -37,7 +44,7 @@ class TooShort(Exception):
 
 @dataclass
 class Spectrogram:
-    magnitudes: np.ndarray  # [frames x bins], nonnegative
+    magnitudes: np.ndarray  # [frames x bins], float32, nonnegative
 
 
 def _frame_count(samples: int) -> int:
@@ -47,20 +54,21 @@ def _frame_count(samples: int) -> int:
 
 @cache
 def hann_window() -> np.ndarray:
-    """np.hanning(FRAME_LEN), computed once; read-only."""
-    window = np.hanning(FRAME_LEN)
+    """np.hanning(FRAME_LEN) in float32, computed once; read-only."""
+    window = np.hanning(FRAME_LEN).astype(np.float32)
     window.setflags(write=False)
     return window
 
 
 def stft(x: np.ndarray) -> Spectrogram:
     """Hann-windowed magnitude STFT of a 16 kHz sample row, frame FRAME_LEN,
-    hop HOP."""
+    hop HOP, in float32."""
+    x = np.asarray(x, dtype=np.float32)
     frames = np.lib.stride_tricks.as_strided(
         x, shape=(_frame_count(len(x)), FRAME_LEN),
         strides=(x.strides[0] * HOP, x.strides[0]),
     ) * hann_window()
-    return Spectrogram(np.abs(np.fft.rfft(frames, axis=1)))
+    return Spectrogram(np.abs(scipy.fft.rfft(frames, axis=1)))
 
 
 def _hz_to_mel(f):
@@ -73,12 +81,13 @@ def _mel_to_hz(m):
 
 @cache
 def mel_filterbank() -> np.ndarray:
-    """N_MELS triangular HTK-scale filters up to ANALYSIS_RATE/2, [N_MELS x bins]."""
+    """N_MELS triangular HTK-scale filters up to ANALYSIS_RATE/2, [N_MELS x bins],
+    computed in float64 and stored in float32; read-only."""
     bins = FRAME_LEN // 2 + 1
     freqs = np.arange(bins) * ANALYSIS_RATE / FRAME_LEN
     mel_points = np.linspace(_hz_to_mel(0.0), _hz_to_mel(ANALYSIS_RATE / 2.0), N_MELS + 2)
     hz_points = _mel_to_hz(mel_points)
-    fb = np.zeros((N_MELS, bins))
+    fb = np.zeros((N_MELS, bins), dtype=np.float32)
     for i in range(N_MELS):
         left, center, right = hz_points[i], hz_points[i + 1], hz_points[i + 2]
         up = (freqs - left) / max(center - left, 1e-12)
@@ -89,8 +98,9 @@ def mel_filterbank() -> np.ndarray:
 
 
 def log_mel(x: np.ndarray) -> np.ndarray:
-    """ln(|STFT|^2 @ mel_filterbank.T + LOG_EPS), [frames x N_MELS].
+    """ln(|STFT|^2 @ mel_filterbank.T + LOG_EPS), [frames x N_MELS], float64.
 
+    The float32 mel power is cast to float64 before LOG_EPS is added.
     Computed LOG_MEL_BLOCK frames at a time; the last block also takes the
     remainder, so no mel product has fewer rows than a block.  OpenBLAS
     takes another path for a product of a few rows and rounds it
@@ -101,7 +111,9 @@ def log_mel(x: np.ndarray) -> np.ndarray:
     starts = range(0, max(n_frames - LOG_MEL_BLOCK, 0) + 1, LOG_MEL_BLOCK)
     for start, stop in zip(starts, [*starts[1:], n_frames]):
         power = stft(x[start * HOP:(stop - 1) * HOP + FRAME_LEN]).magnitudes**2
-        np.log(power @ fb_t + LOG_EPS, out=out[start:stop])
+        block = out[start:stop]
+        np.add(power @ fb_t, LOG_EPS, out=block, dtype=np.float64)
+        np.log(block, out=block)
     return out
 
 

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aigmdet.audio import AudioBuffer
-from aigmdet.beats import (PHASE_SNAP_S, BeatGrid, DegenerateFit, GridTooSparse,
-                           NoPeriodicity, TooFewBeats, TooShort, analyze,
+from aigmdet.beats import (ONSET_DELAY_S, PHASE_SNAP_S, BeatGrid, DegenerateFit,
+                           GridTooSparse, NoPeriodicity, TooFewBeats, TooShort, analyze,
                            estimate_tempo, export_boundaries_csv,
                            beat_dp, pick_downbeats, quantize_grid,
                            segment_bars, track_beats)
@@ -307,3 +308,54 @@ def test_full_chain_recovers_tempo(bpm, seed):
     assert abs(tempo - bpm) <= 2.0
     beats = track_beats(env, tempo)
     assert len(beats) >= 8
+
+
+# ---------------------------------------------------------------- corpus grids
+# The beat analysis of a 180 s render at each corpus tempo and class (rng
+# seed bpm * 10 + label), as the float64 front end gave it: (bpm, beat
+# count, first and last beat frame, SHA-256 prefix of the int64 beat
+# frames, grid start, period and count).  The front end's float32 spectra
+# may move the bpm by rounding, but no beat frame and no grid.
+CORPUS_GRIDS = {
+    (92, 0): (92.01508884730967, 276, 38, 11246, "fac85b37b854bdb9",
+                1.2968679089026987, 2.6087178662769457, 69),
+    (92, 1): (92.01496926265376, 276, 38, 11246, "bafd5dfc56f8a2e6",
+                1.296139130434783, 2.6087324808184142, 69),
+    (100, 0): (99.99992866772126, 300, 34, 11246, "e934aeab185ad149",
+                1.1999999999999817, 2.3999999999999995, 75),
+    (100, 1): (100.00009138332004, 300, 34, 11246, "e934aeab185ad149",
+                1.1999999999999817, 2.3999999999999995, 75),
+    (108, 0): (107.94915289638422, 323, 32, 11212, "72fa62bdf374f316",
+                1.1050261969286472, 2.2222410117434515, 81),
+    (108, 1): (107.94966388740896, 323, 32, 11212, "f2478c8a767046f3",
+                1.6602950918398067, 2.2222457091237584, 81),
+    (116, 0): (116.12351426401737, 348, 29, 11246, "96ebf012f81ba837",
+                1.5458056426332298, 2.0689299409491873, 87),
+    (116, 1): (116.12200777035633, 348, 29, 11246, "e2f4597e11c99425",
+                1.5458056426332298, 2.0689299409491873, 87),
+    (124, 0): (123.97930251269143, 372, 27, 11246, "87bf64d52f4af4fd",
+                1.444249828414549, 1.9355261257497534, 93),
+    (124, 1): (123.9797518396277, 372, 27, 11246, "ff832bb37067c7ff",
+                0.4785687485701222, 1.9354738444092985, 93),
+    (132, 0): (131.84900428430788, 395, 54, 11246, "6eeb58cd664bb10f",
+                0.9035604040404166, 1.8181792455163885, 99),
+    (132, 1): (131.8505098538416, 395, 54, 11246, "7456f4fd214bcc9c",
+                0.4482726698927073, 1.8181763096991377, 99),
+    (140, 0): (140.10426715182098, 418, 50, 11220, "4d1bf942729de5d7",
+                0.8501275831087144, 1.714318059299191, 105),
+    (140, 1): (140.10380921287222, 418, 50, 11220, "c9c97a112579acba",
+                1.278993710691824, 1.7143197180178311, 105),
+}
+
+
+@pytest.mark.parametrize("bpm, label", CORPUS_GRIDS)
+def test_corpus_beat_grids_are_pinned(bpm, label):
+    tempo, n, first, last, digest, start, period, count = CORPUS_GRIDS[bpm, label]
+    buf = render_track(label, float(bpm), 180.0, 16000, np.random.default_rng(bpm * 10 + label))
+    got = analyze(buf.log_mel(), buf.duration)
+    frames = np.rint((got.beats - ONSET_DELAY_S) / HOP_S).astype(np.int64)
+    assert np.array_equal(frames * HOP_S + ONSET_DELAY_S, got.beats)
+    assert (len(frames), frames[0], frames[-1]) == (n, first, last)
+    assert hashlib.sha256(frames.tobytes()).hexdigest()[:16] == digest
+    assert (got.grid.start, got.grid.period, got.grid.count) == (start, period, count)
+    assert abs(got.bpm - tempo) <= 1e-6 * tempo

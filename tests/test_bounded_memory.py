@@ -2,7 +2,7 @@
 WAV writing, and one segment at a time through stage 1.  Each matches its
 whole-array form in tests/util.py bit for bit, and its tracemalloc peak on
 a 3-minute 16 kHz track stays under a fixed bound (the whole-array forms
-peak at about 220, 89, 66 and 67 MB).  WAV decoding and resampling of
+peak at about 121, 89, 66 and 67 MB).  WAV decoding and resampling of
 3-minute 44.1 and 48 kHz input are bounded too."""
 
 import tracemalloc
@@ -73,7 +73,7 @@ def test_save_wav_matches_whole_array_bytes(samples, tmp_path):
 # ---------------------------------------------------------------- memory
 def test_log_mel_memory_is_bounded(long_track):
     mel, peak = traced_peak_mb(log_mel, long_track.samples[0])
-    assert peak <= 32, f"log_mel peaked at {peak:.1f} MB"
+    assert peak <= 12, f"log_mel peaked at {peak:.1f} MB"
     assert mel.tobytes() == whole_log_mel(long_track.samples[0]).tobytes()
 
 

@@ -26,17 +26,20 @@ def test_short_input_yields_zero_frames():
 def test_hann_window_is_cached_and_read_only():
     window = hann_window()
     assert window is hann_window()
-    assert window.tobytes() == np.hanning(FRAME_LEN).tobytes()
+    assert window.tobytes() == np.hanning(FRAME_LEN).astype(np.float32).tobytes()
     assert not window.flags.writeable
 
 
 def test_stft_matches_direct_fft():
-    # oracle: windowed rfft of the first frame computed independently
+    # oracle: windowed rfft of the first frame computed independently in
+    # float64; the float32 STFT keeps within 8 float32 epsilons of the
+    # frame's peak magnitude
     rng = np.random.default_rng(0)
     x = rng.uniform(-1, 1, 4096)
     spec = stft(x)
     expected = np.abs(np.fft.rfft(x[:1024] * np.hanning(1024)))
-    assert np.allclose(spec.magnitudes[0], expected, atol=1e-12)
+    tol = 8 * np.finfo(np.float32).eps * expected.max()
+    assert np.abs(spec.magnitudes[0] - expected).max() <= tol
 
 
 def test_stft_sine_peak_bin():
@@ -85,14 +88,28 @@ def test_log_mel_silence_floor():
 
 
 def test_log_mel_oracle_single_band():
-    # oracle: hand-computed fb @ power for one frame
+    # oracle: hand-computed fb @ power for one frame, in float64 from the
+    # float32 magnitudes; the float32 mel product keeps the band's power
+    # within 8 float32 epsilons of it, relative, so its log within that
     rng = np.random.default_rng(2)
     x = rng.uniform(-0.5, 0.5, 1024)
-    fb = mel_filterbank()
+    fb = mel_filterbank().astype(np.float64)
     mel = log_mel(x)
-    expected = np.log(fb[7] @ (stft(x).magnitudes[0] ** 2) + LOG_EPS)
+    expected = np.log(fb[7] @ (stft(x).magnitudes[0].astype(np.float64) ** 2) + LOG_EPS)
     assert mel.shape == (1, N_MELS)
-    assert abs(mel[0, 7] - expected) < 1e-12
+    assert abs(mel[0, 7] - expected) < 8 * np.finfo(np.float32).eps
+
+
+def test_front_end_dtypes():
+    """The spectra and the filterbank are float32; the log-mel, which the
+    onset DP, the extractors and the tape read, and dsp_embed are float64."""
+    x = sine_buffer(440, 1.0)
+    assert stft(x.samples[0]).magnitudes.dtype == np.float32
+    fb = mel_filterbank()
+    assert fb.dtype == np.float32 and not fb.flags.writeable
+    for mel in (log_mel(x.samples[0]), x.log_mel()):
+        assert mel.dtype == np.float64 and mel.flags.c_contiguous
+    assert dsp_embed(x.log_mel()).dtype == np.float64
 
 
 def test_log_mel_hop_seconds():

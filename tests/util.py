@@ -232,9 +232,10 @@ def pairwise_auc(scores, labels):
 
 
 def whole_log_mel(x):
-    """`dsp.log_mel` with the spectrum of every frame held at once."""
+    """`dsp.log_mel` with the spectrum of every frame held at once: the
+    float32 power and mel product, then the float64 floor and log."""
     power = stft(x).magnitudes**2
-    return np.log(power @ mel_filterbank().T + LOG_EPS)
+    return np.log((power @ mel_filterbank().T).astype(np.float64) + LOG_EPS)
 
 
 def bar_by_bar(root, accent_beat, accent_amp, bpm, rate):
