@@ -118,10 +118,11 @@ def cmd_train(args) -> int:
     if args.arch == "segtr":
         if not args.stage1_ckpt:
             raise DataError("--arch segtr needs --stage1-ckpt")
-        stage1, extractor, preset = pipeline.load_stage1(args.stage1_ckpt)
+        stage1, extractor, _ = pipeline.load_stage1(args.stage1_ckpt)
         data_train, data_val = [pipeline.build_stage2_dataset(entries, stage1, extractor)
                                 for entries in splits]
-        model = pipeline.build_model("segtr", seed=cfg.seed, d_in=stage1.cfg.d_model)
+        model = pipeline.build_model("segtr", seed=cfg.seed)
+        preset = ""  # a segtr reads the vectors of its stage 1, no extractor
     else:
         if args.stage1_ckpt:
             raise DataError(f"--stage1-ckpt is for --arch segtr, not {args.arch}")

@@ -119,6 +119,9 @@ def run_experiment(data_dir, n_per_class: int = 64, duration_s: float = 64.0,
         if n_per_class < 7:
             raise DataError(f"--tracks-per-class {n_per_class}: the 80/10/10 split needs "
                             f"at least 7 tracks a class, or its test set is empty")
+        if not (np.isfinite(duration_s) and duration_s > 0):
+            raise DataError(f"--duration-s {duration_s}: a track's duration must be "
+                            f"finite and above 0 seconds")
         manifest = synth_dataset(data_dir, n_per_class, seed=0,
                                  duration_s=duration_s)
     tracks = extract_corpus(manifest, log=log)

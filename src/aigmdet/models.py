@@ -11,10 +11,7 @@ their mean loss.  Stage-1 forward(batch) runs a list of segments without a
 tape and returns one DetectorOutput each; stage-2 forward(seq) scores one
 track.  features_to_sequence is the seam between the stages: a track's
 segment vectors go through stage 1 as one batch, its frame maps one at a
-time.  hparams holds the constructor arguments other than cfg and seed,
-for checkpoint headers; index_sizes(cfg, **hparams) says where the tensors
-of such a model show those sizes, so a header can be checked before its
-model is built.
+time.
 """
 
 from __future__ import annotations
@@ -111,18 +108,12 @@ class AudioCAT(nn.Module):
         cfg = cfg or AttentionConfig()
         rng = np.random.default_rng(seed)
         self.cfg = cfg
-        self.hparams = dict(d_enc=d_enc, n_queries=n_queries, n_layers=n_layers)
         self.d_enc = d_enc
         self.in_proj = nn.Linear(d_enc, cfg.d_model, rng)
         self.queries = Tensor(rng.normal(0.0, 0.02, size=(n_queries, cfg.d_model)),
                               requires_grad=True)
         self.blocks = [nn.DecoderBlock(cfg, rng) for _ in range(n_layers)]
         self.head = nn.Linear(cfg.d_model, 1, rng)
-
-    @staticmethod
-    def index_sizes(cfg, d_enc, n_queries, n_layers) -> dict:
-        return {"in_proj.weight": (d_enc, cfg.d_model), "queries": (n_queries, cfg.d_model),
-                "blocks": n_layers}
 
     def forward_tensor(self, batch) -> tuple[Tensor, Tensor]:
         """Logits [B] and pooled outputs [B x d_model] of a list of feature
@@ -164,18 +155,12 @@ class FXSegment(nn.Module):
         cfg = cfg or AttentionConfig()
         rng = np.random.default_rng(seed)
         self.cfg = cfg
-        self.hparams = dict(d_enc=d_enc, n_tokens=n_tokens, n_layers=n_layers)
         self.d_enc = d_enc
         self.n_tokens = n_tokens
         self.token_proj = nn.Linear(d_enc // n_tokens, cfg.d_model, rng)
         self.cls = Tensor(rng.normal(0.0, 0.02, size=(1, cfg.d_model)), requires_grad=True)
         self.blocks = [nn.EncoderBlock(cfg, rng) for _ in range(n_layers)]
         self.head = nn.Linear(cfg.d_model, 1, rng)
-
-    @staticmethod
-    def index_sizes(cfg, d_enc, n_tokens, n_layers) -> dict:
-        return {"token_proj.weight": (d_enc // n_tokens, cfg.d_model), "cls": (1, cfg.d_model),
-                "blocks": n_layers}
 
     def forward_tensor(self, batch) -> tuple[Tensor, Tensor]:
         """Logits [B] and CLS outputs [B x d_model] of a list of [d_enc]
@@ -212,8 +197,6 @@ class SegmentTransformer(nn.Module):
         cfg = cfg or AttentionConfig()
         rng = np.random.default_rng(seed)
         self.cfg = cfg
-        self.hparams = dict(d_in=d_in, n_layers_content=n_layers_content,
-                            n_layers_structure=n_layers_structure, max_len=max_len)
         self.d_in = d_in
         self.max_len = max_len
         self.content_proj = nn.Linear(d_in, cfg.d_model, rng)
@@ -221,12 +204,6 @@ class SegmentTransformer(nn.Module):
         self.content_blocks = [nn.EncoderBlock(cfg, rng) for _ in range(n_layers_content)]
         self.structure_blocks = [nn.EncoderBlock(cfg, rng) for _ in range(n_layers_structure)]
         self.head = nn.Linear(2 * cfg.d_model, 1, rng)
-
-    @staticmethod
-    def index_sizes(cfg, d_in, n_layers_content, n_layers_structure, max_len) -> dict:
-        return {"content_proj.weight": (d_in, cfg.d_model),
-                "structure_proj.weight": (max_len, cfg.d_model),
-                "content_blocks": n_layers_content, "structure_blocks": n_layers_structure}
 
     def _masked_mean(self, x: Tensor, mask: np.ndarray) -> Tensor:
         """Mean over the valid rows: [..., n x d] with mask [..., n] -> [..., d]."""

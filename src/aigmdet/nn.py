@@ -377,7 +377,8 @@ def adam_step(params: dict[str, Tensor], state: OptimState):
 # header length H (little-endian), H bytes of UTF-8 JSON {"meta": {...},
 # "tensors": [[name, shape], ...]}, then each tensor's float64 little-endian
 # payload in header order, and nothing after the last one.  "meta" belongs
-# to the caller (pipeline.save_model: arch, extractor, attention, hparams).
+# to the caller: pipeline.save_model writes exactly two keys, "arch" and
+# "extractor" (the stage-1 preset, or "" for a segtr).
 # Version 2 had this layout, but its seq models read frame-512 log-mels.
 _MAGIC = b"AIGM"
 _VERSION = 3

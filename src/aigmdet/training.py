@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -194,8 +194,10 @@ class EvalReport:
     CSV_HEADER = "acc,prec,recall,f1,auc,spec"
 
     def csv_row(self) -> str:
-        return (f"{self.accuracy:.6f},{self.precision:.6f},{self.recall:.6f},"
-                f"{self.f1:.6f},{self.auc:.6f},{self.specificity:.6f}")
+        """The CSV_HEADER columns; nan for each metric named in undefined."""
+        return ",".join("nan" if name in self.undefined else f"{getattr(self, name):.6f}"
+                        for name in ("accuracy", "precision", "recall", "f1", "auc",
+                                     "specificity"))
 
 
 def confusion(scores, labels, threshold: float = 0.5) -> tuple[int, int, int, int]:
@@ -258,10 +260,10 @@ def roc_auc(scores, labels) -> float:
 
 
 def evaluate(scores, labels, threshold: float = 0.5) -> EvalReport:
-    counts = confusion(scores, labels, threshold)
+    """metrics of the scores at `threshold`, with their ROC-AUC; labels of
+    one class have none, so auc is 0 and named in undefined."""
+    report = metrics(confusion(scores, labels, threshold))
     try:
-        auc = roc_auc(scores, labels)
+        return replace(report, auc=roc_auc(scores, labels))
     except OneClassOnly:
-        auc = 0.0
-    report = metrics(counts, auc)
-    return report
+        return replace(report, undefined=(*report.undefined, "auc"))

@@ -13,7 +13,7 @@ from aigmdet.audio import AudioBuffer, load_wav, save_wav
 from aigmdet.cli import EXIT_IO, EXIT_MUSIC, EXIT_OK, EXIT_TRAIN, EXIT_USAGE, main
 from aigmdet.data import Manifest, ManifestEntry, render_track
 from aigmdet.dsp import MIN_SEGMENT_S, N_MELS, TooShort
-from aigmdet.extractors import EmbeddingSequence, get_extractor
+from aigmdet.extractors import get_extractor
 from aigmdet.models import SegmentTransformer
 from aigmdet.training import DivergedLoss
 
@@ -143,6 +143,16 @@ def test_train_malformed_manifest_row_exits_2(row, tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def assert_eval_row(row):
+    """Six values in [0, 1] of a split of both classes, on which accuracy
+    and AUC are defined; a ratio of 0 / 0 (precision when no clip is
+    called AI, say) reads nan."""
+    values = row.split(",")
+    assert len(values) == 6
+    assert "nan" not in (values[0], values[4])
+    assert all(v == "nan" or 0.0 <= float(v) <= 1.0 for v in values)
+
+
 def test_eval_command(corpus, stage1_ckpt, tmp_path, capsys):
     out = tmp_path / "report.csv"
     code = run(["eval", "--ckpt", str(stage1_ckpt),
@@ -151,9 +161,7 @@ def test_eval_command(corpus, stage1_ckpt, tmp_path, capsys):
     captured = capsys.readouterr().out.strip().splitlines()
     assert code == EXIT_OK
     assert captured[0] == "acc,prec,recall,f1,auc,spec"
-    values = [float(v) for v in captured[1].split(",")]
-    assert len(values) == 6
-    assert all(0.0 <= v <= 1.0 for v in values)
+    assert_eval_row(captured[1])
     assert out.read_text().splitlines()[0] == "acc,prec,recall,f1,auc,spec"
 
 
@@ -167,6 +175,22 @@ def test_eval_on_an_empty_split_exits_2(corpus, stage1_ckpt, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "'test' split is empty" in captured.err
+
+
+def test_eval_on_a_one_class_split_writes_nan(corpus, stage1_ckpt, tmp_path, capsys):
+    """A split of class-1 clips only has no ROC-AUC and no specificity:
+    their columns read nan, not 0.000000."""
+    entries = Manifest.load(corpus["manifest"]).entries
+    path, out = tmp_path / "class1.csv", tmp_path / "report.csv"
+    Manifest([e for e in entries if e.label == 1]).save(path)
+    assert run(["eval", "--ckpt", str(stage1_ckpt), "--manifest", str(path),
+                "--out", str(out)]) == EXIT_OK
+    header, row = capsys.readouterr().out.splitlines()
+    assert header == "acc,prec,recall,f1,auc,spec"
+    values = row.split(",")
+    assert values[4:] == ["nan", "nan"]
+    assert float(values[0]) in (0.0, 1.0) and values[2] == values[0]
+    assert out.read_text().splitlines() == [header, row]
 
 
 def test_predict_segment_mode(corpus, stage1_ckpt, capsys):
@@ -223,7 +247,8 @@ def test_checkpoint_without_meta_exits_2(corpus, tmp_path, capsys):
     path = tmp_path / "bare.aigm"
     nn.save_checkpoint(path, pipeline.build_model("segtr", seed=0).state_arrays())
     assert run(["predict", "--ckpt", str(path), "--audio", corpus["clip"]]) == EXIT_IO
-    assert "KeyError: 'arch'" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(
+        f"error: {path}: not a loadable aigmdet model (ValueError: meta holds [], ")
 
 
 # segtr needs --stage1-ckpt; fxseg cannot take the default seq-512 sequence
@@ -267,6 +292,26 @@ def _edit_meta(change):
     return edit
 
 
+def _tensors_of(build):
+    """A checkpoint edit: the tensors of the model build() makes, same meta."""
+    def edit(path):
+        _, meta = nn.load_checkpoint(path)
+        nn.save_checkpoint(path, build().state_arrays(), meta)
+    return edit
+
+
+# the sizes an AIGM header recorded beside "arch" and "extractor" before it
+# named only those two: a segtr's, as build_model makes it
+OLD_SIZES = {"attention": {"d_model": 128, "heads": 4, "ffn_dim": 256},
+             "hparams": {"d_in": 128, "n_layers_content": 2, "n_layers_structure": 2,
+                         "max_len": 48}}
+
+
+def _asking(key, **sizes):
+    """A checkpoint edit: the meta also holds OLD_SIZES[key], with `sizes`."""
+    return _edit_meta(lambda m: m.update({key: {**OLD_SIZES[key], **sizes}}))
+
+
 def _edit_bytes(change):
     def edit(path):
         path.write_bytes(change(path.read_bytes()))
@@ -292,18 +337,28 @@ def _to_v1(path):
     path.write_bytes(b"".join(out))
 
 
+# a segtr checkpoint edited: a meta of more keys than "arch" and "extractor"
+# (whatever sizes they ask for), or tensors that are not build_model's
+# segtr's, named "<the file's> vs <the model's>"
 BAD_CHECKPOINTS = {
     "unknown_arch": _edit_meta(lambda m: m.update(arch="7")),
-    "d_model_missing": _edit_meta(lambda m: m["attention"].pop("d_model")),
-    "heads_0": _edit_meta(lambda m: m["attention"].update(heads=0)),
-    "heads_3": _edit_meta(lambda m: m["attention"].update(heads=3)),
-    "d_model_64_vs_128_wide_tensors": _edit_meta(lambda m: m["attention"].update(d_model=64)),
+    "d_model_missing": _edit_meta(lambda m: m.update(attention={"heads": 4, "ffn_dim": 256})),
+    "heads_0": _asking("attention", heads=0),
+    "heads_3": _asking("attention", heads=3),
+    "meta_with_hparams": _edit_meta(lambda m: m.update(OLD_SIZES)),
     "extractor_not_a_string": _edit_meta(lambda m: m.update(extractor=300)),
-    "max_len_nan": _edit_meta(lambda m: m["hparams"].update(max_len=float("nan"))),
-    "fewer_layers_than_tensors": _edit_meta(lambda m: m["hparams"].update(n_layers_content=1)),
-    "more_layers_than_tensors": _edit_meta(lambda m: m["hparams"].update(n_layers_content=3)),
-    "max_len_49_vs_48_rows": _edit_meta(lambda m: m["hparams"].update(max_len=49)),
-    "ffn_dim_512_vs_256_wide_tensors": _edit_meta(lambda m: m["attention"].update(ffn_dim=512)),
+    "segtr_extractor_not_empty": _edit_meta(lambda m: m.update(extractor="seq-512")),
+    "max_len_nan": _asking("hparams", max_len=float("nan")),
+    "d_model_64_vs_128_wide_tensors": _tensors_of(lambda: SegmentTransformer(
+        d_in=128, cfg=nn.AttentionConfig(d_model=64, heads=4, ffn_dim=256))),
+    "fewer_layers_than_tensors": _tensors_of(
+        lambda: SegmentTransformer(d_in=128, n_layers_content=1)),
+    "more_layers_than_tensors": _tensors_of(
+        lambda: SegmentTransformer(d_in=128, n_layers_content=3)),
+    "max_len_49_vs_48_rows": _tensors_of(lambda: SegmentTransformer(d_in=128, max_len=49)),
+    "segtr_max_len_32": _tensors_of(lambda: SegmentTransformer(d_in=128, max_len=32)),
+    "ffn_dim_512_vs_256_wide_tensors": _tensors_of(
+        lambda: SegmentTransformer(d_in=128, cfg=nn.AttentionConfig(ffn_dim=512))),
     "header_not_json": _edit_bytes(lambda b: _with_header(b, b"{not json")),
     "header_not_an_object": _edit_bytes(lambda b: _with_header(b, b"[1, 2]")),
     "truncated_payload": _edit_bytes(lambda b: b[:-8]),
@@ -314,39 +369,41 @@ BAD_CHECKPOINTS = {
 
 
 @pytest.mark.parametrize("case", BAD_CHECKPOINTS)
-def test_malformed_checkpoint_exits_2(case, tracks, stage1_ckpt, tmp_path, capsys):
+def test_malformed_checkpoint_exits_2(case, tracks, stage1_ckpt, tmp_path, monkeypatch,
+                                      capsys):
     path = tmp_path / "segtr.aigm"
     pipeline.save_model(path, pipeline.build_model("segtr", seed=0), "segtr")
     BAD_CHECKPOINTS[case](path)
+    monkeypatch.setattr(pipeline, "load_wav", lambda wav: pytest.fail(f"read {wav}"))
     assert run(["predict", "--ckpt", str(path), "--stage1-ckpt", str(stage1_ckpt),
                 "--audio", tracks["track"]]) == EXIT_IO
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and str(path) in err
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
 
-@pytest.mark.parametrize("change", [
-    lambda m: m["hparams"].update(n_layers_content=10**6),
-    lambda m: m["hparams"].update(max_len=10**7),
-    lambda m: m["attention"].update(d_model=2**20, heads=1, ffn_dim=2**20),
+@pytest.mark.parametrize("edit", [
+    _asking("hparams", n_layers_content=10**6),
+    _asking("hparams", max_len=10**7),
+    _asking("attention", d_model=2**20, heads=1, ffn_dim=2**20),
 ], ids=["n_layers_1e6", "max_len_1e7", "d_model_2e20"])
 def test_oversized_header_exits_2_without_building_the_model(
-        change, tracks, stage1_ckpt, tmp_path, monkeypatch, capsys):
-    """A header asking for a model far larger than its tensors is refused
-    before the model is built."""
+        edit, tracks, stage1_ckpt, tmp_path, monkeypatch, capsys):
+    """A header that asks for a model far larger than its tensors, as an
+    older header could, is refused for its extra key before the model is
+    built."""
     class NotBuilt(SegmentTransformer):
         def __init__(self, **kwargs):
             raise AssertionError("model built before its header was checked")
 
     path = tmp_path / "segtr.aigm"
     pipeline.save_model(path, pipeline.build_model("segtr", seed=0), "segtr")
-    _edit_meta(change)(path)
+    edit(path)
     monkeypatch.setitem(pipeline.ARCHS, "segtr", NotBuilt)
     start = time.perf_counter()
     assert run(["predict", "--ckpt", str(path), "--stage1-ckpt", str(stage1_ckpt),
                 "--audio", tracks["track"]]) == EXIT_IO
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "the header asks for" in err
+    assert err.startswith(f"error: {path}: ") and "not exactly 'arch' and 'extractor'" in err
 
 
 # ---------------------------------------------------------------- stage 2
@@ -390,8 +447,7 @@ def test_eval_stage2(tracks, stage1_ckpt, stage2_ckpt, capsys):
     captured = capsys.readouterr().out.strip().splitlines()
     assert code == EXIT_OK
     assert captured[-2] == "acc,prec,recall,f1,auc,spec"
-    values = [float(v) for v in captured[-1].split(",")]
-    assert len(values) == 6 and all(0.0 <= v <= 1.0 for v in values)
+    assert_eval_row(captured[-1])
 
 
 def test_predict_full_mode(tracks, stage1_ckpt, stage2_ckpt, capsys):
@@ -407,27 +463,6 @@ def test_predict_full_mode(tracks, stage1_ckpt, stage2_ckpt, capsys):
                                    pipeline.analyze_beats(buf).grid,
                                    stage1, get_extractor(preset))
     assert f"probability={stage2.forward(seq).probability:.6f}" in captured
-
-
-# a segtr reads the first max_len segments: all of the long track's, or 1 of them
-@pytest.mark.parametrize("max_len", [32, 1])
-def test_segtr_of_any_max_len_scores(max_len, corpus, tracks, stage1_ckpt, tmp_path,
-                                     capsys):
-    path = tmp_path / "segtr.aigm"
-    pipeline.save_model(path, SegmentTransformer(d_in=128, max_len=max_len, seed=0), "segtr")
-    args = ["--ckpt", str(path), "--stage1-ckpt", str(stage1_ckpt)]
-    assert run(["eval", *args, "--manifest", str(tracks["manifest"])]) == EXIT_OK
-    assert run(["predict", *args, "--audio", str(corpus["long"])]) == EXIT_OK
-    printed = capsys.readouterr().out.splitlines()[-1]
-    stage1, _, preset = pipeline.load_model(stage1_ckpt)
-    stage2, _, _ = pipeline.load_model(path)
-    buf = load_wav(corpus["long"])
-    seq = models.track_to_sequence(pipeline.analysis_buffer(buf),
-                                   pipeline.analyze_beats(buf).grid,
-                                   stage1, get_extractor(preset))
-    assert 2 <= len(seq.vectors) < 32
-    first = EmbeddingSequence(seq.vectors[:max_len])
-    assert printed.startswith(f"probability={stage2.forward(first).probability:.6f} ")
 
 
 # a segtr checkpoint given as a stage 1 is refused by name, not run
@@ -539,14 +574,15 @@ def test_unreadable_input_exits_2(case, corpus, stage1_ckpt, tmp_path, monkeypat
     bad_split.write_text("path,label,split\na.wav,0,train\nb.wav,1,tset\nc.wav,0,Test\n")
     mixed_split = tmp_path / "mixed.csv"  # a split on some rows only
     mixed_split.write_text("path,label,split\na.wav,0,train\nb.wav,1,val\nc.wav,0\n")
-    # a stage 1 of d_model 16 under a segtr that reads d_in 128
+    # a stage 1 of d_model 16, whose vectors no segtr reads: not build_model's
     narrow, segtr = tmp_path / "narrow.aigm", tmp_path / "segtr.aigm"
     pipeline.save_model(narrow, models.AudioCAT(d_enc=N_MELS, cfg=nn.AttentionConfig(
         d_model=16, heads=2, ffn_dim=32)), "audiocat", "seq-512")
     pipeline.save_model(segtr, pipeline.build_model("segtr", seed=0), "segtr")
-    # stage-1 models whose recorded extractor preset they cannot read: a
-    # seq-512 AudioCAT of d_enc 512, as trained before seq-512 gave the 40-wide
-    # log-mel frames, and one of each removed preset, seq-768 and vec-2048
+    # stage-1 models that build_model does not make of their recorded
+    # extractor preset: a seq-512 AudioCAT of d_enc 512, as trained before
+    # seq-512 gave the 40-wide log-mel frames, an fxseg of a sequence preset,
+    # and one of each removed preset, seq-768 and vec-2048
     old_seq512, fxseg = tmp_path / "old_seq512.aigm", tmp_path / "fxseg.aigm"
     pipeline.save_model(old_seq512, models.AudioCAT(d_enc=512), "audiocat", "seq-512")
     pipeline.save_model(fxseg, models.FXSegment(d_enc=512), "fxseg", "seq-512")
@@ -554,7 +590,7 @@ def test_unreadable_input_exits_2(case, corpus, stage1_ckpt, tmp_path, monkeypat
     pipeline.save_model(seq768, models.AudioCAT(d_enc=768), "audiocat", "seq-768")
     vec2048 = tmp_path / "vec2048.aigm"
     pipeline.save_model(vec2048, models.FXSegment(d_enc=2048), "fxseg", "vec-2048")
-    widths = ["gives 40-wide features", "reads d_enc 512"]
+    widths = ["in_proj.weight: checkpoint (512, 128) vs model (40, 128)"]
     out = str(tmp_path / "out")
     argv, named = {
         "beats_odd_wav": (["beats", str(odd), "--out", out], [f"error: {odd}: "]),
@@ -582,9 +618,11 @@ def test_unreadable_input_exits_2(case, corpus, stage1_ckpt, tmp_path, monkeypat
         "eval_nul_path": (["eval", "--ckpt", str(stage1_ckpt), "--manifest", str(nul)],
                           ["a\\x00b.wav"]),
         "predict_width_mismatch": (["predict", "--ckpt", str(segtr), "--stage1-ckpt",
-                                    str(narrow), "--audio", corpus["clip"]], [narrow, segtr]),
+                                    str(narrow), "--audio", corpus["clip"]],
+                                   [f"error: {narrow}: ", "in_proj.weight"]),
         "eval_width_mismatch": (["eval", "--ckpt", str(segtr), "--stage1-ckpt", str(narrow),
-                                 "--manifest", str(corpus["manifest"])], [narrow, segtr]),
+                                 "--manifest", str(corpus["manifest"])],
+                                [f"error: {narrow}: ", "in_proj.weight"]),
         "train_manifest_header": (["train", "--arch", "audiocat", "--manifest", str(no_header),
                                    "--out", out], [f"error: {no_header}, line 1: "]),
         "predict_preset_mismatch": (["predict", "--ckpt", str(old_seq512), "--audio",
@@ -593,7 +631,8 @@ def test_unreadable_input_exits_2(case, corpus, stage1_ckpt, tmp_path, monkeypat
                                             str(old_seq512), "--audio", corpus["clip"]],
                                            [f"error: {old_seq512}: ", *widths]),
         "predict_fxseg_preset_mismatch": (["predict", "--ckpt", str(fxseg), "--audio",
-                                           corpus["clip"]], [fxseg]),
+                                           corpus["clip"]],
+                                          [f"error: {fxseg}: ", "fxseg needs a vector"]),
         "predict_removed_preset_mismatch": (["predict", "--ckpt", str(seq768), "--audio",
                                              corpus["clip"]],
                                             [f"error: {seq768}: ", "'seq-768'"]),
@@ -682,6 +721,15 @@ def test_experiment_too_small_corpus_exits_2(tracks_per_class, tmp_path, capsys)
     line = assert_refused_before_rendering(code, capsys, tmp_path / "corpus")
     assert line.startswith(f"error: --tracks-per-class {tracks_per_class}: ")
     assert "at least 7 tracks a class" in line
+
+
+# a duration render_track cannot make a track of
+@pytest.mark.parametrize("duration", ["nan", "inf", "-5", "0"])
+def test_experiment_bad_duration_exits_2(duration, tmp_path, capsys):
+    argv = experiment_argv(tmp_path / "corpus", 7)
+    argv[argv.index("--duration-s") + 1] = duration
+    line = assert_refused_before_rendering(run(argv), capsys, tmp_path / "corpus")
+    assert line.startswith(f"error: --duration-s {float(duration)}: ")
 
 
 # a training setting TrainConfig refuses, on a corpus large enough to split

@@ -1,15 +1,12 @@
-import time
-from dataclasses import asdict
-
 import numpy as np
 import pytest
 
-from aigmdet import dsp, experiment, pipeline
+from aigmdet import dsp, experiment, nn, pipeline
 from aigmdet.audio import AudioBuffer, load_wav, resample, save_wav
-from aigmdet.data import Manifest, ManifestEntry, render_track
+from aigmdet.data import DataError, Manifest, ManifestEntry, render_track
 from aigmdet.dsp import FRAME_LEN, HOP, N_MELS, stft
 from aigmdet.extractors import DspVectorExtractor, EmbeddingSequence, get_extractor
-from aigmdet.models import (AudioCAT, FXSegment, SegmentTransformer, segment_features,
+from aigmdet.models import (AudioCAT, FXSegment, segment_features,
                             track_to_sequence)
 from aigmdet.nn import AttentionConfig
 
@@ -149,69 +146,56 @@ def test_track_resampled_once(tmp_path, monkeypatch):
 
 
 # ---------------------------------------------------------------- checkpoints
+def _built(arch, preset="", seed=0):
+    """build_model's model of `arch` over `preset`, and the preset."""
+    extractor = get_extractor(preset) if preset else None
+    return pipeline.build_model(arch, extractor, seed=seed), preset
+
+
 @pytest.mark.parametrize("arch,build", [
-    ("audiocat", lambda: AudioCAT(d_enc=24, cfg=SMALL, n_queries=3, n_layers=1, seed=1)),
-    ("fxseg", lambda: FXSegment(d_enc=32, n_tokens=8, cfg=SMALL, n_layers=1, seed=2)),
-    ("segtr", lambda: SegmentTransformer(d_in=12, cfg=SMALL, max_len=6,
-                                         n_layers_content=1, n_layers_structure=1, seed=3)),
+    ("audiocat", lambda: _built("audiocat", "seq-512", seed=1)),
+    pytest.param("audiocat", lambda: _built("audiocat", "stats-160", seed=1),
+                 id="audiocat-stats-160"),
+    ("fxseg", lambda: _built("fxseg", "stats-160", seed=2)),
+    ("segtr", lambda: _built("segtr", seed=3)),
 ])
 def test_model_checkpoint_round_trip(tmp_path, arch, build):
-    model = build()
+    model, preset = build()
     path = tmp_path / f"{arch}.aigm"
-    pipeline.save_model(path, model, arch, extractor_preset="seq-512")
-    loaded, got_arch, preset = pipeline.load_model(path)
+    pipeline.save_model(path, model, arch, extractor_preset=preset)
+    assert nn.load_checkpoint(path)[1] == {"arch": arch, "extractor": preset}
+    loaded, got_arch, got_preset = pipeline.load_model(path)
     assert got_arch == arch
-    assert preset == "seq-512"
+    assert got_preset == preset
     for key, value in model.state_arrays().items():
         assert np.array_equal(loaded.state_arrays()[key], value)
     # identical forward behavior
     rng = np.random.default_rng(0)
     if arch == "audiocat":
-        x = rng.normal(size=(5, 24))
+        x = rng.normal(size=(5, model.d_enc))
         assert loaded.forward([x])[0].logit == model.forward([x])[0].logit
     elif arch == "fxseg":
-        x = rng.normal(size=32)
+        x = rng.normal(size=model.d_enc)
         assert loaded.forward([x])[0].logit == model.forward([x])[0].logit
     else:
-        seq = EmbeddingSequence(rng.normal(size=(6, 12)))
+        seq = EmbeddingSequence(rng.normal(size=(6, model.d_in)))
         assert loaded.forward(seq).logit == model.forward(seq).logit
-
-
-@pytest.mark.parametrize("arch,build", [
-    ("audiocat", lambda: AudioCAT(d_enc=24, cfg=SMALL, n_queries=3, n_layers=1, seed=1)),
-    ("fxseg", lambda: FXSegment(d_enc=32, n_tokens=8, cfg=SMALL, n_layers=1, seed=2)),
-    ("segtr", lambda: SegmentTransformer(d_in=12, cfg=SMALL, max_len=6,
-                                         n_layers_content=1, n_layers_structure=0, seed=3)),
-])
-def test_header_sizes_are_checked_against_the_tensors(arch, build):
-    """check_sizes passes a model's own header and refuses any size of it
-    scaled up, in well under a second, without building anything."""
-    model = build()
-    shapes = {k: a.shape for k, a in model.state_arrays().items()}
-    pipeline.check_sizes(arch, model.cfg, model.hparams, shapes)
-    cfg = asdict(model.cfg)
-    wide = cfg["d_model"] * 2**12
-    oversized = [(dict(cfg, d_model=wide, ffn_dim=wide), model.hparams),
-                 (dict(cfg, ffn_dim=10**9), model.hparams)]
-    oversized += [(cfg, dict(model.hparams, **{k: 10**6})) for k in model.hparams]
-    start = time.perf_counter()
-    for attention, hparams in oversized:
-        with pytest.raises(ValueError, match="the header asks for"):
-            pipeline.check_sizes(arch, AttentionConfig(**attention), hparams, shapes)
-    assert time.perf_counter() - start < 1.0
 
 
 def test_build_model_variants():
     ext = get_extractor("seq-512")
-    m = pipeline.build_model("audiocat", extractor=ext, cfg=SMALL)
-    assert m.d_enc == N_MELS and m.in_proj.weight.shape == (N_MELS, SMALL.d_model)
-    m2 = pipeline.build_model("segtr", cfg=SMALL, d_in=16)
+    m = pipeline.build_model("audiocat", extractor=ext)
+    assert m.d_enc == N_MELS and m.in_proj.weight.shape == (N_MELS, AttentionConfig().d_model)
+    assert pipeline.build_model("segtr").d_in == AttentionConfig().d_model
+    m2 = pipeline.build_model("segtr", d_in=16)
     assert m2.d_in == 16
     with pytest.raises(ValueError):
         pipeline.build_model("mystery")
     for arch in ("audiocat", "fxseg"):
         with pytest.raises(ValueError, match="needs an extractor"):
             pipeline.build_model(arch)
+    with pytest.raises(DataError, match="fxseg needs a vector extractor"):
+        pipeline.build_model("fxseg", ext)
 
 
 # ---------------------------------------------------------------- experiment

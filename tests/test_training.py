@@ -249,3 +249,7 @@ def test_evaluate_end_to_end():
     assert rep.accuracy == 1.0 and rep.auc == 1.0
     assert rep.csv_row().startswith("1.000000,1.000000,")
     assert EvalReport.CSV_HEADER == "acc,prec,recall,f1,auc,spec"
+    # one class: no AUC (nor specificity), so nan, not a ranker that reads 0
+    rep = evaluate([0.9, 0.2, 0.7], [1, 1, 1])
+    assert rep.undefined == ("specificity", "auc")
+    assert rep.csv_row() == "0.666667,1.000000,0.666667,0.800000,nan,nan"
