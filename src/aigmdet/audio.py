@@ -20,30 +20,6 @@ class AudioError(Exception):
     pass
 
 
-class MalformedHeader(AudioError):
-    pass
-
-
-class UnsupportedEncoding(AudioError):
-    pass
-
-
-class TruncatedData(AudioError):
-    pass
-
-
-class IoFailure(AudioError):
-    pass
-
-
-class InvalidRate(AudioError):
-    pass
-
-
-class RateMismatch(AudioError):
-    """A buffer that is not 16 kHz mono where the analysis format is needed."""
-
-
 MIN_RATE, MAX_RATE = 8000, 192000
 
 
@@ -59,7 +35,7 @@ class AudioBuffer:
     def __post_init__(self):
         self.samples = np.atleast_2d(np.asarray(self.samples, dtype=np.float64))
         if not (MIN_RATE <= self.sample_rate <= MAX_RATE):
-            raise InvalidRate(f"sample rate {self.sample_rate} outside [{MIN_RATE}, {MAX_RATE}]")
+            raise AudioError(f"sample rate {self.sample_rate} outside [{MIN_RATE}, {MAX_RATE}]")
         if self.samples.ndim != 2 or self.samples.shape[0] < 1:
             raise AudioError("samples must be [channels x frames] with >= 1 channel")
         # NaN propagates through min and max, and an infinity is one of them
@@ -80,11 +56,11 @@ class AudioBuffer:
 
     def log_mel(self) -> np.ndarray:
         """dsp.log_mel of a 16 kHz mono buffer's row, computed once and
-        read-only; RateMismatch for any other rate or channel count.  Beat
+        read-only; AudioError for any other rate or channel count.  Beat
         analysis and the segment features share it."""
         if self.sample_rate != ANALYSIS_RATE or self.channels != 1:
-            raise RateMismatch(f"log-mel needs {ANALYSIS_RATE} Hz mono, got "
-                               f"{self.sample_rate} Hz with {self.channels} channel(s)")
+            raise AudioError(f"log-mel needs {ANALYSIS_RATE} Hz mono, got "
+                             f"{self.sample_rate} Hz with {self.channels} channel(s)")
         if self._log_mel is None:
             self._log_mel = log_mel(self.samples[0])
             self._log_mel.setflags(write=False)
@@ -99,12 +75,12 @@ def load_wav(path) -> AudioBuffer:
         with open(path, "rb") as fh:
             blob = fh.read()
     except OSError as exc:
-        raise IoFailure(str(exc)) from exc
+        raise AudioError(str(exc)) from exc
     except ValueError as exc:  # a NUL byte in the path
-        raise IoFailure(f"{path!r}: {exc}") from exc
+        raise AudioError(f"{path!r}: {exc}") from exc
 
     if len(blob) < 12 or blob[:4] != b"RIFF" or blob[8:12] != b"WAVE":
-        raise MalformedHeader("not a RIFF/WAVE file")
+        raise AudioError("not a RIFF/WAVE file")
 
     fmt = None
     data = None
@@ -116,24 +92,24 @@ def load_wav(path) -> AudioBuffer:
         body = view[pos + 8:pos + 8 + size]
         if cid == b"fmt ":
             if len(body) < 16:
-                raise MalformedHeader("fmt chunk too small")
+                raise AudioError("fmt chunk too small")
             fmt = struct.unpack_from("<HHIIHH", body, 0)
         elif cid == b"data":
             if len(body) < size:
-                raise TruncatedData("data chunk shorter than declared")
+                raise AudioError("data chunk shorter than declared")
             data = body
         pos += 8 + size + (size & 1)
 
     if fmt is None or data is None:
-        raise MalformedHeader("missing fmt or data chunk")
+        raise AudioError("missing fmt or data chunk")
 
     audio_fmt, channels, rate, _, _, bits = fmt
     if channels < 1:
-        raise MalformedHeader("zero channels")
+        raise AudioError("zero channels")
     if (audio_fmt, bits) not in ((1, 16), (3, 32)):
-        raise UnsupportedEncoding(f"format {audio_fmt}/{bits}-bit not supported")
+        raise AudioError(f"format {audio_fmt}/{bits}-bit not supported")
     if len(data) % (channels * bits // 8):
-        raise TruncatedData("data length not a multiple of frame size")
+        raise AudioError("data length not a multiple of frame size")
     raw = np.frombuffer(data, dtype="<i2" if audio_fmt == 1 else "<f4")
     # checked before the cast, which warns on a signalling NaN
     if audio_fmt == 3 and not np.isfinite(raw).all():
@@ -164,7 +140,7 @@ def save_wav(buf: AudioBuffer, path):
             fh.write(header)
             fh.write(interleaved)
     except OSError as exc:
-        raise IoFailure(str(exc)) from exc
+        raise AudioError(str(exc)) from exc
 
 
 def to_mono(buf: AudioBuffer) -> AudioBuffer:
@@ -279,7 +255,7 @@ def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
     0.05% of target_rate.  A buffer already at target_rate is returned as
     it is."""
     if not (MIN_RATE <= target_rate <= MAX_RATE):
-        raise InvalidRate(f"target rate {target_rate}")
+        raise AudioError(f"target rate {target_rate}")
     if target_rate == buf.sample_rate:
         return buf
     ratio = Fraction(buf.sample_rate, target_rate).limit_denominator(_MAX_PHASES)

@@ -31,22 +31,6 @@ class BeatError(Exception):
     pass
 
 
-class NoPeriodicity(BeatError):
-    pass
-
-
-class TooFewBeats(BeatError):
-    pass
-
-
-class DegenerateFit(BeatError):
-    pass
-
-
-class GridTooSparse(BeatError):
-    pass
-
-
 @dataclass
 class BeatGrid:
     """Exactly periodic downbeat grid: downbeat i = start + i*period."""
@@ -58,7 +42,7 @@ class BeatGrid:
 
     def __post_init__(self):
         if self.period <= 0:
-            raise DegenerateFit(f"period {self.period} <= 0")
+            raise BeatError(f"period {self.period} <= 0")
         if self.count < 2:
             raise BeatError("grid needs at least 2 downbeats")
         if self.start < 0:
@@ -116,7 +100,7 @@ def estimate_tempo(onset: np.ndarray) -> float:
         raise TooShort("need at least 4 s of onset frames")
     ac = _autocorrelate(onset)
     if ac[0] <= 0:
-        raise NoPeriodicity("flat onset envelope")
+        raise BeatError("flat onset envelope")
     ac = ac / ac[0]
 
     lag_min = max(2, int(np.floor(60.0 / (BPM_MAX * HOP_S))))
@@ -130,7 +114,7 @@ def estimate_tempo(onset: np.ndarray) -> float:
     weighted = ac[lags] * prior
     best = int(np.argmax(weighted))
     if ac[lags[best]] < PERIODICITY_FLOOR:
-        raise NoPeriodicity("no significant periodicity in the onset envelope")
+        raise BeatError("no significant periodicity in the onset envelope")
 
     lag = _parabolic_peak(ac, lags[best])
     # refine at the highest harmonic multiple that still fits
@@ -218,7 +202,7 @@ def pick_downbeats(beats: np.ndarray, onset: np.ndarray) -> np.ndarray:
     """Pick the 4/4 phase whose beats carry the most onset energy."""
     beats = np.asarray(beats, dtype=np.float64)
     if len(beats) < 8:
-        raise TooFewBeats(f"need >= 8 beats, got {len(beats)}")
+        raise BeatError(f"need >= 8 beats, got {len(beats)}")
     onset = np.asarray(onset, dtype=np.float64)
     frames = np.clip(np.round(beats / HOP_S).astype(np.int64), 0, len(onset) - 1)
     strengths = onset[frames]
@@ -234,12 +218,12 @@ def quantize_grid(downbeats: np.ndarray, duration: float) -> BeatGrid:
     within PHASE_SNAP_S of a bar line (detection jitter) snaps to zero."""
     d = np.asarray(downbeats, dtype=np.float64)
     if len(d) < 2:
-        raise TooFewBeats("need >= 2 downbeats")
+        raise BeatError("need >= 2 downbeats")
     i = np.arange(len(d), dtype=np.float64)
     # normal equations for [1, i] @ [start, period]
     period, start = np.polyfit(i, d, 1)
     if period <= 0:
-        raise DegenerateFit(f"fitted period {period} <= 0")
+        raise BeatError(f"fitted period {period} <= 0")
     residual = d - (start + i * period)
     rms = float(np.sqrt((residual**2).mean()))
     phase = start % period
@@ -261,7 +245,7 @@ def segment_bars(track: np.ndarray, grid: BeatGrid) -> list[tuple[int, int]]:
         ranges.append((round(t * ANALYSIS_RATE), round((t + seg_len) * ANALYSIS_RATE)))
         t += seg_len
     if not ranges:
-        raise GridTooSparse(
+        raise BeatError(
             f"track of {duration:.1f} s holds no 4-bar window "
             f"({seg_len:.1f} s) from {grid.start:.2f} s")
     return ranges

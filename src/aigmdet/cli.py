@@ -28,8 +28,7 @@ from .audio import AudioError, load_wav
 from .beats import BeatError, export_boundaries_csv
 from .data import SPLITS, DataError, Manifest, read_lines, split_dataset
 from .dsp import TooShort
-from .extractors import (EmbeddingFileError, EmbeddingSequence, ExtractorError,
-                         get_extractor, load_precomputed)
+from .extractors import EmbeddingFileError, EmbeddingSequence, get_extractor, load_precomputed
 from .models import export_ssm_csv, export_ssm_pgm, predict, self_similarity
 from .nn import CheckpointError
 from .training import PRESETS, DivergedLoss, TrainConfig, TrainingError, evaluate, train
@@ -118,7 +117,7 @@ def cmd_train(args) -> int:
     if args.arch == "segtr":
         if not args.stage1_ckpt:
             raise DataError("--arch segtr needs --stage1-ckpt")
-        stage1, extractor, _ = pipeline.load_stage1(args.stage1_ckpt)
+        stage1, extractor = pipeline.load_stage1(args.stage1_ckpt)
         data_train, data_val = [pipeline.build_stage2_dataset(entries, stage1, extractor)
                                 for entries in splits]
         model = pipeline.build_model("segtr", seed=cfg.seed)
@@ -264,8 +263,8 @@ def main(argv=None) -> int:
     except DivergedLoss as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TRAIN
-    except (AudioError, EmbeddingFileError, ExtractorError, CheckpointError,
-            DataError, TrainingError, OSError) as exc:
+    except (AudioError, EmbeddingFileError, CheckpointError, DataError, TrainingError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (BeatError, TooShort) as exc:

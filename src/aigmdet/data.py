@@ -26,10 +26,6 @@ class DataError(Exception):
 SPLITS = ("train", "val", "test")
 
 
-class TooFewEntries(DataError):
-    pass
-
-
 def read_lines(path) -> list[str]:
     """The lines of a UTF-8 text file (a manifest or a --config file), line
     ends as written; DataError names a file that is not UTF-8."""
@@ -50,7 +46,7 @@ def names_file(*errors):
             try:
                 return fn(path, *args, **kwargs)
             except errors as exc:
-                # the path as it is, or as repr() escapes it (load_wav's IoFailure)
+                # the path as it is, or as repr() escapes it (load_wav's unreadable path)
                 if repr(str(path))[1:-1] in str(exc):
                     raise
                 raise type(exc)(f"{path}: {exc}") from None
@@ -154,7 +150,7 @@ def _apportion(n: int, ratios: tuple) -> list[int]:
 def split_dataset(manifest: Manifest, seed: int = 0) -> Manifest:
     """Stratified, seeded 8:1:1 train/val/test split, largest-remainder sized."""
     if len(manifest.entries) < 10:
-        raise TooFewEntries(f"need >= 10 entries, got {len(manifest.entries)}")
+        raise DataError(f"need >= 10 entries, got {len(manifest.entries)}")
     rng = np.random.default_rng(seed)
     assigned = {}
     for label in (0, 1):

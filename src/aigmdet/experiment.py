@@ -16,9 +16,9 @@ import numpy as np
 
 from .audio import load_wav
 from .data import SPLITS, DataError, Manifest, ManifestEntry, split_dataset, synth_dataset
-from .extractors import DspVectorExtractor
-from .models import AudioCAT, SegmentTransformer, features_to_sequence, segment_features
-from .pipeline import analysis_buffer, analyze_beats, names_track
+from .extractors import get_extractor
+from .models import features_to_sequence, segment_features
+from .pipeline import analysis_buffer, analyze_beats, build_model, names_track
 from .training import TrainConfig, TrainResult, evaluate, train
 
 
@@ -41,11 +41,11 @@ class SeedResult:
 @names_track
 def track_vectors(path) -> np.ndarray:
     """[n_segments x 160]: the WAV at `path` beat-aligned, one stats-160
-    vector (DspVectorExtractor) per 4-bar segment.  The beat analysis and
-    the vectors read the one frame-1024 log-mel of the track."""
+    vector per 4-bar segment.  The beat analysis and the vectors read the
+    one frame-1024 log-mel of the track."""
     mono = analysis_buffer(load_wav(path))
     grid = analyze_beats(mono).grid
-    return np.stack(list(segment_features(mono, grid, DspVectorExtractor())))
+    return np.stack(list(segment_features(mono, grid, get_extractor("stats-160"))))
 
 
 def extract_corpus(manifest: Manifest, log=None) -> list[TrackFeatures]:
@@ -81,11 +81,11 @@ def run_seed(tracks, manifest: Manifest, seed: int,
     subsets = {name: [by_path[e.path] for e in entries]
                for name, entries in zip(SPLITS, split.subsets(*SPLITS))}
 
-    stage1 = AudioCAT(d_enc=DspVectorExtractor.d_enc, seed=seed)
+    stage1 = build_model("audiocat", extractor=get_extractor("stats-160"), seed=seed)
     s1_result = train(stage1, _stage1_examples(subsets["train"]),
                       _stage1_examples(subsets["val"]), stage1_cfg, log=log)
 
-    stage2 = SegmentTransformer(d_in=stage1.cfg.d_model, seed=seed)
+    stage2 = build_model("segtr", seed=seed)
     s2_result = train(stage2, _stage2_examples(subsets["train"], stage1),
                       _stage2_examples(subsets["val"], stage1), stage2_cfg, log=log)
 

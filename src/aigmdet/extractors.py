@@ -14,30 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import names_file
+from .data import DataError, names_file
 from .dsp import N_MELS, dsp_embed
 
 # segments of a track that stage 1 analyses; the default segtr max_len
 MAX_SEQ_LEN = 48
 
 
-class ExtractorError(Exception):
-    pass
-
-
 class EmbeddingFileError(Exception):
-    pass
-
-
-class BadMagic(EmbeddingFileError):
-    pass
-
-
-class DimMismatch(EmbeddingFileError):
-    pass
-
-
-class Truncated(EmbeddingFileError):
     pass
 
 
@@ -108,8 +92,8 @@ def get_extractor(preset: str) -> FeatureExtractor:
     try:
         return PRESETS[preset]()
     except KeyError:
-        raise ExtractorError(f"unknown extractor preset {preset!r}; "
-                             f"options: {sorted(PRESETS)}") from None
+        raise DataError(f"unknown extractor preset {preset!r}; "
+                        f"options: {sorted(PRESETS)}") from None
 
 
 # ----------------------------------------------------------------------
@@ -124,21 +108,21 @@ def load_precomputed(path) -> EmbeddingSequence:
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 16 or blob[:4] != _EMB_MAGIC:
-        raise BadMagic("not an EMB1 file")
+        raise EmbeddingFileError("not an EMB1 file")
     version, n, d = struct.unpack_from("<III", blob, 4)
     if version != _EMB_VERSION:
-        raise BadMagic(f"unsupported EMB1 version {version}")
+        raise EmbeddingFileError(f"unsupported EMB1 version {version}")
     if not n:
         raise EmbeddingFileError("header declares 0 vectors")
     if not d:
-        raise DimMismatch(f"header declares {n} vectors of dim 0")
+        raise EmbeddingFileError(f"header declares {n} vectors of dim 0")
     payload = blob[16:]
     expected = 4 * n * d
     if len(payload) != expected:
         if len(payload) % (4 * n) == 0:
-            raise DimMismatch(
+            raise EmbeddingFileError(
                 f"row byte-length implies dim {len(payload) // (4 * n)}, header says {d}")
-        raise Truncated(f"expected {expected} payload bytes, got {len(payload)}")
+        raise EmbeddingFileError(f"expected {expected} payload bytes, got {len(payload)}")
     raw = np.frombuffer(payload, dtype="<f4")
     # checked before the cast, which warns on a signalling NaN
     if not np.isfinite(raw).all():

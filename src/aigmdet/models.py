@@ -31,10 +31,6 @@ from .nn import AttentionConfig, ShapeMismatch
 from .tensor import Tensor, _sigmoid, concat, no_grad
 
 
-class EmptySequence(Exception):
-    pass
-
-
 @dataclass
 class DetectorOutput:
     logit: float
@@ -64,10 +60,10 @@ def _pad_batch(*fields) -> list[np.ndarray]:
     """The [B x n] padding mask and each field as [B x n x ...], of examples
     with one [n_i x ...] array a field: n is the longest n_i, and an
     example's rows past its n_i are zeros, False in the mask.
-    EmptySequence if an example has no rows."""
+    ValueError if an example has no rows."""
     lengths = np.array([len(a) for a in fields[0]])
     if not lengths.all():
-        raise EmptySequence("an example has no rows")
+        raise ValueError("an example has no rows")
     n = int(lengths.max())
     out = [np.zeros((len(lengths), n, *a[0].shape[1:]), a[0].dtype) for a in fields]
     for arrays, padded in zip(fields, out):
@@ -253,7 +249,7 @@ def segment_features(track: AudioBuffer, grid: BeatGrid,
                      extractor: FeatureExtractor) -> Iterator[np.ndarray]:
     """Extractor features of each 4-bar range of a 16 kHz mono track, each
     computed as the iterator reaches it from the frames of the track's
-    log-mel (AudioBuffer.log_mel) that lie inside the range; RateMismatch
+    log-mel (AudioBuffer.log_mel) that lie inside the range; AudioError
     for other tracks."""
     mel = track.log_mel()
     return (extractor(mel[segment_frames(start, stop)])

@@ -30,10 +30,6 @@ class ShapeMismatch(Exception):
     pass
 
 
-class AllMasked(Exception):
-    """Every key position is masked out; attention is undefined."""
-
-
 class CheckpointError(Exception):
     pass
 
@@ -248,7 +244,7 @@ class MultiHeadAttention(Module):
         if mask.shape != k.shape[:-1]:
             raise ShapeMismatch(f"mask shape {mask.shape} vs keys {k.shape[:-1]}")
         if not mask.any(axis=-1).all():
-            raise AllMasked("no valid key positions")
+            raise ValueError("no valid key positions")
         return np.where(mask, 0.0, -np.inf)[..., None, None, :]
 
     def __call__(self, q: Tensor, k: Tensor, v: Tensor,
@@ -442,6 +438,5 @@ __all__ = [
     "AttentionConfig", "Module", "Linear", "LayerNorm", "MultiHeadAttention",
     "FeedForward", "EncoderBlock", "DecoderBlock", "layer_norm", "attention",
     "sinusoidal_positions", "bce_loss", "focal_loss", "OptimState", "adam_step",
-    "save_checkpoint", "load_checkpoint", "ShapeMismatch", "AllMasked",
-    "CheckpointError",
+    "save_checkpoint", "load_checkpoint", "ShapeMismatch", "CheckpointError",
 ]

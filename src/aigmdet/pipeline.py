@@ -14,7 +14,7 @@ from . import beats, nn
 from .audio import AudioBuffer, AudioError, load_wav, resample, to_mono
 from .data import DataError, names_file
 from .dsp import ANALYSIS_RATE, TooShort, segment_frames
-from .extractors import ExtractorError, FeatureExtractor, get_extractor
+from .extractors import FeatureExtractor, get_extractor
 from .models import (AudioCAT, DetectorOutput, FXSegment, SegmentTransformer,
                      track_to_sequence)
 from .nn import AttentionConfig, ShapeMismatch
@@ -112,20 +112,19 @@ def load_model(path):
             raise ValueError(f"a segtr reads no extractor, the meta names {preset!r}")
         model = build_model(arch, None if preset == "" else get_extractor(preset))
         model.load_state_arrays(arrays)
-    except (TypeError, ValueError, DataError, ExtractorError, ShapeMismatch,
-            nn.CheckpointError) as exc:
+    except (TypeError, ValueError, DataError, ShapeMismatch, nn.CheckpointError) as exc:
         raise nn.CheckpointError(f"{path}: not a loadable aigmdet model "
                                  f"({type(exc).__name__}: {exc})") from None
     return model, arch, preset
 
 
 def load_stage1(path):
-    """(model, extractor, extractor_preset) of a stage-1 checkpoint;
-    DataError names the file if it holds a segtr model."""
+    """(model, extractor) of a stage-1 checkpoint; DataError names the
+    file if it holds a segtr model."""
     model, arch, preset = load_model(path)
     if arch == "segtr":
         raise DataError(f"{path}: a segtr checkpoint is not a stage-1 model")
-    return model, get_extractor(preset), preset
+    return model, get_extractor(preset)
 
 
 def scorer(ckpt, stage1_ckpt=None) -> Callable[[object], DetectorOutput]:
@@ -142,5 +141,5 @@ def scorer(ckpt, stage1_ckpt=None) -> Callable[[object], DetectorOutput]:
         return lambda path: model.forward([stage1_features(path, extractor)])[0]
     if not stage1_ckpt:
         raise DataError(f"{ckpt}: a segtr checkpoint needs --stage1-ckpt")
-    stage1, extractor, _ = load_stage1(stage1_ckpt)
+    stage1, extractor = load_stage1(stage1_ckpt)
     return lambda path: model.forward(track_sequence_for_path(path, stage1, extractor))

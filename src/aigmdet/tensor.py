@@ -22,18 +22,6 @@ import numpy as np
 from scipy.special import erf as _erf
 
 
-class AutogradError(Exception):
-    pass
-
-
-class NotScalar(AutogradError):
-    """backward() called on a non-scalar tensor."""
-
-
-class DetachedGraph(AutogradError):
-    """backward() called on a tensor with no grad-requiring ancestors."""
-
-
 _GRAD_ENABLED = True
 
 
@@ -163,8 +151,8 @@ class Tensor:
         """Matrix product of operands with >= 2 dims (stacks broadcast)."""
         other = self._lift(other)
         if self.data.ndim < 2 or other.data.ndim < 2:
-            raise AutogradError(f"matmul needs operands with >= 2 dims, got "
-                                f"{self.data.shape} @ {other.data.shape}")
+            raise ValueError(f"matmul needs operands with >= 2 dims, got "
+                             f"{self.data.shape} @ {other.data.shape}")
         out_data = np.matmul(self.data, other.data)
 
         def backward(out):
@@ -252,9 +240,9 @@ class Tensor:
     def backward(self):
         """Reverse-mode sweep from a scalar; accumulates into .grad."""
         if self.data.size != 1:
-            raise NotScalar(f"backward() needs a scalar, got shape {self.data.shape}")
+            raise ValueError(f"backward() needs a scalar, got shape {self.data.shape}")
         if not self.requires_grad:
-            raise DetachedGraph("tensor has no grad-requiring ancestors")
+            raise ValueError("tensor has no grad-requiring ancestors")
 
         topo: list[Tensor] = []
         visited: set[int] = set()

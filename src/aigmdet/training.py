@@ -26,15 +26,7 @@ class TrainingError(Exception):
     pass
 
 
-class EmptySplit(TrainingError):
-    pass
-
-
 class DivergedLoss(TrainingError):
-    pass
-
-
-class LengthMismatch(Exception):
     pass
 
 
@@ -120,7 +112,7 @@ def train(model, train_data, val_data, cfg: TrainConfig,
     """Adam + early stopping on validation loss; returns the best-epoch
     parameter snapshot.  Deterministic under cfg.seed (single-threaded)."""
     if not train_data or not val_data:
-        raise EmptySplit("train and val splits must be non-empty")
+        raise TrainingError("train and val splits must be non-empty")
     rng = np.random.default_rng(cfg.seed)
     loss_fn = cfg.loss_fn()
     params = model.parameters()
@@ -204,7 +196,7 @@ def confusion(scores, labels, threshold: float = 0.5) -> tuple[int, int, int, in
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     if len(scores) != len(labels) or len(scores) == 0:
-        raise LengthMismatch("scores and labels must have equal nonzero length")
+        raise ValueError("scores and labels must have equal nonzero length")
     pred = scores >= threshold
     tp = int(np.sum(pred & (labels == 1)))
     fp = int(np.sum(pred & (labels == 0)))
@@ -218,7 +210,7 @@ def metrics(counts, auc: float = 0.0) -> EvalReport:
     tp, fp, tn, fn = counts
     total = tp + fp + tn + fn
     if total == 0:
-        raise LengthMismatch("empty confusion counts")
+        raise ValueError("empty confusion counts")
     undefined = []
 
     def ratio(num, den, name):

@@ -7,9 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aigmdet.audio import load_wav
-from aigmdet.data import (DataError, Manifest, ManifestEntry, TooFewEntries,
-                          _apportion, render_track, split_dataset,
-                          synth_dataset)
+from aigmdet.data import (DataError, Manifest, ManifestEntry, _apportion, render_track,
+                          split_dataset, synth_dataset)
 
 
 def make_manifest(n0, n1):
@@ -134,7 +133,7 @@ def test_split_deterministic_and_seed_sensitive():
 
 
 def test_split_too_few():
-    with pytest.raises(TooFewEntries):
+    with pytest.raises(DataError, match="need >= 10 entries, got 8"):
         split_dataset(make_manifest(4, 4))
 
 

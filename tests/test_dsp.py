@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aigmdet.audio import RateMismatch
+from aigmdet.audio import AudioError
 from aigmdet.dsp import (ANALYSIS_RATE, FRAME_LEN, HOP, LOG_EPS, MIN_SEGMENT_S, N_MELS,
                          TooShort, dsp_embed, hann_window, log_mel, mel_filterbank,
                          onset_envelope, segment_frames, stft)
@@ -200,7 +200,7 @@ def test_embed_rejects_short_and_stereo():
     segment_frames); a stereo track has no log-mel (AudioBuffer.log_mel)."""
     with pytest.raises(TooShort):
         segment_frames(0, round(0.1 * ANALYSIS_RATE))
-    with pytest.raises(RateMismatch):
+    with pytest.raises(AudioError, match="log-mel needs 16000 Hz mono, got 16000 Hz with 2"):
         sine_buffer(440, 1.0, channels=2).log_mel()
 
 

@@ -3,12 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aigmdet.data import DataError
 from aigmdet.dsp import N_MELS, log_mel
-from aigmdet.extractors import (BadMagic, DimMismatch,
-                                DspSequenceExtractor, DspVectorExtractor,
-                                EmbeddingFileError, EmbeddingSequence, ExtractorError,
-                                Truncated, get_extractor,
-                                load_precomputed)
+from aigmdet.extractors import (DspSequenceExtractor, DspVectorExtractor, EmbeddingFileError,
+                                EmbeddingSequence, get_extractor, load_precomputed)
 
 from util import RandomStubExtractor, save_embeddings, sine_buffer
 
@@ -68,7 +66,7 @@ def test_presets():
     ext = get_extractor("stats-160")  # 4 statistics of each of the 40 bands
     assert ext.d_enc == 4 * N_MELS and ext.kind == "vector"
     for removed in ("seq-768", "vec-2048", "nope"):
-        with pytest.raises(ExtractorError, match=f"unknown extractor preset '{removed}'"):
+        with pytest.raises(DataError, match=f"unknown extractor preset '{removed}'"):
             get_extractor(removed)
 
 
@@ -104,7 +102,7 @@ def test_embedding_file_empty(tmp_path):
 def test_embedding_file_bad_magic(tmp_path):
     path = tmp_path / "bad.emb"
     path.write_bytes(b"NOPE" + b"\x00" * 12)
-    with pytest.raises(BadMagic):
+    with pytest.raises(EmbeddingFileError, match="not an EMB1 file"):
         load_precomputed(path)
 
 
@@ -113,7 +111,7 @@ def test_embedding_file_truncated(tmp_path):
     save_embeddings(path, np.zeros((4, 8), dtype=np.float32))
     blob = path.read_bytes()
     path.write_bytes(blob[:-3])  # not a multiple of a row
-    with pytest.raises(Truncated):
+    with pytest.raises(EmbeddingFileError, match="expected 128 payload bytes, got 125"):
         load_precomputed(path)
 
 
@@ -123,7 +121,7 @@ def test_embedding_file_dim_mismatch(tmp_path):
     # header claims dim 8, payload rows are 6 floats wide
     payload = np.zeros((4, 6), dtype="<f4").tobytes()
     path.write_bytes(b"EMB1" + struct.pack("<III", 1, 4, 8) + payload)
-    with pytest.raises(DimMismatch):
+    with pytest.raises(EmbeddingFileError, match="row byte-length implies dim 6, header says 8"):
         load_precomputed(path)
 
 
@@ -131,7 +129,7 @@ def test_embedding_file_dim_zero(tmp_path):
     import struct
     path = tmp_path / "d0.emb"
     path.write_bytes(b"EMB1" + struct.pack("<III", 1, 3, 0))
-    with pytest.raises(DimMismatch):
+    with pytest.raises(EmbeddingFileError, match="header declares 3 vectors of dim 0"):
         load_precomputed(path)
 
 

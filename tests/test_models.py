@@ -4,12 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aigmdet import nn
-from aigmdet.audio import AudioBuffer, RateMismatch
+from aigmdet.audio import AudioBuffer, AudioError
 from aigmdet.beats import BeatGrid, segment_bars
 from aigmdet.dsp import FRAME_LEN, HOP, log_mel, segment_frames
 from aigmdet.extractors import (MAX_SEQ_LEN, DspSequenceExtractor, EmbeddingSequence,
                                 get_extractor)
-from aigmdet.models import (AudioCAT, DetectorOutput, EmptySequence, FXSegment,
+from aigmdet.models import (AudioCAT, DetectorOutput, FXSegment,
                             SegmentTransformer, export_ssm_csv, export_ssm_pgm,
                             features_to_sequence, predict, segment_features,
                             self_similarity, track_to_sequence)
@@ -113,7 +113,7 @@ def test_audiocat_rejects_bad_input():
     model = AudioCAT(d_enc=24, cfg=SMALL)
     with pytest.raises(ShapeMismatch):
         model.forward([np.zeros((5, 23))])
-    with pytest.raises(EmptySequence):
+    with pytest.raises(ValueError, match="an example has no rows"):
         model.forward([np.zeros((0, 24))])
 
 
@@ -174,7 +174,7 @@ def test_segtr_rejects_wrong_dim():
 def test_segtr_all_masked():
     """A sequence with no rows leaves the padding mask no valid row."""
     model = SegmentTransformer(d_in=10, cfg=SMALL, max_len=8)
-    with pytest.raises(EmptySequence):
+    with pytest.raises(ValueError, match="an example has no rows"):
         model.forward(EmbeddingSequence(np.zeros((0, 10))))
 
 
@@ -282,10 +282,10 @@ def test_batch_rejects_a_bad_example():
     model, xs = batch_case("audiocat")
     with pytest.raises(ShapeMismatch):
         model.forward_tensor(xs + [np.zeros((3, 5))])
-    with pytest.raises(EmptySequence):
+    with pytest.raises(ValueError, match="an example has no rows"):
         model.forward_tensor(xs + [np.zeros((0, 6))])
     seg, seqs = batch_case("segtr")
-    with pytest.raises(EmptySequence):
+    with pytest.raises(ValueError, match="an example has no rows"):
         seg.forward_tensor(seqs + [EmbeddingSequence(np.zeros((0, 6)))])
 
 
@@ -379,7 +379,7 @@ def test_rate_and_channel_validation():
     stage1 = AudioCAT(d_enc=8, cfg=SMALL, seed=0)
     grid = BeatGrid(start=0.0, period=2.0, count=10)
     for track in (sine_buffer(440, 20.0, rate=44100), sine_buffer(440, 20.0, channels=2)):
-        with pytest.raises(RateMismatch):
+        with pytest.raises(AudioError, match="log-mel needs 16000 Hz mono"):
             track_to_sequence(track, grid, stage1, ext)
     assert ext.calls == 0
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aigmdet.tensor import AutogradError, DetachedGraph, NotScalar, Tensor, concat, no_grad
+from aigmdet.tensor import Tensor, concat, no_grad
 
 from util import div, finite_diff_check, softmax, sqrt, sub, transpose
 
@@ -33,12 +33,12 @@ def test_backward_accumulates_without_zeroing():
 
 def test_backward_requires_scalar():
     t = Tensor(np.zeros(3), requires_grad=True)
-    with pytest.raises(NotScalar):
+    with pytest.raises(ValueError, match=r"backward\(\) needs a scalar, got shape \(3,\)"):
         t.backward()
 
 
 def test_backward_requires_graph():
-    with pytest.raises(DetachedGraph):
+    with pytest.raises(ValueError, match="tensor has no grad-requiring ancestors"):
         Tensor(np.array(1.0)).backward()
 
 
@@ -95,7 +95,7 @@ def test_batched_matmul_gradient():
 @pytest.mark.parametrize("a_shape,b_shape", [((3,), (3, 2)), ((2, 3), (3,)), ((3,), (3,))])
 def test_matmul_refuses_1d_operands(a_shape, b_shape):
     rng = np.random.default_rng(6)
-    with pytest.raises(AutogradError):
+    with pytest.raises(ValueError, match="matmul needs operands with >= 2 dims"):
         randt(rng, *a_shape) @ randt(rng, *b_shape)
 
 
