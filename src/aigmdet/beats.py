@@ -96,8 +96,12 @@ def estimate_tempo(onset: np.ndarray) -> float:
     """Tempo from the log-Gaussian-weighted autocorrelation of the onset
     envelope, refined at a harmonic lag for sub-frame precision."""
     onset = np.asarray(onset, dtype=np.float64)
-    if len(onset) * HOP_S < 4.0:
-        raise TooShort("need at least 4 s of onset frames")
+    need = -(-4 * ANALYSIS_RATE // HOP)  # 250 frames, 4 s of envelope
+    if len(onset) < need:
+        samples = FRAME_LEN + (need - 1) * HOP  # the fewest that give them
+        raise TooShort(f"need at least {need} onset frames (4 s) for the tempo, got "
+                       f"{len(onset)}: a track needs {samples / ANALYSIS_RATE:.3f} s "
+                       f"({samples} samples at 16 kHz)")
     ac = _autocorrelate(onset)
     if ac[0] <= 0:
         raise BeatError("flat onset envelope")

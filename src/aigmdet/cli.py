@@ -4,8 +4,14 @@ A model's stage is the architecture its checkpoint records: audiocat and
 fxseg are stage-1 segment models, segtr is the stage-2 track model and
 runs over the stage-1 checkpoint given as --stage1-ckpt, which no other
 model takes.  `train --arch` picks the stage to train; eval and predict
-score a checkpoint of either stage through pipeline.scorer.  `experiment`
-runs the two-stage evaluation of experiment.run_experiment.
+score a checkpoint of either stage through pipeline.scorer.  All three
+read each WAV through pipeline.model_input, the one WAV -> model input
+function, which alone refuses a wrong --stage1-ckpt:
+"<owner>: a segtr model needs --stage1-ckpt" and
+"<owner>: a stage-1 (<arch>) model takes no --stage1-ckpt", where the
+owner is the checkpoint, or --arch <arch> in train, and
+"<file>: a segtr checkpoint is not a stage-1 model".  `experiment` runs
+the two-stage evaluation of experiment.run_experiment.
 
 Exit codes, all decided in main: 0 ok, 1 usage, 2 io/format, 3 musical
 content (no periodicity, track too short), 4 training failure (diverged
@@ -114,22 +120,11 @@ def cmd_train(args) -> int:
         manifest = split_dataset(manifest, seed=cfg.seed)
     splits = manifest.subsets("train", "val")
 
-    if args.arch == "segtr":
-        if not args.stage1_ckpt:
-            raise DataError("--arch segtr needs --stage1-ckpt")
-        stage1, extractor = pipeline.load_stage1(args.stage1_ckpt)
-        data_train, data_val = [pipeline.build_stage2_dataset(entries, stage1, extractor)
-                                for entries in splits]
-        model = pipeline.build_model("segtr", seed=cfg.seed)
-        preset = ""  # a segtr reads the vectors of its stage 1, no extractor
-    else:
-        if args.stage1_ckpt:
-            raise DataError(f"--stage1-ckpt is for --arch segtr, not {args.arch}")
-        preset = args.extractor
-        extractor = get_extractor(preset)
-        model = pipeline.build_model(args.arch, extractor=extractor, seed=cfg.seed)
-        data_train, data_val = [pipeline.build_stage1_dataset(entries, extractor)
-                                for entries in splits]
+    preset = "" if args.arch == "segtr" else args.extractor  # a segtr reads its stage 1's vectors
+    read = pipeline.model_input(args.arch, preset, args.stage1_ckpt, f"--arch {args.arch}")
+    model = pipeline.build_model(args.arch, extractor=get_extractor(preset) if preset else None,
+                                 seed=cfg.seed)
+    data_train, data_val = [[(read(e.path), e.label) for e in entries] for entries in splits]
 
     result = train(model, data_train, data_val, cfg, log=print)
     pipeline.save_model(args.out, model, args.arch, preset)

@@ -1,7 +1,6 @@
-"""End-to-end wiring: the 16 kHz mono analysis track, stage-1/stage-2 dataset
-construction from manifests, model checkpoints whose AIGM header
-names the model they hold, and the one WAV -> score path of a
-checkpoint of either stage.
+"""End-to-end wiring: the 16 kHz mono analysis track, model checkpoints
+whose AIGM header names the model they hold, and model_input, the one
+WAV -> model input path that training and scoring of either stage share.
 """
 
 from __future__ import annotations
@@ -47,21 +46,11 @@ def stage1_features(path, extractor: FeatureExtractor) -> np.ndarray:
     return extractor(mono.log_mel()[segment_frames(0, mono.frames)])
 
 
-def build_stage1_dataset(entries, extractor: FeatureExtractor) -> list:
-    """(features, label) pairs; one manifest entry = one short clip."""
-    return [(stage1_features(e.path, extractor), e.label) for e in entries]
-
-
 @names_track
 def track_sequence_for_path(path, stage1, extractor: FeatureExtractor):
     """WAV path -> beat grid -> stage-2 input sequence (models.track_to_sequence)."""
     mono = analysis_buffer(load_wav(path))
     return track_to_sequence(mono, analyze_beats(mono).grid, stage1, extractor)
-
-
-def build_stage2_dataset(entries, stage1, extractor: FeatureExtractor) -> list:
-    return [(track_sequence_for_path(e.path, stage1, extractor), e.label)
-            for e in entries]
 
 
 # ----------------------------------------------------------------------
@@ -113,33 +102,36 @@ def load_model(path):
         model = build_model(arch, None if preset == "" else get_extractor(preset))
         model.load_state_arrays(arrays)
     except (TypeError, ValueError, DataError, ShapeMismatch, nn.CheckpointError) as exc:
-        raise nn.CheckpointError(f"{path}: not a loadable aigmdet model "
-                                 f"({type(exc).__name__}: {exc})") from None
+        raise nn.CheckpointError(f"{path}: not a loadable aigmdet model ({exc})") from None
     return model, arch, preset
 
 
-def load_stage1(path):
-    """(model, extractor) of a stage-1 checkpoint; DataError names the
-    file if it holds a segtr model."""
-    model, arch, preset = load_model(path)
-    if arch == "segtr":
-        raise DataError(f"{path}: a segtr checkpoint is not a stage-1 model")
-    return model, get_extractor(preset)
+def model_input(arch: str, preset: str, stage1_ckpt, owner) -> Callable[[object], object]:
+    """WAV path -> what a model of `arch` reads: a stage-1 model the
+    features of the whole clip by `preset`, a segtr the track's sequence
+    over the stage 1 in `stage1_ckpt`.  The one home of the --stage1-ckpt
+    rules, each a DataError naming `owner` (a checkpoint, or --arch in
+    train) or the stage-1 file: a segtr needs one, a stage-1 model takes
+    none, and a segtr checkpoint is no stage 1."""
+    if arch != "segtr":
+        if stage1_ckpt:
+            raise DataError(f"{owner}: a stage-1 ({arch}) model takes no --stage1-ckpt")
+        extractor = get_extractor(preset)
+        return lambda path: stage1_features(path, extractor)
+    if not stage1_ckpt:
+        raise DataError(f"{owner}: a segtr model needs --stage1-ckpt")
+    stage1, stage1_arch, stage1_preset = load_model(stage1_ckpt)
+    if stage1_arch == "segtr":
+        raise DataError(f"{stage1_ckpt}: a segtr checkpoint is not a stage-1 model")
+    extractor = get_extractor(stage1_preset)
+    return lambda path: track_sequence_for_path(path, stage1, extractor)
 
 
 def scorer(ckpt, stage1_ckpt=None) -> Callable[[object], DetectorOutput]:
     """WAV path -> DetectorOutput of the model in `ckpt`, whichever stage
-    it holds.  A stage-1 model scores the features of the whole clip; a
-    segtr model scores the track over the stage 1 in `stage1_ckpt`, which
-    it needs and which a stage-1 model refuses."""
+    it holds, read through model_input."""
     model, arch, preset = load_model(ckpt)
-    if arch != "segtr":
-        if stage1_ckpt:
-            raise DataError(f"{ckpt}: a stage-1 ({arch}) checkpoint takes no "
-                            f"--stage1-ckpt")
-        extractor = get_extractor(preset)
-        return lambda path: model.forward([stage1_features(path, extractor)])[0]
-    if not stage1_ckpt:
-        raise DataError(f"{ckpt}: a segtr checkpoint needs --stage1-ckpt")
-    stage1, extractor = load_stage1(stage1_ckpt)
-    return lambda path: model.forward(track_sequence_for_path(path, stage1, extractor))
+    read = model_input(arch, preset, stage1_ckpt, ckpt)
+    if arch == "segtr":
+        return lambda path: model.forward(read(path))
+    return lambda path: model.forward([read(path)])[0]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,10 +27,6 @@ class TrainingError(Exception):
 
 
 class DivergedLoss(TrainingError):
-    pass
-
-
-class OneClassOnly(Exception):
     pass
 
 
@@ -181,13 +177,12 @@ class EvalReport:
     f1: float
     auc: float
     specificity: float
-    undefined: tuple = ()
 
     CSV_HEADER = "acc,prec,recall,f1,auc,spec"
 
     def csv_row(self) -> str:
-        """The CSV_HEADER columns; nan for each metric named in undefined."""
-        return ",".join("nan" if name in self.undefined else f"{getattr(self, name):.6f}"
+        """The CSV_HEADER columns; an undefined metric, nan, reads nan."""
+        return ",".join(f"{getattr(self, name):.6f}"
                         for name in ("accuracy", "precision", "recall", "f1", "auc",
                                      "specificity"))
 
@@ -205,38 +200,30 @@ def confusion(scores, labels, threshold: float = 0.5) -> tuple[int, int, int, in
     return tp, fp, tn, fn
 
 
-def metrics(counts, auc: float = 0.0) -> EvalReport:
-    """Derive the six headline metrics; undefined ratios become 0 + flag."""
+def metrics(counts, auc: float = math.nan) -> EvalReport:
+    """Derive the six headline metrics; a metric the counts leave undefined
+    (a 0/0 ratio, and F1 unless precision + recall > 0) is nan."""
     tp, fp, tn, fn = counts
     total = tp + fp + tn + fn
     if total == 0:
         raise ValueError("empty confusion counts")
-    undefined = []
 
-    def ratio(num, den, name):
-        if den == 0:
-            undefined.append(name)
-            return 0.0
-        return num / den
+    def ratio(num, den):
+        return num / den if den else math.nan
 
-    accuracy = (tp + tn) / total
-    precision = ratio(tp, tp + fp, "precision")
-    recall = ratio(tp, tp + fn, "recall")
-    specificity = ratio(tn, tn + fp, "specificity")
-    if precision + recall > 0:
-        f1 = 2 * precision * recall / (precision + recall)
-    else:
-        undefined.append("f1")
-        f1 = 0.0
-    return EvalReport(tp, fp, tn, fn, accuracy, precision, recall, f1,
-                      auc, specificity, tuple(undefined))
+    precision, recall = ratio(tp, tp + fp), ratio(tp, tp + fn)
+    f1 = (2 * precision * recall / (precision + recall)
+          if precision + recall > 0 else math.nan)
+    return EvalReport(tp, fp, tn, fn, (tp + tn) / total, precision, recall, f1,
+                      auc, ratio(tn, tn + fp))
 
 
 def roc_auc(scores, labels) -> float:
     """Mann-Whitney AUC, P(score+ > score-) + 0.5 P(tie), from average
     ranks: (rank sum of the P positives - P(P+1)/2) / (P N).  Ties share
     their mean rank (scipy.stats.rankdata's "average", whose import costs
-    ~45 MB of memory), so the numerator is an exact half-integer."""
+    ~45 MB of memory), so the numerator is an exact half-integer.  Labels
+    of one class define no AUC: nan."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     known = (labels == 0) | (labels == 1)
@@ -244,7 +231,7 @@ def roc_auc(scores, labels) -> float:
     n_pos = int(positive.sum())
     n_neg = len(positive) - n_pos
     if n_pos == 0 or n_neg == 0:
-        raise OneClassOnly("need at least one positive and one negative")
+        return math.nan
     _, group, counts = np.unique(scores[known], return_inverse=True, return_counts=True)
     mean_rank = np.cumsum(counts) - (counts - 1) / 2.0  # of each tie group, 1-based
     rank_sum = mean_rank[group][positive].sum()
@@ -252,10 +239,6 @@ def roc_auc(scores, labels) -> float:
 
 
 def evaluate(scores, labels, threshold: float = 0.5) -> EvalReport:
-    """metrics of the scores at `threshold`, with their ROC-AUC; labels of
-    one class have none, so auc is 0 and named in undefined."""
-    report = metrics(confusion(scores, labels, threshold))
-    try:
-        return replace(report, auc=roc_auc(scores, labels))
-    except OneClassOnly:
-        return replace(report, undefined=(*report.undefined, "auc"))
+    """metrics of the scores at `threshold`, with their ROC-AUC (nan for
+    labels of one class)."""
+    return metrics(confusion(scores, labels, threshold), roc_auc(scores, labels))

@@ -17,7 +17,7 @@ from aigmdet.extractors import get_extractor
 from aigmdet.models import SegmentTransformer
 from aigmdet.training import DivergedLoss
 
-from util import raw_wav
+from util import click_track, raw_wav
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -89,6 +89,24 @@ def test_beats_on_silence_exits_3(tmp_path, capsys):
     save_wav(AudioBuffer(np.zeros((1, 16000 * 8)), 16000), path)
     assert run(["beats", str(path), "--out", str(tmp_path / "g.csv")]) == EXIT_MUSIC
     assert capsys.readouterr().err == f"error: {path}: flat onset envelope\n"
+
+
+# tempo estimation reads 250 onset frames (4 s), which a 16 kHz track
+# first holds at 64,768 samples: one sample fewer, or 4.0 s, exits 3
+@pytest.mark.parametrize("samples, frames", [(64768, 250), (64767, 249), (64000, 247)])
+def test_beats_needs_4048_ms(samples, frames, tmp_path, capsys):
+    path = tmp_path / "short.wav"
+    row = click_track(120, 5.0, accent_every=4).samples[:, :samples]
+    save_wav(AudioBuffer(row, 16000), path)
+    code = run(["beats", str(path), "--out", str(tmp_path / "g.csv")])
+    err = capsys.readouterr().err
+    if frames == 250:
+        assert code == EXIT_OK and err == ""
+    else:
+        assert code == EXIT_MUSIC
+        assert err == (f"error: {path}: need at least 250 onset frames (4 s) for the "
+                       f"tempo, got {frames}: a track needs 4.048 s (64768 samples at "
+                       f"16 kHz)\n")
 
 
 @pytest.mark.parametrize("command", ["beats", "ssm"])
@@ -240,7 +258,7 @@ def test_predict_segment_mode_on_stage2_ckpt_exits_2(corpus, tmp_path, capsys):
     path = tmp_path / "segtr.aigm"
     pipeline.save_model(path, pipeline.build_model("segtr", seed=0), "segtr")
     assert run(["predict", "--ckpt", str(path), "--audio", corpus["clip"]]) == EXIT_IO
-    assert capsys.readouterr().err == f"error: {path}: a segtr checkpoint needs --stage1-ckpt\n"
+    assert capsys.readouterr().err == f"error: {path}: a segtr model needs --stage1-ckpt\n"
 
 
 def test_checkpoint_without_meta_exits_2(corpus, tmp_path, capsys):
@@ -248,7 +266,7 @@ def test_checkpoint_without_meta_exits_2(corpus, tmp_path, capsys):
     nn.save_checkpoint(path, pipeline.build_model("segtr", seed=0).state_arrays())
     assert run(["predict", "--ckpt", str(path), "--audio", corpus["clip"]]) == EXIT_IO
     assert capsys.readouterr().err.startswith(
-        f"error: {path}: not a loadable aigmdet model (ValueError: meta holds [], ")
+        f"error: {path}: not a loadable aigmdet model (meta holds [], ")
 
 
 # segtr needs --stage1-ckpt; fxseg cannot take the default seq-512 sequence
@@ -475,6 +493,37 @@ def test_segtr_as_stage1_ckpt_exits_2(command, tracks, stage2_ckpt, tmp_path, ca
     assert run([command, *argv, "--stage1-ckpt", str(stage2_ckpt)]) == EXIT_IO
     assert capsys.readouterr().err == (f"error: {stage2_ckpt}: a segtr checkpoint "
                                        f"is not a stage-1 model\n")
+
+
+# train, eval and predict read each WAV through the one pipeline.model_input
+@pytest.mark.parametrize("arch, extractor", [("audiocat", "seq-512"), ("fxseg", "stats-160"),
+                                             ("segtr", "")])
+def test_train_eval_predict_share_model_input(arch, extractor, corpus, tracks, stage1_ckpt,
+                                              tmp_path, monkeypatch, capsys):
+    calls = []
+    model_input = pipeline.model_input
+
+    def recorder(*args):
+        calls.append(args[:3])
+        return model_input(*args)
+
+    monkeypatch.setattr(pipeline, "model_input", recorder)
+    manifest = (tracks if arch == "segtr" else corpus)["manifest"]
+    stage1 = ["--stage1-ckpt", str(stage1_ckpt)] if arch == "segtr" else []
+    ckpt = tmp_path / f"{arch}.aigm"
+    assert run(["train", "--arch", arch, "--manifest", str(manifest), *stage1,
+                *(["--extractor", extractor] if extractor else []),
+                "--epochs", "1", "--lr", "1e-3", "--out", str(ckpt)]) == EXIT_OK
+    assert run(["eval", "--ckpt", str(ckpt), *stage1, "--manifest", str(manifest)]) == EXIT_OK
+    capsys.readouterr()
+    assert run(["predict", "--ckpt", str(ckpt), *stage1, "--audio", tracks["track"]]) == EXIT_OK
+    read_as = (arch, extractor, str(stage1_ckpt) if stage1 else None)
+    assert calls == [read_as] * 3
+    # predict prints the loaded model's forward on what model_input reads
+    model, _, _ = pipeline.load_model(ckpt)
+    x = model_input(*read_as, ckpt)(tracks["track"])
+    out = model.forward(x) if arch == "segtr" else model.forward([x])[0]
+    assert capsys.readouterr().out.startswith(f"probability={out.probability:.6f} ")
 
 
 # ---------------------------------------------------------------- ssm

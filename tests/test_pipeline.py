@@ -51,19 +51,39 @@ def test_analysis_buffer_of_16k_mono_is_the_track():
     assert pipeline.analysis_buffer(buf) is buf
 
 
-# ---------------------------------------------------------------- datasets
-def test_build_stage1_dataset(tmp_path):
-    rng = np.random.default_rng(0)
-    entries = []
-    for i in range(4):
-        path = tmp_path / f"c{i}.wav"
-        save_wav(render_track(i % 2, 120, 4.0, 16000, rng), path)
-        entries.append(ManifestEntry(str(path), i % 2))
-    ext = get_extractor("seq-512")
-    data = pipeline.build_stage1_dataset(entries, ext)
-    assert len(data) == 4
-    feats, label = data[0]
-    assert feats.shape[1] == N_MELS and label == 0
+# ---------------------------------------------------------------- model input
+def test_model_input_of_a_stage1_model(tmp_path):
+    """A stage-1 model reads the extractor's features of the whole clip."""
+    path = tmp_path / "clip.wav"
+    save_wav(render_track(0, 120, 4.0, 16000, np.random.default_rng(0)), path)
+    read = pipeline.model_input("audiocat", "seq-512", None, "c.aigm")
+    feats = read(path)
+    assert feats.shape[1] == N_MELS
+    want = pipeline.stage1_features(path, get_extractor("seq-512"))
+    assert feats.tobytes() == want.tobytes()
+
+
+def test_model_input_of_a_segtr(tmp_path):
+    """A segtr reads the track's sequence over the stage 1 in its file."""
+    path, ckpt = tmp_path / "long.wav", tmp_path / "s1.aigm"
+    save_wav(render_track(0, 120, 24.0, 16000, np.random.default_rng(0)), path)
+    stage1 = pipeline.build_model("fxseg", extractor=get_extractor("stats-160"), seed=0)
+    pipeline.save_model(ckpt, stage1, "fxseg", "stats-160")
+    seq = pipeline.model_input("segtr", "", ckpt, "s2.aigm")(path)
+    want = pipeline.track_sequence_for_path(path, stage1, get_extractor("stats-160"))
+    assert seq.vectors.tobytes() == want.vectors.tobytes()
+
+
+def test_model_input_states_each_stage1_ckpt_rule(tmp_path):
+    ckpt = tmp_path / "s2.aigm"
+    pipeline.save_model(ckpt, pipeline.build_model("segtr", seed=0), "segtr")
+    with pytest.raises(DataError, match=r"^--arch segtr: a segtr model needs --stage1-ckpt$"):
+        pipeline.model_input("segtr", "", None, "--arch segtr")
+    with pytest.raises(DataError,
+                       match=r"^c\.aigm: a stage-1 \(fxseg\) model takes no --stage1-ckpt$"):
+        pipeline.model_input("fxseg", "stats-160", ckpt, "c.aigm")
+    with pytest.raises(DataError, match="a segtr checkpoint is not a stage-1 model$"):
+        pipeline.model_input("segtr", "", ckpt, "--arch segtr")
 
 
 def test_track_sequence_for_path(tmp_path):

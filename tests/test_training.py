@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,9 +9,9 @@ from aigmdet import nn
 from aigmdet.nn import AttentionConfig
 from aigmdet.models import AudioCAT
 from aigmdet.tensor import Tensor
-from aigmdet.training import (PRESETS, DivergedLoss, EvalReport, OneClassOnly,
-                              TrainConfig, TrainingError, confusion, evaluate,
-                              metrics, roc_auc, train)
+from aigmdet.training import (PRESETS, DivergedLoss, EvalReport, TrainConfig,
+                              TrainingError, confusion, evaluate, metrics, roc_auc,
+                              train)
 
 from util import pairwise_auc
 
@@ -182,15 +184,17 @@ def test_metrics_worked_example():
     assert abs(rep.recall - 8 / 9) < 1e-12
     assert abs(rep.f1 - 2 * 0.8 * (8 / 9) / (0.8 + 8 / 9)) < 1e-12
     assert abs(rep.specificity - 9 / 11) < 1e-12
-    assert rep.undefined == ()
+    # counts alone define no AUC
+    assert math.isnan(rep.auc)
 
 
 def test_metrics_undefined_ratios():
     rep = metrics((0, 0, 5, 5))  # nothing predicted positive
-    assert rep.precision == 0.0 and rep.f1 == 0.0
-    assert "precision" in rep.undefined and "f1" in rep.undefined
+    assert math.isnan(rep.precision) and math.isnan(rep.f1)
+    assert rep.recall == 0.0 and rep.specificity == 1.0 and rep.accuracy == 0.5
     rep2 = metrics((0, 5, 5, 0))  # no actual positives
-    assert "recall" in rep2.undefined
+    assert math.isnan(rep2.recall) and math.isnan(rep2.f1)
+    assert rep2.precision == 0.0
 
 
 def test_metrics_empty_counts():
@@ -215,8 +219,8 @@ def test_auc_half_tie_credit():
 
 
 def test_auc_one_class_only():
-    with pytest.raises(OneClassOnly, match="need at least one positive and one negative"):
-        roc_auc([0.5, 0.6], [1, 1])
+    assert math.isnan(roc_auc([0.5, 0.6], [1, 1]))
+    assert math.isnan(roc_auc([0.5, 0.6], [0, 0]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -250,5 +254,5 @@ def test_evaluate_end_to_end():
     assert EvalReport.CSV_HEADER == "acc,prec,recall,f1,auc,spec"
     # one class: no AUC (nor specificity), so nan, not a ranker that reads 0
     rep = evaluate([0.9, 0.2, 0.7], [1, 1, 1])
-    assert rep.undefined == ("specificity", "auc")
+    assert math.isnan(rep.specificity) and math.isnan(rep.auc)
     assert rep.csv_row() == "0.666667,1.000000,0.666667,0.800000,nan,nan"
