@@ -49,9 +49,8 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-# the TrainConfig fields a --config file may set, each read as the type of
-# its default; the seed is --seed's
-_CONFIG_KEYS = {f.name: type(f.default) for f in fields(TrainConfig) if f.name != "seed"}
+# the TrainConfig fields a --config file may set; the seed is --seed's
+_CONFIG_KEYS = sorted(f.name for f in fields(TrainConfig) if f.name != "seed")
 
 
 def _read_config_file(path) -> dict:
@@ -68,14 +67,15 @@ def _read_config_file(path) -> dict:
             raise DataError(f"{path}, line {n}: expected key=value, got {line!r}")
         if key not in _CONFIG_KEYS:
             raise DataError(f"{path}, line {n}: unknown key {key!r}; "
-                            f"options: {sorted(_CONFIG_KEYS)}")
+                            f"options: {_CONFIG_KEYS}")
         values[key] = value.strip()
     return values
 
 
 def _train_config(args) -> TrainConfig:
-    """The preset, then the --config file's values, then the flags; a value
-    TrainConfig refuses is a DataError naming its key (and file)."""
+    """The preset, then the --config file's values, then the flags, each
+    read as the type of the preset's value; a value TrainConfig refuses is
+    a DataError naming its key (and file)."""
     cfg = PRESETS.get(args.preset)
     if cfg is None:
         raise DataError(f"unknown preset {args.preset!r}; options: {sorted(PRESETS)}")
@@ -83,16 +83,16 @@ def _train_config(args) -> TrainConfig:
     if args.config:
         overrides = {key: (value, f"{key}={value} in {args.config}")
                      for key, value in _read_config_file(args.config).items()}
-    for key in ("epochs", "batch_size", "lr"):
+    for key in ("epochs", "batch_size", "lr", "seed"):
         value = getattr(args, key)
         if value is not None:
             overrides[key] = (value, f"--{key.replace('_', '-')} {value}")
     for key, (value, where) in overrides.items():
         try:
-            cfg = replace(cfg, **{key: _CONFIG_KEYS[key](value)})
+            cfg = replace(cfg, **{key: type(getattr(cfg, key))(value)})
         except (TrainingError, ValueError) as exc:
             raise DataError(f"{where}: {exc}") from None
-    return replace(cfg, seed=args.seed)
+    return cfg
 
 
 # ----------------------------------------------------------------------

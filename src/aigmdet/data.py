@@ -28,9 +28,10 @@ SPLITS = ("train", "val", "test")
 
 def read_lines(path) -> list[str]:
     """The lines of a UTF-8 text file (a manifest or a --config file), line
-    ends as written; DataError names a file that is not UTF-8."""
+    ends as written, less a leading byte-order mark; DataError names a file
+    that is not UTF-8."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             return fh.readlines()
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc})") from None
@@ -147,10 +148,14 @@ def _apportion(n: int, ratios: tuple) -> list[int]:
     return counts
 
 
+def split_counts(n: int) -> list[int]:
+    """The (train, val, test) counts split_dataset gives a class of n entries."""
+    return _apportion(n, (8, 1, 1))
+
+
 def split_dataset(manifest: Manifest, seed: int = 0) -> Manifest:
-    """Stratified, seeded 8:1:1 train/val/test split, largest-remainder sized."""
-    if len(manifest.entries) < 10:
-        raise DataError(f"need >= 10 entries, got {len(manifest.entries)}")
+    """Stratified, seeded 8:1:1 train/val/test split of each class, sized by
+    split_counts; a split may come out empty."""
     rng = np.random.default_rng(seed)
     assigned = {}
     for label in (0, 1):
@@ -158,7 +163,7 @@ def split_dataset(manifest: Manifest, seed: int = 0) -> Manifest:
         if not idx:
             continue
         perm = rng.permutation(len(idx))
-        names = [s for s, n in zip(SPLITS, _apportion(len(idx), (8, 1, 1))) for _ in range(n)]
+        names = [s for s, n in zip(SPLITS, split_counts(len(idx))) for _ in range(n)]
         assigned.update((idx[j], name) for j, name in zip(perm, names))
     entries = [ManifestEntry(e.path, e.label, assigned[i])
                for i, e in enumerate(manifest.entries)]
@@ -255,8 +260,6 @@ def render_track(label: int, bpm: float, duration_s: float, rate: int,
 def synth_dataset(out_dir, n_per_class: int, seed: int = 0,
                   duration_s: float = 64.0) -> Manifest:
     """16 kHz class-0/class-1 WAVs at _SYNTH_TEMPI plus a manifest; byte-stable per seed."""
-    if n_per_class < 4:
-        raise DataError("need at least 4 tracks per class")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)

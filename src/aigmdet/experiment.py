@@ -9,24 +9,27 @@ read or analysed ends the run with an error naming its file.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import itertools
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .audio import load_wav
-from .data import SPLITS, DataError, Manifest, ManifestEntry, split_dataset, synth_dataset
+from .data import SPLITS, DataError, Manifest, split_counts, split_dataset, synth_dataset
 from .extractors import get_extractor
 from .models import features_to_sequence, segment_features
 from .pipeline import analysis_buffer, analyze_beats, build_model, names_track
 from .training import TrainConfig, TrainResult, evaluate, train
+
+EXTRACTOR = "stats-160"  # the stage-1 model's preset
 
 
 @dataclass
 class TrackFeatures:
     path: str
     label: int
-    vectors: np.ndarray  # [n_segments x 160], one stats-160 vector a segment
+    vectors: np.ndarray  # [n_segments x 160], one EXTRACTOR vector a segment
 
 
 @dataclass
@@ -40,12 +43,12 @@ class SeedResult:
 
 @names_track
 def track_vectors(path) -> np.ndarray:
-    """[n_segments x 160]: the WAV at `path` beat-aligned, one stats-160
+    """[n_segments x 160]: the WAV at `path` beat-aligned, one EXTRACTOR
     vector per 4-bar segment.  The beat analysis and the vectors read the
     one frame-1024 log-mel of the track."""
     mono = analysis_buffer(load_wav(path))
     grid = analyze_beats(mono).grid
-    return np.stack(list(segment_features(mono, grid, get_extractor("stats-160"))))
+    return np.stack(list(segment_features(mono, grid, get_extractor(EXTRACTOR))))
 
 
 def extract_corpus(manifest: Manifest, log=None) -> list[TrackFeatures]:
@@ -66,12 +69,18 @@ def _stage2_examples(tracks, stage1) -> list:
     return [(features_to_sequence(t.vectors, stage1), t.label) for t in tracks]
 
 
-def _check_splits(labels, name: str):
-    """Raise the DataError run_seed's split would raise for a corpus with
-    these labels, before any track is rendered or analysed; split sizes
-    depend on the label counts only, not on the seed or the paths."""
-    stand_in = Manifest([ManifestEntry(str(i), y) for i, y in enumerate(labels)], name=name)
-    split_dataset(stand_in).subsets(*SPLITS)
+def _check_splits(labels, name):
+    """DataError, naming `name`, unless split_dataset gives each class of
+    these labels a track in every split, whatever the seed: a class's split
+    sizes are split_counts of its count."""
+    least = next(n for n in itertools.count() if all(split_counts(n)))
+    for label in (0, 1):
+        n = labels.count(label)
+        counts = split_counts(n)
+        if not all(counts):
+            raise DataError(f"{name}: class {label} has {n} tracks, so its "
+                            f"{SPLITS[counts.index(0)]!r} split is empty; the 80/10/10 "
+                            f"split needs at least {least} tracks a class")
 
 
 def run_seed(tracks, manifest: Manifest, seed: int,
@@ -81,7 +90,7 @@ def run_seed(tracks, manifest: Manifest, seed: int,
     subsets = {name: [by_path[e.path] for e in entries]
                for name, entries in zip(SPLITS, split.subsets(*SPLITS))}
 
-    stage1 = build_model("audiocat", extractor=get_extractor("stats-160"), seed=seed)
+    stage1 = build_model("audiocat", extractor=get_extractor(EXTRACTOR), seed=seed)
     s1_result = train(stage1, _stage1_examples(subsets["train"]),
                       _stage1_examples(subsets["val"]), stage1_cfg, log=log)
 
@@ -96,37 +105,28 @@ def run_seed(tracks, manifest: Manifest, seed: int,
     return SeedResult(seed, report.accuracy, report.auc, s1_result, s2_result)
 
 
-def run_experiment(data_dir, n_per_class: int = 64, duration_s: float = 64.0,
-                   seeds=(0, 1, 2), epochs: int = 20, lr: float = 1e-3,
-                   log=None) -> list[SeedResult]:
+def run_experiment(data_dir, n_per_class: int, duration_s: float, seeds, epochs: int,
+                   lr: float, log=None) -> list[SeedResult]:
     """One SeedResult a seed.  A data_dir that holds a manifest.csv is
     reused as it is, and n_per_class and duration_s are not read; otherwise
     a corpus of n_per_class tracks a class is rendered there."""
-    # the training config (both stages') and the split are checked before
-    # any track is rendered
-    cfg = TrainConfig(epochs=epochs, batch_size=8, loss="bce", lr=lr, weight_decay=1e-6)
+    # each seed's training config (both stages') and the split are checked
+    # before any track is rendered or read
+    cfgs = [TrainConfig(epochs=epochs, lr=lr, seed=seed) for seed in seeds]
     data_dir = Path(data_dir)
     manifest_path = data_dir / "manifest.csv"
     if manifest_path.exists():
         manifest = Manifest.load(manifest_path)
-        _check_splits([e.label for e in manifest.entries], manifest.name)
+        _check_splits([e.label for e in manifest.entries], manifest_path)
         if log:
             log(f"reusing {manifest_path} ({len(manifest.entries)} tracks); "
                 f"--tracks-per-class and --duration-s are not read")
     else:
-        # 7 is the least n for which _apportion(n, (8, 1, 1)) gives a class
-        # a test track
-        if n_per_class < 7:
-            raise DataError(f"--tracks-per-class {n_per_class}: the 80/10/10 split needs "
-                            f"at least 7 tracks a class, or its test set is empty")
+        _check_splits([0, 1] * n_per_class, f"--tracks-per-class {n_per_class}")
         if not (np.isfinite(duration_s) and duration_s > 0):
             raise DataError(f"--duration-s {duration_s}: a track's duration must be "
                             f"finite and above 0 seconds")
         manifest = synth_dataset(data_dir, n_per_class, seed=0,
                                  duration_s=duration_s)
     tracks = extract_corpus(manifest, log=log)
-    per_seed = []
-    for seed in seeds:
-        seed_cfg = replace(cfg, seed=seed)
-        per_seed.append(run_seed(tracks, manifest, seed, seed_cfg, seed_cfg, log=log))
-    return per_seed
+    return [run_seed(tracks, manifest, cfg.seed, cfg, cfg, log=log) for cfg in cfgs]

@@ -337,8 +337,8 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 @dataclass
 class OptimState:
-    lr: float = 1e-5
-    weight_decay: float = 1e-6
+    lr: float
+    weight_decay: float
     t: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)

@@ -49,19 +49,19 @@ class TrainConfig:
             raise TrainingError(f"lr must be finite and > 0, got {self.lr}")
         if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
             raise TrainingError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
+        if self.seed < 0:
+            raise TrainingError(f"seed must be >= 0, got {self.seed}")
 
     def loss_fn(self):
         return nn.bce_loss if self.loss == "bce" else nn.focal_loss
 
 
-# named presets for the published training recipes
+# named presets for the published training recipes; TrainConfig's defaults
+# are paper-s1-bce
 PRESETS = {
-    "paper-s1-bce": TrainConfig(epochs=30, batch_size=8, loss="bce",
-                                lr=1e-5, weight_decay=1e-6),
-    "paper-s1-focal": TrainConfig(epochs=50, batch_size=32, loss="focal",
-                                  lr=1e-5, weight_decay=1e-6),
-    "paper-s2-bce": TrainConfig(epochs=50, batch_size=8, loss="bce",
-                                lr=1e-5, weight_decay=1e-6),
+    "paper-s1-bce": TrainConfig(),
+    "paper-s1-focal": TrainConfig(epochs=50, batch_size=32, loss="focal"),
+    "paper-s2-bce": TrainConfig(epochs=50),
 }
 
 
@@ -76,9 +76,7 @@ class EpochRecord:
 @dataclass
 class TrainResult:
     history: list
-    best_params: dict
     best_epoch: int
-    stopped_early: bool
 
     def save_history_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -105,8 +103,8 @@ def _mean_loss(model, data, loss_fn, batch_size: int) -> tuple[float, float]:
 
 def train(model, train_data, val_data, cfg: TrainConfig,
           log=None) -> TrainResult:
-    """Adam + early stopping on validation loss; returns the best-epoch
-    parameter snapshot.  Deterministic under cfg.seed (single-threaded)."""
+    """Adam + early stopping on validation loss; leaves the model at its
+    best epoch's parameters.  Deterministic under cfg.seed (single-threaded)."""
     if not train_data or not val_data:
         raise TrainingError("train and val splits must be non-empty")
     rng = np.random.default_rng(cfg.seed)
@@ -119,7 +117,6 @@ def train(model, train_data, val_data, cfg: TrainConfig,
     best_params = model.state_arrays()
     since_improve = 0
     history = []
-    stopped = False
 
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(len(train_data))
@@ -156,11 +153,10 @@ def train(model, train_data, val_data, cfg: TrainConfig,
         else:
             since_improve += 1
             if since_improve >= cfg.early_stop_patience:
-                stopped = True
                 break
 
     model.load_state_arrays(best_params)
-    return TrainResult(history, best_params, best_epoch, stopped)
+    return TrainResult(history, best_epoch)
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 from aigmdet import cli, experiment, models, nn, pipeline
 from aigmdet.audio import AudioBuffer, load_wav, save_wav
 from aigmdet.cli import EXIT_IO, EXIT_MUSIC, EXIT_OK, EXIT_TRAIN, EXIT_USAGE, main
-from aigmdet.data import Manifest, ManifestEntry, render_track
+from aigmdet.data import SPLITS, Manifest, ManifestEntry, render_track, split_dataset
 from aigmdet.dsp import MIN_SEGMENT_S, N_MELS, TooShort
 from aigmdet.extractors import get_extractor
 from aigmdet.models import SegmentTransformer
@@ -159,6 +159,34 @@ def test_train_malformed_manifest_row_exits_2(row, tmp_path, capsys):
     assert run(["train", "--arch", "audiocat",
                 "--manifest", str(path), "--out", str(tmp_path / "o")]) == EXIT_IO
     assert "line 2" in capsys.readouterr().err
+
+
+# spreadsheet editors save "CSV UTF-8" with a byte-order mark
+def test_train_reads_files_with_a_byte_order_mark(corpus, tmp_path):
+    manifest, config = tmp_path / "bom.csv", tmp_path / "bom.cfg"
+    manifest.write_bytes(b"\xef\xbb\xbf" + corpus["manifest"].read_bytes())
+    config.write_text("\ufeffepochs=1\nlr=1e-3\n", encoding="utf-8")
+    assert run(["train", "--arch", "audiocat", "--extractor", "stats-160",
+                "--manifest", str(manifest), "--config", str(config),
+                "--out", str(tmp_path / "o.aigm")]) == EXIT_OK
+    # the header and the one epoch that the config file sets
+    assert len((tmp_path / "o.aigm.history.csv").read_text().splitlines()) == 2
+
+
+# split_dataset refuses no manifest by its size: 4 + 4 unsplit entries split
+# 3/1/0 a class, and train needs only the train and val splits
+def test_train_splits_a_manifest_of_4_plus_4(corpus, tmp_path):
+    entries = [ManifestEntry(e.path, e.label)
+               for e in Manifest.load(corpus["manifest"]).entries[:8]]
+    split = split_dataset(Manifest(entries))
+    for name, want in zip(SPLITS, (3, 1, 0)):
+        labels = [e.label for e in split.subset(name)]
+        assert labels.count(0) == labels.count(1) == want
+    Manifest(entries).save(tmp_path / "small.csv")
+    assert run(["train", "--arch", "audiocat", "--extractor", "stats-160",
+                "--manifest", str(tmp_path / "small.csv"), "--epochs", "1",
+                "--out", str(tmp_path / "o.aigm")]) == EXIT_OK
+    assert (tmp_path / "o.aigm").exists()
 
 
 def assert_eval_row(row):
@@ -782,11 +810,31 @@ def test_experiment_bad_duration_exits_2(duration, tmp_path, capsys):
 
 
 # a training setting TrainConfig refuses, on a corpus large enough to split
-@pytest.mark.parametrize("flags", [["--epochs", "0"], ["--lr", "-1"]],
-                         ids=["epochs_0", "lr_negative"])
+@pytest.mark.parametrize("flags", [["--epochs", "0"], ["--lr", "-1"], ["--seeds", "0", "-1"]],
+                         ids=["epochs_0", "lr_negative", "seeds_negative"])
 def test_experiment_bad_training_setting_exits_2(flags, tmp_path, capsys):
     code = run(experiment_argv(tmp_path / "corpus", 7, *flags))
     assert_refused_before_rendering(code, capsys, tmp_path / "corpus")
+
+
+# a reused corpus whose 80/10/10 split leaves a class without a track in
+# some split, or a seed TrainConfig refuses: exit 2, before any WAV is read
+@pytest.mark.parametrize("labels, flags, named", [
+    ([1] * 10, [], "{manifest}: class 0 has 0 tracks, so its 'train' split is empty"),
+    ([0] * 10 + [1] * 3, [], "{manifest}: class 1 has 3 tracks, so its 'val' split is empty"),
+    ([0, 1] * 7, ["--seeds", "0", "-1"], "seed must be >= 0, got -1"),
+], ids=["one_class", "10_plus_3", "seeds_negative"])
+def test_experiment_refuses_a_reused_corpus_before_reading(labels, flags, named, tmp_path,
+                                                           monkeypatch, capsys):
+    monkeypatch.setattr(experiment, "load_wav", lambda path: pytest.fail(f"read {path}"))
+    data_dir = tmp_path / "reused"
+    data_dir.mkdir()
+    manifest = data_dir / "manifest.csv"
+    Manifest([ManifestEntry(f"missing{i}.wav", y) for i, y in enumerate(labels)]).save(manifest)
+    code = run(experiment_argv(data_dir, 7, *flags))
+    err = capsys.readouterr().err.splitlines()
+    assert code == EXIT_IO
+    assert len(err) == 1 and err[0].startswith(f"error: {named.format(manifest=manifest)}")
 
 
 def test_experiment_silent_track_exits_3(corpus, tmp_path, capsys):
@@ -864,10 +912,11 @@ def test_seed_defaults_to_0():
     (["--lr", "nan"], None, "--lr nan"),
     (["--lr", "-0.001"], None, "--lr -0.001"),
     (["--lr", "0"], None, "--lr 0.0"),
+    (["--seed", "-1"], None, "--seed -1"),
     ([], "weight_decay=-1\n", "weight_decay=-1 in {cfg}"),
     ([], "weight_decay=inf\n", "weight_decay=inf in {cfg}"),
 ], ids=["epochs_0", "batch_size_0", "config_loss_mse", "config_epochs_abc",
-        "config_unknown_key", "config_no_equals", "lr_nan", "lr_negative", "lr_0",
+        "config_unknown_key", "config_no_equals", "lr_nan", "lr_negative", "lr_0", "seed_negative",
         "config_weight_decay_negative", "config_weight_decay_inf"])
 def test_bad_training_setting_exits_2(flags, config, named, corpus, tmp_path,
                                       monkeypatch, capsys):

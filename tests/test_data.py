@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aigmdet.audio import load_wav
-from aigmdet.data import (DataError, Manifest, ManifestEntry, _apportion, render_track,
-                          split_dataset, synth_dataset)
+from aigmdet.data import (SPLITS, DataError, Manifest, ManifestEntry, _apportion,
+                          read_lines, render_track, split_dataset, synth_dataset)
+from aigmdet.experiment import _check_splits
 
 
 def make_manifest(n0, n1):
@@ -83,6 +84,13 @@ def test_manifest_rejects_bad_header(tmp_path):
         Manifest.load(path)
 
 
+# spreadsheet editors save "CSV UTF-8" with a byte-order mark
+def test_read_lines_drops_a_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbfpath,label\r\nx.wav,0\r\n")
+    assert read_lines(path) == ["path,label\r\n", "x.wav,0\r\n"]
+
+
 def test_manifest_subset():
     m = make_manifest(4, 0)
     m.entries[0].split = m.entries[1].split = "train"
@@ -132,9 +140,21 @@ def test_split_deterministic_and_seed_sensitive():
     assert [e.split for e in a.entries] != [e.split for e in c.entries]
 
 
-def test_split_too_few():
-    with pytest.raises(DataError, match="need >= 10 entries, got 8"):
-        split_dataset(make_manifest(4, 4))
+# run_experiment's corpus check is the split itself: it accepts exactly
+# the label counts whose every split holds a track of each class
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 20), st.integers(0, 20), st.integers(0, 2**32 - 1))
+def test_experiment_check_is_the_split(n0, n1, seed):
+    split = split_dataset(make_manifest(n0, n1), seed=seed)
+    splits_both = all({e.label for e in split.subset(name)} == {0, 1} for name in SPLITS)
+    try:
+        _check_splits([0] * n0 + [1] * n1, "corpus")
+    except DataError as exc:
+        assert not splits_both
+        assert str(exc).startswith("corpus: class ")
+        assert "at least 7 tracks a class" in str(exc)
+    else:
+        assert splits_both
 
 
 def test_split_preserves_paths_and_labels():
@@ -194,11 +214,6 @@ def test_synth_dataset_byte_stable(tmp_path):
                 h.update(fh.read())
         digests.append(h.hexdigest())
     assert digests[0] == digests[1]
-
-
-def test_synth_dataset_minimum_size(tmp_path):
-    with pytest.raises(DataError):
-        synth_dataset(tmp_path / "tiny", n_per_class=3)
 
 
 # SHA-256 of the corpus bytes: any change to the synthesis arithmetic, or

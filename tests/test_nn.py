@@ -471,7 +471,7 @@ def test_adam_deterministic_under_seed(seed):
     def run():
         rng = np.random.default_rng(seed)
         lin = nn.Linear(4, 1, rng)
-        state = nn.OptimState(lr=1e-3)
+        state = nn.OptimState(lr=1e-3, weight_decay=1e-6)
         x = Tensor(rng.normal(size=(6, 4)))
         for _ in range(3):
             lin.zero_grad()

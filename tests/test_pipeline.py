@@ -222,11 +222,11 @@ def test_build_model_variants():
 def test_experiment_smoke(tmp_path):
     from aigmdet.experiment import run_experiment
     (result,) = run_experiment(tmp_path / "mini", n_per_class=8, duration_s=32.0,
-                               seeds=(0,), epochs=2)
+                               seeds=(0,), epochs=2, lr=1e-3)
     assert 0.0 <= result.accuracy <= 1.0
     assert 0.0 <= result.auc <= 1.0
     # reusing the directory must not regenerate audio
     manifest = (tmp_path / "mini" / "manifest.csv").read_text()
     run_experiment(tmp_path / "mini", n_per_class=8, duration_s=32.0,
-                   seeds=(0,), epochs=1)
+                   seeds=(0,), epochs=1, lr=1e-3)
     assert (tmp_path / "mini" / "manifest.csv").read_text() == manifest
