@@ -10,7 +10,9 @@ function, which alone refuses a wrong --stage1-ckpt:
 "<owner>: a segtr model needs --stage1-ckpt" and
 "<owner>: a stage-1 (<arch>) model takes no --stage1-ckpt", where the
 owner is the checkpoint, or --arch <arch> in train, and
-"<file>: a segtr checkpoint is not a stage-1 model".  `experiment` runs
+"<file>: a segtr checkpoint is not a stage-1 model".  train's settings
+are its --preset's TrainConfig, over which each field's flag of the same
+name (--batch-size for batch_size) sets that field.  `experiment` runs
 the two-stage evaluation of experiment.run_experiment.
 
 Exit codes, all decided in main: 0 ok, 1 usage, 2 io/format, 3 musical
@@ -32,7 +34,7 @@ import numpy as np
 from . import experiment, pipeline, training
 from .audio import AudioError, load_wav
 from .beats import BeatError, export_boundaries_csv
-from .data import SPLITS, DataError, Manifest, read_lines, split_dataset
+from .data import SPLITS, DataError, Manifest, split_dataset
 from .dsp import TooShort
 from .extractors import EmbeddingFileError, EmbeddingSequence, get_extractor, load_precomputed
 from .models import export_ssm_csv, export_ssm_pgm, predict, self_similarity
@@ -49,62 +51,36 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-# the TrainConfig fields a --config file may set; the seed is --seed's
-_CONFIG_KEYS = sorted(f.name for f in fields(TrainConfig) if f.name != "seed")
-
-
-def _read_config_file(path) -> dict:
-    """The key=value lines of a --config file; blank and # lines are skipped,
-    and any other line, or a key not in _CONFIG_KEYS, is a DataError."""
-    values = {}
-    for n, line in enumerate(read_lines(path), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, eq, value = line.partition("=")
-        key = key.strip()
-        if not eq:
-            raise DataError(f"{path}, line {n}: expected key=value, got {line!r}")
-        if key not in _CONFIG_KEYS:
-            raise DataError(f"{path}, line {n}: unknown key {key!r}; "
-                            f"options: {_CONFIG_KEYS}")
-        values[key] = value.strip()
-    return values
-
-
 def _train_config(args) -> TrainConfig:
-    """The preset, then the --config file's values, then the flags, each
-    read as the type of the preset's value; a value TrainConfig refuses is
-    a DataError naming its key (and file)."""
+    """The preset, then each TrainConfig field's flag that is given; a
+    value TrainConfig refuses is a DataError naming its flag."""
     cfg = PRESETS.get(args.preset)
     if cfg is None:
         raise DataError(f"unknown preset {args.preset!r}; options: {sorted(PRESETS)}")
-    overrides = {}
-    if args.config:
-        overrides = {key: (value, f"{key}={value} in {args.config}")
-                     for key, value in _read_config_file(args.config).items()}
-    for key in ("epochs", "batch_size", "lr", "seed"):
-        value = getattr(args, key)
+    for f in fields(TrainConfig):
+        value = getattr(args, f.name)
         if value is not None:
-            overrides[key] = (value, f"--{key.replace('_', '-')} {value}")
-    for key, (value, where) in overrides.items():
-        try:
-            cfg = replace(cfg, **{key: type(getattr(cfg, key))(value)})
-        except (TrainingError, ValueError) as exc:
-            raise DataError(f"{where}: {exc}") from None
+            try:
+                cfg = replace(cfg, **{f.name: value})
+            except TrainingError as exc:
+                raise DataError(f"--{f.name.replace('_', '-')} {value}: {exc}") from None
     return cfg
 
 
 # ----------------------------------------------------------------------
 @pipeline.names_track
 def _beat_analysis(path):
-    return pipeline.analyze_beats(load_wav(path))
+    """The track's beat analysis and its length in seconds."""
+    mono = pipeline.analysis_buffer(load_wav(path))
+    return pipeline.analyze_beats(mono), mono.duration
 
 
 def cmd_beats(args) -> int:
-    analysis = _beat_analysis(args.audio)
+    analysis, duration = _beat_analysis(args.audio)
     grid = analysis.grid
-    boundaries = [(t, t + grid.period) for t in grid.downbeats()]
+    # the whole bars only, as segment_bars keeps whole 4-bar windows
+    boundaries = [(t, t + grid.period) for t in grid.downbeats()
+                  if t + grid.period <= duration + 1e-9]
     export_boundaries_csv(boundaries, args.out)
     print(f"bpm={analysis.bpm:.2f}")
     print(f"bar_period_s={grid.period:.4f}")
@@ -208,11 +184,8 @@ def make_parser() -> _Parser:
     p.add_argument("--extractor", default="seq-512")
     p.add_argument("--stage1-ckpt")
     p.add_argument("--out", required=True)
-    p.add_argument("--config", help="key=value config file")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--lr", type=float)
-    p.add_argument("--seed", type=int, default=0)
+    for f in fields(TrainConfig):  # each overrides the preset's value
+        p.add_argument(f"--{f.name.replace('_', '-')}", type=type(f.default))
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
     p.add_argument("--ckpt", required=True)

@@ -27,9 +27,9 @@ SPLITS = ("train", "val", "test")
 
 
 def read_lines(path) -> list[str]:
-    """The lines of a UTF-8 text file (a manifest or a --config file), line
-    ends as written, less a leading byte-order mark; DataError names a file
-    that is not UTF-8."""
+    """The lines of a UTF-8 text file (a manifest), line ends as written,
+    less a leading byte-order mark; DataError names a file that is not
+    UTF-8."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             return fh.readlines()

@@ -27,7 +27,7 @@ from .audio import AudioBuffer
 from .beats import BeatGrid, segment_bars
 from .dsp import segment_frames
 from .extractors import EmbeddingSequence, FeatureExtractor, MAX_SEQ_LEN
-from .nn import AttentionConfig, ShapeMismatch
+from .nn import AttentionConfig
 from .tensor import Tensor, _sigmoid, concat, no_grad
 
 
@@ -120,7 +120,7 @@ class AudioCAT(nn.Module):
         feats = [np.atleast_2d(np.asarray(f, dtype=np.float64)) for f in batch]
         for f in feats:
             if f.shape[1] != self.d_enc:
-                raise ShapeMismatch(f"features dim {f.shape[1]} vs d_enc {self.d_enc}")
+                raise ValueError(f"features dim {f.shape[1]} vs d_enc {self.d_enc}")
         mem_mask, padded = _pad_batch(feats)
         if mem_mask.all():
             mem_mask = None
@@ -136,7 +136,7 @@ class AudioCAT(nn.Module):
         """One output per feature map of the batch (see forward_tensor)."""
         return _outputs(self, batch)
 
-    def loss(self, batch, labels, loss_fn=nn.bce_loss) -> Tensor:
+    def loss(self, batch, labels, loss_fn) -> Tensor:
         return _batch_loss(self, batch, labels, loss_fn)
 
 
@@ -147,7 +147,7 @@ class FXSegment(nn.Module):
     def __init__(self, d_enc: int, n_tokens: int = 16,
                  cfg: AttentionConfig | None = None, n_layers: int = 2, seed: int = 0):
         if d_enc % n_tokens != 0:
-            raise ShapeMismatch(f"d_enc {d_enc} not divisible by {n_tokens} tokens")
+            raise ValueError(f"d_enc {d_enc} not divisible by {n_tokens} tokens")
         cfg = cfg or AttentionConfig()
         rng = np.random.default_rng(seed)
         self.cfg = cfg
@@ -164,7 +164,7 @@ class FXSegment(nn.Module):
         embeddings = [np.asarray(e, dtype=np.float64).reshape(-1) for e in batch]
         for e in embeddings:
             if e.shape[0] != self.d_enc:
-                raise ShapeMismatch(f"embedding dim {e.shape[0]} vs d_enc {self.d_enc}")
+                raise ValueError(f"embedding dim {e.shape[0]} vs d_enc {self.d_enc}")
         b = len(embeddings)
         tokens = self.token_proj(Tensor(np.stack(embeddings).reshape(b, self.n_tokens, -1)))
         cls = self.cls * Tensor(np.ones((b, 1, 1)))
@@ -179,7 +179,7 @@ class FXSegment(nn.Module):
         """One output per embedding of the batch."""
         return _outputs(self, batch)
 
-    def loss(self, batch, labels, loss_fn=nn.focal_loss) -> Tensor:
+    def loss(self, batch, labels, loss_fn) -> Tensor:
         return _batch_loss(self, batch, labels, loss_fn)
 
 
@@ -216,7 +216,7 @@ class SegmentTransformer(nn.Module):
         seqs = [EmbeddingSequence(s.vectors[:self.max_len]) for s in batch]
         for seq in seqs:
             if seq.dim != self.d_in:
-                raise ShapeMismatch(f"sequence dim {seq.dim} vs d_in {self.d_in}")
+                raise ValueError(f"sequence dim {seq.dim} vs d_in {self.d_in}")
         mask, vectors, ssm = _pad_batch(
             [seq.vectors for seq in seqs],
             [np.pad(self_similarity(seq), ((0, 0), (0, self.max_len - seq.length)))
@@ -240,7 +240,7 @@ class SegmentTransformer(nn.Module):
         """The score of one track."""
         return _outputs(self, [seq])[0]
 
-    def loss(self, batch, labels, loss_fn=nn.bce_loss) -> Tensor:
+    def loss(self, batch, labels, loss_fn) -> Tensor:
         return _batch_loss(self, batch, labels, loss_fn)
 
 

@@ -26,10 +26,6 @@ import numpy as np
 from .tensor import Tensor, _unbroadcast, node
 
 
-class ShapeMismatch(Exception):
-    pass
-
-
 class CheckpointError(Exception):
     pass
 
@@ -42,11 +38,11 @@ class AttentionConfig:
 
     def __post_init__(self):
         if self.d_model < 1 or self.heads < 1:
-            raise ShapeMismatch(f"d_model {self.d_model} and heads {self.heads} must be >= 1")
+            raise ValueError(f"d_model {self.d_model} and heads {self.heads} must be >= 1")
         if self.d_model % self.heads != 0:
-            raise ShapeMismatch(f"d_model {self.d_model} not divisible by heads {self.heads}")
+            raise ValueError(f"d_model {self.d_model} not divisible by heads {self.heads}")
         if self.ffn_dim < self.d_model:
-            raise ShapeMismatch("ffn_dim must be >= d_model")
+            raise ValueError("ffn_dim must be >= d_model")
 
 
 # ----------------------------------------------------------------------
@@ -83,7 +79,7 @@ class Module:
         for k, p in params.items():
             a = np.asarray(arrays[k], dtype=np.float64)
             if a.shape != p.data.shape:
-                raise ShapeMismatch(f"{k}: checkpoint {a.shape} vs model {p.data.shape}")
+                raise CheckpointError(f"{k}: checkpoint {a.shape} vs model {p.data.shape}")
             p.data = a.copy()
 
 
@@ -147,7 +143,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 def sinusoidal_positions(n: int, d: int) -> Tensor:
     """Fixed sin/cos positional table, PE[p, 2i]=sin(p/10000^(2i/d))."""
     if d % 2 != 0:
-        raise ShapeMismatch("positional dimension must be even")
+        raise ValueError("positional dimension must be even")
     return Tensor(_position_table(n, d))
 
 
@@ -237,12 +233,12 @@ class MultiHeadAttention(Module):
         [..., 1, 1, n] score bias, or None."""
         d = self.cfg.d_model
         if q.shape[-1] != d or k.shape[-1] != d:
-            raise ShapeMismatch("q/k/v last dim must equal d_model")
+            raise ValueError("q/k/v last dim must equal d_model")
         if mask is None:
             return None
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != k.shape[:-1]:
-            raise ShapeMismatch(f"mask shape {mask.shape} vs keys {k.shape[:-1]}")
+            raise ValueError(f"mask shape {mask.shape} vs keys {k.shape[:-1]}")
         if not mask.any(axis=-1).all():
             raise ValueError("no valid key positions")
         return np.where(mask, 0.0, -np.inf)[..., None, None, :]
@@ -250,9 +246,9 @@ class MultiHeadAttention(Module):
     def __call__(self, q: Tensor, k: Tensor, v: Tensor,
                  mask: np.ndarray | None = None) -> Tensor:
         if v.shape[-1] != self.cfg.d_model:
-            raise ShapeMismatch("q/k/v last dim must equal d_model")
+            raise ValueError("q/k/v last dim must equal d_model")
         if k.shape[:-1] != v.shape[:-1]:
-            raise ShapeMismatch("keys and values must agree in length")
+            raise ValueError("keys and values must agree in length")
         key_bias = self._key_bias(q, k, mask)
         return self.wo(attention(self.wq(q), self.wk(k), self.wv(v), self.cfg.heads, key_bias))
 
@@ -353,7 +349,7 @@ def adam_step(params: dict[str, Tensor], state: OptimState):
     for name, p in params.items():
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
         if g.shape != p.data.shape:
-            raise ShapeMismatch(f"{name}: grad {g.shape} vs param {p.data.shape}")
+            raise ValueError(f"{name}: grad {g.shape} vs param {p.data.shape}")
         if name not in state.m:
             state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)
@@ -438,5 +434,5 @@ __all__ = [
     "AttentionConfig", "Module", "Linear", "LayerNorm", "MultiHeadAttention",
     "FeedForward", "EncoderBlock", "DecoderBlock", "layer_norm", "attention",
     "sinusoidal_positions", "bce_loss", "focal_loss", "OptimState", "adam_step",
-    "save_checkpoint", "load_checkpoint", "ShapeMismatch", "CheckpointError",
+    "save_checkpoint", "load_checkpoint", "CheckpointError",
 ]

@@ -16,7 +16,7 @@ from .dsp import ANALYSIS_RATE, TooShort, segment_frames
 from .extractors import FeatureExtractor, get_extractor
 from .models import (AudioCAT, DetectorOutput, FXSegment, SegmentTransformer,
                      track_to_sequence)
-from .nn import AttentionConfig, ShapeMismatch
+from .nn import AttentionConfig
 
 
 def analysis_buffer(buf: AudioBuffer) -> AudioBuffer:
@@ -101,7 +101,7 @@ def load_model(path):
             raise ValueError(f"a segtr reads no extractor, the meta names {preset!r}")
         model = build_model(arch, None if preset == "" else get_extractor(preset))
         model.load_state_arrays(arrays)
-    except (TypeError, ValueError, DataError, ShapeMismatch, nn.CheckpointError) as exc:
+    except (TypeError, ValueError, DataError, nn.CheckpointError) as exc:
         raise nn.CheckpointError(f"{path}: not a loadable aigmdet model ({exc})") from None
     return model, arch, preset
 

@@ -113,13 +113,13 @@ def test_criterion_1_gradient_suite():
         cat = AudioCAT(d_enc=8, cfg=TOY, n_queries=2, n_layers=1, seed=k)
         feats = rng.normal(size=(4, 8))
         check(failures, grads_ok(
-            lambda: cat.loss([feats], [k % 2]),
+            lambda: cat.loss([feats], [k % 2], nn.bce_loss),
             list(cat.parameters().values()), rng=pick), f"audiocat[{k}]")
 
         fx = FXSegment(d_enc=16, n_tokens=4, cfg=TOY, n_layers=1, seed=k)
         emb = rng.normal(size=16)
         check(failures, grads_ok(
-            lambda: fx.loss([emb], [k % 2]),
+            lambda: fx.loss([emb], [k % 2], nn.focal_loss),
             list(fx.parameters().values()), rng=pick), f"fxseg[{k}]")
 
         seg = SegmentTransformer(d_in=6, cfg=TOY, max_len=4,
@@ -127,23 +127,23 @@ def test_criterion_1_gradient_suite():
                                  seed=k)
         seq = EmbeddingSequence(rng.normal(size=(3, 6)))
         check(failures, grads_ok(
-            lambda: seg.loss([seq], [k % 2]),
+            lambda: seg.loss([seq], [k % 2], nn.bce_loss),
             list(seg.parameters().values()), rng=pick), f"segtr[{k}]")
 
         # the same three models on a minibatch of 3 mixed-length examples
         labels = [k % 2, 1 - k % 2, 1]
         feats3 = [feats, rng.normal(size=(2, 8)), rng.normal(size=(3, 8))]
         check(failures, grads_ok(
-            lambda: cat.loss(feats3, labels),
+            lambda: cat.loss(feats3, labels, nn.bce_loss),
             list(cat.parameters().values()), rng=pick), f"audiocat_batch[{k}]")
         embs3 = [emb, rng.normal(size=16), rng.normal(size=16)]
         check(failures, grads_ok(
-            lambda: fx.loss(embs3, labels),
+            lambda: fx.loss(embs3, labels, nn.focal_loss),
             list(fx.parameters().values()), rng=pick), f"fxseg_batch[{k}]")
         short = EmbeddingSequence(rng.normal(size=(1, 6)))
         full = EmbeddingSequence(rng.normal(size=(4, 6)))
         check(failures, grads_ok(
-            lambda: seg.loss([seq, short, full], labels),
+            lambda: seg.loss([seq, short, full], labels, nn.bce_loss),
             list(seg.parameters().values()), rng=pick), f"segtr_batch[{k}]")
 
     elapsed = time.time() - start

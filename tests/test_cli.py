@@ -3,6 +3,7 @@ import shlex
 import struct
 import time
 import warnings
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from aigmdet.data import SPLITS, Manifest, ManifestEntry, render_track, split_da
 from aigmdet.dsp import MIN_SEGMENT_S, N_MELS, TooShort
 from aigmdet.extractors import get_extractor
 from aigmdet.models import SegmentTransformer
-from aigmdet.training import DivergedLoss
+from aigmdet.training import PRESETS, DivergedLoss, TrainConfig
 
 from util import click_track, raw_wav
 
@@ -81,6 +82,23 @@ def test_beats_command(corpus, tmp_path, capsys):
     assert any(l.startswith("bar_period_s=") for l in captured.splitlines())
     assert any(l.startswith("residual_rms_s=") for l in captured.splitlines())
     assert any(l.startswith("downbeats=") for l in captured.splitlines())
+
+
+# the CSV holds the bars that end by the track's end, while downbeats=
+# counts the grid's downbeats up to it; a render at seed 0 of each
+@pytest.mark.parametrize("bpm, duration, last_row, downbeats", [
+    (120, 16.0, "6,12.496000,14.496000", 8),
+    (100, 30.0, "11,27.600000,30.000000", 13),
+    (92, 14.0, "3,9.776000,12.384000", 5),
+], ids=["120bpm_16s", "100bpm_30s", "92bpm_14s"])
+def test_beats_writes_whole_bars(bpm, duration, last_row, downbeats, tmp_path, capsys):
+    path, out = tmp_path / "track.wav", tmp_path / "grid.csv"
+    save_wav(render_track(0, float(bpm), duration, 16000, np.random.default_rng(0)), path)
+    assert run(["beats", str(path), "--out", str(out)]) == EXIT_OK
+    assert f"downbeats={downbeats}" in capsys.readouterr().out.splitlines()
+    rows = out.read_text().splitlines()
+    assert rows[-1] == last_row
+    assert all(float(row.split(",")[2]) <= duration for row in rows[1:])
 
 
 def test_beats_on_silence_exits_3(tmp_path, capsys):
@@ -163,13 +181,11 @@ def test_train_malformed_manifest_row_exits_2(row, tmp_path, capsys):
 
 # spreadsheet editors save "CSV UTF-8" with a byte-order mark
 def test_train_reads_files_with_a_byte_order_mark(corpus, tmp_path):
-    manifest, config = tmp_path / "bom.csv", tmp_path / "bom.cfg"
+    manifest = tmp_path / "bom.csv"
     manifest.write_bytes(b"\xef\xbb\xbf" + corpus["manifest"].read_bytes())
-    config.write_text("\ufeffepochs=1\nlr=1e-3\n", encoding="utf-8")
     assert run(["train", "--arch", "audiocat", "--extractor", "stats-160",
-                "--manifest", str(manifest), "--config", str(config),
+                "--manifest", str(manifest), "--epochs", "1",
                 "--out", str(tmp_path / "o.aigm")]) == EXIT_OK
-    # the header and the one epoch that the config file sets
     assert len((tmp_path / "o.aigm.history.csv").read_text().splitlines()) == 2
 
 
@@ -604,9 +620,9 @@ def test_non_finite_float32_input_exits_2(command, value, tmp_path, capsys):
 
 
 # each ends in error: and exit 2, not in a numpy ValueError, UnicodeDecodeError,
-# csv.Error, "embedded null byte" or ShapeMismatch traceback
+# csv.Error, "embedded null byte" or wrong-shape tensor traceback
 @pytest.mark.parametrize("case", ["beats_odd_wav", "beats_not_wav", "predict_odd_wav",
-                                  "train_manifest", "eval_manifest", "train_config",
+                                  "train_manifest", "eval_manifest",
                                   "ssm_emb1_dim_0",
                                   "ssm_emb1_no_vectors", "train_corrupt_wav",
                                   "eval_corrupt_wav", "experiment_corrupt_wav",
@@ -678,8 +694,6 @@ def test_unreadable_input_exits_2(case, corpus, stage1_ckpt, tmp_path, monkeypat
                             "--out", out], [bad_text]),
         "eval_manifest": (["eval", "--ckpt", str(stage1_ckpt), "--manifest", str(bad_text)],
                           [bad_text]),
-        "train_config": (["train", "--arch", "audiocat", "--manifest", str(corpus["manifest"]),
-                          "--config", str(bad_text), "--out", out], [bad_text]),
         "ssm_emb1_dim_0": (["ssm", str(emb), "--out", out], [f"error: {emb}: "]),
         "ssm_emb1_no_vectors": (["ssm", str(no_vectors), "--out", out],
                                 [f"error: {no_vectors}: ", "0 vectors"]),
@@ -766,19 +780,22 @@ def experiment_dir(tmp_path, first, corpus):
     return data_dir
 
 
-def test_experiment_runs(tmp_path, capsys):
+def test_experiment_runs(tmp_path, monkeypatch, capsys):
     out = tmp_path / "results.csv"
-    assert run(experiment_argv(tmp_path / "corpus", 7, "--out", str(out))) == EXIT_OK
+    monkeypatch.chdir(tmp_path)
+    assert run(experiment_argv("corpus", 7, "--out", str(out))) == EXIT_OK
     lines = capsys.readouterr().out.splitlines()
     assert sum(line.startswith("seed 0: ") for line in lines) == 1
     assert any(line.startswith("mean: accuracy=") for line in lines)
     rows = out.read_text().splitlines()
     assert rows[0] == "seed,accuracy,auc"
     assert [row.split(",")[0] for row in rows[1:]] == ["0", "mean"]
-    # a second run reuses the corpus, and says that the size flags go unread
-    assert run(experiment_argv(tmp_path / "corpus", 64)) == EXIT_OK
-    assert (f"reusing {tmp_path / 'corpus' / 'manifest.csv'} (14 tracks); "
-            f"--tracks-per-class and --duration-s are not read"
+    # a second run, from inside the corpus, reuses it (its manifest names
+    # each WAV by its absolute path), and says that the size flags go unread
+    monkeypatch.chdir(tmp_path / "corpus")
+    assert run(experiment_argv(".", 64)) == EXIT_OK, capsys.readouterr().err
+    assert ("reusing manifest.csv (14 tracks); "
+            "--tracks-per-class and --duration-s are not read"
             in capsys.readouterr().out.splitlines())
 
 
@@ -868,29 +885,21 @@ def test_diverged_loss_exits_4(command, corpus, tmp_path, monkeypatch, capsys):
     assert not list(tmp_path.glob("out*"))  # no checkpoint, history or CSV
 
 
-# ---------------------------------------------------------------- config plumbing
-def make_args(**kw):
-    defaults = dict(preset="paper-s1-bce", config=None, epochs=None,
-                    batch_size=None, lr=None, seed=0)
-    defaults.update(kw)
-    return argparse.Namespace(**defaults)
-
-
-def test_config_file_overrides(tmp_path):
-    path = tmp_path / "cfg"
-    path.write_text("# comment\nepochs = 7\nlr=0.01\n\nweight_decay=0.5\n")
-    cfg = cli._train_config(make_args(config=str(path)))
-    assert cfg.epochs == 7
-    assert cfg.lr == 0.01
-    assert cfg.weight_decay == 0.5
-    assert cfg.batch_size == 8  # preset value untouched
-
-
-def test_cli_flags_beat_config_file(tmp_path):
-    path = tmp_path / "cfg"
-    path.write_text("epochs=7\n")
-    cfg = cli._train_config(make_args(config=str(path), epochs=3))
-    assert cfg.epochs == 3
+# ---------------------------------------------------------------- training settings
+def test_train_flags_are_the_train_config_fields(capsys):
+    parser = cli.make_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    train = sub.choices["train"]
+    not_settings = {"help", "arch", "manifest", "preset", "extractor", "stage1_ckpt", "out"}
+    settings = {a.dest: a for a in train._actions if a.dest not in not_settings}
+    assert set(settings) == {f.name for f in fields(TrainConfig)}
+    for f in fields(TrainConfig):
+        assert settings[f.name].option_strings == [f"--{f.name.replace('_', '-')}"]
+        assert settings[f.name].default is None
+        assert settings[f.name].type is type(f.default)
+    assert run(["train", "--arch", "audiocat", "--manifest", "m.csv", "--out", "o",
+                "--config", "settings.cfg"]) == EXIT_USAGE
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
 
 
 def test_seed_defaults_to_0():
@@ -900,34 +909,36 @@ def test_seed_defaults_to_0():
     assert cli._train_config(parser.parse_args(argv + ["--seed", "5"])).seed == 5
 
 
-# each ends in error: naming the key or line (and the file) before any
-# feature is extracted, not in a TrainingError or ValueError traceback
-@pytest.mark.parametrize("flags, config, named", [
-    (["--epochs", "0"], None, "--epochs 0"),
-    (["--batch-size", "0"], None, "--batch-size 0"),
-    ([], "loss=mse\n", "loss=mse in {cfg}"),
-    ([], "epochs=abc\n", "epochs=abc in {cfg}"),
-    ([], "epochs=1\nlearning_rate=5\n", "{cfg}, line 2"),
-    ([], "# batch size\nbatchsize 3\n", "{cfg}, line 2"),
-    (["--lr", "nan"], None, "--lr nan"),
-    (["--lr", "-0.001"], None, "--lr -0.001"),
-    (["--lr", "0"], None, "--lr 0.0"),
-    (["--seed", "-1"], None, "--seed -1"),
-    ([], "weight_decay=-1\n", "weight_decay=-1 in {cfg}"),
-    ([], "weight_decay=inf\n", "weight_decay=inf in {cfg}"),
-], ids=["epochs_0", "batch_size_0", "config_loss_mse", "config_epochs_abc",
-        "config_unknown_key", "config_no_equals", "lr_nan", "lr_negative", "lr_0", "seed_negative",
-        "config_weight_decay_negative", "config_weight_decay_inf"])
-def test_bad_training_setting_exits_2(flags, config, named, corpus, tmp_path,
-                                      monkeypatch, capsys):
+# each flag is applied over the preset, one at a time
+def test_train_flags_override_the_preset():
+    argv = ["train", "--arch", "audiocat", "--manifest", "m.csv", "--out", "o",
+            "--preset", "paper-s1-focal", "--lr", "0.01", "--weight-decay", "0",
+            "--early-stop-patience", "2"]
+    cfg = cli._train_config(cli.make_parser().parse_args(argv))
+    assert cfg == replace(PRESETS["paper-s1-focal"], lr=0.01, weight_decay=0.0,
+                          early_stop_patience=2)
+
+
+# each ends in error: naming the flag and its value before any feature is
+# extracted, not in a TrainingError or ValueError traceback
+@pytest.mark.parametrize("flags, named", [
+    (["--epochs", "0"], "--epochs 0"),
+    (["--batch-size", "0"], "--batch-size 0"),
+    (["--loss", "mse"], "--loss mse"),
+    (["--lr", "nan"], "--lr nan"),
+    (["--lr", "-0.001"], "--lr -0.001"),
+    (["--lr", "0"], "--lr 0.0"),
+    (["--seed", "-1"], "--seed -1"),
+    (["--weight-decay", "-1"], "--weight-decay -1.0"),
+    (["--weight-decay", "inf"], "--weight-decay inf"),
+    (["--early-stop-patience", "0"], "--early-stop-patience 0"),
+], ids=["epochs_0", "batch_size_0", "loss_mse", "lr_nan", "lr_negative", "lr_0",
+        "seed_negative", "weight_decay_negative", "weight_decay_inf", "early_stop_patience_0"])
+def test_bad_training_setting_exits_2(flags, named, corpus, tmp_path, monkeypatch, capsys):
     def no_extraction(*args):
         raise AssertionError("features extracted before the settings were checked")
 
     monkeypatch.setattr(pipeline, "stage1_features", no_extraction)
-    if config is not None:
-        (tmp_path / "cfg").write_text(config)
-        flags = ["--config", str(tmp_path / "cfg")]
-        named = named.format(cfg=tmp_path / "cfg")
     assert run(["train", "--arch", "audiocat", "--manifest", str(corpus["manifest"]),
                 "--out", str(tmp_path / "o.aigm"), *flags]) == EXIT_IO
     err = capsys.readouterr().err

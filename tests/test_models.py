@@ -13,7 +13,7 @@ from aigmdet.models import (AudioCAT, DetectorOutput, FXSegment,
                             SegmentTransformer, export_ssm_csv, export_ssm_pgm,
                             features_to_sequence, predict, segment_features,
                             self_similarity, track_to_sequence)
-from aigmdet.nn import AttentionConfig, ShapeMismatch
+from aigmdet.nn import AttentionConfig
 
 from util import RandomStubExtractor, finite_diff_check, sine_buffer
 
@@ -111,7 +111,7 @@ def test_audiocat_variable_length_inputs():
 
 def test_audiocat_rejects_bad_input():
     model = AudioCAT(d_enc=24, cfg=SMALL)
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(ValueError, match=r"features dim 23 vs d_enc 24"):
         model.forward([np.zeros((5, 23))])
     with pytest.raises(ValueError, match="an example has no rows"):
         model.forward([np.zeros((0, 24))])
@@ -122,7 +122,7 @@ def test_audiocat_gradients():
     rng = np.random.default_rng(3)
     feats = rng.normal(size=(4, 6))
     params = model.parameters()
-    finite_diff_check(lambda: model.loss([feats], [1.0]), list(params.values()), n_coords=3,
+    finite_diff_check(lambda: model.loss([feats], [1.0], nn.bce_loss), list(params.values()), n_coords=3,
                       rng=np.random.default_rng(0))
 
 
@@ -136,10 +136,10 @@ def test_fxsegment_shapes():
 
 
 def test_fxsegment_dim_checks():
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(ValueError, match="d_enc 65 not divisible by 16 tokens"):
         FXSegment(d_enc=65, n_tokens=16, cfg=SMALL)
     model = FXSegment(d_enc=64, n_tokens=16, cfg=SMALL)
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(ValueError, match="embedding dim 63 vs d_enc 64"):
         model.forward([np.zeros(63)])
 
 
@@ -147,7 +147,7 @@ def test_fxsegment_gradients():
     model = FXSegment(d_enc=12, n_tokens=4, cfg=SMALL, n_layers=1, seed=7)
     rng = np.random.default_rng(7)
     emb = rng.normal(size=12)
-    finite_diff_check(lambda: model.loss([emb], [0.0]), list(model.parameters().values()),
+    finite_diff_check(lambda: model.loss([emb], [0.0], nn.focal_loss), list(model.parameters().values()),
                       n_coords=3, rng=np.random.default_rng(1))
 
 
@@ -167,7 +167,7 @@ def test_segtr_shapes_and_probability():
 def test_segtr_rejects_wrong_dim():
     model = SegmentTransformer(d_in=10, cfg=SMALL, max_len=8)
     bad = EmbeddingSequence(np.zeros((8, 9)))
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(ValueError, match="sequence dim 9 vs d_in 10"):
         model.forward(bad)
 
 
@@ -195,7 +195,7 @@ def test_segtr_gradients():
     model = SegmentTransformer(d_in=6, cfg=SMALL, max_len=4,
                                n_layers_content=1, n_layers_structure=1, seed=4)
     seq = make_seq(np.random.default_rng(4), 3, d=6)
-    finite_diff_check(lambda: model.loss([seq], [1.0]), list(model.parameters().values()),
+    finite_diff_check(lambda: model.loss([seq], [1.0], nn.bce_loss), list(model.parameters().values()),
                       n_coords=3, rng=np.random.default_rng(2))
 
 
@@ -233,16 +233,17 @@ def test_batch_outputs_match_batch_of_one(arch):
 def test_batch_loss_and_grads_are_the_mean_over_examples(arch):
     model, xs = batch_case(arch)
     labels = [1, 0, 1]
+    loss_fn = nn.focal_loss if arch == "fxseg" else nn.bce_loss
     params = model.parameters()
     model.zero_grad()
-    batch_loss = model.loss(xs, labels)
+    batch_loss = model.loss(xs, labels, loss_fn)
     batch_loss.backward()
     batch_grads = {k: p.grad.copy() for k, p in params.items()}
 
     losses, grads = [], {k: np.zeros_like(p.data) for k, p in params.items()}
     for x, y in zip(xs, labels):
         model.zero_grad()
-        loss = model.loss([x], [y])
+        loss = model.loss([x], [y], loss_fn)
         loss.backward()
         losses.append(float(loss.data))
         for k, p in params.items():
@@ -280,7 +281,7 @@ def test_segtr_padding_in_batch_is_bit_invisible():
 
 def test_batch_rejects_a_bad_example():
     model, xs = batch_case("audiocat")
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(ValueError, match="features dim 5 vs d_enc 6"):
         model.forward_tensor(xs + [np.zeros((3, 5))])
     with pytest.raises(ValueError, match="an example has no rows"):
         model.forward_tensor(xs + [np.zeros((0, 6))])

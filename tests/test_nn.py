@@ -55,12 +55,12 @@ def test_sinusoidal_first_row():
 
 @pytest.mark.parametrize("d_model,heads", [(128, 0), (0, 4), (-4, 2)])
 def test_attention_config_rejects_nonpositive_sizes(d_model, heads):
-    with pytest.raises(nn.ShapeMismatch):
+    with pytest.raises(ValueError, match=f"d_model {d_model} and heads {heads} must be >= 1"):
         nn.AttentionConfig(d_model=d_model, heads=heads, ffn_dim=256)
 
 
 def test_sinusoidal_odd_dim_rejected():
-    with pytest.raises(nn.ShapeMismatch):
+    with pytest.raises(ValueError, match="positional dimension must be even"):
         nn.sinusoidal_positions(4, 7)
 
 
@@ -102,7 +102,7 @@ def test_mha_shared_queries_broadcast_over_batch(rng):
 def test_mha_batched_mask_checks(rng):
     mha = nn.MultiHeadAttention(CFG, rng)
     x = Tensor(rng.normal(size=(2, 3, 16)))
-    with pytest.raises(nn.ShapeMismatch):
+    with pytest.raises(ValueError, match=r"mask shape \(3,\) vs keys \(2, 3\)"):
         mha(x, x, x, mask=np.ones(3, bool))
     mask = np.ones((2, 3), bool)
     mask[1] = False  # one example with no valid key
