@@ -10,6 +10,14 @@ Linear, layer_norm and the attention core (head split to head merge) are
 each one tape node with a hand-written backward rule.  Their forward
 arithmetic is the one their composite forms (tests/util.py) record, in the
 same order, so outputs equal those forms bit for bit.
+
+The cross-attention node (cross_attention) is one tape node too, but its
+arithmetic is not its composite form's: that form projects the memory to
+keys and values, and the node never does, so the two agree to rounding
+(within 1e-12 relative, which tests/test_nn.py holds), not bit for bit.
+MultiHeadAttention.cross runs it only when the memory has more rows than
+heads x queries.  At or below that length, as for a one-token memory,
+projecting the memory costs less, and cross runs the projected path.
 """
 
 from __future__ import annotations
@@ -84,28 +92,34 @@ class Module:
 
 
 class Linear(Module):
-    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator):
+    """x W + b, or x W alone when built with bias=False."""
+
+    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator, bias: bool = True):
         scale = 1.0 / np.sqrt(d_in)
         self.weight = Tensor(rng.normal(0.0, scale, size=(d_in, d_out)), requires_grad=True)
-        self.bias = Tensor(np.zeros(d_out), requires_grad=True)
+        self.bias = Tensor(np.zeros(d_out), requires_grad=True) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
         """[..., d_in] -> [..., d_out]; leading axes fold into one row axis,
         so the weight gradient is a single matrix product."""
         w, b = self.weight, self.bias
+        d_out = w.shape[1]
         rows = x.data if x.ndim == 2 else x.data.reshape(-1, x.shape[-1])
-        out_data = (rows @ w.data + b.data).reshape(*x.shape[:-1], b.shape[0])
+        out_data = rows @ w.data
+        if b is not None:
+            out_data += b.data
+        out_data = out_data.reshape(*x.shape[:-1], d_out)
 
         def backward(out):
-            g = out.grad.reshape(-1, b.shape[0])
+            g = out.grad.reshape(-1, d_out)
             if x.requires_grad:
                 x._accumulate((g @ w.data.T).reshape(x.shape))
             if w.requires_grad:
                 w._accumulate(rows.T @ g)
-            if b.requires_grad:
+            if b is not None and b.requires_grad:
                 b._accumulate(g.sum(axis=0))
 
-        return node(out_data, (x, w, b), backward)
+        return node(out_data, (x, w) if b is None else (x, w, b), backward)
 
 
 class LayerNorm(Module):
@@ -175,15 +189,20 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(*range(b), b + 1, b, b + 2).reshape(*lead, n, heads * head_dim)
 
 
-def _attention_weights(qh: np.ndarray, kh: np.ndarray,
-                       key_bias: np.ndarray | None) -> np.ndarray:
-    """Post-softmax weights [..., heads, m, n] of split queries and keys:
-    (Q K^T) scale, plus the 0 / -inf key bias, max-shifted softmax."""
-    scores = (qh @ np.swapaxes(kh, -1, -2)) * (1.0 / np.sqrt(qh.shape[-1]))
+def _softmax(scores: np.ndarray, key_bias: np.ndarray | None) -> np.ndarray:
+    """Max-shifted softmax over the last axis of scores plus the 0 / -inf
+    key bias."""
     if key_bias is not None:
         scores = scores + key_bias
     e = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
+
+
+def _attention_weights(qh: np.ndarray, kh: np.ndarray,
+                       key_bias: np.ndarray | None) -> np.ndarray:
+    """Post-softmax weights [..., heads, m, n] of split queries and keys:
+    (Q K^T) scale, plus the 0 / -inf key bias, max-shifted softmax."""
+    return _softmax((qh @ np.swapaxes(kh, -1, -2)) * (1.0 / np.sqrt(qh.shape[-1])), key_bias)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
@@ -211,20 +230,79 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     return node(out_data, (q, k, v), backward)
 
 
+def _head_folded(x: np.ndarray, heads: int) -> np.ndarray:
+    """[..., heads, m, k] -> [heads, (...) m, k]: every leading axis folded
+    into the rows of each head."""
+    return np.moveaxis(x, -3, 0).reshape(heads, -1, x.shape[-1])
+
+
+def cross_attention(q: Tensor, memory: Tensor, wk: Tensor, wv: Tensor, bv: Tensor,
+                    heads: int, key_bias: np.ndarray | None = None) -> Tensor:
+    """attention(q, memory wk, memory wv + bv, heads, key_bias) with the key
+    and value projections moved off the memory, one tape node.
+
+    q is [..., m, d] projected queries, memory [..., T, d], wk and wv
+    [d, d] and bv [d]; key_bias is attention's.  Per head h the scores are
+    ((Q_h W_k,h^T) M^T) / sqrt(head_dim), and the output is
+    (P_h M) W_v,h + b_v,h, since each row of P sums to 1.  The heads x m
+    rows Q_h W_k,h^T stack into one [heads m, d] matrix, so each memory row
+    costs 2 heads m products of length d (one score, one P M term), where
+    projecting it costs 2 d of them."""
+    m, d = q.shape[-2:]
+    head_dim = d // heads
+    scale = 1.0 / np.sqrt(head_dim)
+    wk_heads = wk.data.reshape(d, heads, head_dim).transpose(1, 2, 0)  # W_k,h^T: [heads, hd, d]
+    wv_heads = wv.data.reshape(d, heads, head_dim).transpose(1, 0, 2)  # W_v,h: [heads, d, hd]
+    qh = _split_heads(q.data, heads)
+    absorbed = ((qh @ wk_heads) * scale).reshape(*q.shape[:-2], heads * m, d)
+    mem_t = np.swapaxes(memory.data, -1, -2)
+    weights = _softmax(absorbed @ mem_t, None if key_bias is None else key_bias[..., 0, :, :])
+    mixed = weights @ memory.data  # [..., heads m, d]
+    mixed_h = mixed.reshape(*mixed.shape[:-2], heads, m, d)
+    out_data = _merge_heads(mixed_h @ wv_heads) + bv.data
+
+    def backward(out):
+        g = out.grad
+        if bv.requires_grad:
+            bv._accumulate(_unbroadcast(g, bv.shape))
+        gh = _split_heads(g, heads)
+        if wv.requires_grad:
+            g_wv = np.swapaxes(_head_folded(mixed_h, heads), -1, -2) @ _head_folded(gh, heads)
+            wv._accumulate(g_wv.transpose(1, 0, 2).reshape(d, d))
+        g_mixed = (gh @ np.swapaxes(wv_heads, -1, -2)).reshape(mixed.shape)
+        g_weights = g_mixed @ mem_t
+        g_scores = (g_weights - (g_weights * weights).sum(axis=-1, keepdims=True)) * weights
+        if memory.requires_grad:
+            g_memory = np.swapaxes(weights, -1, -2) @ g_mixed \
+                + np.swapaxes(g_scores, -1, -2) @ absorbed
+            memory._accumulate(_unbroadcast(g_memory, memory.shape))
+        if q.requires_grad or wk.requires_grad:
+            g_abs = _unbroadcast((g_scores @ memory.data) * scale, absorbed.shape)
+            g_abs = g_abs.reshape(*qh.shape[:-1], d)
+            if q.requires_grad:
+                q._accumulate(_merge_heads(g_abs @ np.swapaxes(wk_heads, -1, -2)))
+            if wk.requires_grad:
+                g_wk = np.swapaxes(_head_folded(qh, heads), -1, -2) @ _head_folded(g_abs, heads)
+                wk._accumulate(g_wk.transpose(2, 0, 1).reshape(d, d))
+
+    return node(out_data, (q, memory, wk, wv, bv), backward)
+
+
 class MultiHeadAttention(Module):
     """Scaled dot-product attention with a key-side validity mask.
 
     q is [..., m, d], k and v are [..., n, d] and the mask is k's leading
     shape [..., n].  Masked keys get a -inf score bias, so their
     post-softmax weight is exactly zero and outputs are bit-independent of
-    their values.
+    their values.  The key projection has no bias: it adds one constant to
+    each query's scores, which softmax removes.
     """
 
     def __init__(self, cfg: AttentionConfig, rng: np.random.Generator):
         self.cfg = cfg
         d = cfg.d_model
         self.wq = Linear(d, d, rng)
-        self.wk = Linear(d, d, rng)
+        self.wk = Linear(d, d, rng, bias=False)
         self.wv = Linear(d, d, rng)
         self.wo = Linear(d, d, rng)
 
@@ -251,6 +329,16 @@ class MultiHeadAttention(Module):
             raise ValueError("keys and values must agree in length")
         key_bias = self._key_bias(q, k, mask)
         return self.wo(attention(self.wq(q), self.wk(k), self.wv(v), self.cfg.heads, key_bias))
+
+    def cross(self, q: Tensor, memory: Tensor, mask: np.ndarray | None = None) -> Tensor:
+        """self(q, memory, memory, mask), through cross_attention when the
+        memory has more rows than heads x queries, where it is cheaper than
+        projecting the memory."""
+        if memory.shape[-2] <= self.cfg.heads * q.shape[-2]:
+            return self(q, memory, memory, mask=mask)
+        key_bias = self._key_bias(q, memory, mask)
+        return self.wo(cross_attention(self.wq(q), memory, self.wk.weight, self.wv.weight,
+                                       self.wv.bias, self.cfg.heads, key_bias))
 
 
 class FeedForward(Module):
@@ -293,7 +381,7 @@ class DecoderBlock(Module):
                  mem_mask: np.ndarray | None = None) -> Tensor:
         h = self.ln1(x)
         x = x + self.self_attn(h, h, h)
-        x = x + self.cross_attn(self.ln2(x), memory, memory, mask=mem_mask)
+        x = x + self.cross_attn.cross(self.ln2(x), memory, mask=mem_mask)
         x = x + self.ffn(self.ln3(x))
         return x
 
@@ -401,7 +489,8 @@ def _is_header(header) -> bool:
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     """(arrays, meta) of an AIGM v3 file.  Sizes are checked against the file
-    length before anything is read; CheckpointError names the file."""
+    length before anything is read, and every value must be finite;
+    CheckpointError names the file."""
     with open(path, "rb") as fh:
         length = os.fstat(fh.fileno()).st_size
         head = fh.read(_PREFIX.size)
@@ -427,12 +516,15 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
             raise CheckpointError(f"{path}: {length - end} trailing bytes after the last tensor")
         arrays = {name: np.frombuffer(fh.read(8 * math.prod(shape)), dtype="<f8")
                   .reshape(shape).copy() for name, shape in header["tensors"]}
+    for name, a in arrays.items():
+        if not np.isfinite(a).all():
+            raise CheckpointError(f"{path}: tensor {name!r} holds a NaN or an infinity")
     return arrays, header["meta"]
 
 
 __all__ = [
     "AttentionConfig", "Module", "Linear", "LayerNorm", "MultiHeadAttention",
-    "FeedForward", "EncoderBlock", "DecoderBlock", "layer_norm", "attention",
+    "FeedForward", "EncoderBlock", "DecoderBlock", "layer_norm", "attention", "cross_attention",
     "sinusoidal_positions", "bce_loss", "focal_loss", "OptimState", "adam_step",
     "save_checkpoint", "load_checkpoint", "CheckpointError",
 ]

@@ -2,8 +2,8 @@
 
 Everything downstream (attention blocks, losses, the three detectors) is
 built on the tape here: the primitives below, plus nn's fused layer nodes
-(Linear, layer_norm, the attention core), each made with `node` and a
-hand-written backward rule.  The primitives are the ones the models and
+(Linear, layer_norm, the attention and cross-attention cores), each made
+with `node` and a hand-written backward rule.  The primitives are the ones the models and
 the losses run, and no more; any other op is built on `node` the same
 way.  matmul takes only operands with two or more dims.  Gradients are
 checked against central finite differences in the test suite, so keep

@@ -468,6 +468,41 @@ def test_oversized_header_exits_2_without_building_the_model(
     assert err.startswith(f"error: {path}: ") and "not exactly 'arch' and 'extractor'" in err
 
 
+# a stage-1 checkpoint holding a NaN or an infinity is refused by name
+# before any WAV is read, given as --ckpt or as a segtr's --stage1-ckpt
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("command", ["predict", "eval"])
+def test_non_finite_checkpoint_exits_2(command, value, tracks, stage1_ckpt, tmp_path,
+                                       monkeypatch, capsys):
+    bad, segtr = tmp_path / "bad.aigm", tmp_path / "segtr.aigm"
+    arrays, meta = nn.load_checkpoint(stage1_ckpt)
+    arrays["head.bias"][0] = value
+    nn.save_checkpoint(bad, arrays, meta)
+    pipeline.save_model(segtr, pipeline.build_model("segtr", seed=0), "segtr")
+    monkeypatch.setattr(pipeline, "load_wav", lambda wav: pytest.fail(f"read {wav}"))
+    source = {"predict": ["--audio", tracks["track"]],
+              "eval": ["--manifest", str(tracks["manifest"])]}[command]
+    for ckpts in (["--ckpt", str(bad)], ["--ckpt", str(segtr), "--stage1-ckpt", str(bad)]):
+        assert run([command, *ckpts, *source]) == EXIT_IO
+        assert capsys.readouterr().err == (f"error: {bad}: tensor 'head.bias' holds a NaN "
+                                           f"or an infinity\n")
+
+
+def test_checkpoint_with_key_biases_exits_2(tracks, stage1_ckpt, tmp_path, monkeypatch, capsys):
+    """The tensors of a checkpoint written while attention had key biases:
+    today's, plus a ...wk.bias beside each ...wk.weight."""
+    arrays, meta = nn.load_checkpoint(stage1_ckpt)
+    arrays.update({name.replace("wk.weight", "wk.bias"): np.zeros(a.shape[1])
+                   for name, a in arrays.items() if name.endswith("wk.weight")})
+    path = tmp_path / "key_biases.aigm"
+    nn.save_checkpoint(path, arrays, meta)
+    monkeypatch.setattr(pipeline, "load_wav", lambda wav: pytest.fail(f"read {wav}"))
+    assert run(["predict", "--ckpt", str(path), "--audio", tracks["track"]]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ")
+    assert "unexpected ['blocks.0.cross_attn.wk.bias', " in err
+
+
 # ---------------------------------------------------------------- stage 2
 @pytest.fixture(scope="module")
 def tracks(tmp_path_factory):

@@ -273,6 +273,23 @@ def test_audiocat_padding_in_batch_is_bit_invisible():
     assert_mates_are_invisible(model, xs, lambda x, rng: rng.normal(size=x.shape) * 100)
 
 
+def test_audiocat_padding_is_bit_invisible_past_heads_x_queries():
+    """Maps of 20 and 40 rows, more than SMALL's 2 heads x 8 queries, so
+    each decoder block's cross-attention runs nn.cross_attention."""
+    model = AudioCAT(d_enc=6, cfg=SMALL, seed=21)
+    rng = np.random.default_rng(22)
+    xs = [rng.normal(size=(t, 6)) for t in (20, 40)]
+    assert_mates_are_invisible(model, xs, lambda x, rng: rng.normal(size=x.shape) * 100)
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+def test_no_key_bias(arch):
+    """Softmax removes a key bias, so MultiHeadAttention has none."""
+    names = batch_case(arch)[0].parameters()
+    assert any(name.endswith("wk.weight") for name in names)
+    assert not [name for name in names if name.endswith("wk.bias")]
+
+
 def test_segtr_padding_in_batch_is_bit_invisible():
     model, xs = batch_case("segtr")
     assert_mates_are_invisible(

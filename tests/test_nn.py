@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from aigmdet import nn
 from aigmdet.tensor import Tensor
 
-from util import (attention_weights, composite_attention, composite_layer_norm, composite_linear,
-                  finite_diff_check)
+from util import (attention_weights, composite_attention, composite_cross_attention,
+                  composite_layer_norm, composite_linear, finite_diff_check)
 
 CFG = nn.AttentionConfig(d_model=16, heads=4, ffn_dim=16)
 
@@ -123,9 +123,10 @@ def test_losses_take_label_arrays():
 def test_single_key_attention_is_identity_on_value(rng):
     cfg = nn.AttentionConfig(d_model=4, heads=1, ffn_dim=4)
     mha = nn.MultiHeadAttention(cfg, rng)
-    # identity projections, zero bias
+    # identity projections, zero bias (the key projection has none)
     for lin in (mha.wq, mha.wk, mha.wv, mha.wo):
         lin.weight.data = np.eye(4)
+    for lin in (mha.wq, mha.wv, mha.wo):
         lin.bias.data = np.zeros(4)
     q = Tensor(rng.normal(size=(1, 4)))
     v = Tensor(rng.normal(size=(1, 4)))
@@ -242,6 +243,99 @@ def test_fused_attention_masked_keys_get_zero_gradient(rng):
     (mha(q, kv, kv, mask=mask) ** 2).sum().backward()
     assert (kv.grad[~mask] == 0.0).all()
     assert (np.abs(kv.grad[mask]).sum(axis=-1) > 0).all()
+
+
+# ---------------------------------------------------------------- cross-attention node
+CROSS = ["unbatched", "masked", "shared_queries"]
+
+
+def cross_case(kind, rng, rows=20):
+    """(module, projected queries, memory, mask) of 3 queries against a
+    memory of `rows` rows, past heads x queries = 12: unbatched and
+    unmasked, batched [2, 3, d] queries under a key mask, or shared [3, d]
+    queries broadcast over a batched, masked memory (AudioCAT's first
+    block).  Inputs require grad; the value bias is not zero."""
+    mha = nn.MultiHeadAttention(CFG, rng)
+    mha.wv.bias.data[:] = rng.normal(0.0, 0.5, 16)
+    batched = kind != "unbatched"
+    q = Tensor(rng.normal(size=(2, 3, 16) if kind == "masked" else (3, 16)), requires_grad=True)
+    memory = Tensor(rng.normal(size=(2, rows, 16) if batched else (rows, 16)), requires_grad=True)
+    mask = None
+    if batched:
+        mask = rng.random((2, rows)) > 0.4
+        mask[:, 0] = True
+    return mha, q, memory, mask
+
+
+def cross_node(mha, q, memory, mask):
+    """nn.cross_attention over `mha`'s key and value weights."""
+    key_bias = mha._key_bias(q, memory, mask)
+    return nn.cross_attention(q, memory, mha.wk.weight, mha.wv.weight, mha.wv.bias,
+                              mha.cfg.heads, key_bias)
+
+
+@pytest.mark.parametrize("kind", CROSS)
+def test_cross_attention_node_matches_composite_form(rng, kind):
+    """Forward within 1e-12 relative of the projected composite form, which
+    the node's arithmetic is not; every gradient within 1e-10 relative."""
+    mha, q, memory, mask = cross_case(kind, rng)
+    tensors = [q, memory, mha.wk.weight, mha.wv.weight, mha.wv.bias]
+    results = []
+    for form in (cross_node, composite_cross_attention):
+        for t in tensors:
+            t.zero_grad()
+        out = form(mha, q, memory, mask)
+        (out * Tensor(np.random.default_rng(1).normal(size=out.shape))).sum().backward()
+        results.append((out.data, [t.grad for t in tensors]))
+    (out_n, grads_n), (out_c, grads_c) = results
+    assert out_n.shape == out_c.shape == ((3, 16) if kind == "unbatched" else (2, 3, 16))
+    assert np.abs(out_n - out_c).max() <= 1e-12 * np.abs(out_c).max()
+    for gn, gc in zip(grads_n, grads_c):
+        assert gn.shape == gc.shape
+        assert np.abs(gn - gc).max() <= 1e-10 * np.abs(gc).max()
+
+
+@pytest.mark.parametrize("kind", CROSS)
+def test_cross_attention_node_gradients(rng, kind):
+    """Central differences with respect to the queries, the memory, the key
+    and value weights and the value bias."""
+    mha, q, memory, mask = cross_case(kind, rng)
+    w = Tensor(np.random.default_rng(2).normal(size=cross_node(mha, q, memory, mask).shape))
+    finite_diff_check(lambda: (cross_node(mha, q, memory, mask) * w).sum(),
+                      [q, memory, mha.wk.weight, mha.wv.weight, mha.wv.bias], rel_tol=1e-4)
+
+
+def test_cross_attention_masked_memory_gets_zero_gradient(rng):
+    mha, q, memory, mask = cross_case("shared_queries", rng)
+    out = mha.cross(q, memory, mask)
+    (out ** 2).sum().backward()
+    assert (memory.grad[~mask] == 0.0).all()
+    assert (np.abs(memory.grad[mask]).sum(axis=-1) > 0).all()
+    tampered = memory.data.copy()
+    tampered[~mask] = 1e6
+    assert np.array_equal(mha.cross(q, Tensor(tampered), mask).data, out.data)
+
+
+@pytest.mark.parametrize("rows,absorbed", [(12, False), (13, True)])
+def test_decoder_cross_attention_absorbs_past_heads_x_queries(rng, monkeypatch, rows, absorbed):
+    """DecoderBlock runs the cross-attention node only for a memory of more
+    rows than heads x queries (4 x 3 here); at that length it projects the
+    memory, bit for bit MultiHeadAttention's own path."""
+    calls = []
+    node = nn.cross_attention
+    monkeypatch.setattr(nn, "cross_attention", lambda *a: calls.append(1) or node(*a))
+    blk = nn.DecoderBlock(CFG, rng)
+    _, x, memory, mask = cross_case("masked", rng, rows)
+    out = blk(x, memory, mem_mask=mask).data
+    assert len(calls) == int(absorbed)
+    h = blk.ln1(x)
+    h = x + blk.self_attn(h, h, h)
+    projected = h + blk.cross_attn(blk.ln2(h), memory, memory, mask=mask)
+    projected = (projected + blk.ffn(blk.ln3(projected))).data
+    if absorbed:
+        assert np.abs(out - projected).max() <= 1e-12 * np.abs(projected).max()
+    else:
+        assert np.array_equal(out, projected)
 
 
 # ---------------------------------------------------------------- blocks

@@ -4,8 +4,8 @@ and phase-by-phase forms of the resampler, the beat DP and the AUC that
 the vectorised ones are checked against, the whole-array forms of log-mel,
 track rendering and WAV writing that the bounded-memory ones must match
 bit for bit, an EMB1 writer, the composite (node-by-node) forms of nn's
-fused Linear, layer_norm and attention nodes, and their post-softmax
-attention weights.
+fused Linear, layer_norm, attention and cross-attention nodes, and their
+post-softmax attention weights.
 
 The composite forms need five ops the models never run: sub, div, sqrt,
 softmax and transpose.  They live here, built on `tensor.node` like the
@@ -363,11 +363,11 @@ def transpose(x, axes=None):
 
 
 def composite_linear(lin, x):
-    """`nn.Linear` as a matrix product and a bias add on the tape."""
-    if x.ndim == 2:
-        return x @ lin.weight + lin.bias
-    rows = x.reshape(-1, x.shape[-1]) @ lin.weight + lin.bias
-    return rows.reshape(*x.shape[:-1], lin.bias.shape[0])
+    """`nn.Linear` as a matrix product and, if it has one, a bias add on
+    the tape."""
+    rows = x if x.ndim == 2 else x.reshape(-1, x.shape[-1])
+    rows = rows @ lin.weight if lin.bias is None else rows @ lin.weight + lin.bias
+    return rows if x.ndim == 2 else rows.reshape(*x.shape[:-1], lin.weight.shape[1])
 
 
 def composite_layer_norm(x, gain, bias, eps=1e-5):
@@ -377,28 +377,42 @@ def composite_layer_norm(x, gain, bias, eps=1e-5):
     return div(centered, sqrt(var + eps)) * gain + bias
 
 
-def composite_attention(mha, q, k, v, mask=None):
-    """`nn.MultiHeadAttention` with composite projections and its core
-    (head split, scaled scores, -inf key bias, softmax, A V, head merge)
-    recorded node by node."""
-    heads, head_dim = mha.cfg.heads, mha.cfg.d_model // mha.cfg.heads
+def composite_core(q, k, v, heads, mask=None):
+    """`nn.attention` recorded node by node: head split, scaled scores,
+    -inf key bias, softmax, A V, head merge."""
+    d = q.shape[-1]
+    head_dim = d // heads
 
     def split_heads(x):
         *lead, n, _ = x.shape
         b = len(lead)
         return transpose(x.reshape(*lead, n, heads, head_dim), (*range(b), b + 1, b, b + 2))
 
-    keys = split_heads(composite_linear(mha.wk, k))
+    keys = split_heads(k)
     b = keys.ndim - 2
-    scores = (split_heads(composite_linear(mha.wq, q)) @ transpose(keys, (*range(b), b + 1, b))) \
+    scores = (split_heads(q) @ transpose(keys, (*range(b), b + 1, b))) \
         * (1.0 / np.sqrt(head_dim))
     if mask is not None:
         scores = scores + Tensor(np.where(mask, 0.0, -np.inf)[..., None, None, :])
-    out = softmax(scores, axis=-1) @ split_heads(composite_linear(mha.wv, v))
+    out = softmax(scores, axis=-1) @ split_heads(v)
     *lead, _, m, _ = out.shape
     b = len(lead)
-    out = transpose(out, (*range(b), b + 1, b, b + 2)).reshape(*lead, m, mha.cfg.d_model)
-    return composite_linear(mha.wo, out)
+    return transpose(out, (*range(b), b + 1, b, b + 2)).reshape(*lead, m, d)
+
+
+def composite_attention(mha, q, k, v, mask=None):
+    """`nn.MultiHeadAttention` with composite projections and core."""
+    return composite_linear(mha.wo, composite_core(
+        composite_linear(mha.wq, q), composite_linear(mha.wk, k), composite_linear(mha.wv, v),
+        mha.cfg.heads, mask))
+
+
+def composite_cross_attention(mha, q, memory, mask=None):
+    """`nn.cross_attention` of projected queries q over `mha`'s key and
+    value weights, in its composite form: the memory projected to keys
+    (no bias) and values, then the composite core."""
+    return composite_core(q, composite_linear(mha.wk, memory), composite_linear(mha.wv, memory),
+                          mha.cfg.heads, mask)
 
 
 def attention_weights(mha, q, k, mask=None):
