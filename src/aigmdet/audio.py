@@ -25,7 +25,11 @@ MIN_RATE, MAX_RATE = 8000, 192000
 
 @dataclass
 class AudioBuffer:
-    """Sampled waveform, [channels x frames] float64 in [-1, 1]."""
+    """Sampled waveform, [channels x frames] in [-1, 1]: a float32 or
+    float64 array is kept in its dtype, and anything else is cast to
+    float64.  load_wav gives float32 rows, and to_mono and resample keep
+    their input's dtype, so a WAV stays float32 up to dsp.stft, which
+    reads float32; a rendered track stays float64 up to save_wav."""
 
     samples: np.ndarray
     sample_rate: int
@@ -33,7 +37,10 @@ class AudioBuffer:
     _log_mel: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.samples = np.atleast_2d(np.asarray(self.samples, dtype=np.float64))
+        samples = np.asarray(self.samples)
+        if samples.dtype not in (np.float32, np.float64):
+            samples = samples.astype(np.float64)
+        self.samples = np.atleast_2d(samples)
         if not (MIN_RATE <= self.sample_rate <= MAX_RATE):
             raise AudioError(f"sample rate {self.sample_rate} outside [{MIN_RATE}, {MAX_RATE}]")
         if self.samples.ndim != 2 or self.samples.shape[0] < 1:
@@ -70,7 +77,8 @@ class AudioBuffer:
 # ----------------------------------------------------------------------
 # RIFF/WAVE
 def load_wav(path) -> AudioBuffer:
-    """Read a PCM16 or float32 RIFF/WAVE file, scaled to [-1, 1]."""
+    """Read a PCM16 or float32 RIFF/WAVE file into float32 rows in [-1, 1];
+    int16 / 32768 is exact in float32."""
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -115,7 +123,7 @@ def load_wav(path) -> AudioBuffer:
     if audio_fmt == 3 and not np.isfinite(raw).all():
         raise AudioError("float32 samples must be finite")
     # deinterleaved as it is cast: one contiguous row per channel
-    samples = raw.reshape(-1, channels).T.astype(np.float64, order="C")
+    samples = raw.reshape(-1, channels).T.astype(np.float32, order="C")
     if audio_fmt == 1:
         samples /= 32768.0
     return AudioBuffer(samples, rate)
@@ -144,7 +152,8 @@ def save_wav(buf: AudioBuffer, path):
 
 
 def to_mono(buf: AudioBuffer) -> AudioBuffer:
-    """The channel mean; a mono buffer is returned as it is."""
+    """The channel mean, in the input's dtype (the mean of two PCM16
+    channels is exact in float32); a mono buffer is returned as it is."""
     if buf.channels == 1:
         return buf
     return AudioBuffer(buf.samples.mean(axis=0, keepdims=True), buf.sample_rate)
@@ -166,20 +175,24 @@ def to_mono(buf: AudioBuffer) -> AudioBuffer:
 # them for BLAS; taking _ROW_CHUNK rows at a time bounds that copy.  The
 # rows are read from the input itself; a chunk that reaches before its
 # first sample or past its last is copied into zeros first.
+# The bands, the zero-filled chunks and the output are in the input's
+# dtype, so float32 rows (load_wav's) run sgemm and float64 rows dgemm.
 # The output rows are padded to whole chunks, and each product takes at
 # most _K_PIECE rows of the band; the partial products of a span are added
 # in numpy in a fixed order.  Both rules are there so that BLAS threads
 # split each product into whole kernel tiles and never split its sums, so
-# the output bytes do not depend on the thread count.  OpenBLAS's x86-64
-# dgemm kernels, Prescott to SkylakeX, give the same bytes on 1 and 2
-# threads, and without either rule some of them do not.  The sums run in
-# another order than the direct form's, so the output matches it to about
-# 1e-15, not bit for bit.
+# the output bytes do not depend on the thread count.  _ROW_CHUNK is
+# 3 x 128 rows: at 256, the Haswell and Zen sgemm kernels gave other bytes
+# on 2 threads than on 1.  OpenBLAS's x86-64 sgemm and dgemm kernels,
+# Prescott to Cooperlake, give the same bytes on 1 and 2 threads, and
+# without either rule some of them do not.  The sums run in another order
+# than the direct form's, so the output matches it to about 1e-15 in
+# float64 and 1e-6 in float32, not bit for bit.
 _KAISER_BETA = 8.0
 _SINC_TAPS = 32
 _GROUP = 64
 _K_PIECE = 128
-_ROW_CHUNK = 256
+_ROW_CHUNK = 384
 
 
 def _phase_bands(up: int, down: int, phases: int):
@@ -207,13 +220,13 @@ def _phase_bands(up: int, down: int, phases: int):
 def _input_rows(samples: np.ndarray, lo: int, count: int, span: int, step: int) -> np.ndarray:
     """[channels x count x span]: row i holds samples lo + i*step onwards,
     zero before the first sample and past the last; a view of `samples`
-    unless it reaches outside them."""
+    unless it reaches outside them, else a copy in their dtype."""
     channels, frames = samples.shape
     hi = lo + (count - 1) * step + span
     if 0 <= lo and hi <= frames:
         part = samples[:, lo:hi]
     else:
-        part = np.zeros((channels, hi - lo))
+        part = np.zeros((channels, hi - lo), dtype=samples.dtype)
         a, b = max(lo, 0), min(hi, frames)
         if a < b:
             part[:, a - lo:b - lo] = samples[:, a:b]
@@ -221,17 +234,19 @@ def _input_rows(samples: np.ndarray, lo: int, count: int, span: int, step: int) 
 
 
 def _resample(samples: np.ndarray, up: int, down: int) -> np.ndarray:
-    """[channels x frames] at rate ratio up/down (coprime)."""
+    """[channels x frames] at rate ratio up/down (coprime), in the dtype
+    of `samples` (float32 or float64)."""
     channels, frames = samples.shape
     n_out = round(frames * up / down)
     if n_out == 0:
-        return np.zeros((channels, 0))
+        return np.zeros((channels, 0), dtype=samples.dtype)
     k = -(-_GROUP // up)
     phases = min(k * up, n_out)
     blocks = -(-n_out // (phases * _ROW_CHUNK)) * _ROW_CHUNK
     half, groups = _phase_bands(up, down, phases)
-    out = np.empty((channels, blocks, phases))
+    out = np.empty((channels, blocks, phases), dtype=samples.dtype)
     for first, offset, band in groups:
+        band = band.astype(samples.dtype, copy=False)
         span, width = band.shape
         for r in range(0, blocks, _ROW_CHUNK):
             # the window for base b starts at input sample b + 1 - half

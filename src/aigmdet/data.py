@@ -107,6 +107,9 @@ class Manifest:
 
     @staticmethod
     def load(path) -> "Manifest":
+        """The manifest in the CSV file `path`; a relative WAV path is read
+        against the file's own directory, and duplicates are found among
+        the paths so resolved."""
         reader = csv.reader(read_lines(path))
         try:
             rows = [(reader.line_num, row) for row in reader]
@@ -126,7 +129,8 @@ class Manifest:
                     label = int(row[1])
                 except ValueError:
                     label = row[1]
-                entry = ManifestEntry(row[0], label, row[2].strip() if len(row) > 2 else "")
+                entry = ManifestEntry(str(Path(path).parent / row[0]), label,
+                                      row[2].strip() if len(row) > 2 else "")
                 entry.check(seen, entries[0] if entries else entry)
             except DataError as exc:
                 raise DataError(f"{path}, line {line}: {exc}") from None

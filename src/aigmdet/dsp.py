@@ -12,11 +12,16 @@ through the row in fixed blocks of LOG_MEL_BLOCK frames into a
 preallocated output, so beyond that [frames x N_MELS] output its memory
 does not grow with track length.
 
-Precision: the window, the framed samples, the rFFT (scipy.fft, which
-keeps float32 input in float32), the power and the mel product are
-float32; each block's mel power is cast to float64 before LOG_EPS is
-added and the log taken, so `log_mel` and everything that reads it is
-float64.
+Precision: a WAV's samples are float32 from `audio.load_wav` through
+`to_mono` and the resampler, so `stft` reads that 16 kHz row without a
+copy; a float64 row (a rendered track) is cast a block at a time.  The
+window, the framed samples, the rFFT (scipy.fft, which keeps float32 input
+in float32), the power and the mel product are float32; each block's mel
+power is cast to float64 before LOG_EPS is added and the log taken, so
+`log_mel` and everything that reads it is float64.  int16 / 32768 is exact
+in float32, so a 16 kHz PCM16 WAV gives the log-mel bytes of its float64
+row; a 44.1 kHz WAV is resampled in float32, so its log-mel, and its
+score, move by rounding against a float64 resampler.
 """
 
 from __future__ import annotations

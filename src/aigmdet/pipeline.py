@@ -28,8 +28,10 @@ def analysis_buffer(buf: AudioBuffer) -> AudioBuffer:
 
 
 def analyze_beats(buf: AudioBuffer) -> beats.BeatAnalysis:
-    """beats.analyze of the track as 16 kHz mono; its log-mel stays on that
-    buffer for the segment features, and the result holds none of it."""
+    """beats.analyze of the track as 16 kHz mono; the result holds none of
+    its log-mel.  The log-mel is kept on the 16 kHz mono buffer, which is
+    `buf` itself only if `buf` is 16 kHz mono already: pass analysis_buffer's
+    output, so that the segment features read that same log-mel."""
     mono = analysis_buffer(buf)
     return beats.analyze(mono.log_mel(), mono.duration)
 

@@ -118,6 +118,8 @@ def test_stereo_round_trip(tmp_path):
 @pytest.mark.parametrize("channels", [1, 2, 3])
 @pytest.mark.parametrize("fmt", ["pcm16", "float32"])
 def test_load_wav_gives_contiguous_channel_rows(fmt, channels, tmp_path):
+    """float32 rows, which hold int16 / 32768 (or the file's float32
+    samples) exactly: their float64 values are the float64 decode's."""
     rng = np.random.default_rng(channels)
     if fmt == "pcm16":
         raw = rng.integers(-32768, 32768, size=1001 * channels).astype("<i2")
@@ -128,8 +130,10 @@ def test_load_wav_gives_contiguous_channel_rows(fmt, channels, tmp_path):
     path = tmp_path / "x.wav"
     path.write_bytes(raw_wav(1 if fmt == "pcm16" else 3, channels, 8 * raw.itemsize, raw.tobytes()))
     samples = load_wav(path).samples
+    assert samples.dtype == np.float32
     assert samples.flags.c_contiguous
-    assert samples.tobytes() == np.ascontiguousarray(want.reshape(-1, channels).T).tobytes()
+    want = np.ascontiguousarray(want.reshape(-1, channels).T)
+    assert samples.astype(np.float64).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------- to_mono
@@ -146,12 +150,31 @@ def test_to_mono_mean():
 
 
 def test_to_mono_of_loaded_stereo_is_the_interleaved_mean(tmp_path):
+    """The float32 fold of two PCM16 channels is exact: its float64 values
+    are the float64 mean of the float64 decode."""
     raw = np.random.default_rng(0).integers(-32768, 32768, size=2 * 44100).astype("<i2")
     path = tmp_path / "st.wav"
     path.write_bytes(raw_wav(1, 2, 16, raw.tobytes(), rate=44100))
     # the mean over the strided channel view of the interleaved decode
     want = (raw.astype(np.float64) / 32768.0).reshape(-1, 2).T.mean(axis=0, keepdims=True)
-    assert to_mono(load_wav(path)).samples.tobytes() == want.tobytes()
+    mono = to_mono(load_wav(path)).samples
+    assert mono.dtype == np.float32
+    assert mono.astype(np.float64).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_to_mono_and_resample_keep_the_dtype(dtype):
+    buf = AudioBuffer(np.random.default_rng(0).uniform(-1, 1, (2, 4410)).astype(dtype), 44100)
+    assert buf.samples.dtype == dtype
+    assert to_mono(buf).samples.dtype == dtype
+    assert resample(buf, 16000).samples.dtype == dtype
+    assert resample(AudioBuffer(buf.samples[:, :0], 44100), 16000).samples.dtype == dtype
+
+
+def test_audio_buffer_casts_other_dtypes_to_float64():
+    assert AudioBuffer(np.zeros((1, 4), dtype=np.int16), 16000).samples.dtype == np.float64
+    assert AudioBuffer([[0.0, 0.5]], 16000).samples.dtype == np.float64
+    assert AudioBuffer(np.zeros((1, 4), dtype=np.float16), 16000).samples.dtype == np.float64
 
 
 @settings(max_examples=25, deadline=None)
@@ -281,17 +304,25 @@ RESAMPLE_PAIRS = [(44100, 16000), (48000, 16000), (22050, 16000), (32000, 16000)
                   (8000, 16000), (16000, 48000)]
 
 
+# float32 rows (load_wav's) are resampled in float32: the sums of up to
+# 178 taps round to about 1e-6 of outputs that reach about 1.7 here (9.3e-7
+# seen), against 1e-15 in float64
+F32_RESAMPLE_TOL = 2e-6
+
+
 @pytest.mark.parametrize("channels", [1, 2], ids=["mono", "stereo"])
 @pytest.mark.parametrize("src,dst", RESAMPLE_PAIRS)
 def test_resample_matches_phase_loop(src, dst, channels):
     up, down = _ratio(src, dst)
     for frames in _boundary_lengths(src, dst):
         x = np.random.default_rng(frames).uniform(-1, 1, (channels, frames))
-        got = resample(AudioBuffer(x, src), dst).samples
-        want = phase_loop_resample(x, up, down)
-        assert got.shape == want.shape
-        assert got.flags.c_contiguous
-        assert np.abs(got - want).max() <= 1e-12, f"{frames} frames"
+        for rows, tol in ((x, 1e-12), (x.astype(np.float32), F32_RESAMPLE_TOL)):
+            got = resample(AudioBuffer(rows, src), dst).samples
+            want = phase_loop_resample(rows.astype(np.float64), up, down)
+            assert got.shape == want.shape
+            assert got.dtype == rows.dtype
+            assert got.flags.c_contiguous
+            assert np.abs(got - want).max() <= tol, f"{rows.dtype}, {frames} frames"
 
 
 @pytest.mark.parametrize("channels", [1, 2, 3])
@@ -309,22 +340,37 @@ def test_resample_matches_padded_input_bit_for_bit(src, channels):
         assert got.tobytes() == padded_resample(x, up, down).tobytes(), f"{frames} frames"
 
 
+# float64 rows run dgemm, and float32 rows, which load_wav gives, sgemm
 _DIGEST = """
 import hashlib
 import numpy as np
 from aigmdet.audio import AudioBuffer, resample
 digest = hashlib.sha256()
-for rate in (44100, 48000, 96000):
-    x = np.random.default_rng(rate).uniform(-1, 1, (2, 14 * rate))
-    digest.update(resample(AudioBuffer(x, rate), 16000).samples.tobytes())
+for dtype in (np.float64, np.float32):
+    for rate in (44100, 48000, 96000):
+        x = np.random.default_rng(rate).uniform(-1, 1, (2, 14 * rate)).astype(dtype)
+        digest.update(resample(AudioBuffer(x, rate), 16000).samples.tobytes())
 print(digest.hexdigest())
 """
 
 
-@pytest.mark.parametrize("coretype", ["", "Prescott"], ids=["detected", "prescott"])
+def _has_avx2() -> bool:
+    try:
+        with open("/proc/cpuinfo") as fh:
+            return " avx2" in fh.read()
+    except OSError:
+        return False
+
+
+@pytest.mark.parametrize("coretype", ["", "Prescott", "Haswell"],
+                         ids=["detected", "prescott", "haswell"])
 def test_resample_bytes_do_not_depend_on_blas_threads(coretype):
-    """The kernel a DYNAMIC_ARCH OpenBLAS detects, and its oldest x86-64
-    kernel, whose tiles differ; other builds ignore OPENBLAS_CORETYPE."""
+    """The kernel a DYNAMIC_ARCH OpenBLAS detects, its oldest x86-64
+    kernel, whose tiles differ, and Haswell's (Zen's too), whose sgemm gave
+    other bytes on 2 threads with row chunks of 256; other builds ignore
+    OPENBLAS_CORETYPE."""
+    if coretype == "Haswell" and not _has_avx2():
+        pytest.skip("the Haswell kernel needs AVX2")
     src = str(Path(audio.__file__).resolve().parent.parent)
     digests = set()
     for threads in ("1", "2"):

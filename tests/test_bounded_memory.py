@@ -3,7 +3,8 @@ WAV writing, and one segment at a time through stage 1.  Each matches its
 whole-array form in tests/util.py bit for bit, and its tracemalloc peak on
 a 3-minute 16 kHz track stays under a fixed bound (the whole-array forms
 peak at about 121, 89, 66 and 67 MB).  WAV decoding and resampling of
-3-minute 44.1 and 48 kHz input are bounded too."""
+3-minute 44.1 and 48 kHz input are bounded too, and so is the analysis
+buffer of a long 44.1 kHz stereo WAV, a bound per input frame."""
 
 import tracemalloc
 
@@ -102,7 +103,7 @@ def test_track_to_sequence_memory_is_bounded(long_track):
 
 
 def test_load_wav_memory_is_bounded(tmp_path):
-    """The file (29 MB) and its float64 rows (121 MB) are live at once; a
+    """The file (29 MB) and its float32 rows (61 MB) are live at once; a
     copy of the data chunk, of the interleaved samples, or a finiteness
     mask as large as the buffer (15 MB) is not."""
     raw = np.random.default_rng(0).integers(-32768, 32768, size=2 * 180 * 44100, dtype="<i2")
@@ -111,6 +112,21 @@ def test_load_wav_memory_is_bounded(tmp_path):
     buf, peak = traced_peak_mb(load_wav, path)
     assert peak <= 165, f"load_wav peaked at {peak:.1f} MB"
     assert buf.samples.shape == (2, 180 * 44100)
+
+
+def test_analysis_buffer_of_a_long_wav_is_bounded_per_frame(tmp_path):
+    """60 s of 44.1 kHz stereo PCM16 read and brought to 16 kHz mono: the
+    float32 rows take 8 bytes an input frame, their fold 4 and the 16 kHz
+    row 1.5 (about 14 seen); float64 rows and fold would take 24 (27.6 seen)."""
+    frames = 60 * 44100
+    raw = np.random.default_rng(0).integers(-32768, 32768, size=2 * frames, dtype="<i2")
+    path = tmp_path / "long.wav"
+    path.write_bytes(raw_wav(1, 2, 16, raw.tobytes(), rate=44100))
+    del raw
+    mono, peak = traced_peak_mb(lambda: pipeline.analysis_buffer(load_wav(path)))
+    per_frame = peak * 2**20 / frames
+    assert per_frame <= 18, f"analysis_buffer(load_wav) peaked at {per_frame:.1f} B a frame"
+    assert mono.frames == 60 * 16000
 
 
 def test_resample_memory_is_bounded():

@@ -775,7 +775,8 @@ def test_unreadable_input_exits_2(case, corpus, stage1_ckpt, tmp_path, monkeypat
                                   "--out", out], [f"error: {label_2}, line 3: "]),
         "train_manifest_duplicate": (["train", "--arch", "audiocat", "--manifest",
                                       str(duplicate), "--out", out],
-                                     [f"error: {duplicate}, line 4: duplicate path a.wav"]),
+                                     [f"error: {duplicate}, line 4: duplicate path "
+                                      f"{tmp_path / 'a.wav'}"]),
         "train_manifest_split": (["train", "--arch", "audiocat", "--manifest", str(bad_split),
                                   "--out", out], [f"error: {bad_split}, line 3: ", "'tset'"]),
         "eval_manifest_split": (["eval", "--ckpt", str(stage1_ckpt), "--manifest",

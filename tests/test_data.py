@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aigmdet.audio import load_wav
+from aigmdet.audio import AudioBuffer, load_wav, save_wav
 from aigmdet.data import (SPLITS, DataError, Manifest, ManifestEntry, _apportion,
                           read_lines, render_track, split_dataset, synth_dataset)
 from aigmdet.experiment import _check_splits
@@ -27,8 +27,29 @@ def test_manifest_round_trip(tmp_path):
         path = tmp_path / "m.csv"
         m.save(path)
         loaded = Manifest.load(path)
+        # a relative path is read against the manifest's directory
         assert [(e.path, e.label, e.split) for e in loaded.entries] == \
-               [(e.path, e.label, e.split) for e in m.entries]
+               [(str(tmp_path / e.path), e.label, e.split) for e in m.entries]
+
+
+def test_manifest_reads_relative_paths_against_its_directory(tmp_path, monkeypatch):
+    """A hand-made manifest naming its WAVs relative to itself reads them
+    from any working directory; a duplicate is found on the resolved path."""
+    data = tmp_path / "data"
+    (data / "more").mkdir(parents=True)
+    for name in ("clip0.wav", "more/clip1.wav"):
+        save_wav(AudioBuffer(np.zeros((1, 160)), 16000), data / name)
+    (data / "clips.csv").write_text("path,label\nclip0.wav,0\nmore/clip1.wav,1\n")
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    for manifest in (data / "clips.csv", "../data/clips.csv"):
+        entries = Manifest.load(manifest).entries
+        assert [e.label for e in entries] == [0, 1]
+        assert [load_wav(e.path).frames for e in entries] == [160, 160]
+    (data / "dup.csv").write_text("path,label\nclip0.wav,0\n./clip0.wav,1\n")
+    with pytest.raises(DataError, match="line 3: duplicate path .*clip0.wav"):
+        Manifest.load(data / "dup.csv")
 
 
 def test_manifest_rejects_duplicates_and_bad_labels():

@@ -51,6 +51,23 @@ def test_analysis_buffer_of_16k_mono_is_the_track():
     assert pipeline.analysis_buffer(buf) is buf
 
 
+def test_16k_pcm16_analysis_is_that_of_the_float64_row(tmp_path):
+    """A 16 kHz mono PCM16 WAV is read into a float32 row holding int16 /
+    32768 exactly, and dsp.stft reads float32: its log-mel bytes and beat
+    grid are those of the float64 row that load_wav gave before."""
+    path = tmp_path / "t16.wav"
+    save_wav(render_track(0, 120.0, 24.0, 16000, np.random.default_rng(0)), path)
+    mono = pipeline.analysis_buffer(load_wav(path))
+    assert mono.samples.dtype == np.float32
+    row64 = np.frombuffer(path.read_bytes()[44:], dtype="<i2").astype(np.float64) / 32768.0
+    ref = AudioBuffer(row64[None, :], 16000)
+    assert mono.log_mel().tobytes() == ref.log_mel().tobytes()
+    got, want = pipeline.analyze_beats(mono), pipeline.analyze_beats(ref)
+    assert got.grid == want.grid
+    assert got.beats.tobytes() == want.beats.tobytes()
+    assert got.downbeats.tobytes() == want.downbeats.tobytes()
+
+
 # ---------------------------------------------------------------- model input
 def test_model_input_of_a_stage1_model(tmp_path):
     """A stage-1 model reads the extractor's features of the whole clip."""
