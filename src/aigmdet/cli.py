@@ -4,9 +4,11 @@ A model's stage is the architecture its checkpoint records: audiocat and
 fxseg are stage-1 segment models, segtr is the stage-2 track model and
 runs over the stage-1 checkpoint given as --stage1-ckpt, which no other
 model takes.  `train --arch` picks the stage to train; eval and predict
-score a checkpoint of either stage through pipeline.scorer.  All three
-read each WAV through pipeline.model_input, the one WAV -> model input
-function, which alone refuses a wrong --stage1-ckpt:
+score a checkpoint of either stage through pipeline.scorer.  `ssm` writes
+the self-similarity matrix that a segtr reads of a WAV over the stage 1
+in its --stage1-ckpt.  All four read each WAV through
+pipeline.model_input, the one WAV -> model input function, which alone
+refuses a wrong --stage1-ckpt:
 "<owner>: a segtr model needs --stage1-ckpt" and
 "<owner>: a stage-1 (<arch>) model takes no --stage1-ckpt", where the
 owner is the checkpoint, or --arch <arch> in train, and
@@ -27,7 +29,6 @@ import csv
 import sys
 import time
 from dataclasses import fields, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from .audio import AudioError, load_wav
 from .beats import BeatError, export_boundaries_csv
 from .data import SPLITS, DataError, Manifest, split_dataset
 from .dsp import TooShort
-from .extractors import EmbeddingFileError, EmbeddingSequence, get_extractor, load_precomputed
+from .extractors import get_extractor
 from .models import export_ssm_csv, export_ssm_pgm, predict, self_similarity
 from .nn import CheckpointError
 from .training import PRESETS, DivergedLoss, TrainConfig, TrainingError, evaluate, train
@@ -131,12 +132,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_ssm(args) -> int:
-    path = Path(args.input)
-    if path.suffix.lower() == ".wav":
-        seq = EmbeddingSequence(experiment.track_vectors(path))
-    else:
-        seq = load_precomputed(path)
-    ssm = self_similarity(seq)
+    read = pipeline.model_input("segtr", "", args.stage1_ckpt, "ssm")
+    ssm = self_similarity(read(args.audio))
     export_ssm_csv(ssm, str(args.out) + ".csv")
     export_ssm_pgm(ssm, str(args.out) + ".pgm")
     print(f"ssm_size={ssm.shape[0]}")
@@ -199,8 +196,9 @@ def make_parser() -> _Parser:
     p.add_argument("--audio", required=True)
     p.add_argument("--stage1-ckpt")
 
-    p = sub.add_parser("ssm", help="export a self-similarity matrix")
-    p.add_argument("input", help="WAV or EMB1 embedding file")
+    p = sub.add_parser("ssm", help="export the self-similarity matrix a segtr reads")
+    p.add_argument("audio")
+    p.add_argument("--stage1-ckpt", required=True)
     p.add_argument("--out", default="ssm")
 
     p = sub.add_parser("experiment", help="two-stage experiment on a synthetic corpus")
@@ -231,8 +229,7 @@ def main(argv=None) -> int:
     except DivergedLoss as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TRAIN
-    except (AudioError, EmbeddingFileError, CheckpointError, DataError, TrainingError,
-            OSError) as exc:
+    except (AudioError, CheckpointError, DataError, TrainingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (BeatError, TooShort) as exc:

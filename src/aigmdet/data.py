@@ -263,7 +263,9 @@ def render_track(label: int, bpm: float, duration_s: float, rate: int,
 
 def synth_dataset(out_dir, n_per_class: int, seed: int = 0,
                   duration_s: float = 64.0) -> Manifest:
-    """16 kHz class-0/class-1 WAVs at _SYNTH_TEMPI plus a manifest; byte-stable per seed."""
+    """16 kHz class-0/class-1 WAVs at _SYNTH_TEMPI plus out_dir/manifest.csv,
+    which names each WAV by its file name, relative to the manifest;
+    byte-stable per seed.  Returns Manifest.load of that file."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
@@ -273,9 +275,7 @@ def synth_dataset(out_dir, n_per_class: int, seed: int = 0,
             bpm = float(_SYNTH_TEMPI[rng.integers(len(_SYNTH_TEMPI))])
             track = render_track(label, bpm, duration_s, 16000, rng)
             name = f"class{label}_{i:03d}_bpm{int(bpm)}.wav"
-            path = out_dir / name
-            save_wav(track, path)
-            entries.append(ManifestEntry(str(path), label))
-    manifest = Manifest(entries, name=out_dir.name)
-    manifest.save(out_dir / "manifest.csv")
-    return manifest
+            save_wav(track, out_dir / name)
+            entries.append(ManifestEntry(name, label))
+    Manifest(entries).save(out_dir / "manifest.csv")
+    return Manifest.load(out_dir / "manifest.csv")

@@ -110,7 +110,7 @@ def run_experiment(data_dir, n_per_class: int, duration_s: float, seeds, epochs:
     """One SeedResult a seed.  A data_dir that holds a manifest.csv is
     reused as it is, and n_per_class and duration_s are not read; otherwise
     a corpus of n_per_class tracks a class is rendered there, its manifest
-    naming each WAV by its absolute path, so that it is reusable from any
+    naming each WAV by its file name, so that it is reusable from any
     working directory."""
     # each seed's training config (both stages') and the split are checked
     # before any track is rendered or read
@@ -128,7 +128,6 @@ def run_experiment(data_dir, n_per_class: int, duration_s: float, seeds, epochs:
         if not (np.isfinite(duration_s) and duration_s > 0):
             raise DataError(f"--duration-s {duration_s}: a track's duration must be "
                             f"finite and above 0 seconds")
-        manifest = synth_dataset(data_dir.resolve(), n_per_class, seed=0,
-                                 duration_s=duration_s)
+        manifest = synth_dataset(data_dir, n_per_class, seed=0, duration_s=duration_s)
     tracks = extract_corpus(manifest, log=log)
     return [run_seed(tracks, manifest, cfg.seed, cfg, cfg, log=log) for cfg in cfgs]

@@ -3,26 +3,20 @@
 Both take a segment as [frames x N_MELS], a range of the frames of the
 track's one log-mel (see `models.segment_features`).  Preset `seq-512` gives
 those [frames x 40] frames as they are; `stats-160` one dsp_embed vector of
-4 x 40 band statistics, the vectors of the experiment and `ssm` too.
-Externally computed embeddings are loaded from EMB1 files.
+4 x 40 band statistics, the vectors of the experiment too.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataError, names_file
+from .data import DataError
 from .dsp import N_MELS, dsp_embed
 
 # segments of a track that stage 1 analyses; the default segtr max_len
 MAX_SEQ_LEN = 48
-
-
-class EmbeddingFileError(Exception):
-    pass
 
 
 @dataclass
@@ -94,37 +88,3 @@ def get_extractor(preset: str) -> FeatureExtractor:
     except KeyError:
         raise DataError(f"unknown extractor preset {preset!r}; "
                         f"options: {sorted(PRESETS)}") from None
-
-
-# ----------------------------------------------------------------------
-# EMB1 file: magic "EMB1", u32 version, u32 count N, u32 dim d,
-# then N*d little-endian float32.
-_EMB_MAGIC = b"EMB1"
-_EMB_VERSION = 1
-
-
-@names_file(EmbeddingFileError)
-def load_precomputed(path) -> EmbeddingSequence:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 16 or blob[:4] != _EMB_MAGIC:
-        raise EmbeddingFileError("not an EMB1 file")
-    version, n, d = struct.unpack_from("<III", blob, 4)
-    if version != _EMB_VERSION:
-        raise EmbeddingFileError(f"unsupported EMB1 version {version}")
-    if not n:
-        raise EmbeddingFileError("header declares 0 vectors")
-    if not d:
-        raise EmbeddingFileError(f"header declares {n} vectors of dim 0")
-    payload = blob[16:]
-    expected = 4 * n * d
-    if len(payload) != expected:
-        if len(payload) % (4 * n) == 0:
-            raise EmbeddingFileError(
-                f"row byte-length implies dim {len(payload) // (4 * n)}, header says {d}")
-        raise EmbeddingFileError(f"expected {expected} payload bytes, got {len(payload)}")
-    raw = np.frombuffer(payload, dtype="<f4")
-    # checked before the cast, which warns on a signalling NaN
-    if not np.isfinite(raw).all():
-        raise EmbeddingFileError("embedding values must be finite")
-    return EmbeddingSequence(raw.reshape(n, d).astype(np.float64))

@@ -514,8 +514,11 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
             raise CheckpointError(f"{path}: truncated payload ({length} of {end} bytes)")
         if length > end:
             raise CheckpointError(f"{path}: {length - end} trailing bytes after the last tensor")
-        arrays = {name: np.frombuffer(fh.read(8 * math.prod(shape)), dtype="<f8")
-                  .reshape(shape).copy() for name, shape in header["tensors"]}
+        try:
+            arrays = {name: np.frombuffer(fh.read(8 * math.prod(shape)), dtype="<f8")
+                      .reshape(shape).copy() for name, shape in header["tensors"]}
+        except ValueError as exc:  # a shape numpy cannot hold: [0, 2**63], or 70 dimensions
+            raise CheckpointError(f"{path}: {exc}") from None
     for name, a in arrays.items():
         if not np.isfinite(a).all():
             raise CheckpointError(f"{path}: tensor {name!r} holds a NaN or an infinity")

@@ -10,7 +10,7 @@ from aigmdet.audio import AudioBuffer, load_wav, save_wav
 from aigmdet.beats import segment_bars
 from aigmdet.data import (Manifest, ManifestEntry, render_track,
                           split_dataset)
-from aigmdet.extractors import EmbeddingSequence, load_precomputed
+from aigmdet.extractors import EmbeddingSequence
 from aigmdet.models import (AudioCAT, FXSegment, SegmentTransformer,
                             self_similarity)
 from aigmdet.nn import AttentionConfig
@@ -18,7 +18,7 @@ from aigmdet.pipeline import analyze_beats
 from aigmdet.tensor import Tensor
 from aigmdet.training import TrainConfig, metrics, roc_auc, train
 
-from util import attention_weights, click_track, finite_diff_check, save_embeddings
+from util import attention_weights, click_track, finite_diff_check
 
 TOY = AttentionConfig(d_model=16, heads=2, ffn_dim=32)
 
@@ -433,13 +433,6 @@ def test_criterion_10_format_round_trips(tmp_path):
     err = np.abs(loaded.samples - buf.samples).max()
     check(failures, err <= 1.0 / 32768, f"WAV round-trip error {err:.2e}")
 
-    vectors = rng.normal(size=(7, 12)).astype(np.float32)
-    save_embeddings(tmp_path / "rt.emb", vectors)
-    back = load_precomputed(tmp_path / "rt.emb")
-    check(failures,
-          np.array_equal(back.vectors.astype(np.float32), vectors),
-          "embedding round-trip not bit-exact")
-
     arrays = {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=7),
               "c": np.array(2.5)}
     nn.save_checkpoint(tmp_path / "rt.aigm", arrays)
@@ -460,5 +453,5 @@ def test_criterion_10_format_round_trips(tmp_path):
               labels.count(0) == want and labels.count(1) == want,
               f"{name} not stratified")
 
-    report(10, "format round-trips (WAV, embeddings, checkpoints) and "
+    report(10, "format round-trips (WAV, checkpoints) and "
                "80/10/10 stratified split", failures)

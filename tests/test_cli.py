@@ -128,11 +128,12 @@ def test_beats_needs_4048_ms(samples, frames, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["beats", "ssm"])
-def test_below_one_frame_exits_3(command, tmp_path, capsys):
+def test_below_one_frame_exits_3(command, stage1_ckpt, tmp_path, capsys):
     # 500 samples: shorter than one 1024-sample analysis frame
     path = tmp_path / "tiny.wav"
     save_wav(AudioBuffer(0.1 * np.ones((1, 500)), 16000), path)
-    assert run([command, str(path), "--out", str(tmp_path / "out")]) == EXIT_MUSIC
+    stage1 = ["--stage1-ckpt", str(stage1_ckpt)] if command == "ssm" else []
+    assert run([command, str(path), *stage1, "--out", str(tmp_path / "out")]) == EXIT_MUSIC
     assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
 
@@ -562,13 +563,16 @@ def test_predict_full_mode(tracks, stage1_ckpt, stage2_ckpt, capsys):
     assert f"probability={stage2.forward(seq).probability:.6f}" in captured
 
 
-# a segtr checkpoint given as a stage 1 is refused by name, not run
-@pytest.mark.parametrize("command", ["train", "eval", "predict"])
-def test_segtr_as_stage1_ckpt_exits_2(command, tracks, stage2_ckpt, tmp_path, capsys):
+# a segtr checkpoint given as a stage 1 is refused by name before any WAV is read
+@pytest.mark.parametrize("command", ["train", "eval", "predict", "ssm"])
+def test_segtr_as_stage1_ckpt_exits_2(command, tracks, stage2_ckpt, tmp_path, monkeypatch,
+                                      capsys):
+    monkeypatch.setattr(pipeline, "load_wav", lambda path: pytest.fail(f"read {path}"))
     argv = {"train": ["--arch", "segtr", "--manifest", str(tracks["manifest"]),
                       "--out", str(tmp_path / "o.aigm")],
             "eval": ["--ckpt", str(stage2_ckpt), "--manifest", str(tracks["manifest"])],
-            "predict": ["--ckpt", str(stage2_ckpt), "--audio", tracks["track"]]}[command]
+            "predict": ["--ckpt", str(stage2_ckpt), "--audio", tracks["track"]],
+            "ssm": [tracks["track"], "--out", str(tmp_path / "o")]}[command]
     assert run([command, *argv, "--stage1-ckpt", str(stage2_ckpt)]) == EXIT_IO
     assert capsys.readouterr().err == (f"error: {stage2_ckpt}: a segtr checkpoint "
                                        f"is not a stage-1 model\n")
@@ -606,9 +610,10 @@ def test_train_eval_predict_share_model_input(arch, extractor, corpus, tracks, s
 
 
 # ---------------------------------------------------------------- ssm
-def test_ssm_from_wav(corpus, tmp_path, capsys):
+def test_ssm_from_wav(corpus, stage1_ckpt, tmp_path, capsys):
     out = tmp_path / "ssm"
-    code = run(["ssm", str(corpus["long"]), "--out", str(out)])
+    code = run(["ssm", str(corpus["long"]), "--stage1-ckpt", str(stage1_ckpt),
+                "--out", str(out)])
     captured = capsys.readouterr().out
     assert code == EXIT_OK
     assert "ssm_size=" in captured
@@ -618,20 +623,61 @@ def test_ssm_from_wav(corpus, tmp_path, capsys):
     assert (tmp_path / "ssm.pgm").read_bytes().startswith(b"P5\n")
 
 
-def test_ssm_from_embedding_file(tmp_path, capsys):
-    from util import save_embeddings
-    rng = np.random.default_rng(0)
-    emb = tmp_path / "seq.emb"
-    save_embeddings(emb, rng.normal(size=(6, 16)).astype(np.float32))
-    code = run(["ssm", str(emb), "--out", str(tmp_path / "s")])
-    assert code == EXIT_OK
-    assert "ssm_size=6" in capsys.readouterr().out
+@pytest.fixture(scope="module")
+def four_segments(tmp_path_factory):
+    """A 30 s render at 140 bpm: 4 whole 4-bar windows of 6.9 s."""
+    path = tmp_path_factory.mktemp("ssm") / "track.wav"
+    save_wav(render_track(0, 140, 30.0, 16000, np.random.default_rng(0)), path)
+    return str(path)
 
 
-def test_ssm_bad_input_exits_2(tmp_path, capsys):
-    path = tmp_path / "bad.emb"
-    path.write_bytes(b"XXXX" + b"\x00" * 12)
-    assert run(["ssm", str(path), "--out", str(tmp_path / "s")]) == EXIT_IO
+# ssm writes the matrix that stage 2 builds of the same WAV over the same
+# stage 1, to the CSV's 9 decimals
+@pytest.mark.parametrize("arch, preset", [("audiocat", "seq-512"), ("fxseg", "stats-160")])
+def test_ssm_is_the_matrix_stage2_reads(arch, preset, four_segments, tmp_path, monkeypatch,
+                                        capsys):
+    stage1, segtr = tmp_path / "s1.aigm", tmp_path / "s2.aigm"
+    pipeline.save_model(stage1, pipeline.build_model(arch, get_extractor(preset), seed=0),
+                        arch, preset)
+    pipeline.save_model(segtr, pipeline.build_model("segtr", seed=0), "segtr")
+    built, self_similarity = [], models.self_similarity
+
+    def spy(seq):
+        built.append(self_similarity(seq))
+        return built[-1]
+
+    monkeypatch.setattr(models, "self_similarity", spy)
+    out = tmp_path / "ssm"
+    assert run(["predict", "--ckpt", str(segtr), "--stage1-ckpt", str(stage1),
+                "--audio", four_segments]) == EXIT_OK
+    assert run(["ssm", four_segments, "--stage1-ckpt", str(stage1),
+                "--out", str(out)]) == EXIT_OK
+    (matrix,) = built  # predict's stage 2 built it; ssm read nothing of stage 2
+    written = np.loadtxt(str(out) + ".csv", delimiter=",")
+    assert written.shape == matrix.shape == (4, 4)
+    assert np.abs(written - matrix).max() <= 5e-10
+    assert capsys.readouterr().out.splitlines()[-1] == f"ssm_size={len(matrix)}"
+
+
+# stage 2 reads the first MAX_SEQ_LEN segments of a track, and so does ssm
+def test_ssm_of_more_segments_than_stage2_reads(four_segments, stage1_ckpt, tmp_path,
+                                                monkeypatch, capsys):
+    argv = ["ssm", four_segments, "--stage1-ckpt", str(stage1_ckpt), "--out"]
+    assert run([*argv, str(tmp_path / "all")]) == EXIT_OK
+    full = np.loadtxt(tmp_path / "all.csv", delimiter=",")
+    assert full.shape == (4, 4)
+    monkeypatch.setattr(models, "MAX_SEQ_LEN", 2)
+    capsys.readouterr()
+    assert run([*argv, str(tmp_path / "first")]) == EXIT_OK
+    assert capsys.readouterr().out == "ssm_size=2\n"
+    assert np.allclose(np.loadtxt(tmp_path / "first.csv", delimiter=","), full[:2, :2],
+                       rtol=0, atol=1e-9)
+    assert (tmp_path / "first.pgm").read_bytes().startswith(b"P5\n2 2\n255\n")
+
+
+def test_ssm_needs_stage1_ckpt(corpus, capsys):
+    assert run(["ssm", str(corpus["long"])]) == EXIT_USAGE
+    assert "--stage1-ckpt" in capsys.readouterr().err
 
 
 # float32 bit patterns; casting a signalling NaN to float64 warns
@@ -641,15 +687,15 @@ NON_FINITE = {"nan": 0x7FC00000, "signalling_nan": 0x7FA00000, "inf": 0x7F800000
 
 @pytest.mark.parametrize("value", list(NON_FINITE))
 @pytest.mark.parametrize("command", ["beats", "ssm"])
-def test_non_finite_float32_input_exits_2(command, value, tmp_path, capsys):
+def test_non_finite_float32_input_exits_2(command, value, stage1_ckpt, tmp_path, capsys):
     payload = np.zeros(16_000, dtype="<u4")
     payload[100] = NON_FINITE[value]
-    path = tmp_path / ("in.wav" if command == "beats" else "in.emb")
-    path.write_bytes(raw_wav(3, 1, 32, payload.tobytes()) if command == "beats" else
-                     b"EMB1" + struct.pack("<III", 1, 4000, 4) + payload.tobytes())
+    path = tmp_path / "in.wav"
+    path.write_bytes(raw_wav(3, 1, 32, payload.tobytes()))
+    stage1 = ["--stage1-ckpt", str(stage1_ckpt)] if command == "ssm" else []
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        assert run([command, str(path), "--out", str(tmp_path / "out")]) == EXIT_IO
+        assert run([command, str(path), *stage1, "--out", str(tmp_path / "out")]) == EXIT_IO
     assert capsys.readouterr().err.startswith("error: ")
     assert not list(tmp_path.glob("out*"))
 
@@ -657,9 +703,7 @@ def test_non_finite_float32_input_exits_2(command, value, tmp_path, capsys):
 # each ends in error: and exit 2, not in a numpy ValueError, UnicodeDecodeError,
 # csv.Error, "embedded null byte" or wrong-shape tensor traceback
 @pytest.mark.parametrize("case", ["beats_odd_wav", "beats_not_wav", "predict_odd_wav",
-                                  "train_manifest", "eval_manifest",
-                                  "ssm_emb1_dim_0",
-                                  "ssm_emb1_no_vectors", "train_corrupt_wav",
+                                  "train_manifest", "eval_manifest", "train_corrupt_wav",
                                   "eval_corrupt_wav", "experiment_corrupt_wav",
                                   "train_long_field", "eval_nul_path",
                                   "predict_width_mismatch", "eval_width_mismatch",
@@ -677,10 +721,6 @@ def test_unreadable_input_exits_2(case, corpus, stage1_ckpt, tmp_path, monkeypat
                                   capsys):
     bad_text = tmp_path / "latin1.txt"
     bad_text.write_bytes(b"path,label\nch\xffur.wav,0\n")
-    emb = tmp_path / "d0.emb"
-    emb.write_bytes(b"EMB1" + struct.pack("<III", 1, 3, 0))  # 3 vectors of dim 0
-    no_vectors = tmp_path / "n0.emb"
-    no_vectors.write_bytes(b"EMB1" + struct.pack("<III", 1, 0, 4))  # 0 vectors of dim 4
     odd = tmp_path / "odd.wav"
     odd.write_bytes(raw_wav(1, 1, 16, b"\x00" * 201))  # PCM16: 100.5 frames
     junk = tmp_path / "junk.wav"  # not a RIFF/WAVE file, first of the train split
@@ -729,9 +769,6 @@ def test_unreadable_input_exits_2(case, corpus, stage1_ckpt, tmp_path, monkeypat
                             "--out", out], [bad_text]),
         "eval_manifest": (["eval", "--ckpt", str(stage1_ckpt), "--manifest", str(bad_text)],
                           [bad_text]),
-        "ssm_emb1_dim_0": (["ssm", str(emb), "--out", out], [f"error: {emb}: "]),
-        "ssm_emb1_no_vectors": (["ssm", str(no_vectors), "--out", out],
-                                [f"error: {no_vectors}: ", "0 vectors"]),
         "train_corrupt_wav": (["train", "--arch", "audiocat", "--manifest", str(corrupt),
                                "--out", out], [f"error: {junk}: not a RIFF/WAVE file"]),
         "eval_corrupt_wav": (["eval", "--ckpt", str(stage1_ckpt), "--manifest", str(corrupt),
@@ -794,7 +831,7 @@ def test_unreadable_input_exits_2(case, corpus, stage1_ckpt, tmp_path, monkeypat
     assert captured.err.startswith("error: ")
     for name in named:
         assert str(name) in captured.err
-    assert not list(tmp_path.glob("out*"))  # no checkpoint, CSV or PGM
+    assert not list(tmp_path.glob("out*"))  # no checkpoint or CSV
 
 
 # ---------------------------------------------------------------- experiment
@@ -827,7 +864,7 @@ def test_experiment_runs(tmp_path, monkeypatch, capsys):
     assert rows[0] == "seed,accuracy,auc"
     assert [row.split(",")[0] for row in rows[1:]] == ["0", "mean"]
     # a second run, from inside the corpus, reuses it (its manifest names
-    # each WAV by its absolute path), and says that the size flags go unread
+    # each WAV relative to itself), and says that the size flags go unread
     monkeypatch.chdir(tmp_path / "corpus")
     assert run(experiment_argv(".", 64)) == EXIT_OK, capsys.readouterr().err
     assert ("reusing manifest.csv (14 tracks); "

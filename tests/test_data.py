@@ -225,6 +225,24 @@ def test_synth_dataset_layout(tmp_path):
         assert buf.frames == 8 * 16000
 
 
+def test_synth_dataset_reloads_from_any_working_directory(tmp_path, monkeypatch):
+    """A corpus rendered into a relative directory names each WAV relative
+    to its manifest, so the manifest it returns and the one it wrote read
+    the same WAVs from its own directory and from any other."""
+    (tmp_path / "elsewhere").mkdir()
+    monkeypatch.chdir(tmp_path)
+    rendered = synth_dataset("corpus", n_per_class=1, seed=0, duration_s=1.0)
+    assert [e.path for e in rendered.entries] == ["corpus/class0_000_bpm132.wav",
+                                                  "corpus/class1_000_bpm124.wav"]
+    wavs = [load_wav(e.path).samples.tobytes() for e in rendered.entries]
+    for cwd, manifest in ((".", "corpus/manifest.csv"), ("corpus", "manifest.csv"),
+                          ("elsewhere", "../corpus/manifest.csv")):
+        monkeypatch.chdir(tmp_path / cwd)
+        entries = Manifest.load(manifest).entries
+        assert [e.label for e in entries] == [0, 1]
+        assert [load_wav(e.path).samples.tobytes() for e in entries] == wavs
+
+
 def test_synth_dataset_byte_stable(tmp_path):
     digests = []
     for name in ("a", "b"):
@@ -260,7 +278,7 @@ CORPUS_DIGESTS = {
     "class1_001_bpm100.wav": "225c5044f0ecea60c4387627c7b040792b3bcbfef23a3fe35741d98bd53e6301",
     "class1_002_bpm92.wav": "f1f0b1750ee8e26dec4f0aad2453360567b75733fa1ab3bdd6f676255ab3c297",
     "class1_003_bpm116.wav": "bc5460804adee23b0831e1ca319e90b843df4ed5b1818eb5e9effbd0b5bf7576",
-    "manifest.csv": "9331c69265de43ac4ecf762d9ca9dd5be36c36b299188236432e356822b163f4",
+    "manifest.csv": "c311ac6cb49e3542458cf7a3b36e0ed8ffb374e9290a4d6b05831c80a78c4c6b",
 }
 
 
@@ -270,10 +288,9 @@ def test_render_track_bytes_are_pinned(case):
     assert hashlib.sha256(samples.tobytes()).hexdigest() == RENDER_DIGESTS[case]
 
 
-def test_synth_dataset_bytes_are_pinned(tmp_path, monkeypatch):
-    # a relative directory keeps the manifest's paths, and so its bytes, fixed
-    monkeypatch.chdir(tmp_path)
-    synth_dataset("corpus", n_per_class=4, seed=0, duration_s=8.0)
+def test_synth_dataset_bytes_are_pinned(tmp_path):
+    # the manifest names each WAV by its file name, whatever the directory
+    synth_dataset(tmp_path / "corpus", n_per_class=4, seed=0, duration_s=8.0)
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
            for p in (tmp_path / "corpus").iterdir()}
     assert got == CORPUS_DIGESTS

@@ -1,10 +1,12 @@
-"""The three readers of outside files (load_wav, load_precomputed and
-Manifest.load) on truncated, byte-edited and arbitrary input, and on
-manifest fields and WAV paths that hold control characters or run long:
-each either reads the file or raises its documented error, which the CLI
-maps to exit 2.  Any other exception fails the test."""
+"""The three readers of outside files (load_wav, nn.load_checkpoint, which
+reads --ckpt and --stage1-ckpt, and Manifest.load) on truncated,
+byte-edited and arbitrary input, and on manifest fields and WAV paths that
+hold control characters or run long: each either reads the file or raises
+its documented error, which the CLI maps to exit 2.  Any other exception
+fails the test."""
 
-import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,21 +15,30 @@ from hypothesis import strategies as st
 
 from aigmdet.audio import AudioBuffer, AudioError, load_wav
 from aigmdet.data import DataError, Manifest
-from aigmdet.extractors import EmbeddingFileError, load_precomputed
+from aigmdet.nn import CheckpointError, load_checkpoint, save_checkpoint
 
 from util import raw_wav, wav_bytes
+
+
+def _checkpoint_bytes(arrays, meta) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.aigm"
+        save_checkpoint(path, arrays, meta)
+        return path.read_bytes()
 
 
 _rng = np.random.default_rng(0)
 VALID = {
     "pcm16": wav_bytes(AudioBuffer(_rng.uniform(-1, 1, (2, 50)), 16000)),
     "float32": raw_wav(3, 1, 32, _rng.uniform(-1, 1, 60).astype("<f4").tobytes(), 22050),
-    "emb1": b"EMB1" + struct.pack("<III", 1, 3, 4) + _rng.normal(size=(3, 4)).astype("<f4").tobytes(),
+    # two small tensors under a model checkpoint's meta: 180 bytes
+    "checkpoint": _checkpoint_bytes({"w": _rng.normal(size=(2, 3)), "b": _rng.normal(size=3)},
+                                    {"arch": "audiocat", "extractor": "stats-160"}),
     "manifest": "path,label,split\nchœur.wav,0,train\nb.wav,1,test\n".encode("utf-8"),
 }
 # each reader and the errors it may raise
 READERS = {"pcm16": (load_wav, AudioError), "float32": (load_wav, AudioError),
-           "emb1": (load_precomputed, EmbeddingFileError),
+           "checkpoint": (load_checkpoint, CheckpointError),
            "manifest": (Manifest.load, DataError)}
 _DATA_SIZE_AT = 40  # offset of the data chunk's size in a 44-byte WAV header
 

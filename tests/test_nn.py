@@ -1,3 +1,7 @@
+import json
+import re
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -536,6 +540,19 @@ def test_checkpoint_truncated(tmp_path):
     blob = path.read_bytes()
     path.write_bytes(blob[:-16])
     with pytest.raises(nn.CheckpointError):
+        nn.load_checkpoint(path)
+
+
+# shapes of no values, so the file is long enough, that numpy cannot hold:
+# a dimension past its index range, or more dimensions than it allows
+@pytest.mark.parametrize("shape", [[0, 10**20], [0, 2**63], [1] * 70],
+                         ids=["dim_1e20", "dim_2_63", "70_dims"])
+def test_checkpoint_shape_numpy_cannot_hold(shape, tmp_path):
+    path = tmp_path / "model.aigm"
+    header = json.dumps({"meta": {}, "tensors": [["w", shape]]}).encode("utf-8")
+    path.write_bytes(b"AIGM" + struct.pack("<II", 3, len(header)) + header
+                     + (b"" if 0 in shape else bytes(8)))
+    with pytest.raises(nn.CheckpointError, match=f"^{re.escape(str(path))}: "):
         nn.load_checkpoint(path)
 
 

@@ -3,9 +3,9 @@ signal construction, a content-keyed random feature extractor, the direct
 and phase-by-phase forms of the resampler, the beat DP and the AUC that
 the vectorised ones are checked against, the whole-array forms of log-mel,
 track rendering and WAV writing that the bounded-memory ones must match
-bit for bit, an EMB1 writer, the composite (node-by-node) forms of nn's
-fused Linear, layer_norm, attention and cross-attention nodes, and their
-post-softmax attention weights.
+bit for bit, the composite (node-by-node) forms of nn's fused Linear,
+layer_norm, attention and cross-attention nodes, and their post-softmax
+attention weights.
 
 The composite forms need five ops the models never run: sub, div, sqrt,
 softmax and transpose.  They live here, built on `tensor.node` like the
@@ -16,7 +16,7 @@ import zlib
 
 import numpy as np
 
-from aigmdet import audio, data, extractors, nn
+from aigmdet import audio, data, nn
 from aigmdet.audio import _KAISER_BETA, _SINC_TAPS, AudioBuffer
 from aigmdet.beats import DP_TIGHTNESS
 from aigmdet.dsp import LOG_EPS, mel_filterbank, stft
@@ -286,17 +286,6 @@ def wav_bytes(buf):
             + b"fmt " + struct.pack("<IHHIIHH", 16, 1, channels, rate, rate * channels * 2,
                                     channels * 2, 16)
             + b"data" + struct.pack("<I", len(interleaved)) + interleaved)
-
-
-def save_embeddings(path, vectors):
-    """Write `vectors` [N x d] as the EMB1 file `extractors.load_precomputed`
-    reads: magic, u32 version, u32 N, u32 d, then N*d float32 LE."""
-    vectors = np.atleast_2d(np.asarray(vectors, dtype="<f4"))
-    n, d = vectors.shape
-    with open(path, "wb") as fh:
-        fh.write(extractors._EMB_MAGIC)
-        fh.write(struct.pack("<III", extractors._EMB_VERSION, n, d))
-        fh.write(np.ascontiguousarray(vectors).tobytes())
 
 
 def raw_wav(fmt: int, channels: int, bits: int, data: bytes, rate: int = 16000) -> bytes:
