@@ -35,7 +35,7 @@ import numpy as np
 from . import experiment, pipeline, training
 from .audio import AudioError, load_wav
 from .beats import BeatError, export_boundaries_csv
-from .data import SPLITS, DataError, Manifest, split_dataset
+from .data import SPLITS, DataError, Manifest
 from .dsp import TooShort
 from .extractors import get_extractor
 from .models import export_ssm_csv, export_ssm_pgm, predict, self_similarity
@@ -92,10 +92,7 @@ def cmd_beats(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _train_config(args)
-    manifest = Manifest.load(args.manifest)
-    if not any(e.split for e in manifest.entries):
-        manifest = split_dataset(manifest, seed=cfg.seed)
-    splits = manifest.subsets("train", "val")
+    splits = Manifest.load(args.manifest).subsets("train", "val")
 
     preset = "" if args.arch == "segtr" else args.extractor  # a segtr reads its stage 1's vectors
     read = pipeline.model_input(args.arch, preset, args.stage1_ckpt, f"--arch {args.arch}")

@@ -40,15 +40,16 @@ def read_lines(path) -> list[str]:
 def names_file(*errors):
     """Decorator for a function of a file path: an exception of one of
     `errors` that it raises is raised again, of the same class, as
-    `<path>: <message>`, unless the message names the file already."""
+    `<path>: <message>`, unless the message quotes the path as load_wav's
+    do: at the end (an OSError's text) or at the start (a NUL byte)."""
     def decorate(fn):
         @functools.wraps(fn)
         def named(path, *args, **kwargs):
             try:
                 return fn(path, *args, **kwargs)
             except errors as exc:
-                # the path as it is, or as repr() escapes it (load_wav's unreadable path)
-                if repr(str(path))[1:-1] in str(exc):
+                quoted = repr(str(path))
+                if str(exc).endswith(f": {quoted}") or str(exc).startswith(f"{quoted}: "):
                     raise
                 raise type(exc)(f"{path}: {exc}") from None
         return named
@@ -92,11 +93,13 @@ class Manifest:
         return [e for e in self.entries if e.split == split]
 
     def subsets(self, *splits: str) -> list[list]:
-        """subset() of each named split; DataError names the first empty one."""
+        """subset() of each named split, of split_dataset's split at seed 0
+        if no row names one; DataError names the first empty one."""
+        manifest = self if any(e.split for e in self.entries) else split_dataset(self)
         for split in splits:
-            if not self.subset(split):
+            if not manifest.subset(split):
                 raise DataError(f"{self.name}: the {split!r} split is empty")
-        return [self.subset(split) for split in splits]
+        return [manifest.subset(split) for split in splits]
 
     def save(self, path):
         with open(path, "w", newline="") as fh:
@@ -135,7 +138,7 @@ class Manifest:
             except DataError as exc:
                 raise DataError(f"{path}, line {line}: {exc}") from None
             entries.append(entry)
-        return Manifest(entries, name=Path(path).stem)
+        return Manifest(entries, name=str(path))
 
 
 def _apportion(n: int, ratios: tuple) -> list[int]:

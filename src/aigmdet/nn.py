@@ -11,10 +11,10 @@ each one tape node with a hand-written backward rule.  Their forward
 arithmetic is the one their composite forms (tests/util.py) record, in the
 same order, so outputs equal those forms bit for bit.
 
-The cross-attention node (cross_attention) is one tape node too, but its
-arithmetic is not its composite form's: that form projects the memory to
-keys and values, and the node never does, so the two agree to rounding
-(within 1e-12 relative, which tests/test_nn.py holds), not bit for bit.
+Cross-attention (cross_attention) is no node of its own: it runs the
+attention node over the unprojected memory.  Its composite form projects
+the memory to keys and values, and cross_attention never does, so the two
+agree to rounding (within 1e-12 relative, which tests/test_nn.py holds).
 MultiHeadAttention.cross runs it only when the memory has more rows than
 heads x queries.  At or below that length, as for a one-token memory,
 projecting the memory costs less, and cross runs the projected path.
@@ -175,14 +175,14 @@ def _position_table(n: int, d: int) -> np.ndarray:
     return pe
 
 
-def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
-    """[..., n, d] -> [..., heads, n, d // heads], a view."""
+def _split_heads(x, heads: int):
+    """[..., n, d] -> [..., heads, n, d // heads], of an array a view."""
     *lead, n, d = x.shape
     b = len(lead)
     return x.reshape(*lead, n, heads, d // heads).transpose(*range(b), b + 1, b, b + 2)
 
 
-def _merge_heads(x: np.ndarray) -> np.ndarray:
+def _merge_heads(x):
     """[..., heads, n, head_dim] -> [..., n, heads * head_dim]."""
     *lead, heads, n, head_dim = x.shape
     b = len(lead)
@@ -230,16 +230,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     return node(out_data, (q, k, v), backward)
 
 
-def _head_folded(x: np.ndarray, heads: int) -> np.ndarray:
-    """[..., heads, m, k] -> [heads, (...) m, k]: every leading axis folded
-    into the rows of each head."""
-    return np.moveaxis(x, -3, 0).reshape(heads, -1, x.shape[-1])
-
-
 def cross_attention(q: Tensor, memory: Tensor, wk: Tensor, wv: Tensor, bv: Tensor,
                     heads: int, key_bias: np.ndarray | None = None) -> Tensor:
     """attention(q, memory wk, memory wv + bv, heads, key_bias) with the key
-    and value projections moved off the memory, one tape node.
+    and value projections moved off the memory.
 
     q is [..., m, d] projected queries, memory [..., T, d], wk and wv
     [d, d] and bv [d]; key_bias is attention's.  Per head h the scores are
@@ -247,45 +241,16 @@ def cross_attention(q: Tensor, memory: Tensor, wk: Tensor, wv: Tensor, bv: Tenso
     (P_h M) W_v,h + b_v,h, since each row of P sums to 1.  The heads x m
     rows Q_h W_k,h^T stack into one [heads m, d] matrix, so each memory row
     costs 2 heads m products of length d (one score, one P M term), where
-    projecting it costs 2 d of them."""
+    projecting it costs 2 d of them.  That matrix attends over the memory
+    as one head of width d, and sqrt(heads) turns its 1/sqrt(d) into
+    1/sqrt(head_dim)."""
     m, d = q.shape[-2:]
-    head_dim = d // heads
-    scale = 1.0 / np.sqrt(head_dim)
-    wk_heads = wk.data.reshape(d, heads, head_dim).transpose(1, 2, 0)  # W_k,h^T: [heads, hd, d]
-    wv_heads = wv.data.reshape(d, heads, head_dim).transpose(1, 0, 2)  # W_v,h: [heads, d, hd]
-    qh = _split_heads(q.data, heads)
-    absorbed = ((qh @ wk_heads) * scale).reshape(*q.shape[:-2], heads * m, d)
-    mem_t = np.swapaxes(memory.data, -1, -2)
-    weights = _softmax(absorbed @ mem_t, None if key_bias is None else key_bias[..., 0, :, :])
-    mixed = weights @ memory.data  # [..., heads m, d]
-    mixed_h = mixed.reshape(*mixed.shape[:-2], heads, m, d)
-    out_data = _merge_heads(mixed_h @ wv_heads) + bv.data
-
-    def backward(out):
-        g = out.grad
-        if bv.requires_grad:
-            bv._accumulate(_unbroadcast(g, bv.shape))
-        gh = _split_heads(g, heads)
-        if wv.requires_grad:
-            g_wv = np.swapaxes(_head_folded(mixed_h, heads), -1, -2) @ _head_folded(gh, heads)
-            wv._accumulate(g_wv.transpose(1, 0, 2).reshape(d, d))
-        g_mixed = (gh @ np.swapaxes(wv_heads, -1, -2)).reshape(mixed.shape)
-        g_weights = g_mixed @ mem_t
-        g_scores = (g_weights - (g_weights * weights).sum(axis=-1, keepdims=True)) * weights
-        if memory.requires_grad:
-            g_memory = np.swapaxes(weights, -1, -2) @ g_mixed \
-                + np.swapaxes(g_scores, -1, -2) @ absorbed
-            memory._accumulate(_unbroadcast(g_memory, memory.shape))
-        if q.requires_grad or wk.requires_grad:
-            g_abs = _unbroadcast((g_scores @ memory.data) * scale, absorbed.shape)
-            g_abs = g_abs.reshape(*qh.shape[:-1], d)
-            if q.requires_grad:
-                q._accumulate(_merge_heads(g_abs @ np.swapaxes(wk_heads, -1, -2)))
-            if wk.requires_grad:
-                g_wk = np.swapaxes(_head_folded(qh, heads), -1, -2) @ _head_folded(g_abs, heads)
-                wk._accumulate(g_wk.transpose(2, 0, 1).reshape(d, d))
-
-    return node(out_data, (q, memory, wk, wv, bv), backward)
+    qh = _split_heads(q, heads)
+    wk_heads = wk.reshape(d, heads, d // heads).transpose(1, 2, 0)  # W_k,h^T: [heads, hd, d]
+    absorbed = (qh @ wk_heads).reshape(*q.shape[:-2], heads * m, d) * np.sqrt(heads)
+    mixed = attention(absorbed, memory, memory, 1, key_bias)  # [..., heads m, d]
+    wv_heads = wv.reshape(d, heads, d // heads).transpose(1, 0, 2)  # W_v,h: [heads, d, hd]
+    return _merge_heads(mixed.reshape(*mixed.shape[:-2], heads, m, d) @ wv_heads) + bv
 
 
 class MultiHeadAttention(Module):

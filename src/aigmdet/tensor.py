@@ -1,13 +1,13 @@
 """Reverse-mode autograd over float64 numpy arrays.
 
 Everything downstream (attention blocks, losses, the three detectors) is
-built on the tape here: the primitives below, plus nn's fused layer nodes
-(Linear, layer_norm, the attention and cross-attention cores), each made
-with `node` and a hand-written backward rule.  The primitives are the ones the models and
-the losses run, and no more; any other op is built on `node` the same
-way.  matmul takes only operands with two or more dims.  Gradients are
-checked against central finite differences in the test suite, so keep
-backward rules exact.
+built on the tape here: the primitives below, plus nn's three fused layer
+nodes (Linear, layer_norm, the attention core), each made with `node` and
+a hand-written backward rule.  The primitives are the ones the models and
+the losses run (transpose among them), and no more; tests/util.py builds
+its reference-only ops on `node` the same way.  matmul takes only
+operands with two or more dims.  Gradients are checked against central
+finite differences in the test suite, so keep backward rules exact.
 
 Gradients are read-only.  A backward rule may hand one array to several
 parents (x + y gives x and y the same incoming gradient), and the first
@@ -222,6 +222,17 @@ class Tensor:
         def backward(out):
             if self.requires_grad:
                 self._accumulate(out.grad.reshape(self.data.shape))
+
+        return node(out_data, (self,), backward)
+
+    def transpose(self, *axes):
+        """The tensor with its axes permuted, as numpy's transpose(*axes):
+        axes is a permutation of range(ndim)."""
+        out_data = self.data.transpose(axes)
+
+        def backward(out):
+            if self.requires_grad:
+                self._accumulate(out.grad.transpose(np.argsort(axes)))
 
         return node(out_data, (self,), backward)
 

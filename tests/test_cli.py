@@ -16,7 +16,7 @@ from aigmdet.data import SPLITS, Manifest, ManifestEntry, render_track, split_da
 from aigmdet.dsp import MIN_SEGMENT_S, N_MELS, TooShort
 from aigmdet.extractors import get_extractor
 from aigmdet.models import SegmentTransformer
-from aigmdet.training import PRESETS, DivergedLoss, TrainConfig
+from aigmdet.training import PRESETS, DivergedLoss, EvalReport, TrainConfig, evaluate
 
 from util import click_track, raw_wav
 
@@ -147,6 +147,23 @@ def test_beats_malformed_wav_exits_2(tmp_path, capsys):
     assert run(["beats", str(path), "--out", str(tmp_path / "g.csv")]) == EXIT_IO
 
 
+# the error line names the file once: as load_wav's message quotes it (a
+# missing file, a NUL byte), or else as a prefix, even where the name
+# occurs in the message, as "a" and "file" do in "not a RIFF/WAVE file"
+@pytest.mark.parametrize("name, line", [
+    ("a", "error: a: not a RIFF/WAVE file"),
+    ("file", "error: file: not a RIFF/WAVE file"),
+    ("missing.wav", "error: [Errno 2] No such file or directory: 'missing.wav'"),
+    ("a\x00b.wav", "error: 'a\\x00b.wav': embedded null byte"),
+], ids=["a", "file", "missing", "nul"])
+def test_beats_error_names_the_file_once(name, line, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    if name in ("a", "file"):
+        Path(name).write_bytes(b"not a wave file.")
+    assert run(["beats", name, "--out", "g.csv"]) == EXIT_IO
+    assert capsys.readouterr().err == line + "\n"
+
+
 # ---------------------------------------------------------------- train / eval / predict
 @pytest.fixture(scope="module")
 def stage1_ckpt(corpus, tmp_path_factory, capsysbinary=None):
@@ -226,6 +243,33 @@ def test_eval_command(corpus, stage1_ckpt, tmp_path, capsys):
     assert captured[0] == "acc,prec,recall,f1,auc,spec"
     assert_eval_row(captured[1])
     assert out.read_text().splitlines()[0] == "acc,prec,recall,f1,auc,spec"
+
+
+def test_eval_scores_the_split_that_train_left_out(corpus, tmp_path, monkeypatch, capsys):
+    """A manifest that names no split is split at seed 0, whatever --seed
+    is: train reads its train and val rows, and eval's default split is
+    the rest.  7 clips a class split 5/1/1."""
+    entries = [ManifestEntry(e.path, e.label) for e in Manifest.load(corpus["manifest"]).entries]
+    for label in (0, 1):
+        path = tmp_path / f"extra{label}.wav"
+        save_wav(render_track(label, 120, 4.0, 16000, np.random.default_rng(label)), path)
+        entries.append(ManifestEntry(str(path), label))
+    manifest, ckpt = tmp_path / "unsplit.csv", tmp_path / "s1.aigm"
+    Manifest(entries).save(manifest)
+    read, features = [], pipeline.stage1_features
+    monkeypatch.setattr(pipeline, "stage1_features",
+                        lambda path, extractor: read.append(path) or features(path, extractor))
+    assert run(["train", "--arch", "audiocat", "--extractor", "stats-160", "--manifest",
+                str(manifest), "--epochs", "1", "--seed", "3", "--out", str(ckpt)]) == EXIT_OK
+    left_out = [e for e in entries if e.path not in read]
+    assert [e.path for e in left_out] == \
+        [e.path for e in split_dataset(Manifest(entries)).subset("test")]
+    assert sorted(e.label for e in left_out) == [0, 1]
+    capsys.readouterr()
+    assert run(["eval", "--ckpt", str(ckpt), "--manifest", str(manifest)]) == EXIT_OK
+    score = pipeline.scorer(ckpt)
+    report = evaluate([score(e.path).probability for e in left_out], [e.label for e in left_out])
+    assert capsys.readouterr().out.splitlines() == [EvalReport.CSV_HEADER, report.csv_row()]
 
 
 def test_eval_on_an_empty_split_exits_2(corpus, stage1_ckpt, tmp_path, capsys):

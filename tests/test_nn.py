@@ -249,7 +249,7 @@ def test_fused_attention_masked_keys_get_zero_gradient(rng):
     assert (np.abs(kv.grad[mask]).sum(axis=-1) > 0).all()
 
 
-# ---------------------------------------------------------------- cross-attention node
+# ---------------------------------------------------------------- cross-attention
 CROSS = ["unbatched", "masked", "shared_queries"]
 
 
@@ -281,7 +281,7 @@ def cross_node(mha, q, memory, mask):
 @pytest.mark.parametrize("kind", CROSS)
 def test_cross_attention_node_matches_composite_form(rng, kind):
     """Forward within 1e-12 relative of the projected composite form, which
-    the node's arithmetic is not; every gradient within 1e-10 relative."""
+    the function's arithmetic is not; every gradient within 1e-10 relative."""
     mha, q, memory, mask = cross_case(kind, rng)
     tensors = [q, memory, mha.wk.weight, mha.wv.weight, mha.wv.bias]
     results = []
@@ -322,7 +322,7 @@ def test_cross_attention_masked_memory_gets_zero_gradient(rng):
 
 @pytest.mark.parametrize("rows,absorbed", [(12, False), (13, True)])
 def test_decoder_cross_attention_absorbs_past_heads_x_queries(rng, monkeypatch, rows, absorbed):
-    """DecoderBlock runs the cross-attention node only for a memory of more
+    """DecoderBlock runs nn.cross_attention only for a memory of more
     rows than heads x queries (4 x 3 here); at that length it projects the
     memory, bit for bit MultiHeadAttention's own path."""
     calls = []

@@ -61,7 +61,8 @@ def test_every_tensor_op_runs_in_the_models(monkeypatch):
 
     rng = np.random.default_rng(0)
     seqs = [EmbeddingSequence(rng.normal(size=(n, 8))) for n in (2, 4)]
-    cases = [(AudioCAT(d_enc=6, cfg=TOY), [rng.normal(size=(n, 6)) for n in (2, 4)],
+    # 20 rows pass TOY's heads x queries (2 x 8), so AudioCAT runs cross_attention
+    cases = [(AudioCAT(d_enc=6, cfg=TOY), [rng.normal(size=(n, 6)) for n in (2, 20)],
               lambda m, b: m.forward(b)),
              (FXSegment(d_enc=32, n_tokens=4, cfg=TOY), [rng.normal(size=32) for _ in range(2)],
               lambda m, b: m.forward(b)),

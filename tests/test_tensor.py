@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from aigmdet.tensor import Tensor, concat, no_grad
 
-from util import div, finite_diff_check, softmax, sqrt, sub, transpose
+from util import div, finite_diff_check, softmax, sqrt, sub
 
 
 def randt(rng, *shape):
@@ -54,7 +54,7 @@ def test_no_grad_blocks_taping():
     lambda a, b: sub(a, b),
     lambda a, b: a * b,
     lambda a, b: div(a, b + 3.0),
-    lambda a, b: a @ transpose(b),
+    lambda a, b: a @ b.transpose(1, 0),
 ])
 def test_binary_op_gradients(op):
     rng = np.random.default_rng(1)
@@ -72,6 +72,7 @@ def test_binary_op_gradients(op):
     lambda a: a.mean(axis=0),
     lambda a: a.reshape(12),
     lambda a: a[1:3],
+    lambda a: a.reshape(2, 2, 3).transpose(2, 0, 1),
 ])
 def test_unary_op_gradients(op):
     rng = np.random.default_rng(2)

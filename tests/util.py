@@ -4,11 +4,11 @@ and phase-by-phase forms of the resampler, the beat DP and the AUC that
 the vectorised ones are checked against, the whole-array forms of log-mel,
 track rendering and WAV writing that the bounded-memory ones must match
 bit for bit, the composite (node-by-node) forms of nn's fused Linear,
-layer_norm, attention and cross-attention nodes, and their post-softmax
-attention weights.
+layer_norm and attention nodes and of cross-attention, and their
+post-softmax attention weights.
 
-The composite forms need five ops the models never run: sub, div, sqrt,
-softmax and transpose.  They live here, built on `tensor.node` like the
+The composite forms need four ops the models never run: sub, div, sqrt
+and softmax.  They live here, built on `tensor.node` like the
 tape's own primitives, so the tape holds only what the package runs."""
 
 import struct
@@ -340,17 +340,6 @@ def softmax(x, axis=-1):
     return node(e / e.sum(axis=axis, keepdims=True), (x,), backward)
 
 
-def transpose(x, axes=None):
-    """x with its axes permuted (reversed by default) on the tape."""
-    axes = tuple(reversed(range(x.ndim))) if axes is None else tuple(axes)
-
-    def backward(out):
-        if x.requires_grad:
-            x._accumulate(out.grad.transpose(np.argsort(axes)))
-
-    return node(x.data.transpose(axes), (x,), backward)
-
-
 def composite_linear(lin, x):
     """`nn.Linear` as a matrix product and, if it has one, a bias add on
     the tape."""
@@ -375,18 +364,18 @@ def composite_core(q, k, v, heads, mask=None):
     def split_heads(x):
         *lead, n, _ = x.shape
         b = len(lead)
-        return transpose(x.reshape(*lead, n, heads, head_dim), (*range(b), b + 1, b, b + 2))
+        return x.reshape(*lead, n, heads, head_dim).transpose(*range(b), b + 1, b, b + 2)
 
     keys = split_heads(k)
     b = keys.ndim - 2
-    scores = (split_heads(q) @ transpose(keys, (*range(b), b + 1, b))) \
+    scores = (split_heads(q) @ keys.transpose(*range(b), b + 1, b)) \
         * (1.0 / np.sqrt(head_dim))
     if mask is not None:
         scores = scores + Tensor(np.where(mask, 0.0, -np.inf)[..., None, None, :])
     out = softmax(scores, axis=-1) @ split_heads(v)
     *lead, _, m, _ = out.shape
     b = len(lead)
-    return transpose(out, (*range(b), b + 1, b, b + 2)).reshape(*lead, m, d)
+    return out.transpose(*range(b), b + 1, b, b + 2).reshape(*lead, m, d)
 
 
 def composite_attention(mha, q, k, v, mask=None):
