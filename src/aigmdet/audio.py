@@ -14,13 +14,13 @@ from fractions import Fraction
 import numpy as np
 
 from .dsp import ANALYSIS_RATE, log_mel
-
-
-class AudioError(Exception):
-    pass
+from .errors import InputError
 
 
 MIN_RATE, MAX_RATE = 8000, 192000
+# the largest float32 WAV sample magnitude load_wav reads: int16 scale, some
+# 3e12 times below the 1e17 or so at which log_mel's float32 power overflows
+MAX_FLOAT_SAMPLE = 2.0 ** 15
 
 
 @dataclass
@@ -42,12 +42,12 @@ class AudioBuffer:
             samples = samples.astype(np.float64)
         self.samples = np.atleast_2d(samples)
         if not (MIN_RATE <= self.sample_rate <= MAX_RATE):
-            raise AudioError(f"sample rate {self.sample_rate} outside [{MIN_RATE}, {MAX_RATE}]")
+            raise InputError(f"sample rate {self.sample_rate} outside [{MIN_RATE}, {MAX_RATE}]")
         if self.samples.ndim != 2 or self.samples.shape[0] < 1:
-            raise AudioError("samples must be [channels x frames] with >= 1 channel")
+            raise InputError("samples must be [channels x frames] with >= 1 channel")
         # NaN propagates through min and max, and an infinity is one of them
         if self.samples.size and not np.isfinite([self.samples.min(), self.samples.max()]).all():
-            raise AudioError("samples must be finite")
+            raise InputError("samples must be finite")
 
     @property
     def channels(self) -> int:
@@ -63,10 +63,10 @@ class AudioBuffer:
 
     def log_mel(self) -> np.ndarray:
         """dsp.log_mel of a 16 kHz mono buffer's row, computed once and
-        read-only; AudioError for any other rate or channel count.  Beat
+        read-only; InputError for any other rate or channel count.  Beat
         analysis and the segment features share it."""
         if self.sample_rate != ANALYSIS_RATE or self.channels != 1:
-            raise AudioError(f"log-mel needs {ANALYSIS_RATE} Hz mono, got "
+            raise InputError(f"log-mel needs {ANALYSIS_RATE} Hz mono, got "
                              f"{self.sample_rate} Hz with {self.channels} channel(s)")
         if self._log_mel is None:
             self._log_mel = log_mel(self.samples[0])
@@ -77,18 +77,19 @@ class AudioBuffer:
 # ----------------------------------------------------------------------
 # RIFF/WAVE
 def load_wav(path) -> AudioBuffer:
-    """Read a PCM16 or float32 RIFF/WAVE file into float32 rows in [-1, 1];
-    int16 / 32768 is exact in float32."""
+    """Read a PCM16 or float32 RIFF/WAVE file into float32 rows, PCM16 in
+    [-1, 1] (int16 / 32768 is exact in float32), float32 samples as they
+    are: finite, and within MAX_FLOAT_SAMPLE."""
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
     except OSError as exc:
-        raise AudioError(str(exc)) from exc
+        raise InputError(str(exc)) from exc
     except ValueError as exc:  # a NUL byte in the path
-        raise AudioError(f"{path!r}: {exc}") from exc
+        raise InputError(f"{path!r}: {exc}") from exc
 
     if len(blob) < 12 or blob[:4] != b"RIFF" or blob[8:12] != b"WAVE":
-        raise AudioError("not a RIFF/WAVE file")
+        raise InputError("not a RIFF/WAVE file")
 
     fmt = None
     data = None
@@ -100,28 +101,34 @@ def load_wav(path) -> AudioBuffer:
         body = view[pos + 8:pos + 8 + size]
         if cid == b"fmt ":
             if len(body) < 16:
-                raise AudioError("fmt chunk too small")
+                raise InputError("fmt chunk too small")
             fmt = struct.unpack_from("<HHIIHH", body, 0)
         elif cid == b"data":
             if len(body) < size:
-                raise AudioError("data chunk shorter than declared")
+                raise InputError("data chunk shorter than declared")
             data = body
         pos += 8 + size + (size & 1)
 
     if fmt is None or data is None:
-        raise AudioError("missing fmt or data chunk")
+        raise InputError("missing fmt or data chunk")
 
     audio_fmt, channels, rate, _, _, bits = fmt
     if channels < 1:
-        raise AudioError("zero channels")
+        raise InputError("zero channels")
     if (audio_fmt, bits) not in ((1, 16), (3, 32)):
-        raise AudioError(f"format {audio_fmt}/{bits}-bit not supported")
+        raise InputError(f"format {audio_fmt}/{bits}-bit not supported")
     if len(data) % (channels * bits // 8):
-        raise AudioError("data length not a multiple of frame size")
+        raise InputError("data length not a multiple of frame size")
     raw = np.frombuffer(data, dtype="<i2" if audio_fmt == 1 else "<f4")
-    # checked before the cast, which warns on a signalling NaN
-    if audio_fmt == 3 and not np.isfinite(raw).all():
-        raise AudioError("float32 samples must be finite")
+    if audio_fmt == 3:
+        # checked before the cast, which warns on a signalling NaN, and
+        # before the bound, which a NaN would pass
+        if not np.isfinite(raw).all():
+            raise InputError("float32 samples must be finite")
+        peak = max(-raw.min(initial=0), raw.max(initial=0))
+        if peak > MAX_FLOAT_SAMPLE:
+            raise InputError(f"float32 samples must lie in [-{MAX_FLOAT_SAMPLE:g}, "
+                             f"{MAX_FLOAT_SAMPLE:g}], got {peak:g}")
     # deinterleaved as it is cast: one contiguous row per channel
     samples = raw.reshape(-1, channels).T.astype(np.float32, order="C")
     if audio_fmt == 1:
@@ -148,7 +155,7 @@ def save_wav(buf: AudioBuffer, path):
             fh.write(header)
             fh.write(interleaved)
     except OSError as exc:
-        raise AudioError(str(exc)) from exc
+        raise InputError(str(exc)) from exc
 
 
 def to_mono(buf: AudioBuffer) -> AudioBuffer:
@@ -270,7 +277,7 @@ def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
     0.05% of target_rate.  A buffer already at target_rate is returned as
     it is."""
     if not (MIN_RATE <= target_rate <= MAX_RATE):
-        raise AudioError(f"target rate {target_rate}")
+        raise InputError(f"target rate {target_rate}")
     if target_rate == buf.sample_rate:
         return buf
     ratio = Fraction(buf.sample_rate, target_rate).limit_denominator(_MAX_PHASES)

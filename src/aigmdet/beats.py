@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import ANALYSIS_RATE, FRAME_LEN, HOP, TooShort, onset_envelope
+from .dsp import ANALYSIS_RATE, FRAME_LEN, HOP, onset_envelope
+from .errors import AnalysisError
 
 BPM_MIN, BPM_MAX = 60.0, 200.0
 TEMPO_PRIOR_BPM = 120.0
@@ -27,10 +28,6 @@ ONSET_DELAY_S = (FRAME_LEN - HOP) / ANALYSIS_RATE
 PHASE_SNAP_S = 0.06
 
 
-class BeatError(Exception):
-    pass
-
-
 @dataclass
 class BeatGrid:
     """Exactly periodic downbeat grid: downbeat i = start + i*period."""
@@ -42,11 +39,11 @@ class BeatGrid:
 
     def __post_init__(self):
         if self.period <= 0:
-            raise BeatError(f"period {self.period} <= 0")
+            raise AnalysisError(f"period {self.period} <= 0")
         if self.count < 2:
-            raise BeatError("grid needs at least 2 downbeats")
+            raise AnalysisError("grid needs at least 2 downbeats")
         if self.start < 0:
-            raise BeatError("grid start must be >= 0")
+            raise AnalysisError("grid start must be >= 0")
 
     def downbeats(self) -> np.ndarray:
         return self.start + np.arange(self.count) * self.period
@@ -99,18 +96,18 @@ def estimate_tempo(onset: np.ndarray) -> float:
     need = -(-4 * ANALYSIS_RATE // HOP)  # 250 frames, 4 s of envelope
     if len(onset) < need:
         samples = FRAME_LEN + (need - 1) * HOP  # the fewest that give them
-        raise TooShort(f"need at least {need} onset frames (4 s) for the tempo, got "
-                       f"{len(onset)}: a track needs {samples / ANALYSIS_RATE:.3f} s "
-                       f"({samples} samples at 16 kHz)")
+        raise AnalysisError(f"need at least {need} onset frames (4 s) for the tempo, got "
+                            f"{len(onset)}: a track needs {samples / ANALYSIS_RATE:.3f} s "
+                            f"({samples} samples at 16 kHz)")
     ac = _autocorrelate(onset)
     if ac[0] <= 0:
-        raise BeatError("flat onset envelope")
+        raise AnalysisError("flat onset envelope")
     ac = ac / ac[0]
 
     lag_min = max(2, int(np.floor(60.0 / (BPM_MAX * HOP_S))))
     lag_max = min(len(ac) - 2, int(np.ceil(60.0 / (BPM_MIN * HOP_S))))
     if lag_max <= lag_min:
-        raise TooShort("onset envelope too short for the tempo range")
+        raise AnalysisError("onset envelope too short for the tempo range")
 
     lags = np.arange(lag_min, lag_max + 1)
     bpm = 60.0 / (lags * HOP_S)
@@ -118,7 +115,7 @@ def estimate_tempo(onset: np.ndarray) -> float:
     weighted = ac[lags] * prior
     best = int(np.argmax(weighted))
     if ac[lags[best]] < PERIODICITY_FLOOR:
-        raise BeatError("no significant periodicity in the onset envelope")
+        raise AnalysisError("no significant periodicity in the onset envelope")
 
     lag = _parabolic_peak(ac, lags[best])
     # refine at the highest harmonic multiple that still fits
@@ -149,13 +146,13 @@ def track_beats(onset: np.ndarray, bpm: float) -> np.ndarray:
     """
     onset = np.asarray(onset, dtype=np.float64)
     if len(onset) < 2:
-        raise TooShort("onset envelope too short")
+        raise AnalysisError("onset envelope too short")
     peak = onset.max()
     env = onset / peak if peak > 0 else onset
 
     tau = 60.0 / (bpm * HOP_S)  # frames per beat
     if len(env) < tau:
-        raise TooShort("fewer frames than one beat period")
+        raise AnalysisError("fewer frames than one beat period")
 
     score, backlink = beat_dp(env, tau)
     tail_start = max(0, len(env) - int(np.ceil(tau)))
@@ -206,7 +203,7 @@ def pick_downbeats(beats: np.ndarray, onset: np.ndarray) -> np.ndarray:
     """Pick the 4/4 phase whose beats carry the most onset energy."""
     beats = np.asarray(beats, dtype=np.float64)
     if len(beats) < 8:
-        raise BeatError(f"need >= 8 beats, got {len(beats)}")
+        raise AnalysisError(f"need >= 8 beats, got {len(beats)}")
     onset = np.asarray(onset, dtype=np.float64)
     frames = np.clip(np.round(beats / HOP_S).astype(np.int64), 0, len(onset) - 1)
     strengths = onset[frames]
@@ -222,12 +219,12 @@ def quantize_grid(downbeats: np.ndarray, duration: float) -> BeatGrid:
     within PHASE_SNAP_S of a bar line (detection jitter) snaps to zero."""
     d = np.asarray(downbeats, dtype=np.float64)
     if len(d) < 2:
-        raise BeatError("need >= 2 downbeats")
+        raise AnalysisError("need >= 2 downbeats")
     i = np.arange(len(d), dtype=np.float64)
     # normal equations for [1, i] @ [start, period]
     period, start = np.polyfit(i, d, 1)
     if period <= 0:
-        raise BeatError(f"fitted period {period} <= 0")
+        raise AnalysisError(f"fitted period {period} <= 0")
     residual = d - (start + i * period)
     rms = float(np.sqrt((residual**2).mean()))
     phase = start % period
@@ -249,7 +246,7 @@ def segment_bars(track: np.ndarray, grid: BeatGrid) -> list[tuple[int, int]]:
         ranges.append((round(t * ANALYSIS_RATE), round((t + seg_len) * ANALYSIS_RATE)))
         t += seg_len
     if not ranges:
-        raise BeatError(
+        raise AnalysisError(
             f"track of {duration:.1f} s holds no 4-bar window "
             f"({seg_len:.1f} s) from {grid.start:.2f} s")
     return ranges

@@ -33,14 +33,13 @@ from dataclasses import fields, replace
 import numpy as np
 
 from . import experiment, pipeline, training
-from .audio import AudioError, load_wav
-from .beats import BeatError, export_boundaries_csv
-from .data import SPLITS, DataError, Manifest
-from .dsp import TooShort
+from .audio import load_wav
+from .beats import export_boundaries_csv
+from .data import SPLITS, Manifest
+from .errors import AnalysisError, DivergedLoss, InputError, names_file
 from .extractors import get_extractor
 from .models import export_ssm_csv, export_ssm_pgm, predict, self_similarity
-from .nn import CheckpointError
-from .training import PRESETS, DivergedLoss, TrainConfig, TrainingError, evaluate, train
+from .training import PRESETS, TrainConfig, evaluate, train
 
 EXIT_OK, EXIT_USAGE, EXIT_IO, EXIT_MUSIC, EXIT_TRAIN = 0, 1, 2, 3, 4
 
@@ -54,22 +53,22 @@ class _Parser(argparse.ArgumentParser):
 
 def _train_config(args) -> TrainConfig:
     """The preset, then each TrainConfig field's flag that is given; a
-    value TrainConfig refuses is a DataError naming its flag."""
+    value TrainConfig refuses is an InputError naming its flag."""
     cfg = PRESETS.get(args.preset)
     if cfg is None:
-        raise DataError(f"unknown preset {args.preset!r}; options: {sorted(PRESETS)}")
+        raise InputError(f"unknown preset {args.preset!r}; options: {sorted(PRESETS)}")
     for f in fields(TrainConfig):
         value = getattr(args, f.name)
         if value is not None:
             try:
                 cfg = replace(cfg, **{f.name: value})
-            except TrainingError as exc:
-                raise DataError(f"--{f.name.replace('_', '-')} {value}: {exc}") from None
+            except InputError as exc:
+                raise InputError(f"--{f.name.replace('_', '-')} {value}: {exc}") from None
     return cfg
 
 
 # ----------------------------------------------------------------------
-@pipeline.names_track
+@names_file
 def _beat_analysis(path):
     """The track's beat analysis and its length in seconds."""
     mono = pipeline.analysis_buffer(load_wav(path))
@@ -219,19 +218,18 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_help()
         return EXIT_USAGE
-    # every command's one exit-code table; DivergedLoss is a TrainingError,
-    # so it comes first
+    # every command's one exit-code table
     try:
         return _COMMANDS[args.command](args)
+    except (InputError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except AnalysisError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_MUSIC
     except DivergedLoss as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TRAIN
-    except (AudioError, CheckpointError, DataError, TrainingError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (BeatError, TooShort) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MUSIC
 
 
 if __name__ == "__main__":

@@ -10,50 +10,26 @@ destroys the structural repetition the stage-2 model keys on.
 from __future__ import annotations
 
 import csv
-import functools
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .audio import AudioBuffer, save_wav
-
-
-class DataError(Exception):
-    pass
-
+from .errors import InputError
 
 SPLITS = ("train", "val", "test")
 
 
 def read_lines(path) -> list[str]:
     """The lines of a UTF-8 text file (a manifest), line ends as written,
-    less a leading byte-order mark; DataError names a file that is not
+    less a leading byte-order mark; InputError names a file that is not
     UTF-8."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             return fh.readlines()
     except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text ({exc})") from None
-
-
-def names_file(*errors):
-    """Decorator for a function of a file path: an exception of one of
-    `errors` that it raises is raised again, of the same class, as
-    `<path>: <message>`, unless the message quotes the path as load_wav's
-    do: at the end (an OSError's text) or at the start (a NUL byte)."""
-    def decorate(fn):
-        @functools.wraps(fn)
-        def named(path, *args, **kwargs):
-            try:
-                return fn(path, *args, **kwargs)
-            except errors as exc:
-                quoted = repr(str(path))
-                if str(exc).endswith(f": {quoted}") or str(exc).startswith(f"{quoted}: "):
-                    raise
-                raise type(exc)(f"{path}: {exc}") from None
-        return named
-    return decorate
+        raise InputError(f"{path}: not UTF-8 text ({exc})") from None
 
 
 @dataclass
@@ -63,19 +39,19 @@ class ManifestEntry:
     split: str = ""  # one of SPLITS, or empty
 
     def check(self, seen: set, first: "ManifestEntry"):
-        """DataError unless the label is 0 or 1, the split one of SPLITS or
+        """InputError unless the label is 0 or 1, the split one of SPLITS or
         empty, and named if and only if the manifest's `first` entry names
         one (every row names a split, or none does), and the path not in
         `seen`, which it then joins."""
         if self.label not in (0, 1):
-            raise DataError(f"label must be 0 or 1, got {self.label!r}")
+            raise InputError(f"label must be 0 or 1, got {self.label!r}")
         if self.split not in ("", *SPLITS):
-            raise DataError(f"split must be train, val, test or empty, got {self.split!r}")
+            raise InputError(f"split must be train, val, test or empty, got {self.split!r}")
         if bool(self.split) != bool(first.split):
-            raise DataError(f"split {self.split!r}, but {first.split!r} on the first row: "
-                            f"every row names a split, or none does")
+            raise InputError(f"split {self.split!r}, but {first.split!r} on the first row: "
+                             f"every row names a split, or none does")
         if self.path in seen:
-            raise DataError(f"duplicate path {self.path}")
+            raise InputError(f"duplicate path {self.path}")
         seen.add(self.path)
 
 
@@ -94,11 +70,11 @@ class Manifest:
 
     def subsets(self, *splits: str) -> list[list]:
         """subset() of each named split, of split_dataset's split at seed 0
-        if no row names one; DataError names the first empty one."""
+        if no row names one; InputError names the first empty one."""
         manifest = self if any(e.split for e in self.entries) else split_dataset(self)
         for split in splits:
             if not manifest.subset(split):
-                raise DataError(f"{self.name}: the {split!r} split is empty")
+                raise InputError(f"{self.name}: the {split!r} split is empty")
         return [manifest.subset(split) for split in splits]
 
     def save(self, path):
@@ -117,17 +93,17 @@ class Manifest:
         try:
             rows = [(reader.line_num, row) for row in reader]
         except csv.Error as exc:  # such as a field over csv.field_size_limit()
-            raise DataError(f"{path}, line {reader.line_num}: {exc}") from None
+            raise InputError(f"{path}, line {reader.line_num}: {exc}") from None
         if not rows or [h.strip() for h in rows[0][1][:2]] != ["path", "label"]:
-            raise DataError(f"{path}, line 1: manifest must start with header "
-                            f"path,label[,split]")
+            raise InputError(f"{path}, line 1: manifest must start with header "
+                             f"path,label[,split]")
         entries, seen = [], set()
         for line, row in rows[1:]:
             if not row:
                 continue
             try:
                 if len(row) < 2:
-                    raise DataError(f"expected path,label[,split], got {row!r}")
+                    raise InputError(f"expected path,label[,split], got {row!r}")
                 try:
                     label = int(row[1])
                 except ValueError:
@@ -135,8 +111,8 @@ class Manifest:
                 entry = ManifestEntry(str(Path(path).parent / row[0]), label,
                                       row[2].strip() if len(row) > 2 else "")
                 entry.check(seen, entries[0] if entries else entry)
-            except DataError as exc:
-                raise DataError(f"{path}, line {line}: {exc}") from None
+            except InputError as exc:
+                raise InputError(f"{path}, line {line}: {exc}") from None
             entries.append(entry)
         return Manifest(entries, name=str(path))
 

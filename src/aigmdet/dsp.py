@@ -32,6 +32,8 @@ from functools import cache
 import numpy as np
 import scipy.fft
 
+from .errors import AnalysisError
+
 ANALYSIS_RATE = 16000
 FRAME_LEN = 1024
 HOP = 256
@@ -41,10 +43,6 @@ MIN_SEGMENT_S = 0.2
 # frames per STFT block of log_mel: one block's float32 spectra take about
 # 3 MB, and the last block, which takes the remainder, at most twice that
 LOG_MEL_BLOCK = 256
-
-
-class TooShort(Exception):
-    pass
 
 
 @dataclass
@@ -125,19 +123,19 @@ def log_mel(x: np.ndarray) -> np.ndarray:
 def segment_frames(start: int, stop: int) -> slice:
     """The frames of a whole row's log_mel that lie wholly inside its
     samples [start, stop): [ceil(start/HOP), (stop - FRAME_LEN)//HOP + 1).
-    TooShort if they are fewer than a row of MIN_SEGMENT_S holds."""
+    AnalysisError if they are fewer than a row of MIN_SEGMENT_S holds."""
     first, end = -(-start // HOP), (stop - FRAME_LEN) // HOP + 1
     need = _frame_count(round(MIN_SEGMENT_S * ANALYSIS_RATE))
     if end - first < need:
-        raise TooShort(f"segment of {max(end - first, 0)} frames is below the {need} "
-                       f"frames of {MIN_SEGMENT_S} s")
+        raise AnalysisError(f"segment of {max(end - first, 0)} frames is below the {need} "
+                            f"frames of {MIN_SEGMENT_S} s")
     return slice(first, end)
 
 
 def onset_envelope(mel: np.ndarray) -> np.ndarray:
     """Half-wave-rectified, mean-subtracted spectral flux of a log-mel."""
     if mel.shape[0] < 2:
-        raise TooShort("need at least 2 frames")
+        raise AnalysisError("need at least 2 frames")
     flux = np.clip(mel[1:] - mel[:-1], 0.0, None).sum(axis=1)
     env = np.concatenate([[0.0], flux])
     env = env - env.mean()

@@ -16,10 +16,11 @@ from pathlib import Path
 import numpy as np
 
 from .audio import load_wav
-from .data import SPLITS, DataError, Manifest, split_counts, split_dataset, synth_dataset
+from .data import SPLITS, Manifest, split_counts, split_dataset, synth_dataset
+from .errors import InputError, names_file
 from .extractors import get_extractor
 from .models import features_to_sequence, segment_features
-from .pipeline import analysis_buffer, analyze_beats, build_model, names_track
+from .pipeline import analysis_buffer, analyze_beats, build_model
 from .training import TrainConfig, TrainResult, evaluate, train
 
 EXTRACTOR = "stats-160"  # the stage-1 model's preset
@@ -41,7 +42,7 @@ class SeedResult:
     stage2_result: TrainResult
 
 
-@names_track
+@names_file
 def track_vectors(path) -> np.ndarray:
     """[n_segments x 160]: the WAV at `path` beat-aligned, one EXTRACTOR
     vector per 4-bar segment.  The beat analysis and the vectors read the
@@ -70,7 +71,7 @@ def _stage2_examples(tracks, stage1) -> list:
 
 
 def _check_splits(labels, name):
-    """DataError, naming `name`, unless split_dataset gives each class of
+    """InputError, naming `name`, unless split_dataset gives each class of
     these labels a track in every split, whatever the seed: a class's split
     sizes are split_counts of its count."""
     least = next(n for n in itertools.count() if all(split_counts(n)))
@@ -78,9 +79,9 @@ def _check_splits(labels, name):
         n = labels.count(label)
         counts = split_counts(n)
         if not all(counts):
-            raise DataError(f"{name}: class {label} has {n} tracks, so its "
-                            f"{SPLITS[counts.index(0)]!r} split is empty; the 80/10/10 "
-                            f"split needs at least {least} tracks a class")
+            raise InputError(f"{name}: class {label} has {n} tracks, so its "
+                             f"{SPLITS[counts.index(0)]!r} split is empty; the 80/10/10 "
+                             f"split needs at least {least} tracks a class")
 
 
 def run_seed(tracks, manifest: Manifest, seed: int,
@@ -126,8 +127,8 @@ def run_experiment(data_dir, n_per_class: int, duration_s: float, seeds, epochs:
     else:
         _check_splits([0, 1] * n_per_class, f"--tracks-per-class {n_per_class}")
         if not (np.isfinite(duration_s) and duration_s > 0):
-            raise DataError(f"--duration-s {duration_s}: a track's duration must be "
-                            f"finite and above 0 seconds")
+            raise InputError(f"--duration-s {duration_s}: a track's duration must be "
+                             f"finite and above 0 seconds")
         manifest = synth_dataset(data_dir, n_per_class, seed=0, duration_s=duration_s)
     tracks = extract_corpus(manifest, log=log)
     return [run_seed(tracks, manifest, cfg.seed, cfg, cfg, log=log) for cfg in cfgs]

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataError
 from .dsp import N_MELS, dsp_embed
+from .errors import InputError
 
 # segments of a track that stage 1 analyses; the default segtr max_len
 MAX_SEQ_LEN = 48
@@ -86,5 +86,5 @@ def get_extractor(preset: str) -> FeatureExtractor:
     try:
         return PRESETS[preset]()
     except KeyError:
-        raise DataError(f"unknown extractor preset {preset!r}; "
-                        f"options: {sorted(PRESETS)}") from None
+        raise InputError(f"unknown extractor preset {preset!r}; "
+                         f"options: {sorted(PRESETS)}") from None

@@ -249,7 +249,7 @@ def segment_features(track: AudioBuffer, grid: BeatGrid,
                      extractor: FeatureExtractor) -> Iterator[np.ndarray]:
     """Extractor features of each 4-bar range of a 16 kHz mono track, each
     computed as the iterator reaches it from the frames of the track's
-    log-mel (AudioBuffer.log_mel) that lie inside the range; AudioError
+    log-mel (AudioBuffer.log_mel) that lie inside the range; InputError
     for other tracks."""
     mel = track.log_mel()
     return (extractor(mel[segment_frames(start, stop)])

@@ -31,11 +31,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import InputError
 from .tensor import Tensor, _unbroadcast, node
-
-
-class CheckpointError(Exception):
-    pass
 
 
 @dataclass
@@ -82,12 +79,12 @@ class Module:
         params = self.parameters()
         missing, unexpected = set(params) - set(arrays), set(arrays) - set(params)
         if missing or unexpected:
-            raise CheckpointError(f"missing parameters {sorted(missing)[:3]}, "
-                                  f"unexpected {sorted(unexpected)[:3]}")
+            raise InputError(f"missing parameters {sorted(missing)[:3]}, "
+                             f"unexpected {sorted(unexpected)[:3]}")
         for k, p in params.items():
             a = np.asarray(arrays[k], dtype=np.float64)
             if a.shape != p.data.shape:
-                raise CheckpointError(f"{k}: checkpoint {a.shape} vs model {p.data.shape}")
+                raise InputError(f"{k}: checkpoint {a.shape} vs model {p.data.shape}")
             p.data = a.copy()
 
 
@@ -455,38 +452,38 @@ def _is_header(header) -> bool:
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     """(arrays, meta) of an AIGM v3 file.  Sizes are checked against the file
     length before anything is read, and every value must be finite;
-    CheckpointError names the file."""
+    InputError names the file."""
     with open(path, "rb") as fh:
         length = os.fstat(fh.fileno()).st_size
         head = fh.read(_PREFIX.size)
         if len(head) != _PREFIX.size or head[:4] != _MAGIC:
-            raise CheckpointError(f"{path}: bad magic (expected AIGM)")
+            raise InputError(f"{path}: bad magic (expected AIGM)")
         _, version, size = _PREFIX.unpack(head)
         if version != _VERSION:
-            raise CheckpointError(f"{path}: unsupported AIGM version {version} "
-                                  f"(expected {_VERSION})")
+            raise InputError(f"{path}: unsupported AIGM version {version} "
+                             f"(expected {_VERSION})")
         if _PREFIX.size + size > length:
-            raise CheckpointError(f"{path}: truncated header")
+            raise InputError(f"{path}: truncated header")
         try:
             header = json.loads(fh.read(size).decode("utf-8"))
         except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
-            raise CheckpointError(f"{path}: header is not UTF-8 JSON ({exc})") from None
+            raise InputError(f"{path}: header is not UTF-8 JSON ({exc})") from None
         if not _is_header(header):
-            raise CheckpointError(f"{path}: header is not an object with a 'meta' "
-                                  f"object and a 'tensors' list of [name, shape]")
+            raise InputError(f"{path}: header is not an object with a 'meta' "
+                             f"object and a 'tensors' list of [name, shape]")
         end = _PREFIX.size + size + 8 * sum(math.prod(s) for _, s in header["tensors"])
         if length < end:
-            raise CheckpointError(f"{path}: truncated payload ({length} of {end} bytes)")
+            raise InputError(f"{path}: truncated payload ({length} of {end} bytes)")
         if length > end:
-            raise CheckpointError(f"{path}: {length - end} trailing bytes after the last tensor")
+            raise InputError(f"{path}: {length - end} trailing bytes after the last tensor")
         try:
             arrays = {name: np.frombuffer(fh.read(8 * math.prod(shape)), dtype="<f8")
                       .reshape(shape).copy() for name, shape in header["tensors"]}
         except ValueError as exc:  # a shape numpy cannot hold: [0, 2**63], or 70 dimensions
-            raise CheckpointError(f"{path}: {exc}") from None
+            raise InputError(f"{path}: {exc}") from None
     for name, a in arrays.items():
         if not np.isfinite(a).all():
-            raise CheckpointError(f"{path}: tensor {name!r} holds a NaN or an infinity")
+            raise InputError(f"{path}: tensor {name!r} holds a NaN or an infinity")
     return arrays, header["meta"]
 
 
@@ -494,5 +491,5 @@ __all__ = [
     "AttentionConfig", "Module", "Linear", "LayerNorm", "MultiHeadAttention",
     "FeedForward", "EncoderBlock", "DecoderBlock", "layer_norm", "attention", "cross_attention",
     "sinusoidal_positions", "bce_loss", "focal_loss", "OptimState", "adam_step",
-    "save_checkpoint", "load_checkpoint", "CheckpointError",
+    "save_checkpoint", "load_checkpoint",
 ]

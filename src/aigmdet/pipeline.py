@@ -10,9 +10,9 @@ from collections.abc import Callable
 import numpy as np
 
 from . import beats, nn
-from .audio import AudioBuffer, AudioError, load_wav, resample, to_mono
-from .data import DataError, names_file
-from .dsp import ANALYSIS_RATE, TooShort, segment_frames
+from .audio import AudioBuffer, load_wav, resample, to_mono
+from .dsp import ANALYSIS_RATE, segment_frames
+from .errors import InputError, names_file
 from .extractors import FeatureExtractor, get_extractor
 from .models import (AudioCAT, DetectorOutput, FXSegment, SegmentTransformer,
                      track_to_sequence)
@@ -37,18 +37,14 @@ def analyze_beats(buf: AudioBuffer) -> beats.BeatAnalysis:
 
 
 # ----------------------------------------------------------------------
-# a function of one track's path whose read or analysis fails names the file
-names_track = names_file(AudioError, beats.BeatError, TooShort)
-
-
-@names_track
+@names_file
 def stage1_features(path, extractor: FeatureExtractor) -> np.ndarray:
-    """Features of a whole clip; TooShort below dsp.MIN_SEGMENT_S."""
+    """Features of a whole clip; AnalysisError below dsp.MIN_SEGMENT_S."""
     mono = analysis_buffer(load_wav(path))
     return extractor(mono.log_mel()[segment_frames(0, mono.frames)])
 
 
-@names_track
+@names_file
 def track_sequence_for_path(path, stage1, extractor: FeatureExtractor):
     """WAV path -> beat grid -> stage-2 input sequence (models.track_to_sequence)."""
     mono = analysis_buffer(load_wav(path))
@@ -75,8 +71,8 @@ def build_model(arch: str, extractor: FeatureExtractor | None = None, seed: int 
     if extractor is None:
         raise ValueError(f"{arch} needs an extractor")
     if arch == "fxseg" and extractor.kind != "vector":
-        raise DataError(f"fxseg needs a vector extractor; {extractor.name} "
-                        f"gives {extractor.kind}s")
+        raise InputError(f"fxseg needs a vector extractor; {extractor.name} "
+                         f"gives {extractor.kind}s")
     return ARCHS[arch](d_enc=extractor.d_enc, seed=seed)
 
 
@@ -91,7 +87,7 @@ def save_model(path, model, arch: str, extractor_preset: str = ""):
 
 def load_model(path):
     """Returns (model, arch_name, extractor_preset): build_model's model of
-    the checkpoint's arch and preset, holding its tensors.  CheckpointError
+    the checkpoint's arch and preset, holding its tensors.  InputError
     names the file if its meta holds anything else, or a tensor is missing,
     extra or of another shape than that model's."""
     arrays, meta = nn.load_checkpoint(path)
@@ -103,8 +99,8 @@ def load_model(path):
             raise ValueError(f"a segtr reads no extractor, the meta names {preset!r}")
         model = build_model(arch, None if preset == "" else get_extractor(preset))
         model.load_state_arrays(arrays)
-    except (TypeError, ValueError, DataError, nn.CheckpointError) as exc:
-        raise nn.CheckpointError(f"{path}: not a loadable aigmdet model ({exc})") from None
+    except (TypeError, ValueError, InputError) as exc:
+        raise InputError(f"{path}: not a loadable aigmdet model ({exc})") from None
     return model, arch, preset
 
 
@@ -112,19 +108,19 @@ def model_input(arch: str, preset: str, stage1_ckpt, owner) -> Callable[[object]
     """WAV path -> what a model of `arch` reads: a stage-1 model the
     features of the whole clip by `preset`, a segtr the track's sequence
     over the stage 1 in `stage1_ckpt`.  The one home of the --stage1-ckpt
-    rules, each a DataError naming `owner` (a checkpoint, or --arch in
+    rules, each an InputError naming `owner` (a checkpoint, or --arch in
     train) or the stage-1 file: a segtr needs one, a stage-1 model takes
     none, and a segtr checkpoint is no stage 1."""
     if arch != "segtr":
         if stage1_ckpt:
-            raise DataError(f"{owner}: a stage-1 ({arch}) model takes no --stage1-ckpt")
+            raise InputError(f"{owner}: a stage-1 ({arch}) model takes no --stage1-ckpt")
         extractor = get_extractor(preset)
         return lambda path: stage1_features(path, extractor)
     if not stage1_ckpt:
-        raise DataError(f"{owner}: a segtr model needs --stage1-ckpt")
+        raise InputError(f"{owner}: a segtr model needs --stage1-ckpt")
     stage1, stage1_arch, stage1_preset = load_model(stage1_ckpt)
     if stage1_arch == "segtr":
-        raise DataError(f"{stage1_ckpt}: a segtr checkpoint is not a stage-1 model")
+        raise InputError(f"{stage1_ckpt}: a segtr checkpoint is not a stage-1 model")
     extractor = get_extractor(stage1_preset)
     return lambda path: track_sequence_for_path(path, stage1, extractor)
 

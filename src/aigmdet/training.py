@@ -19,15 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
+from .errors import DivergedLoss, InputError
 from .tensor import no_grad
-
-
-class TrainingError(Exception):
-    pass
-
-
-class DivergedLoss(TrainingError):
-    pass
 
 
 @dataclass
@@ -42,15 +35,15 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1 or self.early_stop_patience < 1:
-            raise TrainingError("epochs, batch_size and patience must be >= 1")
+            raise InputError("epochs, batch_size and patience must be >= 1")
         if self.loss not in ("bce", "focal"):
-            raise TrainingError(f"unknown loss {self.loss!r}")
+            raise InputError(f"unknown loss {self.loss!r}")
         if not (math.isfinite(self.lr) and self.lr > 0):
-            raise TrainingError(f"lr must be finite and > 0, got {self.lr}")
+            raise InputError(f"lr must be finite and > 0, got {self.lr}")
         if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
-            raise TrainingError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
+            raise InputError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if self.seed < 0:
-            raise TrainingError(f"seed must be >= 0, got {self.seed}")
+            raise InputError(f"seed must be >= 0, got {self.seed}")
 
     def loss_fn(self):
         return nn.bce_loss if self.loss == "bce" else nn.focal_loss
@@ -101,12 +94,14 @@ def _mean_loss(model, data, loss_fn, batch_size: int) -> tuple[float, float]:
     return total / len(data), correct / len(data)
 
 
+# a diverging step overflows: its non-finite loss is a DivergedLoss, not warnings
+@np.errstate(over="ignore", invalid="ignore")
 def train(model, train_data, val_data, cfg: TrainConfig,
           log=None) -> TrainResult:
     """Adam + early stopping on validation loss; leaves the model at its
     best epoch's parameters.  Deterministic under cfg.seed (single-threaded)."""
     if not train_data or not val_data:
-        raise TrainingError("train and val splits must be non-empty")
+        raise InputError("train and val splits must be non-empty")
     rng = np.random.default_rng(cfg.seed)
     loss_fn = cfg.loss_fn()
     params = model.parameters()
@@ -139,7 +134,7 @@ def train(model, train_data, val_data, cfg: TrainConfig,
 
         val_loss, val_acc = _mean_loss(model, val_data, loss_fn, cfg.batch_size)
         if not np.isfinite(val_loss):
-            raise DivergedLoss(f"validation loss is {val_loss}")
+            raise DivergedLoss(f"validation loss is {val_loss} at epoch {epoch}")
         history.append(EpochRecord(epoch, epoch_loss, val_loss, val_acc))
         if log:
             log(f"epoch {epoch}: train_loss={epoch_loss:.5f} "

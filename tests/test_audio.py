@@ -10,9 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aigmdet import audio
-from aigmdet.audio import (AudioBuffer, AudioError, load_wav, resample, save_wav,
-                           to_mono)
+from aigmdet.audio import AudioBuffer, load_wav, resample, save_wav, to_mono
 from aigmdet.dsp import log_mel
+from aigmdet.errors import InputError
 
 from util import (direct_resample_channel, fft_peak_hz, padded_resample, phase_loop_resample,
                   raw_wav, sine_buffer)
@@ -81,7 +81,7 @@ def test_clamp_on_save(tmp_path):
 def test_malformed_header(tmp_path):
     path = tmp_path / "bad.wav"
     path.write_bytes(b"not a wav file at all, definitely")
-    with pytest.raises(AudioError, match="not a RIFF/WAVE file"):
+    with pytest.raises(InputError, match="not a RIFF/WAVE file"):
         load_wav(path)
 
 
@@ -92,7 +92,7 @@ def test_unsupported_encoding(tmp_path):
               + b"fmt " + struct.pack("<IHHIIHH", 16, 7, 1, 8000, 8000, 1, 8)
               + b"data" + struct.pack("<I", 4) + b"\x00" * 4)
     path.write_bytes(header)
-    with pytest.raises(AudioError, match="format 7/8-bit not supported"):
+    with pytest.raises(InputError, match="format 7/8-bit not supported"):
         load_wav(path)
 
 
@@ -101,7 +101,7 @@ def test_unsupported_encoding(tmp_path):
 def test_data_chunk_not_whole_frames(fmt, channels, bits, size, tmp_path):
     path = tmp_path / "odd.wav"
     path.write_bytes(raw_wav(fmt, channels, bits, b"\x00" * size))
-    with pytest.raises(AudioError, match="data length not a multiple of frame size"):
+    with pytest.raises(InputError, match="data length not a multiple of frame size"):
         load_wav(path)
 
 
@@ -199,10 +199,10 @@ def test_log_mel_is_computed_once():
 
 @pytest.mark.parametrize("rate,channels", [(44100, 1), (16000, 2), (8000, 1)])
 def test_log_mel_needs_16k_mono(rate, channels):
-    """Only the analysis format (16 kHz mono) has a log-mel: an AudioError
+    """Only the analysis format (16 kHz mono) has a log-mel: an InputError
     (exit 2 from the CLI) names the rate and channels."""
     buf = AudioBuffer(np.zeros((channels, rate)), rate)
-    with pytest.raises(AudioError,
+    with pytest.raises(InputError,
                        match=f"log-mel needs 16000 Hz mono, got {rate} Hz with {channels} channel"):
         buf.log_mel()
 
@@ -233,7 +233,7 @@ def test_resample_preserves_tone():
 
 
 def test_resample_invalid_rate():
-    with pytest.raises(AudioError, match="target rate 1000"):
+    with pytest.raises(InputError, match="target rate 1000"):
         resample(sine_buffer(440, 0.1), 1000)
 
 

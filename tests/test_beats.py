@@ -7,13 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aigmdet.audio import AudioBuffer
-from aigmdet.beats import (ONSET_DELAY_S, PHASE_SNAP_S, BeatError, BeatGrid,
-                           TooShort, analyze,
+from aigmdet.beats import (ONSET_DELAY_S, PHASE_SNAP_S, BeatGrid, analyze,
                            estimate_tempo, export_boundaries_csv,
                            beat_dp, pick_downbeats, quantize_grid,
                            segment_bars, track_beats)
 from aigmdet.data import _SYNTH_TEMPI, render_track
 from aigmdet.dsp import log_mel, onset_envelope, segment_frames
+from aigmdet.errors import AnalysisError
 from aigmdet.models import segment_features
 
 from util import RandomStubExtractor, click_track, loop_beat_dp
@@ -51,17 +51,17 @@ def test_tempo_octave_folds_into_range():
 def test_tempo_rejects_noise():
     rng = np.random.default_rng(0)
     env = rng.uniform(0, 1, 800)
-    with pytest.raises(BeatError, match="no significant periodicity"):
+    with pytest.raises(AnalysisError, match="no significant periodicity"):
         estimate_tempo(env)
 
 
 def test_tempo_rejects_silence():
-    with pytest.raises((BeatError, TooShort), match="flat onset envelope"):
+    with pytest.raises(AnalysisError, match="flat onset envelope"):
         estimate_tempo(np.zeros(400))
 
 
 def test_tempo_too_short():
-    with pytest.raises(TooShort):
+    with pytest.raises(AnalysisError):
         estimate_tempo(np.ones(100))  # 1.6 s of frames
 
 
@@ -118,7 +118,7 @@ def test_single_click_keeps_at_most_one_beat():
 
 
 def test_track_beats_too_short():
-    with pytest.raises(TooShort):
+    with pytest.raises(AnalysisError):
         track_beats(np.ones(10), 60)
 
 
@@ -176,7 +176,7 @@ def test_grid_starts_on_a_bar_line_of_class0_renders(bpm):
 
 
 def test_downbeats_need_eight_beats():
-    with pytest.raises(BeatError, match="need >= 8 beats, got 7"):
+    with pytest.raises(AnalysisError, match="need >= 8 beats, got 7"):
         pick_downbeats(np.arange(7) * 0.5, np.ones(100))
 
 
@@ -241,14 +241,14 @@ def test_quantize_grid_phase_is_start_mod_period(period, bars, n, seed):
 
 
 def test_quantize_degenerate():
-    with pytest.raises(BeatError, match="fitted period -1.0"):
+    with pytest.raises(AnalysisError, match="fitted period -1.0"):
         quantize_grid(np.array([3.0, 2.0, 1.0]), 4.0)
-    with pytest.raises(BeatError, match="need >= 2 downbeats"):
+    with pytest.raises(AnalysisError, match="need >= 2 downbeats"):
         quantize_grid(np.array([1.0]), 4.0)
 
 
 def test_grid_validation():
-    with pytest.raises(BeatError, match="period 0.0 <= 0"):
+    with pytest.raises(AnalysisError, match="period 0.0 <= 0"):
         BeatGrid(start=0.0, period=0.0, count=4)
 
 
@@ -283,7 +283,7 @@ def test_segment_bars_exact_fit_keeps_last_window():
 
 def test_segment_bars_sparse():
     grid = BeatGrid(start=0.0, period=2.0, count=2)
-    with pytest.raises(BeatError, match="holds no 4-bar window"):
+    with pytest.raises(AnalysisError, match="holds no 4-bar window"):
         segment_bars(np.zeros(16000 * 4), grid)
 
 

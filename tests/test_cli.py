@@ -1,4 +1,5 @@
 import argparse
+import re
 import shlex
 import struct
 import time
@@ -10,13 +11,14 @@ import numpy as np
 import pytest
 
 from aigmdet import cli, experiment, models, nn, pipeline
-from aigmdet.audio import AudioBuffer, load_wav, save_wav
+from aigmdet.audio import MAX_FLOAT_SAMPLE, AudioBuffer, load_wav, save_wav
 from aigmdet.cli import EXIT_IO, EXIT_MUSIC, EXIT_OK, EXIT_TRAIN, EXIT_USAGE, main
 from aigmdet.data import SPLITS, Manifest, ManifestEntry, render_track, split_dataset
-from aigmdet.dsp import MIN_SEGMENT_S, N_MELS, TooShort
+from aigmdet.dsp import MIN_SEGMENT_S, N_MELS
+from aigmdet.errors import AnalysisError, DivergedLoss, InputError
 from aigmdet.extractors import get_extractor
 from aigmdet.models import SegmentTransformer
-from aigmdet.training import PRESETS, DivergedLoss, EvalReport, TrainConfig, evaluate
+from aigmdet.training import PRESETS, EvalReport, TrainConfig, evaluate
 
 from util import click_track, raw_wav
 
@@ -311,10 +313,10 @@ def test_predict_segment_mode(corpus, stage1_ckpt, capsys):
 
 def test_predict_below_min_segment_s_exits_3(stage1_ckpt, tmp_path, capsys):
     """A clip shorter than MIN_SEGMENT_S holds too few log-mel frames for
-    stage 1: TooShort, exit 3."""
+    stage 1: AnalysisError, exit 3."""
     path = tmp_path / "short.wav"
     save_wav(AudioBuffer(0.1 * np.ones((1, round(0.9 * MIN_SEGMENT_S * 16000))), 16000), path)
-    with pytest.raises(TooShort):
+    with pytest.raises(AnalysisError):
         pipeline.stage1_features(path, get_extractor("seq-512"))
     assert run(["predict", "--ckpt", str(stage1_ckpt), "--audio", str(path)]) == EXIT_MUSIC
     assert capsys.readouterr().err.startswith("error: ")
@@ -724,9 +726,10 @@ def test_ssm_needs_stage1_ckpt(corpus, capsys):
     assert "--stage1-ckpt" in capsys.readouterr().err
 
 
-# float32 bit patterns; casting a signalling NaN to float64 warns
+# float32 bit patterns; casting a signalling NaN to float64 warns, and
+# log_mel's float32 power of a finite 1e20 overflows
 NON_FINITE = {"nan": 0x7FC00000, "signalling_nan": 0x7FA00000, "inf": 0x7F800000,
-              "minus_inf": 0xFF800000}
+              "minus_inf": 0xFF800000, "1e20": int(np.float32(1e20).view("<u4"))}
 
 
 @pytest.mark.parametrize("value", list(NON_FINITE))
@@ -740,8 +743,23 @@ def test_non_finite_float32_input_exits_2(command, value, stage1_ckpt, tmp_path,
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert run([command, str(path), *stage1, "--out", str(tmp_path / "out")]) == EXIT_IO
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
     assert not list(tmp_path.glob("out*"))
+
+
+def test_float32_input_at_the_bound_scores(stage1_ckpt, tmp_path, capsys):
+    """A float32 WAV whose largest sample is exactly MAX_FLOAT_SAMPLE is
+    read and scored to a finite probability, without a numpy warning."""
+    row = render_track(0, 120, 4.0, 16000, np.random.default_rng(0)).samples[0]
+    row = (row * (MAX_FLOAT_SAMPLE / np.abs(row).max())).astype("<f4")
+    assert np.abs(row).max() == MAX_FLOAT_SAMPLE
+    path = tmp_path / "loud.wav"
+    path.write_bytes(raw_wav(3, 1, 32, row.tobytes()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(["predict", "--ckpt", str(stage1_ckpt), "--audio", str(path)]) == EXIT_OK
+    probability = float(capsys.readouterr().out.split()[0].removeprefix("probability="))
+    assert 0.0 <= probability <= 1.0
 
 
 # each ends in error: and exit 2, not in a numpy ValueError, UnicodeDecodeError,
@@ -1002,6 +1020,32 @@ def test_diverged_loss_exits_4(command, corpus, tmp_path, monkeypatch, capsys):
     assert not list(tmp_path.glob("out*"))  # no checkpoint, history or CSV
 
 
+def test_a_real_divergence_exits_4_with_one_line(corpus, tmp_path, capsys):
+    """At lr 1e300 the first steps overflow: one error line, and no numpy
+    warning before it."""
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(["train", "--arch", "audiocat", "--extractor", "stats-160",
+                    "--manifest", str(corpus["manifest"]), "--lr", "1e300",
+                    "--out", str(out)]) == EXIT_TRAIN
+    assert re.fullmatch(r"error: (validation )?loss is (nan|inf) at epoch \d+\n",
+                        capsys.readouterr().err)
+    assert not list(tmp_path.glob("out*"))
+
+
+# the one exit-code table of main: each family of failure, raised by any
+# command, is one line of its message and its exit code
+@pytest.mark.parametrize("error, code", [(InputError, EXIT_IO), (AnalysisError, EXIT_MUSIC),
+                                         (DivergedLoss, EXIT_TRAIN), (OSError, EXIT_IO)])
+def test_main_maps_each_failure_to_its_exit_code(error, code, monkeypatch, capsys):
+    def fail(args):
+        raise error(f"{error.__name__} of {args.audio}")
+    monkeypatch.setitem(cli._COMMANDS, "beats", fail)
+    assert run(["beats", "x.wav"]) == code
+    assert capsys.readouterr().err == f"error: {error.__name__} of x.wav\n"
+
+
 # ---------------------------------------------------------------- training settings
 def test_train_flags_are_the_train_config_fields(capsys):
     parser = cli.make_parser()
@@ -1037,7 +1081,7 @@ def test_train_flags_override_the_preset():
 
 
 # each ends in error: naming the flag and its value before any feature is
-# extracted, not in a TrainingError or ValueError traceback
+# extracted, not in an InputError or ValueError traceback
 @pytest.mark.parametrize("flags, named", [
     (["--epochs", "0"], "--epochs 0"),
     (["--batch-size", "0"], "--batch-size 0"),

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aigmdet.audio import AudioBuffer, load_wav, save_wav
-from aigmdet.data import (SPLITS, DataError, Manifest, ManifestEntry, _apportion,
-                          read_lines, render_track, split_dataset, synth_dataset)
+from aigmdet.data import (SPLITS, Manifest, ManifestEntry, _apportion, read_lines,
+                          render_track, split_dataset, synth_dataset)
+from aigmdet.errors import InputError
 from aigmdet.experiment import _check_splits
 
 
@@ -48,14 +49,14 @@ def test_manifest_reads_relative_paths_against_its_directory(tmp_path, monkeypat
         assert [e.label for e in entries] == [0, 1]
         assert [load_wav(e.path).frames for e in entries] == [160, 160]
     (data / "dup.csv").write_text("path,label\nclip0.wav,0\n./clip0.wav,1\n")
-    with pytest.raises(DataError, match="line 3: duplicate path .*clip0.wav"):
+    with pytest.raises(InputError, match="line 3: duplicate path .*clip0.wav"):
         Manifest.load(data / "dup.csv")
 
 
 def test_manifest_rejects_duplicates_and_bad_labels():
-    with pytest.raises(DataError):
+    with pytest.raises(InputError):
         Manifest([ManifestEntry("x.wav", 0), ManifestEntry("x.wav", 1)])
-    with pytest.raises(DataError):
+    with pytest.raises(InputError):
         Manifest([ManifestEntry("x.wav", 2)])
 
 
@@ -65,9 +66,9 @@ def test_manifest_rejects_unknown_split(split, tmp_path):
     test subset without a word."""
     path = tmp_path / "m.csv"
     path.write_text(f"path,label,split\na.wav,0,train\nb.wav,1,{split}\n")
-    with pytest.raises(DataError, match=f"{path}, line 3: .*{split!r}"):
+    with pytest.raises(InputError, match=f"{path}, line 3: .*{split!r}"):
         Manifest.load(path)
-    with pytest.raises(DataError, match=repr(split)):
+    with pytest.raises(InputError, match=repr(split)):
         Manifest([ManifestEntry("b.wav", 1, split)])
 
 
@@ -89,19 +90,19 @@ def test_manifest_splits_on_every_row_or_none(case, tmp_path):
     rows, line = MIXED_SPLITS[case]
     path = tmp_path / "m.csv"
     path.write_text("path,label,split\n" + rows)
-    with pytest.raises(DataError, match=f"^{re.escape(str(path))}, line {line}: .*"
+    with pytest.raises(InputError, match=f"^{re.escape(str(path))}, line {line}: .*"
                                         f"every row names a split, or none does"):
         Manifest.load(path)
     entries = [ManifestEntry(p, int(y), s[0] if s else "")
                for p, y, *s in (row.split(",") for row in rows.split())]
-    with pytest.raises(DataError, match="every row names a split, or none does"):
+    with pytest.raises(InputError, match="every row names a split, or none does"):
         Manifest(entries)
 
 
 def test_manifest_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("file,class\nx.wav,0\n")
-    with pytest.raises(DataError):
+    with pytest.raises(InputError):
         Manifest.load(path)
 
 
@@ -170,7 +171,7 @@ def test_experiment_check_is_the_split(n0, n1, seed):
     splits_both = all({e.label for e in split.subset(name)} == {0, 1} for name in SPLITS)
     try:
         _check_splits([0] * n0 + [1] * n1, "corpus")
-    except DataError as exc:
+    except InputError as exc:
         assert not splits_both
         assert str(exc).startswith("corpus: class ")
         assert "at least 7 tracks a class" in str(exc)

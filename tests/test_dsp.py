@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aigmdet.audio import AudioError
 from aigmdet.dsp import (ANALYSIS_RATE, FRAME_LEN, HOP, LOG_EPS, MIN_SEGMENT_S, N_MELS,
-                         TooShort, dsp_embed, hann_window, log_mel, mel_filterbank,
+                         dsp_embed, hann_window, log_mel, mel_filterbank,
                          onset_envelope, segment_frames, stft)
+from aigmdet.errors import AnalysisError, InputError
 
 from util import click_track, sine_buffer
 
@@ -146,7 +146,7 @@ def test_onset_envelope_flat_on_steady_tone():
 
 def test_onset_envelope_too_short():
     mel = log_mel(np.zeros(1024))
-    with pytest.raises(TooShort):
+    with pytest.raises(AnalysisError):
         onset_envelope(mel)
 
 
@@ -185,22 +185,22 @@ def test_segment_frames_lie_inside_the_segment():
 
 def test_segment_frames_need_min_segment_s():
     """A segment holds at least the frames of a MIN_SEGMENT_S row: a row of
-    that length passes, and one hop less is TooShort."""
+    that length passes, and one hop less is AnalysisError."""
     need = round(MIN_SEGMENT_S * ANALYSIS_RATE)
     frames = segment_frames(0, need)
     assert frames.stop == 1 + (need - FRAME_LEN) // HOP
-    with pytest.raises(TooShort):
+    with pytest.raises(AnalysisError):
         segment_frames(0, need - HOP)
-    with pytest.raises(TooShort):
+    with pytest.raises(AnalysisError):
         segment_frames(HOP, need)
 
 
 def test_embed_rejects_short_and_stereo():
     """A segment's frames are counted before dsp_embed reads them (see
     segment_frames); a stereo track has no log-mel (AudioBuffer.log_mel)."""
-    with pytest.raises(TooShort):
+    with pytest.raises(AnalysisError):
         segment_frames(0, round(0.1 * ANALYSIS_RATE))
-    with pytest.raises(AudioError, match="log-mel needs 16000 Hz mono, got 16000 Hz with 2"):
+    with pytest.raises(InputError, match="log-mel needs 16000 Hz mono, got 16000 Hz with 2"):
         sine_buffer(440, 1.0, channels=2).log_mel()
 
 

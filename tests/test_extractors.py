@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from aigmdet.data import DataError
 from aigmdet.dsp import N_MELS, log_mel
+from aigmdet.errors import InputError
 from aigmdet.extractors import (DspSequenceExtractor, DspVectorExtractor, EmbeddingSequence,
                                 get_extractor)
 
@@ -64,5 +64,5 @@ def test_presets():
     ext = get_extractor("stats-160")  # 4 statistics of each of the 40 bands
     assert ext.d_enc == 4 * N_MELS and ext.kind == "vector"
     for removed in ("seq-768", "vec-2048", "nope"):
-        with pytest.raises(DataError, match=f"unknown extractor preset '{removed}'"):
+        with pytest.raises(InputError, match=f"unknown extractor preset '{removed}'"):
             get_extractor(removed)

@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aigmdet import nn
-from aigmdet.audio import AudioBuffer, AudioError
+from aigmdet.audio import AudioBuffer
 from aigmdet.beats import BeatGrid, segment_bars
 from aigmdet.dsp import FRAME_LEN, HOP, log_mel, segment_frames
+from aigmdet.errors import InputError
 from aigmdet.extractors import (MAX_SEQ_LEN, DspSequenceExtractor, EmbeddingSequence,
                                 get_extractor)
 from aigmdet.models import (AudioCAT, DetectorOutput, FXSegment,
@@ -397,7 +398,7 @@ def test_rate_and_channel_validation():
     stage1 = AudioCAT(d_enc=8, cfg=SMALL, seed=0)
     grid = BeatGrid(start=0.0, period=2.0, count=10)
     for track in (sine_buffer(440, 20.0, rate=44100), sine_buffer(440, 20.0, channels=2)):
-        with pytest.raises(AudioError, match="log-mel needs 16000 Hz mono"):
+        with pytest.raises(InputError, match="log-mel needs 16000 Hz mono"):
             track_to_sequence(track, grid, stage1, ext)
     assert ext.calls == 0
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aigmdet import nn
+from aigmdet.errors import InputError
 from aigmdet.tensor import Tensor
 
 from util import (attention_weights, composite_attention, composite_cross_attention,
@@ -529,7 +530,7 @@ def test_checkpoint_round_trip(tmp_path):
 def test_checkpoint_bad_magic(tmp_path):
     path = tmp_path / "bad.aigm"
     path.write_bytes(b"NOPE" + b"\x00" * 16)
-    with pytest.raises(nn.CheckpointError):
+    with pytest.raises(InputError):
         nn.load_checkpoint(path)
 
 
@@ -539,7 +540,7 @@ def test_checkpoint_truncated(tmp_path):
     nn.save_checkpoint(path, {"w": rng.normal(size=(8, 8))})
     blob = path.read_bytes()
     path.write_bytes(blob[:-16])
-    with pytest.raises(nn.CheckpointError):
+    with pytest.raises(InputError):
         nn.load_checkpoint(path)
 
 
@@ -552,14 +553,14 @@ def test_checkpoint_shape_numpy_cannot_hold(shape, tmp_path):
     header = json.dumps({"meta": {}, "tensors": [["w", shape]]}).encode("utf-8")
     path.write_bytes(b"AIGM" + struct.pack("<II", 3, len(header)) + header
                      + (b"" if 0 in shape else bytes(8)))
-    with pytest.raises(nn.CheckpointError, match=f"^{re.escape(str(path))}: "):
+    with pytest.raises(InputError, match=f"^{re.escape(str(path))}: "):
         nn.load_checkpoint(path)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_checkpoint_reader_raises_only_checkpoint_error(tmp_path_factory, data):
-    """Truncated or byte-edited files load or raise CheckpointError."""
+    """Truncated or byte-edited files load or raise InputError."""
     path = tmp_path_factory.mktemp("fuzz") / "model.aigm"
     nn.save_checkpoint(path, {"w": np.arange(6.0).reshape(2, 3), "b": np.ones(2)},
                        {"arch": "x", "hparams": {"n": 2}})
@@ -572,7 +573,7 @@ def test_checkpoint_reader_raises_only_checkpoint_error(tmp_path_factory, data):
     path.write_bytes(bytes(blob))
     try:
         nn.load_checkpoint(path)
-    except nn.CheckpointError:
+    except InputError:
         pass
 
 

@@ -3,8 +3,9 @@ import pytest
 
 from aigmdet import dsp, experiment, nn, pipeline
 from aigmdet.audio import AudioBuffer, load_wav, resample, save_wav
-from aigmdet.data import DataError, Manifest, ManifestEntry, render_track
+from aigmdet.data import Manifest, ManifestEntry, render_track
 from aigmdet.dsp import FRAME_LEN, HOP, N_MELS, stft
+from aigmdet.errors import InputError
 from aigmdet.extractors import DspVectorExtractor, EmbeddingSequence, get_extractor
 from aigmdet.models import (AudioCAT, FXSegment, segment_features,
                             track_to_sequence)
@@ -94,12 +95,12 @@ def test_model_input_of_a_segtr(tmp_path):
 def test_model_input_states_each_stage1_ckpt_rule(tmp_path):
     ckpt = tmp_path / "s2.aigm"
     pipeline.save_model(ckpt, pipeline.build_model("segtr", seed=0), "segtr")
-    with pytest.raises(DataError, match=r"^--arch segtr: a segtr model needs --stage1-ckpt$"):
+    with pytest.raises(InputError, match=r"^--arch segtr: a segtr model needs --stage1-ckpt$"):
         pipeline.model_input("segtr", "", None, "--arch segtr")
-    with pytest.raises(DataError,
+    with pytest.raises(InputError,
                        match=r"^c\.aigm: a stage-1 \(fxseg\) model takes no --stage1-ckpt$"):
         pipeline.model_input("fxseg", "stats-160", ckpt, "c.aigm")
-    with pytest.raises(DataError, match="a segtr checkpoint is not a stage-1 model$"):
+    with pytest.raises(InputError, match="a segtr checkpoint is not a stage-1 model$"):
         pipeline.model_input("segtr", "", ckpt, "--arch segtr")
 
 
@@ -231,7 +232,7 @@ def test_build_model_variants():
     for arch in ("audiocat", "fxseg"):
         with pytest.raises(ValueError, match="needs an extractor"):
             pipeline.build_model(arch)
-    with pytest.raises(DataError, match="fxseg needs a vector extractor"):
+    with pytest.raises(InputError, match="fxseg needs a vector extractor"):
         pipeline.build_model("fxseg", ext)
 
 

@@ -6,9 +6,9 @@ detectors under both losses; every public module-level name of every
 module of the package must be read somewhere under src/ or bench/, and
 every public method of their classes taken there as an attribute (a local
 variable of the same name is not a use).  A reference form or a writer
-that only the tests need belongs in tests/util.py.  An exception class
-stays only where code under src/ tells it apart: an `except` clause names
-it, or a `names_file(...)` call is given it."""
+that only the tests need belongs in tests/util.py.  The package's
+exception classes are the three of errors.py, one for each exit code that
+cli.main decides, and an `except` clause under src/ names each."""
 
 import ast
 import functools
@@ -120,24 +120,34 @@ def test_every_public_name_has_a_user(module):
 
 
 def _names_in(node) -> set[str]:
-    """The names and attributes an expression reads (`beats.BeatError` gives
-    BeatError, and `beats`)."""
+    """The names and attributes an expression reads (`errors.InputError`
+    gives InputError, and `errors`)."""
     return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
             if isinstance(n, (ast.Name, ast.Attribute))}
 
 
+def _exception_classes() -> list[tuple[str, str]]:
+    """(module, class) of every Exception subclass defined under src/."""
+    return [(module.__name__, name) for module in MODULES
+            for name, value in vars(module).items()
+            if inspect.isclass(value) and issubclass(value, Exception)
+            and value.__module__ == module.__name__]
+
+
+def test_exception_classes_are_the_three_of_errors():
+    assert sorted(_exception_classes()) == [("aigmdet.errors", "AnalysisError"),
+                                            ("aigmdet.errors", "DivergedLoss"),
+                                            ("aigmdet.errors", "InputError")]
+
+
 def test_every_exception_class_is_caught_by_name():
+    """A class stays only where code under src/ tells it apart: an
+    `except` clause names it."""
     caught = set()
     for path in (ROOT / "src").rglob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.ExceptHandler) and node.type is not None:
                 caught |= _names_in(node.type)
-            elif isinstance(node, ast.Call) and "names_file" in _names_in(node.func):
-                for arg in node.args:
-                    caught |= _names_in(arg)
-    defined = [(module.__name__, name) for module in MODULES
-               for name, value in vars(module).items()
-               if inspect.isclass(value) and issubclass(value, Exception)
-               and value.__module__ == module.__name__]
+    defined = _exception_classes()
     assert defined
     assert [f"{module}.{name}" for module, name in defined if name not in caught] == []

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from aigmdet import nn
 from aigmdet.nn import AttentionConfig
 from aigmdet.models import AudioCAT
+from aigmdet.errors import DivergedLoss, InputError
 from aigmdet.tensor import Tensor
-from aigmdet.training import (PRESETS, DivergedLoss, EvalReport, TrainConfig,
-                              TrainingError, confusion, evaluate, metrics, roc_auc,
-                              train)
+from aigmdet.training import (PRESETS, EvalReport, TrainConfig, confusion, evaluate, metrics,
+                              roc_auc, train)
 
 from util import pairwise_auc
 
@@ -44,11 +44,11 @@ def separable_data(n, d=4, seed=0):
 
 # ---------------------------------------------------------------- config
 def test_config_validation():
-    with pytest.raises(TrainingError):
+    with pytest.raises(InputError):
         TrainConfig(epochs=0)
-    with pytest.raises(TrainingError):
+    with pytest.raises(InputError):
         TrainConfig(loss="hinge")
-    with pytest.raises(TrainingError, match="seed must be >= 0, got -1"):
+    with pytest.raises(InputError, match="seed must be >= 0, got -1"):
         TrainConfig(seed=-1)
 
 
@@ -111,7 +111,7 @@ def test_train_deterministic():
 
 
 def test_train_empty_split():
-    with pytest.raises(TrainingError, match="train and val splits must be non-empty"):
+    with pytest.raises(InputError, match="train and val splits must be non-empty"):
         train(TinyLogistic(2), [], [(np.zeros(2), 0)], TrainConfig())
 
 
