@@ -21,15 +21,20 @@ MIN_RATE, MAX_RATE = 8000, 192000
 # the largest float32 WAV sample magnitude load_wav reads: int16 scale, some
 # 3e12 times below the 1e17 or so at which log_mel's float32 power overflows
 MAX_FLOAT_SAMPLE = 2.0 ** 15
+# the largest sample magnitude an AudioBuffer holds: 4 x MAX_FLOAT_SAMPLE, over
+# the up to 2.83 x by which resample raises a WAV's peak, and far below that overflow
+MAX_BUFFER_SAMPLE = 2.0 ** 17
 
 
 @dataclass
 class AudioBuffer:
     """Sampled waveform, [channels x frames] in [-1, 1]: a float32 or
     float64 array is kept in its dtype, and anything else is cast to
-    float64.  load_wav gives float32 rows, and to_mono and resample keep
-    their input's dtype, so a WAV stays float32 up to dsp.stft, which
-    reads float32; a rendered track stays float64 up to save_wav."""
+    float64; a sample that is not finite or above MAX_BUFFER_SAMPLE in
+    magnitude is an InputError.  load_wav gives float32 rows, and to_mono
+    and resample keep their input's dtype, so a WAV stays float32 up to
+    dsp.stft, which reads float32; a rendered track stays float64 up to
+    save_wav."""
 
     samples: np.ndarray
     sample_rate: int
@@ -45,9 +50,11 @@ class AudioBuffer:
             raise InputError(f"sample rate {self.sample_rate} outside [{MIN_RATE}, {MAX_RATE}]")
         if self.samples.ndim != 2 or self.samples.shape[0] < 1:
             raise InputError("samples must be [channels x frames] with >= 1 channel")
-        # NaN propagates through min and max, and an infinity is one of them
-        if self.samples.size and not np.isfinite([self.samples.min(), self.samples.max()]).all():
-            raise InputError("samples must be finite")
+        # a NaN, which min and max propagate, fails these tests, as an infinity does
+        if self.samples.size and not (-MAX_BUFFER_SAMPLE <= self.samples.min()
+                                      and self.samples.max() <= MAX_BUFFER_SAMPLE):
+            raise InputError(f"samples must be finite and lie in "
+                             f"[-{MAX_BUFFER_SAMPLE:g}, {MAX_BUFFER_SAMPLE:g}]")
 
     @property
     def channels(self) -> int:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from aigmdet import audio
 from aigmdet.audio import AudioBuffer, load_wav, resample, save_wav, to_mono
+from aigmdet.data import render_track
 from aigmdet.dsp import log_mel
 from aigmdet.errors import InputError
 
@@ -175,6 +176,19 @@ def test_audio_buffer_casts_other_dtypes_to_float64():
     assert AudioBuffer(np.zeros((1, 4), dtype=np.int16), 16000).samples.dtype == np.float64
     assert AudioBuffer([[0.0, 0.5]], 16000).samples.dtype == np.float64
     assert AudioBuffer(np.zeros((1, 4), dtype=np.float16), 16000).samples.dtype == np.float64
+
+
+def test_audio_buffer_refuses_samples_past_the_bound():
+    """A buffer made in code is held to MAX_BUFFER_SAMPLE as a WAV is to
+    MAX_FLOAT_SAMPLE: a render scaled by 1e18 would overflow log_mel's
+    float32 power.  A NaN or an infinity fails the same test."""
+    row = render_track(0, 120.0, 4.0, 16000, np.random.default_rng(0)).samples
+    at_bound = row / np.abs(row).max() * audio.MAX_BUFFER_SAMPLE
+    AudioBuffer(at_bound, 16000)
+    for samples in (-2 * at_bound, row * 1e18, np.where(row > 0.5, np.nan, row),
+                    np.where(row < -0.5, -np.inf, row)):
+        with pytest.raises(InputError, match=r"samples must be finite and lie in \[-131072, 131072\]"):
+            AudioBuffer(samples, 16000)
 
 
 @settings(max_examples=25, deadline=None)

@@ -762,6 +762,22 @@ def test_float32_input_at_the_bound_scores(stage1_ckpt, tmp_path, capsys):
     assert 0.0 <= probability <= 1.0
 
 
+def test_full_scale_square_at_44k_scores(stage1_ckpt, tmp_path, capsys):
+    """A float32 44.1 kHz WAV of a 1 kHz square at MAX_FLOAT_SAMPLE, which
+    resample takes some 20% past that bound (to 39,183), still gets a beat
+    grid and a probability, without a numpy warning."""
+    t = np.arange(16 * 44100) / 44100
+    row = np.where(np.sin(2 * np.pi * 1000 * t) >= 0, MAX_FLOAT_SAMPLE, -MAX_FLOAT_SAMPLE)
+    path = tmp_path / "square.wav"
+    path.write_bytes(raw_wav(3, 1, 32, row.astype("<f4").tobytes(), rate=44100))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(["beats", str(path), "--out", str(tmp_path / "square.csv")]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("bpm=")
+        assert run(["predict", "--ckpt", str(stage1_ckpt), "--audio", str(path)]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("probability=")
+
+
 # each ends in error: and exit 2, not in a numpy ValueError, UnicodeDecodeError,
 # csv.Error, "embedded null byte" or wrong-shape tensor traceback
 @pytest.mark.parametrize("case", ["beats_odd_wav", "beats_not_wav", "predict_odd_wav",

@@ -11,8 +11,8 @@ from aigmdet import nn
 from aigmdet.errors import InputError
 from aigmdet.tensor import Tensor
 
-from util import (attention_weights, composite_attention, composite_cross_attention,
-                  composite_layer_norm, composite_linear, finite_diff_check)
+from util import (attention_weights, composite_attention, composite_core, composite_layer_norm,
+                  composite_linear, finite_diff_check)
 
 CFG = nn.AttentionConfig(d_model=16, heads=4, ffn_dim=16)
 
@@ -84,11 +84,11 @@ def test_mha_batched_matches_per_example(rng):
     kv = rng.normal(size=(3, 6, 16))
     mask = rng.random((3, 6)) > 0.4
     mask[:, 0] = True
-    out = mha(Tensor(q), Tensor(kv), Tensor(kv), mask=mask).data
+    out = mha(Tensor(q), Tensor(kv), mask=mask).data
     weights = attention_weights(mha, Tensor(q), Tensor(kv), mask)
     assert weights.shape == (3, CFG.heads, 4, 6)
     for i in range(3):
-        single = mha(Tensor(q[i]), Tensor(kv[i]), Tensor(kv[i]), mask=mask[i]).data
+        single = mha(Tensor(q[i]), Tensor(kv[i]), mask=mask[i]).data
         assert np.abs(out[i] - single).max() <= 1e-12
         assert np.abs(weights[i] - attention_weights(
             mha, Tensor(q[i]), Tensor(kv[i]), mask[i])).max() <= 1e-12
@@ -98,21 +98,21 @@ def test_mha_shared_queries_broadcast_over_batch(rng):
     mha = nn.MultiHeadAttention(CFG, rng)
     q = rng.normal(size=(4, 16))
     kv = rng.normal(size=(2, 6, 16))
-    out = mha(Tensor(q), Tensor(kv), Tensor(kv)).data
+    out = mha(Tensor(q), Tensor(kv)).data
     assert out.shape == (2, 4, 16)
     for i in range(2):
-        assert np.abs(out[i] - mha(Tensor(q), Tensor(kv[i]), Tensor(kv[i])).data).max() <= 1e-12
+        assert np.abs(out[i] - mha(Tensor(q), Tensor(kv[i])).data).max() <= 1e-12
 
 
 def test_mha_batched_mask_checks(rng):
     mha = nn.MultiHeadAttention(CFG, rng)
     x = Tensor(rng.normal(size=(2, 3, 16)))
     with pytest.raises(ValueError, match=r"mask shape \(3,\) vs keys \(2, 3\)"):
-        mha(x, x, x, mask=np.ones(3, bool))
+        mha(x, mask=np.ones(3, bool))
     mask = np.ones((2, 3), bool)
     mask[1] = False  # one example with no valid key
     with pytest.raises(ValueError, match="no valid key positions"):
-        mha(x, x, x, mask=mask)
+        mha(x, mask=mask)
 
 
 def test_losses_take_label_arrays():
@@ -135,7 +135,7 @@ def test_single_key_attention_is_identity_on_value(rng):
         lin.bias.data = np.zeros(4)
     q = Tensor(rng.normal(size=(1, 4)))
     v = Tensor(rng.normal(size=(1, 4)))
-    out = mha(q, v, v)
+    out = mha(q, v)
     assert np.allclose(out.data, v.data)
 
 
@@ -155,10 +155,10 @@ def test_masked_value_perturbation_is_invisible(rng):
     q = Tensor(rng.normal(size=(3, 16)))
     kv = rng.normal(size=(6, 16))
     mask = np.array([1, 1, 0, 1, 1, 1], bool)
-    out1 = mha(Tensor(q.data), Tensor(kv), Tensor(kv), mask=mask).data
+    out1 = mha(Tensor(q.data), Tensor(kv), mask=mask).data
     kv2 = kv.copy()
     kv2[2] = rng.normal(size=16) * 100
-    out2 = mha(Tensor(q.data), Tensor(kv2), Tensor(kv2), mask=mask).data
+    out2 = mha(Tensor(q.data), Tensor(kv2), mask=mask).data
     assert np.array_equal(out1, out2)
 
 
@@ -166,7 +166,7 @@ def test_all_masked_raises(rng):
     mha = nn.MultiHeadAttention(CFG, rng)
     x = Tensor(rng.normal(size=(2, 16)))
     with pytest.raises(ValueError, match="no valid key positions"):
-        mha(x, x, x, mask=np.zeros(2, bool))
+        mha(x, mask=np.zeros(2, bool))
 
 
 def test_mha_gradients_self_and_cross(rng):
@@ -175,7 +175,7 @@ def test_mha_gradients_self_and_cross(rng):
     kv = Tensor(rng.normal(size=(5, 16)), requires_grad=True)
     mask = np.array([1, 0, 1, 1, 1], bool)
     params = list(mha.parameters().values()) + [q, kv]
-    finite_diff_check(lambda: (mha(q, kv, kv, mask=mask) ** 2).sum(),
+    finite_diff_check(lambda: (mha(q, kv, mask=mask) ** 2).sum(),
                       params, n_coords=4)
 
 
@@ -194,19 +194,23 @@ def fused_case(kind, rng):
         ln.bias.data[:] = rng.normal(0.0, 0.3, 16)
         x = Tensor(rng.normal(size=(2, 3, 16)) * 3 + 1, requires_grad=True)
         return (lambda: ln(x)), (lambda: composite_layer_norm(x, ln.gain, ln.bias)), [x], ln
-    mha = nn.MultiHeadAttention(CFG, rng)
     if kind == "self_attention":
-        q = k = v = Tensor(rng.normal(size=(3, 5, 16)), requires_grad=True)
+        mha = nn.MultiHeadAttention(CFG, rng)
+        x = Tensor(rng.normal(size=(3, 5, 16)), requires_grad=True)
         mask = rng.random((3, 5)) > 0.4
-    else:  # shared [m, d] queries against a batched memory
-        q = Tensor(rng.normal(size=(4, 16)), requires_grad=True)
-        k = Tensor(rng.normal(size=(3, 6, 16)), requires_grad=True)
-        v = Tensor(rng.normal(size=(3, 6, 16)), requires_grad=True)
-        mask = rng.random((3, 6)) > 0.4
+        mask[:, 0] = True
+        return (lambda: mha(x, mask=mask)), \
+            (lambda: composite_attention(mha, x, mask=mask)), [x], mha
+    # the attention node alone, shared [m, d] queries against batched,
+    # distinct keys and values
+    q = Tensor(rng.normal(size=(4, 16)), requires_grad=True)
+    k = Tensor(rng.normal(size=(3, 6, 16)), requires_grad=True)
+    v = Tensor(rng.normal(size=(3, 6, 16)), requires_grad=True)
+    mask = rng.random((3, 6)) > 0.4
     mask[:, 0] = True
-    inputs = [q] if q is k else [q, k, v]
-    return (lambda: mha(q, k, v, mask=mask)), \
-        (lambda: composite_attention(mha, q, k, v, mask=mask)), inputs, mha
+    key_bias = np.where(mask, 0.0, -np.inf)[..., None, None, :]
+    return (lambda: nn.attention(q, k, v, CFG.heads, key_bias)), \
+        (lambda: composite_core(q, k, v, CFG.heads, mask)), [q, k, v], nn.Module()
 
 
 FUSED = ["linear_2d", "linear_3d", "layer_norm", "self_attention", "cross_attention"]
@@ -245,7 +249,7 @@ def test_fused_attention_masked_keys_get_zero_gradient(rng):
     q = Tensor(rng.normal(size=(4, 16)))
     kv = Tensor(rng.normal(size=(2, 5, 16)), requires_grad=True)
     mask = np.array([[1, 1, 0, 1, 0], [1, 0, 0, 0, 0]], bool)
-    (mha(q, kv, kv, mask=mask) ** 2).sum().backward()
+    (mha(q, kv, mask=mask) ** 2).sum().backward()
     assert (kv.grad[~mask] == 0.0).all()
     assert (np.abs(kv.grad[mask]).sum(axis=-1) > 0).all()
 
@@ -255,41 +259,35 @@ CROSS = ["unbatched", "masked", "shared_queries"]
 
 
 def cross_case(kind, rng, rows=20):
-    """(module, projected queries, memory, mask) of 3 queries against a
-    memory of `rows` rows, past heads x queries = 12: unbatched and
+    """(module, queries, memory, mask) of 3 queries against a memory of
+    `rows` rows, by default past heads x queries = 12: unbatched and
     unmasked, batched [2, 3, d] queries under a key mask, or shared [3, d]
     queries broadcast over a batched, masked memory (AudioCAT's first
     block).  Inputs require grad; the value bias is not zero."""
     mha = nn.MultiHeadAttention(CFG, rng)
     mha.wv.bias.data[:] = rng.normal(0.0, 0.5, 16)
     batched = kind != "unbatched"
-    q = Tensor(rng.normal(size=(2, 3, 16) if kind == "masked" else (3, 16)), requires_grad=True)
+    x = Tensor(rng.normal(size=(2, 3, 16) if kind == "masked" else (3, 16)), requires_grad=True)
     memory = Tensor(rng.normal(size=(2, rows, 16) if batched else (rows, 16)), requires_grad=True)
     mask = None
     if batched:
         mask = rng.random((2, rows)) > 0.4
         mask[:, 0] = True
-    return mha, q, memory, mask
-
-
-def cross_node(mha, q, memory, mask):
-    """nn.cross_attention over `mha`'s key and value weights."""
-    key_bias = mha._key_bias(q, memory, mask)
-    return nn.cross_attention(q, memory, mha.wk.weight, mha.wv.weight, mha.wv.bias,
-                              mha.cfg.heads, key_bias)
+    return mha, x, memory, mask
 
 
 @pytest.mark.parametrize("kind", CROSS)
 def test_cross_attention_node_matches_composite_form(rng, kind):
-    """Forward within 1e-12 relative of the projected composite form, which
-    the function's arithmetic is not; every gradient within 1e-10 relative."""
-    mha, q, memory, mask = cross_case(kind, rng)
-    tensors = [q, memory, mha.wk.weight, mha.wv.weight, mha.wv.bias]
+    """Past heads x queries, MultiHeadAttention runs nn.cross_attention:
+    its forward within 1e-12 relative of the projected composite form,
+    which its arithmetic is not; every gradient within 1e-10 relative."""
+    mha, x, memory, mask = cross_case(kind, rng)
+    tensors = [x, memory] + list(mha.parameters().values())
     results = []
-    for form in (cross_node, composite_cross_attention):
+    for form in (mha, lambda *a: composite_attention(mha, *a)):
         for t in tensors:
             t.zero_grad()
-        out = form(mha, q, memory, mask)
+        out = form(x, memory, mask)
         (out * Tensor(np.random.default_rng(1).normal(size=out.shape))).sum().backward()
         results.append((out.data, [t.grad for t in tensors]))
     (out_n, grads_n), (out_c, grads_c) = results
@@ -302,40 +300,66 @@ def test_cross_attention_node_matches_composite_form(rng, kind):
 
 @pytest.mark.parametrize("kind", CROSS)
 def test_cross_attention_node_gradients(rng, kind):
-    """Central differences with respect to the queries, the memory, the key
-    and value weights and the value bias."""
-    mha, q, memory, mask = cross_case(kind, rng)
-    w = Tensor(np.random.default_rng(2).normal(size=cross_node(mha, q, memory, mask).shape))
-    finite_diff_check(lambda: (cross_node(mha, q, memory, mask) * w).sum(),
-                      [q, memory, mha.wk.weight, mha.wv.weight, mha.wv.bias], rel_tol=1e-4)
+    """Central differences past heads x queries with respect to the
+    queries, the memory, the key and value weights and the value bias."""
+    mha, x, memory, mask = cross_case(kind, rng)
+    w = Tensor(np.random.default_rng(2).normal(size=mha(x, memory, mask).shape))
+    finite_diff_check(lambda: (mha(x, memory, mask) * w).sum(),
+                      [x, memory, mha.wk.weight, mha.wv.weight, mha.wv.bias], rel_tol=1e-4)
 
 
 def test_cross_attention_masked_memory_gets_zero_gradient(rng):
-    mha, q, memory, mask = cross_case("shared_queries", rng)
-    out = mha.cross(q, memory, mask)
+    mha, x, memory, mask = cross_case("shared_queries", rng)
+    out = mha(x, memory, mask)
     (out ** 2).sum().backward()
     assert (memory.grad[~mask] == 0.0).all()
     assert (np.abs(memory.grad[mask]).sum(axis=-1) > 0).all()
     tampered = memory.data.copy()
     tampered[~mask] = 1e6
-    assert np.array_equal(mha.cross(q, Tensor(tampered), mask).data, out.data)
+    assert np.array_equal(mha(x, Tensor(tampered), mask).data, out.data)
+
+
+def count_cross_attention(monkeypatch):
+    """A list that gains one item per nn.cross_attention call."""
+    calls = []
+    node = nn.cross_attention
+    monkeypatch.setattr(nn, "cross_attention", lambda *a: calls.append(1) or node(*a))
+    return calls
+
+
+@pytest.mark.parametrize("rows,absorbed", [(12, False), (13, True)])
+def test_mha_absorbs_past_heads_x_queries(rng, monkeypatch, rows, absorbed):
+    """MultiHeadAttention runs nn.cross_attention only for a memory of more
+    rows than heads x queries (4 x 3 here); at that length it projects the
+    memory, bit for bit wo(attention(wq(x), wk(memory), wv(memory))).
+    Self-attention over those rows never absorbs."""
+    calls = count_cross_attention(monkeypatch)
+    mha, x, memory, mask = cross_case("masked", rng, rows)
+    out = mha(x, memory, mask).data
+    assert len(calls) == int(absorbed)
+    key_bias = mha._key_bias(x, memory, mask)
+    projected = mha.wo(nn.attention(mha.wq(x), mha.wk(memory), mha.wv(memory), CFG.heads,
+                                    key_bias)).data
+    if absorbed:
+        assert np.abs(out - projected).max() <= 1e-12 * np.abs(projected).max()
+    else:
+        assert np.array_equal(out, projected)
+    mha(memory, mask=mask)
+    assert len(calls) == int(absorbed)
 
 
 @pytest.mark.parametrize("rows,absorbed", [(12, False), (13, True)])
 def test_decoder_cross_attention_absorbs_past_heads_x_queries(rng, monkeypatch, rows, absorbed):
     """DecoderBlock runs nn.cross_attention only for a memory of more
     rows than heads x queries (4 x 3 here); at that length it projects the
-    memory, bit for bit MultiHeadAttention's own path."""
-    calls = []
-    node = nn.cross_attention
-    monkeypatch.setattr(nn, "cross_attention", lambda *a: calls.append(1) or node(*a))
+    memory, bit for bit the composite form, which always does."""
+    calls = count_cross_attention(monkeypatch)
     blk = nn.DecoderBlock(CFG, rng)
     _, x, memory, mask = cross_case("masked", rng, rows)
     out = blk(x, memory, mem_mask=mask).data
     assert len(calls) == int(absorbed)
-    h = blk.ln1(x)
-    h = x + blk.self_attn(h, h, h)
-    projected = h + blk.cross_attn(blk.ln2(h), memory, memory, mask=mask)
+    h = x + blk.self_attn(blk.ln1(x))
+    projected = h + composite_attention(blk.cross_attn, blk.ln2(h), memory, mask)
     projected = (projected + blk.ffn(blk.ln3(projected))).data
     if absorbed:
         assert np.abs(out - projected).max() <= 1e-12 * np.abs(projected).max()
@@ -396,7 +420,7 @@ def test_decoder_single_memory_position(rng):
     mha.wo.bias.data = np.zeros(4)
     mem = Tensor(rng.normal(size=(1, 4)))
     q = Tensor(rng.normal(size=(5, 4)))
-    out = mha(q, mem, mem)
+    out = mha(q, mem)
     # single key: every query's attention weight is 1 on that position
     assert np.allclose(out.data, np.tile(mem.data, (5, 1)))
 

@@ -378,26 +378,23 @@ def composite_core(q, k, v, heads, mask=None):
     return out.transpose(*range(b), b + 1, b, b + 2).reshape(*lead, m, d)
 
 
-def composite_attention(mha, q, k, v, mask=None):
-    """`nn.MultiHeadAttention` with composite projections and core."""
+def composite_attention(mha, x, memory=None, mask=None):
+    """`nn.MultiHeadAttention` with composite projections and core, over
+    keys and values from memory, or from x when memory is None, which it
+    always projects."""
+    kv = x if memory is None else memory
     return composite_linear(mha.wo, composite_core(
-        composite_linear(mha.wq, q), composite_linear(mha.wk, k), composite_linear(mha.wv, v),
+        composite_linear(mha.wq, x), composite_linear(mha.wk, kv), composite_linear(mha.wv, kv),
         mha.cfg.heads, mask))
 
 
-def composite_cross_attention(mha, q, memory, mask=None):
-    """`nn.cross_attention` of projected queries q over `mha`'s key and
-    value weights, in its composite form: the memory projected to keys
-    (no bias) and values, then the composite core."""
-    return composite_core(q, composite_linear(mha.wk, memory), composite_linear(mha.wv, memory),
-                          mha.cfg.heads, mask)
-
-
-def attention_weights(mha, q, k, mask=None):
-    """Post-softmax weights [..., heads, m, n] of `mha` over queries q and
-    keys k, from its projections and nn's own attention-core arithmetic."""
-    key_bias = mha._key_bias(q, k, mask)
+def attention_weights(mha, x, memory=None, mask=None):
+    """Post-softmax weights [..., heads, m, n] of `mha` over queries x and
+    keys from memory, or from x when memory is None, from its projections
+    and nn's own attention-core arithmetic."""
+    kv = x if memory is None else memory
+    key_bias = mha._key_bias(x, kv, mask)
     with no_grad():
         qh, kh = (nn._split_heads(lin(t).data, mha.cfg.heads)
-                  for lin, t in ((mha.wq, q), (mha.wk, k)))
+                  for lin, t in ((mha.wq, x), (mha.wk, kv)))
     return nn._attention_weights(qh, kh, key_bias)
