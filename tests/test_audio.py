@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from aigmdet import audio
 from aigmdet.audio import AudioBuffer, load_wav, resample, save_wav, to_mono
@@ -199,6 +200,27 @@ def test_to_mono_idempotent(channels, frames):
     once = to_mono(buf)
     twice = to_mono(once)
     assert np.array_equal(once.samples, twice.samples)
+
+
+@st.composite
+def _channel_rows(draw):
+    """1-4 float32 or float64 rows of samples within MAX_BUFFER_SAMPLE."""
+    dtype = np.dtype(draw(st.sampled_from([np.float32, np.float64])))
+    bound = audio.MAX_BUFFER_SAMPLE
+    return draw(arrays(dtype, (draw(st.integers(1, 4)), draw(st.integers(0, 64))),
+                       elements=st.floats(-bound, bound, width=8 * dtype.itemsize)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_channel_rows())
+def test_to_mono_is_the_channel_mean_bit_for_bit(samples):
+    """One pass over the rows and an in-place divide give the bytes of
+    numpy's mean, whose divide runs in float64 for float32 rows; one row
+    is returned as it is (its mean would turn -0.0 into 0.0)."""
+    mono = to_mono(AudioBuffer(samples, 44100)).samples
+    want = samples if len(samples) == 1 else samples.mean(axis=0, keepdims=True)
+    assert mono.dtype == want.dtype
+    assert mono.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------- log_mel
@@ -395,6 +417,47 @@ def test_resample_bytes_do_not_depend_on_blas_threads(coretype):
         assert run.returncode == 0, run.stderr
         digests.add(run.stdout.strip())
     assert len(digests) == 1
+
+
+def test_resample_builds_its_bands_once(monkeypatch):
+    """A second resample at the same rates reads the cached bands, without
+    building the Kaiser table again, and gives the bytes of a fresh build
+    (and, in float64, of padded_resample)."""
+    x = np.random.default_rng(0).uniform(-1, 1, (2, 44100))
+    i0, calls = np.i0, []
+    monkeypatch.setattr(np, "i0", lambda v: calls.append(1) or i0(v))
+    for rows in (x, x.astype(np.float32)):
+        audio._phase_bands.cache_clear()
+        calls.clear()
+        first = resample(AudioBuffer(rows, 44100), 16000).samples
+        built = len(calls)
+        assert built > 0
+        second = resample(AudioBuffer(rows, 44100), 16000).samples
+        assert len(calls) == built
+        audio._phase_bands.cache_clear()
+        fresh = resample(AudioBuffer(rows, 44100), 16000).samples
+        assert second.tobytes() == first.tobytes() == fresh.tobytes()
+        if rows.dtype == np.float64:
+            assert second.tobytes() == padded_resample(x, 160, 441).tobytes()
+
+
+def test_cached_bands_are_read_only():
+    for dtype in (np.float32, np.float64):
+        resample(AudioBuffer(np.zeros((1, 4410), dtype=dtype), 44100), 16000)
+        _, groups = audio._phase_bands(160, 441, 160, np.dtype(dtype))
+        for _, _, band in groups:
+            assert band.dtype == dtype
+            with pytest.raises(ValueError, match="read-only"):
+                band[0, 0] = 1.0
+
+
+def test_phase_band_cache_is_bounded():
+    bound = audio._phase_bands.cache_info().maxsize
+    audio._phase_bands.cache_clear()
+    for rate in range(9000, 9000 + 1000 * (bound + 3), 1000):
+        resample(AudioBuffer(np.zeros((1, rate // 10)), rate), 16000)
+        assert audio._phase_bands.cache_info().currsize <= bound
+    assert audio._phase_bands.cache_info().currsize == bound
 
 
 @pytest.mark.parametrize("src", [44101, 191999])

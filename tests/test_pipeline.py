@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from aigmdet import dsp, experiment, nn, pipeline
+from aigmdet import audio, dsp, experiment, nn, pipeline
 from aigmdet.audio import AudioBuffer, load_wav, resample, save_wav
 from aigmdet.data import Manifest, ManifestEntry, render_track
 from aigmdet.dsp import FRAME_LEN, HOP, N_MELS, stft
@@ -181,6 +181,27 @@ def test_track_resampled_once(tmp_path, monkeypatch):
     (corpus_track,) = experiment.extract_corpus(Manifest([ManifestEntry(str(path), 0)]))
     assert calls == [44100, 44100]
     assert corpus_track.vectors.tobytes() == features.tobytes()
+
+
+def test_scores_do_not_depend_on_the_order_of_rates(tmp_path):
+    """The resampler's bands are built once per rate pair in a process: a
+    44.1 kHz PCM16 stereo WAV and a 48 kHz WAV scored through one scorer,
+    in either order and twice each, score as each does with a cleared cache."""
+    ckpt, stereo, wide = tmp_path / "s1.aigm", tmp_path / "44k.wav", tmp_path / "48k.wav"
+    pipeline.save_model(ckpt, pipeline.build_model("audiocat", get_extractor("seq-512"), seed=0),
+                        "audiocat", "seq-512")
+    row = render_track(0, 120, 6.0, 44100, np.random.default_rng(0)).samples[0]
+    save_wav(AudioBuffer(np.stack([row, 0.5 * row]), 44100), stereo)
+    save_wav(render_track(1, 130, 6.0, 48000, np.random.default_rng(1)), wide)
+    score = pipeline.scorer(ckpt)
+    alone = {}
+    for path in (stereo, wide):
+        audio._phase_bands.cache_clear()
+        alone[path] = score(path).probability
+    assert alone[stereo] != alone[wide]
+    for order in ([stereo, wide], [wide, stereo]):
+        audio._phase_bands.cache_clear()
+        assert [score(p).probability for p in order * 2] == [alone[p] for p in order * 2]
 
 
 # ---------------------------------------------------------------- checkpoints
