@@ -216,7 +216,7 @@ _ROW_CHUNK = 384
 
 
 @functools.lru_cache(maxsize=8)
-def _phase_bands(up: int, down: int, phases: int, dtype=np.float64):
+def _phase_bands(up: int, down: int, phases: int, dtype: np.dtype):
     """The kernel's half width, and (first phase, input offset, band) for
     each group of consecutive phases among the first `phases` of a block,
     at rate ratio up/down, each band in `dtype` and read-only."""

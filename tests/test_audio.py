@@ -439,6 +439,8 @@ def test_resample_builds_its_bands_once(monkeypatch):
         assert second.tobytes() == first.tobytes() == fresh.tobytes()
         if rows.dtype == np.float64:
             assert second.tobytes() == padded_resample(x, 160, 441).tobytes()
+            # padded_resample reads the entry resample built, not one of its own
+            assert audio._phase_bands.cache_info().currsize == 1
 
 
 def test_cached_bands_are_read_only():

@@ -180,7 +180,7 @@ def padded_resample(samples, up, down):
     phases = min(k * up, n_out)
     chunk_rows = audio._ROW_CHUNK
     blocks = -(-n_out // (phases * chunk_rows)) * chunk_rows
-    half, groups = audio._phase_bands(up, down, phases)
+    half, groups = audio._phase_bands(up, down, phases, samples.dtype)
     # with `half` zeros in front, the window for base b starts at index b+1;
     # zeros behind the input up to the end of the last block's last window
     reach = (blocks - 1) * k * down + (phases - 1) * down // up + 2 * half + 1
