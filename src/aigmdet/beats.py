@@ -7,7 +7,6 @@ A classical onset/autocorrelation/DP tracker; meter is fixed to 4/4.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -251,11 +250,3 @@ def segment_bars(track: np.ndarray, grid: BeatGrid) -> list[tuple[int, int]]:
             f"({seg_len:.1f} s) from {grid.start:.2f} s")
     return ranges
 
-
-def export_boundaries_csv(boundaries, path):
-    """CSV with columns index, start_s, end_s."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "start_s", "end_s"])
-        for i, (s, e) in enumerate(boundaries):
-            writer.writerow([i, f"{s:.6f}", f"{e:.6f}"])

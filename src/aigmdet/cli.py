@@ -15,7 +15,9 @@ owner is the checkpoint, or --arch <arch> in train, and
 "<file>: a segtr checkpoint is not a stage-1 model".  train's settings
 are its --preset's TrainConfig, over which each field's flag of the same
 name (--batch-size for batch_size) sets that field.  `experiment` runs
-the two-stage evaluation of experiment.run_experiment.
+the two-stage evaluation of experiment.run_experiment.  Each report file
+that a command writes, and no module reads back, is formatted here by
+its command.
 
 Exit codes, all decided in main: 0 ok, 1 usage, 2 io/format, 3 musical
 content (no periodicity, track too short), 4 training failure (diverged
@@ -28,17 +30,16 @@ import argparse
 import csv
 import sys
 import time
-from dataclasses import fields, replace
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 
-from . import experiment, pipeline, training
+from . import experiment, pipeline
 from .audio import load_wav
-from .beats import export_boundaries_csv
 from .data import SPLITS, Manifest
 from .errors import AnalysisError, DivergedLoss, InputError, names_file
 from .extractors import get_extractor
-from .models import export_ssm_csv, export_ssm_pgm, predict, self_similarity
+from .models import predict, self_similarity
 from .training import PRESETS, TrainConfig, evaluate, train
 
 EXIT_OK, EXIT_USAGE, EXIT_IO, EXIT_MUSIC, EXIT_TRAIN = 0, 1, 2, 3, 4
@@ -67,6 +68,14 @@ def _train_config(args) -> TrainConfig:
     return cfg
 
 
+def _write_csv(path, header, rows):
+    """A report file in csv's default dialect, whose lines end in \r\n."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 # ----------------------------------------------------------------------
 @names_file
 def _beat_analysis(path):
@@ -79,9 +88,9 @@ def cmd_beats(args) -> int:
     analysis, duration = _beat_analysis(args.audio)
     grid = analysis.grid
     # the whole bars only, as segment_bars keeps whole 4-bar windows
-    boundaries = [(t, t + grid.period) for t in grid.downbeats()
-                  if t + grid.period <= duration + 1e-9]
-    export_boundaries_csv(boundaries, args.out)
+    bars = [t for t in grid.downbeats() if t + grid.period <= duration + 1e-9]
+    _write_csv(args.out, ["index", "start_s", "end_s"],
+               [(i, f"{t:.6f}", f"{t + grid.period:.6f}") for i, t in enumerate(bars)])
     print(f"bpm={analysis.bpm:.2f}")
     print(f"bar_period_s={grid.period:.4f}")
     print(f"residual_rms_s={grid.residual_rms:.4f}")
@@ -101,7 +110,9 @@ def cmd_train(args) -> int:
 
     result = train(model, data_train, data_val, cfg, log=print)
     pipeline.save_model(args.out, model, args.arch, preset)
-    result.save_history_csv(str(args.out) + ".history.csv")
+    _write_csv(f"{args.out}.history.csv", ["epoch", "train_loss", "val_loss", "val_accuracy"],
+               [(r.epoch, f"{r.train_loss:.8f}", f"{r.val_loss:.8f}", f"{r.val_accuracy:.6f}")
+                for r in result.history])
     print(f"checkpoint={args.out} best_epoch={result.best_epoch}")
     return EXIT_OK
 
@@ -111,17 +122,19 @@ def cmd_eval(args) -> int:
     (entries,) = Manifest.load(args.manifest).subsets(args.split)
     report = evaluate([score(e.path).probability for e in entries],
                       [e.label for e in entries])
-    print(training.EvalReport.CSV_HEADER)
-    print(report.csv_row())
+    # EvalReport's six fields in order; an undefined metric, nan, reads nan
+    text = ("acc,prec,recall,f1,auc,spec\n"
+            + ",".join(f"{v:.6f}" for v in astuple(report)) + "\n")
+    print(text, end="")
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(training.EvalReport.CSV_HEADER + "\n" + report.csv_row() + "\n")
+            fh.write(text)
     return EXIT_OK
 
 
 def cmd_predict(args) -> int:
     out = pipeline.scorer(args.ckpt, args.stage1_ckpt)(args.audio)
-    label = predict(out)
+    label = int(predict(out.probability))
     print(f"probability={out.probability:.6f} label={label} "
           f"({'ai' if label else 'human'})")
     return EXIT_OK
@@ -130,9 +143,13 @@ def cmd_predict(args) -> int:
 def cmd_ssm(args) -> int:
     read = pipeline.model_input("segtr", "", args.stage1_ckpt, "ssm")
     ssm = self_similarity(read(args.audio))
-    export_ssm_csv(ssm, str(args.out) + ".csv")
-    export_ssm_pgm(ssm, str(args.out) + ".pgm")
-    print(f"ssm_size={ssm.shape[0]}")
+    n = len(ssm)
+    np.savetxt(f"{args.out}.csv", ssm, fmt="%.9f", delimiter=",")
+    # an 8-bit PGM with similarities [-1, 1] mapped to [0, 255]
+    pixels = np.clip(np.round((ssm + 1.0) * 127.5), 0, 255).astype(np.uint8)
+    with open(f"{args.out}.pgm", "wb") as fh:
+        fh.write(f"P5\n{n} {n}\n255\n".encode("ascii") + pixels.tobytes())
+    print(f"ssm_size={n}")
     return EXIT_OK
 
 
@@ -151,12 +168,9 @@ def cmd_experiment(args) -> int:
               f"stage-2 best epoch {r.stage2_result.best_epoch})")
     print(f"mean: accuracy={accuracy:.4f} auc={auc:.4f} elapsed={elapsed:.0f}s")
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["seed", "accuracy", "auc"])
-            for r in per_seed:
-                writer.writerow([r.seed, f"{r.accuracy:.6f}", f"{r.auc:.6f}"])
-            writer.writerow(["mean", f"{accuracy:.6f}", f"{auc:.6f}"])
+        _write_csv(args.out, ["seed", "accuracy", "auc"],
+                   [(r.seed, f"{r.accuracy:.6f}", f"{r.auc:.6f}") for r in per_seed]
+                   + [("mean", f"{accuracy:.6f}", f"{auc:.6f}")])
     return EXIT_OK
 
 

@@ -90,9 +90,10 @@ def self_similarity(seq: EmbeddingSequence) -> np.ndarray:
     return s
 
 
-def predict(out: DetectorOutput, threshold: float = 0.5) -> int:
-    """1 (AI-generated) iff probability >= threshold."""
-    return int(out.probability >= threshold)
+def predict(probability):
+    """The decision rule: True (AI-generated) where a probability is 0.5
+    or more, elementwise over an array."""
+    return np.asarray(probability) >= 0.5
 
 
 # ----------------------------------------------------------------------
@@ -274,16 +275,3 @@ def track_to_sequence(track: AudioBuffer, grid: BeatGrid, stage1,
     """Stage-2 input of a track: segment_features, then features_to_sequence."""
     return features_to_sequence(segment_features(track, grid, extractor), stage1)
 
-
-# ----------------------------------------------------------------------
-def export_ssm_csv(ssm: np.ndarray, path):
-    np.savetxt(path, ssm, fmt="%.9f", delimiter=",")
-
-
-def export_ssm_pgm(ssm: np.ndarray, path):
-    """8-bit PGM with [-1, 1] mapped to [0, 255]."""
-    n = ssm.shape[0]
-    pixels = np.clip(np.round((ssm + 1.0) * 127.5), 0, 255).astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{n} {n}\n255\n".encode("ascii"))
-        fh.write(pixels.tobytes())

@@ -12,7 +12,6 @@ pairs, and a model needs:
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -20,6 +19,7 @@ import numpy as np
 
 from . import nn
 from .errors import DivergedLoss, InputError
+from .models import predict
 from .tensor import no_grad
 
 
@@ -70,14 +70,6 @@ class EpochRecord:
 class TrainResult:
     history: list
     best_epoch: int
-
-    def save_history_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epoch", "train_loss", "val_loss", "val_accuracy"])
-            for rec in self.history:
-                writer.writerow([rec.epoch, f"{rec.train_loss:.8f}",
-                                 f"{rec.val_loss:.8f}", f"{rec.val_accuracy:.6f}"])
 
 
 def _mean_loss(model, data, loss_fn, batch_size: int) -> tuple[float, float]:
@@ -158,10 +150,6 @@ def train(model, train_data, val_data, cfg: TrainConfig,
 # metrics
 @dataclass
 class EvalReport:
-    tp: int
-    fp: int
-    tn: int
-    fn: int
     accuracy: float
     precision: float
     recall: float
@@ -169,21 +157,14 @@ class EvalReport:
     auc: float
     specificity: float
 
-    CSV_HEADER = "acc,prec,recall,f1,auc,spec"
 
-    def csv_row(self) -> str:
-        """The CSV_HEADER columns; an undefined metric, nan, reads nan."""
-        return ",".join(f"{getattr(self, name):.6f}"
-                        for name in ("accuracy", "precision", "recall", "f1", "auc",
-                                     "specificity"))
-
-
-def confusion(scores, labels, threshold: float = 0.5) -> tuple[int, int, int, int]:
+def confusion(scores, labels) -> tuple[int, int, int, int]:
+    """(tp, fp, tn, fn) of the scores called by models.predict."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     if len(scores) != len(labels) or len(scores) == 0:
         raise ValueError("scores and labels must have equal nonzero length")
-    pred = scores >= threshold
+    pred = predict(scores)
     tp = int(np.sum(pred & (labels == 1)))
     fp = int(np.sum(pred & (labels == 0)))
     tn = int(np.sum(~pred & (labels == 0)))
@@ -205,8 +186,7 @@ def metrics(counts, auc: float = math.nan) -> EvalReport:
     precision, recall = ratio(tp, tp + fp), ratio(tp, tp + fn)
     f1 = (2 * precision * recall / (precision + recall)
           if precision + recall > 0 else math.nan)
-    return EvalReport(tp, fp, tn, fn, (tp + tn) / total, precision, recall, f1,
-                      auc, ratio(tn, tn + fp))
+    return EvalReport((tp + tn) / total, precision, recall, f1, auc, ratio(tn, tn + fp))
 
 
 def roc_auc(scores, labels) -> float:
@@ -229,7 +209,7 @@ def roc_auc(scores, labels) -> float:
     return float((rank_sum - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
 
 
-def evaluate(scores, labels, threshold: float = 0.5) -> EvalReport:
-    """metrics of the scores at `threshold`, with their ROC-AUC (nan for
-    labels of one class)."""
-    return metrics(confusion(scores, labels, threshold), roc_auc(scores, labels))
+def evaluate(scores, labels) -> EvalReport:
+    """metrics of the scores' confusion counts, with their ROC-AUC (nan
+    for labels of one class)."""
+    return metrics(confusion(scores, labels), roc_auc(scores, labels))

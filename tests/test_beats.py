@@ -1,4 +1,3 @@
-import csv
 import hashlib
 
 import numpy as np
@@ -8,8 +7,7 @@ from hypothesis import strategies as st
 
 from aigmdet.audio import AudioBuffer
 from aigmdet.beats import (ONSET_DELAY_S, PHASE_SNAP_S, BeatGrid, analyze,
-                           estimate_tempo, export_boundaries_csv,
-                           beat_dp, pick_downbeats, quantize_grid,
+                           estimate_tempo, beat_dp, pick_downbeats, quantize_grid,
                            segment_bars, track_beats)
 from aigmdet.data import _SYNTH_TEMPI, render_track
 from aigmdet.dsp import log_mel, onset_envelope, segment_frames
@@ -285,16 +283,6 @@ def test_segment_bars_sparse():
     grid = BeatGrid(start=0.0, period=2.0, count=2)
     with pytest.raises(AnalysisError, match="holds no 4-bar window"):
         segment_bars(np.zeros(16000 * 4), grid)
-
-
-def test_export_boundaries_csv(tmp_path):
-    path = tmp_path / "bounds.csv"
-    export_boundaries_csv([(0.5, 8.5), (8.5, 16.5)], path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["index", "start_s", "end_s"]
-    assert rows[1] == ["0", "0.500000", "8.500000"]
-    assert rows[2] == ["1", "8.500000", "16.500000"]
 
 
 # ---------------------------------------------------------------- pipeline property

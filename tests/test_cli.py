@@ -18,7 +18,7 @@ from aigmdet.dsp import MIN_SEGMENT_S, N_MELS
 from aigmdet.errors import AnalysisError, DivergedLoss, InputError
 from aigmdet.extractors import get_extractor
 from aigmdet.models import SegmentTransformer
-from aigmdet.training import PRESETS, EvalReport, TrainConfig, evaluate
+from aigmdet.training import PRESETS, TrainConfig, evaluate
 
 from util import click_track, raw_wav
 
@@ -271,7 +271,9 @@ def test_eval_scores_the_split_that_train_left_out(corpus, tmp_path, monkeypatch
     assert run(["eval", "--ckpt", str(ckpt), "--manifest", str(manifest)]) == EXIT_OK
     score = pipeline.scorer(ckpt)
     report = evaluate([score(e.path).probability for e in left_out], [e.label for e in left_out])
-    assert capsys.readouterr().out.splitlines() == [EvalReport.CSV_HEADER, report.csv_row()]
+    row = ",".join(f"{v:.6f}" for v in (report.accuracy, report.precision, report.recall,
+                                         report.f1, report.auc, report.specificity))
+    assert capsys.readouterr().out.splitlines() == ["acc,prec,recall,f1,auc,spec", row]
 
 
 def test_eval_on_an_empty_split_exits_2(corpus, stage1_ckpt, tmp_path, capsys):
@@ -1060,6 +1062,64 @@ def test_main_maps_each_failure_to_its_exit_code(error, code, monkeypatch, capsy
     monkeypatch.setitem(cli._COMMANDS, "beats", fail)
     assert run(["beats", "x.wav"]) == code
     assert capsys.readouterr().err == f"error: {error.__name__} of x.wav\n"
+
+
+# ---------------------------------------------------------------- report files
+def csv_lines(path) -> list[bytes]:
+    """The lines of a file in csv's default dialect, each ended by \\r\\n."""
+    data = Path(path).read_bytes()
+    assert data.endswith(b"\r\n") and data.count(b"\n") == data.count(b"\r\n")
+    return data.split(b"\r\n")[:-1]
+
+
+def test_report_files_are_pinned(corpus, stage1_ckpt, tmp_path, monkeypatch, capsys):
+    """The header line and line ends of each report file a command writes:
+    csv's \\r\\n for the bar grid, the training history and the
+    experiment's per-seed file, \\n for eval's file and the SSM's CSV; and
+    the PGM that ssm writes of its matrix."""
+    monkeypatch.chdir(tmp_path)
+    built, self_similarity = [], cli.self_similarity
+    monkeypatch.setattr(cli, "self_similarity",
+                        lambda seq: built.append(self_similarity(seq)) or built[-1])
+
+    assert run(["beats", str(corpus["long"]), "--out", "grid.csv"]) == EXIT_OK
+    grid = csv_lines("grid.csv")
+    assert grid[0] == b"index,start_s,end_s"
+    assert [row.split(b",")[0] for row in grid[1:]] == [b"%d" % i for i in range(len(grid) - 1)]
+
+    assert run(["train", "--arch", "audiocat", "--extractor", "stats-160", "--manifest",
+                str(corpus["manifest"]), "--epochs", "2", "--out", "s1.aigm"]) == EXIT_OK
+    history = csv_lines("s1.aigm.history.csv")
+    assert history[0] == b"epoch,train_loss,val_loss,val_accuracy"
+    assert [[len(v.split(b".")[-1]) for v in row.split(b",")] for row in history[1:]] == \
+        [[1, 8, 8, 6]] * 2
+
+    capsys.readouterr()
+    assert run(["eval", "--ckpt", "s1.aigm", "--manifest", str(corpus["manifest"]),
+                "--out", "eval.csv"]) == EXIT_OK
+    text = Path("eval.csv").read_bytes()
+    assert text.startswith(b"acc,prec,recall,f1,auc,spec\n") and text.count(b"\n") == 2
+    assert b"\r" not in text and text.decode() == capsys.readouterr().out
+
+    assert run(["ssm", str(corpus["long"]), "--stage1-ckpt", str(stage1_ckpt),
+                "--out", "ssm"]) == EXIT_OK
+    (matrix,) = built
+    n = len(matrix)
+    text = Path("ssm.csv").read_bytes()
+    assert b"\r" not in text and text.count(b"\n") == n and text.endswith(b"\n")
+    assert {len(v.split(b".")[1]) for v in text.replace(b"\n", b",")[:-1].split(b",")} == {9}
+    assert np.abs(np.loadtxt("ssm.csv", delimiter=",") - matrix).max() <= 5e-10
+    header = f"P5\n{n} {n}\n255\n".encode()
+    pgm = Path("ssm.pgm").read_bytes()
+    assert n >= 2 and pgm.startswith(header) and len(pgm) == len(header) + n * n
+    pixels = np.frombuffer(pgm[len(header):], np.uint8).reshape(n, n)
+    assert np.array_equal(pixels, np.clip(np.round((matrix + 1.0) * 127.5), 0, 255))
+    assert (np.diag(pixels) == 255).all()  # similarity 1; 0 would read round(127.5) = 128
+
+    assert run(experiment_argv("corpus", 7, "--out", "experiment.csv")) == EXIT_OK
+    rows = csv_lines("experiment.csv")
+    assert rows[0] == b"seed,accuracy,auc"
+    assert [row.split(b",")[0] for row in rows[1:]] == [b"0", b"mean"]
 
 
 # ---------------------------------------------------------------- training settings

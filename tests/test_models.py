@@ -11,8 +11,8 @@ from aigmdet.errors import InputError
 from aigmdet.extractors import (MAX_SEQ_LEN, DspSequenceExtractor, EmbeddingSequence,
                                 get_extractor)
 from aigmdet.models import (AudioCAT, DetectorOutput, FXSegment,
-                            SegmentTransformer, export_ssm_csv, export_ssm_pgm,
-                            features_to_sequence, predict, segment_features,
+                            SegmentTransformer, features_to_sequence, predict,
+                            segment_features,
                             self_similarity, track_to_sequence)
 from aigmdet.nn import AttentionConfig
 
@@ -86,9 +86,10 @@ def test_detector_output_sigmoid_consistency():
 
 
 def test_predict_threshold_rule():
-    out = DetectorOutput(logit=0.0, probability=0.5, pooled=np.zeros(1))
-    assert predict(out) == 1  # >= threshold
-    assert predict(out, threshold=0.51) == 0
+    # 0.5 is called AI-generated, the largest float below it is not
+    assert predict(0.5) == 1
+    assert predict(np.nextafter(0.5, 0)) == 0
+    assert predict(np.array([np.nextafter(0.5, 0), 0.5, 1.0])).tolist() == [False, True, True]
 
 
 # ---------------------------------------------------------------- AudioCAT
@@ -418,23 +419,3 @@ def test_features_to_sequence_batches_by_kind(frames, batches):
         (single,) = model.forward([feats[i]])
         assert np.abs(seq.vectors[i] - single.pooled).max() <= 1e-12
 
-
-# ---------------------------------------------------------------- exports
-def test_export_ssm_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(6)
-    ssm = self_similarity(EmbeddingSequence(rng.normal(size=(5, 4))))
-    path = tmp_path / "ssm.csv"
-    export_ssm_csv(ssm, path)
-    loaded = np.loadtxt(path, delimiter=",")
-    assert np.allclose(loaded, ssm, atol=1e-9)
-
-
-def test_export_ssm_pgm(tmp_path):
-    ssm = self_similarity(EmbeddingSequence(np.eye(3)))
-    path = tmp_path / "ssm.pgm"
-    export_ssm_pgm(ssm, path)
-    blob = path.read_bytes()
-    assert blob.startswith(b"P5\n3 3\n255\n")
-    pixels = np.frombuffer(blob[len(b"P5\n3 3\n255\n"):], dtype=np.uint8).reshape(3, 3)
-    assert (np.diag(pixels) == 255).all()
-    assert pixels[0, 1] == 128  # similarity 0 -> round(127.5) = 128

@@ -8,7 +8,10 @@ every public method of their classes taken there as an attribute (a local
 variable of the same name is not a use).  A reference form or a writer
 that only the tests need belongs in tests/util.py.  The package's
 exception classes are the three of errors.py, one for each exit code that
-cli.main decides, and an `except` clause under src/ names each."""
+cli.main decides, and an `except` clause under src/ names each.  Only
+cli, which formats every report file next to its command, and the
+modules of the formats that the package reads back (audio's WAV, nn's
+AIGM, data's manifests) write a file."""
 
 import ast
 import functools
@@ -151,3 +154,29 @@ def test_every_exception_class_is_caught_by_name():
     defined = _exception_classes()
     assert defined
     assert [f"{module}.{name}" for module, name in defined if name not in caught] == []
+
+
+# file writers: np.savetxt and its kin, and pathlib's whole-file writes
+_WRITER_CALLS = {"savetxt", "save", "savez", "savez_compressed", "tofile", "write_text",
+                 "write_bytes"}
+
+
+def _writes_a_file(call: ast.Call) -> bool:
+    """A call to a file writer, or an open() whose mode writes (a mode that
+    is not a string literal counts as writing)."""
+    name = call.func.id if isinstance(call.func, ast.Name) else getattr(call.func, "attr", "")
+    if name in _WRITER_CALLS:
+        return True
+    if name != "open":
+        return False
+    mode = call.args[1] if len(call.args) > 1 else next(
+        (k.value for k in call.keywords if k.arg == "mode"), ast.Constant("r"))
+    return not isinstance(mode, ast.Constant) or bool(set(str(mode.value)) & set("wax+"))
+
+
+def test_only_cli_and_the_read_back_formats_write_files():
+    writers = {path.stem for path in (ROOT / "src" / "aigmdet").glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Call) and _writes_a_file(node)}
+    assert "cli" in writers
+    assert sorted(writers - {"cli", "audio", "nn", "data"}) == []

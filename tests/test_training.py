@@ -10,8 +10,8 @@ from aigmdet.nn import AttentionConfig
 from aigmdet.models import AudioCAT
 from aigmdet.errors import DivergedLoss, InputError
 from aigmdet.tensor import Tensor
-from aigmdet.training import (PRESETS, EvalReport, TrainConfig, confusion, evaluate, metrics,
-                              roc_auc, train)
+from aigmdet.training import (PRESETS, TrainConfig, confusion, evaluate, metrics, roc_auc,
+                              train)
 
 from util import pairwise_auc
 
@@ -141,18 +141,6 @@ def test_train_drops_incomplete_batch():
     assert seen == [8]
 
 
-def test_history_csv(tmp_path):
-    model = TinyLogistic(4)
-    data = separable_data(20)
-    result = train(model, data[:16], data[16:],
-                   TrainConfig(epochs=3, batch_size=4, lr=0.05))
-    path = tmp_path / "hist.csv"
-    result.save_history_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "epoch,train_loss,val_loss,val_accuracy"
-    assert len(lines) == 1 + len(result.history)
-
-
 def test_train_transformer_smoke():
     model = AudioCAT(d_enc=6, cfg=SMALL, n_queries=2, n_layers=1, seed=0)
     rng = np.random.default_rng(0)
@@ -172,8 +160,10 @@ def test_confusion_oracle():
 
 
 def test_confusion_threshold_is_inclusive():
+    # models.predict's rule: 0.5 is called AI-generated, the float below it is not
     assert confusion([0.5], [1]) == (1, 0, 0, 0)
-    assert confusion([0.5], [1], threshold=0.500001) == (0, 0, 0, 1)
+    assert confusion([np.nextafter(0.5, 0)], [1]) == (0, 0, 0, 1)
+    assert confusion([0.5, np.nextafter(0.5, 0)], [0, 0]) == (0, 1, 1, 0)
 
 
 def test_confusion_length_mismatch():
@@ -256,10 +246,9 @@ def test_auc_rank_formula_matches_pairwise_with_ties(pairs, scale):
 
 def test_evaluate_end_to_end():
     rep = evaluate([0.9, 0.8, 0.4, 0.3], [1, 1, 0, 0])
-    assert rep.accuracy == 1.0 and rep.auc == 1.0
-    assert rep.csv_row().startswith("1.000000,1.000000,")
-    assert EvalReport.CSV_HEADER == "acc,prec,recall,f1,auc,spec"
+    assert rep.accuracy == rep.precision == rep.auc == 1.0
     # one class: no AUC (nor specificity), so nan, not a ranker that reads 0
     rep = evaluate([0.9, 0.2, 0.7], [1, 1, 1])
     assert math.isnan(rep.specificity) and math.isnan(rep.auc)
-    assert rep.csv_row() == "0.666667,1.000000,0.666667,0.800000,nan,nan"
+    assert (rep.accuracy, rep.precision, rep.recall) == (2 / 3, 1.0, 2 / 3)
+    assert abs(rep.f1 - 0.8) <= 1e-15
