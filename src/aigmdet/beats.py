@@ -60,11 +60,15 @@ def analyze(mel: np.ndarray, duration: float) -> BeatAnalysis:
     """onset -> tempo -> beats -> downbeats -> arithmetic grid of a track
     of `duration` seconds, from the frame-FRAME_LEN log-mel of its 16 kHz
     row (AudioBuffer.log_mel); beat times are in seconds from the row's
-    first sample."""
+    first sample.  Tempo and beats read the log-mel's flux; the bar phase
+    reads the flux of the linear mel power, in which an accented downbeat
+    gives a larger peak than the plain beats (in the log flux of the
+    synthetic corpus's bars it gave a smaller one, so grids started off
+    the bar line)."""
     onset = onset_envelope(mel)
     bpm = estimate_tempo(onset)
     beats = track_beats(onset, bpm)
-    downbeats = pick_downbeats(beats, onset)
+    downbeats = pick_downbeats(beats, onset_envelope(np.exp(mel)))
     grid = quantize_grid(downbeats + ONSET_DELAY_S, duration)
     return BeatAnalysis(bpm, beats + ONSET_DELAY_S, downbeats + ONSET_DELAY_S, grid)
 

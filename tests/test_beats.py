@@ -161,7 +161,6 @@ def test_downbeat_tie_breaks_to_lowest_phase():
     assert np.allclose(downs, beats[0::4])
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
 @pytest.mark.parametrize("bpm", _SYNTH_TEMPI)
 def test_grid_starts_on_a_bar_line_of_class0_renders(bpm):
     """Class-0 renders accent beat 1 of every bar, and their bars are a
@@ -303,36 +302,38 @@ def test_full_chain_recovers_tempo(bpm, seed):
 # seed bpm * 10 + label), as the float64 front end gave it: (bpm, beat
 # count, first and last beat frame, SHA-256 prefix of the int64 beat
 # frames, grid start, period and count).  The front end's float32 spectra
-# may move the bpm by rounding, but no beat frame and no grid.
+# may move the bpm by rounding, but no beat frame and no grid.  The grids
+# are those of the bar phase that the linear mel power's flux picks, which
+# starts every class-0 grid at 0.0, on a bar line.
 CORPUS_GRIDS = {
     (92, 0): (92.01508884730967, 276, 38, 11246, "fac85b37b854bdb9",
-                1.2968679089026987, 2.6087178662769457, 69),
+                0.0, 2.6086424552429666, 70),
     (92, 1): (92.01496926265376, 276, 38, 11246, "bafd5dfc56f8a2e6",
-                1.296139130434783, 2.6087324808184142, 69),
+                0.6468306418219432, 2.6086652539276582, 69),
     (100, 0): (99.99992866772126, 300, 34, 11246, "e934aeab185ad149",
-                1.1999999999999817, 2.3999999999999995, 75),
+                0.0, 2.3999831578947366, 76),
     (100, 1): (100.00009138332004, 300, 34, 11246, "e934aeab185ad149",
                 1.1999999999999817, 2.3999999999999995, 75),
     (108, 0): (107.94915289638422, 323, 32, 11212, "72fa62bdf374f316",
-                1.1050261969286472, 2.2222410117434515, 81),
+                0.0, 2.222255227379278, 81),
     (108, 1): (107.94966388740896, 323, 32, 11212, "f2478c8a767046f3",
-                1.6602950918398067, 2.2222457091237584, 81),
+                0.5491598915989244, 2.222256187895213, 81),
     (116, 0): (116.12351426401737, 348, 29, 11246, "96ebf012f81ba837",
-                1.5458056426332298, 2.0689299409491873, 87),
+                0.0, 2.0689287745133775, 88),
     (116, 1): (116.12200777035633, 348, 29, 11246, "e2f4597e11c99425",
-                1.5458056426332298, 2.0689299409491873, 87),
+                1.0277742946708555, 2.068941896916235, 87),
     (124, 0): (123.97930251269143, 372, 27, 11246, "87bf64d52f4af4fd",
-                1.444249828414549, 1.9355261257497534, 93),
+                0.0, 1.9355065500880306, 93),
     (124, 1): (123.9797518396277, 372, 27, 11246, "ff832bb37067c7ff",
                 0.4785687485701222, 1.9354738444092985, 93),
     (132, 0): (131.84900428430788, 395, 54, 11246, "6eeb58cd664bb10f",
-                0.9035604040404166, 1.8181792455163885, 99),
+                0.0, 1.8181739022881882, 100),
     (132, 1): (131.8505098538416, 395, 54, 11246, "7456f4fd214bcc9c",
-                0.4482726698927073, 1.8181763096991377, 99),
+                0.9030012121212264, 1.8181873593073596, 99),
     (140, 0): (140.10426715182098, 418, 50, 11220, "4d1bf942729de5d7",
-                0.8501275831087144, 1.714318059299191, 105),
+                0.0, 1.7143130267790463, 105),
     (140, 1): (140.10380921287222, 418, 50, 11220, "c9c97a112579acba",
-                1.278993710691824, 1.7143197180178311, 105),
+                0.4226168782673694, 1.7143061986557135, 105),
 }
 
 

@@ -89,9 +89,9 @@ def test_beats_command(corpus, tmp_path, capsys):
 # the CSV holds the bars that end by the track's end, while downbeats=
 # counts the grid's downbeats up to it; a render at seed 0 of each
 @pytest.mark.parametrize("bpm, duration, last_row, downbeats", [
-    (120, 16.0, "6,12.496000,14.496000", 8),
-    (100, 30.0, "11,27.600000,30.000000", 13),
-    (92, 14.0, "3,9.776000,12.384000", 5),
+    (120, 16.0, "7,13.990667,15.989333", 9),
+    (100, 30.0, "11,26.400000,28.800000", 13),
+    (92, 14.0, "4,11.087390,13.696762", 6),
 ], ids=["120bpm_16s", "100bpm_30s", "92bpm_14s"])
 def test_beats_writes_whole_bars(bpm, duration, last_row, downbeats, tmp_path, capsys):
     path, out = tmp_path / "track.wav", tmp_path / "grid.csv"
