@@ -62,9 +62,8 @@ def analyze(mel: np.ndarray, duration: float) -> BeatAnalysis:
     row (AudioBuffer.log_mel); beat times are in seconds from the row's
     first sample.  Tempo and beats read the log-mel's flux; the bar phase
     reads the flux of the linear mel power, in which an accented downbeat
-    gives a larger peak than the plain beats (in the log flux of the
-    synthetic corpus's bars it gave a smaller one, so grids started off
-    the bar line)."""
+    gives a larger peak than the plain beats (on the synthetic corpus's
+    bars the log flux gives it a smaller one)."""
     onset = onset_envelope(mel)
     bpm = estimate_tempo(onset)
     beats = track_beats(onset, bpm)

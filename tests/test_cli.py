@@ -1091,8 +1091,10 @@ def test_report_files_are_pinned(corpus, stage1_ckpt, tmp_path, monkeypatch, cap
                 str(corpus["manifest"]), "--epochs", "2", "--out", "s1.aigm"]) == EXIT_OK
     history = csv_lines("s1.aigm.history.csv")
     assert history[0] == b"epoch,train_loss,val_loss,val_accuracy"
-    assert [[len(v.split(b".")[-1]) for v in row.split(b",")] for row in history[1:]] == \
-        [[1, 8, 8, 6]] * 2
+    rows = [row.split(b",") for row in history[1:]]
+    assert [row[0] for row in rows] == [b"1", b"2"]
+    # decimals of train_loss, val_loss and val_accuracy
+    assert [[len(v.split(b".")[1]) for v in row[1:]] for row in rows] == [[8, 8, 6]] * 2
 
     capsys.readouterr()
     assert run(["eval", "--ckpt", "s1.aigm", "--manifest", str(corpus["manifest"]),

@@ -156,9 +156,8 @@ def test_every_exception_class_is_caught_by_name():
     assert [f"{module}.{name}" for module, name in defined if name not in caught] == []
 
 
-# file writers: np.savetxt and its kin, and pathlib's whole-file writes
-_WRITER_CALLS = {"savetxt", "save", "savez", "savez_compressed", "tofile", "write_text",
-                 "write_bytes"}
+# file writers other than open(): numpy's and pathlib's
+_WRITER_CALLS = {"savetxt", "tofile", "write_text", "write_bytes"}
 
 
 def _writes_a_file(call: ast.Call) -> bool:
