@@ -1,3 +1,4 @@
+import csv
 import hashlib
 
 import numpy as np
@@ -5,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aigmdet import cli
 from aigmdet.audio import AudioBuffer
-from aigmdet.beats import (ONSET_DELAY_S, PHASE_SNAP_S, BeatGrid, analyze,
+from aigmdet.beats import (ONSET_DELAY_S, PHASE_SNAP_S, BeatAnalysis, BeatGrid, analyze,
                            estimate_tempo, beat_dp, pick_downbeats, quantize_grid,
                            segment_bars, track_beats)
 from aigmdet.data import _SYNTH_TEMPI, render_track
@@ -282,6 +284,22 @@ def test_segment_bars_sparse():
     grid = BeatGrid(start=0.0, period=2.0, count=2)
     with pytest.raises(AnalysisError, match="holds no 4-bar window"):
         segment_bars(np.zeros(16000 * 4), grid)
+
+
+def test_export_boundaries_csv(tmp_path, monkeypatch, capsys):
+    """beats writes the whole bars of the grid, one csv row each."""
+    grid = BeatGrid(start=0.5, period=8.0, count=2)
+    analysis = BeatAnalysis(120.0, np.zeros(0), grid.downbeats(), grid)
+    monkeypatch.setattr(cli, "_beat_analysis", lambda path: (analysis, 16.5))
+    path = tmp_path / "bounds.csv"
+    assert cli.main(["beats", "track.wav", "--out", str(path)]) == 0
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["index", "start_s", "end_s"]
+    assert rows[1] == ["0", "0.500000", "8.500000"]
+    assert rows[2] == ["1", "8.500000", "16.500000"]
+    assert len(rows) == 3
+    assert "downbeats=2" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------- pipeline property

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aigmdet import nn
+from aigmdet import cli, nn, pipeline
 from aigmdet.audio import AudioBuffer
 from aigmdet.beats import BeatGrid, segment_bars
 from aigmdet.dsp import FRAME_LEN, HOP, log_mel, segment_frames
@@ -77,6 +77,32 @@ def test_ssm_rotation_pattern_invariance(seed, n):
 
 
 # ---------------------------------------------------------------- outputs
+def run_ssm(monkeypatch, tmp_path, seq):
+    """cmd_ssm's files of the matrix of seq, as <tmp_path>/ssm.csv and .pgm."""
+    monkeypatch.setattr(pipeline, "model_input", lambda *args: lambda path: seq)
+    assert cli.main(["ssm", "track.wav", "--stage1-ckpt", "s1.aigm",
+                     "--out", str(tmp_path / "ssm")]) == 0
+    return tmp_path / "ssm.csv", tmp_path / "ssm.pgm"
+
+
+def test_export_ssm_csv_round_trip(tmp_path, monkeypatch):
+    rng = np.random.default_rng(6)
+    seq = EmbeddingSequence(rng.normal(size=(5, 4)))
+    path, _ = run_ssm(monkeypatch, tmp_path, seq)
+    loaded = np.loadtxt(path, delimiter=",")
+    assert np.allclose(loaded, self_similarity(seq), atol=1e-9)
+
+
+def test_export_ssm_pgm(tmp_path, monkeypatch):
+    _, path = run_ssm(monkeypatch, tmp_path, EmbeddingSequence(np.eye(3)))
+    blob = path.read_bytes()
+    assert blob.startswith(b"P5\n3 3\n255\n")
+    assert len(blob) == len(b"P5\n3 3\n255\n") + 9
+    pixels = np.frombuffer(blob[len(b"P5\n3 3\n255\n"):], dtype=np.uint8).reshape(3, 3)
+    assert (np.diag(pixels) == 255).all()
+    assert pixels[0, 1] == 128  # similarity 0 -> round(127.5) = 128
+
+
 def test_detector_output_sigmoid_consistency():
     from aigmdet.tensor import Tensor
     out = DetectorOutput.from_tensors(Tensor(np.array(0.0)), Tensor(np.zeros(4)))

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aigmdet import nn
+from aigmdet import cli, nn
+from aigmdet.audio import save_wav
+from aigmdet.data import Manifest, ManifestEntry, render_track
 from aigmdet.nn import AttentionConfig
 from aigmdet.models import AudioCAT
 from aigmdet.errors import DivergedLoss, InputError
@@ -139,6 +141,25 @@ def test_train_drops_incomplete_batch():
     # forward_tensor, not loss
     assert sum(seen) == 8
     assert seen == [8]
+
+
+def test_history_csv(tmp_path, capsys):
+    """train writes one history row per epoch it ran, under its header."""
+    rng = np.random.default_rng(0)
+    entries = []
+    for i, split in enumerate(["train"] * 4 + ["val"] * 2):
+        path = tmp_path / f"clip{i}.wav"
+        save_wav(render_track(i % 2, 120, 4.0, 16000, rng), path)
+        entries.append(ManifestEntry(str(path), i % 2, split))
+    Manifest(entries).save(tmp_path / "manifest.csv")
+    out = tmp_path / "s1.aigm"
+    assert cli.main(["train", "--arch", "audiocat", "--extractor", "stats-160", "--manifest",
+                     str(tmp_path / "manifest.csv"), "--epochs", "3", "--out", str(out)]) == 0
+    epochs = [line for line in capsys.readouterr().out.splitlines() if line.startswith("epoch ")]
+    lines = (tmp_path / "s1.aigm.history.csv").read_text().strip().splitlines()
+    assert lines[0] == "epoch,train_loss,val_loss,val_accuracy"
+    assert len(lines) == 1 + len(epochs) >= 2
+    assert [line.split(",")[0] for line in lines[1:]] == [str(i + 1) for i in range(len(epochs))]
 
 
 def test_train_transformer_smoke():
