@@ -142,7 +142,7 @@ def cmd_predict(args) -> int:
 
 def cmd_ssm(args) -> int:
     read = pipeline.model_input("segtr", "", args.stage1_ckpt, "ssm")
-    ssm = self_similarity(read(args.audio))
+    ssm = self_similarity(read(args.audio).vectors)
     n = len(ssm)
     np.savetxt(f"{args.out}.csv", ssm, fmt="%.9f", delimiter=",")
     # an 8-bit PGM with similarities [-1, 1] mapped to [0, 255]

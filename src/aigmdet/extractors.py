@@ -29,18 +29,10 @@ class EmbeddingSequence:
         self.vectors = np.atleast_2d(np.asarray(self.vectors, dtype=np.float64))
 
     @property
-    def length(self) -> int:
-        return self.vectors.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[1]
-
-    @property
     def mask(self) -> np.ndarray:
         """[N] all True: every row is a segment.  Only the benchmark's
         segment count reads it."""
-        return np.ones(self.length, dtype=bool)
+        return np.ones(len(self.vectors), dtype=bool)
 
 
 # ----------------------------------------------------------------------

@@ -37,17 +37,13 @@ class DetectorOutput:
     probability: float
     pooled: np.ndarray
 
-    @staticmethod
-    def from_tensors(logit, pooled) -> "DetectorOutput":
-        z = float(logit.data)
-        return DetectorOutput(logit=z, probability=float(_sigmoid(z)), pooled=pooled.data.copy())
-
 
 def _outputs(model, *args) -> list[DetectorOutput]:
     """forward_tensor(*args) without a tape, one DetectorOutput an example."""
     with no_grad():
         logits, pooled = model.forward_tensor(*args)
-        return [DetectorOutput.from_tensors(logits[i], pooled[i]) for i in range(logits.size)]
+    return [DetectorOutput(float(z), float(_sigmoid(z)), row.copy())
+            for z, row in zip(logits.data, pooled.data)]
 
 
 def _batch_loss(model, xs, ys, loss_fn) -> Tensor:
@@ -72,10 +68,9 @@ def _pad_batch(*fields) -> list[np.ndarray]:
     return [np.arange(n) < lengths[:, None], *out]
 
 
-def self_similarity(seq: EmbeddingSequence) -> np.ndarray:
-    """[N x N] cosine similarities of a sequence's rows; the row and column
-    of a zero-norm row are zero."""
-    v = seq.vectors
+def self_similarity(v: np.ndarray) -> np.ndarray:
+    """[N x N] cosine similarities of the rows of v [N x d]; the row and
+    column of a zero-norm row are zero."""
     norms = np.linalg.norm(v, axis=1)
     valid = norms > 0
     n = len(valid)
@@ -123,8 +118,6 @@ class AudioCAT(nn.Module):
             if f.shape[1] != self.d_enc:
                 raise ValueError(f"features dim {f.shape[1]} vs d_enc {self.d_enc}")
         mem_mask, padded = _pad_batch(feats)
-        if mem_mask.all():
-            mem_mask = None
         memory = (self.in_proj(Tensor(padded))
                   + nn.sinusoidal_positions(padded.shape[1], self.cfg.d_model))
         x = self.queries  # [n_queries x d], broadcast over the batch
@@ -202,10 +195,15 @@ class SegmentTransformer(nn.Module):
         self.structure_blocks = [nn.EncoderBlock(cfg, rng) for _ in range(n_layers_structure)]
         self.head = nn.Linear(2 * cfg.d_model, 1, rng)
 
-    def _masked_mean(self, x: Tensor, mask: np.ndarray) -> Tensor:
-        """Mean over the valid rows: [..., n x d] with mask [..., n] -> [..., d]."""
+    @staticmethod
+    def _pathway(proj, blocks, rows: np.ndarray, mask: np.ndarray, pos) -> Tensor:
+        """One pathway's encoding of padded rows [B x n x k], mask [B x n],
+        mean-pooled over the valid rows: [B x d_model]."""
+        x = proj(Tensor(rows)) + pos
+        for block in blocks:
+            x = block(x, mask=mask)
         weights = mask.astype(np.float64) / mask.sum(axis=-1, keepdims=True)
-        return (Tensor(weights[..., None, :]) @ x).reshape(*x.shape[:-2], x.shape[-1])
+        return (Tensor(weights[:, None, :]) @ x).reshape(len(mask), x.shape[-1])
 
     def forward_tensor(self, batch) -> tuple[Tensor, Tensor]:
         """Logits [B] and pooled outputs [B x 2 d_model] of a list of
@@ -214,27 +212,16 @@ class SegmentTransformer(nn.Module):
         The batch is padded by _pad_batch to its longest sequence, and the
         padding is masked out of attention and pooling.  SSM rows are
         zero-padded to max_len columns, the structure projection's width."""
-        seqs = [EmbeddingSequence(s.vectors[:self.max_len]) for s in batch]
-        for seq in seqs:
-            if seq.dim != self.d_in:
-                raise ValueError(f"sequence dim {seq.dim} vs d_in {self.d_in}")
-        mask, vectors, ssm = _pad_batch(
-            [seq.vectors for seq in seqs],
-            [np.pad(self_similarity(seq), ((0, 0), (0, self.max_len - seq.length)))
-             for seq in seqs])
+        rows = [s.vectors[:self.max_len] for s in batch]
+        for v in rows:
+            if v.shape[1] != self.d_in:
+                raise ValueError(f"sequence dim {v.shape[1]} vs d_in {self.d_in}")
+        ssms = [np.pad(self_similarity(v), ((0, 0), (0, self.max_len - len(v)))) for v in rows]
+        mask, vectors, ssm = _pad_batch(rows, ssms)
         pos = nn.sinusoidal_positions(mask.shape[1], self.cfg.d_model)
-
-        xa = self.content_proj(Tensor(vectors)) + pos
-        for block in self.content_blocks:
-            xa = block(xa, mask=mask)
-        pooled_a = self._masked_mean(xa, mask)
-
-        xb = self.structure_proj(Tensor(ssm)) + pos
-        for block in self.structure_blocks:
-            xb = block(xb, mask=mask)
-        pooled_b = self._masked_mean(xb, mask)
-
-        pooled = concat([pooled_a, pooled_b], axis=-1)
+        pooled = concat([self._pathway(self.content_proj, self.content_blocks, vectors, mask, pos),
+                         self._pathway(self.structure_proj, self.structure_blocks, ssm, mask, pos)],
+                        axis=-1)
         return self.head(pooled).reshape(-1), pooled
 
     def forward(self, seq: EmbeddingSequence) -> DetectorOutput:

@@ -100,7 +100,7 @@ class Linear(Module):
         so the weight gradient is a single matrix product."""
         w, b = self.weight, self.bias
         d_out = w.shape[1]
-        rows = x.data if x.ndim == 2 else x.data.reshape(-1, x.shape[-1])
+        rows = x.data.reshape(-1, x.shape[-1])
         out_data = rows @ w.data
         if b is not None:
             out_data += b.data
@@ -401,8 +401,7 @@ def adam_step(params: dict[str, Tensor], state: OptimState):
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * g * g
-        if state.weight_decay:
-            p.data *= 1.0 - state.lr * state.weight_decay
+        p.data *= 1.0 - state.lr * state.weight_decay
         p.data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 

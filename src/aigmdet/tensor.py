@@ -8,6 +8,8 @@ the losses run (transpose among them), and no more; tests/util.py builds
 its reference-only ops on `node` the same way.  matmul takes only
 operands with two or more dims.  Gradients are checked against central
 finite differences in the test suite, so keep backward rules exact.
+A one-parent op's backward needs no requires_grad guard: node records
+it only when that parent requires grad.
 
 Gradients are read-only.  A backward rule may hand one array to several
 parents (x + y gives x and y the same incoming gradient), and the first
@@ -142,8 +144,7 @@ class Tensor:
         out_data = self.data**exponent
 
         def backward(out):
-            if self.requires_grad:
-                self._accumulate(out.grad * exponent * self.data ** (exponent - 1))
+            self._accumulate(out.grad * exponent * self.data ** (exponent - 1))
 
         return node(out_data, (self,), backward)
 
@@ -170,8 +171,7 @@ class Tensor:
         out_data = _sigmoid(self.data)
 
         def backward(out):
-            if self.requires_grad:
-                self._accumulate(out.grad * out.data * (1.0 - out.data))
+            self._accumulate(out.grad * out.data * (1.0 - out.data))
 
         return node(out_data, (self,), backward)
 
@@ -180,8 +180,7 @@ class Tensor:
         out_data = np.logaddexp(0.0, self.data)
 
         def backward(out):
-            if self.requires_grad:
-                self._accumulate(out.grad * _sigmoid(self.data))
+            self._accumulate(out.grad * _sigmoid(self.data))
 
         return node(out_data, (self,), backward)
 
@@ -192,10 +191,9 @@ class Tensor:
         out_data = 0.5 * x * (1.0 + e)
 
         def backward(out):
-            if self.requires_grad:
-                cdf = 0.5 * (1.0 + e)
-                pdf = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
-                self._accumulate(out.grad * (cdf + x * pdf))
+            cdf = 0.5 * (1.0 + e)
+            pdf = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
+            self._accumulate(out.grad * (cdf + x * pdf))
 
         return node(out_data, (self,), backward)
 
@@ -204,11 +202,10 @@ class Tensor:
         out_data = self.data.sum(axis=axis, keepdims=keepdims)
 
         def backward(out):
-            if self.requires_grad:
-                g = out.grad
-                if axis is not None and not keepdims:
-                    g = np.expand_dims(g, axis)
-                self._accumulate(np.broadcast_to(g, self.data.shape).copy())
+            g = out.grad
+            if axis is not None and not keepdims:
+                g = np.expand_dims(g, axis)
+            self._accumulate(np.broadcast_to(g, self.data.shape).copy())
 
         return node(out_data, (self,), backward)
 
@@ -220,8 +217,7 @@ class Tensor:
         out_data = self.data.reshape(shape)
 
         def backward(out):
-            if self.requires_grad:
-                self._accumulate(out.grad.reshape(self.data.shape))
+            self._accumulate(out.grad.reshape(self.data.shape))
 
         return node(out_data, (self,), backward)
 
@@ -231,8 +227,7 @@ class Tensor:
         out_data = self.data.transpose(axes)
 
         def backward(out):
-            if self.requires_grad:
-                self._accumulate(out.grad.transpose(np.argsort(axes)))
+            self._accumulate(out.grad.transpose(np.argsort(axes)))
 
         return node(out_data, (self,), backward)
 
@@ -240,10 +235,9 @@ class Tensor:
         out_data = self.data[idx]
 
         def backward(out):
-            if self.requires_grad:
-                g = np.zeros_like(self.data)
-                np.add.at(g, idx, out.grad)
-                self._accumulate(g)
+            g = np.zeros_like(self.data)
+            np.add.at(g, idx, out.grad)
+            self._accumulate(g)
 
         return node(out_data, (self,), backward)
 

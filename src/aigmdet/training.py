@@ -20,7 +20,9 @@ import numpy as np
 from . import nn
 from .errors import DivergedLoss, InputError
 from .models import predict
-from .tensor import no_grad
+from .tensor import _sigmoid, no_grad
+
+LOSSES = {"bce": nn.bce_loss, "focal": nn.focal_loss}  # TrainConfig.loss -> function
 
 
 @dataclass
@@ -36,7 +38,7 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1 or self.early_stop_patience < 1:
             raise InputError("epochs, batch_size and patience must be >= 1")
-        if self.loss not in ("bce", "focal"):
+        if self.loss not in LOSSES:
             raise InputError(f"unknown loss {self.loss!r}")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise InputError(f"lr must be finite and > 0, got {self.lr}")
@@ -46,7 +48,7 @@ class TrainConfig:
             raise InputError(f"seed must be >= 0, got {self.seed}")
 
     def loss_fn(self):
-        return nn.bce_loss if self.loss == "bce" else nn.focal_loss
+        return LOSSES[self.loss]
 
 
 # named presets for the published training recipes; TrainConfig's defaults
@@ -73,8 +75,8 @@ class TrainResult:
 
 
 def _mean_loss(model, data, loss_fn, batch_size: int) -> tuple[float, float]:
-    """(mean loss, accuracy) without touching gradients, batch_size
-    examples per forward pass."""
+    """(mean loss, accuracy by models.predict) without touching gradients,
+    batch_size examples per forward pass."""
     total, correct = 0.0, 0
     with no_grad():
         for lo in range(0, len(data), batch_size):
@@ -82,7 +84,7 @@ def _mean_loss(model, data, loss_fn, batch_size: int) -> tuple[float, float]:
             logits, _ = model.forward_tensor([x for x, _ in chunk])
             labels = np.array([y for _, y in chunk]) != 0
             total += float(loss_fn(logits, labels).data.sum())
-            correct += int(((logits.data >= 0.0) == labels).sum())
+            correct += int((predict(_sigmoid(logits.data)) == labels).sum())
     return total / len(data), correct / len(data)
 
 

@@ -303,7 +303,7 @@ def test_criterion_6_ssm_properties():
         rng = np.random.default_rng(trial)
         n = int(rng.integers(2, 9))
         v = rng.normal(size=(n, 6))
-        m = self_similarity(EmbeddingSequence(v))
+        m = self_similarity(v)
         check(failures, np.abs(m - m.T).max() <= 1e-9, "asymmetry")
         check(failures, np.abs(np.diag(m) - 1.0).max() <= 1e-9,
               "diagonal != 1")
@@ -321,7 +321,7 @@ def test_criterion_6_ssm_properties():
     model = SegmentTransformer(d_in=6, cfg=TOY, max_len=8, seed=3)
 
     def path_b(v):
-        ssm = np.pad(self_similarity(EmbeddingSequence(v)), ((0, 0), (0, 8 - len(v))))
+        ssm = np.pad(self_similarity(v), ((0, 0), (0, 8 - len(v))))
         pos = nn.sinusoidal_positions(len(v), TOY.d_model)
         xb = model.structure_proj(Tensor(ssm)) + pos
         for block in model.structure_blocks:

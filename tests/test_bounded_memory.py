@@ -99,7 +99,7 @@ def test_track_to_sequence_memory_is_bounded(long_track):
     grid = BeatGrid(start=0.0, period=period, count=int(180.0 // period))
     seq, peak = traced_peak_mb(models.track_to_sequence, long_track, grid, stage1, extractor)
     assert peak <= 40, f"track_to_sequence peaked at {peak:.1f} MB"
-    assert seq.length == int(180.0 // (4 * period))
+    assert len(seq.vectors) == int(180.0 // (4 * period))
 
 
 def test_load_wav_memory_is_bounded(tmp_path):

@@ -12,8 +12,8 @@ from util import RandomStubExtractor, sine_buffer
 # ---------------------------------------------------------------- container
 def test_sequence_container_basics():
     seq = EmbeddingSequence(np.ones((3, 4)))
-    assert seq.length == 3
-    assert seq.dim == 4
+    assert len(seq.vectors) == 3
+    assert seq.vectors.shape[1] == 4
     # every row is a segment: the mask is derived, all True, one a row
     assert seq.mask.dtype == bool and seq.mask.tolist() == [True] * 3
 

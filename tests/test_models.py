@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,11 +12,11 @@ from aigmdet.dsp import FRAME_LEN, HOP, log_mel, segment_frames
 from aigmdet.errors import InputError
 from aigmdet.extractors import (MAX_SEQ_LEN, DspSequenceExtractor, EmbeddingSequence,
                                 get_extractor)
-from aigmdet.models import (AudioCAT, DetectorOutput, FXSegment,
-                            SegmentTransformer, features_to_sequence, predict,
-                            segment_features,
+from aigmdet.models import (AudioCAT, FXSegment, SegmentTransformer, _outputs,
+                            features_to_sequence, predict, segment_features,
                             self_similarity, track_to_sequence)
 from aigmdet.nn import AttentionConfig
+from aigmdet.tensor import Tensor
 
 from util import RandomStubExtractor, finite_diff_check, sine_buffer
 
@@ -24,32 +26,32 @@ SMALL = AttentionConfig(d_model=16, heads=2, ffn_dim=32)
 # ---------------------------------------------------------------- SSM
 def test_ssm_symmetric_unit_diagonal():
     rng = np.random.default_rng(0)
-    m = self_similarity(EmbeddingSequence(rng.normal(size=(6, 8))))
+    m = self_similarity(rng.normal(size=(6, 8)))
     assert np.array_equal(m, m.T)
     assert np.allclose(np.diag(m), 1.0)
     assert m.min() >= -1.0 and m.max() <= 1.0
 
 
 def test_ssm_identical_rows_give_ones():
-    ssm = self_similarity(EmbeddingSequence(np.tile([1.0, 2.0, 3.0], (4, 1))))
+    ssm = self_similarity(np.tile([1.0, 2.0, 3.0], (4, 1)))
     assert np.allclose(ssm, 1.0)
 
 
 def test_ssm_orthogonal_rows_give_zero_off_diagonal():
-    ssm = self_similarity(EmbeddingSequence(np.eye(3)))
+    ssm = self_similarity(np.eye(3))
     assert np.allclose(ssm, np.eye(3))
 
 
 def test_ssm_cosine_oracle():
     a = np.array([1.0, 0.0])
     b = np.array([1.0, 1.0])
-    ssm = self_similarity(EmbeddingSequence(np.stack([a, b])))
+    ssm = self_similarity(np.stack([a, b]))
     assert abs(ssm[0, 1] - 1.0 / np.sqrt(2)) < 1e-12
 
 
 def test_ssm_masked_and_zero_rows_zeroed():
     """A zero-norm row is masked out of the SSM: its row and column are zero."""
-    ssm = self_similarity(EmbeddingSequence([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]))
+    ssm = self_similarity(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]))
     assert np.array_equal(ssm[1], np.zeros(3))
     assert np.array_equal(ssm[:, 1], np.zeros(3))
     assert ssm[0, 0] == ssm[2, 2] == 1.0 and ssm[0, 2] == 0.0
@@ -58,8 +60,8 @@ def test_ssm_masked_and_zero_rows_zeroed():
 def test_ssm_scale_invariant():
     rng = np.random.default_rng(1)
     v = rng.normal(size=(5, 8))
-    a = self_similarity(EmbeddingSequence(v))
-    b = self_similarity(EmbeddingSequence(3.7 * v))
+    a = self_similarity(v)
+    b = self_similarity(3.7 * v)
     assert np.allclose(a, b, atol=1e-12)
 
 
@@ -69,9 +71,9 @@ def test_ssm_rotation_pattern_invariance(seed, n):
     # rotating the segment order permutes the SSM rows/cols identically
     rng = np.random.default_rng(seed)
     v = rng.normal(size=(n, 6))
-    base = self_similarity(EmbeddingSequence(v))
+    base = self_similarity(v)
     k = rng.integers(1, n)
-    rotated = self_similarity(EmbeddingSequence(np.roll(v, k, axis=0)))
+    rotated = self_similarity(np.roll(v, k, axis=0))
     perm = np.roll(np.arange(n), k)
     assert np.allclose(rotated, base[np.ix_(perm, perm)], atol=1e-12)
 
@@ -90,7 +92,7 @@ def test_export_ssm_csv_round_trip(tmp_path, monkeypatch):
     seq = EmbeddingSequence(rng.normal(size=(5, 4)))
     path, _ = run_ssm(monkeypatch, tmp_path, seq)
     loaded = np.loadtxt(path, delimiter=",")
-    assert np.allclose(loaded, self_similarity(seq), atol=1e-9)
+    assert np.allclose(loaded, self_similarity(seq.vectors), atol=1e-9)
 
 
 def test_export_ssm_pgm(tmp_path, monkeypatch):
@@ -104,10 +106,14 @@ def test_export_ssm_pgm(tmp_path, monkeypatch):
 
 
 def test_detector_output_sigmoid_consistency():
-    from aigmdet.tensor import Tensor
-    out = DetectorOutput.from_tensors(Tensor(np.array(0.0)), Tensor(np.zeros(4)))
+    class Stub:
+        def forward_tensor(self, batch):
+            return Tensor(np.array(batch)), Tensor(np.zeros((len(batch), 4)))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out, hot = _outputs(Stub(), [0.0, -800.0])
     assert out.probability == 0.5
-    hot = DetectorOutput.from_tensors(Tensor(np.array(-800.0)), Tensor(np.zeros(4)))
     assert 0.0 <= hot.probability < 1e-300 or hot.probability == 0.0
 
 
@@ -414,7 +420,7 @@ def test_track_to_sequence_builds_no_buffer(monkeypatch):
     monkeypatch.setattr(AudioBuffer, "__post_init__",
                         lambda buf: built.append(buf) or init(buf))
     seq = track_to_sequence(track, grid, stage1, ext)
-    assert seq.length == MAX_SEQ_LEN
+    assert len(seq.vectors) == MAX_SEQ_LEN
     assert built == []
 
 

@@ -153,12 +153,12 @@ def test_one_stft_pass_per_track(tmp_path, monkeypatch):
     frames.clear()
     stage1 = FXSegment(d_enc=4 * N_MELS, n_tokens=4, cfg=SMALL, n_layers=1, seed=0)
     seq = pipeline.track_sequence_for_path(path, stage1, get_extractor("stats-160"))
-    assert seq.length >= 2
+    assert len(seq.vectors) >= 2
     assert sum(frames) == track_frames
     frames.clear()
     stage1 = AudioCAT(d_enc=N_MELS, cfg=SMALL, n_layers=1, seed=0)
     seq = pipeline.track_sequence_for_path(path, stage1, get_extractor("seq-512"))
-    assert seq.length >= 2
+    assert len(seq.vectors) >= 2
     assert sum(frames) == track_frames
 
 
@@ -269,3 +269,45 @@ def test_experiment_smoke(tmp_path):
     run_experiment(tmp_path / "mini", n_per_class=8, duration_s=32.0,
                    seeds=(0,), epochs=1, lr=1e-3)
     assert (tmp_path / "mini" / "manifest.csv").read_text() == manifest
+
+
+# ---------------------------------------------------------------- pinned scores
+# logits that pipeline.scorer gives of seeded, untrained build_model
+# checkpoints on two seeded renders: a change to the model stack that keeps
+# every score's bytes keeps these.  The logit is pinned, not the probability,
+# which saturates (0.99999 for the seq-512 audiocat).  Scores at 1 and 2
+# BLAS threads differ by about 1e-10, relative.
+PINNED_LOGITS = {
+    "audiocat-seq-512": (11.60415551777767, 13.931716608225315),
+    "audiocat-stats-160": (2.229627236422489, 2.2533085706145313),
+    "fxseg-stats-160": (-0.28576352622175083, -0.2657446099272158),
+    "segtr": (-11.951950957887828, -12.483840793463429),
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_inputs(tmp_path_factory):
+    """The 16 kHz mono and the 44.1 kHz stereo WAV, and one checkpoint per
+    PINNED_LOGITS key; the segtr's stage 1 is the seq-512 audiocat."""
+    root = tmp_path_factory.mktemp("pinned")
+    mono, stereo = root / "16k.wav", root / "44k-stereo.wav"
+    save_wav(render_track(0, 120.0, 16.0, 16000, np.random.default_rng(0)), mono)
+    row = render_track(1, 130.0, 16.0, 44100, np.random.default_rng(1)).samples[0]
+    save_wav(AudioBuffer(np.stack([row, 0.5 * row]), 44100), stereo)
+    ckpts = {}
+    for seed, (arch, preset) in enumerate([("audiocat", "seq-512"), ("audiocat", "stats-160"),
+                                           ("fxseg", "stats-160"), ("segtr", "")]):
+        key = f"{arch}-{preset}" if preset else arch
+        ckpts[key] = root / f"{key}.aigm"
+        model, _ = _built(arch, preset, seed=seed)
+        pipeline.save_model(ckpts[key], model, arch, extractor_preset=preset)
+    return (mono, stereo), ckpts
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_LOGITS))
+def test_pinned_scores(pinned_inputs, key):
+    wavs, ckpts = pinned_inputs
+    stage1 = ckpts["audiocat-seq-512"] if key == "segtr" else None
+    score = pipeline.scorer(ckpts[key], stage1)
+    got = tuple(score(path).logit for path in wavs)
+    assert got == pytest.approx(PINNED_LOGITS[key], rel=1e-6)

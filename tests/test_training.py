@@ -11,9 +11,9 @@ from aigmdet.data import Manifest, ManifestEntry, render_track
 from aigmdet.nn import AttentionConfig
 from aigmdet.models import AudioCAT
 from aigmdet.errors import DivergedLoss, InputError
-from aigmdet.tensor import Tensor
-from aigmdet.training import (PRESETS, TrainConfig, confusion, evaluate, metrics, roc_auc,
-                              train)
+from aigmdet.tensor import Tensor, _sigmoid
+from aigmdet.training import (PRESETS, TrainConfig, _mean_loss, confusion, evaluate, metrics,
+                              roc_auc, train)
 
 from util import pairwise_auc
 
@@ -48,8 +48,10 @@ def separable_data(n, d=4, seed=0):
 def test_config_validation():
     with pytest.raises(InputError):
         TrainConfig(epochs=0)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^unknown loss 'hinge'$"):
         TrainConfig(loss="hinge")
+    assert TrainConfig(loss="bce").loss_fn() is nn.bce_loss
+    assert TrainConfig(loss="focal").loss_fn() is nn.focal_loss
     with pytest.raises(InputError, match="seed must be >= 0, got -1"):
         TrainConfig(seed=-1)
 
@@ -185,6 +187,19 @@ def test_confusion_threshold_is_inclusive():
     assert confusion([0.5], [1]) == (1, 0, 0, 0)
     assert confusion([np.nextafter(0.5, 0)], [1]) == (0, 0, 0, 1)
     assert confusion([0.5, np.nextafter(0.5, 0)], [0, 0]) == (0, 1, 1, 0)
+
+
+def test_validation_accuracy_uses_the_decision_rule():
+    """A logit of -1e-17 has probability exactly 0.5, which models.predict
+    calls AI-generated: validation accuracy counts it as evaluate does."""
+    class Stub:
+        def forward_tensor(self, xs):
+            logits = Tensor(np.full(len(xs), -1e-17))
+            return logits, logits
+
+    _, accuracy = _mean_loss(Stub(), [(None, 1)], nn.bce_loss, batch_size=8)
+    assert accuracy == 1.0
+    assert accuracy == evaluate([_sigmoid(-1e-17)], [1]).accuracy
 
 
 def test_confusion_length_mismatch():
